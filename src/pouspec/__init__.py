@@ -7,16 +7,16 @@ from .bases import (BasisSystem, check_nonnegativity, check_partition_of_unity,
                     clamped_knots, make_bernstein_basis, make_bspline_basis,
                     make_hat_basis)
 from .checks import CheckResult
-from .errors import (ConfigError, DomainError, EigensolverError,
-                     NotConstructibleError, UnsupportedSizeError)
+from .errors import (ConfigError, DomainError, NotConstructibleError,
+                     UnsupportedSizeError)
 from .functionals import (DiracFunctional, Functional, IntervalAverageFunctional,
                           WeightedQuadratureFunctional,
                           check_functional_normalization, integrate_gauss_legendre,
                           make_kantorovich_functionals)
 from .functions import (BasisCombination, ClosedForm, Function, Interval,
                         SampledFunction, UNIT_INTERVAL, constant, cosine_wave,
-                        eval_function, exponential, monomial, polynomial,
-                        random_function, sine_wave)
+                        exponential, monomial, polynomial, random_function,
+                        sine_wave)
 from .operators import (OperatorSpec, apply_adjoint, apply_operator,
                         bernstein_operator, coefficient_vector, estimate_operator_norm,
                         greville_abscissae, hat_dirac_operator, kantorovich_operator,

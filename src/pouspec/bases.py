@@ -24,10 +24,6 @@ TOL_POU = 1e-10
 #: Default number of verification grid points.
 DEFAULT_GRID_POINTS = 1001
 
-#: Degree above which Bernstein evaluation switches from the explicit
-#: binomial formula to the triangular recurrence.
-BERNSTEIN_RECURRENCE_DEGREE = 30
-
 
 @dataclass(frozen=True)
 class BasisSystem:
@@ -59,18 +55,7 @@ class BasisSystem:
 # --------------------------------------------------------------------------
 
 def _bernstein_values(n: int, k: int, xs: np.ndarray) -> np.ndarray:
-    if n <= BERNSTEIN_RECURRENCE_DEGREE:
-        return float(math.comb(n, k)) * xs ** k * (1.0 - xs) ** (n - k)
-    # Triangular recurrence: numerically stable for large n where the
-    # binomial coefficients overflow intermediate products.
-    row = [np.ones_like(xs)]
-    for nu in range(1, n + 1):
-        nxt = [(1.0 - xs) * row[0]]
-        for j in range(1, nu):
-            nxt.append((1.0 - xs) * row[j] + xs * row[j - 1])
-        nxt.append(xs * row[-1])
-        row = nxt
-    return row[k]
+    return float(math.comb(n, k)) * xs ** k * (1.0 - xs) ** (n - k)
 
 
 def make_bernstein_basis(n: int) -> BasisSystem:

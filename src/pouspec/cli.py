@@ -6,12 +6,12 @@ Subcommands:
   JSON / CSV / SVG outputs.
 * ``catalog``: list the built-in operator kinds and their parameters.
 * ``verify``: lemma and stochasticity checks only, no spectrum.
-* ``oracle``: cross-check the QR eigensolver against the
+* ``oracle``: cross-check the LAPACK eigensolver against the
   characteristic-polynomial oracle (matrix dimension at most 5).
 
-Exit codes: 0 when everything conforms, 1 when a check fails or the
-spectrum violates the peripheral statement, 2 for configuration or I/O
-errors.
+Exit codes: 0 when everything conforms, 1 when a check fails, the
+spectrum violates the peripheral statement or the eigensolve fails, 2 for
+configuration or I/O errors.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bases import check_partition_of_unity
-from .errors import ConfigError, UnsupportedSizeError
-from .operators import (kernel_witness_report, verify_constant_reproduction,
-                        verify_norm_bound, verify_positivity)
+from numpy.linalg import LinAlgError
+
+from .errors import ConfigError, DomainError, UnsupportedSizeError
 from .report import (AnalysisConfig, build_operator, emit_report, emit_svg,
-                     exit_code_for, parse_config, run_analyze)
+                     exit_code_for, parse_config, run_analyze, run_checks)
 from .spectra import (build_collocation_matrix, char_poly_eigen_oracle,
                       check_row_stochastic, eigenvalues, pair_eigenvalues)
 
@@ -98,16 +97,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         config = config.with_seed(args.seed)
     op = build_operator(config)
     grid = op.basis.domain.grid(config.grid_points)
-    tol = config.tolerances
     results = [
-        check_partition_of_unity(op.basis, grid, tol.pou),
-        verify_positivity(op, trials=100, tol=tol.norm, seed=config.seed,
-                          grid_points=config.grid_points),
-        verify_constant_reproduction(op, grid, tol.norm),
-        verify_norm_bound(op, trials=200, seed=config.seed + 1, tol=tol.norm,
-                          grid_points=config.grid_points),
-        kernel_witness_report(op, grid_points=config.grid_points),
-        check_row_stochastic(build_collocation_matrix(op), tol.stochastic),
+        *run_checks(op, config, grid).values(),
+        check_row_stochastic(build_collocation_matrix(op), config.tolerances.stochastic),
     ]
     print(f"operator: {op.name}")
     for check in results:
@@ -157,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_cmd_verify)
 
     oracle = sub.add_parser("oracle",
-                            help="QR vs characteristic-polynomial cross-check (n <= 5)")
+                            help="LAPACK vs characteristic-polynomial cross-check (n <= 5)")
     oracle.add_argument("--config", required=True, help="path to a JSON config")
     oracle.set_defaults(handler=_cmd_oracle)
 
@@ -169,9 +161,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, UnsupportedSizeError) as exc:
+    except (ConfigError, DomainError, UnsupportedSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except LinAlgError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class DomainError(ValueError):
     """Evaluation or integration was requested outside a function's domain."""
@@ -21,13 +19,3 @@ class NotConstructibleError(RuntimeError):
 class UnsupportedSizeError(ValueError):
     """Matrix dimension outside the supported range of an operation."""
 
-
-class EigensolverError(RuntimeError):
-    """QR iteration failed to converge within the sweep budget.
-
-    ``partial`` holds the eigenvalues that deflated before the failure.
-    """
-
-    def __init__(self, message: str, partial: np.ndarray | None = None):
-        super().__init__(message)
-        self.partial = partial if partial is not None else np.empty(0, dtype=complex)

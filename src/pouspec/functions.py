@@ -197,11 +197,6 @@ def scaled(f: Function, factor: float, name: str | None = None) -> ClosedForm:
                       domain=f.domain)
 
 
-def eval_function(f: Function, x: float) -> float:
-    """Evaluate ``f`` at a single point (domain-checked)."""
-    return f(x)
-
-
 # --------------------------------------------------------------------------
 # Random test-function catalog
 # --------------------------------------------------------------------------

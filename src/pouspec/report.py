@@ -13,6 +13,7 @@ flat eigenvalue CSV, and to a static SVG of the disks and eigenvalues.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -22,7 +23,7 @@ import numpy as np
 from .bases import check_partition_of_unity, make_bernstein_basis, make_bspline_basis, \
     make_hat_basis
 from .checks import CheckResult
-from .errors import ConfigError, EigensolverError
+from .errors import ConfigError
 from .functionals import (DiracFunctional, IntervalAverageFunctional,
                           WeightedQuadratureFunctional)
 from .operators import (OperatorSpec, bernstein_operator, hat_dirac_operator,
@@ -31,7 +32,7 @@ from .operators import (OperatorSpec, bernstein_operator, hat_dirac_operator,
                         verify_norm_bound, verify_positivity)
 from .spectra import (CollocationMatrix, IterateResult, SpectrumReport,
                       build_collocation_matrix, classify_spectrum, eigenvalues,
-                      gershgorin_disks, iterate_limit, sort_eigenvalues)
+                      gershgorin_disks, iterate_limit)
 
 SCHEMA_VERSION = 1
 
@@ -193,8 +194,8 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
     tol_kwargs = {}
     for name in ("pou", "stochastic", "peripheral", "norm"):
         value = tol_data.get(name, getattr(defaults, name))
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"config: tolerance '{name}' must be a positive number")
+        if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
+            raise ConfigError(f"config: tolerance '{name}' must be a finite positive number")
         tol_kwargs[name] = float(value)
 
     it_data = data.get("iterate", {})
@@ -205,8 +206,8 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
     if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 2:
         raise ConfigError("config: iterate 'm_max' must be an integer >= 2")
     it_tol = it_data.get("tol", it_defaults.tol)
-    if not isinstance(it_tol, (int, float)) or it_tol <= 0:
-        raise ConfigError("config: iterate 'tol' must be a positive number")
+    if not isinstance(it_tol, (int, float)) or not math.isfinite(it_tol) or it_tol <= 0:
+        raise ConfigError("config: iterate 'tol' must be a finite positive number")
 
     seed = data.get("seed", 42)
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -300,12 +301,29 @@ class AnalysisReport:
         return all(c.passed for c in self.checks.values())
 
 
+def run_checks(op: OperatorSpec, config: AnalysisConfig,
+               grid: np.ndarray) -> dict[str, CheckResult]:
+    """The lemma checks of an operator, in report order, seeded from the
+    config."""
+    tol = config.tolerances
+    return {
+        "partition_of_unity": check_partition_of_unity(op.basis, grid, tol.pou),
+        "positivity": verify_positivity(op, trials=100, tol=tol.norm, seed=config.seed,
+                                        grid_points=config.grid_points),
+        "constant_reproduction": verify_constant_reproduction(op, grid, tol.norm),
+        "norm_estimate": verify_norm_bound(op, trials=200, seed=config.seed + 1,
+                                           tol=tol.norm, grid_points=config.grid_points),
+        "kernel_residual": kernel_witness_report(op, grid_points=config.grid_points),
+    }
+
+
 def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     """Execute the full pipeline for one configured operator.
 
-    The run is deterministic for a fixed config (seed included). Module
-    errors in individual stages are folded into the report diagnostics
-    rather than aborting the run.
+    The run is deterministic for a fixed config (seed included). A LAPACK
+    failure in the eigensolve is re-raised as
+    :class:`numpy.linalg.LinAlgError` naming the operator and the stage;
+    no report with a partial spectrum is produced.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -313,18 +331,8 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     grid = op.basis.domain.grid(config.grid_points)
     timings["build"] = time.perf_counter() - t0
 
-    tol = config.tolerances
     t0 = time.perf_counter()
-    checks: dict[str, CheckResult] = {}
-    checks["partition_of_unity"] = check_partition_of_unity(op.basis, grid, tol.pou)
-    checks["positivity"] = verify_positivity(op, trials=100, tol=tol.norm,
-                                             seed=config.seed,
-                                             grid_points=config.grid_points)
-    checks["constant_reproduction"] = verify_constant_reproduction(op, grid, tol.norm)
-    checks["norm_estimate"] = verify_norm_bound(op, trials=200, seed=config.seed + 1,
-                                                tol=tol.norm,
-                                                grid_points=config.grid_points)
-    checks["kernel_residual"] = kernel_witness_report(op, grid_points=config.grid_points)
+    checks = run_checks(op, config, grid)
     timings["checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -335,19 +343,11 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
 
     t0 = time.perf_counter()
     disks = gershgorin_disks(matrix)
-    extra_diag = ""
     try:
         eigs = eigenvalues(matrix)
-    except EigensolverError as exc:
-        eigs = sort_eigenvalues(exc.partial)
-        extra_diag = f"; eigensolver failure, partial results only: {exc}"
-    spectrum = classify_spectrum(eigs, disks, tol.peripheral)
-    if extra_diag:
-        spectrum = SpectrumReport(
-            eigenvalues=spectrum.eigenvalues, disks=spectrum.disks,
-            peripheral=spectrum.peripheral, classification=spectrum.classification,
-            diagnostics=spectrum.diagnostics + extra_diag,
-            containment_residual=spectrum.containment_residual)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"operator {op.name}: eigensolve failed: {exc}") from exc
+    spectrum = classify_spectrum(eigs, disks, config.tolerances.peripheral)
     timings["spectrum"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

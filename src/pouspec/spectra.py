@@ -9,12 +9,10 @@ internally tangent to the unit circle at 1 whenever its diagonal entry is
 positive. Zero diagonal entries void that tangency argument; the classifier
 reports them explicitly instead of asserting the peripheral statement.
 
-The eigensolver is a dense real-Schur reduction: Parlett-Reinsch balancing,
-Householder Hessenberg reduction, then Francis double-shift QR iteration
-with deflation and EISPACK-style exceptional shifts. An independent cross
-check for small matrices computes the characteristic polynomial by the
-Faddeev-LeVerrier recursion and finds its roots in closed form (degree at
-most two) or through the companion matrix.
+The eigenvalues come from LAPACK's dense nonsymmetric solver (``geev``)
+through scipy. An independent cross check for small matrices computes the
+characteristic polynomial by the Faddeev-LeVerrier recursion and finds its
+roots in closed form (degree at most two) or through the companion matrix.
 """
 
 from __future__ import annotations
@@ -24,16 +22,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .checks import CheckResult
-from .errors import ConfigError, EigensolverError, UnsupportedSizeError
-
-#: Subdiagonal deflation tolerance of the QR iteration.
-QR_SUBDIAG_TOL = 1e-12
-
-#: Francis sweep budget per eigenvalue before giving up.
-QR_MAX_SWEEPS = 40
+from .errors import ConfigError, UnsupportedSizeError
 
 #: An eigenvalue is peripheral iff its modulus is >= 1 - TOL_PERIPHERAL.
 TOL_PERIPHERAL = 1e-8
@@ -117,184 +110,8 @@ def check_row_stochastic(matrix, tol: float = TOL_STOCHASTIC) -> CheckResult:
 
 
 # --------------------------------------------------------------------------
-# Eigensolver: balancing + Hessenberg + Francis double-shift QR
+# Eigensolver
 # --------------------------------------------------------------------------
-
-def _balance(a: np.ndarray) -> np.ndarray:
-    """Parlett-Reinsch diagonal similarity scaling (radix 2)."""
-    a = a.copy()
-    n = a.shape[0]
-    done = False
-    while not done:
-        done = True
-        for i in range(n):
-            r = np.sum(np.abs(a[i, :])) - abs(a[i, i])
-            c = np.sum(np.abs(a[:, i])) - abs(a[i, i])
-            if r == 0.0 or c == 0.0:
-                continue
-            f = 1.0
-            s = c + r
-            while c < r / 2.0:
-                c *= 2.0
-                r /= 2.0
-                f *= 2.0
-            while c >= r * 2.0:
-                c /= 2.0
-                r *= 2.0
-                f /= 2.0
-            if c + r < 0.95 * s:
-                done = False
-                a[i, :] /= f
-                a[:, i] *= f
-    return a
-
-
-def _reflector(col: np.ndarray) -> tuple[np.ndarray, float]:
-    """Householder vector ``v`` (v[0] = 1) and ``beta`` such that
-    ``(I - beta v v^T) col`` is a multiple of ``e_1``."""
-    v = col.copy()
-    v[0] = 1.0
-    sigma = float(col[1:] @ col[1:])
-    if sigma == 0.0:
-        return v, 0.0
-    mu = math.sqrt(col[0] * col[0] + sigma)
-    if col[0] <= 0.0:
-        v0 = col[0] - mu
-    else:
-        v0 = -sigma / (col[0] + mu)
-    beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
-    v = col / v0
-    v[0] = 1.0
-    return v, beta
-
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Reduce to upper Hessenberg form by Householder similarity."""
-    h = a.copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        v, beta = _reflector(h[k + 1:, k].copy())
-        if beta != 0.0:
-            h[k + 1:, k:] -= beta * np.outer(v, v @ h[k + 1:, k:])
-            h[:, k + 1:] -= beta * np.outer(h[:, k + 1:] @ v, v)
-        h[k + 2:, k] = 0.0
-    return h
-
-
-def _eig_2x2(a: float, b: float, c: float, d: float) -> tuple[complex, complex]:
-    """Eigenvalues of ``[[a, b], [c, d]]``; complex pairs are exact
-    conjugates, real pairs avoid subtractive cancellation."""
-    s = 0.5 * (a + d)
-    disc = 0.25 * (a - d) * (a - d) + b * c
-    if disc >= 0.0:
-        q = math.sqrt(disc)
-        l1 = s + q if s >= 0.0 else s - q
-        if l1 == 0.0:
-            return complex(0.0), complex(0.0)
-        det = a * d - b * c
-        return complex(l1), complex(det / l1)
-    q = math.sqrt(-disc)
-    return complex(s, q), complex(s, -q)
-
-
-def _apply_reflector(h: np.ndarray, col: np.ndarray, k: int, size: int,
-                     lo: int, hi: int) -> None:
-    """Similarity update by the Householder reflector of ``col`` acting on
-    rows/columns ``k .. k + size - 1``, restricted to the active window."""
-    scale = np.max(np.abs(col))
-    if scale == 0.0:
-        return
-    v, beta = _reflector(col / scale)
-    if beta == 0.0:
-        return
-    rows = slice(k, k + size)
-    c0 = max(lo, k - 1)
-    h[rows, c0:hi + 1] -= beta * np.outer(v, v @ h[rows, c0:hi + 1])
-    r1 = min(hi, k + size)
-    h[lo:r1 + 1, rows] -= beta * np.outer(h[lo:r1 + 1, rows] @ v, v)
-
-
-def _francis_sweep(h: np.ndarray, lo: int, hi: int, shift_sum: float,
-                   shift_prod: float) -> None:
-    """One implicit double-shift bulge chase on the active window
-    ``h[lo:hi+1, lo:hi+1]`` (hi - lo >= 2), in place.
-
-    The first column of ``(H - mu1)(H - mu2)`` seeds a 3-row bulge that is
-    chased down the subdiagonal by Householder reflectors and pushed off the
-    window by a final 2-row rotation.
-    """
-    x = (h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo]
-         - shift_sum * h[lo, lo] + shift_prod)
-    y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - shift_sum)
-    z = h[lo + 1, lo] * h[lo + 2, lo + 1]
-    for k in range(lo, hi - 1):
-        if k > lo:
-            x, y, z = h[k, k - 1], h[k + 1, k - 1], h[k + 2, k - 1]
-        _apply_reflector(h, np.array([x, y, z]), k, 3, lo, hi)
-        if k > lo:
-            h[k + 1, k - 1] = 0.0
-            h[k + 2, k - 1] = 0.0
-    k = hi - 1
-    _apply_reflector(h, np.array([h[k, k - 1], h[k + 1, k - 1]]), k, 2, lo, hi)
-    h[k + 1, k - 1] = 0.0
-
-
-def _hessenberg_eigenvalues(h: np.ndarray, subdiag_tol: float,
-                            max_sweeps: int) -> list[complex]:
-    n = h.shape[0]
-    norm = np.sum(np.abs(h))
-    if norm == 0.0:
-        return [complex(0.0)] * n
-    eigs: list[complex] = []
-    hi = n - 1
-    sweeps = 0
-    while hi >= 0:
-        if hi == 0:
-            eigs.append(complex(h[0, 0]))
-            hi -= 1
-            continue
-        # Deflation scan: find the start of the active block.
-        lo = hi
-        while lo > 0:
-            s = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if s == 0.0:
-                s = norm
-            if abs(h[lo, lo - 1]) <= subdiag_tol * s:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs.append(complex(h[hi, hi]))
-            hi -= 1
-            sweeps = 0
-            continue
-        if lo == hi - 1:
-            eigs.extend(_eig_2x2(h[hi - 1, hi - 1], h[hi - 1, hi],
-                                 h[hi, hi - 1], h[hi, hi]))
-            hi -= 2
-            sweeps = 0
-            continue
-        if sweeps >= max_sweeps:
-            raise EigensolverError(
-                f"QR iteration did not deflate within {max_sweeps} sweeps "
-                f"(active block [{lo}, {hi}])",
-                partial=np.asarray(eigs, dtype=complex),
-            )
-        if sweeps > 0 and sweeps % 10 == 0:
-            # Exceptional shift (EISPACK): breaks symmetric cycling that
-            # stalls the standard Wilkinson pair, e.g. permutation blocks.
-            s = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
-            h11 = 0.75 * s + h[hi, hi]
-            shift_sum = 2.0 * h11
-            shift_prod = h11 * h11 + 0.4375 * s * s
-        else:
-            shift_sum = h[hi - 1, hi - 1] + h[hi, hi]
-            shift_prod = (h[hi - 1, hi - 1] * h[hi, hi]
-                          - h[hi - 1, hi] * h[hi, hi - 1])
-        _francis_sweep(h, lo, hi, shift_sum, shift_prod)
-        sweeps += 1
-    return eigs
-
 
 def sort_eigenvalues(values: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Canonical order: descending modulus, then descending real part, then
@@ -305,23 +122,21 @@ def sort_eigenvalues(values: Sequence[complex] | np.ndarray) -> np.ndarray:
     return arr[key]
 
 
-def eigenvalues(matrix, subdiag_tol: float = QR_SUBDIAG_TOL,
-                max_sweeps: int = QR_MAX_SWEEPS) -> np.ndarray:
+def eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues (with multiplicity) of a real square matrix.
 
-    Pipeline: balancing, Householder Hessenberg reduction, Francis implicit
-    double-shift QR with deflation. Returns a complex array in the canonical
-    order of :func:`sort_eigenvalues`; conjugate pairs are exact conjugates.
+    LAPACK ``geev`` (balancing, Hessenberg reduction, Francis QR) through
+    :func:`scipy.linalg.eigvals`; a LAPACK failure raises
+    :class:`numpy.linalg.LinAlgError`. Returns a complex array in the
+    canonical order of :func:`sort_eigenvalues`; conjugate pairs are exact
+    conjugates.
     """
     arr = _as_matrix(matrix)
     n = arr.shape[0]
     if n > MAX_DIMENSION:
         raise UnsupportedSizeError(
             f"dense eigensolver supports n <= {MAX_DIMENSION}, got {n}")
-    if n == 1:
-        return np.array([complex(arr[0, 0])])
-    h = _hessenberg(_balance(arr))
-    return sort_eigenvalues(_hessenberg_eigenvalues(h, subdiag_tol, max_sweeps))
+    return sort_eigenvalues(scipy.linalg.eigvals(arr))
 
 
 # --------------------------------------------------------------------------
@@ -359,7 +174,7 @@ def _quadratic_roots(b: float, c: float) -> list[complex]:
 def char_poly_eigen_oracle(matrix) -> np.ndarray:
     """Eigenvalues via explicit characteristic-polynomial coefficients.
 
-    Independent of the QR path: Faddeev-LeVerrier for the coefficients,
+    Independent of the LAPACK path: Faddeev-LeVerrier for the coefficients,
     then the quadratic formula (degree <= 2) or companion-matrix root
     finding (degree 3 to 5). Going through the polynomial squares the
     sensitivity of multiple roots, so this is a test oracle for small

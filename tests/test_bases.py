@@ -37,12 +37,12 @@ class TestBernstein:
     def test_count(self):
         assert make_bernstein_basis(7).n == 8
 
-    def test_recurrence_path_matches_binomial(self):
-        # Degree above the closed-form cutoff exercises the recurrence.
-        basis = make_bernstein_basis(40)
+    @pytest.mark.parametrize("n", [40, 100, 300, 499])
+    def test_high_degree_matches_binomial(self, n):
+        basis = make_bernstein_basis(n)
         xs = np.linspace(0, 1, 41)
-        for k in (0, 7, 20, 40):
-            expected = [bernstein_value(40, k, x) for x in xs]
+        for k in (0, 7, n // 2, n):
+            expected = [bernstein_value(n, k, x) for x in xs]
             nptest.assert_allclose(basis.functions[k].values(xs), expected,
                                    rtol=1e-12, atol=1e-14)
 

@@ -8,7 +8,7 @@ import pytest
 
 from pouspec.errors import ConfigError, DomainError
 from pouspec.functions import (BasisCombination, Interval, SampledFunction,
-                               constant, cosine_wave, eval_function, exponential,
+                               constant, cosine_wave, exponential,
                                monomial, polynomial, random_function, sine_wave)
 from pouspec.bases import make_hat_basis
 
@@ -31,14 +31,14 @@ class TestInterval:
 
 class TestEvaluation:
     def test_constant_one(self):
-        assert eval_function(constant(1.0), 0.37) == 1.0
+        assert constant(1.0)(0.37) == 1.0
 
     def test_sampled_linear_interpolation(self):
         f = SampledFunction([0.0, 1.0], [0.0, 1.0])
-        assert eval_function(f, 0.25) == 0.25
+        assert f(0.25) == 0.25
 
     def test_catalog_sine(self):
-        assert eval_function(sine_wave(1.0), 0.25) == pytest.approx(1.0, abs=1e-15)
+        assert sine_wave(1.0)(0.25) == pytest.approx(1.0, abs=1e-15)
 
     def test_out_of_domain_raises(self):
         with pytest.raises(DomainError):

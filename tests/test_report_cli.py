@@ -8,6 +8,7 @@ import json
 import numpy as np
 import numpy.testing as nptest
 import pytest
+import scipy.linalg
 
 from pouspec.cli import main
 from pouspec.errors import ConfigError
@@ -222,11 +223,39 @@ class TestCli:
     def test_missing_file_exits_two(self):
         assert main(["analyze", "--config", "/nonexistent/config.json"]) == 2
 
-    def test_bad_config_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, named", [
+        ('{"operator": "kantorovich", "n": 0}', "'n'"),
+        ('{"operator": "kantorovich", "n": 2, "tolerances": {"peripheral": NaN}}',
+         "tolerance 'peripheral'"),
+        ('{"operator": "kantorovich", "n": 2, "tolerances": {"norm": Infinity}}',
+         "tolerance 'norm'"),
+        ('{"operator": "kantorovich", "n": 2, "iterate": {"tol": NaN}}', "iterate 'tol'"),
+        (json.dumps({"operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]},
+                     "functionals": [{"kind": "dirac", "x": 1.5},
+                                     {"kind": "dirac", "x": 0.0}]}),
+         "outside domain"),
+    ], ids=["n-zero", "nan-tolerance", "infinite-norm-tolerance", "nan-iterate-tol",
+            "dirac-outside-domain"])
+    def test_bad_config_exits_two(self, tmp_path, capsys, text, named):
         config = tmp_path / "bad.json"
-        config.write_text('{"operator": "kantorovich", "n": 0}', encoding="utf-8")
+        config.write_text(text, encoding="utf-8")
         assert main(["analyze", "--config", str(config)]) == 2
-        assert "n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_eigensolve_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        def fail(_a):
+            raise np.linalg.LinAlgError("geev did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", fail)
+        config = tmp_path / "config.json"
+        config.write_text(KANT1_CONFIG, encoding="utf-8")
+        json_path = tmp_path / "report.json"
+        assert main(["analyze", "--config", str(config), "--json", str(json_path)]) == 1
+        assert capsys.readouterr().err == ("error: operator kantorovich(n=1): eigensolve "
+                                           "failed: geev did not converge\n")
+        assert not json_path.exists()
 
     def test_catalog_lists_kinds(self, capsys):
         assert main(["catalog"]) == 0

@@ -7,7 +7,8 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from helpers import kantorovich_matrix_oracle, random_stochastic
+from helpers import (bernstein_eigenvalue_oracle, bernstein_value,
+                     kantorovich_matrix_oracle, random_stochastic)
 
 from pouspec.errors import ConfigError, UnsupportedSizeError
 from pouspec.functionals import DiracFunctional
@@ -126,6 +127,12 @@ class TestEigenvalues:
         assert vals[0] == 1.0
         assert vals[1].imag > 0 and vals[2].imag < 0
         assert vals[3] == 0.2
+
+    @pytest.mark.parametrize("n", [31, 60, 100, 200])
+    def test_bernstein_closed_form_spectrum(self, n):
+        matrix = np.array([[bernstein_value(n, j, k / n) for j in range(n + 1)]
+                           for k in range(n + 1)])
+        assert pair_eigenvalues(eigenvalues(matrix), bernstein_eigenvalue_oracle(n)) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_matches_numpy_on_random_stochastic(self, n):
