@@ -1,16 +1,18 @@
 """Positive basis systems that form partitions of unity.
 
 Three constructions are provided: Bernstein polynomials, clamped B-splines
-(Cox-de Boor recursion), and piecewise-linear hat functions. Each returns a
-:class:`BasisSystem`, an ordered family ``e_1 .. e_n`` of nonnegative
-functions whose pointwise sum is the constant one on the domain.
+and piecewise-linear hat functions. Each returns a :class:`BasisSystem`, an
+ordered family ``e_1 .. e_n`` of nonnegative functions whose pointwise sum
+is the constant one on the domain. ``BasisSystem.values`` evaluates a
+B-spline family in one call of scipy's design matrix, other families
+function by function.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +34,9 @@ class BasisSystem:
     functions: tuple[Function, ...]
     domain: Interval
     name: str
+    # Evaluator of the whole family at once, set by make_bspline_basis only.
+    _evaluate: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.functions) < 1:
@@ -44,7 +49,13 @@ class BasisSystem:
 
     def values(self, xs: Sequence[float] | np.ndarray) -> np.ndarray:
         """Evaluate all basis functions on ``xs``; shape ``(n, len(xs))``."""
-        return np.vstack([e.values(xs) for e in self.functions])
+        if self._evaluate is None:
+            return np.vstack([e.values(xs) for e in self.functions])
+        arr = np.atleast_1d(np.asarray(xs, dtype=float))
+        if arr.size == 0:
+            return np.empty((self.n, 0))
+        self.domain.require(arr, self.name)
+        return self._evaluate(arr)
 
     def __repr__(self) -> str:
         return f"BasisSystem({self.name!r}, n={self.n})"
@@ -71,7 +82,7 @@ def make_bernstein_basis(n: int) -> BasisSystem:
 
 
 # --------------------------------------------------------------------------
-# B-spline basis (clamped, Cox-de Boor)
+# B-spline basis (clamped)
 # --------------------------------------------------------------------------
 
 def clamped_knots(breakpoints: Sequence[float], degree: int) -> np.ndarray:
@@ -87,32 +98,16 @@ def clamped_knots(breakpoints: Sequence[float], degree: int) -> np.ndarray:
     return np.concatenate((np.repeat(bp[0], degree), bp, np.repeat(bp[-1], degree)))
 
 
-def _bspline_values(knots: np.ndarray, i: int, degree: int, xs: np.ndarray) -> np.ndarray:
-    hi = knots[-1]
-    if degree == 0:
-        # Right-closed on the last nonempty span so the basis covers x = hi.
-        inside = (knots[i] <= xs) & ((xs < knots[i + 1]) | ((xs == hi) & (knots[i + 1] == hi)))
-        return inside.astype(float)
-    out = np.zeros_like(xs)
-    left_den = knots[i + degree] - knots[i]
-    if left_den > 0.0:
-        out += (xs - knots[i]) / left_den * _bspline_values(knots, i, degree - 1, xs)
-    right_den = knots[i + degree + 1] - knots[i + 1]
-    if right_den > 0.0:
-        out += (knots[i + degree + 1] - xs) / right_den * _bspline_values(
-            knots, i + 1, degree - 1, xs)
-    return out
-
-
 def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
-    """B-spline basis for a clamped knot vector.
+    """B-spline basis for a clamped knot vector spanning [0, 1].
 
     ``knots`` must be the full nondecreasing vector with the first and last
-    values each repeated ``degree + 1`` times; the 0/0 convention of the
-    Cox-de Boor recursion is resolved to 0. The partition of unity holds on
-    the whole clamped range ``[knots[degree], knots[-degree - 1]]``.
+    values, 0 and 1, each repeated ``degree + 1`` times. Values come from
+    :meth:`scipy.interpolate.BSpline.design_matrix`; each span is closed on
+    the left and the last nonempty one also on the right, so the partition
+    of unity holds on the whole of [0, 1].
     """
-    t = np.asarray(knots, dtype=float)
+    t = np.array(knots, dtype=float)
     if degree < 0:
         raise ConfigError(f"degree must be >= 0, got {degree}")
     if t.ndim != 1 or t.size < 2 * (degree + 1):
@@ -124,17 +119,26 @@ def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
     if not (np.all(t[:degree + 1] == t[0]) and np.all(t[-degree - 1:] == t[-1])):
         raise ConfigError(
             f"knot vector must be clamped: first and last knot repeated {degree + 1} times")
-    if t[degree] >= t[-degree - 1]:
-        raise ConfigError("knot vector has no interior span")
-    t = t.copy()
+    domain = UNIT_INTERVAL
+    if t[0] != domain.lo or t[-1] != domain.hi:
+        raise ConfigError(f"knot vector must span [{domain.lo}, {domain.hi}] exactly, "
+                          f"got [{float(t[0])!r}, {float(t[-1])!r}]")
     t.flags.writeable = False
-    domain = Interval(float(t[degree]), float(t[-degree - 1]))
+    # Imported here: scipy.interpolate is a large package that only B-spline
+    # bases need, so other runs do not pay for loading it.
+    from scipy.interpolate import BSpline
+
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        # Points within DOMAIN_SLACK outside [0, 1] pass the domain check.
+        return BSpline.design_matrix(np.clip(xs, 0.0, 1.0), t, degree).toarray().T
+
     funcs = tuple(
-        ClosedForm(f"N[{i},{degree}]", lambda xs, i=i: _bspline_values(t, i, degree, xs),
-                   domain=domain)
+        ClosedForm(f"N[{i},{degree}]", lambda xs, i=i: evaluate(xs)[i], domain=domain)
         for i in range(n_basis)
     )
-    return BasisSystem(funcs, domain, name=f"bspline(deg {degree}, {t.size} knots)")
+    basis = BasisSystem(funcs, domain, name=f"bspline(deg {degree}, {t.size} knots)")
+    object.__setattr__(basis, "_evaluate", evaluate)
+    return basis
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Positive normalized linear functionals and the quadrature behind them.
+"""Positive normalized linear functionals as nonnegative discrete measures.
 
-Three kinds cover everything the operator catalog needs: point evaluation
-(Dirac), normalized interval averages (backed by composite Gauss-Legendre
-quadrature), and finite quadrature rules with nonnegative weights summing
-to one. Each kind sends the constant one to one and nonnegative functions
-to nonnegative values.
+Every functional is a finite rule ``f -> sum_i w_i f(x_i)`` on read-only
+``nodes`` and ``weights`` arrays. The three kinds differ only in how they
+set them: point evaluation (Dirac) is one node of weight one, a normalized
+interval average a composite Gauss-Legendre rule scaled by ``1 / (b - a)``,
+a weighted quadrature its given rule. Nonnegative weights of unit sum make
+a positive functional with ``a(1) = 1`` and dual norm exactly one.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .checks import CheckResult
 from .errors import ConfigError, DomainError
-from .functions import Function, ONE, random_function
+from .functions import Function
 
 #: Default composite Gauss-Legendre rule: exact for polynomials of degree
 #: 15 on each of 4 panels, far beyond any catalog basis function.
@@ -32,12 +33,9 @@ def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def integrate_gauss_legendre(f: Function, a: float, b: float,
-                             order: int = DEFAULT_QUAD_ORDER,
-                             panels: int = DEFAULT_QUAD_PANELS) -> float:
-    """Composite Gauss-Legendre approximation of the integral of ``f`` over
-    ``[a, b]``; exact to round-off for polynomials of degree ``2*order - 1``
-    on each panel."""
+def _gauss_legendre_rule(a: float, b: float, order: int,
+                         panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule on ``[a, b]``."""
     if a >= b:
         raise DomainError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
     if order < 1:
@@ -48,19 +46,45 @@ def integrate_gauss_legendre(f: Function, a: float, b: float,
     edges = np.linspace(a, b, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
-    # All panel nodes in one flat array, one function evaluation per call.
     xs = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
     ws = (half[:, None] * ref_weights[None, :]).ravel()
+    return xs, ws
+
+
+def integrate_gauss_legendre(f: Function, a: float, b: float,
+                             order: int = DEFAULT_QUAD_ORDER,
+                             panels: int = DEFAULT_QUAD_PANELS) -> float:
+    """Composite Gauss-Legendre approximation of the integral of ``f`` over
+    ``[a, b]``; exact to round-off for polynomials of degree ``2*order - 1``
+    on each panel."""
+    xs, ws = _gauss_legendre_rule(a, b, order, panels)
     return float(ws @ f.values(xs))
 
 
 class Functional:
-    """Positive linear functional with value one on the constant one."""
+    """Discrete measure ``f -> sum_i w_i f(x_i)``.
 
-    name: str = "functional"
+    The constructor checks only shapes; weight positivity and normalization
+    are verified by :func:`check_functional_normalization` so that broken
+    rules can still be built for failure-path tests.
+    """
+
+    def __init__(self, nodes: Sequence[float] | np.ndarray,
+                 weights: Sequence[float] | np.ndarray, name: str = "functional"):
+        nodes = np.array(nodes, dtype=float)
+        weights = np.array(weights, dtype=float)
+        if nodes.ndim != 1 or nodes.size < 1:
+            raise ConfigError("functional needs at least one node")
+        if weights.shape != nodes.shape:
+            raise ConfigError("functional nodes and weights differ in length")
+        nodes.flags.writeable = False
+        weights.flags.writeable = False
+        self.nodes = nodes
+        self.weights = weights
+        self.name = name
 
     def __call__(self, f: Function) -> float:
-        raise NotImplementedError
+        return float(self.weights @ f.values(self.nodes))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -71,14 +95,13 @@ class DiracFunctional(Functional):
 
     def __init__(self, x: float):
         self.x = float(x)
-        self.name = f"dirac({self.x:g})"
-
-    def __call__(self, f: Function) -> float:
-        return f(self.x)
+        super().__init__([self.x], [1.0], name=f"dirac({self.x:g})")
 
 
 class IntervalAverageFunctional(Functional):
-    """Normalized average ``f -> (b - a)^{-1} * integral_a^b f``."""
+    """Normalized average ``f -> (b - a)^{-1} * integral_a^b f`` by the
+    composite Gauss-Legendre rule, with ``1 / (b - a)`` folded into the
+    weights."""
 
     def __init__(self, a: float, b: float,
                  order: int = DEFAULT_QUAD_ORDER, panels: int = DEFAULT_QUAD_PANELS):
@@ -86,43 +109,21 @@ class IntervalAverageFunctional(Functional):
             raise ConfigError(f"interval average requires a < b, got [{a}, {b}]")
         self.a = float(a)
         self.b = float(b)
-        self.order = order
-        self.panels = panels
-        self.name = f"avg[{self.a:g},{self.b:g}]"
-
-    def __call__(self, f: Function) -> float:
-        total = integrate_gauss_legendre(f, self.a, self.b, self.order, self.panels)
-        return total / (self.b - self.a)
+        xs, ws = _gauss_legendre_rule(self.a, self.b, order, panels)
+        super().__init__(xs, ws / (self.b - self.a), name=f"avg[{self.a:g},{self.b:g}]")
 
 
 class WeightedQuadratureFunctional(Functional):
-    """Finite rule ``f -> sum_i w_i f(x_i)``.
-
-    The constructor checks only shapes; weight positivity and normalization
-    are verified by :func:`check_functional_normalization` so that broken
-    rules can still be built for failure-path tests.
-    """
+    """Finite rule ``f -> sum_i w_i f(x_i)`` with the given nodes and weights."""
 
     def __init__(self, nodes: Sequence[float], weights: Sequence[float]):
-        nodes = np.asarray(nodes, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 1:
-            raise ConfigError("quadrature functional needs at least one node")
-        if weights.shape != nodes.shape:
-            raise ConfigError("quadrature nodes and weights differ in length")
-        self.nodes = nodes
-        self.weights = weights
-        self.nodes.flags.writeable = False
-        self.weights.flags.writeable = False
-        self.name = f"quad({nodes.size} nodes)"
-
-    def __call__(self, f: Function) -> float:
-        return float(self.weights @ f.values(self.nodes))
+        super().__init__(nodes, weights)
+        self.name = f"quad({self.nodes.size} nodes)"
 
 
 def make_kantorovich_functionals(n: int) -> tuple[IntervalAverageFunctional, ...]:
     """The ``n + 1`` normalized cell averages over ``[k/(n+1), (k+1)/(n+1)]``
-    for ``k = 0 .. n``; the ``(n+1)`` weight is the implicit ``1/(b - a)``."""
+    for ``k = 0 .. n``."""
     if n < 1:
         raise ConfigError(f"Kantorovich index must be >= 1, got {n}")
     cells = n + 1
@@ -131,27 +132,20 @@ def make_kantorovich_functionals(n: int) -> tuple[IntervalAverageFunctional, ...
     )
 
 
-def check_functional_normalization(functional: Functional, tol: float = 1e-12,
-                                   probes: int = 100, seed: int = 42) -> CheckResult:
-    """Verify ``a(1) = 1`` within ``tol`` and probe positivity on random
-    nonnegative catalog functions.
-
-    Positivity is structural for the three built-in kinds; the probe guards
-    hand-built configurations. The dual-norm identity itself is not
-    independently verified, only the value on the unit.
-    """
-    unit_dev = abs(functional(ONE) - 1.0)
-    rng = np.random.default_rng(seed)
-    min_probe = np.inf
-    for _ in range(probes):
-        f = random_function(rng, nonnegative=True)
-        min_probe = min(min_probe, functional(f))
-    passed = unit_dev <= tol and min_probe >= -tol
+def check_functional_normalization(functional: Functional,
+                                   tol: float = 1e-12) -> CheckResult:
+    """Exact structural check: every weight is ``>= -tol`` and the total
+    mass is within ``tol`` of one. The value is the larger of the mass
+    deviation and the magnitude of the most negative weight."""
+    weights = functional.weights
+    i = int(np.argmin(weights))
+    negative = max(0.0, -float(weights[i]))
+    mass_dev = abs(float(weights.sum()) - 1.0)
     return CheckResult(
         name="functional_normalization",
-        passed=bool(passed),
-        value=float(unit_dev),
+        passed=bool(negative <= tol and mass_dev <= tol),
+        value=max(mass_dev, negative),
         threshold=tol,
-        detail=(f"min over {probes} nonnegative probes: {min_probe:.3e}; "
-                "dual norm identity assumed, not independently verified"),
+        detail=(f"min weight {float(weights[i])!r} at node {float(functional.nodes[i])!r}, "
+                f"|sum w - 1| = {mass_dev:.3e}"),
     )

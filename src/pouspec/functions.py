@@ -39,6 +39,14 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo - DOMAIN_SLACK <= x <= self.hi + DOMAIN_SLACK
 
+    def require(self, xs: np.ndarray, who: str) -> None:
+        """Raise :class:`DomainError` naming ``who`` and the first point of
+        ``xs`` outside the interval (NaN counts as outside)."""
+        inside = (xs >= self.lo - DOMAIN_SLACK) & (xs <= self.hi + DOMAIN_SLACK)
+        if not inside.all():
+            bad = float(xs[~inside][0])
+            raise DomainError(f"{who}: x={bad!r} outside domain [{self.lo}, {self.hi}]")
+
     def grid(self, points: int) -> np.ndarray:
         """Uniform grid with ``points`` samples including both endpoints."""
         if points < 2:
@@ -64,10 +72,7 @@ class Function:
         arr = np.atleast_1d(np.asarray(xs, dtype=float))
         if arr.size == 0:
             return np.empty(0)
-        lo, hi = self.domain.lo, self.domain.hi
-        if arr.min() < lo - DOMAIN_SLACK or arr.max() > hi + DOMAIN_SLACK:
-            bad = arr[(arr < lo - DOMAIN_SLACK) | (arr > hi + DOMAIN_SLACK)][0]
-            raise DomainError(f"{self.name}: x={bad!r} outside domain [{lo}, {hi}]")
+        self.domain.require(arr, self.name)
         return self._values(arr)
 
     def __call__(self, x: float) -> float:

@@ -9,7 +9,8 @@ against a clamped B-spline basis).
 
 The verification helpers measure, on a fixed grid and with seeded random
 test functions: constant reproduction, positivity, the unit operator norm,
-the adjoint pairing identity, and an explicit nonzero kernel witness.
+the adjoint pairing identity, and an explicit nonzero kernel witness. Each
+check evaluates the basis on its grid once.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ class OperatorSpec:
     """Basis plus functionals of equal count; immutable once built.
 
     With ``validate=True`` (the default) construction verifies the partition
-    of unity, basis nonnegativity, and the normalization of every
-    functional; pass ``validate=False`` to build deliberately broken
-    operators for failure-path tests.
+    of unity, basis nonnegativity, that every functional node lies in the
+    basis domain, and the normalization of every functional (nonnegative
+    weights of unit mass); pass ``validate=False`` to build deliberately
+    broken operators for failure-path tests.
     """
 
     basis: BasisSystem
@@ -71,11 +73,12 @@ class OperatorSpec:
                     f"{self.name}: basis takes negative values "
                     f"({nn.value:.3e} at x={nn.worst_x:.6g})")
             for k, functional in enumerate(self.functionals):
+                who = f"{self.name}: functional {k} ({functional.name})"
+                self.basis.domain.require(functional.nodes, who)
                 norm = check_functional_normalization(functional)
                 if not norm.passed:
-                    raise ConfigError(
-                        f"{self.name}: functional {k} ({functional.name}) fails "
-                        f"normalization (deviation {norm.value:.3e})")
+                    raise ConfigError(f"{who} is not a nonnegative rule of unit mass "
+                                      f"({norm.detail})")
 
     @property
     def n(self) -> int:
@@ -134,8 +137,12 @@ def hat_dirac_operator(nodes: Sequence[float]) -> OperatorSpec:
 # --------------------------------------------------------------------------
 
 def coefficient_vector(op: OperatorSpec, f: Function) -> np.ndarray:
-    """The vector ``(a_k(f))_k`` of functional applications."""
-    return np.array([functional(f) for functional in op.functionals])
+    """The vector ``(a_k(f))_k``: ``f`` is evaluated once on all nodes
+    joined, then weighted and summed per functional."""
+    nodes = np.concatenate([a.nodes for a in op.functionals])
+    weights = np.concatenate([a.weights for a in op.functionals])
+    starts = np.cumsum([0] + [a.nodes.size for a in op.functionals[:-1]])
+    return np.add.reduceat(weights * f.values(nodes), starts)
 
 
 def apply_operator(op: OperatorSpec, f: Function) -> BasisCombination:
@@ -147,7 +154,7 @@ def apply_operator(op: OperatorSpec, f: Function) -> BasisCombination:
 
 def apply_adjoint(op: OperatorSpec, dual: Functional, f: Function) -> float:
     """Adjoint pairing ``sum_k dual(e_k) a_k(f)``; equals ``dual(Tf)``."""
-    dual_on_basis = np.array([dual(e) for e in op.basis.functions])
+    dual_on_basis = op.basis.values(dual.nodes) @ dual.weights
     return float(dual_on_basis @ coefficient_vector(op, f))
 
 
@@ -194,12 +201,13 @@ def verify_positivity(op: OperatorSpec, trials: int = 100,
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     grid = op.basis.domain.grid(grid_points)
+    basis_on_grid = op.basis.values(grid)
     worst_val = np.inf
     worst_x = None
     worst_name = ""
     for _ in range(trials):
         f = random_function(rng, nonnegative=True)
-        values = apply_operator(op, f).values(grid)
+        values = coefficient_vector(op, f) @ basis_on_grid
         j = int(np.argmin(values))
         if values[j] < worst_val:
             worst_val = float(values[j])
@@ -224,6 +232,7 @@ def estimate_operator_norm(op: OperatorSpec, trials: int = 200, seed: int = 42,
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     grid = op.basis.domain.grid(grid_points)
+    basis_on_grid = op.basis.values(grid)
     best = 0.0
     samples: list[Function] = [ONE]
     samples.extend(random_function(rng) for _ in range(trials))
@@ -231,7 +240,8 @@ def estimate_operator_norm(op: OperatorSpec, trials: int = 200, seed: int = 42,
         denom = f.sup_norm(grid)
         if denom < 1e-12:
             continue
-        best = max(best, apply_operator(op, f).sup_norm(grid) / denom)
+        image = coefficient_vector(op, f) @ basis_on_grid
+        best = max(best, float(np.max(np.abs(image))) / denom)
     return float(best)
 
 
@@ -292,13 +302,7 @@ def verify_adjoint_identity(op: OperatorSpec, pairs: int = 50,
 # --------------------------------------------------------------------------
 
 def _point_annihilation_nodes(functionals: Sequence[Functional]) -> np.ndarray:
-    points: list[float] = []
-    for functional in functionals:
-        if isinstance(functional, DiracFunctional):
-            points.append(functional.x)
-        else:
-            points.extend(functional.nodes.tolist())
-    nodes = np.sort(np.asarray(points))
+    nodes = np.sort(np.concatenate([f.nodes for f in functionals]))
     keep = np.concatenate(([True], np.diff(nodes) > 1e-12))
     return nodes[keep]
 
@@ -323,9 +327,13 @@ def kernel_witness(op: OperatorSpec,
     :class:`NotConstructibleError`, as does a constructed witness that fails
     its own verification (``||w||_inf >= 0.5`` and ``||Tw||_inf <= 1e-10``).
     """
+    grid = op.basis.domain.grid(grid_points)
+    return _verified(op, _candidate_witness(op, grid), grid)[0]
+
+
+def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
     lo, hi = op.basis.domain.lo, op.basis.domain.hi
     width = hi - lo
-    grid = op.basis.domain.grid(grid_points)
 
     point_kinds = (DiracFunctional, WeightedQuadratureFunctional)
     all_point = all(isinstance(f, point_kinds) for f in op.functionals)
@@ -391,30 +399,36 @@ def kernel_witness(op: OperatorSpec,
             f"{op.name}: no analytic kernel witness for mixed functional "
             f"kinds {kinds}")
 
+    return w
+
+
+def _verified(op: OperatorSpec, w: Function,
+              grid: np.ndarray) -> tuple[Function, float, float]:
+    """``(w, ||w||, ||Tw||)`` on the grid, or :class:`NotConstructibleError`
+    when ``w`` is too small or not annihilated."""
     witness_norm = w.sup_norm(grid)
     residual = apply_operator(op, w).sup_norm(grid)
     if witness_norm < WITNESS_MIN_NORM or residual > WITNESS_RESIDUAL_TOL:
         raise NotConstructibleError(
             f"{op.name}: witness verification failed "
             f"(||w|| = {witness_norm:.3e}, ||Tw|| = {residual:.3e})")
-    return w
+    return w, witness_norm, residual
 
 
 def kernel_witness_report(op: OperatorSpec,
                           grid_points: int = DEFAULT_GRID_POINTS) -> CheckResult:
     """Kernel-witness residual as a check; a non-constructible witness is
     reported as a failed check rather than silently skipped."""
+    grid = op.basis.domain.grid(grid_points)
     try:
-        w = kernel_witness(op, grid_points=grid_points)
+        w, witness_norm, residual = _verified(op, _candidate_witness(op, grid), grid)
     except NotConstructibleError as exc:
         return CheckResult(name="kernel_residual", passed=False, value=None,
                            threshold=WITNESS_RESIDUAL_TOL, detail=str(exc))
-    grid = op.basis.domain.grid(grid_points)
-    residual = apply_operator(op, w).sup_norm(grid)
     return CheckResult(
         name="kernel_residual",
         passed=bool(residual <= WITNESS_RESIDUAL_TOL),
         value=float(residual),
         threshold=WITNESS_RESIDUAL_TOL,
-        detail=f"witness {w.name}, ||w||_inf = {w.sup_norm(grid):.6g}",
+        detail=f"witness {w.name}, ||w||_inf = {witness_norm:.6g}",
     )

@@ -23,20 +23,25 @@ import numpy as np
 from .bases import check_partition_of_unity, make_bernstein_basis, make_bspline_basis, \
     make_hat_basis
 from .checks import CheckResult
-from .errors import ConfigError
+from .errors import ConfigError, UnsupportedSizeError
 from .functionals import (DiracFunctional, IntervalAverageFunctional,
                           WeightedQuadratureFunctional)
 from .operators import (OperatorSpec, bernstein_operator, hat_dirac_operator,
                         kantorovich_operator, kernel_witness_report,
                         schoenberg_operator, verify_constant_reproduction,
                         verify_norm_bound, verify_positivity)
-from .spectra import (CollocationMatrix, IterateResult, SpectrumReport,
-                      build_collocation_matrix, classify_spectrum, eigenvalues,
+from .spectra import (DISK_CONTAINMENT_TOL, MAX_DIMENSION, CollocationMatrix,
+                      IterateResult, SpectrumReport, build_collocation_matrix,
+                      classify_spectrum, distance_outside_disks, eigenvalues,
                       gershgorin_disks, iterate_limit)
 
 SCHEMA_VERSION = 1
 
 OPERATOR_KINDS = ("bernstein", "kantorovich", "schoenberg", "hat-dirac", "custom")
+
+#: Largest verification grid. The checks hold one ``n x grid_points`` array
+#: of basis values; at n = MAX_DIMENSION this bound keeps it near 400 MB.
+MAX_GRID_POINTS = 100_001
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,8 @@ def _require(data: dict, key: str, types, context: str):
     if not isinstance(value, types):
         raise ConfigError(f"{context}: field '{key}' has invalid type "
                           f"{type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{context}: '{key}' must be a finite number")
     return value
 
 
@@ -116,9 +123,12 @@ def _positive_int(data: dict, key: str, context: str, minimum: int = 1) -> int:
 def _float_list(data: dict, key: str, context: str) -> list[float]:
     value = _require(data, key, (list,), context)
     try:
-        return [float(v) for v in value]
+        out = [float(v) for v in value]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: '{key}' must be a list of numbers") from exc
+    if not all(math.isfinite(v) for v in out):
+        raise ConfigError(f"{context}: '{key}' must hold finite numbers only")
+    return out
 
 
 def _parse_operator_params(kind: str, data: dict) -> dict:
@@ -184,8 +194,9 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
     params = _parse_operator_params(kind, data)
 
     grid_points = data.get("grid_points", 1001)
-    if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points < 11:
-        raise ConfigError("config: 'grid_points' must be an integer >= 11")
+    if (not isinstance(grid_points, int) or isinstance(grid_points, bool)
+            or not 11 <= grid_points <= MAX_GRID_POINTS):
+        raise ConfigError(f"config: 'grid_points' must be an integer in [11, {MAX_GRID_POINTS}]")
 
     tol_data = data.get("tolerances", {})
     if not isinstance(tol_data, dict):
@@ -264,9 +275,26 @@ def _build_custom_functional(spec: dict):
     return WeightedQuadratureFunctional(spec["nodes"], spec["weights"])
 
 
+def _dimension(kind: str, params: dict) -> int:
+    """Basis size of the configured operator, read off its parameters."""
+    if kind in ("bernstein", "kantorovich"):
+        return params["n"] + 1
+    if kind == "schoenberg":
+        return len(params["knots"]) - params["degree"] - 1
+    if kind == "hat-dirac":
+        return len(params["nodes"])
+    return len(params["functionals"])
+
+
 def build_operator(config: AnalysisConfig) -> OperatorSpec:
+    """The configured operator, validated. Its size is checked against
+    ``MAX_DIMENSION`` before anything is built or evaluated."""
     kind = config.operator
     params = config.params
+    n = _dimension(kind, params)
+    if n > MAX_DIMENSION:
+        raise UnsupportedSizeError(f"operator '{kind}' has dimension {n}; the dense "
+                                   f"eigensolver supports n <= {MAX_DIMENSION}")
     if kind == "bernstein":
         return bernstein_operator(params["n"])
     if kind == "kantorovich":
@@ -415,18 +443,19 @@ def dumps_json(obj: Any, indent: int = 2) -> str:
     return _json_fragment(obj, indent, 0) + "\n"
 
 
+def _in_disk_union(spectrum: SpectrumReport) -> np.ndarray:
+    return distance_outside_disks(spectrum.eigenvalues, spectrum.disks) <= DISK_CONTAINMENT_TOL
+
+
 def report_to_mapping(report: AnalysisReport) -> dict:
     """Plain mapping mirror of a report with the documented key paths."""
     spectrum = report.spectrum
-    eig_rows = []
-    for lam in spectrum.eigenvalues:
-        outside = min(d.distance_outside(lam) for d in spectrum.disks)
-        eig_rows.append({
-            "re": float(lam.real),
-            "im": float(lam.imag),
-            "modulus": float(abs(lam)),
-            "in_disk_union": bool(outside <= 1e-9),
-        })
+    eig_rows = [{
+        "re": float(lam.real),
+        "im": float(lam.imag),
+        "modulus": float(abs(lam)),
+        "in_disk_union": bool(inside),
+    } for lam, inside in zip(spectrum.eigenvalues, _in_disk_union(spectrum))]
     return {
         "config": report.config.echo(),
         "operator": report.operator_name,
@@ -462,11 +491,11 @@ def emit_report(report: AnalysisReport, format: str = "json") -> str:
         return dumps_json(report_to_mapping(report))
     if format == "csv":
         lines = ["index,re,im,modulus,in_disk_union"]
-        for i, lam in enumerate(report.spectrum.eigenvalues, start=1):
-            outside = min(d.distance_outside(lam) for d in report.spectrum.disks)
-            inside = "true" if outside <= 1e-9 else "false"
+        spectrum = report.spectrum
+        for i, (lam, inside) in enumerate(zip(spectrum.eigenvalues, _in_disk_union(spectrum)),
+                                          start=1):
             lines.append(f"{i},{float(lam.real)!r},{float(lam.imag)!r},"
-                         f"{float(abs(lam))!r},{inside}")
+                         f"{float(abs(lam))!r},{'true' if inside else 'false'}")
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown report format '{format}' (expected json or csv)")
 

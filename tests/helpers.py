@@ -52,3 +52,22 @@ def bernstein_eigenvalue_oracle(n: int) -> np.ndarray:
     """Closed-form spectrum of the point-evaluation Bernstein collocation
     matrix: ``lambda_k = prod_{i<k} (1 - i/n)`` for ``k = 0 .. n``."""
     return np.array([np.prod([1.0 - i / n for i in range(k)]) for k in range(n + 1)])
+
+
+def bspline_value(knots: np.ndarray, i: int, degree: int, xs: np.ndarray) -> np.ndarray:
+    """B-spline ``N[i, degree]`` by the Cox-de Boor recursion, independent
+    of the package. Spans are closed on the left, and the last nonempty one
+    also on the right; 0/0 terms are dropped."""
+    hi = knots[-1]
+    if degree == 0:
+        inside = (knots[i] <= xs) & ((xs < knots[i + 1]) | ((xs == hi) & (knots[i + 1] == hi)))
+        return inside.astype(float)
+    out = np.zeros_like(xs)
+    left_den = knots[i + degree] - knots[i]
+    if left_den > 0.0:
+        out += (xs - knots[i]) / left_den * bspline_value(knots, i, degree - 1, xs)
+    right_den = knots[i + degree + 1] - knots[i + 1]
+    if right_den > 0.0:
+        out += (knots[i + degree + 1] - xs) / right_den * bspline_value(
+            knots, i + 1, degree - 1, xs)
+    return out

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from helpers import bernstein_value, random_breakpoints
+from helpers import bernstein_value, bspline_value, random_breakpoints
 
 from pouspec.bases import (check_nonnegativity, check_partition_of_unity,
                            clamped_knots, make_bernstein_basis, make_bspline_basis,
@@ -85,6 +85,25 @@ class TestBSpline:
     def test_nonnegative_everywhere(self):
         basis = make_bspline_basis(clamped_knots([0.0, 0.2, 0.7, 1.0], 2), 2)
         assert basis.values(np.linspace(0, 1, 500)).min() >= 0.0
+
+    def test_rejects_knots_not_spanning_unit_interval(self):
+        with pytest.raises(ConfigError, match="span"):
+            make_bspline_basis([0.0, 0.0, 1.0, 2.0, 2.0], 1)
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_matches_cox_de_boor(self, degree):
+        # Random clamped knots whose interior knots repeat up to degree + 1
+        # times, evaluated on a grid plus every knot, including x = 1.
+        rng = np.random.default_rng(500 + degree)
+        for _ in range(5):
+            interior = np.repeat(np.sort(rng.uniform(0.05, 0.95, size=4)),
+                                 rng.integers(1, degree + 2, size=4))
+            knots = np.concatenate((np.zeros(degree + 1), interior, np.ones(degree + 1)))
+            xs = np.unique(np.concatenate((np.linspace(0, 1, 201), knots)))
+            basis = make_bspline_basis(knots, degree)
+            expected = np.vstack([bspline_value(knots, i, degree, xs)
+                                  for i in range(basis.n)])
+            nptest.assert_allclose(basis.values(xs), expected, rtol=0, atol=1e-14)
 
 
 class TestHatBasis:

@@ -88,6 +88,17 @@ class TestKinds:
         with pytest.raises(ConfigError):
             WeightedQuadratureFunctional([], [])
 
+    def test_discrete_measure_representation(self):
+        dirac = DiracFunctional(0.3)
+        nptest.assert_array_equal(dirac.nodes, [0.3])
+        nptest.assert_array_equal(dirac.weights, [1.0])
+        avg = IntervalAverageFunctional(0.2, 0.6)
+        assert avg.nodes.size == 32 and 0.2 < avg.nodes.min() < avg.nodes.max() < 0.6
+        assert avg.weights.min() > 0.0
+        assert avg.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError):
+            avg.weights[0] = 0.0
+
     def test_dirac_outside_domain_propagates(self):
         with pytest.raises(DomainError):
             DiracFunctional(1.5)(monomial(1))

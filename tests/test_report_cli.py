@@ -10,6 +10,7 @@ import numpy.testing as nptest
 import pytest
 import scipy.linalg
 
+from pouspec.bases import BasisSystem
 from pouspec.cli import main
 from pouspec.errors import ConfigError
 from pouspec.report import (config_from_mapping, dumps_json, emit_report, emit_svg,
@@ -109,6 +110,21 @@ class TestRunAnalyze:
                                atol=1e-10)
         assert report.iterates.rate == pytest.approx(0.5, abs=1e-3)
 
+    def test_basis_evaluated_once_per_point_set(self, monkeypatch):
+        # Two build-time basis checks, five lemma checks with one grid
+        # evaluation each, and one evaluation per collocation row.
+        calls = []
+        values = BasisSystem.values
+
+        def counted(basis, xs):
+            calls.append(np.size(xs))
+            return values(basis, xs)
+
+        monkeypatch.setattr(BasisSystem, "values", counted)
+        n = 5
+        run_analyze(parse_config(f'{{"operator": "bernstein", "n": {n}}}'))
+        assert len(calls) <= n + 16
+
     def test_mapping_key_paths(self):
         report = run_analyze(parse_config(KANT1_CONFIG))
         data = report_to_mapping(report)
@@ -200,6 +216,12 @@ class TestDeterminism:
         nptest.assert_allclose(report_a.matrix.entries, report_b.matrix.entries)
 
 
+def _hat_custom(functionals: list) -> str:
+    """A custom operator on the two-hat basis over [0, 1]."""
+    return json.dumps({"operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]},
+                       "functionals": functionals})
+
+
 class TestCli:
     def test_analyze_writes_outputs(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -233,11 +255,60 @@ class TestCli:
         (json.dumps({"operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]},
                      "functionals": [{"kind": "dirac", "x": 1.5},
                                      {"kind": "dirac", "x": 0.0}]}),
-         "outside domain"),
+         "functional 0 (dirac(1.5)): x=1.5 outside domain"),
+        (_hat_custom([{"kind": "dirac", "x": float("nan")}, {"kind": "dirac", "x": 0.0}]),
+         "functional[0]: 'x' must be a finite number"),
+        (_hat_custom([{"kind": "interval-average", "a": 0.0, "b": float("inf")},
+                      {"kind": "dirac", "x": 0.0}]),
+         "functional[0]: 'b' must be a finite number"),
+        (_hat_custom([{"kind": "dirac", "x": 0.0},
+                      {"kind": "weighted-quadrature", "nodes": [0.5, float("nan")],
+                       "weights": [0.5, 0.5]}]),
+         "functional[1]: 'nodes' must hold finite numbers only"),
+        (_hat_custom([{"kind": "dirac", "x": 0.0},
+                      {"kind": "weighted-quadrature", "nodes": [0.5, 0.6],
+                       "weights": [float("inf"), 0.5]}]),
+         "functional[1]: 'weights' must hold finite numbers only"),
+        ('{"operator": "schoenberg", "degree": 1, "knots": [0, 0, NaN, 1, 1]}',
+         "'knots' must hold finite numbers only"),
+        ('{"operator": "schoenberg", "degree": 1, "knots": [0, 0, 1, 2, 2]}',
+         "knot vector must span [0.0, 1.0] exactly, got [0.0, 2.0]"),
+        (json.dumps({"operator": "custom",
+                     "basis": {"kind": "bspline", "degree": 0, "knots": [-1.0, 0.5, 1.0]},
+                     "functionals": [{"kind": "dirac", "x": 0.0},
+                                     {"kind": "dirac", "x": 1.0}]}),
+         "knot vector must span [0.0, 1.0] exactly, got [-1.0, 1.0]"),
+        (_hat_custom([{"kind": "dirac", "x": 0.0},
+                      {"kind": "weighted-quadrature", "nodes": [0.5, 0.5000001],
+                       "weights": [1.2, -0.2]}]),
+         "min weight -0.2 at node 0.5000001"),
     ], ids=["n-zero", "nan-tolerance", "infinite-norm-tolerance", "nan-iterate-tol",
-            "dirac-outside-domain"])
+            "dirac-outside-domain", "nan-dirac", "infinite-interval-bound",
+            "nan-quadrature-node", "infinite-quadrature-weight", "nan-knot",
+            "knots-past-one", "custom-knots-below-zero", "negative-quadrature-weight"])
     def test_bad_config_exits_two(self, tmp_path, capsys, text, named):
         config = tmp_path / "bad.json"
+        config.write_text(text, encoding="utf-8")
+        assert main(["analyze", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"operator": "bernstein", "n": 500}', "dimension 501"),
+        (json.dumps({"operator": "hat-dirac",
+                     "nodes": np.linspace(0.0, 1.0, 1000).tolist()}), "dimension 1000"),
+        ('{"operator": "kantorovich", "n": 2, "grid_points": 100002}',
+         "'grid_points' must be an integer in [11, 100001]"),
+    ], ids=["bernstein-501", "hat-dirac-1000", "grid-points-100002"])
+    def test_size_limits_checked_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                 text, named):
+        def never(*_args, **_kwargs):
+            raise AssertionError("work started on an oversized config")
+
+        monkeypatch.setattr("pouspec.report.run_checks", never)
+        monkeypatch.setattr(BasisSystem, "values", never)
+        config = tmp_path / "big.json"
         config.write_text(text, encoding="utf-8")
         assert main(["analyze", "--config", str(config)]) == 2
         err = capsys.readouterr().err
