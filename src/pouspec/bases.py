@@ -3,22 +3,22 @@
 Three constructions are provided: Bernstein polynomials, clamped B-splines
 and piecewise-linear hat functions. Each returns a :class:`BasisSystem`, an
 ordered family ``e_1 .. e_n`` of nonnegative functions whose pointwise sum
-is the constant one on the domain. ``BasisSystem.values`` evaluates a
-B-spline family in one call of scipy's design matrix, other families
-function by function.
+is the constant one on the domain. Each kind has one evaluator of the whole
+family: the binomial formula (Bernstein), scipy's design matrix (B-spline)
+or one binary search writing two nonzero rows per point (hat).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .checks import CheckResult
 from .errors import ConfigError
-from .functions import Function, ClosedForm, SampledFunction, Interval, UNIT_INTERVAL
+from .functions import Interval, UNIT_INTERVAL
 
 #: Default tolerance for partition-of-unity verification.
 TOL_POU = 1e-10
@@ -29,33 +29,26 @@ DEFAULT_GRID_POINTS = 1001
 
 @dataclass(frozen=True)
 class BasisSystem:
-    """Ordered family of basis functions on a shared domain."""
+    """Ordered family of ``n`` basis functions on a shared domain. ``evaluate``
+    maps a 1-D array of points already checked against ``domain`` (so within
+    ``DOMAIN_SLACK`` of it) to the whole family's values, shape ``(n, len(xs))``."""
 
-    functions: tuple[Function, ...]
+    evaluate: Callable[[np.ndarray], np.ndarray]
+    n: int
     domain: Interval
     name: str
-    # Evaluator of the whole family at once, set by make_bspline_basis only.
-    _evaluate: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.functions) < 1:
+        if self.n < 1:
             raise ConfigError("basis system needs at least one function")
-
-    @property
-    def n(self) -> int:
-        """Number of basis functions (the rank bound of any built operator)."""
-        return len(self.functions)
 
     def values(self, xs: Sequence[float] | np.ndarray) -> np.ndarray:
         """Evaluate all basis functions on ``xs``; shape ``(n, len(xs))``."""
-        if self._evaluate is None:
-            return np.vstack([e.values(xs) for e in self.functions])
         arr = np.atleast_1d(np.asarray(xs, dtype=float))
         if arr.size == 0:
             return np.empty((self.n, 0))
         self.domain.require(arr, self.name)
-        return self._evaluate(arr)
+        return self.evaluate(arr)
 
     def __repr__(self) -> str:
         return f"BasisSystem({self.name!r}, n={self.n})"
@@ -74,11 +67,9 @@ def make_bernstein_basis(n: int) -> BasisSystem:
     ``C(n, k) x^k (1 - x)^(n - k)``, ``k = 0 .. n``."""
     if n < 1:
         raise ConfigError(f"Bernstein degree must be >= 1, got {n}")
-    funcs = tuple(
-        ClosedForm(f"b[{n},{k}]", lambda xs, k=k: _bernstein_values(n, k, xs))
-        for k in range(n + 1)
-    )
-    return BasisSystem(funcs, UNIT_INTERVAL, name=f"bernstein({n})")
+    return BasisSystem(
+        lambda xs: np.vstack([_bernstein_values(n, k, xs) for k in range(n + 1)]),
+        n + 1, UNIT_INTERVAL, name=f"bernstein({n})")
 
 
 # --------------------------------------------------------------------------
@@ -115,7 +106,6 @@ def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
             f"need at least {2 * (degree + 1)} knots for degree {degree}, got {t.size}")
     if np.any(np.diff(t) < 0):
         raise ConfigError("knot vector must be nondecreasing")
-    n_basis = t.size - degree - 1
     if not (np.all(t[:degree + 1] == t[0]) and np.all(t[-degree - 1:] == t[-1])):
         raise ConfigError(
             f"knot vector must be clamped: first and last knot repeated {degree + 1} times")
@@ -132,13 +122,8 @@ def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
         # Points within DOMAIN_SLACK outside [0, 1] pass the domain check.
         return BSpline.design_matrix(np.clip(xs, 0.0, 1.0), t, degree).toarray().T
 
-    funcs = tuple(
-        ClosedForm(f"N[{i},{degree}]", lambda xs, i=i: evaluate(xs)[i], domain=domain)
-        for i in range(n_basis)
-    )
-    basis = BasisSystem(funcs, domain, name=f"bspline(deg {degree}, {t.size} knots)")
-    object.__setattr__(basis, "_evaluate", evaluate)
-    return basis
+    return BasisSystem(evaluate, t.size - degree - 1, domain,
+                       name=f"bspline(deg {degree}, {t.size} knots)")
 
 
 # --------------------------------------------------------------------------
@@ -149,9 +134,11 @@ def make_hat_basis(nodes: Sequence[float], domain: Interval = UNIT_INTERVAL) -> 
     """Piecewise-linear nodal basis over a partition of the domain.
 
     One hat per node, ``e_k(x_j) = delta_kj``; the partition of unity is
-    exact since linear interpolation reproduces the constant one.
+    exact since linear interpolation reproduces the constant one. Row ``k``
+    equals ``np.interp`` of the ``k``-th unit vector bit for bit, at points
+    within ``DOMAIN_SLACK`` outside the domain too (both clamp to the ends).
     """
-    pts = np.asarray(nodes, dtype=float)
+    pts = np.array(nodes, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise ConfigError("hat basis needs at least 2 nodes")
     if np.any(np.diff(pts) <= 0):
@@ -159,12 +146,21 @@ def make_hat_basis(nodes: Sequence[float], domain: Interval = UNIT_INTERVAL) -> 
     if pts[0] != domain.lo or pts[-1] != domain.hi:
         raise ConfigError(
             f"hat basis nodes must span the domain [{domain.lo}, {domain.hi}] exactly")
-    funcs = []
-    for k in range(pts.size):
-        unit = np.zeros(pts.size)
-        unit[k] = 1.0
-        funcs.append(SampledFunction(pts, unit, name=f"hat[{k}]", domain=domain))
-    return BasisSystem(tuple(funcs), domain, name=f"hat({pts.size})")
+    # x == pts[-1] lands in a cell past the last node; slope 0 there makes
+    # w = 0, so the last hat is 1 and the extra row receiving w is cut off.
+    slopes = np.append(1.0 / np.diff(pts), 0.0)
+
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        x = np.clip(xs, pts[0], pts[-1])
+        cell = np.searchsorted(pts, x, side="right") - 1
+        w = slopes[cell] * (x - pts[cell])
+        out = np.zeros((pts.size + 1, x.size))
+        cols = np.arange(x.size)
+        out[cell, cols] = 1.0 - w
+        out[cell + 1, cols] = w
+        return out[:-1]
+
+    return BasisSystem(evaluate, pts.size, domain, name=f"hat({pts.size})")
 
 
 # --------------------------------------------------------------------------

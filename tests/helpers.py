@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,6 +50,22 @@ def kantorovich_matrix_oracle(n: int) -> np.ndarray:
     return out
 
 
+def kantorovich_matrix_exact(n: int) -> np.ndarray:
+    """Kantorovich collocation matrix in exact rational arithmetic, rounded
+    once per entry: ``M[k][j] = T_j((k+1)/(n+1)) - T_j(k/(n+1))`` with the
+    tail sum ``T_j(x) = sum_{i>j} b_{n+1,i}(x)``, which is ``n + 1`` times
+    the antiderivative of ``b_{n,j}`` (see ``bernstein_antiderivative``)."""
+    m = n + 1
+
+    def tails(edge: int) -> list[Fraction]:
+        x = Fraction(edge, m)
+        b = [math.comb(m, i) * x**i * (1 - x) ** (m - i) for i in range(1, m + 1)]
+        return list(accumulate(reversed(b)))[::-1]  # T_0 .. T_n
+
+    t = [tails(edge) for edge in range(m + 1)]
+    return np.array([[float(t[k + 1][j] - t[k][j]) for j in range(m)] for k in range(m)])
+
+
 def bernstein_eigenvalue_oracle(n: int) -> np.ndarray:
     """Closed-form spectrum of the point-evaluation Bernstein collocation
     matrix: ``lambda_k = prod_{i<k} (1 - i/n)`` for ``k = 0 .. n``."""
@@ -71,3 +89,9 @@ def bspline_value(knots: np.ndarray, i: int, degree: int, xs: np.ndarray) -> np.
         out += (knots[i + degree + 1] - xs) / right_den * bspline_value(
             knots, i + 1, degree - 1, xs)
     return out
+
+
+def hat_values(pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Hat basis on the nodes ``pts``, one ``np.interp`` of a unit vector
+    per hat, independent of the package."""
+    return np.vstack([np.interp(xs, pts, row) for row in np.eye(pts.size)])

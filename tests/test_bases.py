@@ -6,13 +6,13 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from helpers import bernstein_value, bspline_value, random_breakpoints
+from helpers import bernstein_value, bspline_value, hat_values, random_breakpoints
 
 from pouspec.bases import (check_nonnegativity, check_partition_of_unity,
                            clamped_knots, make_bernstein_basis, make_bspline_basis,
                            make_hat_basis, BasisSystem)
 from pouspec.errors import ConfigError
-from pouspec.functions import ClosedForm, UNIT_INTERVAL, scaled
+from pouspec.functions import UNIT_INTERVAL
 
 
 class TestBernstein:
@@ -43,7 +43,7 @@ class TestBernstein:
         xs = np.linspace(0, 1, 41)
         for k in (0, 7, n // 2, n):
             expected = [bernstein_value(n, k, x) for x in xs]
-            nptest.assert_allclose(basis.functions[k].values(xs), expected,
+            nptest.assert_allclose(basis.values(xs)[k], expected,
                                    rtol=1e-12, atol=1e-14)
 
 
@@ -52,8 +52,8 @@ class TestBSpline:
         basis = make_bspline_basis([0.0, 0.5, 1.0], 0)
         assert basis.n == 2
         xs = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        nptest.assert_allclose(basis.functions[0].values(xs), [1, 1, 0, 0, 0], atol=0)
-        nptest.assert_allclose(basis.functions[1].values(xs), [0, 0, 1, 1, 1], atol=0)
+        nptest.assert_allclose(basis.values(xs)[0], [1, 1, 0, 0, 0], atol=0)
+        nptest.assert_allclose(basis.values(xs)[1], [0, 0, 1, 1, 1], atol=0)
 
     def test_degree_one_hats(self):
         knots = clamped_knots([0.0, 0.5, 1.0], 1)
@@ -110,12 +110,12 @@ class TestHatBasis:
     def test_two_hats(self):
         basis = make_hat_basis([0.0, 1.0])
         xs = np.linspace(0, 1, 11)
-        nptest.assert_allclose(basis.functions[0].values(xs), 1 - xs, atol=0)
-        nptest.assert_allclose(basis.functions[1].values(xs), xs, atol=0)
+        nptest.assert_allclose(basis.values(xs)[0], 1 - xs, atol=0)
+        nptest.assert_allclose(basis.values(xs)[1], xs, atol=0)
 
     def test_middle_hat_ramp(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
-        assert basis.functions[1](0.25) == 0.5
+        assert basis.values([0.25])[1, 0] == 0.5
 
     def test_exact_partition_of_unity(self):
         basis = make_hat_basis([0.0, 0.1, 0.45, 0.8, 1.0])
@@ -127,6 +127,16 @@ class TestHatBasis:
         basis = make_hat_basis(nodes)
         vals = basis.values(nodes)
         nptest.assert_array_equal(vals, np.eye(4))
+
+    @pytest.mark.parametrize("m", [2, 3, 50, 500])
+    def test_matches_interp_oracle(self, m):
+        # Every node, every cell midpoint, random points, and points within
+        # DOMAIN_SLACK outside [0, 1], where np.interp clamps to the ends.
+        rng = np.random.default_rng(700 + m)
+        pts = random_breakpoints(rng, interior=m - 2)
+        xs = np.concatenate((pts, (pts[:-1] + pts[1:]) / 2, rng.uniform(0, 1, 1000),
+                             [-1e-13, 1 + 1e-13]))
+        nptest.assert_array_equal(make_hat_basis(pts).values(xs), hat_values(pts, xs))
 
     def test_rejects_unsorted_nodes(self):
         with pytest.raises(ConfigError):
@@ -147,8 +157,8 @@ class TestChecks:
 
     def test_scaled_basis_fails_with_deviation(self):
         base = make_bernstein_basis(3)
-        shrunk = BasisSystem(tuple(scaled(e, 0.9) for e in base.functions),
-                             base.domain, name="shrunk")
+        shrunk = BasisSystem(lambda xs: 0.9 * base.values(xs), base.n, base.domain,
+                             name="shrunk")
         result = check_partition_of_unity(shrunk, np.linspace(0, 1, 101), tol=1e-12)
         assert not result.passed
         assert result.value == pytest.approx(0.1, abs=1e-12)
@@ -164,9 +174,8 @@ class TestChecks:
         assert result.passed and result.value == 0.0
 
     def test_nonnegativity_detects_violation(self):
-        bad = BasisSystem(
-            (ClosedForm("2x-1", lambda xs: 2 * xs - 1), ClosedForm("2-2x", lambda xs: 2 - 2 * xs)),
-            UNIT_INTERVAL, name="bad")
+        bad = BasisSystem(lambda xs: np.vstack((2 * xs - 1, 2 - 2 * xs)), 2,
+                          UNIT_INTERVAL, name="bad")
         result = check_nonnegativity(bad, np.linspace(0, 1, 101), tol=1e-12)
         assert not result.passed
         assert result.value == pytest.approx(-1.0)

@@ -8,14 +8,15 @@ import numpy.testing as nptest
 import pytest
 
 from helpers import (bernstein_eigenvalue_oracle, bernstein_value,
-                     kantorovich_matrix_oracle, random_stochastic)
+                     kantorovich_matrix_exact, kantorovich_matrix_oracle,
+                     random_breakpoints, random_stochastic)
 
 from pouspec.errors import ConfigError, UnsupportedSizeError
 from pouspec.functionals import DiracFunctional
 from pouspec.bases import make_hat_basis
 from pouspec.operators import OperatorSpec, bernstein_operator, hat_dirac_operator, \
     kantorovich_operator
-from pouspec.spectra import (CollocationMatrix, build_collocation_matrix,
+from pouspec.spectra import (MAX_DIMENSION, CollocationMatrix, build_collocation_matrix,
                              char_poly_eigen_oracle, characteristic_polynomial,
                              check_row_stochastic, classify_spectrum, eigenvalues,
                              gershgorin_disks, iterate_limit, matrix_power,
@@ -37,14 +38,25 @@ class TestBuildMatrix:
         matrix = build_collocation_matrix(bernstein_operator(2))
         nptest.assert_allclose(matrix.entries, BERN2, atol=1e-15)
 
-    def test_hat_dirac_identity(self):
-        matrix = build_collocation_matrix(hat_dirac_operator([0.0, 0.35, 0.8, 1.0]))
-        nptest.assert_array_equal(matrix.entries, np.eye(4))
+    @pytest.mark.parametrize("nodes", [
+        np.array([0.0, 0.35, 0.8, 1.0]),
+        random_breakpoints(np.random.default_rng(300), interior=298),
+        random_breakpoints(np.random.default_rng(MAX_DIMENSION), interior=MAX_DIMENSION - 2),
+    ], ids=lambda nodes: str(nodes.size))
+    def test_hat_dirac_identity(self, nodes):
+        matrix = build_collocation_matrix(hat_dirac_operator(nodes))
+        nptest.assert_array_equal(matrix.entries, np.eye(nodes.size))
 
     def test_kantorovich1_by_antiderivative(self):
         matrix = build_collocation_matrix(kantorovich_operator(1))
         nptest.assert_allclose(matrix.entries, KANT1, atol=1e-13)
         nptest.assert_allclose(matrix.entries, kantorovich_matrix_oracle(1), atol=1e-13)
+
+    @pytest.mark.parametrize("n", [16, 31, 40, 60])
+    def test_kantorovich_matches_exact_rationals(self, n):
+        # Past the n <= 15 of the acceptance sweep.
+        matrix = build_collocation_matrix(kantorovich_operator(n))
+        nptest.assert_allclose(matrix.entries, kantorovich_matrix_exact(n), rtol=0, atol=1e-14)
 
     def test_entries_read_only(self):
         matrix = build_collocation_matrix(bernstein_operator(2))
