@@ -15,7 +15,7 @@ check evaluates the basis on its grid once.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -48,12 +48,19 @@ class OperatorSpec:
     basis domain, and the normalization of every functional (nonnegative
     weights of unit mass); pass ``validate=False`` to build deliberately
     broken operators for failure-path tests.
+
+    ``nodes``, ``weights`` and ``starts`` are the functionals' rules joined
+    once (read-only; functional ``k`` starts at ``starts[k]``). They take no
+    part in eq, hash or repr.
     """
 
     basis: BasisSystem
     functionals: tuple[Functional, ...]
     name: str = "operator"
     validate: InitVar[bool] = True
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, validate: bool):
         object.__setattr__(self, "functionals", tuple(self.functionals))
@@ -61,6 +68,14 @@ class OperatorSpec:
             raise ConfigError(
                 f"{self.name}: basis has {self.basis.n} functions but "
                 f"{len(self.functionals)} functionals were given")
+        joined = {
+            "nodes": np.concatenate([a.nodes for a in self.functionals]),
+            "weights": np.concatenate([a.weights for a in self.functionals]),
+            "starts": np.cumsum([0] + [a.nodes.size for a in self.functionals[:-1]]),
+        }
+        for attr, array in joined.items():
+            array.flags.writeable = False
+            object.__setattr__(self, attr, array)
         if validate:
             pou = check_partition_of_unity(self.basis)
             if not pou.passed:
@@ -137,12 +152,9 @@ def hat_dirac_operator(nodes: Sequence[float]) -> OperatorSpec:
 # --------------------------------------------------------------------------
 
 def coefficient_vector(op: OperatorSpec, f: Function) -> np.ndarray:
-    """The vector ``(a_k(f))_k``: ``f`` is evaluated once on all nodes
-    joined, then weighted and summed per functional."""
-    nodes = np.concatenate([a.nodes for a in op.functionals])
-    weights = np.concatenate([a.weights for a in op.functionals])
-    starts = np.cumsum([0] + [a.nodes.size for a in op.functionals[:-1]])
-    return np.add.reduceat(weights * f.values(nodes), starts)
+    """The vector ``(a_k(f))_k``: ``f`` is evaluated once on the operator's
+    joined nodes, then weighted and summed per functional."""
+    return np.add.reduceat(op.weights * f.values(op.nodes), op.starts)
 
 
 def apply_operator(op: OperatorSpec, f: Function) -> BasisCombination:
@@ -301,8 +313,8 @@ def verify_adjoint_identity(op: OperatorSpec, pairs: int = 50,
 # Kernel witness
 # --------------------------------------------------------------------------
 
-def _point_annihilation_nodes(functionals: Sequence[Functional]) -> np.ndarray:
-    nodes = np.sort(np.concatenate([f.nodes for f in functionals]))
+def _point_annihilation_nodes(op: OperatorSpec) -> np.ndarray:
+    nodes = np.sort(op.nodes)
     keep = np.concatenate(([True], np.diff(nodes) > 1e-12))
     return nodes[keep]
 
@@ -340,7 +352,7 @@ def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
     all_average = all(isinstance(f, IntervalAverageFunctional) for f in op.functionals)
 
     if all_point:
-        nodes = _point_annihilation_nodes(op.functionals)
+        nodes = _point_annihilation_nodes(op)
         if _equally_spaced(nodes, lo, hi):
             cells = nodes.size - 1
             w: Function = ClosedForm(

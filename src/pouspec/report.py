@@ -406,12 +406,14 @@ def exit_code_for(report: AnalysisReport) -> int:
 # --------------------------------------------------------------------------
 
 def _format_number(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite number {x!r}")
-    return format(x, ".17g")
+    return "%.17g" % x
 
 
 def _json_fragment(obj: Any, indent: int, level: int) -> str:
+    if type(obj) is float:  # the n^2 matrix entries: test the common case first
+        return _format_number(obj)
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
     if obj is None:
@@ -461,7 +463,7 @@ def report_to_mapping(report: AnalysisReport) -> dict:
         "operator": report.operator_name,
         "checks": {name: check.as_dict() for name, check in report.checks.items()},
         "matrix": {
-            "entries": [list(map(float, row)) for row in report.matrix.entries],
+            "entries": report.matrix.entries.tolist(),
             "row_sum_max_dev": report.row_sum_max_dev,
             "diag_min": report.diag_min,
         },

@@ -6,10 +6,11 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from pouspec.bases import BasisSystem, make_hat_basis, clamped_knots
+from pouspec.bases import BasisSystem, clamped_knots, make_bernstein_basis, make_hat_basis
 from pouspec.errors import ConfigError, NotConstructibleError
 from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
-                                 WeightedQuadratureFunctional)
+                                 WeightedQuadratureFunctional,
+                                 make_kantorovich_functionals)
 from pouspec.functions import ONE, SampledFunction, monomial, random_function, \
     scaled, sine_wave
 from pouspec.operators import (OperatorSpec, apply_adjoint, apply_operator,
@@ -71,6 +72,55 @@ class TestConstruction:
         op = schoenberg_operator(clamped_knots([0.0, 0.5, 1.0], 1), 1)
         xs = np.array([f.x for f in op.functionals])
         nptest.assert_allclose(xs, [0.0, 0.5, 1.0])
+
+
+def _joined_rule_parts():
+    """(basis, functionals) of Kantorovich n = 7, a hat basis with cell
+    averages, and a hat basis with mixed Dirac/quadrature functionals."""
+    pts = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
+    edges = np.concatenate(([0.0], (pts[:-1] + pts[1:]) / 2.0, [1.0]))
+    return {
+        "kantorovich-7": (make_bernstein_basis(7), make_kantorovich_functionals(7)),
+        "hat-average": (make_hat_basis(pts),
+                        tuple(IntervalAverageFunctional(a, b)
+                              for a, b in zip(edges, edges[1:]))),
+        "dirac-quadrature": (make_hat_basis([0.0, 0.5, 1.0]),
+                             (DiracFunctional(0.0),
+                              WeightedQuadratureFunctional([0.4, 0.5, 0.6],
+                                                           [0.25, 0.5, 0.25]),
+                              DiracFunctional(1.0))),
+    }
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("parts", ["kantorovich-7", "hat-average", "dirac-quadrature"])
+class TestJoinedRule:
+    def test_joined_arrays_concatenate_functionals(self, parts, validate):
+        basis, funcs = _joined_rule_parts()[parts]
+        op = OperatorSpec(basis, funcs, validate=validate)
+        nptest.assert_array_equal(op.nodes, np.concatenate([a.nodes for a in funcs]))
+        nptest.assert_array_equal(op.weights, np.concatenate([a.weights for a in funcs]))
+        sizes = [a.nodes.size for a in funcs]
+        nptest.assert_array_equal(op.starts, np.cumsum([0] + sizes[:-1]))
+        for array in (op.nodes, op.weights, op.starts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    def test_same_parts_compare_equal(self, parts, validate):
+        basis, funcs = _joined_rule_parts()[parts]
+        first = OperatorSpec(basis, funcs, name="op", validate=validate)
+        second = OperatorSpec(basis, funcs, name="op", validate=validate)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert repr(first) == f"OperatorSpec(basis={basis!r}, functionals={funcs!r}, name='op')"
+
+    def test_coefficient_vector_matches_functionals(self, parts, validate):
+        basis, funcs = _joined_rule_parts()[parts]
+        op = OperatorSpec(basis, funcs, validate=validate)
+        rng = np.random.default_rng(11)
+        for f in (ONE, monomial(3), random_function(rng), random_function(rng)):
+            nptest.assert_allclose(coefficient_vector(op, f), [a(f) for a in funcs],
+                                   rtol=0, atol=1e-14)
 
 
 class TestApplication:

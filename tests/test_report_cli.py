@@ -20,6 +20,25 @@ from pouspec.spectra import SpectrumReport
 
 KANT1_CONFIG = '{"version": 1, "operator": "kantorovich", "n": 1, "seed": 42}'
 
+KANT40_CONFIG = '{"version": 1, "operator": "kantorovich", "n": 40, "seed": 42}'
+
+
+def _hat_average_config(count: int) -> str:
+    """Custom operator: hat basis on ``count`` random nodes, one cell
+    average per hat over the cells between the node midpoints."""
+    gaps = np.random.default_rng(160).uniform(0.5, 1.5, count - 1)
+    nodes = np.concatenate(([0.0], np.cumsum(gaps) / gaps.sum()))
+    nodes[-1] = 1.0
+    edges = np.concatenate(([0.0], (nodes[:-1] + nodes[1:]) / 2.0, [1.0]))
+    return json.dumps({"version": 1, "operator": "custom",
+                       "basis": {"kind": "hat", "nodes": nodes.tolist()},
+                       "functionals": [{"kind": "interval-average", "a": a, "b": b}
+                                       for a, b in zip(edges[:-1].tolist(),
+                                                       edges[1:].tolist())]})
+
+
+HAT_AVERAGE_160_CONFIG = _hat_average_config(160)
+
 SWAP_CONFIG = json.dumps({
     "version": 1,
     "operator": "custom",
@@ -157,6 +176,12 @@ class TestEmit:
         assert data["matrix"]["entries"] == [list(row) for row in
                                              kant1_report.matrix.entries]
         assert data["matrix"]["entries"][0][0] == pytest.approx(0.75, abs=1e-13)
+        for config in (KANT40_CONFIG, HAT_AVERAGE_160_CONFIG):
+            report = run_analyze(parse_config(config))
+            data = json.loads(emit_report(report, "json"))
+            assert data["matrix"]["entries"] == report.matrix.entries.tolist()
+            entries = report_to_mapping(report)["matrix"]["entries"]
+            assert all(type(x) is float for row in entries for x in row)
 
     def test_csv_leading_row_is_eigenvalue_one(self, kant1_report):
         lines = emit_report(kant1_report, "csv").splitlines()
@@ -197,6 +222,67 @@ class TestEmit:
     def test_dumps_json_17_digits(self):
         text = dumps_json({"x": 1.0 / 3.0})
         assert "0.33333333333333331" in text
+
+
+SERIALIZER_EDGE_VALUES = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e16, 1e17,
+                          0.1, 1.0 / 3.0, 1e300)
+
+
+def _random_finite_doubles(count: int, seed: int) -> list[float]:
+    """``count`` finite doubles from uniformly random 64-bit patterns."""
+    rng = np.random.default_rng(seed)
+    values = np.frombuffer(rng.bytes(8 * (count + count // 100)), dtype=np.float64)
+    finite = values[np.isfinite(values)][:count]
+    assert finite.size == count
+    return finite.tolist()
+
+
+def _dumped_items(items: list) -> list[str]:
+    """The item lines of ``dumps_json`` of a flat list."""
+    return [line.strip().rstrip(",") for line in dumps_json(items).splitlines()[1:-1]]
+
+
+class TestSerializer:
+    @pytest.mark.parametrize("value", SERIALIZER_EDGE_VALUES, ids=repr)
+    def test_edge_values_match_17g_and_round_trip(self, value):
+        line = dumps_json(value).rstrip("\n")
+        assert line == format(value, ".17g")
+        assert float(line) == value
+        assert float(line).hex() == value.hex()
+
+    def test_random_bit_patterns_match_17g_and_round_trip(self):
+        values = _random_finite_doubles(10_000, seed=20140)
+        lines = _dumped_items(values)
+        assert lines == [format(v, ".17g") for v in values]
+        assert [float(line).hex() for line in lines] == [v.hex() for v in values]
+
+    def test_other_number_types_keep_their_text(self):
+        items = [np.float64(0.1), np.float32(0.1), 2 ** 53 + 1, np.int64(-3), True, False]
+        assert _dumped_items(items) == ["0.10000000000000001", "0.10000000149011612",
+                                        "9007199254740993", "-3", "true", "false"]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=repr)
+    @pytest.mark.parametrize("place", [
+        lambda x: x,
+        lambda x: [x, 0.5, 0.25],
+        lambda x: [0.5, x, 0.25],
+        lambda x: [0.5, 0.25, x],
+        lambda x: {"matrix": {"entries": [[0.5, 0.5], [0.25, x]]}},
+        lambda x: np.float64(x),
+    ], ids=["scalar", "list-first", "list-middle", "list-last", "nested-matrix", "float64"])
+    def test_non_finite_rejected(self, bad, place):
+        with pytest.raises(ValueError,
+                           match=rf"^cannot serialize non-finite number {bad!r}$"):
+            dumps_json(place(bad))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=repr)
+    def test_emit_rejects_non_finite_check_value(self, kant1_report, bad):
+        checks = dict(kant1_report.checks)
+        checks["positivity"] = dataclasses.replace(checks["positivity"], value=bad)
+        broken = dataclasses.replace(kant1_report, checks=checks)
+        with pytest.raises(ValueError,
+                           match=rf"^cannot serialize non-finite number {bad!r}$"):
+            emit_report(broken, "json")
 
 
 class TestDeterminism:
