@@ -58,18 +58,22 @@ class BasisSystem:
 # Bernstein basis
 # --------------------------------------------------------------------------
 
-def _bernstein_values(n: int, k: int, xs: np.ndarray) -> np.ndarray:
-    return float(math.comb(n, k)) * xs ** k * (1.0 - xs) ** (n - k)
-
-
 def make_bernstein_basis(n: int) -> BasisSystem:
     """Bernstein basis of degree ``n`` on [0, 1]: the ``n + 1`` functions
-    ``C(n, k) x^k (1 - x)^(n - k)``, ``k = 0 .. n``."""
+    ``C(n, k) x^k (1 - x)^(n - k)``, ``k = 0 .. n``. The binomial
+    coefficients are computed once, with the basis."""
     if n < 1:
         raise ConfigError(f"Bernstein degree must be >= 1, got {n}")
-    return BasisSystem(
-        lambda xs: np.vstack([_bernstein_values(n, k, xs) for k in range(n + 1)]),
-        n + 1, UNIT_INTERVAL, name=f"bernstein({n})")
+    binomials = [float(math.comb(n, k)) for k in range(n + 1)]
+
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        out = np.empty((n + 1, xs.size))
+        rest = 1.0 - xs
+        for k, binomial in enumerate(binomials):
+            out[k] = binomial * xs ** k * rest ** (n - k)
+        return out
+
+    return BasisSystem(evaluate, n + 1, UNIT_INTERVAL, name=f"bernstein({n})")
 
 
 # --------------------------------------------------------------------------

@@ -61,15 +61,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         config = config.with_seed(args.seed)
     report = run_analyze(config)
 
-    json_path = args.json or ("report.json" if config.outputs.json else None)
-    csv_path = args.csv or ("report.csv" if config.outputs.csv else None)
-    svg_path = args.svg or ("report.svg" if config.outputs.svg else None)
-    if json_path:
-        Path(json_path).write_text(emit_report(report, "json"), encoding="utf-8")
-    if csv_path:
-        Path(csv_path).write_text(emit_report(report, "csv"), encoding="utf-8")
-    if svg_path:
-        Path(svg_path).write_text(emit_svg(report), encoding="utf-8")
+    renderers = (
+        (args.json or ("report.json" if config.outputs.json else None),
+         lambda: emit_report(report, "json")),
+        (args.csv or ("report.csv" if config.outputs.csv else None),
+         lambda: emit_report(report, "csv")),
+        (args.svg or ("report.svg" if config.outputs.svg else None),
+         lambda: emit_svg(report)),
+    )
+    # Every output is rendered before any is written, so a value the
+    # serializer rejects (a non-finite number) leaves no file behind.
+    try:
+        texts = [(path, render()) for path, render in renderers if path]
+    except ValueError as exc:
+        print(f"error: operator {report.operator_name}: emit failed: {exc}", file=sys.stderr)
+        return 1
+    for path, text in texts:
+        Path(path).write_text(text, encoding="utf-8")
 
     print(f"operator: {report.operator_name}")
     for check in report.checks.values():
@@ -110,10 +118,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     config = _read_config(args.config)
     op = build_operator(config)
-    matrix = build_collocation_matrix(op)
-    if matrix.n > 5:
+    if op.n > 5:
         raise UnsupportedSizeError(
-            f"oracle cross-check supports matrices up to 5x5, got {matrix.n}x{matrix.n}")
+            f"oracle cross-check supports matrices up to 5x5, got {op.n}x{op.n}")
+    matrix = build_collocation_matrix(op)
     qr_eigs = eigenvalues(matrix)
     oracle_eigs = char_poly_eigen_oracle(matrix)
     distance = pair_eigenvalues(qr_eigs, oracle_eigs)

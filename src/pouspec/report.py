@@ -77,7 +77,7 @@ class AnalysisConfig:
     version: int = SCHEMA_VERSION
 
     def with_seed(self, seed: int) -> "AnalysisConfig":
-        return replace(self, seed=seed)
+        return replace(self, seed=_seed(seed))
 
     def echo(self) -> dict:
         """Canonical plain mapping; parsing it back yields an equal config."""
@@ -101,34 +101,53 @@ class AnalysisConfig:
 # Configuration parsing
 # --------------------------------------------------------------------------
 
+def _finite(value: int | float) -> bool:
+    """Whether a JSON number is a finite float (an integer past the float
+    range is not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_number(value: Any) -> bool:
+    """An int or float; JSON ``true`` and ``false`` are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require(data: dict, key: str, types, context: str):
     if key not in data:
         raise ConfigError(f"{context}: missing required field '{key}'")
     value = data[key]
-    if not isinstance(value, types):
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{context}: field '{key}' has invalid type "
                           f"{type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if float in types and not _finite(value):
         raise ConfigError(f"{context}: '{key}' must be a finite number")
+    return value
+
+
+def _seed(value: Any) -> int:
+    """A valid random seed: numpy's generators take integers >= 0 only."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"config: 'seed' must be an integer >= 0, got {value!r}")
     return value
 
 
 def _positive_int(data: dict, key: str, context: str, minimum: int = 1) -> int:
     value = _require(data, key, (int,), context)
-    if isinstance(value, bool) or value < minimum:
+    if value < minimum:
         raise ConfigError(f"{context}: '{key}' must be an integer >= {minimum}")
     return value
 
 
 def _float_list(data: dict, key: str, context: str) -> list[float]:
     value = _require(data, key, (list,), context)
-    try:
-        out = [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: '{key}' must be a list of numbers") from exc
-    if not all(math.isfinite(v) for v in out):
+    if not all(_is_number(v) for v in value):
+        raise ConfigError(f"{context}: '{key}' must be a list of numbers")
+    if not all(_finite(v) for v in value):
         raise ConfigError(f"{context}: '{key}' must hold finite numbers only")
-    return out
+    return [float(v) for v in value]
 
 
 def _parse_operator_params(kind: str, data: dict) -> dict:
@@ -187,7 +206,7 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a single top-level map")
     version = data.get("version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported config version {version!r} "
                           f"(this build reads version {SCHEMA_VERSION})")
     kind = _require(data, "operator", (str,), "config")
@@ -205,7 +224,7 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
     tol_kwargs = {}
     for name in ("pou", "stochastic", "peripheral", "norm"):
         value = tol_data.get(name, getattr(defaults, name))
-        if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
+        if not _is_number(value) or not _finite(value) or value <= 0:
             raise ConfigError(f"config: tolerance '{name}' must be a finite positive number")
         tol_kwargs[name] = float(value)
 
@@ -217,12 +236,10 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
     if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 2:
         raise ConfigError("config: iterate 'm_max' must be an integer >= 2")
     it_tol = it_data.get("tol", it_defaults.tol)
-    if not isinstance(it_tol, (int, float)) or not math.isfinite(it_tol) or it_tol <= 0:
+    if not _is_number(it_tol) or not _finite(it_tol) or it_tol <= 0:
         raise ConfigError("config: iterate 'tol' must be a finite positive number")
 
-    seed = data.get("seed", 42)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("config: 'seed' must be an integer")
+    seed = _seed(data.get("seed", 42))
 
     out_data = data.get("outputs", {})
     if not isinstance(out_data, dict):

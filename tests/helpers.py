@@ -95,3 +95,9 @@ def hat_values(pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Hat basis on the nodes ``pts``, one ``np.interp`` of a unit vector
     per hat, independent of the package."""
     return np.vstack([np.interp(xs, pts, row) for row in np.eye(pts.size)])
+
+
+def collocation_rowwise(op) -> np.ndarray:
+    """Collocation matrix one row at a time, each row from its own basis
+    evaluation: ``basis.values(a_k.nodes) @ a_k.weights``."""
+    return np.vstack([op.basis.values(a.nodes) @ a.weights for a in op.functionals])

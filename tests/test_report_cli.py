@@ -129,9 +129,10 @@ class TestRunAnalyze:
                                atol=1e-10)
         assert report.iterates.rate == pytest.approx(0.5, abs=1e-3)
 
-    def test_basis_evaluated_once_per_point_set(self, monkeypatch):
+    @pytest.mark.parametrize("n", [5, 60])
+    def test_basis_evaluated_once_per_point_set(self, monkeypatch, n):
         # Two build-time basis checks, five lemma checks with one grid
-        # evaluation each, and one evaluation per collocation row.
+        # evaluation each, and one block of collocation nodes, whatever n.
         calls = []
         values = BasisSystem.values
 
@@ -140,9 +141,8 @@ class TestRunAnalyze:
             return values(basis, xs)
 
         monkeypatch.setattr(BasisSystem, "values", counted)
-        n = 5
         run_analyze(parse_config(f'{{"operator": "bernstein", "n": {n}}}'))
-        assert len(calls) <= n + 16
+        assert len(calls) <= 8
 
     def test_mapping_key_paths(self):
         report = run_analyze(parse_config(KANT1_CONFIG))
@@ -331,51 +331,70 @@ class TestCli:
     def test_missing_file_exits_two(self):
         assert main(["analyze", "--config", "/nonexistent/config.json"]) == 2
 
-    @pytest.mark.parametrize("text, named", [
-        ('{"operator": "kantorovich", "n": 0}', "'n'"),
-        ('{"operator": "kantorovich", "n": 2, "tolerances": {"peripheral": NaN}}',
-         "tolerance 'peripheral'"),
-        ('{"operator": "kantorovich", "n": 2, "tolerances": {"norm": Infinity}}',
-         "tolerance 'norm'"),
-        ('{"operator": "kantorovich", "n": 2, "iterate": {"tol": NaN}}', "iterate 'tol'"),
-        (json.dumps({"operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]},
-                     "functionals": [{"kind": "dirac", "x": 1.5},
-                                     {"kind": "dirac", "x": 0.0}]}),
-         "functional 0 (dirac(1.5)): x=1.5 outside domain"),
-        (_hat_custom([{"kind": "dirac", "x": float("nan")}, {"kind": "dirac", "x": 0.0}]),
-         "functional[0]: 'x' must be a finite number"),
-        (_hat_custom([{"kind": "interval-average", "a": 0.0, "b": float("inf")},
-                      {"kind": "dirac", "x": 0.0}]),
-         "functional[0]: 'b' must be a finite number"),
-        (_hat_custom([{"kind": "dirac", "x": 0.0},
-                      {"kind": "weighted-quadrature", "nodes": [0.5, float("nan")],
-                       "weights": [0.5, 0.5]}]),
-         "functional[1]: 'nodes' must hold finite numbers only"),
-        (_hat_custom([{"kind": "dirac", "x": 0.0},
-                      {"kind": "weighted-quadrature", "nodes": [0.5, 0.6],
-                       "weights": [float("inf"), 0.5]}]),
-         "functional[1]: 'weights' must hold finite numbers only"),
-        ('{"operator": "schoenberg", "degree": 1, "knots": [0, 0, NaN, 1, 1]}',
-         "'knots' must hold finite numbers only"),
-        ('{"operator": "schoenberg", "degree": 1, "knots": [0, 0, 1, 2, 2]}',
-         "knot vector must span [0.0, 1.0] exactly, got [0.0, 2.0]"),
-        (json.dumps({"operator": "custom",
-                     "basis": {"kind": "bspline", "degree": 0, "knots": [-1.0, 0.5, 1.0]},
-                     "functionals": [{"kind": "dirac", "x": 0.0},
-                                     {"kind": "dirac", "x": 1.0}]}),
-         "knot vector must span [0.0, 1.0] exactly, got [-1.0, 1.0]"),
-        (_hat_custom([{"kind": "dirac", "x": 0.0},
-                      {"kind": "weighted-quadrature", "nodes": [0.5, 0.5000001],
-                       "weights": [1.2, -0.2]}]),
-         "min weight -0.2 at node 0.5000001"),
+    @pytest.mark.parametrize("text, named, command", [
+        *((text, named, ["analyze"]) for text, named in [
+            ('{"operator": "kantorovich", "n": 0}', "'n'"),
+            ('{"operator": "kantorovich", "n": 2, "tolerances": {"peripheral": NaN}}',
+             "tolerance 'peripheral'"),
+            ('{"operator": "kantorovich", "n": 2, "tolerances": {"norm": Infinity}}',
+             "tolerance 'norm'"),
+            ('{"operator": "kantorovich", "n": 2, "iterate": {"tol": NaN}}', "iterate 'tol'"),
+            (json.dumps({"operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]},
+                         "functionals": [{"kind": "dirac", "x": 1.5},
+                                         {"kind": "dirac", "x": 0.0}]}),
+             "functional 0 (dirac(1.5)): x=1.5 outside domain"),
+            (_hat_custom([{"kind": "dirac", "x": float("nan")}, {"kind": "dirac", "x": 0.0}]),
+             "functional[0]: 'x' must be a finite number"),
+            (_hat_custom([{"kind": "interval-average", "a": 0.0, "b": float("inf")},
+                          {"kind": "dirac", "x": 0.0}]),
+             "functional[0]: 'b' must be a finite number"),
+            (_hat_custom([{"kind": "dirac", "x": 0.0},
+                          {"kind": "weighted-quadrature", "nodes": [0.5, float("nan")],
+                           "weights": [0.5, 0.5]}]),
+             "functional[1]: 'nodes' must hold finite numbers only"),
+            (_hat_custom([{"kind": "dirac", "x": 0.0},
+                          {"kind": "weighted-quadrature", "nodes": [0.5, 0.6],
+                           "weights": [float("inf"), 0.5]}]),
+             "functional[1]: 'weights' must hold finite numbers only"),
+            ('{"operator": "schoenberg", "degree": 1, "knots": [0, 0, NaN, 1, 1]}',
+             "'knots' must hold finite numbers only"),
+            ('{"operator": "schoenberg", "degree": 1, "knots": [0, 0, 1, 2, 2]}',
+             "knot vector must span [0.0, 1.0] exactly, got [0.0, 2.0]"),
+            (json.dumps({"operator": "custom",
+                         "basis": {"kind": "bspline", "degree": 0, "knots": [-1.0, 0.5, 1.0]},
+                         "functionals": [{"kind": "dirac", "x": 0.0},
+                                         {"kind": "dirac", "x": 1.0}]}),
+             "knot vector must span [0.0, 1.0] exactly, got [-1.0, 1.0]"),
+            (_hat_custom([{"kind": "dirac", "x": 0.0},
+                          {"kind": "weighted-quadrature", "nodes": [0.5, 0.5000001],
+                           "weights": [1.2, -0.2]}]),
+             "min weight -0.2 at node 0.5000001"),
+            ('{"operator": "bernstein", "n": 3, "seed": -5}',
+             "'seed' must be an integer >= 0, got -5"),
+            ('{"operator": "kantorovich", "n": 2, "tolerances": {"pou": true}}',
+             "tolerance 'pou' must be a finite positive number"),
+            (_hat_custom([{"kind": "dirac", "x": True}, {"kind": "dirac", "x": 0.0}]),
+             "functional[0]: field 'x' has invalid type bool"),
+            (_hat_custom([{"kind": "dirac", "x": 10**400}, {"kind": "dirac", "x": 0.0}]),
+             "functional[0]: 'x' must be a finite number"),
+            (json.dumps({"operator": "hat-dirac", "nodes": [0, 10**400, 1]}),
+             "'nodes' must hold finite numbers only"),
+            ('{"operator": "hat-dirac", "nodes": [0, "0.5", 1]}',
+             "'nodes' must be a list of numbers"),
+            ('{"version": true, "operator": "kantorovich", "n": 2}',
+             "unsupported config version True"),
+        ]),
+        (KANT1_CONFIG, "'seed' must be an integer >= 0, got -1", ["verify", "--seed", "-1"]),
     ], ids=["n-zero", "nan-tolerance", "infinite-norm-tolerance", "nan-iterate-tol",
             "dirac-outside-domain", "nan-dirac", "infinite-interval-bound",
             "nan-quadrature-node", "infinite-quadrature-weight", "nan-knot",
-            "knots-past-one", "custom-knots-below-zero", "negative-quadrature-weight"])
-    def test_bad_config_exits_two(self, tmp_path, capsys, text, named):
+            "knots-past-one", "custom-knots-below-zero", "negative-quadrature-weight",
+            "negative-seed", "boolean-tolerance", "boolean-dirac", "huge-integer-dirac",
+            "huge-integer-node", "string-node", "boolean-version", "negative-seed-override"])
+    def test_bad_config_exits_two(self, tmp_path, capsys, text, named, command):
         config = tmp_path / "bad.json"
         config.write_text(text, encoding="utf-8")
-        assert main(["analyze", "--config", str(config)]) == 2
+        assert main([*command, "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert named in err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -438,6 +457,36 @@ class TestCli:
         config = tmp_path / "config.json"
         config.write_text('{"operator": "bernstein", "n": 8}', encoding="utf-8")
         assert main(["oracle", "--config", str(config)]) == 2
+
+    def test_oracle_checks_size_before_assembly(self, tmp_path, capsys, monkeypatch):
+        def never(_op):
+            raise AssertionError("collocation matrix assembled for an oversized oracle")
+
+        monkeypatch.setattr("pouspec.cli.build_collocation_matrix", never)
+        config = tmp_path / "config.json"
+        config.write_text('{"operator": "bernstein", "n": 5}', encoding="utf-8")
+        assert main(["oracle", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == ("error: oracle cross-check supports matrices "
+                                           "up to 5x5, got 6x6\n")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_report_value_exits_one(self, tmp_path, capsys, monkeypatch, bad):
+        def broken(config):
+            report = run_analyze(config)
+            check = dataclasses.replace(report.checks["positivity"], value=bad)
+            return dataclasses.replace(report, checks={**report.checks, "positivity": check})
+
+        monkeypatch.setattr("pouspec.cli.run_analyze", broken)
+        config = tmp_path / "config.json"
+        config.write_text(KANT1_CONFIG, encoding="utf-8")
+        paths = [tmp_path / name for name in ("r.json", "r.csv", "r.svg")]
+        argv = ["analyze", "--config", str(config)]
+        for flag, path in zip(("--json", "--csv", "--svg"), paths):
+            argv += [flag, str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"error: operator kantorovich(n=1): emit failed: "
+                                           f"cannot serialize non-finite number {bad!r}\n")
+        assert not any(path.exists() for path in paths)
 
     def test_seed_override(self, tmp_path):
         config = tmp_path / "config.json"

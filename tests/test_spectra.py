@@ -7,15 +7,17 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from helpers import (bernstein_eigenvalue_oracle, bernstein_value,
+from helpers import (bernstein_eigenvalue_oracle, bernstein_value, collocation_rowwise,
                      kantorovich_matrix_exact, kantorovich_matrix_oracle,
                      random_breakpoints, random_stochastic)
 
-from pouspec.errors import ConfigError, UnsupportedSizeError
-from pouspec.functionals import DiracFunctional
-from pouspec.bases import make_hat_basis
+from pouspec import spectra
+from pouspec.errors import ConfigError, DomainError, UnsupportedSizeError
+from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
+                                 WeightedQuadratureFunctional)
+from pouspec.bases import BasisSystem, clamped_knots, make_hat_basis
 from pouspec.operators import OperatorSpec, bernstein_operator, hat_dirac_operator, \
-    kantorovich_operator
+    kantorovich_operator, schoenberg_operator
 from pouspec.spectra import (MAX_DIMENSION, CollocationMatrix, build_collocation_matrix,
                              char_poly_eigen_oracle, characteristic_polynomial,
                              check_row_stochastic, classify_spectrum, eigenvalues,
@@ -70,6 +72,111 @@ class TestBuildMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ConfigError):
             CollocationMatrix(np.ones((2, 3)))
+
+
+def _hat_average_operator(count: int) -> OperatorSpec:
+    """Hat basis on ``count`` random nodes, one cell average per hat over
+    the cells between the node midpoints (32 quadrature nodes each)."""
+    nodes = random_breakpoints(np.random.default_rng(count), interior=count - 2)
+    edges = np.concatenate(([0.0], (nodes[:-1] + nodes[1:]) / 2.0, [1.0]))
+    funcs = tuple(IntervalAverageFunctional(a, b) for a, b in zip(edges[:-1], edges[1:]))
+    return OperatorSpec(make_hat_basis(nodes), funcs, name=f"hat-average({count})")
+
+
+def _mixed_operator() -> OperatorSpec:
+    """Hat basis on 12 nodes with Dirac, cell-average and weighted-quadrature
+    functionals in turn (1, 32 and 1 to 4 nodes)."""
+    rng = np.random.default_rng(12)
+    nodes = random_breakpoints(rng, interior=10)
+    funcs = []
+    for k in range(nodes.size):
+        if k % 3 == 0:
+            funcs.append(DiracFunctional(rng.uniform()))
+        elif k % 3 == 1:
+            a, b = np.sort(rng.uniform(size=2))
+            funcs.append(IntervalAverageFunctional(a, b))
+        else:
+            size = k // 3 + 1
+            funcs.append(WeightedQuadratureFunctional(rng.uniform(size=size),
+                                                      rng.dirichlet(np.ones(size))))
+    return OperatorSpec(make_hat_basis(nodes), funcs, name="mixed")
+
+
+COLLOCATION_CASES = {
+    **{f"bernstein-{n}": (lambda n=n: bernstein_operator(n)) for n in (1, 31, 120)},
+    **{f"kantorovich-{n}": (lambda n=n: kantorovich_operator(n)) for n in (1, 31, 120)},
+    "schoenberg-cubic": lambda: schoenberg_operator(
+        clamped_knots(random_breakpoints(np.random.default_rng(3), interior=40), 3), 3),
+    "hat-dirac-300": lambda: hat_dirac_operator(
+        random_breakpoints(np.random.default_rng(300), interior=298)),
+    "hat-average-160": lambda: _hat_average_operator(160),
+    "mixed": _mixed_operator,
+}
+
+#: Caps on the basis values per block, as functions of the operator.
+BLOCK_CAPS = {
+    "default": lambda op: spectra.MAX_BLOCK_ENTRIES,
+    "1": lambda op: 1,
+    "7": lambda op: 7,
+    "below-largest-functional": lambda op: op.n * max(a.nodes.size for a in op.functionals) - 1,
+    "first-two-functionals": lambda op: op.n * (op.functionals[0].nodes.size
+                                                + op.functionals[1].nodes.size),
+}
+
+
+@pytest.mark.parametrize("cap", BLOCK_CAPS)
+@pytest.mark.parametrize("case", COLLOCATION_CASES)
+class TestBlockAssembly:
+    def test_matches_rowwise_assembly(self, monkeypatch, case, cap):
+        op = COLLOCATION_CASES[case]()
+        monkeypatch.setattr(spectra, "MAX_BLOCK_ENTRIES", BLOCK_CAPS[cap](op))
+        nptest.assert_array_equal(build_collocation_matrix(op).entries,
+                                  collocation_rowwise(op))
+
+    def test_blocks_are_whole_functionals_within_the_cap(self, monkeypatch, case, cap):
+        op = COLLOCATION_CASES[case]()
+        limit = BLOCK_CAPS[cap](op)
+        monkeypatch.setattr(spectra, "MAX_BLOCK_ENTRIES", limit)
+        sizes = []
+        values = BasisSystem.values
+
+        def counted(basis, xs):
+            sizes.append(np.size(xs))
+            return values(basis, xs)
+
+        monkeypatch.setattr(BasisSystem, "values", counted)
+        build_collocation_matrix(op)
+        stops = np.append(op.starts[1:], op.nodes.size)
+        bounds = np.cumsum([0] + sizes)
+        assert bounds[-1] == op.nodes.size
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            assert hi in stops
+            rows = np.count_nonzero((stops > lo) & (stops <= hi))
+            # Within the cap unless it is one oversized functional, and
+            # not extendable by the next functional.
+            assert (hi - lo) * op.n <= limit or rows == 1
+            following = stops[stops > hi]
+            assert following.size == 0 or (following[0] - lo) * op.n > limit
+
+
+class TestBlockAssemblyErrors:
+    @pytest.mark.parametrize("cap", [spectra.MAX_BLOCK_ENTRIES, 7, 1])
+    @pytest.mark.parametrize("funcs, message", [
+        ((DiracFunctional(0.0), DiracFunctional(1.5), DiracFunctional(-2.0)),
+         "collocation row 1 (dirac(1.5)): hat(3): x=1.5 outside domain [0.0, 1.0]"),
+        ((DiracFunctional(0.0), DiracFunctional(0.5), DiracFunctional(1.5)),
+         "collocation row 2 (dirac(1.5)): hat(3): x=1.5 outside domain [0.0, 1.0]"),
+        ((DiracFunctional(0.0),
+          WeightedQuadratureFunctional([0.5, 1.25, -0.5], [0.25, 0.25, 0.5]),
+          DiracFunctional(1.0)),
+         "collocation row 1 (quad(3 nodes)): hat(3): x=1.25 outside domain [0.0, 1.0]"),
+    ], ids=["first-block", "last-row", "quadrature"])
+    def test_names_first_row_outside_domain(self, monkeypatch, cap, funcs, message):
+        monkeypatch.setattr(spectra, "MAX_BLOCK_ENTRIES", cap)
+        op = OperatorSpec(make_hat_basis([0.0, 0.5, 1.0]), funcs, validate=False)
+        with pytest.raises(DomainError) as info:
+            build_collocation_matrix(op)
+        assert str(info.value) == message
 
 
 class TestRowStochastic:

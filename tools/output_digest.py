@@ -38,9 +38,9 @@ def _digest(text: str | None) -> str:
 
 
 def without_timings(report: str) -> str:
-    """The JSON report with its ``timings`` map cut out (the only part that
-    differs between runs)."""
-    head, found, tail = report.partition('\n  "timings": {')
+    """The JSON report with its ``timings`` map and the comma before it cut
+    out (the only part that differs between runs); the rest still parses."""
+    head, found, tail = report.partition(',\n  "timings": {')
     if not found:
         return report
     close = '\n  }'
