@@ -44,11 +44,15 @@ REPLACEMENTS = (float("nan"), float("inf"), float("-inf"), -1, 0, 10**6, 10**400
                 "x", [], {}, None, True)
 
 
+def _children(node):
+    if isinstance(node, dict):
+        return node.items()
+    return enumerate(node) if isinstance(node, list) else ()
+
+
 def _values(node, path=()):
     """Paths of every value below ``node`` (leaves, lists and maps)."""
-    items = node.items() if isinstance(node, dict) else (
-        enumerate(node) if isinstance(node, list) else ())
-    for key, child in items:
+    for key, child in _children(node):
         yield path + (key,)
         yield from _values(child, path + (key,))
 
@@ -57,9 +61,7 @@ def _maps(node, path=()):
     """Paths of every map in ``node``, the root included."""
     if isinstance(node, dict):
         yield path
-    items = node.items() if isinstance(node, dict) else (
-        enumerate(node) if isinstance(node, list) else ())
-    for key, child in items:
+    for key, child in _children(node):
         yield from _maps(child, path + (key,))
 
 
