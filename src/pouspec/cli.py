@@ -90,7 +90,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"  classification: {report.spectrum.classification}")
     print(f"  diagnostics: {report.spectrum.diagnostics}")
     print(f"  iterates: {report.iterates.message}" +
-          (f" (rate {report.iterates.rate:.6g})" if report.iterates.rate is not None else ""))
+          (f" (rate {report.rate:.6g})" if report.rate is not None else ""))
     return exit_code_for(report)
 
 

@@ -30,9 +30,8 @@ from .operators import (OperatorSpec, bernstein_operator, hat_dirac_operator,
                         kantorovich_operator, kernel_witness_report,
                         schoenberg_operator, verify_constant_reproduction,
                         verify_norm_bound, verify_positivity)
-from .spectra import (DISK_CONTAINMENT_TOL, MAX_DIMENSION, CollocationMatrix,
-                      IterateResult, SpectrumReport, build_collocation_matrix,
-                      classify_spectrum, distance_outside_disks, eigenvalues,
+from .spectra import (MAX_DIMENSION, CollocationMatrix, IterateResult, SpectrumReport,
+                      build_collocation_matrix, classify_spectrum, eigenvalues,
                       gershgorin_disks, iterate_limit)
 
 SCHEMA_VERSION = 1
@@ -42,6 +41,9 @@ OPERATOR_KINDS = ("bernstein", "kantorovich", "schoenberg", "hat-dirac", "custom
 #: Largest verification grid. The checks hold one ``n x grid_points`` array
 #: of basis values; at n = MAX_DIMENSION this bound keeps it near 400 MB.
 MAX_GRID_POINTS = 100_001
+
+#: Largest ``iterate.m_max``: at most 30 doublings of the power search.
+MAX_ITERATE_M = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -233,8 +235,9 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
         raise ConfigError("config: 'iterate' must be a map")
     it_defaults = IterateSettings()
     m_max = it_data.get("m_max", it_defaults.m_max)
-    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 2:
-        raise ConfigError("config: iterate 'm_max' must be an integer >= 2")
+    if (not isinstance(m_max, int) or isinstance(m_max, bool)
+            or not 2 <= m_max <= MAX_ITERATE_M):
+        raise ConfigError(f"config: iterate 'm_max' must be an integer in [2, {MAX_ITERATE_M}]")
     it_tol = it_data.get("tol", it_defaults.tol)
     if not _is_number(it_tol) or not _finite(it_tol) or it_tol <= 0:
         raise ConfigError("config: iterate 'tol' must be a finite positive number")
@@ -344,6 +347,12 @@ class AnalysisReport:
     @property
     def all_checks_passed(self) -> bool:
         return all(c.passed for c in self.checks.values())
+
+    @property
+    def rate(self) -> float | None:
+        """Rate at which the powers approach their limit: the spectrum's
+        subdominant modulus when they converged, else ``None``."""
+        return self.spectrum.subdominant_modulus if self.iterates.converged else None
 
 
 def run_checks(op: OperatorSpec, config: AnalysisConfig,
@@ -462,10 +471,6 @@ def dumps_json(obj: Any, indent: int = 2) -> str:
     return _json_fragment(obj, indent, 0) + "\n"
 
 
-def _in_disk_union(spectrum: SpectrumReport) -> np.ndarray:
-    return distance_outside_disks(spectrum.eigenvalues, spectrum.disks) <= DISK_CONTAINMENT_TOL
-
-
 def report_to_mapping(report: AnalysisReport) -> dict:
     """Plain mapping mirror of a report with the documented key paths."""
     spectrum = report.spectrum
@@ -474,7 +479,7 @@ def report_to_mapping(report: AnalysisReport) -> dict:
         "im": float(lam.imag),
         "modulus": float(abs(lam)),
         "in_disk_union": bool(inside),
-    } for lam, inside in zip(spectrum.eigenvalues, _in_disk_union(spectrum))]
+    } for lam, inside in zip(spectrum.eigenvalues, spectrum.in_disk_union)]
     return {
         "config": report.config.echo(),
         "operator": report.operator_name,
@@ -492,7 +497,7 @@ def report_to_mapping(report: AnalysisReport) -> dict:
         },
         "iterates": {
             "converged": report.iterates.converged,
-            "rate": report.iterates.rate,
+            "rate": report.rate,
             "m_used": report.iterates.m_used,
             "message": report.iterates.message,
         },
@@ -511,7 +516,7 @@ def emit_report(report: AnalysisReport, format: str = "json") -> str:
     if format == "csv":
         lines = ["index,re,im,modulus,in_disk_union"]
         spectrum = report.spectrum
-        for i, (lam, inside) in enumerate(zip(spectrum.eigenvalues, _in_disk_union(spectrum)),
+        for i, (lam, inside) in enumerate(zip(spectrum.eigenvalues, spectrum.in_disk_union),
                                           start=1):
             lines.append(f"{i},{float(lam.real)!r},{float(lam.imag)!r},"
                          f"{float(abs(lam))!r},{'true' if inside else 'false'}")

@@ -291,6 +291,8 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     disks: tuple[GershgorinDisk, ...]
     peripheral: np.ndarray
+    subdominant_modulus: float
+    in_disk_union: np.ndarray
     classification: str
     diagnostics: str
     containment_residual: float
@@ -298,7 +300,7 @@ class SpectrumReport:
 
 def classify_spectrum(eigs, disks: Sequence[GershgorinDisk],
                       tol_peripheral: float = TOL_PERIPHERAL) -> SpectrumReport:
-    """Classify a computed spectrum.
+    """Classify a computed spectrum; the one place that reads it.
 
     ``conforms``: every modulus is <= 1 + tol and every peripheral
     eigenvalue (modulus >= 1 - tol) lies within tol of 1. A peripheral
@@ -306,14 +308,23 @@ def classify_spectrum(eigs, disks: Sequence[GershgorinDisk],
     center sits at or below tol the disk union reaches the whole unit
     circle, so a conforming spectrum is downgraded to
     ``inconclusive-zero-diagonal``: the tangency argument cannot certify it.
-    Containment of every eigenvalue in the disk union is verified as well.
+
+    Also recorded: ``subdominant_modulus``, the largest modulus among the
+    non-peripheral eigenvalues (0.0 when every eigenvalue is peripheral),
+    which is the rate at which ``M^m`` approaches its limit when 1 is the
+    only peripheral eigenvalue; and ``in_disk_union``, whether each
+    eigenvalue lies within ``DISK_CONTAINMENT_TOL`` of the disk union, with
+    ``containment_residual`` the largest distance outside it.
     """
     arr = sort_eigenvalues(np.asarray(eigs, dtype=complex))
     disks = tuple(disks)
     moduli = np.abs(arr)
-    peripheral = arr[moduli >= 1.0 - tol_peripheral]
+    is_peripheral = moduli >= 1.0 - tol_peripheral
+    peripheral = arr[is_peripheral]
+    subdominant = float(moduli[~is_peripheral].max(initial=0.0))
 
-    residual = float(distance_outside_disks(arr, disks).max(initial=0.0))
+    distances = distance_outside_disks(arr, disks)
+    residual = float(distances.max(initial=0.0))
 
     bound_ok = bool(np.all(moduli <= 1.0 + tol_peripheral))
     peripheral_ok = bool(np.all(np.abs(peripheral - 1.0) <= tol_peripheral))
@@ -344,6 +355,8 @@ def classify_spectrum(eigs, disks: Sequence[GershgorinDisk],
         eigenvalues=arr,
         disks=disks,
         peripheral=peripheral,
+        subdominant_modulus=subdominant,
+        in_disk_union=distances <= DISK_CONTAINMENT_TOL,
         classification=classification,
         diagnostics="; ".join(notes),
         containment_residual=residual,
@@ -380,7 +393,6 @@ class IterateResult:
 
     converged: bool
     limit: np.ndarray | None
-    rate: float | None
     m_used: int
     message: str
 
@@ -389,14 +401,9 @@ def iterate_limit(matrix, tol: float = 1e-10, m_max: int = 65536) -> IterateResu
     """Search for the limit of ``M^m`` by repeated squaring.
 
     Doubles ``m`` until ``||M^{2m} - M^m||_inf <= tol`` or ``m > m_max``.
-    On success also reports the ratio of consecutive difference norms
-    ``||M^{m+1} - M^m|| / ||M^m - M^{m-1}||`` at the last of the first 127
-    powers where the previous difference is still at least 1e-9. That
-    ratio tends to the second-largest eigenvalue modulus only as ``m``
-    grows; when the differences take longer than 127 powers to fall to
-    1e-9 it is read before that regime and can sit well below it
-    (Kantorovich n = 499: 0.99184 against 0.998). Failure to settle (e.g.
-    a peripheral eigenvalue other than 1) is reported as a result, not an
+    The rate of approach is not estimated here: it is the spectrum's
+    ``SpectrumReport.subdominant_modulus``. Failure to settle (e.g. a
+    peripheral eigenvalue other than 1) is reported as a result, not an
     error.
     """
     arr = _as_matrix(matrix)
@@ -424,25 +431,9 @@ def iterate_limit(matrix, tol: float = 1e-10, m_max: int = 65536) -> IterateResu
         step2 = _linf(probe @ arr @ arr - probe)
         if step2 <= 1e-8 and step1 > 1e-8:
             message += "; period-2 oscillation detected (M^(m+2) = M^m, M^(m+1) != M^m)"
-        return IterateResult(converged=False, limit=None, rate=None,
-                             m_used=m_max, message=message)
+        return IterateResult(converged=False, limit=None, m_used=m_max, message=message)
 
-    # Rate estimate from sequential powers, taken at the largest step whose
-    # previous difference is still comfortably above round-off.
-    diffs = []
-    current = arr.copy()
-    for _ in range(1, 128):
-        nxt = current @ arr
-        diffs.append(_linf(nxt - current))
-        current = nxt
-        if diffs[-1] < 1e-12:
-            break
-    rate = 0.0
-    for i in range(len(diffs) - 1, 0, -1):
-        if diffs[i - 1] >= 1e-9:
-            rate = diffs[i] / diffs[i - 1]
-            break
     return IterateResult(
-        converged=True, limit=limit, rate=float(rate), m_used=m,
+        converged=True, limit=limit, m_used=m,
         message=f"converged: ||M^(2m) - M^m||_inf <= {tol:g} at m = {m}",
     )

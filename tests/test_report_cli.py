@@ -127,7 +127,7 @@ class TestRunAnalyze:
         assert report.iterates.converged
         nptest.assert_allclose(report.iterates.limit, 0.5 * np.ones((2, 2)),
                                atol=1e-10)
-        assert report.iterates.rate == pytest.approx(0.5, abs=1e-3)
+        assert report.rate == pytest.approx(0.5, abs=1e-3)
 
     @pytest.mark.parametrize("n", [5, 60])
     def test_basis_evaluated_once_per_point_set(self, monkeypatch, n):
@@ -201,7 +201,8 @@ class TestEmit:
         empty_spectrum = SpectrumReport(
             eigenvalues=np.empty(0, dtype=complex),
             disks=kant1_report.spectrum.disks,
-            peripheral=np.empty(0, dtype=complex),
+            peripheral=np.empty(0, dtype=complex), subdominant_modulus=0.0,
+            in_disk_union=np.empty(0, dtype=bool),
             classification="conforms", diagnostics="", containment_residual=0.0)
         broken = dataclasses.replace(kant1_report, spectrum=empty_spectrum)
         with pytest.raises(ValueError, match="empty eigenvalue list"):
@@ -383,6 +384,8 @@ class TestCli:
              "'nodes' must be a list of numbers"),
             ('{"version": true, "operator": "kantorovich", "n": 2}',
              "unsupported config version True"),
+            (json.dumps({"operator": "kantorovich", "n": 2, "iterate": {"m_max": 10**4000}}),
+             "iterate 'm_max' must be an integer in [2, 1073741824]"),
         ]),
         (KANT1_CONFIG, "'seed' must be an integer >= 0, got -1", ["verify", "--seed", "-1"]),
     ], ids=["n-zero", "nan-tolerance", "infinite-norm-tolerance", "nan-iterate-tol",
@@ -390,7 +393,8 @@ class TestCli:
             "nan-quadrature-node", "infinite-quadrature-weight", "nan-knot",
             "knots-past-one", "custom-knots-below-zero", "negative-quadrature-weight",
             "negative-seed", "boolean-tolerance", "boolean-dirac", "huge-integer-dirac",
-            "huge-integer-node", "string-node", "boolean-version", "negative-seed-override"])
+            "huge-integer-node", "string-node", "boolean-version", "huge-m-max",
+            "negative-seed-override"])
     def test_bad_config_exits_two(self, tmp_path, capsys, text, named, command):
         config = tmp_path / "bad.json"
         config.write_text(text, encoding="utf-8")

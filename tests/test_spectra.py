@@ -340,6 +340,7 @@ class TestClassification:
     def test_containment_verified(self):
         report = classify_spectrum(eigenvalues(KANT1), gershgorin_disks(KANT1))
         assert report.containment_residual <= 1e-9
+        assert report.in_disk_union.tolist() == [True, True]
 
     def test_fixed_eigenvalue_one(self):
         rng = np.random.default_rng(55)
@@ -377,11 +378,15 @@ class TestIterateLimit:
         result = iterate_limit(KANT1, tol=1e-10)
         assert result.converged
         nptest.assert_allclose(result.limit, 0.5 * np.ones((2, 2)), atol=1e-10)
-        assert 0.499 <= result.rate <= 0.501
+        rate = classify_spectrum(eigenvalues(KANT1), gershgorin_disks(KANT1)).subdominant_modulus
+        assert 0.499 <= rate <= 0.501
 
     def test_identity_immediate(self):
-        result = iterate_limit(np.eye(4), tol=1e-12)
-        assert result.converged and result.m_used == 1 and result.rate == 0.0
+        identity = np.eye(4)
+        result = iterate_limit(identity, tol=1e-12)
+        rate = classify_spectrum(eigenvalues(identity),
+                                 gershgorin_disks(identity)).subdominant_modulus
+        assert result.converged and result.m_used == 1 and rate == 0.0
 
     def test_swap_oscillates(self):
         result = iterate_limit(SWAP, tol=1e-10, m_max=256)
@@ -403,7 +408,18 @@ class TestIterateLimit:
             stat = stat / stat.sum()
             limit = np.ones((matrix.shape[0], 1)) @ stat[None, :]
             lam2 = sorted(np.abs(np.linalg.eigvals(matrix)))[-2]
+            report = classify_spectrum(eigenvalues(matrix), gershgorin_disks(matrix))
+            assert abs(report.subdominant_modulus - lam2) <= 1e-12, (matrix, lam2)
             for m in (5, 12, 25, 40):
                 dev = np.max(np.sum(np.abs(matrix_power(matrix, m) - limit), axis=1))
                 ratio = dev / lam2 ** m
                 assert 0.1 <= ratio <= 10.0, (matrix, m, ratio)
+
+
+@pytest.mark.parametrize("n", [31, 100, 499])
+def test_subdominant_modulus_matches_bernstein_closed_form(n):
+    # Cooper & Waldron (2000): the Bernstein collocation matrix has
+    # eigenvalues n! / ((n - k)! n^k), k = 0..n, so 1 twice and then 1 - 1/n.
+    matrix = build_collocation_matrix(bernstein_operator(n))
+    report = classify_spectrum(eigenvalues(matrix), gershgorin_disks(matrix))
+    assert abs(report.subdominant_modulus - (1.0 - 1.0 / n)) <= 1e-12
