@@ -122,11 +122,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise UnsupportedSizeError(
             f"oracle cross-check supports matrices up to 5x5, got {op.n}x{op.n}")
     matrix = build_collocation_matrix(op)
-    qr_eigs = eigenvalues(matrix)
+    lapack_eigs = eigenvalues(matrix)
     oracle_eigs = char_poly_eigen_oracle(matrix)
-    distance = pair_eigenvalues(qr_eigs, oracle_eigs)
+    distance = pair_eigenvalues(lapack_eigs, oracle_eigs)
     print(f"operator: {op.name} (n = {matrix.n})")
-    print(f"  qr eigenvalues:     {', '.join(f'{v:.12g}' for v in qr_eigs)}")
+    print(f"  LAPACK eigenvalues: {', '.join(f'{v:.12g}' for v in lapack_eigs)}")
     print(f"  oracle eigenvalues: {', '.join(f'{v:.12g}' for v in oracle_eigs)}")
     print(f"  max matched distance: {distance:.3e} (tolerance {ORACLE_MATCH_TOL:.1e})")
     return 0 if distance <= ORACLE_MATCH_TOL else 1

@@ -100,16 +100,17 @@ class DiracFunctional(Functional):
 
 class IntervalAverageFunctional(Functional):
     """Normalized average ``f -> (b - a)^{-1} * integral_a^b f`` by the
-    composite Gauss-Legendre rule, with ``1 / (b - a)`` folded into the
+    composite Gauss-Legendre rule of ``DEFAULT_QUAD_ORDER`` points on each
+    of ``DEFAULT_QUAD_PANELS`` panels, with ``1 / (b - a)`` folded into the
     weights."""
 
-    def __init__(self, a: float, b: float,
-                 order: int = DEFAULT_QUAD_ORDER, panels: int = DEFAULT_QUAD_PANELS):
+    def __init__(self, a: float, b: float):
         if a >= b:
             raise ConfigError(f"interval average requires a < b, got [{a}, {b}]")
         self.a = float(a)
         self.b = float(b)
-        xs, ws = _gauss_legendre_rule(self.a, self.b, order, panels)
+        xs, ws = _gauss_legendre_rule(self.a, self.b, DEFAULT_QUAD_ORDER,
+                                      DEFAULT_QUAD_PANELS)
         super().__init__(xs, ws / (self.b - self.a), name=f"avg[{self.a:g},{self.b:g}]")
 
 

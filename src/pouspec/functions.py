@@ -36,9 +36,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float) -> bool:
-        return self.lo - DOMAIN_SLACK <= x <= self.hi + DOMAIN_SLACK
-
     def require(self, xs: np.ndarray, who: str) -> None:
         """Raise :class:`DomainError` naming ``who`` and the first point of
         ``xs`` outside the interval (NaN counts as outside)."""

@@ -471,15 +471,20 @@ def dumps_json(obj: Any, indent: int = 2) -> str:
     return _json_fragment(obj, indent, 0) + "\n"
 
 
+def _eigenvalue_rows(spectrum: SpectrumReport):
+    """``(re, im, modulus, in_disk_union)`` of each eigenvalue as Python
+    scalars, the modulus read from ``spectrum.moduli``."""
+    eigs = spectrum.eigenvalues
+    return zip(eigs.real.tolist(), eigs.imag.tolist(), spectrum.moduli.tolist(),
+               spectrum.in_disk_union.tolist())
+
+
 def report_to_mapping(report: AnalysisReport) -> dict:
     """Plain mapping mirror of a report with the documented key paths."""
     spectrum = report.spectrum
-    eig_rows = [{
-        "re": float(lam.real),
-        "im": float(lam.imag),
-        "modulus": float(abs(lam)),
-        "in_disk_union": bool(inside),
-    } for lam, inside in zip(spectrum.eigenvalues, spectrum.in_disk_union)]
+    eig_rows = [{"re": re, "im": im, "modulus": modulus, "in_disk_union": inside}
+                for re, im, modulus, inside in _eigenvalue_rows(spectrum)]
+    centers, radii = spectrum.disks
     return {
         "config": report.config.echo(),
         "operator": report.operator_name,
@@ -491,7 +496,8 @@ def report_to_mapping(report: AnalysisReport) -> dict:
         },
         "spectrum": {
             "eigenvalues": eig_rows,
-            "disks": [{"center": d.center, "radius": d.radius} for d in spectrum.disks],
+            "disks": [{"center": c, "radius": r}
+                      for c, r in zip(centers.tolist(), radii.tolist())],
             "classification": spectrum.classification,
             "diagnostics": spectrum.diagnostics,
         },
@@ -515,11 +521,9 @@ def emit_report(report: AnalysisReport, format: str = "json") -> str:
         return dumps_json(report_to_mapping(report))
     if format == "csv":
         lines = ["index,re,im,modulus,in_disk_union"]
-        spectrum = report.spectrum
-        for i, (lam, inside) in enumerate(zip(spectrum.eigenvalues, spectrum.in_disk_union),
-                                          start=1):
-            lines.append(f"{i},{float(lam.real)!r},{float(lam.imag)!r},"
-                         f"{float(abs(lam))!r},{'true' if inside else 'false'}")
+        for i, (re, im, modulus, inside) in enumerate(_eigenvalue_rows(report.spectrum),
+                                                      start=1):
+            lines.append(f"{i},{re!r},{im!r},{modulus!r},{'true' if inside else 'false'}")
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown report format '{format}' (expected json or csv)")
 
@@ -558,10 +562,11 @@ def emit_svg(report: AnalysisReport) -> str:
         f'  <circle cx="{_svg_x(0):.2f}" cy="{_svg_y(0):.2f}" r="{_svg_r(1.0):.2f}" '
         'fill="none" stroke="#444444" stroke-width="1.5" stroke-dasharray="6,4"/>',
     ]
-    for disk in report.spectrum.disks:
+    centers, radii = report.spectrum.disks
+    for center, radius in zip(centers.tolist(), radii.tolist()):
         parts.append(
-            f'  <circle cx="{_svg_x(disk.center):.2f}" cy="{_svg_y(0):.2f}" '
-            f'r="{max(_svg_r(disk.radius), 1.0):.2f}" fill="#1f77b4" '
+            f'  <circle cx="{_svg_x(center):.2f}" cy="{_svg_y(0):.2f}" '
+            f'r="{max(_svg_r(radius), 1.0):.2f}" fill="#1f77b4" '
             'fill-opacity="0.08" stroke="#1f77b4" stroke-width="1"/>')
     arm = 6.0
     for lam in report.spectrum.eigenvalues:

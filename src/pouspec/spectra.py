@@ -145,13 +145,19 @@ def check_row_stochastic(matrix, tol: float = TOL_STOCHASTIC) -> CheckResult:
 # Eigensolver
 # --------------------------------------------------------------------------
 
+def _moduli(eigs: np.ndarray) -> np.ndarray:
+    """``|lambda|`` of each entry, bit for bit Python's ``abs`` of a complex;
+    ``np.abs`` of a complex array differs from it in the last bit."""
+    return np.hypot(eigs.real, eigs.imag)
+
+
 def sort_eigenvalues(values: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Canonical order: descending modulus, then descending real part, then
-    descending imaginary part (conjugate pairs adjacent, + before -)."""
+    descending imaginary part (conjugate pairs adjacent, + before -). One
+    stable ``np.lexsort``; the modulus is Python's ``abs``, so near-ties
+    order as they print."""
     arr = np.asarray(values, dtype=complex)
-    key = sorted(range(arr.size),
-                 key=lambda i: (-abs(arr[i]), -arr[i].real, -arr[i].imag))
-    return arr[key]
+    return arr[np.lexsort((-arr.imag, -arr.real, -_moduli(arr)))]
 
 
 def eigenvalues(matrix) -> np.ndarray:
@@ -242,38 +248,29 @@ def pair_eigenvalues(left, right) -> float:
 # Gershgorin disks and spectrum classification
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GershgorinDisk:
-    """Disk centered at a diagonal entry whose radius is the off-diagonal
-    absolute row sum."""
+def gershgorin_disks(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Disks as two read-only arrays ``(centers, radii)``: disk ``k`` is
+    centered at the diagonal entry ``M[k][k]``, and its radius is the
+    off-diagonal absolute row sum ``sum_j |M[k][j]| - |M[k][k]|``. The
+    matrix is made C-contiguous first, so each radius is the same bit for
+    bit as that sum taken over the one row."""
+    arr = np.ascontiguousarray(_as_matrix(matrix))
+    centers = arr.diagonal().copy()
+    radii = np.abs(arr).sum(axis=1) - np.abs(centers)
+    centers.flags.writeable = False
+    radii.flags.writeable = False
+    return centers, radii
 
-    center: float
-    radius: float
 
-    def distance_outside(self, z: complex) -> float:
-        return abs(z - self.center) - self.radius
-
-
-def distance_outside_disks(eigs, disks: Sequence[GershgorinDisk]) -> np.ndarray:
+def distance_outside_disks(eigs, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """For each eigenvalue, its distance outside the union of the disks
-    (``<= 0`` inside); the vectorized ``min_d d.distance_outside(lam)``."""
+    (``<= 0`` inside): ``min_k |lambda - centers[k]| - radii[k]``."""
     lam = np.asarray(eigs, dtype=complex)
-    centers = np.array([d.center for d in disks])
-    radii = np.array([d.radius for d in disks])
     # Updated in place, so only one n-by-n array is live.
     gaps = lam.real[:, None] - centers[None, :]
     np.hypot(gaps, lam.imag[:, None], out=gaps)
     gaps -= radii
     return gaps.min(axis=1)
-
-
-def gershgorin_disks(matrix) -> tuple[GershgorinDisk, ...]:
-    arr = _as_matrix(matrix)
-    disks = []
-    for k in range(arr.shape[0]):
-        radius = float(np.sum(np.abs(arr[k, :])) - abs(arr[k, k]))
-        disks.append(GershgorinDisk(center=float(arr[k, k]), radius=radius))
-    return tuple(disks)
 
 
 CLASSIFICATION_CONFORMS = "conforms"
@@ -286,10 +283,13 @@ DISK_CONTAINMENT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues, disks, and the verdict on the peripheral spectrum."""
+    """Eigenvalues in canonical order with their ``moduli`` (Python's
+    ``abs`` of each, bit for bit), the disks as ``(centers, radii)``
+    arrays, and the verdict on the peripheral spectrum."""
 
     eigenvalues: np.ndarray
-    disks: tuple[GershgorinDisk, ...]
+    moduli: np.ndarray
+    disks: tuple[np.ndarray, np.ndarray]
     peripheral: np.ndarray
     subdominant_modulus: float
     in_disk_union: np.ndarray
@@ -298,7 +298,7 @@ class SpectrumReport:
     containment_residual: float
 
 
-def classify_spectrum(eigs, disks: Sequence[GershgorinDisk],
+def classify_spectrum(eigs, disks: tuple[np.ndarray, np.ndarray],
                       tol_peripheral: float = TOL_PERIPHERAL) -> SpectrumReport:
     """Classify a computed spectrum; the one place that reads it.
 
@@ -308,8 +308,11 @@ def classify_spectrum(eigs, disks: Sequence[GershgorinDisk],
     center sits at or below tol the disk union reaches the whole unit
     circle, so a conforming spectrum is downgraded to
     ``inconclusive-zero-diagonal``: the tangency argument cannot certify it.
+    ``disks`` is the ``(centers, radii)`` pair of :func:`gershgorin_disks`.
 
-    Also recorded: ``subdominant_modulus``, the largest modulus among the
+    Every modulus is read from ``moduli``, the one ``|lambda|`` of the
+    report, so the rate, the verdict and the emitted moduli agree. Also
+    recorded: ``subdominant_modulus``, the largest modulus among the
     non-peripheral eigenvalues (0.0 when every eigenvalue is peripheral),
     which is the rate at which ``M^m`` approaches its limit when 1 is the
     only peripheral eigenvalue; and ``in_disk_union``, whether each
@@ -317,18 +320,18 @@ def classify_spectrum(eigs, disks: Sequence[GershgorinDisk],
     ``containment_residual`` the largest distance outside it.
     """
     arr = sort_eigenvalues(np.asarray(eigs, dtype=complex))
-    disks = tuple(disks)
-    moduli = np.abs(arr)
+    centers, radii = disks
+    moduli = _moduli(arr)
     is_peripheral = moduli >= 1.0 - tol_peripheral
     peripheral = arr[is_peripheral]
     subdominant = float(moduli[~is_peripheral].max(initial=0.0))
 
-    distances = distance_outside_disks(arr, disks)
+    distances = distance_outside_disks(arr, centers, radii)
     residual = float(distances.max(initial=0.0))
 
     bound_ok = bool(np.all(moduli <= 1.0 + tol_peripheral))
     peripheral_ok = bool(np.all(np.abs(peripheral - 1.0) <= tol_peripheral))
-    zero_diag = any(d.center <= tol_peripheral for d in disks)
+    zero_diag = bool(np.any(centers <= tol_peripheral))
 
     notes = [f"{peripheral.size} peripheral eigenvalue(s) with |lambda| >= "
              f"{1.0 - tol_peripheral:.9g}"]
@@ -353,7 +356,8 @@ def classify_spectrum(eigs, disks: Sequence[GershgorinDisk],
 
     return SpectrumReport(
         eigenvalues=arr,
-        disks=disks,
+        moduli=moduli,
+        disks=(centers, radii),
         peripheral=peripheral,
         subdominant_modulus=subdominant,
         in_disk_union=distances <= DISK_CONTAINMENT_TOL,
@@ -366,21 +370,6 @@ def classify_spectrum(eigs, disks: Sequence[GershgorinDisk],
 # --------------------------------------------------------------------------
 # Matrix powers and the limit of iterates
 # --------------------------------------------------------------------------
-
-def matrix_power(matrix, m: int) -> np.ndarray:
-    """``M^m`` by repeated squaring; ``M^0`` is the identity."""
-    arr = _as_matrix(matrix)
-    if m < 0:
-        raise ConfigError(f"power must be >= 0, got {m}")
-    result = np.eye(arr.shape[0])
-    base = arr.copy()
-    while m:
-        if m & 1:
-            result = result @ base
-        base = base @ base
-        m >>= 1
-    return result
-
 
 def _linf(a: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(a), axis=1)))
@@ -426,7 +415,7 @@ def iterate_limit(matrix, tol: float = 1e-10, m_max: int = 65536) -> IterateResu
     if limit is None:
         message = f"no convergence: ||M^(2m) - M^m||_inf > {tol:g} up to m = {m_max}"
         # Name the obstruction when the sequence is periodic.
-        probe = matrix_power(arr, 16)
+        probe = np.linalg.matrix_power(arr, 16)
         step1 = _linf(probe @ arr - probe)
         step2 = _linf(probe @ arr @ arr - probe)
         if step2 <= 1e-8 and step1 > 1e-8:

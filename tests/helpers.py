@@ -101,3 +101,23 @@ def collocation_rowwise(op) -> np.ndarray:
     """Collocation matrix one row at a time, each row from its own basis
     evaluation: ``basis.values(a_k.nodes) @ a_k.weights``."""
     return np.vstack([op.basis.values(a.nodes) @ a.weights for a in op.functionals])
+
+
+def sort_eigenvalues_by_key(values) -> np.ndarray:
+    """Canonical eigenvalue order by Python's ``sorted`` with a per-element
+    key: descending ``abs``, then descending real part, then descending
+    imaginary part."""
+    arr = np.asarray(values, dtype=complex)
+    key = sorted(range(arr.size),
+                 key=lambda i: (-abs(arr[i]), -arr[i].real, -arr[i].imag))
+    return arr[key]
+
+
+def gershgorin_rowwise(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Disk centers and radii one row at a time: ``M[k][k]`` and
+    ``sum_j |M[k][j]| - |M[k][k]|`` over the contiguous row ``k``."""
+    arr = np.array(matrix, dtype=float, order="C")
+    centers = np.array([arr[k, k] for k in range(arr.shape[0])])
+    radii = np.array([np.sum(np.abs(arr[k, :])) - abs(arr[k, k])
+                      for k in range(arr.shape[0])])
+    return centers, radii

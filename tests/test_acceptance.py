@@ -127,15 +127,21 @@ def test_criterion_04_bernstein_eigenvalue_oracle():
 def test_criterion_05_gershgorin_containment():
     rng = np.random.default_rng(777)
     worst = 0.0
+    agree = True
     for _ in range(1000):
         n = int(rng.integers(2, 9))
         matrix = random_stochastic(rng, n)
-        disks = gershgorin_disks(matrix)
-        for lam in eigenvalues(matrix):
-            worst = max(worst, min(d.distance_outside(lam) for d in disks))
-    ok = worst <= 1e-9
+        centers, radii = gershgorin_disks(matrix)
+        eigs = eigenvalues(matrix)
+        flags = classify_spectrum(eigs, (centers, radii)).in_disk_union
+        for lam, inside in zip(eigs, flags):
+            distance = min(abs(lam - c) - r for c, r in zip(centers, radii))
+            worst = max(worst, distance)
+            agree = agree and bool(inside) == (distance <= 1e-9)
+    ok = worst <= 1e-9 and agree
     _criterion("criterion 5: Gershgorin containment", ok,
-               f"1000 random stochastic matrices, worst residual {worst:.2e}")
+               f"1000 random stochastic matrices, worst residual {worst:.2e}, "
+               f"in_disk_union agrees: {agree}")
 
 
 def test_criterion_06_degenerate_diagonal_counterexample():

@@ -193,6 +193,29 @@ class TestEmit:
         assert float(first[3]) == pytest.approx(1.0, abs=1e-10)
         assert first[4] == "true"
 
+    def test_rate_equals_its_printed_modulus(self):
+        # Each hat is read at its own node and the next one, cyclically: a
+        # complex subdominant pair whose modulus np.abs rounds one ulp away
+        # from Python's abs.
+        nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
+        config = parse_config(json.dumps({
+            "version": 1, "operator": "custom",
+            "basis": {"kind": "hat", "nodes": nodes},
+            "functionals": [{"kind": "weighted-quadrature",
+                             "nodes": [nodes[k], nodes[(k + 1) % 5]],
+                             "weights": [0.3, 0.7]} for k in range(5)]}))
+        data = json.loads(emit_report(run_analyze(config), "json"))
+        moduli = [row["modulus"] for row in data["spectrum"]["eigenvalues"]]
+        below = [m for m in moduli if m < 1.0 - config.tolerances.peripheral]
+        assert data["iterates"]["rate"] == max(below)
+
+    def test_emitted_moduli_are_the_report_moduli(self, kant1_report):
+        moduli = kant1_report.spectrum.moduli.tolist()
+        rows = json.loads(emit_report(kant1_report, "json"))["spectrum"]["eigenvalues"]
+        assert [row["modulus"] for row in rows] == moduli
+        csv_rows = emit_report(kant1_report, "csv").splitlines()[1:]
+        assert [float(row.split(",")[3]) for row in csv_rows] == moduli
+
     def test_unknown_format_rejected(self, kant1_report):
         with pytest.raises(ConfigError):
             emit_report(kant1_report, "yaml")
@@ -200,6 +223,7 @@ class TestEmit:
     def test_empty_eigenvalue_list_rejected(self, kant1_report):
         empty_spectrum = SpectrumReport(
             eigenvalues=np.empty(0, dtype=complex),
+            moduli=np.empty(0),
             disks=kant1_report.spectrum.disks,
             peripheral=np.empty(0, dtype=complex), subdominant_modulus=0.0,
             in_disk_union=np.empty(0, dtype=bool),
@@ -456,6 +480,14 @@ class TestCli:
         config.write_text(KANT1_CONFIG, encoding="utf-8")
         assert main(["oracle", "--config", str(config)]) == 0
         assert "max matched distance" in capsys.readouterr().out
+
+    def test_oracle_labels_align(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(KANT1_CONFIG, encoding="utf-8")
+        assert main(["oracle", "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == ["  LAPACK eigenvalues: 1+0j, 0.5+0j",
+                              "  oracle eigenvalues: 1+0j, 0.5+0j"]
 
     def test_oracle_oversize_exits_two(self, tmp_path):
         config = tmp_path / "config.json"

@@ -8,8 +8,9 @@ import numpy.testing as nptest
 import pytest
 
 from helpers import (bernstein_eigenvalue_oracle, bernstein_value, collocation_rowwise,
-                     kantorovich_matrix_exact, kantorovich_matrix_oracle,
-                     random_breakpoints, random_stochastic)
+                     gershgorin_rowwise, kantorovich_matrix_exact,
+                     kantorovich_matrix_oracle, random_breakpoints, random_stochastic,
+                     sort_eigenvalues_by_key)
 
 from pouspec import spectra
 from pouspec.errors import ConfigError, DomainError, UnsupportedSizeError
@@ -21,8 +22,8 @@ from pouspec.operators import OperatorSpec, bernstein_operator, hat_dirac_operat
 from pouspec.spectra import (MAX_DIMENSION, CollocationMatrix, build_collocation_matrix,
                              char_poly_eigen_oracle, characteristic_polynomial,
                              check_row_stochastic, classify_spectrum, eigenvalues,
-                             gershgorin_disks, iterate_limit, matrix_power,
-                             pair_eigenvalues, sort_eigenvalues)
+                             gershgorin_disks, iterate_limit, pair_eigenvalues,
+                             sort_eigenvalues)
 
 KANT1 = np.array([[0.75, 0.25], [0.25, 0.75]])
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -247,6 +248,33 @@ class TestEigenvalues:
         assert vals[1].imag > 0 and vals[2].imag < 0
         assert vals[3] == 0.2
 
+    def test_sort_matches_keyed_oracle_on_cyclic_spectra(self):
+        # Cyclic shifts have their eigenvalues on the unit circle, and the
+        # half-sums with the next shift on a circle through 0 and 1: moduli
+        # that tie up to the last bit, where only Python's abs orders them
+        # as the keyed sort does.
+        for m in range(2, 41):
+            shift = np.roll(np.eye(m), 1, axis=1)
+            for matrix in (shift, 0.5 * (shift + shift @ shift)):
+                eigs = np.linalg.eigvals(matrix)
+                nptest.assert_array_equal(sort_eigenvalues(eigs),
+                                          sort_eigenvalues_by_key(eigs))
+
+    def test_sort_matches_keyed_oracle_on_sparse_stochastic(self):
+        # One unit entry per row plus a random share of the dense entries;
+        # at density 0 the matrix maps each state to one other, so cycles
+        # put roots of unity in the spectrum.
+        rng = np.random.default_rng(2718)
+        for _ in range(300):
+            n = int(rng.integers(2, 30))
+            density = rng.choice([0.0, 0.1, 0.3])
+            matrix = random_stochastic(rng, n) * (rng.random((n, n)) < density)
+            matrix[np.arange(n), rng.integers(0, n, n)] += 1.0
+            matrix /= matrix.sum(axis=1, keepdims=True)
+            eigs = np.linalg.eigvals(matrix)
+            nptest.assert_array_equal(sort_eigenvalues(eigs),
+                                      sort_eigenvalues_by_key(eigs))
+
     @pytest.mark.parametrize("n", [31, 60, 100, 200])
     def test_bernstein_closed_form_spectrum(self, n):
         matrix = np.array([[bernstein_value(n, j, k / n) for j in range(n + 1)]
@@ -295,23 +323,36 @@ class TestCharPolyOracle:
 
 class TestGershgorin:
     def test_identity_degenerate_disks(self):
-        disks = gershgorin_disks(np.eye(2))
-        assert all(d.center == 1.0 and d.radius == 0.0 for d in disks)
+        centers, radii = gershgorin_disks(np.eye(2))
+        assert centers.tolist() == [1.0, 1.0] and radii.tolist() == [0.0, 0.0]
 
     def test_kantorovich_disks(self):
-        disks = gershgorin_disks(KANT1)
-        assert all(d.center == 0.75 and d.radius == 0.25 for d in disks)
+        centers, radii = gershgorin_disks(KANT1)
+        assert centers.tolist() == [0.75, 0.75] and radii.tolist() == [0.25, 0.25]
 
     def test_swap_disks_are_unit_disk(self):
-        disks = gershgorin_disks(SWAP)
-        assert all(d.center == 0.0 and d.radius == 1.0 for d in disks)
+        centers, radii = gershgorin_disks(SWAP)
+        assert centers.tolist() == [0.0, 0.0] and radii.tolist() == [1.0, 1.0]
 
     def test_tangency_for_stochastic_rows(self):
         rng = np.random.default_rng(8)
         matrix = random_stochastic(rng, 5)
-        for d in gershgorin_disks(matrix):
-            assert d.center >= 0.0 and d.radius >= 0.0
-            assert d.center + d.radius == pytest.approx(1.0, abs=1e-10)
+        for center, radius in zip(*gershgorin_disks(matrix)):
+            assert center >= 0.0 and radius >= 0.0
+            assert center + radius == pytest.approx(1.0, abs=1e-10)
+
+    def test_disks_are_read_only(self):
+        for column in gershgorin_disks(KANT1):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    @pytest.mark.parametrize("n", [1, 7, 128, 129, 500])
+    def test_disks_match_rowwise_for_either_memory_order(self, n):
+        matrix = np.random.default_rng(n).normal(size=(n, n))
+        expected = gershgorin_rowwise(matrix)
+        for arr in (np.ascontiguousarray(matrix), np.asfortranarray(matrix)):
+            for got, want in zip(gershgorin_disks(arr), expected):
+                nptest.assert_array_equal(got, want)
 
 
 class TestClassification:
@@ -337,6 +378,13 @@ class TestClassification:
         report = classify_spectrum(eigenvalues(matrix), gershgorin_disks(matrix))
         assert report.classification == "inconclusive-zero-diagonal"
 
+    def test_moduli_are_python_abs(self):
+        rng = np.random.default_rng(91)
+        for _ in range(50):
+            matrix = random_stochastic(rng, int(rng.integers(2, 40)))
+            report = classify_spectrum(eigenvalues(matrix), gershgorin_disks(matrix))
+            assert report.moduli.tolist() == [abs(z) for z in report.eigenvalues]
+
     def test_containment_verified(self):
         report = classify_spectrum(eigenvalues(KANT1), gershgorin_disks(KANT1))
         assert report.containment_residual <= 1e-9
@@ -351,25 +399,18 @@ class TestClassification:
 
 
 class TestPowers:
-    def test_power_zero_is_identity(self):
-        nptest.assert_array_equal(matrix_power(KANT1, 0), np.eye(2))
-
     def test_kantorovich_square(self):
-        nptest.assert_allclose(matrix_power(KANT1, 2),
+        nptest.assert_allclose(np.linalg.matrix_power(KANT1, 2),
                                [[0.625, 0.375], [0.375, 0.625]], atol=1e-15)
 
     def test_identity_any_power(self):
-        nptest.assert_array_equal(matrix_power(np.eye(3), 9), np.eye(3))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ConfigError):
-            matrix_power(KANT1, -1)
+        nptest.assert_array_equal(np.linalg.matrix_power(np.eye(3), 9), np.eye(3))
 
     def test_powers_stay_stochastic(self):
         rng = np.random.default_rng(61)
         matrix = random_stochastic(rng, 6)
         for m in (3, 10, 50):
-            power = matrix_power(matrix, m)
+            power = np.linalg.matrix_power(matrix, m)
             assert check_row_stochastic(power, tol=1e-10 * max(m, 1)).passed
 
 
@@ -411,7 +452,8 @@ class TestIterateLimit:
             report = classify_spectrum(eigenvalues(matrix), gershgorin_disks(matrix))
             assert abs(report.subdominant_modulus - lam2) <= 1e-12, (matrix, lam2)
             for m in (5, 12, 25, 40):
-                dev = np.max(np.sum(np.abs(matrix_power(matrix, m) - limit), axis=1))
+                dev = np.max(np.sum(np.abs(np.linalg.matrix_power(matrix, m) - limit),
+                                    axis=1))
                 ratio = dev / lam2 ** m
                 assert 0.1 <= ratio <= 10.0, (matrix, m, ratio)
 
