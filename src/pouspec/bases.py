@@ -23,7 +23,8 @@ from .functions import Interval, UNIT_INTERVAL
 #: Default tolerance for partition-of-unity verification.
 TOL_POU = 1e-10
 
-#: Default number of verification grid points.
+#: Default number of verification grid points: the config's ``grid_points``
+#: default and the grid an operator's basis is validated on when built.
 DEFAULT_GRID_POINTS = 1001
 
 
@@ -171,31 +172,19 @@ def make_hat_basis(nodes: Sequence[float], domain: Interval = UNIT_INTERVAL) -> 
 # Verification
 # --------------------------------------------------------------------------
 
-def check_partition_of_unity(basis: BasisSystem, grid: np.ndarray | None = None,
+def check_partition_of_unity(basis: BasisSystem, grid: np.ndarray,
                              tol: float = TOL_POU) -> CheckResult:
     """Max deviation of ``sum_k e_k`` from one over the grid."""
-    if grid is None:
-        grid = basis.domain.grid(DEFAULT_GRID_POINTS)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ConfigError("partition-of-unity check needs a non-empty grid")
-    sums = basis.values(grid).sum(axis=0)
-    dev = np.abs(sums - 1.0)
-    worst = int(np.argmax(dev))
-    return CheckResult(
-        name="partition_of_unity",
-        passed=bool(dev[worst] <= tol),
-        value=float(dev[worst]),
-        threshold=tol,
-        worst_x=float(grid[worst]),
-    )
+    return CheckResult.deviation_from_one(
+        "partition_of_unity", basis.values(grid).sum(axis=0), grid, tol)
 
 
-def check_nonnegativity(basis: BasisSystem, grid: np.ndarray | None = None,
+def check_nonnegativity(basis: BasisSystem, grid: np.ndarray,
                         tol: float = TOL_POU) -> CheckResult:
     """Minimum of any basis function over the grid; passes iff >= -tol."""
-    if grid is None:
-        grid = basis.domain.grid(DEFAULT_GRID_POINTS)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ConfigError("nonnegativity check needs a non-empty grid")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -21,6 +23,16 @@ class CheckResult:
     threshold: float
     worst_x: float | None = None
     detail: str = ""
+
+    @classmethod
+    def deviation_from_one(cls, name: str, values: np.ndarray, grid: np.ndarray,
+                           tol: float) -> "CheckResult":
+        """Max of ``|values - 1|`` over the grid, passing iff it is at most
+        ``tol``; ``values[j]`` is taken at ``grid[j]``."""
+        dev = np.abs(values - 1.0)
+        worst = int(np.argmax(dev))
+        return cls(name=name, passed=bool(dev[worst] <= tol), value=float(dev[worst]),
+                   threshold=tol, worst_x=float(grid[worst]))
 
     def as_dict(self) -> dict:
         out: dict = {

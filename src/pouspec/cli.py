@@ -104,9 +104,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = config.with_seed(args.seed)
     op = build_operator(config)
-    grid = op.basis.domain.grid(config.grid_points)
     results = [
-        *run_checks(op, config, grid).values(),
+        *run_checks(op, config).values(),
         check_row_stochastic(build_collocation_matrix(op), config.tolerances.stochastic),
     ]
     print(f"operator: {op.name}")

@@ -150,7 +150,6 @@ def constant(c: float) -> ClosedForm:
 
 
 ONE = constant(1.0)
-ZERO = constant(0.0)
 
 
 def polynomial(coeffs: Sequence[float], name: str | None = None) -> ClosedForm:

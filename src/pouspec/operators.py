@@ -7,10 +7,10 @@ Kantorovich operator (cell averages against the Bernstein basis), and the
 Schoenberg variational operator (point evaluation at Greville abscissae
 against a clamped B-spline basis).
 
-The verification helpers measure, on a fixed grid and with seeded random
-test functions: constant reproduction, positivity, the unit operator norm,
-the adjoint pairing identity, and an explicit nonzero kernel witness. Each
-check evaluates the basis on its grid once.
+The verification helpers measure, on a grid the caller passes in and with
+seeded random test functions: constant reproduction, positivity, the unit
+operator norm and an explicit nonzero kernel witness. The adjoint pairing
+identity is checked at seeded random functionals instead.
 """
 
 from __future__ import annotations
@@ -77,12 +77,13 @@ class OperatorSpec:
             array.flags.writeable = False
             object.__setattr__(self, attr, array)
         if validate:
-            pou = check_partition_of_unity(self.basis)
+            grid = self.basis.domain.grid(DEFAULT_GRID_POINTS)
+            pou = check_partition_of_unity(self.basis, grid)
             if not pou.passed:
                 raise ConfigError(
                     f"{self.name}: basis violates the partition of unity "
                     f"(deviation {pou.value:.3e} at x={pou.worst_x:.6g})")
-            nn = check_nonnegativity(self.basis)
+            nn = check_nonnegativity(self.basis, grid)
             if not nn.passed:
                 raise ConfigError(
                     f"{self.name}: basis takes negative values "
@@ -188,31 +189,19 @@ def operator_power_apply(op: OperatorSpec, f: Function, m: int) -> BasisCombinat
 # Lemma verification
 # --------------------------------------------------------------------------
 
-def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray | None = None,
+def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray,
                                  tol: float = WITNESS_RESIDUAL_TOL) -> CheckResult:
     """Max deviation of ``T1`` from one on the grid."""
-    if grid is None:
-        grid = op.basis.domain.grid(DEFAULT_GRID_POINTS)
-    values = apply_operator(op, ONE).values(grid)
-    dev = np.abs(values - 1.0)
-    worst = int(np.argmax(dev))
-    return CheckResult(
-        name="constant_reproduction",
-        passed=bool(dev[worst] <= tol),
-        value=float(dev[worst]),
-        threshold=tol,
-        worst_x=float(grid[worst]),
-    )
+    return CheckResult.deviation_from_one(
+        "constant_reproduction", apply_operator(op, ONE).values(grid), grid, tol)
 
 
-def verify_positivity(op: OperatorSpec, trials: int = 100,
-                      tol: float = WITNESS_RESIDUAL_TOL, seed: int = 42,
-                      grid_points: int = DEFAULT_GRID_POINTS) -> CheckResult:
+def verify_positivity(op: OperatorSpec, grid: np.ndarray, trials: int = 100,
+                      tol: float = WITNESS_RESIDUAL_TOL, seed: int = 42) -> CheckResult:
     """Minimum of ``Tf`` over the grid across seeded nonnegative ``f``."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    grid = op.basis.domain.grid(grid_points)
     basis_on_grid = op.basis.values(grid)
     worst_val = np.inf
     worst_x = None
@@ -235,15 +224,14 @@ def verify_positivity(op: OperatorSpec, trials: int = 100,
     )
 
 
-def estimate_operator_norm(op: OperatorSpec, trials: int = 200, seed: int = 42,
-                           grid_points: int = DEFAULT_GRID_POINTS) -> float:
+def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, trials: int = 200,
+                           seed: int = 42) -> float:
     """Max of ``||Tf||_inf / ||f||_inf`` over the constant one plus seeded
     random test functions (sup norms on the grid). The constant attains the
     exact norm 1, so the estimate is a tight lower bound of it."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    grid = op.basis.domain.grid(grid_points)
     basis_on_grid = op.basis.values(grid)
     best = 0.0
     samples: list[Function] = [ONE]
@@ -257,13 +245,11 @@ def estimate_operator_norm(op: OperatorSpec, trials: int = 200, seed: int = 42,
     return float(best)
 
 
-def verify_norm_bound(op: OperatorSpec, trials: int = 200, seed: int = 42,
-                      tol: float = WITNESS_RESIDUAL_TOL,
-                      grid_points: int = DEFAULT_GRID_POINTS) -> CheckResult:
-    """Norm estimate packaged as a check: passes iff the estimate lies in
-    ``[1 - 1e-12, 1 + tol]`` (the unit ball bound, attained at one)."""
-    estimate = estimate_operator_norm(op, trials=trials, seed=seed,
-                                      grid_points=grid_points)
+def verify_norm_bound(op: OperatorSpec, grid: np.ndarray, trials: int = 200,
+                      seed: int = 42, tol: float = WITNESS_RESIDUAL_TOL) -> CheckResult:
+    """Norm estimate on the grid packaged as a check: passes iff the estimate
+    lies in ``[1 - 1e-12, 1 + tol]`` (the unit ball bound, attained at one)."""
+    estimate = estimate_operator_norm(op, grid, trials=trials, seed=seed)
     passed = 1.0 - 1e-12 <= estimate <= 1.0 + tol
     return CheckResult(
         name="norm_estimate",
@@ -326,8 +312,7 @@ def _equally_spaced(values: np.ndarray, lo: float, hi: float) -> bool:
     return bool(np.max(np.abs(gaps - gaps[0])) <= 1e-9)
 
 
-def kernel_witness(op: OperatorSpec,
-                   grid_points: int = DEFAULT_GRID_POINTS) -> Function:
+def kernel_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
     """A nonzero function annihilated by every functional, so ``Tw = 0``.
 
     Construction is analytic per functional kind. Point-type functionals
@@ -337,9 +322,9 @@ def kernel_witness(op: OperatorSpec,
     over non-overlapping cells are killed by one full sine period per cell.
     Mixed point/average families have no such closed form and raise
     :class:`NotConstructibleError`, as does a constructed witness that fails
-    its own verification (``||w||_inf >= 0.5`` and ``||Tw||_inf <= 1e-10``).
+    its own verification on the grid (``||w||_inf >= 0.5`` and
+    ``||Tw||_inf <= 1e-10``).
     """
-    grid = op.basis.domain.grid(grid_points)
     return _verified(op, _candidate_witness(op, grid), grid)[0]
 
 
@@ -427,11 +412,9 @@ def _verified(op: OperatorSpec, w: Function,
     return w, witness_norm, residual
 
 
-def kernel_witness_report(op: OperatorSpec,
-                          grid_points: int = DEFAULT_GRID_POINTS) -> CheckResult:
-    """Kernel-witness residual as a check; a non-constructible witness is
-    reported as a failed check rather than silently skipped."""
-    grid = op.basis.domain.grid(grid_points)
+def kernel_witness_report(op: OperatorSpec, grid: np.ndarray) -> CheckResult:
+    """Kernel-witness residual on the grid as a check; a non-constructible
+    witness is reported as a failed check rather than silently skipped."""
     try:
         w, witness_norm, residual = _verified(op, _candidate_witness(op, grid), grid)
     except NotConstructibleError as exc:

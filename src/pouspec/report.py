@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
 
-from .bases import check_partition_of_unity, make_bernstein_basis, make_bspline_basis, \
-    make_hat_basis
+from .bases import (DEFAULT_GRID_POINTS, check_partition_of_unity, make_bernstein_basis,
+                    make_bspline_basis, make_hat_basis)
 from .checks import CheckResult
 from .errors import ConfigError, UnsupportedSizeError
 from .functionals import (DiracFunctional, IntervalAverageFunctional,
@@ -30,9 +30,9 @@ from .operators import (OperatorSpec, bernstein_operator, hat_dirac_operator,
                         kantorovich_operator, kernel_witness_report,
                         schoenberg_operator, verify_constant_reproduction,
                         verify_norm_bound, verify_positivity)
-from .spectra import (MAX_DIMENSION, CollocationMatrix, IterateResult, SpectrumReport,
-                      build_collocation_matrix, classify_spectrum, eigenvalues,
-                      gershgorin_disks, iterate_limit)
+from .spectra import (CLASSIFICATION_CONFORMS, MAX_DIMENSION, CollocationMatrix,
+                      IterateResult, SpectrumReport, build_collocation_matrix,
+                      classify_spectrum, eigenvalues, gershgorin_disks, iterate_limit)
 
 SCHEMA_VERSION = 1
 
@@ -71,7 +71,7 @@ class OutputFlags:
 class AnalysisConfig:
     operator: str
     params: dict
-    grid_points: int = 1001
+    grid_points: int = DEFAULT_GRID_POINTS
     tolerances: Tolerances = field(default_factory=Tolerances)
     iterate: IterateSettings = field(default_factory=IterateSettings)
     seed: int = 42
@@ -86,16 +86,10 @@ class AnalysisConfig:
         out: dict[str, Any] = {"version": self.version, "operator": self.operator}
         out.update(self.params)
         out["grid_points"] = self.grid_points
-        out["tolerances"] = {
-            "pou": self.tolerances.pou,
-            "stochastic": self.tolerances.stochastic,
-            "peripheral": self.tolerances.peripheral,
-            "norm": self.tolerances.norm,
-        }
-        out["iterate"] = {"m_max": self.iterate.m_max, "tol": self.iterate.tol}
+        out["tolerances"] = asdict(self.tolerances)
+        out["iterate"] = asdict(self.iterate)
         out["seed"] = self.seed
-        out["outputs"] = {"json": self.outputs.json, "csv": self.outputs.csv,
-                          "svg": self.outputs.svg}
+        out["outputs"] = asdict(self.outputs)
         return out
 
 
@@ -214,7 +208,7 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
     kind = _require(data, "operator", (str,), "config")
     params = _parse_operator_params(kind, data)
 
-    grid_points = data.get("grid_points", 1001)
+    grid_points = data.get("grid_points", DEFAULT_GRID_POINTS)
     if (not isinstance(grid_points, int) or isinstance(grid_points, bool)
             or not 11 <= grid_points <= MAX_GRID_POINTS):
         raise ConfigError(f"config: 'grid_points' must be an integer in [11, {MAX_GRID_POINTS}]")
@@ -222,10 +216,10 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
     tol_data = data.get("tolerances", {})
     if not isinstance(tol_data, dict):
         raise ConfigError("config: 'tolerances' must be a map")
-    defaults = Tolerances()
     tol_kwargs = {}
-    for name in ("pou", "stochastic", "peripheral", "norm"):
-        value = tol_data.get(name, getattr(defaults, name))
+    for tol_field in fields(Tolerances):
+        name = tol_field.name
+        value = tol_data.get(name, tol_field.default)
         if not _is_number(value) or not _finite(value) or value <= 0:
             raise ConfigError(f"config: tolerance '{name}' must be a finite positive number")
         tol_kwargs[name] = float(value)
@@ -248,8 +242,9 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
     if not isinstance(out_data, dict):
         raise ConfigError("config: 'outputs' must be a map")
     flags = {}
-    for name in ("json", "csv", "svg"):
-        value = out_data.get(name, False)
+    for flag in fields(OutputFlags):
+        name = flag.name
+        value = out_data.get(name, flag.default)
         if not isinstance(value, bool):
             raise ConfigError(f"config: output flag '{name}' must be a boolean")
         flags[name] = value
@@ -355,19 +350,20 @@ class AnalysisReport:
         return self.spectrum.subdominant_modulus if self.iterates.converged else None
 
 
-def run_checks(op: OperatorSpec, config: AnalysisConfig,
-               grid: np.ndarray) -> dict[str, CheckResult]:
+def run_checks(op: OperatorSpec, config: AnalysisConfig) -> dict[str, CheckResult]:
     """The lemma checks of an operator, in report order, seeded from the
-    config."""
+    config. The verification grid of ``config.grid_points`` points is built
+    here once, and every check measures on that one array."""
+    grid = op.basis.domain.grid(config.grid_points)
     tol = config.tolerances
     return {
         "partition_of_unity": check_partition_of_unity(op.basis, grid, tol.pou),
-        "positivity": verify_positivity(op, trials=100, tol=tol.norm, seed=config.seed,
-                                        grid_points=config.grid_points),
+        "positivity": verify_positivity(op, grid, trials=100, tol=tol.norm,
+                                        seed=config.seed),
         "constant_reproduction": verify_constant_reproduction(op, grid, tol.norm),
-        "norm_estimate": verify_norm_bound(op, trials=200, seed=config.seed + 1,
-                                           tol=tol.norm, grid_points=config.grid_points),
-        "kernel_residual": kernel_witness_report(op, grid_points=config.grid_points),
+        "norm_estimate": verify_norm_bound(op, grid, trials=200, seed=config.seed + 1,
+                                           tol=tol.norm),
+        "kernel_residual": kernel_witness_report(op, grid),
     }
 
 
@@ -382,11 +378,10 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     op = build_operator(config)
-    grid = op.basis.domain.grid(config.grid_points)
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    checks = run_checks(op, config, grid)
+    checks = run_checks(op, config)
     timings["checks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -423,7 +418,8 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
 
 def exit_code_for(report: AnalysisReport) -> int:
     """0 when every check passed and the spectrum conforms, else 1."""
-    ok = report.all_checks_passed and report.spectrum.classification == "conforms"
+    ok = (report.all_checks_passed
+          and report.spectrum.classification == CLASSIFICATION_CONFORMS)
     return 0 if ok else 1
 
 

@@ -176,9 +176,9 @@ def test_criterion_07_lemma_suite():
     for op in operators:
         worst["constant"] = max(worst["constant"],
                                 verify_constant_reproduction(op, GRID, 1e-10).value)
-        positivity = verify_positivity(op, trials=100, tol=1e-10, seed=42)
+        positivity = verify_positivity(op, GRID, trials=100, tol=1e-10, seed=42)
         worst["positivity"] = min(worst["positivity"], positivity.value)
-        estimate = estimate_operator_norm(op, trials=200, seed=43)
+        estimate = estimate_operator_norm(op, GRID, trials=200, seed=43)
         worst["norm_low"] = min(worst["norm_low"], estimate)
         worst["norm_high"] = max(worst["norm_high"], estimate)
         constant_ratio = apply_operator(op, ONE).sup_norm(GRID)
@@ -206,7 +206,7 @@ def test_criterion_08_kernel_witness():
     worst_residual = 0.0
     smallest_norm = np.inf
     for op in operators:
-        witness = kernel_witness(op)
+        witness = kernel_witness(op, GRID)
         smallest_norm = min(smallest_norm, witness.sup_norm(GRID))
         worst_residual = max(worst_residual,
                              apply_operator(op, witness).sup_norm(GRID))

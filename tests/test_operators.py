@@ -184,7 +184,7 @@ class TestPositivityAndNorm:
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_positivity_check(self, op):
-        result = verify_positivity(op, trials=100, tol=1e-10, seed=3)
+        result = verify_positivity(op, GRID, trials=100, tol=1e-10, seed=3)
         assert result.passed, result
 
     def test_doctored_negative_weight_fails(self):
@@ -192,12 +192,12 @@ class TestPositivityAndNorm:
         bad = WeightedQuadratureFunctional([0.2, 0.8], [1.5, -0.5])
         op = OperatorSpec(basis, (DiracFunctional(0.0), bad), name="doctored",
                           validate=False)
-        result = verify_positivity(op, trials=100, tol=1e-10, seed=3)
+        result = verify_positivity(op, GRID, trials=100, tol=1e-10, seed=3)
         assert not result.passed
 
     def test_norm_includes_constant_witness(self):
         op = bernstein_operator(5)
-        estimate = estimate_operator_norm(op, trials=10, seed=0)
+        estimate = estimate_operator_norm(op, GRID, trials=10, seed=0)
         assert 1.0 - 1e-12 <= estimate <= 1.0 + 1e-10
 
     def test_full_sine_has_zero_ratio(self):
@@ -206,12 +206,12 @@ class TestPositivityAndNorm:
         assert tf.sup_norm(GRID) <= 1e-14
 
     def test_kantorovich_norm_bound(self):
-        estimate = estimate_operator_norm(kantorovich_operator(4), trials=200, seed=7)
+        estimate = estimate_operator_norm(kantorovich_operator(4), GRID, trials=200, seed=7)
         assert 0.5 <= estimate <= 1.0 + 1e-10
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_norm_check(self, op):
-        result = verify_norm_bound(op, trials=60, seed=5)
+        result = verify_norm_bound(op, GRID, trials=60, seed=5)
         assert result.passed, result
 
     @pytest.mark.parametrize("op", catalog_operators()[:4], ids=lambda o: o.name)
@@ -245,24 +245,24 @@ class TestConstantReproductionCheck:
 
 class TestKernelWitness:
     def test_bernstein2_witness_is_full_sine(self):
-        w = kernel_witness(bernstein_operator(2))
+        w = kernel_witness(bernstein_operator(2), GRID)
         xs = np.linspace(0, 1, 101)
         nptest.assert_allclose(w.values(xs), np.sin(2 * np.pi * xs), atol=1e-12)
 
     def test_kantorovich1_witness_frequency(self):
-        w = kernel_witness(kantorovich_operator(1))
+        w = kernel_witness(kantorovich_operator(1), GRID)
         xs = np.linspace(0, 1, 101)
         nptest.assert_allclose(w.values(xs), np.sin(4 * np.pi * xs), atol=1e-12)
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_witness_annihilated(self, op):
-        w = kernel_witness(op)
+        w = kernel_witness(op, GRID)
         assert w.sup_norm(GRID) >= 0.5
         assert apply_operator(op, w).sup_norm(GRID) <= 1e-10
 
     def test_irregular_nodes_use_product_construction(self):
         op = hat_dirac_operator([0.0, 0.13, 0.55, 0.97, 1.0])
-        w = kernel_witness(op)
+        w = kernel_witness(op, GRID)
         assert w.sup_norm(GRID) >= 0.5
         assert apply_operator(op, w).sup_norm(GRID) <= 1e-10
 
@@ -272,14 +272,14 @@ class TestKernelWitness:
                  DiracFunctional(1.0))
         op = OperatorSpec(basis, funcs, name="mixed")
         with pytest.raises(NotConstructibleError):
-            kernel_witness(op)
+            kernel_witness(op, GRID)
 
     def test_report_flags_not_constructible(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
         funcs = (DiracFunctional(0.0), IntervalAverageFunctional(0.25, 0.75),
                  DiracFunctional(1.0))
         op = OperatorSpec(basis, funcs, name="mixed")
-        result = kernel_witness_report(op)
+        result = kernel_witness_report(op, GRID)
         assert not result.passed and result.value is None
         assert "mixed" in result.detail
 
@@ -288,7 +288,7 @@ class TestKernelWitness:
         funcs = (IntervalAverageFunctional(0.0, 0.3),
                  IntervalAverageFunctional(0.3, 1.0))
         op = OperatorSpec(basis, funcs, name="lopsided")
-        w = kernel_witness(op)
+        w = kernel_witness(op, GRID)
         assert w.sup_norm(GRID) >= 0.5
         assert apply_operator(op, w).sup_norm(GRID) <= 1e-10
 
@@ -299,7 +299,7 @@ class TestKernelWitness:
                  IntervalAverageFunctional(0.0, 1.0))
         op = OperatorSpec(basis, funcs, name="overlap")
         with pytest.raises(NotConstructibleError):
-            kernel_witness(op)
+            kernel_witness(op, GRID)
 
 
 class TestPowers:

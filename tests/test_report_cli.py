@@ -10,12 +10,13 @@ import numpy.testing as nptest
 import pytest
 import scipy.linalg
 
+import pouspec.report as report_module
 from pouspec.bases import BasisSystem
 from pouspec.cli import main
 from pouspec.errors import ConfigError
-from pouspec.report import (config_from_mapping, dumps_json, emit_report, emit_svg,
-                            exit_code_for, parse_config, report_to_mapping,
-                            run_analyze)
+from pouspec.report import (build_operator, config_from_mapping, dumps_json,
+                            emit_report, emit_svg, exit_code_for, parse_config,
+                            report_to_mapping, run_analyze)
 from pouspec.spectra import SpectrumReport
 
 KANT1_CONFIG = '{"version": 1, "operator": "kantorovich", "n": 1, "seed": 42}'
@@ -143,6 +144,47 @@ class TestRunAnalyze:
         monkeypatch.setattr(BasisSystem, "values", counted)
         run_analyze(parse_config(f'{{"operator": "bernstein", "n": {n}}}'))
         assert len(calls) <= 8
+
+    @pytest.mark.parametrize("text", [
+        '{"operator": "kantorovich", "n": 3, "grid_points": 97}',
+        json.dumps({"operator": "schoenberg", "degree": 3, "grid_points": 97,
+                    "knots": [0.0] * 4 + [0.3, 0.6] + [1.0] * 4}),
+    ], ids=["kantorovich-3", "schoenberg-cubic"])
+    def test_config_grid_reaches_every_check(self, monkeypatch, text):
+        # The values of these operators' checks are the same on 97 and 1001
+        # points, so each check's grid argument is compared, not only results.
+        config = parse_config(text)
+        expected = np.linspace(0.0, 1.0, 97)
+        received = {}
+        originals = {}
+        for name in ("check_partition_of_unity", "verify_positivity",
+                     "verify_constant_reproduction", "verify_norm_bound",
+                     "kernel_witness_report"):
+            originals[name] = getattr(report_module, name)
+
+            def recording(subject, grid, *args, _name=name, **kwargs):
+                received[_name] = grid
+                return originals[_name](subject, grid, *args, **kwargs)
+
+            monkeypatch.setattr(report_module, name, recording)
+        report = run_analyze(config)
+        assert set(received) == set(originals)
+        for name, grid in received.items():
+            nptest.assert_array_equal(grid, expected, err_msg=name)
+
+        op = build_operator(config)
+        tol = config.tolerances
+        assert report.checks == {
+            "partition_of_unity": originals["check_partition_of_unity"](
+                op.basis, expected, tol.pou),
+            "positivity": originals["verify_positivity"](
+                op, expected, trials=100, tol=tol.norm, seed=config.seed),
+            "constant_reproduction": originals["verify_constant_reproduction"](
+                op, expected, tol.norm),
+            "norm_estimate": originals["verify_norm_bound"](
+                op, expected, trials=200, seed=config.seed + 1, tol=tol.norm),
+            "kernel_residual": originals["kernel_witness_report"](op, expected),
+        }
 
     def test_mapping_key_paths(self):
         report = run_analyze(parse_config(KANT1_CONFIG))
