@@ -13,10 +13,9 @@ from .functionals import (DiracFunctional, Functional, IntervalAverageFunctional
                           WeightedQuadratureFunctional,
                           check_functional_normalization, integrate_gauss_legendre,
                           make_kantorovich_functionals)
-from .functions import (BasisCombination, ClosedForm, Function, Interval,
-                        SampledFunction, UNIT_INTERVAL, constant, cosine_wave,
-                        exponential, monomial, polynomial, random_function,
-                        sine_wave)
+from .functions import (BasisCombination, ClosedForm, Function, SampledFunction,
+                        constant, cosine_wave, exponential, monomial, polynomial,
+                        random_function, sine_wave)
 from .operators import (OperatorSpec, apply_adjoint, apply_operator,
                         bernstein_operator, coefficient_vector, estimate_operator_norm,
                         greville_abscissae, hat_dirac_operator, kantorovich_operator,

@@ -2,10 +2,10 @@
 
 Three constructions are provided: Bernstein polynomials, clamped B-splines
 and piecewise-linear hat functions. Each returns a :class:`BasisSystem`, an
-ordered family ``e_1 .. e_n`` of nonnegative functions whose pointwise sum
-is the constant one on the domain. Each kind has one evaluator of the whole
-family: the binomial formula (Bernstein), scipy's design matrix (B-spline)
-or one binary search writing two nonzero rows per point (hat).
+ordered family ``e_1 .. e_n`` of nonnegative functions on [0, 1] whose
+pointwise sum is the constant one there. Each kind has one evaluator of the
+whole family: the binomial formula (Bernstein), scipy's design matrix
+(B-spline) or one binary search writing two nonzero rows per point (hat).
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checks import CheckResult
+from .checks import CheckResult, nonempty_grid
 from .errors import ConfigError
-from .functions import Interval, UNIT_INTERVAL
+from .functions import require_in_domain
 
 #: Default tolerance for partition-of-unity verification.
 TOL_POU = 1e-10
@@ -30,13 +30,12 @@ DEFAULT_GRID_POINTS = 1001
 
 @dataclass(frozen=True)
 class BasisSystem:
-    """Ordered family of ``n`` basis functions on a shared domain. ``evaluate``
-    maps a 1-D array of points already checked against ``domain`` (so within
+    """Ordered family of ``n`` basis functions on [0, 1]. ``evaluate`` maps a
+    1-D array of points already checked against [0, 1] (so within
     ``DOMAIN_SLACK`` of it) to the whole family's values, shape ``(n, len(xs))``."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     n: int
-    domain: Interval
     name: str
 
     def __post_init__(self):
@@ -48,7 +47,7 @@ class BasisSystem:
         arr = np.atleast_1d(np.asarray(xs, dtype=float))
         if arr.size == 0:
             return np.empty((self.n, 0))
-        self.domain.require(arr, self.name)
+        require_in_domain(arr, self.name)
         return self.evaluate(arr)
 
     def __repr__(self) -> str:
@@ -74,7 +73,7 @@ def make_bernstein_basis(n: int) -> BasisSystem:
             out[k] = binomial * xs ** k * rest ** (n - k)
         return out
 
-    return BasisSystem(evaluate, n + 1, UNIT_INTERVAL, name=f"bernstein({n})")
+    return BasisSystem(evaluate, n + 1, name=f"bernstein({n})")
 
 
 # --------------------------------------------------------------------------
@@ -114,9 +113,8 @@ def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
     if not (np.all(t[:degree + 1] == t[0]) and np.all(t[-degree - 1:] == t[-1])):
         raise ConfigError(
             f"knot vector must be clamped: first and last knot repeated {degree + 1} times")
-    domain = UNIT_INTERVAL
-    if t[0] != domain.lo or t[-1] != domain.hi:
-        raise ConfigError(f"knot vector must span [{domain.lo}, {domain.hi}] exactly, "
+    if t[0] != 0.0 or t[-1] != 1.0:
+        raise ConfigError("knot vector must span [0.0, 1.0] exactly, "
                           f"got [{float(t[0])!r}, {float(t[-1])!r}]")
     t.flags.writeable = False
     # Imported here: scipy.interpolate is a large package that only B-spline
@@ -127,7 +125,7 @@ def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
         # Points within DOMAIN_SLACK outside [0, 1] pass the domain check.
         return BSpline.design_matrix(np.clip(xs, 0.0, 1.0), t, degree).toarray().T
 
-    return BasisSystem(evaluate, t.size - degree - 1, domain,
+    return BasisSystem(evaluate, t.size - degree - 1,
                        name=f"bspline(deg {degree}, {t.size} knots)")
 
 
@@ -135,22 +133,21 @@ def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
 # Hat basis
 # --------------------------------------------------------------------------
 
-def make_hat_basis(nodes: Sequence[float], domain: Interval = UNIT_INTERVAL) -> BasisSystem:
-    """Piecewise-linear nodal basis over a partition of the domain.
+def make_hat_basis(nodes: Sequence[float]) -> BasisSystem:
+    """Piecewise-linear nodal basis over a partition of [0, 1].
 
     One hat per node, ``e_k(x_j) = delta_kj``; the partition of unity is
     exact since linear interpolation reproduces the constant one. Row ``k``
     equals ``np.interp`` of the ``k``-th unit vector bit for bit, at points
-    within ``DOMAIN_SLACK`` outside the domain too (both clamp to the ends).
+    within ``DOMAIN_SLACK`` outside [0, 1] too (both clamp to the ends).
     """
     pts = np.array(nodes, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise ConfigError("hat basis needs at least 2 nodes")
     if np.any(np.diff(pts) <= 0):
         raise ConfigError("hat basis nodes must be strictly increasing")
-    if pts[0] != domain.lo or pts[-1] != domain.hi:
-        raise ConfigError(
-            f"hat basis nodes must span the domain [{domain.lo}, {domain.hi}] exactly")
+    if pts[0] != 0.0 or pts[-1] != 1.0:
+        raise ConfigError("hat basis nodes must span the domain [0.0, 1.0] exactly")
     # x == pts[-1] lands in a cell past the last node; slope 0 there makes
     # w = 0, so the last hat is 1 and the extra row receiving w is cut off.
     slopes = np.append(1.0 / np.diff(pts), 0.0)
@@ -165,7 +162,7 @@ def make_hat_basis(nodes: Sequence[float], domain: Interval = UNIT_INTERVAL) -> 
         out[cell + 1, cols] = w
         return out[:-1]
 
-    return BasisSystem(evaluate, pts.size, domain, name=f"hat({pts.size})")
+    return BasisSystem(evaluate, pts.size, name=f"hat({pts.size})")
 
 
 # --------------------------------------------------------------------------
@@ -175,9 +172,7 @@ def make_hat_basis(nodes: Sequence[float], domain: Interval = UNIT_INTERVAL) -> 
 def check_partition_of_unity(basis: BasisSystem, grid: np.ndarray,
                              tol: float = TOL_POU) -> CheckResult:
     """Max deviation of ``sum_k e_k`` from one over the grid."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ConfigError("partition-of-unity check needs a non-empty grid")
+    grid = nonempty_grid(grid, "partition-of-unity")
     return CheckResult.deviation_from_one(
         "partition_of_unity", basis.values(grid).sum(axis=0), grid, tol)
 
@@ -185,9 +180,7 @@ def check_partition_of_unity(basis: BasisSystem, grid: np.ndarray,
 def check_nonnegativity(basis: BasisSystem, grid: np.ndarray,
                         tol: float = TOL_POU) -> CheckResult:
     """Minimum of any basis function over the grid; passes iff >= -tol."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ConfigError("nonnegativity check needs a non-empty grid")
+    grid = nonempty_grid(grid, "nonnegativity")
     vals = basis.values(grid)
     k, j = np.unravel_index(np.argmin(vals), vals.shape)
     return CheckResult(

@@ -6,6 +6,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
+
+def nonempty_grid(grid, check: str) -> np.ndarray:
+    """``grid`` as a float array, or :class:`ConfigError` naming ``check``
+    when it holds no point. Every check that measures on a grid calls this
+    first."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ConfigError(f"{check} check needs a non-empty grid")
+    return grid
+
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -1,16 +1,17 @@
-"""Real-valued functions on a compact interval.
+"""Real-valued functions on [0, 1].
 
 Everything downstream (functionals, operators, spectra) consumes functions
 through the small :class:`Function` interface: vectorized evaluation on a
-grid plus scalar calls. Three concrete kinds exist: closed forms from a
-named catalog, sampled data with piecewise-linear interpolation, and linear
+grid plus scalar calls. The domain is [0, 1] throughout the package:
+:func:`require_in_domain` checks points against it and :func:`grid` spreads
+points over it. Three concrete kinds exist: closed forms from a named
+catalog, sampled data with piecewise-linear interpolation, and linear
 combinations of a basis system. All instances are immutable after
 construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,55 +22,37 @@ from .errors import ConfigError, DomainError
 DOMAIN_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval ``[lo, hi]`` with ``lo < hi``."""
-
-    lo: float = 0.0
-    hi: float = 1.0
-
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise ConfigError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def require(self, xs: np.ndarray, who: str) -> None:
-        """Raise :class:`DomainError` naming ``who`` and the first point of
-        ``xs`` outside the interval (NaN counts as outside)."""
-        inside = (xs >= self.lo - DOMAIN_SLACK) & (xs <= self.hi + DOMAIN_SLACK)
-        if not inside.all():
-            bad = float(xs[~inside][0])
-            raise DomainError(f"{who}: x={bad!r} outside domain [{self.lo}, {self.hi}]")
-
-    def grid(self, points: int) -> np.ndarray:
-        """Uniform grid with ``points`` samples including both endpoints."""
-        if points < 2:
-            raise ConfigError(f"grid needs at least 2 points, got {points}")
-        return np.linspace(self.lo, self.hi, points)
+def require_in_domain(xs: np.ndarray, who: str) -> None:
+    """Raise :class:`DomainError` naming ``who`` and the first point of
+    ``xs`` outside [0, 1] (NaN counts as outside)."""
+    inside = (xs >= -DOMAIN_SLACK) & (xs <= 1.0 + DOMAIN_SLACK)
+    if not inside.all():
+        bad = float(xs[~inside][0])
+        raise DomainError(f"{who}: x={bad!r} outside domain [0.0, 1.0]")
 
 
-UNIT_INTERVAL = Interval(0.0, 1.0)
+def grid(points: int) -> np.ndarray:
+    """Uniform grid on [0, 1] with ``points`` samples including both ends."""
+    if points < 2:
+        raise ConfigError(f"grid needs at least 2 points, got {points}")
+    return np.linspace(0.0, 1.0, points)
 
 
 class Function:
-    """Evaluable real-valued function on a closed interval."""
+    """Evaluable real-valued function on [0, 1]."""
 
-    def __init__(self, name: str, domain: Interval = UNIT_INTERVAL):
+    def __init__(self, name: str):
         self.name = name
-        self.domain = domain
 
     def _values(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def values(self, xs: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Evaluate on an array of points, all of which must lie in the domain."""
+        """Evaluate on an array of points, all of which must lie in [0, 1]."""
         arr = np.atleast_1d(np.asarray(xs, dtype=float))
         if arr.size == 0:
             return np.empty(0)
-        self.domain.require(arr, self.name)
+        require_in_domain(arr, self.name)
         return self._values(arr)
 
     def __call__(self, x: float) -> float:
@@ -86,9 +69,8 @@ class Function:
 class ClosedForm(Function):
     """Catalog closed form backed by a vectorized callable."""
 
-    def __init__(self, name: str, fn: Callable[[np.ndarray], np.ndarray],
-                 domain: Interval = UNIT_INTERVAL):
-        super().__init__(name, domain)
+    def __init__(self, name: str, fn: Callable[[np.ndarray], np.ndarray]):
+        super().__init__(name)
         self._fn = fn
 
     def _values(self, xs: np.ndarray) -> np.ndarray:
@@ -96,10 +78,10 @@ class ClosedForm(Function):
 
 
 class SampledFunction(Function):
-    """Sampled data, evaluated by piecewise-linear interpolation."""
+    """Sampled data, evaluated by piecewise-linear interpolation. The sample
+    points must span [0, 1] exactly."""
 
-    def __init__(self, xs: Sequence[float], ys: Sequence[float],
-                 name: str = "sampled", domain: Interval | None = None):
+    def __init__(self, xs: Sequence[float], ys: Sequence[float], name: str = "sampled"):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.size < 2:
@@ -108,9 +90,10 @@ class SampledFunction(Function):
             raise ConfigError("sampled function: grid and values differ in length")
         if np.any(np.diff(xs) <= 0):
             raise ConfigError("sampled function grid must be strictly increasing")
-        if domain is None:
-            domain = Interval(float(xs[0]), float(xs[-1]))
-        super().__init__(name, domain)
+        if xs[0] != 0.0 or xs[-1] != 1.0:
+            raise ConfigError("sampled function grid must span [0.0, 1.0] exactly, "
+                              f"got [{float(xs[0])!r}, {float(xs[-1])!r}]")
+        super().__init__(name)
         self.xs = xs
         self.ys = ys
         self.xs.flags.writeable = False
@@ -132,7 +115,7 @@ class BasisCombination(Function):
         if coeffs.shape != (basis.n,):
             raise ConfigError(
                 f"coefficient count {coeffs.size} does not match basis size {basis.n}")
-        super().__init__(name, basis.domain)
+        super().__init__(name)
         self.basis = basis
         self.coefficients = coeffs
         self.coefficients.flags.writeable = False
@@ -194,8 +177,7 @@ def exponential() -> ClosedForm:
 
 def scaled(f: Function, factor: float, name: str | None = None) -> ClosedForm:
     """Pointwise rescaling ``factor * f``."""
-    return ClosedForm(name or f"{factor:g}*{f.name}", lambda xs: factor * f.values(xs),
-                      domain=f.domain)
+    return ClosedForm(name or f"{factor:g}*{f.name}", lambda xs: factor * f.values(xs))
 
 
 # --------------------------------------------------------------------------

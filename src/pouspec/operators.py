@@ -23,10 +23,10 @@ import numpy as np
 from .bases import (BasisSystem, DEFAULT_GRID_POINTS, check_nonnegativity,
                     check_partition_of_unity, make_bernstein_basis,
                     make_bspline_basis, make_hat_basis)
-from .checks import CheckResult
+from .checks import CheckResult, nonempty_grid
 from .errors import ConfigError, NotConstructibleError
-from .functions import (BasisCombination, ClosedForm, Function, ONE,
-                        random_function)
+from .functions import (BasisCombination, ClosedForm, Function, ONE, grid,
+                        random_function, require_in_domain)
 from .functionals import (DiracFunctional, Functional, IntervalAverageFunctional,
                           WeightedQuadratureFunctional,
                           check_functional_normalization,
@@ -44,8 +44,8 @@ class OperatorSpec:
     """Basis plus functionals of equal count; immutable once built.
 
     With ``validate=True`` (the default) construction verifies the partition
-    of unity, basis nonnegativity, that every functional node lies in the
-    basis domain, and the normalization of every functional (nonnegative
+    of unity, basis nonnegativity, that every functional node lies in
+    [0, 1], and the normalization of every functional (nonnegative
     weights of unit mass); pass ``validate=False`` to build deliberately
     broken operators for failure-path tests.
 
@@ -77,20 +77,20 @@ class OperatorSpec:
             array.flags.writeable = False
             object.__setattr__(self, attr, array)
         if validate:
-            grid = self.basis.domain.grid(DEFAULT_GRID_POINTS)
-            pou = check_partition_of_unity(self.basis, grid)
+            xs = grid(DEFAULT_GRID_POINTS)
+            pou = check_partition_of_unity(self.basis, xs)
             if not pou.passed:
                 raise ConfigError(
                     f"{self.name}: basis violates the partition of unity "
                     f"(deviation {pou.value:.3e} at x={pou.worst_x:.6g})")
-            nn = check_nonnegativity(self.basis, grid)
+            nn = check_nonnegativity(self.basis, xs)
             if not nn.passed:
                 raise ConfigError(
                     f"{self.name}: basis takes negative values "
                     f"({nn.value:.3e} at x={nn.worst_x:.6g})")
             for k, functional in enumerate(self.functionals):
                 who = f"{self.name}: functional {k} ({functional.name})"
-                self.basis.domain.require(functional.nodes, who)
+                require_in_domain(functional.nodes, who)
                 norm = check_functional_normalization(functional)
                 if not norm.passed:
                     raise ConfigError(f"{who} is not a nonnegative rule of unit mass "
@@ -192,6 +192,7 @@ def operator_power_apply(op: OperatorSpec, f: Function, m: int) -> BasisCombinat
 def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray,
                                  tol: float = WITNESS_RESIDUAL_TOL) -> CheckResult:
     """Max deviation of ``T1`` from one on the grid."""
+    grid = nonempty_grid(grid, "constant-reproduction")
     return CheckResult.deviation_from_one(
         "constant_reproduction", apply_operator(op, ONE).values(grid), grid, tol)
 
@@ -199,6 +200,7 @@ def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray,
 def verify_positivity(op: OperatorSpec, grid: np.ndarray, trials: int = 100,
                       tol: float = WITNESS_RESIDUAL_TOL, seed: int = 42) -> CheckResult:
     """Minimum of ``Tf`` over the grid across seeded nonnegative ``f``."""
+    grid = nonempty_grid(grid, "positivity")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
@@ -229,6 +231,7 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, trials: int = 200
     """Max of ``||Tf||_inf / ||f||_inf`` over the constant one plus seeded
     random test functions (sup norms on the grid). The constant attains the
     exact norm 1, so the estimate is a tight lower bound of it."""
+    grid = nonempty_grid(grid, "norm-estimate")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
@@ -266,21 +269,20 @@ def verify_adjoint_identity(op: OperatorSpec, pairs: int = 50,
     """Residual ``|T* dual (f) - dual(Tf)|`` over seeded (dual, f) pairs,
     cycling through the three functional kinds for the dual."""
     rng = np.random.default_rng(seed)
-    lo, hi = op.basis.domain.lo, op.basis.domain.hi
     worst = 0.0
     for i in range(pairs):
         f = random_function(rng)
         kind = i % 3
         if kind == 0:
-            dual: Functional = DiracFunctional(rng.uniform(lo, hi))
+            dual: Functional = DiracFunctional(rng.uniform())
         elif kind == 1:
-            a, b = np.sort(rng.uniform(lo, hi, size=2))
+            a, b = np.sort(rng.uniform(size=2))
             if b - a < 1e-3:
-                b = min(hi, a + 1e-3)
+                b = min(1.0, a + 1e-3)
                 a = b - 1e-3
             dual = IntervalAverageFunctional(a, b)
         else:
-            nodes = rng.uniform(lo, hi, size=4)
+            nodes = rng.uniform(size=4)
             weights = rng.dirichlet(np.ones(4))
             dual = WeightedQuadratureFunctional(nodes, weights)
         lhs = apply_adjoint(op, dual, f)
@@ -305,8 +307,8 @@ def _point_annihilation_nodes(op: OperatorSpec) -> np.ndarray:
     return nodes[keep]
 
 
-def _equally_spaced(values: np.ndarray, lo: float, hi: float) -> bool:
-    if values.size < 2 or abs(values[0] - lo) > 1e-12 or abs(values[-1] - hi) > 1e-12:
+def _equally_spaced(values: np.ndarray) -> bool:
+    if values.size < 2 or abs(values[0]) > 1e-12 or abs(values[-1] - 1.0) > 1e-12:
         return False
     gaps = np.diff(values)
     return bool(np.max(np.abs(gaps - gaps[0])) <= 1e-9)
@@ -317,7 +319,7 @@ def kernel_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
 
     Construction is analytic per functional kind. Point-type functionals
     (Dirac, finite quadrature) are killed by a sine vanishing at all node
-    points when those are equally spaced across the domain, and otherwise by
+    points when those are equally spaced across [0, 1], and otherwise by
     a normalized product of node-vanishing sine factors. Interval averages
     over non-overlapping cells are killed by one full sine period per cell.
     Mixed point/average families have no such closed form and raise
@@ -325,42 +327,37 @@ def kernel_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
     its own verification on the grid (``||w||_inf >= 0.5`` and
     ``||Tw||_inf <= 1e-10``).
     """
+    grid = nonempty_grid(grid, "kernel-witness")
     return _verified(op, _candidate_witness(op, grid), grid)[0]
 
 
 def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
-    lo, hi = op.basis.domain.lo, op.basis.domain.hi
-    width = hi - lo
-
+    # The sine witnesses print as "sin(...pi(x-0)/1)": reports carry that text.
     point_kinds = (DiracFunctional, WeightedQuadratureFunctional)
     all_point = all(isinstance(f, point_kinds) for f in op.functionals)
     all_average = all(isinstance(f, IntervalAverageFunctional) for f in op.functionals)
 
     if all_point:
         nodes = _point_annihilation_nodes(op)
-        if _equally_spaced(nodes, lo, hi):
+        if _equally_spaced(nodes):
             cells = nodes.size - 1
-            w: Function = ClosedForm(
-                f"sin({cells}pi(x-{lo:g})/{width:g})",
-                lambda xs: np.sin(cells * np.pi * (xs - lo) / width),
-                domain=op.basis.domain)
+            w: Function = ClosedForm(f"sin({cells}pi(x-0)/1)",
+                                     lambda xs: np.sin(cells * np.pi * xs))
         else:
             def product_of_sines(xs: np.ndarray, nodes=nodes) -> np.ndarray:
                 out = np.ones_like(xs)
                 for x0 in nodes:
-                    out *= np.sin(np.pi * (xs - x0) / width)
+                    out *= np.sin(np.pi * (xs - x0))
                 return out
 
-            raw = ClosedForm("node-vanishing product", product_of_sines,
-                             domain=op.basis.domain)
+            raw = ClosedForm("node-vanishing product", product_of_sines)
             peak = raw.sup_norm(grid)
             if peak <= 0.0:
                 raise NotConstructibleError(
                     f"{op.name}: node-vanishing product is identically zero "
                     f"on the verification grid")
             w = ClosedForm(f"node-vanishing product ({nodes.size} nodes)",
-                           lambda xs: product_of_sines(xs) / peak,
-                           domain=op.basis.domain)
+                           lambda xs: product_of_sines(xs) / peak)
     elif all_average:
         cells = sorted(((f.a, f.b) for f in op.functionals), key=lambda c: c[0])
         for (a0, b0), (a1, _) in zip(cells, cells[1:]):
@@ -370,16 +367,14 @@ def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
                     f"([{a0:g}, {b0:g}] and [{a1:g}, ...]); no cellwise witness")
         widths = np.array([b - a for a, b in cells])
         starts = np.array([a for a, _ in cells])
-        contiguous = (abs(starts[0] - lo) <= 1e-12
-                      and abs(cells[-1][1] - hi) <= 1e-12
+        contiguous = (abs(starts[0]) <= 1e-12
+                      and abs(cells[-1][1] - 1.0) <= 1e-12
                       and np.all(np.abs(starts[1:] - np.array(
                           [b for _, b in cells[:-1]])) <= 1e-12))
         if contiguous and np.max(np.abs(widths - widths[0])) <= 1e-9:
             m = len(cells)
-            w = ClosedForm(
-                f"sin({2 * m}pi(x-{lo:g})/{width:g})",
-                lambda xs: np.sin(2.0 * m * np.pi * (xs - lo) / width),
-                domain=op.basis.domain)
+            w = ClosedForm(f"sin({2 * m}pi(x-0)/1)",
+                           lambda xs: np.sin(2.0 * m * np.pi * xs))
         else:
             def cellwise_sine(xs: np.ndarray, starts=starts, widths=widths) -> np.ndarray:
                 out = np.zeros_like(xs)
@@ -388,8 +383,7 @@ def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
                     out[inside] = np.sin(2.0 * np.pi * (xs[inside] - a) / cw)
                 return out
 
-            w = ClosedForm(f"cellwise sine ({len(cells)} cells)", cellwise_sine,
-                           domain=op.basis.domain)
+            w = ClosedForm(f"cellwise sine ({len(cells)} cells)", cellwise_sine)
     else:
         kinds = sorted({type(f).__name__ for f in op.functionals})
         raise NotConstructibleError(
@@ -415,6 +409,7 @@ def _verified(op: OperatorSpec, w: Function,
 def kernel_witness_report(op: OperatorSpec, grid: np.ndarray) -> CheckResult:
     """Kernel-witness residual on the grid as a check; a non-constructible
     witness is reported as a failed check rather than silently skipped."""
+    grid = nonempty_grid(grid, "kernel-witness")
     try:
         w, witness_norm, residual = _verified(op, _candidate_witness(op, grid), grid)
     except NotConstructibleError as exc:

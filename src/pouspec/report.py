@@ -20,19 +20,21 @@ from typing import Any
 
 import numpy as np
 
-from .bases import (DEFAULT_GRID_POINTS, check_partition_of_unity, make_bernstein_basis,
-                    make_bspline_basis, make_hat_basis)
+from .bases import (DEFAULT_GRID_POINTS, TOL_POU, check_partition_of_unity,
+                    make_bernstein_basis, make_bspline_basis, make_hat_basis)
 from .checks import CheckResult
 from .errors import ConfigError, UnsupportedSizeError
+from .functions import grid
 from .functionals import (DiracFunctional, IntervalAverageFunctional,
                           WeightedQuadratureFunctional)
-from .operators import (OperatorSpec, bernstein_operator, hat_dirac_operator,
-                        kantorovich_operator, kernel_witness_report,
+from .operators import (WITNESS_RESIDUAL_TOL, OperatorSpec, bernstein_operator,
+                        hat_dirac_operator, kantorovich_operator, kernel_witness_report,
                         schoenberg_operator, verify_constant_reproduction,
                         verify_norm_bound, verify_positivity)
-from .spectra import (CLASSIFICATION_CONFORMS, MAX_DIMENSION, CollocationMatrix,
-                      IterateResult, SpectrumReport, build_collocation_matrix,
-                      classify_spectrum, eigenvalues, gershgorin_disks, iterate_limit)
+from .spectra import (CLASSIFICATION_CONFORMS, ITERATE_M_MAX, ITERATE_TOL, MAX_DIMENSION,
+                      TOL_PERIPHERAL, TOL_STOCHASTIC, CollocationMatrix, IterateResult,
+                      SpectrumReport, build_collocation_matrix, classify_spectrum,
+                      eigenvalues, gershgorin_disks, iterate_limit)
 
 SCHEMA_VERSION = 1
 
@@ -48,16 +50,16 @@ MAX_ITERATE_M = 2 ** 30
 
 @dataclass(frozen=True)
 class Tolerances:
-    pou: float = 1e-10
-    stochastic: float = 1e-10
-    peripheral: float = 1e-8
-    norm: float = 1e-10
+    pou: float = TOL_POU
+    stochastic: float = TOL_STOCHASTIC
+    peripheral: float = TOL_PERIPHERAL
+    norm: float = WITNESS_RESIDUAL_TOL
 
 
 @dataclass(frozen=True)
 class IterateSettings:
-    m_max: int = 65536
-    tol: float = 1e-10
+    m_max: int = ITERATE_M_MAX
+    tol: float = ITERATE_TOL
 
 
 @dataclass(frozen=True)
@@ -236,7 +238,7 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
     if not _is_number(it_tol) or not _finite(it_tol) or it_tol <= 0:
         raise ConfigError("config: iterate 'tol' must be a finite positive number")
 
-    seed = _seed(data.get("seed", 42))
+    seed = _seed(data.get("seed", AnalysisConfig.seed))
 
     out_data = data.get("outputs", {})
     if not isinstance(out_data, dict):
@@ -290,15 +292,24 @@ def _build_custom_functional(spec: dict):
     return WeightedQuadratureFunctional(spec["nodes"], spec["weights"])
 
 
-def _dimension(kind: str, params: dict) -> int:
-    """Basis size of the configured operator, read off its parameters."""
+def _basis_size(kind: str, params: dict) -> int:
+    """Size of a basis read off its parameters: a Bernstein degree ``n``
+    (``bernstein``, ``kantorovich``), a knot vector and degree (``bspline``,
+    ``schoenberg``) or hat nodes (``hat``, ``hat-dirac``)."""
     if kind in ("bernstein", "kantorovich"):
         return params["n"] + 1
-    if kind == "schoenberg":
+    if kind in ("bspline", "schoenberg"):
         return len(params["knots"]) - params["degree"] - 1
-    if kind == "hat-dirac":
-        return len(params["nodes"])
-    return len(params["functionals"])
+    return len(params["nodes"])
+
+
+def _dimension(kind: str, params: dict) -> int:
+    """Size of the configured operator: its basis size, and for a custom
+    operator the larger of that and its functional count."""
+    if kind == "custom":
+        basis = params["basis"]
+        return max(_basis_size(basis["kind"], basis), len(params["functionals"]))
+    return _basis_size(kind, params)
 
 
 def build_operator(config: AnalysisConfig) -> OperatorSpec:
@@ -354,16 +365,14 @@ def run_checks(op: OperatorSpec, config: AnalysisConfig) -> dict[str, CheckResul
     """The lemma checks of an operator, in report order, seeded from the
     config. The verification grid of ``config.grid_points`` points is built
     here once, and every check measures on that one array."""
-    grid = op.basis.domain.grid(config.grid_points)
+    xs = grid(config.grid_points)
     tol = config.tolerances
     return {
-        "partition_of_unity": check_partition_of_unity(op.basis, grid, tol.pou),
-        "positivity": verify_positivity(op, grid, trials=100, tol=tol.norm,
-                                        seed=config.seed),
-        "constant_reproduction": verify_constant_reproduction(op, grid, tol.norm),
-        "norm_estimate": verify_norm_bound(op, grid, trials=200, seed=config.seed + 1,
-                                           tol=tol.norm),
-        "kernel_residual": kernel_witness_report(op, grid),
+        "partition_of_unity": check_partition_of_unity(op.basis, xs, tol.pou),
+        "positivity": verify_positivity(op, xs, tol=tol.norm, seed=config.seed),
+        "constant_reproduction": verify_constant_reproduction(op, xs, tol.norm),
+        "norm_estimate": verify_norm_bound(op, xs, seed=config.seed + 1, tol=tol.norm),
+        "kernel_residual": kernel_witness_report(op, xs),
     }
 
 

@@ -34,6 +34,10 @@ TOL_PERIPHERAL = 1e-8
 #: Row-sum / nonnegativity tolerance for stochasticity checks.
 TOL_STOCHASTIC = 1e-10
 
+#: Default convergence bound and largest power of the power-limit search.
+ITERATE_TOL = 1e-10
+ITERATE_M_MAX = 65536
+
 #: Largest supported dense eigenproblem.
 MAX_DIMENSION = 500
 
@@ -80,8 +84,8 @@ class CollocationMatrix:
 
 
 def _collocation_row(op, k: int) -> np.ndarray:
-    """Row ``k`` from its own basis evaluation; a node outside the basis
-    domain is re-raised naming row ``k`` and its functional."""
+    """Row ``k`` from its own basis evaluation; a node outside [0, 1] is
+    re-raised naming row ``k`` and its functional."""
     functional = op.functionals[k]
     try:
         return op.basis.values(functional.nodes) @ functional.weights
@@ -98,8 +102,7 @@ def build_collocation_matrix(op) -> CollocationMatrix:
     of its own). Row ``k`` is then one matrix-vector product,
     ``values[:, s_k:e_k] @ op.weights[s_k:e_k]``, with the same result bit
     for bit as ``basis.values(a_k.nodes) @ a_k.weights``. A node outside
-    the basis domain is re-raised naming the first such row ``k`` and its
-    functional."""
+    [0, 1] is re-raised naming the first such row ``k`` and its functional."""
     n = op.basis.n
     starts = op.starts
     stops = np.append(starts[1:], op.nodes.size)
@@ -386,7 +389,8 @@ class IterateResult:
     message: str
 
 
-def iterate_limit(matrix, tol: float = 1e-10, m_max: int = 65536) -> IterateResult:
+def iterate_limit(matrix, tol: float = ITERATE_TOL,
+                  m_max: int = ITERATE_M_MAX) -> IterateResult:
     """Search for the limit of ``M^m`` by repeated squaring.
 
     Doubles ``m`` until ``||M^{2m} - M^m||_inf <= tol`` or ``m > m_max``.

@@ -12,7 +12,10 @@ from pouspec.bases import (check_nonnegativity, check_partition_of_unity,
                            clamped_knots, make_bernstein_basis, make_bspline_basis,
                            make_hat_basis, BasisSystem)
 from pouspec.errors import ConfigError
-from pouspec.functions import UNIT_INTERVAL
+from pouspec.operators import (bernstein_operator, estimate_operator_norm,
+                               kernel_witness, kernel_witness_report,
+                               verify_constant_reproduction, verify_norm_bound,
+                               verify_positivity)
 
 
 class TestBernstein:
@@ -157,8 +160,7 @@ class TestChecks:
 
     def test_scaled_basis_fails_with_deviation(self):
         base = make_bernstein_basis(3)
-        shrunk = BasisSystem(lambda xs: 0.9 * base.values(xs), base.n, base.domain,
-                             name="shrunk")
+        shrunk = BasisSystem(lambda xs: 0.9 * base.values(xs), base.n, name="shrunk")
         result = check_partition_of_unity(shrunk, np.linspace(0, 1, 101), tol=1e-12)
         assert not result.passed
         assert result.value == pytest.approx(0.1, abs=1e-12)
@@ -174,19 +176,27 @@ class TestChecks:
         assert result.passed and result.value == 0.0
 
     def test_nonnegativity_detects_violation(self):
-        bad = BasisSystem(lambda xs: np.vstack((2 * xs - 1, 2 - 2 * xs)), 2,
-                          UNIT_INTERVAL, name="bad")
+        bad = BasisSystem(lambda xs: np.vstack((2 * xs - 1, 2 - 2 * xs)), 2, name="bad")
         result = check_nonnegativity(bad, np.linspace(0, 1, 101), tol=1e-12)
         assert not result.passed
         assert result.value == pytest.approx(-1.0)
         assert result.worst_x == 0.0
 
-    def test_empty_grid_rejected(self):
-        basis = make_bernstein_basis(2)
-        with pytest.raises(ConfigError):
-            check_partition_of_unity(basis, np.array([]))
-        with pytest.raises(ConfigError):
-            check_nonnegativity(basis, np.array([]))
+    @pytest.mark.parametrize("check", [
+        lambda op, grid: check_partition_of_unity(op.basis, grid),
+        lambda op, grid: check_nonnegativity(op.basis, grid),
+        verify_constant_reproduction,
+        verify_positivity,
+        estimate_operator_norm,
+        verify_norm_bound,
+        kernel_witness,
+        kernel_witness_report,
+    ], ids=["partition_of_unity", "nonnegativity", "constant_reproduction",
+            "positivity", "operator_norm", "norm_bound", "kernel_witness",
+            "kernel_witness_report"])
+    def test_empty_grid_rejected(self, check):
+        with pytest.raises(ConfigError, match="needs a non-empty grid"):
+            check(bernstein_operator(3), np.array([]))
 
     @pytest.mark.parametrize("make", [
         lambda: make_bernstein_basis(4),

@@ -7,26 +7,15 @@ import numpy.testing as nptest
 import pytest
 
 from pouspec.errors import ConfigError, DomainError
-from pouspec.functions import (BasisCombination, Interval, SampledFunction,
-                               constant, cosine_wave, exponential,
-                               monomial, polynomial, random_function, sine_wave)
+from pouspec.functions import (BasisCombination, SampledFunction, constant,
+                               cosine_wave, exponential, grid, monomial, polynomial,
+                               random_function, sine_wave)
 from pouspec.bases import make_hat_basis
 
 
-class TestInterval:
-    def test_defaults_to_unit(self):
-        iv = Interval()
-        assert iv.lo == 0.0 and iv.hi == 1.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigError):
-            Interval(1.0, 1.0)
-        with pytest.raises(ConfigError):
-            Interval(0.5, 0.2)
-
-    def test_grid_endpoints(self):
-        grid = Interval(0.0, 1.0).grid(11)
-        assert grid[0] == 0.0 and grid[-1] == 1.0 and grid.size == 11
+def test_grid_endpoints():
+    xs = grid(11)
+    assert xs[0] == 0.0 and xs[-1] == 1.0 and xs.size == 11
 
 
 class TestEvaluation:
@@ -74,6 +63,11 @@ class TestSampledValidation:
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
             SampledFunction([0.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("xs", [[0.0, 0.5], [0.1, 1.0], [-0.5, 1.0], [0.0, 1.5]])
+    def test_grid_must_span_unit_interval(self, xs):
+        with pytest.raises(ConfigError, match=r"must span \[0.0, 1.0\] exactly"):
+            SampledFunction(xs, [0.0, 1.0])
 
 
 class TestBasisCombination:

@@ -47,7 +47,7 @@ class TestConstruction:
     def test_validation_rejects_scaled_basis(self):
         base = bernstein_operator(2)
         shrunk = BasisSystem(lambda xs: 0.9 * base.basis.values(xs), base.basis.n,
-                             base.basis.domain, name="shrunk")
+                             name="shrunk")
         with pytest.raises(ConfigError):
             OperatorSpec(shrunk, base.functionals)
 
@@ -236,7 +236,7 @@ class TestConstantReproductionCheck:
     def test_scaled_basis_fails(self):
         base = bernstein_operator(3)
         shrunk = BasisSystem(lambda xs: 0.99 * base.basis.values(xs), base.basis.n,
-                             base.basis.domain, name="shrunk")
+                             name="shrunk")
         op = OperatorSpec(shrunk, base.functionals, name="shrunk", validate=False)
         result = verify_constant_reproduction(op, GRID, tol=1e-10)
         assert not result.passed

@@ -475,13 +475,19 @@ class TestCli:
                      "nodes": np.linspace(0.0, 1.0, 1000).tolist()}), "dimension 1000"),
         ('{"operator": "kantorovich", "n": 2, "grid_points": 100002}',
          "'grid_points' must be an integer in [11, 100001]"),
-    ], ids=["bernstein-501", "hat-dirac-1000", "grid-points-100002"])
+        (json.dumps({"operator": "custom", "basis": {"kind": "bernstein", "n": 2000},
+                     "functionals": [{"kind": "dirac", "x": 0.0},
+                                     {"kind": "dirac", "x": 1.0}]}),
+         "operator 'custom' has dimension 2001"),
+    ], ids=["bernstein-501", "hat-dirac-1000", "grid-points-100002",
+            "custom-bernstein-2000"])
     def test_size_limits_checked_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                  text, named):
         def never(*_args, **_kwargs):
             raise AssertionError("work started on an oversized config")
 
         monkeypatch.setattr("pouspec.report.run_checks", never)
+        monkeypatch.setattr(BasisSystem, "__post_init__", never)
         monkeypatch.setattr(BasisSystem, "values", never)
         config = tmp_path / "big.json"
         config.write_text(text, encoding="utf-8")
