@@ -86,7 +86,7 @@ def clamped_knots(breakpoints: Sequence[float], degree: int) -> np.ndarray:
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or bp.size < 2:
         raise ConfigError("need at least two breakpoints")
-    if np.any(np.diff(bp) <= 0):
+    if not np.all(np.diff(bp) > 0):
         raise ConfigError("breakpoints must be strictly increasing")
     if degree < 0:
         raise ConfigError("degree must be >= 0")
@@ -108,7 +108,7 @@ def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
     if t.ndim != 1 or t.size < 2 * (degree + 1):
         raise ConfigError(
             f"need at least {2 * (degree + 1)} knots for degree {degree}, got {t.size}")
-    if np.any(np.diff(t) < 0):
+    if not np.all(np.diff(t) >= 0):
         raise ConfigError("knot vector must be nondecreasing")
     if not (np.all(t[:degree + 1] == t[0]) and np.all(t[-degree - 1:] == t[-1])):
         raise ConfigError(
@@ -144,7 +144,7 @@ def make_hat_basis(nodes: Sequence[float]) -> BasisSystem:
     pts = np.array(nodes, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise ConfigError("hat basis needs at least 2 nodes")
-    if np.any(np.diff(pts) <= 0):
+    if not np.all(np.diff(pts) > 0):
         raise ConfigError("hat basis nodes must be strictly increasing")
     if pts[0] != 0.0 or pts[-1] != 1.0:
         raise ConfigError("hat basis nodes must span the domain [0.0, 1.0] exactly")
@@ -169,24 +169,25 @@ def make_hat_basis(nodes: Sequence[float]) -> BasisSystem:
 # Verification
 # --------------------------------------------------------------------------
 
-def check_partition_of_unity(basis: BasisSystem, grid: np.ndarray,
+def check_partition_of_unity(values: np.ndarray, grid: np.ndarray,
                              tol: float = TOL_POU) -> CheckResult:
-    """Max deviation of ``sum_k e_k`` from one over the grid."""
-    grid = nonempty_grid(grid, "partition-of-unity")
+    """Max deviation of ``sum_k e_k`` from one over the grid; ``values`` is
+    the basis evaluated on ``grid``, shape ``(n, len(grid))``."""
+    grid = nonempty_grid(grid, values, "partition-of-unity")
     return CheckResult.deviation_from_one(
-        "partition_of_unity", basis.values(grid).sum(axis=0), grid, tol)
+        "partition_of_unity", values.sum(axis=0), grid, tol)
 
 
-def check_nonnegativity(basis: BasisSystem, grid: np.ndarray,
+def check_nonnegativity(values: np.ndarray, grid: np.ndarray,
                         tol: float = TOL_POU) -> CheckResult:
-    """Minimum of any basis function over the grid; passes iff >= -tol."""
-    grid = nonempty_grid(grid, "nonnegativity")
-    vals = basis.values(grid)
-    k, j = np.unravel_index(np.argmin(vals), vals.shape)
+    """Minimum of any basis function over the grid; passes iff >= -tol.
+    ``values`` is the basis evaluated on ``grid``, shape ``(n, len(grid))``."""
+    grid = nonempty_grid(grid, values, "nonnegativity")
+    k, j = np.unravel_index(np.argmin(values), values.shape)
     return CheckResult(
         name="nonnegativity",
-        passed=bool(vals[k, j] >= -tol),
-        value=float(vals[k, j]),
+        passed=bool(values[k, j] >= -tol),
+        value=float(values[k, j]),
         threshold=tol,
         worst_x=float(grid[j]),
         detail=f"attained by basis function {int(k)}",

@@ -9,13 +9,17 @@ import numpy as np
 from .errors import ConfigError
 
 
-def nonempty_grid(grid, check: str) -> np.ndarray:
+def nonempty_grid(grid, values: np.ndarray, check: str) -> np.ndarray:
     """``grid`` as a float array, or :class:`ConfigError` naming ``check``
-    when it holds no point. Every check that measures on a grid calls this
+    when it holds no point or when ``values``, the basis evaluated on it, has
+    not one column per point. Every check that measures on a grid calls this
     first."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ConfigError(f"{check} check needs a non-empty grid")
+    if np.ndim(values) != 2 or np.shape(values)[1] != grid.size:
+        raise ConfigError(f"{check} check needs basis values of shape (n, {grid.size}), "
+                          f"got {np.shape(values)}")
     return grid
 
 

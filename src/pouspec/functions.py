@@ -88,7 +88,7 @@ class SampledFunction(Function):
             raise ConfigError("sampled function needs at least 2 grid points")
         if ys.shape != xs.shape:
             raise ConfigError("sampled function: grid and values differ in length")
-        if np.any(np.diff(xs) <= 0):
+        if not np.all(np.diff(xs) > 0):
             raise ConfigError("sampled function grid must be strictly increasing")
         if xs[0] != 0.0 or xs[-1] != 1.0:
             raise ConfigError("sampled function grid must span [0.0, 1.0] exactly, "

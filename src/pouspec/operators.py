@@ -9,8 +9,12 @@ against a clamped B-spline basis).
 
 The verification helpers measure, on a grid the caller passes in and with
 seeded random test functions: constant reproduction, positivity, the unit
-operator norm and an explicit nonzero kernel witness. The adjoint pairing
-identity is checked at seeded random functionals instead.
+operator norm and an explicit nonzero kernel witness. Each takes the grid
+and ``values``, the basis evaluated on it once by the caller (shape
+``(n, len(grid))``), and reads ``Tf`` on the grid as
+``coefficient_vector(op, f) @ values``; none evaluates the basis itself.
+The adjoint pairing identity is checked at seeded random functionals
+instead.
 """
 
 from __future__ import annotations
@@ -44,10 +48,11 @@ class OperatorSpec:
     """Basis plus functionals of equal count; immutable once built.
 
     With ``validate=True`` (the default) construction verifies the partition
-    of unity, basis nonnegativity, that every functional node lies in
-    [0, 1], and the normalization of every functional (nonnegative
-    weights of unit mass); pass ``validate=False`` to build deliberately
-    broken operators for failure-path tests.
+    of unity and basis nonnegativity on one evaluation of the basis on the
+    default grid, that every functional node lies in [0, 1], and the
+    normalization of every functional (nonnegative weights of unit mass);
+    pass ``validate=False`` to build deliberately broken operators for
+    failure-path tests.
 
     ``nodes``, ``weights`` and ``starts`` are the functionals' rules joined
     once (read-only; functional ``k`` starts at ``starts[k]``). They take no
@@ -78,12 +83,13 @@ class OperatorSpec:
             object.__setattr__(self, attr, array)
         if validate:
             xs = grid(DEFAULT_GRID_POINTS)
-            pou = check_partition_of_unity(self.basis, xs)
+            values = self.basis.values(xs)
+            pou = check_partition_of_unity(values, xs)
             if not pou.passed:
                 raise ConfigError(
                     f"{self.name}: basis violates the partition of unity "
                     f"(deviation {pou.value:.3e} at x={pou.worst_x:.6g})")
-            nn = check_nonnegativity(self.basis, xs)
+            nn = check_nonnegativity(values, xs)
             if not nn.passed:
                 raise ConfigError(
                     f"{self.name}: basis takes negative values "
@@ -189,31 +195,31 @@ def operator_power_apply(op: OperatorSpec, f: Function, m: int) -> BasisCombinat
 # Lemma verification
 # --------------------------------------------------------------------------
 
-def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray,
+def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
                                  tol: float = WITNESS_RESIDUAL_TOL) -> CheckResult:
     """Max deviation of ``T1`` from one on the grid."""
-    grid = nonempty_grid(grid, "constant-reproduction")
+    grid = nonempty_grid(grid, values, "constant-reproduction")
     return CheckResult.deviation_from_one(
-        "constant_reproduction", apply_operator(op, ONE).values(grid), grid, tol)
+        "constant_reproduction", coefficient_vector(op, ONE) @ values, grid, tol)
 
 
-def verify_positivity(op: OperatorSpec, grid: np.ndarray, trials: int = 100,
-                      tol: float = WITNESS_RESIDUAL_TOL, seed: int = 42) -> CheckResult:
+def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
+                      trials: int = 100, tol: float = WITNESS_RESIDUAL_TOL,
+                      seed: int = 42) -> CheckResult:
     """Minimum of ``Tf`` over the grid across seeded nonnegative ``f``."""
-    grid = nonempty_grid(grid, "positivity")
+    grid = nonempty_grid(grid, values, "positivity")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    basis_on_grid = op.basis.values(grid)
     worst_val = np.inf
     worst_x = None
     worst_name = ""
     for _ in range(trials):
         f = random_function(rng, nonnegative=True)
-        values = coefficient_vector(op, f) @ basis_on_grid
-        j = int(np.argmin(values))
-        if values[j] < worst_val:
-            worst_val = float(values[j])
+        image = coefficient_vector(op, f) @ values
+        j = int(np.argmin(image))
+        if image[j] < worst_val:
+            worst_val = float(image[j])
             worst_x = float(grid[j])
             worst_name = f.name
     return CheckResult(
@@ -226,16 +232,15 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, trials: int = 100,
     )
 
 
-def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, trials: int = 200,
-                           seed: int = 42) -> float:
+def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
+                           trials: int = 200, seed: int = 42) -> float:
     """Max of ``||Tf||_inf / ||f||_inf`` over the constant one plus seeded
     random test functions (sup norms on the grid). The constant attains the
     exact norm 1, so the estimate is a tight lower bound of it."""
-    grid = nonempty_grid(grid, "norm-estimate")
+    grid = nonempty_grid(grid, values, "norm-estimate")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    basis_on_grid = op.basis.values(grid)
     best = 0.0
     samples: list[Function] = [ONE]
     samples.extend(random_function(rng) for _ in range(trials))
@@ -243,16 +248,17 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, trials: int = 200
         denom = f.sup_norm(grid)
         if denom < 1e-12:
             continue
-        image = coefficient_vector(op, f) @ basis_on_grid
+        image = coefficient_vector(op, f) @ values
         best = max(best, float(np.max(np.abs(image))) / denom)
     return float(best)
 
 
-def verify_norm_bound(op: OperatorSpec, grid: np.ndarray, trials: int = 200,
-                      seed: int = 42, tol: float = WITNESS_RESIDUAL_TOL) -> CheckResult:
+def verify_norm_bound(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
+                      trials: int = 200, seed: int = 42,
+                      tol: float = WITNESS_RESIDUAL_TOL) -> CheckResult:
     """Norm estimate on the grid packaged as a check: passes iff the estimate
     lies in ``[1 - 1e-12, 1 + tol]`` (the unit ball bound, attained at one)."""
-    estimate = estimate_operator_norm(op, grid, trials=trials, seed=seed)
+    estimate = estimate_operator_norm(op, grid, values, trials=trials, seed=seed)
     passed = 1.0 - 1e-12 <= estimate <= 1.0 + tol
     return CheckResult(
         name="norm_estimate",
@@ -327,11 +333,13 @@ def kernel_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
     its own verification on the grid (``||w||_inf >= 0.5`` and
     ``||Tw||_inf <= 1e-10``).
     """
-    grid = nonempty_grid(grid, "kernel-witness")
-    return _verified(op, _candidate_witness(op, grid), grid)[0]
+    values = op.basis.values(grid)
+    grid = nonempty_grid(grid, values, "kernel-witness")
+    return _verified(op, values, *_candidate_witness(op, grid))[0]
 
 
-def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
+def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> tuple[Function, np.ndarray]:
+    """A witness ``w`` and its values on the grid."""
     # The sine witnesses print as "sin(...pi(x-0)/1)": reports carry that text.
     point_kinds = (DiracFunctional, WeightedQuadratureFunctional)
     all_point = all(isinstance(f, point_kinds) for f in op.functionals)
@@ -350,14 +358,15 @@ def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
                     out *= np.sin(np.pi * (xs - x0))
                 return out
 
-            raw = ClosedForm("node-vanishing product", product_of_sines)
-            peak = raw.sup_norm(grid)
+            raw_on_grid = ClosedForm("node-vanishing product", product_of_sines).values(grid)
+            peak = float(np.max(np.abs(raw_on_grid)))
             if peak <= 0.0:
                 raise NotConstructibleError(
                     f"{op.name}: node-vanishing product is identically zero "
                     f"on the verification grid")
             w = ClosedForm(f"node-vanishing product ({nodes.size} nodes)",
                            lambda xs: product_of_sines(xs) / peak)
+            return w, raw_on_grid / peak
     elif all_average:
         cells = sorted(((f.a, f.b) for f in op.functionals), key=lambda c: c[0])
         for (a0, b0), (a1, _) in zip(cells, cells[1:]):
@@ -390,15 +399,16 @@ def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
             f"{op.name}: no analytic kernel witness for mixed functional "
             f"kinds {kinds}")
 
-    return w
+    return w, w.values(grid)
 
 
-def _verified(op: OperatorSpec, w: Function,
-              grid: np.ndarray) -> tuple[Function, float, float]:
+def _verified(op: OperatorSpec, values: np.ndarray, w: Function,
+              w_on_grid: np.ndarray) -> tuple[Function, float, float]:
     """``(w, ||w||, ||Tw||)`` on the grid, or :class:`NotConstructibleError`
-    when ``w`` is too small or not annihilated."""
-    witness_norm = w.sup_norm(grid)
-    residual = apply_operator(op, w).sup_norm(grid)
+    when ``w`` is too small or not annihilated; ``values`` is the basis and
+    ``w_on_grid`` the witness evaluated on the grid."""
+    witness_norm = float(np.max(np.abs(w_on_grid)))
+    residual = float(np.max(np.abs(coefficient_vector(op, w) @ values)))
     if witness_norm < WITNESS_MIN_NORM or residual > WITNESS_RESIDUAL_TOL:
         raise NotConstructibleError(
             f"{op.name}: witness verification failed "
@@ -406,12 +416,13 @@ def _verified(op: OperatorSpec, w: Function,
     return w, witness_norm, residual
 
 
-def kernel_witness_report(op: OperatorSpec, grid: np.ndarray) -> CheckResult:
+def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
+                          values: np.ndarray) -> CheckResult:
     """Kernel-witness residual on the grid as a check; a non-constructible
     witness is reported as a failed check rather than silently skipped."""
-    grid = nonempty_grid(grid, "kernel-witness")
+    grid = nonempty_grid(grid, values, "kernel-witness")
     try:
-        w, witness_norm, residual = _verified(op, _candidate_witness(op, grid), grid)
+        w, witness_norm, residual = _verified(op, values, *_candidate_witness(op, grid))
     except NotConstructibleError as exc:
         return CheckResult(name="kernel_residual", passed=False, value=None,
                            threshold=WITNESS_RESIDUAL_TOL, detail=str(exc))

@@ -40,8 +40,9 @@ SCHEMA_VERSION = 1
 
 OPERATOR_KINDS = ("bernstein", "kantorovich", "schoenberg", "hat-dirac", "custom")
 
-#: Largest verification grid. The checks hold one ``n x grid_points`` array
-#: of basis values; at n = MAX_DIMENSION this bound keeps it near 400 MB.
+#: Largest verification grid. ``run_checks`` evaluates the basis on the grid
+#: once and every check reads that one ``n x grid_points`` array; at
+#: n = MAX_DIMENSION this bound keeps it near 400 MB.
 MAX_GRID_POINTS = 100_001
 
 #: Largest ``iterate.m_max``: at most 30 doublings of the power search.
@@ -148,6 +149,34 @@ def _float_list(data: dict, key: str, context: str) -> list[float]:
     return [float(v) for v in value]
 
 
+def _reject_unknown(data: dict, allowed, context: str) -> None:
+    """:class:`ConfigError` naming the first key of ``data`` (in sorted
+    order) that is not in ``allowed``."""
+    unknown = sorted(set(data) - set(allowed), key=str)
+    if unknown:
+        raise ConfigError(f"{context}: unknown field {unknown[0]!r} "
+                          f"(expected one of {', '.join(allowed)})")
+
+
+def _reject_unknown_keys(data: dict, params: dict) -> None:
+    """Every map of a config that passed validation holds known keys only:
+    the common fields and the operator's parameters at the top level, the
+    dataclass fields in ``tolerances``, ``iterate`` and ``outputs``, and
+    ``kind`` plus that kind's fields in basis and functional specs (the
+    keys of their parsed form)."""
+    common = [f.name for f in fields(AnalysisConfig) if f.name != "params"]
+    _reject_unknown(data, [*common, *params], "config")
+    for name, settings in (("tolerances", Tolerances), ("iterate", IterateSettings),
+                           ("outputs", OutputFlags)):
+        _reject_unknown(data.get(name, {}), [f.name for f in fields(settings)],
+                        f"config: '{name}'")
+    if data["operator"] == "custom":
+        _reject_unknown(data["basis"], params["basis"], "custom basis")
+        for index, (spec, parsed) in enumerate(zip(data["functionals"],
+                                                   params["functionals"])):
+            _reject_unknown(spec, parsed, f"functional[{index}]")
+
+
 def _parse_operator_params(kind: str, data: dict) -> dict:
     if kind in ("bernstein", "kantorovich"):
         return {"n": _positive_int(data, "n", f"operator '{kind}'")}
@@ -250,6 +279,7 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
         if not isinstance(value, bool):
             raise ConfigError(f"config: output flag '{name}' must be a boolean")
         flags[name] = value
+    _reject_unknown_keys(data, params)
 
     return AnalysisConfig(
         operator=kind,
@@ -364,15 +394,18 @@ class AnalysisReport:
 def run_checks(op: OperatorSpec, config: AnalysisConfig) -> dict[str, CheckResult]:
     """The lemma checks of an operator, in report order, seeded from the
     config. The verification grid of ``config.grid_points`` points is built
-    here once, and every check measures on that one array."""
+    here once and the basis evaluated on it once; every check reads those
+    two arrays."""
     xs = grid(config.grid_points)
+    values = op.basis.values(xs)
     tol = config.tolerances
     return {
-        "partition_of_unity": check_partition_of_unity(op.basis, xs, tol.pou),
-        "positivity": verify_positivity(op, xs, tol=tol.norm, seed=config.seed),
-        "constant_reproduction": verify_constant_reproduction(op, xs, tol.norm),
-        "norm_estimate": verify_norm_bound(op, xs, seed=config.seed + 1, tol=tol.norm),
-        "kernel_residual": kernel_witness_report(op, xs),
+        "partition_of_unity": check_partition_of_unity(values, xs, tol.pou),
+        "positivity": verify_positivity(op, xs, values, tol=tol.norm, seed=config.seed),
+        "constant_reproduction": verify_constant_reproduction(op, xs, values, tol.norm),
+        "norm_estimate": verify_norm_bound(op, xs, values, seed=config.seed + 1,
+                                           tol=tol.norm),
+        "kernel_residual": kernel_witness_report(op, xs, values),
     }
 
 

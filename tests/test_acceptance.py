@@ -174,11 +174,12 @@ def test_criterion_07_lemma_suite():
     worst = {"constant": 0.0, "positivity": np.inf, "norm_low": np.inf,
              "norm_high": 0.0, "adjoint": 0.0, "attain": 0.0}
     for op in operators:
+        values = op.basis.values(GRID)
         worst["constant"] = max(worst["constant"],
-                                verify_constant_reproduction(op, GRID, 1e-10).value)
-        positivity = verify_positivity(op, GRID, trials=100, tol=1e-10, seed=42)
+                                verify_constant_reproduction(op, GRID, values, 1e-10).value)
+        positivity = verify_positivity(op, GRID, values, trials=100, tol=1e-10, seed=42)
         worst["positivity"] = min(worst["positivity"], positivity.value)
-        estimate = estimate_operator_norm(op, GRID, trials=200, seed=43)
+        estimate = estimate_operator_norm(op, GRID, values, trials=200, seed=43)
         worst["norm_low"] = min(worst["norm_low"], estimate)
         worst["norm_high"] = max(worst["norm_high"], estimate)
         constant_ratio = apply_operator(op, ONE).sup_norm(GRID)

@@ -12,6 +12,7 @@ from pouspec.bases import (check_nonnegativity, check_partition_of_unity,
                            clamped_knots, make_bernstein_basis, make_bspline_basis,
                            make_hat_basis, BasisSystem)
 from pouspec.errors import ConfigError
+from pouspec.functions import SampledFunction
 from pouspec.operators import (bernstein_operator, estimate_operator_norm,
                                kernel_witness, kernel_witness_report,
                                verify_constant_reproduction, verify_norm_bound,
@@ -152,51 +153,86 @@ class TestHatBasis:
             make_hat_basis([0.1, 0.5, 1.0])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_hat_basis([0.0, np.nan, 1.0]),
+     "hat basis nodes must be strictly increasing"),
+    (lambda: SampledFunction([0.0, np.nan, 1.0], [0.0, 1.0, 2.0]),
+     "sampled function grid must be strictly increasing"),
+    (lambda: clamped_knots([0.0, np.nan, 1.0], 2),
+     "breakpoints must be strictly increasing"),
+    (lambda: make_bspline_basis([0.0, 0.0, 0.0, np.nan, 1.0, 1.0, 1.0], 2),
+     "knot vector must be nondecreasing"),
+], ids=["hat-nodes", "sampled-grid", "breakpoints", "bspline-knots"])
+def test_nan_in_ordered_points_rejected(build, message):
+    # NaN compares false both ways, so an order test must fail on it.
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
+def _on_grid(basis, grid):
+    return basis.values(grid), grid
+
+
+#: Every check that measures on a grid, called as ``check(op, grid, values)``.
+GRID_CHECKS = {
+    "partition_of_unity": lambda op, grid, values: check_partition_of_unity(values, grid),
+    "nonnegativity": lambda op, grid, values: check_nonnegativity(values, grid),
+    "constant_reproduction": verify_constant_reproduction,
+    "positivity": verify_positivity,
+    "operator_norm": estimate_operator_norm,
+    "norm_bound": verify_norm_bound,
+    "kernel_witness": lambda op, grid, values: kernel_witness(op, grid),
+    "kernel_witness_report": kernel_witness_report,
+}
+
+
 class TestChecks:
     def test_bernstein_partition_passes(self):
         basis = make_bernstein_basis(5)
-        result = check_partition_of_unity(basis, np.linspace(0, 1, 1001), tol=1e-12)
+        result = check_partition_of_unity(*_on_grid(basis, np.linspace(0, 1, 1001)),
+                                          tol=1e-12)
         assert result.passed
 
     def test_scaled_basis_fails_with_deviation(self):
         base = make_bernstein_basis(3)
         shrunk = BasisSystem(lambda xs: 0.9 * base.values(xs), base.n, name="shrunk")
-        result = check_partition_of_unity(shrunk, np.linspace(0, 1, 101), tol=1e-12)
+        result = check_partition_of_unity(*_on_grid(shrunk, np.linspace(0, 1, 101)),
+                                          tol=1e-12)
         assert not result.passed
         assert result.value == pytest.approx(0.1, abs=1e-12)
 
     def test_bspline_partition_on_interior_grid(self):
         basis = make_bspline_basis(clamped_knots([0.0, 0.4, 0.9, 1.0], 3), 3)
-        result = check_partition_of_unity(basis, np.linspace(0, 1, 501), tol=1e-12)
+        result = check_partition_of_unity(*_on_grid(basis, np.linspace(0, 1, 501)),
+                                          tol=1e-12)
         assert result.passed
 
     def test_nonnegativity_pass_and_min_zero(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
-        result = check_nonnegativity(basis, np.linspace(0, 1, 101), tol=0.0)
+        result = check_nonnegativity(*_on_grid(basis, np.linspace(0, 1, 101)), tol=0.0)
         assert result.passed and result.value == 0.0
 
     def test_nonnegativity_detects_violation(self):
         bad = BasisSystem(lambda xs: np.vstack((2 * xs - 1, 2 - 2 * xs)), 2, name="bad")
-        result = check_nonnegativity(bad, np.linspace(0, 1, 101), tol=1e-12)
+        result = check_nonnegativity(*_on_grid(bad, np.linspace(0, 1, 101)), tol=1e-12)
         assert not result.passed
         assert result.value == pytest.approx(-1.0)
         assert result.worst_x == 0.0
 
-    @pytest.mark.parametrize("check", [
-        lambda op, grid: check_partition_of_unity(op.basis, grid),
-        lambda op, grid: check_nonnegativity(op.basis, grid),
-        verify_constant_reproduction,
-        verify_positivity,
-        estimate_operator_norm,
-        verify_norm_bound,
-        kernel_witness,
-        kernel_witness_report,
-    ], ids=["partition_of_unity", "nonnegativity", "constant_reproduction",
-            "positivity", "operator_norm", "norm_bound", "kernel_witness",
-            "kernel_witness_report"])
-    def test_empty_grid_rejected(self, check):
-        with pytest.raises(ConfigError, match="needs a non-empty grid"):
-            check(bernstein_operator(3), np.array([]))
+    @pytest.mark.parametrize("check, grid, columns, message", [
+        *(pytest.param(check, np.array([]), 0, "needs a non-empty grid", id=name)
+          for name, check in GRID_CHECKS.items()),
+        # kernel_witness evaluates the basis itself, so it gets no values.
+        *(pytest.param(check, np.linspace(0, 1, 11), 10,
+                       r"needs basis values of shape \(n, 11\), got \(4, 10\)",
+                       id=f"{name}-mismatched-columns")
+          for name, check in GRID_CHECKS.items() if name != "kernel_witness"),
+    ])
+    def test_empty_grid_rejected(self, check, grid, columns, message):
+        op = bernstein_operator(3)
+        values = op.basis.values(np.linspace(0, 1, columns))
+        with pytest.raises(ConfigError, match=message):
+            check(op, grid, values)
 
     @pytest.mark.parametrize("make", [
         lambda: make_bernstein_basis(4),
@@ -207,5 +243,5 @@ class TestChecks:
     def test_catalog_bases_pou_and_nonneg(self, make):
         basis = make()
         grid = np.linspace(0, 1, 1000)
-        assert check_partition_of_unity(basis, grid, tol=1e-12).passed
+        assert check_partition_of_unity(*_on_grid(basis, grid), tol=1e-12).passed
         assert basis.values(grid).min() >= 0.0

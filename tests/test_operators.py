@@ -184,7 +184,7 @@ class TestPositivityAndNorm:
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_positivity_check(self, op):
-        result = verify_positivity(op, GRID, trials=100, tol=1e-10, seed=3)
+        result = verify_positivity(op, GRID, op.basis.values(GRID), trials=100, tol=1e-10, seed=3)
         assert result.passed, result
 
     def test_doctored_negative_weight_fails(self):
@@ -192,12 +192,12 @@ class TestPositivityAndNorm:
         bad = WeightedQuadratureFunctional([0.2, 0.8], [1.5, -0.5])
         op = OperatorSpec(basis, (DiracFunctional(0.0), bad), name="doctored",
                           validate=False)
-        result = verify_positivity(op, GRID, trials=100, tol=1e-10, seed=3)
+        result = verify_positivity(op, GRID, op.basis.values(GRID), trials=100, tol=1e-10, seed=3)
         assert not result.passed
 
     def test_norm_includes_constant_witness(self):
         op = bernstein_operator(5)
-        estimate = estimate_operator_norm(op, GRID, trials=10, seed=0)
+        estimate = estimate_operator_norm(op, GRID, op.basis.values(GRID), trials=10, seed=0)
         assert 1.0 - 1e-12 <= estimate <= 1.0 + 1e-10
 
     def test_full_sine_has_zero_ratio(self):
@@ -206,12 +206,13 @@ class TestPositivityAndNorm:
         assert tf.sup_norm(GRID) <= 1e-14
 
     def test_kantorovich_norm_bound(self):
-        estimate = estimate_operator_norm(kantorovich_operator(4), GRID, trials=200, seed=7)
+        op = kantorovich_operator(4)
+        estimate = estimate_operator_norm(op, GRID, op.basis.values(GRID), trials=200, seed=7)
         assert 0.5 <= estimate <= 1.0 + 1e-10
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_norm_check(self, op):
-        result = verify_norm_bound(op, GRID, trials=60, seed=5)
+        result = verify_norm_bound(op, GRID, op.basis.values(GRID), trials=60, seed=5)
         assert result.passed, result
 
     @pytest.mark.parametrize("op", catalog_operators()[:4], ids=lambda o: o.name)
@@ -226,11 +227,13 @@ class TestPositivityAndNorm:
 
 class TestConstantReproductionCheck:
     def test_bernstein_tight(self):
-        result = verify_constant_reproduction(bernstein_operator(8), GRID, tol=1e-12)
+        op = bernstein_operator(8)
+        result = verify_constant_reproduction(op, GRID, op.basis.values(GRID), tol=1e-12)
         assert result.passed
 
     def test_kantorovich_with_quadrature(self):
-        result = verify_constant_reproduction(kantorovich_operator(5), GRID, tol=1e-10)
+        op = kantorovich_operator(5)
+        result = verify_constant_reproduction(op, GRID, op.basis.values(GRID), tol=1e-10)
         assert result.passed
 
     def test_scaled_basis_fails(self):
@@ -238,7 +241,7 @@ class TestConstantReproductionCheck:
         shrunk = BasisSystem(lambda xs: 0.99 * base.basis.values(xs), base.basis.n,
                              name="shrunk")
         op = OperatorSpec(shrunk, base.functionals, name="shrunk", validate=False)
-        result = verify_constant_reproduction(op, GRID, tol=1e-10)
+        result = verify_constant_reproduction(op, GRID, op.basis.values(GRID), tol=1e-10)
         assert not result.passed
         assert result.value == pytest.approx(0.01, abs=1e-12)
 
@@ -279,7 +282,7 @@ class TestKernelWitness:
         funcs = (DiracFunctional(0.0), IntervalAverageFunctional(0.25, 0.75),
                  DiracFunctional(1.0))
         op = OperatorSpec(basis, funcs, name="mixed")
-        result = kernel_witness_report(op, GRID)
+        result = kernel_witness_report(op, GRID, op.basis.values(GRID))
         assert not result.passed and result.value is None
         assert "mixed" in result.detail
 

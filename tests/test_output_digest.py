@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,8 @@ import pytest
 from pouspec.cli import main
 from pouspec.report import emit_report, parse_config, report_to_mapping, run_analyze
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "output_digest.py"
 
 
 @pytest.fixture(scope="module")
@@ -48,3 +51,26 @@ def test_without_timings_cuts_only_timings(digest):
     # Only the tail is cut: everything before the timings map is untouched.
     assert cut.endswith("\n}\n") and text.startswith(cut[:-len("\n}\n")])
     assert digest.without_timings(cut) == cut
+
+
+def _crash(argv):
+    raise RuntimeError("analysis crashed")
+
+
+@pytest.mark.parametrize("analyze, status", [(main, 0), (_crash, 1)],
+                         ids=["clean", "raised"])
+def test_main_fails_on_a_raised_config(digest, monkeypatch, capsys, analyze, status):
+    # A one-entry pool, so only the exit status and the printed line matter.
+    entry = types.SimpleNamespace(text=lambda: '{"operator": "kantorovich", "n": 2}\n')
+    workloads = types.ModuleType("perfbench.workloads")
+    workloads.WORKLOADS = ("only",)
+    workloads.pool = lambda workload: {"entry-0": entry}
+    monkeypatch.setitem(sys.modules, "perfbench.workloads", workloads)
+    monkeypatch.setattr(digest, "import_main", lambda src: analyze)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in digest.THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    assert digest.main([str(ROOT / "src")]) == status
+    (line,) = capsys.readouterr().out.splitlines()
+    expected = "exit=raised:RuntimeError " if status else "exit=0 json="
+    assert line.startswith(f"only entry-0 {expected}")

@@ -132,8 +132,9 @@ class TestRunAnalyze:
 
     @pytest.mark.parametrize("n", [5, 60])
     def test_basis_evaluated_once_per_point_set(self, monkeypatch, n):
-        # Two build-time basis checks, five lemma checks with one grid
-        # evaluation each, and one block of collocation nodes, whatever n.
+        # One evaluation on the validation grid, one on the verification grid
+        # (both the default 1001 points) and one on the block of collocation
+        # nodes, whatever n.
         calls = []
         values = BasisSystem.values
 
@@ -143,7 +144,7 @@ class TestRunAnalyze:
 
         monkeypatch.setattr(BasisSystem, "values", counted)
         run_analyze(parse_config(f'{{"operator": "bernstein", "n": {n}}}'))
-        assert len(calls) <= 8
+        assert calls == [1001, 1001, n + 1]
 
     @pytest.mark.parametrize("text", [
         '{"operator": "kantorovich", "n": 3, "grid_points": 97}',
@@ -152,7 +153,8 @@ class TestRunAnalyze:
     ], ids=["kantorovich-3", "schoenberg-cubic"])
     def test_config_grid_reaches_every_check(self, monkeypatch, text):
         # The values of these operators' checks are the same on 97 and 1001
-        # points, so each check's grid argument is compared, not only results.
+        # points, so each check's grid argument is compared, not only results;
+        # all five read one array of basis values on that grid.
         config = parse_config(text)
         expected = np.linspace(0.0, 1.0, 97)
         received = {}
@@ -162,28 +164,33 @@ class TestRunAnalyze:
                      "kernel_witness_report"):
             originals[name] = getattr(report_module, name)
 
-            def recording(subject, grid, *args, _name=name, **kwargs):
-                received[_name] = grid
-                return originals[_name](subject, grid, *args, **kwargs)
+            def recording(*args, _name=name, **kwargs):
+                received[_name] = args
+                return originals[_name](*args, **kwargs)
 
             monkeypatch.setattr(report_module, name, recording)
         report = run_analyze(config)
         assert set(received) == set(originals)
-        for name, grid in received.items():
+        shared, pou_grid = received.pop("check_partition_of_unity")[:2]
+        nptest.assert_array_equal(pou_grid, expected)
+        for name, (_, grid, values, *_) in received.items():
             nptest.assert_array_equal(grid, expected, err_msg=name)
+            assert values is shared, name
 
         op = build_operator(config)
+        values = op.basis.values(expected)
+        nptest.assert_array_equal(shared, values)
         tol = config.tolerances
         assert report.checks == {
             "partition_of_unity": originals["check_partition_of_unity"](
-                op.basis, expected, tol.pou),
+                values, expected, tol.pou),
             "positivity": originals["verify_positivity"](
-                op, expected, trials=100, tol=tol.norm, seed=config.seed),
+                op, expected, values, trials=100, tol=tol.norm, seed=config.seed),
             "constant_reproduction": originals["verify_constant_reproduction"](
-                op, expected, tol.norm),
+                op, expected, values, tol.norm),
             "norm_estimate": originals["verify_norm_bound"](
-                op, expected, trials=200, seed=config.seed + 1, tol=tol.norm),
-            "kernel_residual": originals["kernel_witness_report"](op, expected),
+                op, expected, values, trials=200, seed=config.seed + 1, tol=tol.norm),
+            "kernel_residual": originals["kernel_witness_report"](op, expected, values),
         }
 
     def test_mapping_key_paths(self):
@@ -452,6 +459,23 @@ class TestCli:
              "unsupported config version True"),
             (json.dumps({"operator": "kantorovich", "n": 2, "iterate": {"m_max": 10**4000}}),
              "iterate 'm_max' must be an integer in [2, 1073741824]"),
+            ('{"operator": "bernstein", "n": 3, "grid_point": 11, "tolerence": {"pou": 1e-9}}',
+             "config: unknown field 'grid_point'"),
+            ('{"operator": "bernstein", "n": 3, "degree": 2}',
+             "config: unknown field 'degree'"),
+            ('{"operator": "bernstein", "n": 3, "tolerances": {"pu": 1e-9}}',
+             "config: 'tolerances': unknown field 'pu'"),
+            ('{"operator": "bernstein", "n": 3, "iterate": {"mmax": 8}}',
+             "config: 'iterate': unknown field 'mmax'"),
+            ('{"operator": "bernstein", "n": 3, "outputs": {"jsn": true}}',
+             "config: 'outputs': unknown field 'jsn'"),
+            (_hat_custom([{"kind": "dirac", "x": 0.0, "a": 0.0}, {"kind": "dirac", "x": 1.0}]),
+             "functional[0]: unknown field 'a'"),
+            (json.dumps({"operator": "custom",
+                         "basis": {"kind": "hat", "nodes": [0.0, 1.0], "n": 1},
+                         "functionals": [{"kind": "dirac", "x": 0.0},
+                                         {"kind": "dirac", "x": 1.0}]}),
+             "custom basis: unknown field 'n'"),
         ]),
         (KANT1_CONFIG, "'seed' must be an integer >= 0, got -1", ["verify", "--seed", "-1"]),
     ], ids=["n-zero", "nan-tolerance", "infinite-norm-tolerance", "nan-iterate-tol",
@@ -460,6 +484,8 @@ class TestCli:
             "knots-past-one", "custom-knots-below-zero", "negative-quadrature-weight",
             "negative-seed", "boolean-tolerance", "boolean-dirac", "huge-integer-dirac",
             "huge-integer-node", "string-node", "boolean-version", "huge-m-max",
+            "unknown-top-level-key", "other-kind-parameter", "unknown-tolerance",
+            "unknown-iterate-key", "unknown-output-flag", "dirac-with-a", "hat-basis-with-n",
             "negative-seed-override"])
     def test_bad_config_exits_two(self, tmp_path, capsys, text, named, command):
         config = tmp_path / "bad.json"

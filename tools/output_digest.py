@@ -13,6 +13,10 @@ digits) of the JSON report without its ``timings`` map, the CSV, the SVG,
 stdout and stderr; ``-`` marks an output that was not written. Run it on
 two checkouts and ``diff`` the files: equal files mean byte-identical
 output on the whole pool.
+
+The exit status is 1 when any config ended in an exception that
+``pouspec.cli.main`` let through (a line reading ``exit=raised:``), else 0;
+every line is printed either way.
 """
 
 from __future__ import annotations
@@ -99,11 +103,14 @@ def main(argv: list[str] | None = None) -> int:
     from perfbench.workloads import WORKLOADS, pool
 
     analyze = import_main(src)
+    raised = False
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for workload in WORKLOADS:
             for entry_id, entry in pool(workload).items():
-                print(f"{workload} {entry_id} {run_one(analyze, entry.text())}", flush=True)
-    return 0
+                line = run_one(analyze, entry.text())
+                raised |= line.startswith("exit=raised:")
+                print(f"{workload} {entry_id} {line}", flush=True)
+    return 1 if raised else 0
 
 
 if __name__ == "__main__":
