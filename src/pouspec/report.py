@@ -476,7 +476,7 @@ def _format_number(x: float) -> str:
 
 
 def _json_fragment(obj: Any, indent: int, level: int) -> str:
-    if type(obj) is float:  # the n^2 matrix entries: test the common case first
+    if type(obj) is float:  # eigenvalue parts, disks, check values: the commonest scalar
         return _format_number(obj)
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
@@ -493,8 +493,15 @@ def _json_fragment(obj: Any, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{inner}{_json_fragment(v, indent, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            # A row of the matrix or a list of nodes: one template for the
+            # whole row. The sum is finite only when every item is, so a
+            # NaN or inf takes the per-item path below and its error.
+            body = ",\n".join([inner + "%.17g"] * len(obj)) % tuple(obj)
+        else:
+            body = ",\n".join([f"{inner}{_json_fragment(v, indent, level + 1)}"
+                                for v in obj])
+        return "[\n" + body + f"\n{pad}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -505,7 +512,11 @@ def _json_fragment(obj: Any, indent: int, level: int) -> str:
 
 
 def dumps_json(obj: Any, indent: int = 2) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits.
+
+    A list whose items are all finite Python floats (a matrix row) is
+    formatted with one ``"%.17g"`` template for the whole row; it gives the
+    same bytes as formatting each item on its own."""
     return _json_fragment(obj, indent, 0) + "\n"
 
 

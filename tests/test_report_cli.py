@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import numpy.testing as nptest
 import pytest
 import scipy.linalg
+
+from helpers import dumps_json_oracle
 
 import pouspec.report as report_module
 from pouspec.bases import BasisSystem
@@ -232,6 +235,43 @@ class TestEmit:
             entries = report_to_mapping(report)["matrix"]["entries"]
             assert all(type(x) is float for row in entries for x in row)
 
+    @pytest.mark.parametrize("text", [
+        '{"operator": "bernstein", "n": 4}',
+        '{"operator": "kantorovich", "n": 3}',
+        json.dumps({"operator": "schoenberg", "degree": 2,
+                    "knots": [0.0] * 3 + [0.3, 0.6] + [1.0] * 3}),
+        '{"operator": "hat-dirac", "nodes": [0, 0.2, 0.7, 1]}',
+        _hat_average_config(6),
+        SWAP_CONFIG,
+        json.dumps({"operator": "custom", "basis": {"kind": "hat", "nodes": [0, 0.4, 1]},
+                    "functionals": [{"kind": "dirac", "x": 0.0},
+                                    {"kind": "interval-average", "a": 0.2, "b": 0.7},
+                                    {"kind": "dirac", "x": 1.0}]}),
+    ], ids=["bernstein", "kantorovich", "schoenberg", "hat-dirac", "custom",
+            "custom-swap", "custom-mixed"])
+    def test_json_layout_matches_json_dumps_oracle(self, text):
+        mapping = report_to_mapping(run_analyze(parse_config(text)))
+        assert dumps_json(mapping) == dumps_json_oracle(mapping)
+
+    def test_matrix_rows_formatted_without_per_item_calls(self, monkeypatch):
+        # Each matrix row (and the config's node list) goes through one
+        # template; what is formatted one at a time is the eigenvalue and
+        # disk scalars (5 per row) and a fixed number of check values,
+        # timings and tolerances. Before the template: n^2 + 6n + 26.
+        n = 300
+        report = run_analyze(parse_config(json.dumps(
+            {"operator": "hat-dirac", "nodes": np.linspace(0.0, 1.0, n).tolist()})))
+        calls = []
+        format_number = report_module._format_number
+
+        def counted(x):
+            calls.append(x)
+            return format_number(x)
+
+        monkeypatch.setattr(report_module, "_format_number", counted)
+        emit_report(report, "json")
+        assert len(calls) <= 5 * n + 50
+
     def test_csv_leading_row_is_eigenvalue_one(self, kant1_report):
         lines = emit_report(kant1_report, "csv").splitlines()
         assert lines[0] == "index,re,im,modulus,in_disk_union"
@@ -335,6 +375,26 @@ class TestSerializer:
         assert _dumped_items(items) == ["0.10000000000000001", "0.10000000149011612",
                                         "9007199254740993", "-3", "true", "false"]
 
+    def test_mixed_float_and_float64_row_keeps_its_text(self):
+        items = [0.1, np.float64(0.1), 1.0 / 3.0, np.float64(1.0 / 3.0), -0.0]
+        assert _dumped_items(items) == ["0.10000000000000001", "0.10000000000000001",
+                                        "0.33333333333333331", "0.33333333333333331",
+                                        "-0"]
+
+    @pytest.mark.parametrize("obj", [
+        [], [[]], {"a": [], "b": {}}, [[], [0.5]],
+        [0.5], [[0.5]], {"row": [0.25]},
+        [-0.0, 5e-324, 1e300], [[1.0, -0.0], [5e-324, 1e300], [0.1, 1.0 / 3.0]],
+        [[0.5, np.float64(0.25), 1, True], [np.float64(0.1), 0.1],
+         [2 ** 53 + 1, 0.5], [False, 0.5], [np.float32(0.1), np.int64(-3), 0.5]],
+        {"m": {"entries": [[0.75, 0.25], [0.25, 0.75]], "dev": 0.0},
+         "rows": [{"re": 1.0, "ok": True, "note": "x"}], "n": None},
+    ], ids=["empty", "empty-row", "empty-containers", "empty-and-one", "one-item",
+            "one-item-row", "one-item-in-dict", "edge-row", "edge-matrix", "mixed-rows",
+            "report-shape"])
+    def test_layout_matches_json_dumps_oracle(self, obj):
+        assert dumps_json(obj) == dumps_json_oracle(obj)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=repr)
     @pytest.mark.parametrize("place", [
         lambda x: x,
@@ -343,7 +403,10 @@ class TestSerializer:
         lambda x: [0.5, 0.25, x],
         lambda x: {"matrix": {"entries": [[0.5, 0.5], [0.25, x]]}},
         lambda x: np.float64(x),
-    ], ids=["scalar", "list-first", "list-middle", "list-last", "nested-matrix", "float64"])
+        lambda x: [0.5, x, float("-inf") if math.isnan(x) else float("nan")],
+        lambda x: [0.5] * 299 + [x],
+    ], ids=["scalar", "list-first", "list-middle", "list-last", "nested-matrix", "float64",
+            "row-two-bad", "row-300-last"])
     def test_non_finite_rejected(self, bad, place):
         with pytest.raises(ValueError,
                            match=rf"^cannot serialize non-finite number {bad!r}$"):
