@@ -11,9 +11,15 @@ The verification helpers measure, on a grid the caller passes in and with
 seeded random test functions: constant reproduction, positivity, the unit
 operator norm and an explicit nonzero kernel witness. Each takes the grid
 and ``values``, the basis evaluated on it once by the caller (shape
-``(n, len(grid))``), and reads ``Tf`` on the grid as
-``coefficient_vector(op, f) @ values``; none evaluates the basis itself.
-The adjoint pairing identity is checked at seeded random functionals
+``(n, len(grid))``); none evaluates the basis itself. The positivity and
+norm checks draw all their test functions first, then work through them in
+blocks of at most ``TRIAL_BLOCK_VALUES`` values: one
+:func:`~pouspec.functions.values_block` on the joined nodes (the norm check
+adds the grid), the coefficients of the whole block by one
+``np.add.reduceat`` along its rows, and the images on the grid by one
+stacked product, one matrix-vector product per row. Each result has the
+bits of ``coefficient_vector(op, f) @ values`` taken one function at a
+time. The adjoint pairing identity is checked at seeded random functionals
 instead.
 """
 
@@ -30,7 +36,8 @@ from .bases import (BasisSystem, DEFAULT_GRID_POINTS, check_nonnegativity,
 from .checks import CheckResult, nonempty_grid
 from .errors import ConfigError, NotConstructibleError
 from .functions import (BasisCombination, ClosedForm, Function, ONE, grid,
-                        random_function, require_in_domain)
+                        outside_domain, random_function, require_in_domain,
+                        values_block)
 from .functionals import (DiracFunctional, Functional, IntervalAverageFunctional,
                           WeightedQuadratureFunctional,
                           check_functional_normalization,
@@ -41,6 +48,13 @@ WITNESS_RESIDUAL_TOL = 1e-10
 
 #: Minimal sup norm a kernel witness must have (it is nonzero by a margin).
 WITNESS_MIN_NORM = 0.5
+
+#: Most values (test functions times points) the positivity and norm checks
+#: hold in one block, 64 KB of float64; a block always holds at least one
+#: test function. Smaller blocks pay more Python overhead per function;
+#: larger ones raise peak memory: against 2**13, the benchmark's
+#: catalog-sweep measured +0.4 MB of peak RSS at 2**14 and +4.7 MB at 2**18.
+TRIAL_BLOCK_VALUES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -94,17 +108,43 @@ class OperatorSpec:
                 raise ConfigError(
                     f"{self.name}: basis takes negative values "
                     f"({nn.value:.3e} at x={nn.worst_x:.6g})")
-            for k, functional in enumerate(self.functionals):
-                who = f"{self.name}: functional {k} ({functional.name})"
-                require_in_domain(functional.nodes, who)
+            # Functional k is checked for its nodes, then for its mass, in
+            # order of k: the first functional with a node outside [0, 1]
+            # raises after the normalization of those before it.
+            outside = _first_functional_outside_domain(self)
+            for k, functional in enumerate(self.functionals[:outside]):
                 norm = check_functional_normalization(functional)
                 if not norm.passed:
-                    raise ConfigError(f"{who} is not a nonnegative rule of unit mass "
+                    raise ConfigError(f"{self.name}: functional {k} ({functional.name}) "
+                                      f"is not a nonnegative rule of unit mass "
                                       f"({norm.detail})")
+            if outside < self.n:
+                _require_nodes_in_domain(self)
 
     @property
     def n(self) -> int:
         return self.basis.n
+
+
+def _first_functional_outside_domain(op: OperatorSpec) -> int:
+    """Index of the first functional with a node outside [0, 1], or ``op.n``
+    when there is none, from one domain test over the joined nodes."""
+    outside = outside_domain(op.nodes)
+    if not outside.any():
+        return op.n
+    return int(np.searchsorted(op.starts, np.argmax(outside), side="right")) - 1
+
+
+def _require_nodes_in_domain(op: OperatorSpec, context: str = "") -> None:
+    """Raise :class:`DomainError` when a node of ``op`` lies outside [0, 1],
+    naming ``context``, the operator, the first such functional ``k`` and
+    its first node outside, as in ``"positivity check, bernstein(n=3):
+    functional 2 (dirac(1.5)): x=1.5 outside domain [0.0, 1.0]"``."""
+    k = _first_functional_outside_domain(op)
+    if k < op.n:
+        functional = op.functionals[k]
+        require_in_domain(functional.nodes,
+                          f"{context}{op.name}: functional {k} ({functional.name})")
 
 
 # --------------------------------------------------------------------------
@@ -199,29 +239,53 @@ def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray, values: np.
                                  tol: float = WITNESS_RESIDUAL_TOL) -> CheckResult:
     """Max deviation of ``T1`` from one on the grid."""
     grid = nonempty_grid(grid, values, "constant-reproduction")
+    _require_nodes_in_domain(op, "constant-reproduction check, ")
     return CheckResult.deviation_from_one(
         "constant_reproduction", coefficient_vector(op, ONE) @ values, grid, tol)
+
+
+def _trial_blocks(functions: list[Function], width: int):
+    """Consecutive slices of ``functions`` holding at most
+    ``TRIAL_BLOCK_VALUES // width`` functions, and at least one."""
+    step = max(1, TRIAL_BLOCK_VALUES // width)
+    return (functions[i:i + step] for i in range(0, len(functions), step))
+
+
+def _block_images(op: OperatorSpec, on_nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``Tf`` on the grid for each row of ``on_nodes``, the functions' values
+    on ``op.nodes`` (overwritten). Row ``i`` has the bits of
+    ``coefficient_vector(op, f_i) @ values``: ``reduceat`` along the rows sums
+    each functional's nodes in the same order, and numpy runs the stacked
+    product as one matrix-vector product per row. (One ``coeffs @ values``
+    matrix product would not give the same bits.)"""
+    on_nodes *= op.weights
+    coeffs = np.add.reduceat(on_nodes, op.starts, axis=1)
+    return (coeffs[:, None, :] @ values)[:, 0]
 
 
 def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
                       trials: int = 100, tol: float = WITNESS_RESIDUAL_TOL,
                       seed: int = 42) -> CheckResult:
-    """Minimum of ``Tf`` over the grid across seeded nonnegative ``f``."""
+    """Minimum of ``Tf`` over the grid across seeded nonnegative ``f``; the
+    first trial to reach the minimum names it."""
     grid = nonempty_grid(grid, values, "positivity")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    _require_nodes_in_domain(op, "positivity check, ")
     rng = np.random.default_rng(seed)
+    samples = [random_function(rng, nonnegative=True) for _ in range(trials)]
     worst_val = np.inf
     worst_x = None
     worst_name = ""
-    for _ in range(trials):
-        f = random_function(rng, nonnegative=True)
-        image = coefficient_vector(op, f) @ values
-        j = int(np.argmin(image))
-        if image[j] < worst_val:
-            worst_val = float(image[j])
-            worst_x = float(grid[j])
-            worst_name = f.name
+    for block in _trial_blocks(samples, max(op.nodes.size, grid.size)):
+        images = _block_images(op, values_block(block, op.nodes), values)
+        cols = np.argmin(images, axis=1)
+        mins = images[np.arange(len(block)), cols]
+        k = int(np.argmin(mins))
+        if mins[k] < worst_val:
+            worst_val = float(mins[k])
+            worst_x = float(grid[cols[k]])
+            worst_name = block[k].name
     return CheckResult(
         name="positivity",
         passed=bool(worst_val >= -tol),
@@ -235,21 +299,30 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
 def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
                            trials: int = 200, seed: int = 42) -> float:
     """Max of ``||Tf||_inf / ||f||_inf`` over the constant one plus seeded
-    random test functions (sup norms on the grid). The constant attains the
-    exact norm 1, so the estimate is a tight lower bound of it."""
+    random test functions (sup norms on the grid); a function with
+    ``||f||_inf < 1e-12`` is skipped. The constant attains the exact norm 1,
+    so the estimate is a tight lower bound of it. Each block of functions
+    is evaluated once, on the joined nodes followed by the grid."""
     grid = nonempty_grid(grid, values, "norm-estimate")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    require_in_domain(grid, "norm-estimate check grid")
+    _require_nodes_in_domain(op, "norm-estimate check, ")
     rng = np.random.default_rng(seed)
-    best = 0.0
     samples: list[Function] = [ONE]
     samples.extend(random_function(rng) for _ in range(trials))
-    for f in samples:
-        denom = f.sup_norm(grid)
-        if denom < 1e-12:
-            continue
-        image = coefficient_vector(op, f) @ values
-        best = max(best, float(np.max(np.abs(image))) / denom)
+    points = np.concatenate((op.nodes, grid))
+    nodes = op.nodes.size
+    best = 0.0
+    for block in _trial_blocks(samples, points.size):
+        block_values = values_block(block, points)
+        on_grid = block_values[:, nodes:]
+        denom = np.abs(on_grid, out=on_grid).max(axis=1)
+        keep = denom >= 1e-12
+        images = _block_images(op, block_values[keep, :nodes], values)
+        np.abs(images, out=images)
+        ratios = images.max(axis=1) / denom[keep]
+        best = float(np.max(ratios, initial=best))
     return float(best)
 
 

@@ -10,6 +10,10 @@ from itertools import accumulate
 
 import numpy as np
 
+from pouspec.checks import CheckResult
+from pouspec.functions import ONE, Polynomial, SampledFunction, Wave, random_function
+from pouspec.operators import coefficient_vector
+
 
 def random_stochastic(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random row-stochastic matrix: each row uniform on the simplex."""
@@ -150,3 +154,65 @@ def dumps_json_oracle(obj) -> str:
     text = json.dumps(stand_in(obj), indent=2)
     return re.sub(r'"<float (\d+)>"', lambda m: "%.17g" % floats[int(m.group(1))],
                   text) + "\n"
+
+
+def positivity_oracle(op, grid: np.ndarray, values: np.ndarray, trials: int = 100,
+                      tol: float = 1e-10, seed: int = 42) -> CheckResult:
+    """``verify_positivity`` one test function at a time: ``Tf`` on the grid
+    as ``coefficient_vector(op, f) @ values`` per draw, the first trial to
+    reach the minimum naming it."""
+    rng = np.random.default_rng(seed)
+    worst_val = np.inf
+    worst_x = None
+    worst_name = ""
+    for _ in range(trials):
+        f = random_function(rng, nonnegative=True)
+        image = coefficient_vector(op, f) @ values
+        j = int(np.argmin(image))
+        if image[j] < worst_val:
+            worst_val = float(image[j])
+            worst_x = float(grid[j])
+            worst_name = f.name
+    return CheckResult(
+        name="positivity",
+        passed=bool(worst_val >= -tol),
+        value=worst_val,
+        threshold=tol,
+        worst_x=worst_x,
+        detail=f"worst over {trials} nonnegative samples, at f = {worst_name}",
+    )
+
+
+def norm_estimate_oracle(op, grid: np.ndarray, values: np.ndarray, trials: int = 200,
+                         seed: int = 42) -> float:
+    """``estimate_operator_norm`` one test function at a time: the constant
+    one, then each draw, skipping ``||f|| < 1e-12``, with ``||f||`` and
+    ``Tf`` from separate evaluations on the grid and on the nodes."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    samples = [ONE]
+    samples.extend(random_function(rng) for _ in range(trials))
+    for f in samples:
+        denom = f.sup_norm(grid)
+        if denom < 1e-12:
+            continue
+        image = coefficient_vector(op, f) @ values
+        best = max(best, float(np.max(np.abs(image))) / denom)
+    return float(best)
+
+
+def catalog_values_oracle(f, xs: np.ndarray) -> np.ndarray:
+    """A random-catalog function on ``xs`` by its own one-dimensional
+    formula, from its parameters: Horner from ``full(c[-1])`` for a
+    polynomial, ``offset + amplitude * trig(omega * xs)`` for a wave,
+    ``np.interp`` for sampled data."""
+    if isinstance(f, Polynomial):
+        c = f.coefficients
+        out = np.full_like(xs, c[-1])
+        for a in c[-2::-1]:
+            out = out * xs + a
+        return out
+    if isinstance(f, Wave):
+        return f.offset + f.amplitude * f.trig(f.omega * xs)
+    assert isinstance(f, SampledFunction), f
+    return np.interp(xs, f.xs, f.ys)

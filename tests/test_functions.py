@@ -7,10 +7,12 @@ import numpy.testing as nptest
 import pytest
 
 from pouspec.errors import ConfigError, DomainError
-from pouspec.functions import (BasisCombination, SampledFunction, constant,
-                               cosine_wave, exponential, grid, monomial, polynomial,
-                               random_function, sine_wave)
+from pouspec.functions import (DOMAIN_SLACK, ONE, BasisCombination, SampledFunction,
+                               constant, cosine_wave, exponential, grid, monomial,
+                               polynomial, random_function, sine_wave, values_block)
 from pouspec.bases import make_hat_basis
+
+from helpers import catalog_values_oracle
 
 
 def test_grid_endpoints():
@@ -107,3 +109,41 @@ class TestRandomCatalog:
             values = f.values(xs)
             assert values.shape == xs.shape
             assert np.all(np.isfinite(values))
+
+
+class TestValuesBlock:
+    #: The verification grid, scattered nodes, and both ends just outside
+    #: [0, 1] but inside DOMAIN_SLACK.
+    XS = np.concatenate((grid(1001), np.random.default_rng(0).uniform(size=300),
+                         [-1e-13, 1.0 + 1e-13]))
+
+    def test_points_reach_past_both_ends(self):
+        assert -DOMAIN_SLACK < self.XS.min() < 0.0 and 1.0 < self.XS.max() < 1.0 + DOMAIN_SLACK
+
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    def test_rows_equal_single_draws_bit_for_bit(self, nonnegative):
+        for seed in range(50):
+            block_rng = np.random.default_rng(seed)
+            block = [ONE] + [random_function(block_rng, nonnegative) for _ in range(40)]
+            rows = values_block(block, self.XS)
+            single_rng = np.random.default_rng(seed)
+            for row, f in zip(rows[1:], block[1:]):
+                single = random_function(single_rng, nonnegative)
+                assert f.name == single.name
+                assert row.tobytes() == single.values(self.XS).tobytes(), single.name
+                assert row.tobytes() == catalog_values_oracle(single, self.XS).tobytes()
+            assert block_rng.bit_generator.state == single_rng.bit_generator.state
+            assert rows[0].tobytes() == np.ones_like(self.XS).tobytes()
+
+    def test_draws_cover_every_kind(self):
+        rng = np.random.default_rng(1)
+        names = {type(random_function(rng, nonnegative)).__name__
+                 for nonnegative in (False, True) for _ in range(100)}
+        assert names == {"Polynomial", "SineWave", "CosineWave", "SampledFunction"}
+
+    def test_other_functions_by_their_own_values(self):
+        xs = np.linspace(0.0, 1.0, 11)
+        functions = [exponential(), polynomial([1.0, 2.0]), monomial(3), exponential()]
+        rows = values_block(functions, xs)
+        for row, f in zip(rows, functions):
+            assert row.tobytes() == f.values(xs).tobytes()

@@ -6,13 +6,14 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from pouspec.bases import BasisSystem, clamped_knots, make_bernstein_basis, make_hat_basis
-from pouspec.errors import ConfigError, NotConstructibleError
+from pouspec.bases import (BasisSystem, clamped_knots, make_bernstein_basis,
+                           make_bspline_basis, make_hat_basis)
+from pouspec.errors import ConfigError, DomainError, NotConstructibleError
 from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
                                  WeightedQuadratureFunctional,
                                  make_kantorovich_functionals)
-from pouspec.functions import ONE, SampledFunction, monomial, random_function, \
-    scaled, sine_wave
+from pouspec.functions import ONE, Function, SampledFunction, grid, monomial, \
+    random_function, scaled, sine_wave
 from pouspec.operators import (OperatorSpec, apply_adjoint, apply_operator,
                                bernstein_operator, coefficient_vector,
                                estimate_operator_norm, greville_abscissae,
@@ -22,6 +23,8 @@ from pouspec.operators import (OperatorSpec, apply_adjoint, apply_operator,
                                verify_adjoint_identity,
                                verify_constant_reproduction, verify_norm_bound,
                                verify_positivity)
+
+from helpers import norm_estimate_oracle, positivity_oracle
 
 GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -56,6 +59,24 @@ class TestConstruction:
         bad = WeightedQuadratureFunctional([0.3], [0.9])
         with pytest.raises(ConfigError):
             OperatorSpec(basis, (DiracFunctional(0.0), bad))
+
+    def test_validation_names_first_functional_outside_domain(self):
+        funcs = (DiracFunctional(0.0), DiracFunctional(1.5), DiracFunctional(-0.5))
+        with pytest.raises(DomainError) as err:
+            OperatorSpec(make_hat_basis([0.0, 0.5, 1.0]), funcs, name="far")
+        assert str(err.value) == "far: functional 1 (dirac(1.5)): x=1.5 outside domain [0.0, 1.0]"
+
+    @pytest.mark.parametrize("bad_first, error", [
+        ("mass", ConfigError), ("domain", DomainError),
+    ])
+    def test_validation_checks_functionals_in_order(self, bad_first, error):
+        # Functional k's nodes, then its mass, in order of k: the first
+        # faulty functional decides which error is raised.
+        denormalized = WeightedQuadratureFunctional([0.3], [0.9])
+        outside = DiracFunctional(1.5)
+        funcs = (denormalized, outside) if bad_first == "mass" else (outside, denormalized)
+        with pytest.raises(error, match="functional 0 "):
+            OperatorSpec(make_hat_basis([0.0, 1.0]), funcs)
 
     def test_validate_false_allows_doctored(self):
         basis = make_hat_basis([0.0, 1.0])
@@ -223,6 +244,96 @@ class TestPositivityAndNorm:
                 for _ in range(2 * op.n)]
         sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
         assert sv[op.n:].max(initial=0.0) <= 1e-8 * sv[0]
+
+
+def block_check_operators():
+    """Every catalog kind, a hat basis with cell averages, a crossed-Dirac
+    derangement, mixed Dirac/average functionals, cell averages on a
+    B-spline basis (whose values come out F-ordered), and a doctored
+    operator with zero weights."""
+    hat_nodes = [0.0, 0.15, 0.4, 0.75, 1.0]
+    edges = np.concatenate(([0.0], np.convolve(hat_nodes, [0.5, 0.5], "valid"), [1.0]))
+    averages = tuple(IntervalAverageFunctional(a, b) for a, b in zip(edges, edges[1:]))
+    knots = clamped_knots([0.0, 0.3, 0.55, 1.0], 3)
+    spline_edges = np.linspace(0.0, 1.0, 7)
+    return [
+        bernstein_operator(7),
+        kantorovich_operator(6),
+        schoenberg_operator(knots, 3),
+        hat_dirac_operator(hat_nodes),
+        OperatorSpec(make_hat_basis(hat_nodes), averages, name="hat-average"),
+        OperatorSpec(make_hat_basis(hat_nodes),
+                     tuple(DiracFunctional(x) for x in np.roll(hat_nodes, 2)),
+                     name="custom-swap"),
+        OperatorSpec(make_hat_basis(hat_nodes),
+                     tuple(DiracFunctional(x) if k % 2 == 0 else a
+                           for k, (x, a) in enumerate(zip(hat_nodes, averages))),
+                     name="custom-mixed"),
+        OperatorSpec(make_bspline_basis(knots, 3),
+                     tuple(IntervalAverageFunctional(a, b)
+                           for a, b in zip(spline_edges, spline_edges[1:])),
+                     name="bspline-average"),
+        # T = 0: every test function ties at the minimum 0.
+        OperatorSpec(make_hat_basis([0.0, 1.0]),
+                     (WeightedQuadratureFunctional([0.5], [0.0]),) * 2,
+                     name="zero-weights", validate=False),
+    ]
+
+
+class TestBlockChecks:
+    """The positivity and norm checks, run on blocks of test functions,
+    against the same checks run one function at a time."""
+
+    def test_operators_cover_f_ordered_values(self):
+        layouts = {op.basis.values(GRID).flags.c_contiguous for op in block_check_operators()}
+        assert layouts == {True, False}
+
+    # At 20001 points one test function has more values than a block holds
+    # (operators.TRIAL_BLOCK_VALUES), so each block holds one test function.
+    @pytest.mark.parametrize("trials", [1, 7, 100, 200])
+    @pytest.mark.parametrize("points", [11, 97, 1001, 20001])
+    @pytest.mark.parametrize("op", block_check_operators(), ids=lambda o: o.name)
+    def test_equal_to_one_trial_at_a_time(self, op, points, trials):
+        xs = grid(points)
+        values = op.basis.values(xs)
+        assert verify_positivity(op, xs, values, trials=trials, seed=points) == \
+            positivity_oracle(op, xs, values, trials=trials, seed=points)
+        assert estimate_operator_norm(op, xs, values, trials=trials, seed=points + 1) == \
+            norm_estimate_oracle(op, xs, values, trials=trials, seed=points + 1)
+
+    def test_checks_make_no_single_function_evaluation(self, monkeypatch):
+        calls = []
+        values = Function.values
+        monkeypatch.setattr(Function, "values",
+                            lambda self, xs: calls.append(self.name) or values(self, xs))
+        op = kantorovich_operator(4)
+        basis_values = op.basis.values(GRID)
+        verify_positivity(op, GRID, basis_values)
+        estimate_operator_norm(op, GRID, basis_values)
+        verify_norm_bound(op, GRID, basis_values)
+        assert calls == []
+
+    @pytest.mark.parametrize("check, context", [
+        (verify_positivity, "positivity check"),
+        (estimate_operator_norm, "norm-estimate check"),
+        (verify_constant_reproduction, "constant-reproduction check"),
+    ], ids=["positivity", "norm-estimate", "constant-reproduction"])
+    def test_node_outside_domain_names_check_operator_and_functional(self, check, context):
+        funcs = (DiracFunctional(0.0),
+                 WeightedQuadratureFunctional([0.5, 1.25, 1.5], [0.2, 0.4, 0.4]),
+                 DiracFunctional(1.5))
+        op = OperatorSpec(make_hat_basis([0.0, 0.5, 1.0]), funcs, name="doctored",
+                          validate=False)
+        with pytest.raises(DomainError) as err:
+            check(op, GRID, op.basis.values(GRID))
+        assert str(err.value) == (f"{context}, doctored: functional 1 (quad(3 nodes)): "
+                                  f"x=1.25 outside domain [0.0, 1.0]")
+
+    def test_norm_grid_outside_domain_rejected(self):
+        op = bernstein_operator(2)
+        xs = np.array([0.0, 0.5, 1.5])
+        with pytest.raises(DomainError, match=r"^norm-estimate check grid: x=1.5 outside"):
+            estimate_operator_norm(op, xs, op.basis.values(np.array([0.0, 0.5, 1.0])))
 
 
 class TestConstantReproductionCheck:
