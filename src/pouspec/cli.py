@@ -163,9 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once per process; parsing does not change it.
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except (ConfigError, DomainError, UnsupportedSizeError) as exc:

@@ -7,14 +7,20 @@ grid plus scalar calls. The domain is [0, 1] throughout the package:
 points over it. The concrete kinds are closed forms (polynomials and
 sine/cosine waves among them, each holding its parameters), sampled data
 with piecewise-linear interpolation, and linear combinations of a basis
-system. :func:`values_block` evaluates many functions at once, the
-functions of one kind together, with the same bits as one at a time. All
-instances are immutable after construction and safe to share between
-threads.
+system. :func:`draw_test_functions` draws the seeded test functions of the
+lemma checks as parameter arrays rather than objects: a kind code per
+trial, zero-padded polynomial coefficients, wave parameters and
+piecewise-linear samples. Its :meth:`~DrawnTestFunctions.values` evaluates
+a kind-pure block of trials in one pass, with the same bits as each
+trial's :class:`Function` evaluated on its own, and
+:meth:`~DrawnTestFunctions.function` builds that object (and its name) for
+one trial. All instances are immutable after construction and safe to
+share between threads.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,13 +60,6 @@ class Function:
 
     def _values(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    @classmethod
-    def _rows(cls, functions: Sequence[Function], xs: np.ndarray) -> np.ndarray:
-        """Values of ``functions``, all of this class, on ``xs`` (already
-        checked against [0, 1]) as the rows of one array. One ``_values``
-        call per function unless a kind evaluates its functions together."""
-        return np.array([f._values(xs) for f in functions])
 
     def values(self, xs: Sequence[float] | np.ndarray) -> np.ndarray:
         """Evaluate on an array of points, all of which must lie in [0, 1]."""
@@ -143,12 +142,32 @@ class BasisCombination(Function):
 # Closed-form catalog
 # --------------------------------------------------------------------------
 
+def _horner(reversed_coefficients: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Horner's rule on ``xs`` for the coefficients along the last axis of
+    ``reversed_coefficients``, leading coefficient first: one row of values
+    per row of coefficients. A row zero-padded on the left stays exactly
+    zero until its own leading coefficient, so it has the bits of Horner's
+    rule on its own coefficients."""
+    out = np.empty(reversed_coefficients.shape[:-1] + xs.shape)
+    out[...] = reversed_coefficients[..., :1]
+    for d in range(1, reversed_coefficients.shape[-1]):
+        out *= xs
+        out += reversed_coefficients[..., d:d + 1]
+    return out
+
+
+def _wave_values(trig: np.ufunc, omega, amplitude, offset, xs: np.ndarray) -> np.ndarray:
+    """``offset + amplitude * trig(omega * xs)``: scalar parameters give one
+    row of values, column arrays one row per wave."""
+    out = omega * xs
+    trig(out, out=out)
+    out *= amplitude
+    out += offset
+    return out
+
+
 class Polynomial(Function):
-    """Polynomial ``c[0] + c[1] x + ... + c[d] x^d`` by Horner's rule. The
-    polynomials of a block share one Horner loop over their coefficients
-    zero-padded to the highest degree: a leading zero leaves each value at
-    exactly zero until the row's own leading coefficient, so every row has
-    the bits of Horner's rule on its own coefficients."""
+    """Polynomial ``c[0] + c[1] x + ... + c[d] x^d`` by Horner's rule."""
 
     def __init__(self, coefficients: Sequence[float], name: str):
         c = np.array(coefficients, dtype=float)
@@ -159,25 +178,12 @@ class Polynomial(Function):
         self.coefficients.flags.writeable = False
 
     def _values(self, xs: np.ndarray) -> np.ndarray:
-        return self._rows([self], xs)[0]
-
-    @classmethod
-    def _rows(cls, functions: Sequence[Polynomial], xs: np.ndarray) -> np.ndarray:
-        width = max(p.coefficients.size for p in functions)
-        coeffs = np.zeros((len(functions), width))
-        for row, p in zip(coeffs, functions):
-            row[width - p.coefficients.size:] = p.coefficients[::-1]
-        out = np.empty((len(functions), xs.size))
-        out[:] = coeffs[:, :1]
-        for d in range(1, width):
-            out *= xs
-            out += coeffs[:, d:d + 1]
-        return out
+        return _horner(self.coefficients[::-1], xs)
 
 
 class Wave(Function):
     """``offset + amplitude * trig(2 pi frequency x)``, with ``trig`` set by
-    the subclass. The waves of one kind in a block share one ``trig`` call."""
+    the subclass."""
 
     trig: np.ufunc
 
@@ -188,18 +194,7 @@ class Wave(Function):
         self.offset = offset
 
     def _values(self, xs: np.ndarray) -> np.ndarray:
-        return self._rows([self], xs)[0]
-
-    @classmethod
-    def _rows(cls, functions: Sequence[Wave], xs: np.ndarray) -> np.ndarray:
-        def column(attr: str) -> np.ndarray:
-            return np.array([getattr(w, attr) for w in functions])[:, None]
-
-        out = column("omega") * xs
-        cls.trig(out, out=out)
-        out *= column("amplitude")
-        out += column("offset")
-        return out
+        return _wave_values(self.trig, self.omega, self.amplitude, self.offset, xs)
 
 
 class SineWave(Wave):
@@ -244,57 +239,140 @@ def scaled(f: Function, factor: float, name: str | None = None) -> ClosedForm:
     return ClosedForm(name or f"{factor:g}*{f.name}", lambda xs: factor * f.values(xs))
 
 
-def values_block(functions: Sequence[Function], xs: np.ndarray) -> np.ndarray:
-    """Row ``i`` is ``functions[i].values(xs)``, bit for bit, but ``xs`` is
-    not checked against [0, 1]: the caller checks it once. The functions of
-    one class are evaluated together by its ``_rows``: polynomials by one
-    padded Horner loop, sine and cosine waves by one ``np.sin`` or
-    ``np.cos`` each, sampled functions by one ``np.interp`` per function."""
-    out = np.empty((len(functions), xs.size))
-    kinds: dict[type, list[int]] = {}
-    for i, f in enumerate(functions):
-        kinds.setdefault(type(f), []).append(i)
-    for kind, rows in kinds.items():
-        out[rows] = kind._rows([functions[i] for i in rows], xs)
-    return out
-
-
 # --------------------------------------------------------------------------
 # Random test-function catalog
 # --------------------------------------------------------------------------
 # The draw is deliberately narrow and fully seeded: polynomials up to degree
 # six, single sine/cosine modes up to frequency eight, and piecewise-linear
-# functions with at most 16 interior breakpoints. Each draw is built by the
-# constructors above, which hold its parameters and its name, so the checks
-# draw their functions here one at a time and evaluate them together with
-# :func:`values_block`.
+# functions with at most 16 interior breakpoints. draw_test_functions is the
+# one place that calls the generator for test functions and
+# DrawnTestFunctions.function the one place that names them; random_function
+# is a draw of one.
 
-def random_function(rng: np.random.Generator, nonnegative: bool = False) -> Function:
-    """Draw one function from the test catalog.
+#: Kind codes of the drawn test functions.
+POLYNOMIAL, SINE, COSINE, PIECEWISE_LINEAR = range(4)
 
-    With ``nonnegative=True`` every returned function is pointwise >= 0 by
+#: Coefficient count of the highest-degree test polynomial (degree six).
+TEST_POLYNOMIAL_WIDTH = 7
+
+
+@dataclass(frozen=True)
+class DrawnTestFunctions:
+    """Seeded test functions held as parameter arrays, one entry per trial.
+
+    ``kinds`` holds the kind code of each trial. A polynomial trial ``i``
+    has ``terms[i]`` coefficients, stored in row ``i`` of the
+    ``(count, TEST_POLYNOMIAL_WIDTH)`` matrix ``coefficients`` leading
+    coefficient first and zero-padded on the left. A wave trial is
+    ``offset + amplitude[i] * trig(omega[i] x)`` of frequency
+    ``frequency[i]``. A piecewise-linear trial interpolates its samples
+    ``samples[i] = (xs, ys)``; the entry is ``None`` for the other kinds.
+    """
+
+    kinds: np.ndarray
+    terms: np.ndarray
+    coefficients: np.ndarray
+    frequency: np.ndarray
+    omega: np.ndarray
+    amplitude: np.ndarray
+    offset: float
+    samples: list
+    nonnegative: bool
+
+    def kind_blocks(self, size: int):
+        """Index arrays of at most ``size`` trials (and at least one), all of
+        one kind and in increasing order; every trial is in one block."""
+        size = max(1, size)
+        for kind in (POLYNOMIAL, SINE, COSINE, PIECEWISE_LINEAR):
+            rows = np.flatnonzero(self.kinds == kind)
+            for start in range(0, rows.size, size):
+                yield rows[start:start + size]
+
+    def values(self, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Row ``j`` is ``self.function(rows[j]).values(xs)``, bit for bit,
+        for trials ``rows`` all of one kind, but ``xs`` is not checked against
+        [0, 1]: the caller checks it once. Polynomials share one Horner loop
+        over the block's widest coefficients, waves one ``np.sin`` or
+        ``np.cos``; each piecewise-linear trial is one ``np.interp``."""
+        kind = self.kinds[rows[0]]
+        if kind == POLYNOMIAL:
+            width = int(self.terms[rows].max())
+            return _horner(self.coefficients[rows, TEST_POLYNOMIAL_WIDTH - width:], xs)
+        if kind == PIECEWISE_LINEAR:
+            return np.array([np.interp(xs, *self.samples[i]) for i in rows])
+        trig = np.cos if kind == COSINE else np.sin
+        return _wave_values(trig, self.omega[rows, None], self.amplitude[rows, None],
+                            self.offset, xs)
+
+    def function(self, i: int) -> Function:
+        """Trial ``i`` as a :class:`Function`, with its name."""
+        kind = self.kinds[i]
+        if kind == POLYNOMIAL:
+            terms = int(self.terms[i])
+            coeffs = self.coefficients[i, TEST_POLYNOMIAL_WIDTH - terms:][::-1]
+            if self.nonnegative:
+                return polynomial(coeffs, name=f"poly(deg {(terms - 1) // 2})^2")
+            return polynomial(coeffs)
+        if kind == PIECEWISE_LINEAR:
+            xs, ys = self.samples[i]
+            return SampledFunction(xs, ys, name=f"pwl({xs.size})")
+        make = cosine_wave if kind == COSINE else sine_wave
+        return make(int(self.frequency[i]), amplitude=float(self.amplitude[i]),
+                    offset=self.offset)
+
+
+def draw_test_functions(rng: np.random.Generator, count: int,
+                        nonnegative: bool = False) -> DrawnTestFunctions:
+    """Draw ``count`` functions from the test catalog, in order.
+
+    With ``nonnegative=True`` every drawn function is pointwise >= 0 by
     construction (squared polynomial, raised sine, or nonnegative samples),
     not merely on a sample grid.
     """
-    kind = rng.integers(0, 3)
-    if kind == 0:
-        if nonnegative:
-            base = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 5)))
-            sq = np.convolve(base, base)
-            return polynomial(sq, name=f"poly(deg {base.size - 1})^2")
-        coeffs = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 8)))
-        return polynomial(coeffs)
-    if kind == 1:
-        freq = int(rng.integers(1, 9))
-        amp = float(rng.uniform(-1.0, 1.0))
-        use_cos = bool(rng.integers(0, 2))
-        offset = 1.0 if nonnegative else 0.0
-        make = cosine_wave if use_cos else sine_wave
-        return make(freq, amplitude=amp, offset=offset)
-    breaks = int(rng.integers(2, 17))
-    inner = np.sort(rng.uniform(0.0, 1.0, size=breaks))
-    xs = np.concatenate(([0.0], inner, [1.0]))
-    xs = xs[np.concatenate(([True], xs[1:] > xs[:-1]))]  # np.unique of the sorted xs
+    kinds = [0] * count
+    terms = [0] * count
+    coefficients = np.zeros((count, TEST_POLYNOMIAL_WIDTH))
+    frequency = [0] * count
+    amplitude = [0.0] * count
+    samples: list = [None] * count
     lo_val = 0.0 if nonnegative else -1.0
-    ys = rng.uniform(lo_val, 1.0, size=xs.size)
-    return SampledFunction(xs, ys, name=f"pwl({xs.size})")
+    for i in range(count):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            if nonnegative:
+                base = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 5)))
+                coeffs = np.convolve(base, base)
+            else:
+                coeffs = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 8)))
+            kinds[i] = POLYNOMIAL
+            terms[i] = coeffs.size
+            coefficients[i, TEST_POLYNOMIAL_WIDTH - coeffs.size:] = coeffs[::-1]
+        elif kind == 1:
+            frequency[i] = int(rng.integers(1, 9))
+            amplitude[i] = float(rng.uniform(-1.0, 1.0))
+            kinds[i] = COSINE if rng.integers(0, 2) else SINE
+        else:
+            breaks = int(rng.integers(2, 17))
+            xs = np.empty(breaks + 2)
+            xs[0], xs[-1] = 0.0, 1.0
+            xs[1:-1] = rng.uniform(0.0, 1.0, size=breaks)
+            xs[1:-1].sort()
+            # Sorted and without repeats means strictly increasing; a repeat
+            # (a draw of exactly 0.0, or two equal draws) keeps its first.
+            if len(set(xs.tolist())) < xs.size:
+                xs = xs[np.concatenate(([True], xs[1:] > xs[:-1]))]
+            kinds[i] = PIECEWISE_LINEAR
+            samples[i] = (xs, rng.uniform(lo_val, 1.0, size=xs.size))
+    frequency = np.array(frequency, dtype=float)
+    return DrawnTestFunctions(kinds=np.array(kinds), terms=np.array(terms),
+                              coefficients=coefficients, frequency=frequency,
+                              omega=2.0 * np.pi * frequency,
+                              amplitude=np.array(amplitude),
+                              offset=1.0 if nonnegative else 0.0,
+                              samples=samples, nonnegative=nonnegative)
+
+
+def random_function(rng: np.random.Generator, nonnegative: bool = False) -> Function:
+    """Draw one function from the test catalog: the first trial of
+    :func:`draw_test_functions`, as a :class:`Function`."""
+    return draw_test_functions(rng, 1, nonnegative).function(0)

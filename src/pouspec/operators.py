@@ -12,15 +12,18 @@ seeded random test functions: constant reproduction, positivity, the unit
 operator norm and an explicit nonzero kernel witness. Each takes the grid
 and ``values``, the basis evaluated on it once by the caller (shape
 ``(n, len(grid))``); none evaluates the basis itself. The positivity and
-norm checks draw all their test functions first, then work through them in
-blocks of at most ``TRIAL_BLOCK_VALUES`` values: one
-:func:`~pouspec.functions.values_block` on the joined nodes (the norm check
-adds the grid), the coefficients of the whole block by one
-``np.add.reduceat`` along its rows, and the images on the grid by one
-stacked product, one matrix-vector product per row. Each result has the
-bits of ``coefficient_vector(op, f) @ values`` taken one function at a
-time. The adjoint pairing identity is checked at seeded random functionals
-instead.
+norm checks draw all their test functions first, as parameter arrays
+(:func:`~pouspec.functions.draw_test_functions`), then work through them
+in kind-pure blocks of at most ``TRIAL_BLOCK_VALUES`` values: the block's
+values on the joined nodes (the norm check adds the grid) in one pass (one
+Horner loop for polynomials, one ``np.sin`` or ``np.cos`` for waves, one
+``np.interp`` per piecewise-linear trial), the coefficients of the whole
+block by one ``np.add.reduceat`` along its rows, and the images on the
+grid by one stacked product, one matrix-vector product per row. Each
+result has the bits of ``coefficient_vector(op, f) @ values`` taken one
+function at a time, and only the trial that positivity reports is built as
+a :class:`~pouspec.functions.Function`, for its name. The adjoint pairing
+identity is checked at seeded random functionals instead.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from .bases import (BasisSystem, DEFAULT_GRID_POINTS, check_nonnegativity,
                     make_bspline_basis, make_hat_basis)
 from .checks import CheckResult, nonempty_grid
 from .errors import ConfigError, NotConstructibleError
-from .functions import (BasisCombination, ClosedForm, Function, ONE, grid,
-                        outside_domain, random_function, require_in_domain,
-                        values_block)
+from .functions import (BasisCombination, ClosedForm, Function, ONE,
+                        draw_test_functions, grid, outside_domain, random_function,
+                        require_in_domain)
 from .functionals import (DiracFunctional, Functional, IntervalAverageFunctional,
                           WeightedQuadratureFunctional,
                           check_functional_normalization,
@@ -244,13 +247,6 @@ def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray, values: np.
         "constant_reproduction", coefficient_vector(op, ONE) @ values, grid, tol)
 
 
-def _trial_blocks(functions: list[Function], width: int):
-    """Consecutive slices of ``functions`` holding at most
-    ``TRIAL_BLOCK_VALUES // width`` functions, and at least one."""
-    step = max(1, TRIAL_BLOCK_VALUES // width)
-    return (functions[i:i + step] for i in range(0, len(functions), step))
-
-
 def _block_images(op: OperatorSpec, on_nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``Tf`` on the grid for each row of ``on_nodes``, the functions' values
     on ``op.nodes`` (overwritten). Row ``i`` has the bits of
@@ -272,20 +268,21 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     _require_nodes_in_domain(op, "positivity check, ")
-    rng = np.random.default_rng(seed)
-    samples = [random_function(rng, nonnegative=True) for _ in range(trials)]
-    worst_val = np.inf
+    draw = draw_test_functions(np.random.default_rng(seed), trials, nonnegative=True)
+    # Blocks are kind-pure, not in draw order: the worst is the least
+    # (value, trial) pair, so a tie goes to the first trial.
+    worst = (np.inf, trials)
     worst_x = None
-    worst_name = ""
-    for block in _trial_blocks(samples, max(op.nodes.size, grid.size)):
-        images = _block_images(op, values_block(block, op.nodes), values)
+    for rows in draw.kind_blocks(TRIAL_BLOCK_VALUES // max(op.nodes.size, grid.size)):
+        images = _block_images(op, draw.values(rows, op.nodes), values)
         cols = np.argmin(images, axis=1)
-        mins = images[np.arange(len(block)), cols]
+        mins = images[np.arange(rows.size), cols]
         k = int(np.argmin(mins))
-        if mins[k] < worst_val:
-            worst_val = float(mins[k])
+        if (mins[k], rows[k]) < worst:
+            worst = (float(mins[k]), int(rows[k]))
             worst_x = float(grid[cols[k]])
-            worst_name = block[k].name
+    worst_val, worst_trial = worst
+    worst_name = draw.function(worst_trial).name if worst_trial < trials else ""
     return CheckResult(
         name="positivity",
         passed=bool(worst_val >= -tol),
@@ -301,21 +298,20 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarra
     """Max of ``||Tf||_inf / ||f||_inf`` over the constant one plus seeded
     random test functions (sup norms on the grid); a function with
     ``||f||_inf < 1e-12`` is skipped. The constant attains the exact norm 1,
-    so the estimate is a tight lower bound of it. Each block of functions
-    is evaluated once, on the joined nodes followed by the grid."""
+    so the estimate is a tight lower bound of it. Each block of drawn
+    functions is evaluated once, on the joined nodes followed by the grid."""
     grid = nonempty_grid(grid, values, "norm-estimate")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     require_in_domain(grid, "norm-estimate check grid")
     _require_nodes_in_domain(op, "norm-estimate check, ")
-    rng = np.random.default_rng(seed)
-    samples: list[Function] = [ONE]
-    samples.extend(random_function(rng) for _ in range(trials))
-    points = np.concatenate((op.nodes, grid))
+    draw = draw_test_functions(np.random.default_rng(seed), trials)
     nodes = op.nodes.size
-    best = 0.0
-    for block in _trial_blocks(samples, points.size):
-        block_values = values_block(block, points)
+    # The constant one, ||1||_inf = 1 on the grid.
+    best = float(np.abs(_block_images(op, np.ones((1, nodes)), values)).max())
+    points = np.concatenate((op.nodes, grid))
+    for rows in draw.kind_blocks(TRIAL_BLOCK_VALUES // points.size):
+        block_values = draw.values(rows, points)
         on_grid = block_values[:, nodes:]
         denom = np.abs(on_grid, out=on_grid).max(axis=1)
         keep = denom >= 1e-12
@@ -323,7 +319,7 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarra
         np.abs(images, out=images)
         ratios = images.max(axis=1) / denom[keep]
         best = float(np.max(ratios, initial=best))
-    return float(best)
+    return best
 
 
 def verify_norm_bound(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
@@ -494,6 +490,7 @@ def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
     """Kernel-witness residual on the grid as a check; a non-constructible
     witness is reported as a failed check rather than silently skipped."""
     grid = nonempty_grid(grid, values, "kernel-witness")
+    _require_nodes_in_domain(op, "kernel-witness check, ")
     try:
         w, witness_norm, residual = _verified(op, values, *_candidate_witness(op, grid))
     except NotConstructibleError as exc:

@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .checks import CheckResult
 from .errors import ConfigError, DomainError, UnsupportedSizeError
@@ -243,6 +242,9 @@ def pair_eigenvalues(left, right) -> float:
     if a.size != b.size:
         raise ConfigError(f"multiset sizes differ: {a.size} vs {b.size}")
     cost = np.abs(a[:, None] - b[None, :])
+    # Imported here: only the oracle command pairs eigenvalues, and
+    # scipy.optimize is slow to import.
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 

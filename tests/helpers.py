@@ -11,7 +11,8 @@ from itertools import accumulate
 import numpy as np
 
 from pouspec.checks import CheckResult
-from pouspec.functions import ONE, Polynomial, SampledFunction, Wave, random_function
+from pouspec.functions import (ONE, Function, Polynomial, SampledFunction, Wave,
+                               cosine_wave, polynomial, sine_wave)
 from pouspec.operators import coefficient_vector
 
 
@@ -156,6 +157,35 @@ def dumps_json_oracle(obj) -> str:
                   text) + "\n"
 
 
+def random_function_oracle(rng: np.random.Generator, nonnegative: bool = False) -> Function:
+    """One test-catalog draw built straight into its function object,
+    sharing no code with ``draw_test_functions``: the same generator calls
+    in the same order. The package's draw must match it bit for bit and name
+    for name."""
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        if nonnegative:
+            base = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 5)))
+            sq = np.convolve(base, base)
+            return polynomial(sq, name=f"poly(deg {base.size - 1})^2")
+        coeffs = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 8)))
+        return polynomial(coeffs)
+    if kind == 1:
+        freq = int(rng.integers(1, 9))
+        amp = float(rng.uniform(-1.0, 1.0))
+        use_cos = bool(rng.integers(0, 2))
+        offset = 1.0 if nonnegative else 0.0
+        make = cosine_wave if use_cos else sine_wave
+        return make(freq, amplitude=amp, offset=offset)
+    breaks = int(rng.integers(2, 17))
+    inner = np.sort(rng.uniform(0.0, 1.0, size=breaks))
+    xs = np.concatenate(([0.0], inner, [1.0]))
+    xs = xs[np.concatenate(([True], xs[1:] > xs[:-1]))]  # np.unique of the sorted xs
+    lo_val = 0.0 if nonnegative else -1.0
+    ys = rng.uniform(lo_val, 1.0, size=xs.size)
+    return SampledFunction(xs, ys, name=f"pwl({xs.size})")
+
+
 def positivity_oracle(op, grid: np.ndarray, values: np.ndarray, trials: int = 100,
                       tol: float = 1e-10, seed: int = 42) -> CheckResult:
     """``verify_positivity`` one test function at a time: ``Tf`` on the grid
@@ -166,7 +196,7 @@ def positivity_oracle(op, grid: np.ndarray, values: np.ndarray, trials: int = 10
     worst_x = None
     worst_name = ""
     for _ in range(trials):
-        f = random_function(rng, nonnegative=True)
+        f = random_function_oracle(rng, nonnegative=True)
         image = coefficient_vector(op, f) @ values
         j = int(np.argmin(image))
         if image[j] < worst_val:
@@ -191,7 +221,7 @@ def norm_estimate_oracle(op, grid: np.ndarray, values: np.ndarray, trials: int =
     rng = np.random.default_rng(seed)
     best = 0.0
     samples = [ONE]
-    samples.extend(random_function(rng) for _ in range(trials))
+    samples.extend(random_function_oracle(rng) for _ in range(trials))
     for f in samples:
         denom = f.sup_norm(grid)
         if denom < 1e-12:

@@ -12,8 +12,8 @@ from pouspec.errors import ConfigError, DomainError, NotConstructibleError
 from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
                                  WeightedQuadratureFunctional,
                                  make_kantorovich_functionals)
-from pouspec.functions import ONE, Function, SampledFunction, grid, monomial, \
-    random_function, scaled, sine_wave
+from pouspec.functions import ONE, DrawnTestFunctions, Function, SampledFunction, \
+    draw_test_functions, grid, monomial, random_function, scaled, sine_wave
 from pouspec.operators import (OperatorSpec, apply_adjoint, apply_operator,
                                bernstein_operator, coefficient_vector,
                                estimate_operator_norm, greville_abscissae,
@@ -313,11 +313,26 @@ class TestBlockChecks:
         verify_norm_bound(op, GRID, basis_values)
         assert calls == []
 
+    def test_only_the_reported_trial_is_built(self, monkeypatch):
+        built = []
+        function = DrawnTestFunctions.function
+        monkeypatch.setattr(DrawnTestFunctions, "function",
+                            lambda self, i: built.append(i) or function(self, i))
+        op = kantorovich_operator(4)
+        basis_values = op.basis.values(GRID)
+        result = verify_positivity(op, GRID, basis_values, seed=5)
+        draw = draw_test_functions(np.random.default_rng(5), 100, nonnegative=True)
+        assert len(built) == 1
+        assert result.detail.endswith(f"at f = {function(draw, built[0]).name}")
+        estimate_operator_norm(op, GRID, basis_values)
+        assert len(built) == 1
+
     @pytest.mark.parametrize("check, context", [
         (verify_positivity, "positivity check"),
         (estimate_operator_norm, "norm-estimate check"),
         (verify_constant_reproduction, "constant-reproduction check"),
-    ], ids=["positivity", "norm-estimate", "constant-reproduction"])
+        (kernel_witness_report, "kernel-witness check"),
+    ], ids=["positivity", "norm-estimate", "constant-reproduction", "kernel-witness"])
     def test_node_outside_domain_names_check_operator_and_functional(self, check, context):
         funcs = (DiracFunctional(0.0),
                  WeightedQuadratureFunctional([0.5, 1.25, 1.5], [0.2, 0.4, 0.4]),

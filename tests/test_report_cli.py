@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as nptest
@@ -13,9 +18,10 @@ import scipy.linalg
 
 from helpers import dumps_json_oracle
 
+import pouspec.cli as cli_module
 import pouspec.report as report_module
 from pouspec.bases import BasisSystem
-from pouspec.cli import main
+from pouspec.cli import build_parser, main
 from pouspec.errors import ConfigError
 from pouspec.report import (build_operator, config_from_mapping, dumps_json,
                             emit_report, emit_svg, exit_code_for, parse_config,
@@ -603,6 +609,26 @@ class TestCli:
         out = capsys.readouterr().out
         for kind in ("bernstein", "kantorovich", "schoenberg", "hat-dirac", "custom"):
             assert kind in out
+
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        assert main(["catalog"]) == 0 and main(["catalog"]) == 0
+        assert built == []
+        args = build_parser().parse_args(["verify", "--config", "c.json", "--seed", "3"])
+        assert args == cli_module.PARSER.parse_args(["verify", "--config", "c.json",
+                                                      "--seed", "3"])
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        src = Path(cli_module.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, pouspec.cli; print('scipy.optimize' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
     def test_verify_checks_only(self, tmp_path, capsys):
         config = tmp_path / "config.json"
