@@ -148,9 +148,15 @@ def make_hat_basis(nodes: Sequence[float]) -> BasisSystem:
         raise ConfigError("hat basis nodes must be strictly increasing")
     if pts[0] != 0.0 or pts[-1] != 1.0:
         raise ConfigError("hat basis nodes must span the domain [0.0, 1.0] exactly")
+    with np.errstate(over="ignore"):
+        slopes = 1.0 / np.diff(pts)
+    if not np.all(np.isfinite(slopes)):
+        k = int(np.argmin(np.isfinite(slopes)))
+        raise ConfigError(f"hat basis nodes {float(pts[k])!r} and {float(pts[k + 1])!r} "
+                          "are too close: the slope between them overflows")
     # x == pts[-1] lands in a cell past the last node; slope 0 there makes
     # w = 0, so the last hat is 1 and the extra row receiving w is cut off.
-    slopes = np.append(1.0 / np.diff(pts), 0.0)
+    slopes = np.append(slopes, 0.0)
 
     def evaluate(xs: np.ndarray) -> np.ndarray:
         x = np.clip(xs, pts[0], pts[-1])

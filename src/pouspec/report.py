@@ -8,6 +8,20 @@ the operator, verify the lemma properties, assemble the collocation matrix,
 solve and classify the spectrum, and search for the limit of matrix powers.
 Reports serialize to JSON (17 significant digits, stable key order), to a
 flat eigenvalue CSV, and to a static SVG of the disks and eigenvalues.
+
+The emitters work on whole arrays, with the same bytes as formatting each
+number on its own:
+
+- the collocation matrix goes to the JSON writer as the read-only array. A
+  row at least half nonzero is one ``"%.17g"`` template; a sparser row
+  writes each ``+0.0`` entry as the literal ``0`` (the text ``"%.17g"``
+  gives) and formats the others. ``report_to_mapping`` still returns the
+  entries as lists of Python floats.
+- a list of maps with one key order and one float, bool or str type per
+  key (the eigenvalue rows, the disks, a config's functionals of one kind)
+  is one template per map, with one finiteness test per float column.
+- the SVG disks and eigenvalue markers are one ``%`` template per element
+  kind over the coordinate arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +30,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -475,49 +490,151 @@ def _format_number(x: float) -> str:
     return "%.17g" % x
 
 
-def _json_fragment(obj: Any, indent: int, level: int) -> str:
-    if type(obj) is float:  # eigenvalue parts, disks, check values: the commonest scalar
-        return _format_number(obj)
+def _write_matrix(arr: np.ndarray, indent: int, level: int, out: list[str]) -> None:
+    """Append a 2-D float array with at least one entry as the JSON list of
+    its rows at ``level``, each entry as ``"%.17g"`` writes it. A row at
+    least half nonzero goes through one template for the whole row. A
+    sparser row writes its ``+0.0`` entries as the literal ``0`` (the text
+    ``"%.17g"`` gives) and formats only the others, ``-0.0`` among them."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        _format_number(float(arr.flat[np.argmin(finite)]))  # raises, naming the first
+    width = arr.shape[1]
+    inner = " " * (indent * (level + 1))
+    cell = " " * (indent * (level + 2))
+    zero_cell, row_tail = cell + "0,\n", "\n" + inner + "]"
+    dense = "[\n" + ((cell + "%.17g,\n") * width)[:-2] + row_tail
+    nonzero = (arr != 0.0) | np.signbit(arr)
+    counts = np.count_nonzero(nonzero, axis=1)
+    sparse = 2 * counts < width
+    # Column and text of each formatted entry of the sparse rows, row-major.
+    where = np.nonzero(nonzero & sparse[:, None])
+    cols = where[1].tolist()
+    texts = ["%.17g" % v for v in arr[where].tolist()]
+    ends = np.cumsum(counts * sparse).tolist()
+    sep = "[\n"
+    start = 0
+    for k, is_sparse in enumerate(sparse.tolist()):
+        out += (sep, inner)
+        sep = ",\n"
+        if not is_sparse:
+            out.append(dense % tuple(arr[k].tolist()))
+            continue
+        pieces = ["[\n"]
+        prev = 0
+        for j, text in zip(cols[start:ends[k]], texts[start:ends[k]]):
+            pieces += (zero_cell * (j - prev), cell, text, ",\n")
+            prev = j + 1
+        pieces.append(zero_cell * (width - prev))
+        out += ("".join(pieces)[:-2], row_tail)
+        start = ends[k]
+    out.append("\n" + " " * (indent * level) + "]")
+
+
+def _records_body(records: list, indent: int, level: int) -> str | None:
+    """The items of a list of maps as JSON at ``level``, through one template
+    for every map, when all the maps share one key order and each key one
+    value type (finite float, bool or str); ``None`` for any other list."""
+    if not all(type(r) is dict for r in records):
+        return None
+    keys = tuple(records[0])
+    if not keys or any(tuple(r) != keys for r in records):
+        return None
+    fields, columns = [], []
+    for key in keys:
+        column = [r[key] for r in records]
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            if not math.isfinite(sum(column)):  # a NaN or inf: per-item path and its error
+                return None
+            fields.append("%.17g")
+        elif kinds == {bool}:
+            fields.append("%s")
+            column = ["true" if v else "false" for v in column]
+        elif kinds == {str}:
+            fields.append("%s")
+            column = [json.dumps(v) for v in column]
+        else:
+            return None
+        columns.append(column)
+    pad = " " * (indent * level)
+    inner = " " * (indent * (level + 1))
+    record = pad + "{\n" + ",\n".join(
+        inner + json.dumps(str(k)).replace("%", "%%") + ": " + field
+        for k, field in zip(keys, fields)) + "\n" + pad + "}"
+    return ",\n".join([record] * len(records)) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _write_json(obj: Any, indent: int, level: int, out: list[str]) -> None:
+    """Append the JSON text of ``obj`` at nesting ``level`` to ``out``."""
+    if type(obj) is float:  # check values, tolerances, timings: the commonest scalar
+        out.append(_format_number(obj))
+        return
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
     if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_number(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_format_number(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == float:
+        if obj.size:
+            _write_matrix(obj, indent, level, out)
+        else:
+            _write_json(obj.tolist(), indent, level, out)
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
-            # A row of the matrix or a list of nodes: one template for the
-            # whole row. The sum is finite only when every item is, so a
-            # NaN or inf takes the per-item path below and its error.
+            # A list of nodes: one template for the whole list. The sum is
+            # finite only when every item is, so a NaN or inf takes the
+            # per-item path below and its error.
             body = ",\n".join([inner + "%.17g"] * len(obj)) % tuple(obj)
         else:
-            body = ",\n".join([f"{inner}{_json_fragment(v, indent, level + 1)}"
-                                for v in obj])
-        return "[\n" + body + f"\n{pad}]"
-    if isinstance(obj, dict):
+            body = _records_body(obj, indent, level + 1)
+        if body is not None:
+            out += ("[\n", body)
+        else:
+            sep = "[\n"
+            for value in obj:
+                out += (sep, inner)
+                sep = ",\n"
+                _write_json(value, indent, level + 1, out)
+        out.append(f"\n{pad}]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {_json_fragment(v, indent, level + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            out.append("{}")
+            return
+        sep = "{\n"
+        for key, value in obj.items():
+            out.append(f"{sep}{inner}{json.dumps(str(key))}: ")
+            sep = ",\n"
+            _write_json(value, indent, level + 1, out)
+        out.append(f"\n{pad}}}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_json(obj: Any, indent: int = 2) -> str:
     """Deterministic JSON with floats at 17 significant digits.
 
-    A list whose items are all finite Python floats (a matrix row) is
-    formatted with one ``"%.17g"`` template for the whole row; it gives the
-    same bytes as formatting each item on its own."""
-    return _json_fragment(obj, indent, 0) + "\n"
+    The text is built as one list of pieces and joined once. Every float is
+    written as ``"%.17g"`` writes it, whichever path it takes; the paths
+    differ in cost only. A list whose items are all finite Python floats
+    goes through one template for the whole list; a list of maps with one
+    key order and one float, bool or str type per key through one template
+    per map (``_records_body``); a 2-D float array is written as the list
+    of its rows (``_write_matrix``)."""
+    out: list[str] = []
+    _write_json(obj, indent, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _eigenvalue_rows(spectrum: SpectrumReport):
@@ -528,8 +645,9 @@ def _eigenvalue_rows(spectrum: SpectrumReport):
                spectrum.in_disk_union.tolist())
 
 
-def report_to_mapping(report: AnalysisReport) -> dict:
-    """Plain mapping mirror of a report with the documented key paths."""
+def _report_mapping(report: AnalysisReport, entries: list | np.ndarray) -> dict:
+    """The report as a mapping with the documented key paths and
+    ``entries`` as ``matrix.entries``."""
     spectrum = report.spectrum
     eig_rows = [{"re": re, "im": im, "modulus": modulus, "in_disk_union": inside}
                 for re, im, modulus, inside in _eigenvalue_rows(spectrum)]
@@ -539,7 +657,7 @@ def report_to_mapping(report: AnalysisReport) -> dict:
         "operator": report.operator_name,
         "checks": {name: check.as_dict() for name, check in report.checks.items()},
         "matrix": {
-            "entries": report.matrix.entries.tolist(),
+            "entries": entries,
             "row_sum_max_dev": report.row_sum_max_dev,
             "diag_min": report.diag_min,
         },
@@ -560,6 +678,12 @@ def report_to_mapping(report: AnalysisReport) -> dict:
     }
 
 
+def report_to_mapping(report: AnalysisReport) -> dict:
+    """Plain mapping mirror of a report with the documented key paths; the
+    matrix entries are lists of Python floats."""
+    return _report_mapping(report, report.matrix.entries.tolist())
+
+
 def emit_report(report: AnalysisReport, format: str = "json") -> str:
     """Serialize a report: nested JSON, or the flat eigenvalue CSV with
     columns (index, re, im, modulus, in_disk_union)."""
@@ -567,7 +691,8 @@ def emit_report(report: AnalysisReport, format: str = "json") -> str:
         raise ValueError("report has an empty eigenvalue list; the matrix "
                          "dimension is at least one, so this is a bug upstream")
     if format == "json":
-        return dumps_json(report_to_mapping(report))
+        # The matrix goes to the serializer as the array, never as n^2 floats.
+        return dumps_json(_report_mapping(report, report.matrix.entries))
     if format == "csv":
         lines = ["index,re,im,modulus,in_disk_union"]
         for i, (re, im, modulus, inside) in enumerate(_eigenvalue_rows(report.spectrum),
@@ -585,16 +710,26 @@ SVG_SIZE = 800
 SVG_SPAN = 1.2  # plot window is [-SPAN, SPAN]^2
 
 
-def _svg_x(re: float) -> float:
+def _svg_x(re: float | np.ndarray) -> float | np.ndarray:
     return (re + SVG_SPAN) * SVG_SIZE / (2 * SVG_SPAN)
 
 
-def _svg_y(im: float) -> float:
+def _svg_y(im: float | np.ndarray) -> float | np.ndarray:
     return (SVG_SPAN - im) * SVG_SIZE / (2 * SVG_SPAN)
 
 
-def _svg_r(r: float) -> float:
+def _svg_r(r: float | np.ndarray) -> float | np.ndarray:
     return r * SVG_SIZE / (2 * SVG_SPAN)
+
+
+def _svg_elements(template: str, *columns: np.ndarray) -> list[str]:
+    """One element per row of the ``columns``, each ``template`` filled with
+    that row, as one text of lines through a single ``%``; no text for no
+    rows."""
+    values = np.column_stack(columns)
+    if not values.size:
+        return []
+    return ["\n".join([template] * len(values)) % tuple(values.ravel().tolist())]
 
 
 def emit_svg(report: AnalysisReport) -> str:
@@ -612,18 +747,17 @@ def emit_svg(report: AnalysisReport) -> str:
         'fill="none" stroke="#444444" stroke-width="1.5" stroke-dasharray="6,4"/>',
     ]
     centers, radii = report.spectrum.disks
-    for center, radius in zip(centers.tolist(), radii.tolist()):
-        parts.append(
-            f'  <circle cx="{_svg_x(center):.2f}" cy="{_svg_y(0):.2f}" '
-            f'r="{max(_svg_r(radius), 1.0):.2f}" fill="#1f77b4" '
-            'fill-opacity="0.08" stroke="#1f77b4" stroke-width="1"/>')
+    parts += _svg_elements(
+        f'  <circle cx="%.2f" cy="{_svg_y(0):.2f}" r="%.2f" fill="#1f77b4" '
+        'fill-opacity="0.08" stroke="#1f77b4" stroke-width="1"/>',
+        _svg_x(centers), np.maximum(_svg_r(radii), 1.0))
     arm = 6.0
-    for lam in report.spectrum.eigenvalues:
-        cx, cy = _svg_x(lam.real), _svg_y(lam.imag)
-        parts.append(
-            f'  <path d="M {cx - arm:.2f} {cy - arm:.2f} L {cx + arm:.2f} {cy + arm:.2f} '
-            f'M {cx - arm:.2f} {cy + arm:.2f} L {cx + arm:.2f} {cy - arm:.2f}" '
-            'stroke="#d62728" stroke-width="2" fill="none"/>')
+    eigs = report.spectrum.eigenvalues
+    cx, cy = _svg_x(eigs.real), _svg_y(eigs.imag)
+    parts += _svg_elements(
+        '  <path d="M %.2f %.2f L %.2f %.2f M %.2f %.2f L %.2f %.2f" '
+        'stroke="#d62728" stroke-width="2" fill="none"/>',
+        cx - arm, cy - arm, cx + arm, cy + arm, cx - arm, cy + arm, cx + arm, cy - arm)
     parts.append(
         f'  <text x="16" y="28" font-family="monospace" font-size="16" fill="#222222">'
         f'{report.operator_name}: {report.spectrum.classification}</text>')

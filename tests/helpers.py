@@ -246,3 +246,54 @@ def catalog_values_oracle(f, xs: np.ndarray) -> np.ndarray:
         return f.offset + f.amplitude * f.trig(f.omega * xs)
     assert isinstance(f, SampledFunction), f
     return np.interp(xs, f.xs, f.ys)
+
+
+_SVG_SIZE = 800
+_SVG_SPAN = 1.2  # plot window is [-SPAN, SPAN]^2
+
+
+def _svg_x(re: float) -> float:
+    return (re + _SVG_SPAN) * _SVG_SIZE / (2 * _SVG_SPAN)
+
+
+def _svg_y(im: float) -> float:
+    return (_SVG_SPAN - im) * _SVG_SIZE / (2 * _SVG_SPAN)
+
+
+def _svg_r(r: float) -> float:
+    return r * _SVG_SIZE / (2 * _SVG_SPAN)
+
+
+def emit_svg_oracle(report) -> str:
+    """``report.emit_svg`` as it was written one element at a time, sharing
+    no code with the package: one f-string per disk and per eigenvalue
+    marker, over Python floats and numpy scalars."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
+        f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'  <rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="#ffffff"/>',
+        f'  <line x1="0" y1="{_svg_y(0):.2f}" x2="{_SVG_SIZE}" y2="{_svg_y(0):.2f}" '
+        'stroke="#cccccc" stroke-width="1"/>',
+        f'  <line x1="{_svg_x(0):.2f}" y1="0" x2="{_svg_x(0):.2f}" y2="{_SVG_SIZE}" '
+        'stroke="#cccccc" stroke-width="1"/>',
+        f'  <circle cx="{_svg_x(0):.2f}" cy="{_svg_y(0):.2f}" r="{_svg_r(1.0):.2f}" '
+        'fill="none" stroke="#444444" stroke-width="1.5" stroke-dasharray="6,4"/>',
+    ]
+    centers, radii = report.spectrum.disks
+    for center, radius in zip(centers.tolist(), radii.tolist()):
+        parts.append(
+            f'  <circle cx="{_svg_x(center):.2f}" cy="{_svg_y(0):.2f}" '
+            f'r="{max(_svg_r(radius), 1.0):.2f}" fill="#1f77b4" '
+            'fill-opacity="0.08" stroke="#1f77b4" stroke-width="1"/>')
+    arm = 6.0
+    for lam in report.spectrum.eigenvalues:
+        cx, cy = _svg_x(lam.real), _svg_y(lam.imag)
+        parts.append(
+            f'  <path d="M {cx - arm:.2f} {cy - arm:.2f} L {cx + arm:.2f} {cy + arm:.2f} '
+            f'M {cx - arm:.2f} {cy + arm:.2f} L {cx + arm:.2f} {cy - arm:.2f}" '
+            'stroke="#d62728" stroke-width="2" fill="none"/>')
+    parts.append(
+        f'  <text x="16" y="28" font-family="monospace" font-size="16" fill="#222222">'
+        f'{report.operator_name}: {report.spectrum.classification}</text>')
+    parts.append('</svg>')
+    return "\n".join(parts) + "\n"

@@ -29,16 +29,18 @@ def digest():
 def test_run_one_is_repeatable(digest, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     config = '{"version": 1, "operator": "kantorovich", "n": 2}\n'
-    first = digest.run_one(main, config)
+    first, err = digest.run_one(main, config)
     assert first.startswith("exit=0 json=")
     assert "=-" not in first
-    assert digest.run_one(main, config) == first
+    assert err == ""
+    assert digest.run_one(main, config) == (first, err)
 
 
 def test_run_one_malformed_writes_nothing(digest, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    line = digest.run_one(main, '{"operator": "bernstein"}\n')
+    line, err = digest.run_one(main, '{"operator": "bernstein"}\n')
     assert line.startswith("exit=2 json=- csv=- svg=- ")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_without_timings_cuts_only_timings(digest):
@@ -57,9 +59,20 @@ def _crash(argv):
     raise RuntimeError("analysis crashed")
 
 
-@pytest.mark.parametrize("analyze, status", [(main, 0), (_crash, 1)],
-                         ids=["clean", "raised"])
-def test_main_fails_on_a_raised_config(digest, monkeypatch, capsys, analyze, status):
+def _warn_then_fail(argv):
+    # A warning printed before the error line breaks the one-line contract.
+    print("RuntimeWarning: overflow encountered in divide", file=sys.stderr)
+    print("error: analysis failed", file=sys.stderr)
+    return 2
+
+
+@pytest.mark.parametrize("analyze, status, expected", [
+    (main, 0, "exit=0 json="),
+    (_crash, 1, "exit=raised:RuntimeError "),
+    (_warn_then_fail, 1, "exit=2 json=- "),
+], ids=["clean", "raised", "multi-line-stderr"])
+def test_main_fails_on_a_raised_config(digest, monkeypatch, capsys, analyze, status,
+                                       expected):
     # A one-entry pool, so only the exit status and the printed line matter.
     entry = types.SimpleNamespace(text=lambda: '{"operator": "kantorovich", "n": 2}\n')
     workloads = types.ModuleType("perfbench.workloads")
@@ -72,5 +85,4 @@ def test_main_fails_on_a_raised_config(digest, monkeypatch, capsys, analyze, sta
         monkeypatch.setenv(var, "1")
     assert digest.main([str(ROOT / "src")]) == status
     (line,) = capsys.readouterr().out.splitlines()
-    expected = "exit=raised:RuntimeError " if status else "exit=0 json="
     assert line.startswith(f"only entry-0 {expected}")

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy.testing as nptest
 import pytest
 import scipy.linalg
 
-from helpers import dumps_json_oracle
+from helpers import dumps_json_oracle, emit_svg_oracle
 
 import pouspec.cli as cli_module
 import pouspec.report as report_module
@@ -26,7 +27,7 @@ from pouspec.errors import ConfigError
 from pouspec.report import (build_operator, config_from_mapping, dumps_json,
                             emit_report, emit_svg, exit_code_for, parse_config,
                             report_to_mapping, run_analyze)
-from pouspec.spectra import SpectrumReport
+from pouspec.spectra import CollocationMatrix, SpectrumReport
 
 KANT1_CONFIG = '{"version": 1, "operator": "kantorovich", "n": 1, "seed": 42}'
 
@@ -56,6 +57,48 @@ SWAP_CONFIG = json.dumps({
     "functionals": [{"kind": "dirac", "x": 1.0}, {"kind": "dirac", "x": 0.0}],
     "seed": 42,
 })
+
+# Each hat is read at its own node and the next one, cyclically: a complex
+# subdominant pair whose modulus np.abs rounds one ulp away from Python's abs.
+CYCLIC_NODES = [0.0, 0.25, 0.5, 0.75, 1.0]
+CYCLIC_CONFIG = json.dumps({
+    "version": 1, "operator": "custom",
+    "basis": {"kind": "hat", "nodes": CYCLIC_NODES},
+    "functionals": [{"kind": "weighted-quadrature",
+                     "nodes": [CYCLIC_NODES[k], CYCLIC_NODES[(k + 1) % 5]],
+                     "weights": [0.3, 0.7]} for k in range(5)]})
+
+HAT_DIRAC_300_CONFIG = json.dumps({"operator": "hat-dirac",
+                                   "nodes": np.linspace(0.0, 1.0, 300).tolist()})
+
+#: One config per catalog kind, plus the swap and a custom operator with
+#: mixed functional kinds (so config records with mixed keys).
+CATALOG_CONFIGS = pytest.mark.parametrize("text", [
+    '{"operator": "bernstein", "n": 4}',
+    '{"operator": "kantorovich", "n": 3}',
+    json.dumps({"operator": "schoenberg", "degree": 2,
+                "knots": [0.0] * 3 + [0.3, 0.6] + [1.0] * 3}),
+    '{"operator": "hat-dirac", "nodes": [0, 0.2, 0.7, 1]}',
+    _hat_average_config(6),
+    SWAP_CONFIG,
+    json.dumps({"operator": "custom", "basis": {"kind": "hat", "nodes": [0, 0.4, 1]},
+                "functionals": [{"kind": "dirac", "x": 0.0},
+                                {"kind": "interval-average", "a": 0.2, "b": 0.7},
+                                {"kind": "dirac", "x": 1.0}]}),
+    HAT_DIRAC_300_CONFIG,
+    CYCLIC_CONFIG,
+], ids=["bernstein", "kantorovich", "schoenberg", "hat-dirac", "custom",
+        "custom-swap", "custom-mixed", "hat-dirac-300", "custom-cyclic"])
+
+#: The three kinds of the large-operator benchmark workload: a tridiagonal,
+#: a banded and an identity matrix.
+LARGE_OPERATOR_CONFIGS = pytest.mark.parametrize("text", [
+    HAT_AVERAGE_160_CONFIG,
+    json.dumps({"operator": "schoenberg", "degree": 3,
+                "knots": [0.0] * 4 + np.linspace(0.0, 1.0, 78)[1:-1].tolist() + [1.0] * 4}),
+    json.dumps({"operator": "hat-dirac", "nodes": np.concatenate(
+        ([0.0], np.sort(np.random.default_rng(300).uniform(0.0, 1.0, 298)), [1.0])).tolist()}),
+], ids=["hat-average-160", "schoenberg-cubic-80", "hat-dirac-300-random"])
 
 
 class TestParseConfig:
@@ -241,32 +284,66 @@ class TestEmit:
             entries = report_to_mapping(report)["matrix"]["entries"]
             assert all(type(x) is float for row in entries for x in row)
 
-    @pytest.mark.parametrize("text", [
-        '{"operator": "bernstein", "n": 4}',
-        '{"operator": "kantorovich", "n": 3}',
-        json.dumps({"operator": "schoenberg", "degree": 2,
-                    "knots": [0.0] * 3 + [0.3, 0.6] + [1.0] * 3}),
-        '{"operator": "hat-dirac", "nodes": [0, 0.2, 0.7, 1]}',
-        _hat_average_config(6),
-        SWAP_CONFIG,
-        json.dumps({"operator": "custom", "basis": {"kind": "hat", "nodes": [0, 0.4, 1]},
-                    "functionals": [{"kind": "dirac", "x": 0.0},
-                                    {"kind": "interval-average", "a": 0.2, "b": 0.7},
-                                    {"kind": "dirac", "x": 1.0}]}),
-    ], ids=["bernstein", "kantorovich", "schoenberg", "hat-dirac", "custom",
-            "custom-swap", "custom-mixed"])
+    @CATALOG_CONFIGS
     def test_json_layout_matches_json_dumps_oracle(self, text):
-        mapping = report_to_mapping(run_analyze(parse_config(text)))
+        report = run_analyze(parse_config(text))
+        mapping = report_to_mapping(report)
         assert dumps_json(mapping) == dumps_json_oracle(mapping)
+        assert emit_report(report, "json") == dumps_json_oracle(mapping)
+
+    @LARGE_OPERATOR_CONFIGS
+    def test_large_operator_json_matches_json_dumps_oracle(self, text):
+        report = run_analyze(parse_config(text))
+        assert emit_report(report, "json") == dumps_json_oracle(report_to_mapping(report))
+
+    @pytest.mark.parametrize("entries", [
+        [[0.5, -0.0, 0.0, 0.0, 0.0, 0.5],      # exactly half zero, a -0.0 among the rest
+         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],       # all zero
+         [0.0, -0.0, 0.0, 0.0, 0.0, 0.0],      # sparse, its one formatted entry -0.0
+         [0.0, 0.0, 0.0, 0.0, 1e-300, 5e-324],
+         [1.0 / 3.0, 0.1, 0.0, 0.0, 0.0, 0.0],
+         [0.2, 0.2, 0.2, 0.2, 0.1, 0.1]],
+        [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [-0.0, -0.0, 1.0]],
+        [[1.0]], [[0.0]], [[-0.0]],
+    ], ids=["sparse-dense-mix-6", "three-by-three", "one", "zero", "minus-zero"])
+    def test_matrix_json_matches_json_dumps_oracle(self, kant1_report, entries):
+        report = dataclasses.replace(kant1_report, matrix=CollocationMatrix(np.array(entries)))
+        mapping = report_to_mapping(report)
+        assert mapping["matrix"]["entries"] == entries
+        assert all(type(x) is float for row in mapping["matrix"]["entries"] for x in row)
+        assert emit_report(report, "json") == dumps_json_oracle(mapping)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=repr)
+    @pytest.mark.parametrize("entries", [
+        lambda x: [[x]],
+        lambda x: [[0.0, 0.0, 0.0, x], [1.0, 0.0, 0.0, 0.0]],   # a sparse row
+        lambda x: [[0.5, 0.5], [0.25, x]],                      # a dense row
+        lambda x: [[0.0, 1.0], [x, -x]],                        # the first one is named
+    ], ids=["one", "sparse-row", "dense-row", "two-bad"])
+    def test_emit_rejects_non_finite_matrix_entry(self, kant1_report, bad, entries):
+        matrix = types.SimpleNamespace(entries=np.array(entries(bad)))
+        broken = dataclasses.replace(kant1_report, matrix=matrix)
+        with pytest.raises(ValueError,
+                           match=rf"^cannot serialize non-finite number {bad!r}$"):
+            emit_report(broken, "json")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=repr)
+    def test_emit_rejects_non_finite_eigenvalue_record(self, kant1_report, bad):
+        spectrum = kant1_report.spectrum
+        moduli = spectrum.moduli.copy()
+        moduli[-1] = bad
+        broken = dataclasses.replace(
+            kant1_report, spectrum=dataclasses.replace(spectrum, moduli=moduli))
+        with pytest.raises(ValueError,
+                           match=rf"^cannot serialize non-finite number {bad!r}$"):
+            emit_report(broken, "json")
 
     def test_matrix_rows_formatted_without_per_item_calls(self, monkeypatch):
-        # Each matrix row (and the config's node list) goes through one
-        # template; what is formatted one at a time is the eigenvalue and
-        # disk scalars (5 per row) and a fixed number of check values,
-        # timings and tolerances. Before the template: n^2 + 6n + 26.
-        n = 300
-        report = run_analyze(parse_config(json.dumps(
-            {"operator": "hat-dirac", "nodes": np.linspace(0.0, 1.0, n).tolist()})))
+        # The matrix, the config's node list and the eigenvalue and disk
+        # records each go through templates; what is formatted one at a time
+        # is a fixed set of check values, tolerances, timings and matrix and
+        # iterate scalars, the same count at every n. Before the templates:
+        # n^2 + 6n + 26, then 5n + 26 with one template per matrix row.
         calls = []
         format_number = report_module._format_number
 
@@ -275,8 +352,19 @@ class TestEmit:
             return format_number(x)
 
         monkeypatch.setattr(report_module, "_format_number", counted)
-        emit_report(report, "json")
-        assert len(calls) <= 5 * n + 50
+        counts = []
+        for n in (30, 300):
+            report = run_analyze(parse_config(json.dumps(
+                {"operator": "hat-dirac", "nodes": np.linspace(0.0, 1.0, n).tolist()})))
+            calls.clear()
+            emit_report(report, "json")
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 30
+
+    @CATALOG_CONFIGS
+    def test_svg_matches_per_element_oracle(self, text):
+        report = run_analyze(parse_config(text))
+        assert emit_svg(report) == emit_svg_oracle(report)
 
     def test_csv_leading_row_is_eigenvalue_one(self, kant1_report):
         lines = emit_report(kant1_report, "csv").splitlines()
@@ -289,16 +377,7 @@ class TestEmit:
         assert first[4] == "true"
 
     def test_rate_equals_its_printed_modulus(self):
-        # Each hat is read at its own node and the next one, cyclically: a
-        # complex subdominant pair whose modulus np.abs rounds one ulp away
-        # from Python's abs.
-        nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
-        config = parse_config(json.dumps({
-            "version": 1, "operator": "custom",
-            "basis": {"kind": "hat", "nodes": nodes},
-            "functionals": [{"kind": "weighted-quadrature",
-                             "nodes": [nodes[k], nodes[(k + 1) % 5]],
-                             "weights": [0.3, 0.7]} for k in range(5)]}))
+        config = parse_config(CYCLIC_CONFIG)
         data = json.loads(emit_report(run_analyze(config), "json"))
         moduli = [row["modulus"] for row in data["spectrum"]["eigenvalues"]]
         below = [m for m in moduli if m < 1.0 - config.tolerances.peripheral]
@@ -395,11 +474,33 @@ class TestSerializer:
          [2 ** 53 + 1, 0.5], [False, 0.5], [np.float32(0.1), np.int64(-3), 0.5]],
         {"m": {"entries": [[0.75, 0.25], [0.25, 0.75]], "dev": 0.0},
          "rows": [{"re": 1.0, "ok": True, "note": "x"}], "n": None},
+        [{"re": 0.5, "ok": True, "note": 'a"%s\u00e9'}, {"re": -0.0, "ok": False, "note": ""},
+         {"re": 5e-324, "ok": True, "note": "%%"}],
+        {"rows": [{"100%": 0.5, "%s": "b"}, {"100%": 1e300, "%s": "c"}]},
+        [{"a": 0.5}, {"b": 0.5}],
+        [{"a": 0.5, "b": 1.0}, {"b": 0.5, "a": 1.0}],
+        [{"a": 0.5}, {"a": 1}], [{"a": 0.5}, {"a": np.float64(0.5)}], [{"a": True}, {"a": 1.0}],
+        [{"a": 1e308, "b": True}, {"a": 1e308, "b": False}],
+        [{"nodes": [0.5], "k": "x"}, {"nodes": [0.25], "k": "y"}],
+        [{}, {}], [{"a": None}, {"a": None}], [{"a": 0.5}, 0.5], [0.5, {"a": 0.5}],
     ], ids=["empty", "empty-row", "empty-containers", "empty-and-one", "one-item",
             "one-item-row", "one-item-in-dict", "edge-row", "edge-matrix", "mixed-rows",
-            "report-shape"])
+            "report-shape", "records", "records-percent-keys", "records-mixed-keys",
+            "records-key-order", "records-float-and-int", "records-float-and-float64",
+            "records-bool-and-float", "records-sum-overflows", "records-list-column",
+            "records-empty", "records-null", "record-then-float", "float-then-record"])
     def test_layout_matches_json_dumps_oracle(self, obj):
         assert dumps_json(obj) == dumps_json_oracle(obj)
+
+    @pytest.mark.parametrize("arr", [
+        np.empty((0, 3)), np.empty((2, 0)), np.eye(5), -np.eye(3), np.eye(4)[::-1].T,
+        np.array([[0.0, -0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 1.0], [1e-300, 0.0, 0.0, 0.0]]),
+        np.where(np.random.default_rng(7).uniform(size=(9, 7)) < 0.6, 0.0,
+                 np.random.default_rng(8).standard_normal((9, 7))),
+    ], ids=["no-rows", "no-columns", "identity", "minus-identity", "strided",
+            "mixed", "random-sparse"])
+    def test_float_matrix_written_as_its_rows(self, arr):
+        assert dumps_json({"m": arr}) == dumps_json_oracle({"m": arr.tolist()})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=repr)
     @pytest.mark.parametrize("place", [
@@ -411,8 +512,11 @@ class TestSerializer:
         lambda x: np.float64(x),
         lambda x: [0.5, x, float("-inf") if math.isnan(x) else float("nan")],
         lambda x: [0.5] * 299 + [x],
+        lambda x: [{"re": 0.5, "ok": True}, {"re": x, "ok": False}],
+        lambda x: {"rows": [{"a": 0.5, "b": x},
+                            {"a": float("-inf") if math.isnan(x) else float("nan"), "b": 0.5}]},
     ], ids=["scalar", "list-first", "list-middle", "list-last", "nested-matrix", "float64",
-            "row-two-bad", "row-300-last"])
+            "row-two-bad", "row-300-last", "record-last", "record-first-named"])
     def test_non_finite_rejected(self, bad, place):
         with pytest.raises(ValueError,
                            match=rf"^cannot serialize non-finite number {bad!r}$"):
@@ -524,6 +628,11 @@ class TestCli:
              "'nodes' must hold finite numbers only"),
             ('{"operator": "hat-dirac", "nodes": [0, "0.5", 1]}',
              "'nodes' must be a list of numbers"),
+            ('{"operator": "hat-dirac", "nodes": [0, 5e-324, 1]}',
+             "hat basis nodes 0.0 and 5e-324 are too close"),
+            (json.dumps({"operator": "custom", "basis": {"kind": "hat", "nodes": [0, 5e-324, 1]},
+                         "functionals": [{"kind": "dirac", "x": x} for x in (0.0, 0.5, 1.0)]}),
+             "hat basis nodes 0.0 and 5e-324 are too close"),
             ('{"version": true, "operator": "kantorovich", "n": 2}',
              "unsupported config version True"),
             (json.dumps({"operator": "kantorovich", "n": 2, "iterate": {"m_max": 10**4000}}),
@@ -552,7 +661,8 @@ class TestCli:
             "nan-quadrature-node", "infinite-quadrature-weight", "nan-knot",
             "knots-past-one", "custom-knots-below-zero", "negative-quadrature-weight",
             "negative-seed", "boolean-tolerance", "boolean-dirac", "huge-integer-dirac",
-            "huge-integer-node", "string-node", "boolean-version", "huge-m-max",
+            "huge-integer-node", "string-node", "hat-slope-overflow",
+            "custom-hat-slope-overflow", "boolean-version", "huge-m-max",
             "unknown-top-level-key", "other-kind-parameter", "unknown-tolerance",
             "unknown-iterate-key", "unknown-output-flag", "dirac-with-a", "hat-basis-with-n",
             "negative-seed-override"])

@@ -15,8 +15,9 @@ two checkouts and ``diff`` the files: equal files mean byte-identical
 output on the whole pool.
 
 The exit status is 1 when any config ended in an exception that
-``pouspec.cli.main`` let through (a line reading ``exit=raised:``), else 0;
-every line is printed either way.
+``pouspec.cli.main`` let through (a line reading ``exit=raised:``) or wrote
+more than one line to stderr (the CLI's contract is one ``error:`` line at
+most), else 0; every line is printed either way.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ def import_main(src: Path):
     return pouspec.cli.main
 
 
-def run_one(main, config_text: str) -> str:
+def run_one(main, config_text: str) -> tuple[str, str]:
     """Exit code and output digests of one ``pouspec analyze`` call, run in
-    the current directory with relative file names."""
+    the current directory with relative file names, and its stderr."""
     for name in OUTPUTS:
         Path(name).unlink(missing_ok=True)
     Path("config.json").write_text(config_text, encoding="utf-8")
@@ -85,7 +86,7 @@ def run_one(main, config_text: str) -> str:
     parts += [f"{label}={_digest(text)}"
               for label, text in zip(("json", "csv", "svg"), texts)]
     parts += [f"stdout={_digest(stdout.getvalue())}", f"stderr={_digest(stderr.getvalue())}"]
-    return " ".join(parts)
+    return " ".join(parts), stderr.getvalue()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,14 +104,14 @@ def main(argv: list[str] | None = None) -> int:
     from perfbench.workloads import WORKLOADS, pool
 
     analyze = import_main(src)
-    raised = False
+    failed = False
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for workload in WORKLOADS:
             for entry_id, entry in pool(workload).items():
-                line = run_one(analyze, entry.text())
-                raised |= line.startswith("exit=raised:")
+                line, err = run_one(analyze, entry.text())
+                failed |= line.startswith("exit=raised:") or len(err.splitlines()) > 1
                 print(f"{workload} {entry_id} {line}", flush=True)
-    return 1 if raised else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
