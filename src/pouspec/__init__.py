@@ -28,9 +28,9 @@ from .report import (AnalysisConfig, AnalysisReport, IterateSettings, OutputFlag
                      emit_report, emit_svg, exit_code_for, parse_config,
                      report_to_mapping, run_analyze)
 from .spectra import (CollocationMatrix, IterateResult, SpectrumReport,
-                      build_collocation_matrix, char_poly_eigen_oracle,
-                      characteristic_polynomial, check_row_stochastic,
+                      build_collocation_matrix, check_row_stochastic,
                       classify_spectrum, eigenvalues, gershgorin_disks,
-                      iterate_limit, pair_eigenvalues, sort_eigenvalues)
+                      iterate_limit, mpmath_eigen_oracle, pair_eigenvalues,
+                      sort_eigenvalues)
 
 __version__ = "0.1.0"

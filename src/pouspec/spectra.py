@@ -10,14 +10,12 @@ positive. Zero diagonal entries void that tangency argument; the classifier
 reports them explicitly instead of asserting the peripheral statement.
 
 The eigenvalues come from LAPACK's dense nonsymmetric solver (``geev``)
-through scipy. An independent cross check for small matrices computes the
-characteristic polynomial by the Faddeev-LeVerrier recursion and finds its
-roots in closed form (degree at most two) or through the companion matrix.
+through scipy. An independent cross check for matrices up to 30x30 runs
+mpmath's eigensolver in 40-digit arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +37,11 @@ ITERATE_M_MAX = 65536
 
 #: Largest supported dense eigenproblem.
 MAX_DIMENSION = 500
+
+#: Largest matrix and working precision (decimal digits) of the mpmath
+#: eigenvalue oracle.
+ORACLE_MAX_DIMENSION = 30
+ORACLE_DIGITS = 40
 
 #: Most basis values (basis size times nodes) evaluated at once while the
 #: collocation matrix is assembled: 2 MB of float64.
@@ -180,58 +183,35 @@ def eigenvalues(matrix) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Characteristic-polynomial oracle (small matrices, used as a cross check)
+# Extended-precision oracle (used as a cross check)
 # --------------------------------------------------------------------------
 
-def characteristic_polynomial(matrix) -> np.ndarray:
-    """Coefficients ``[1, c_1, ..., c_n]`` of ``det(lambda I - A)`` in
-    descending powers, by the Faddeev-LeVerrier trace recursion."""
-    a = _as_matrix(matrix)
-    n = a.shape[0]
-    coeffs = [1.0]
-    ak = a.copy()
-    c = -float(np.trace(ak))
-    coeffs.append(c)
-    for k in range(2, n + 1):
-        ak = a @ (ak + c * np.eye(n))
-        c = -float(np.trace(ak)) / k
-        coeffs.append(c)
-    return np.asarray(coeffs)
+def mpmath_eigen_oracle(matrix) -> np.ndarray:
+    """Eigenvalues from :func:`mpmath.eig` in ``ORACLE_DIGITS``-digit
+    arithmetic, in the canonical order of :func:`sort_eigenvalues`.
 
-
-def _quadratic_roots(b: float, c: float) -> list[complex]:
-    """Roots of ``x^2 + b x + c`` without subtractive cancellation."""
-    disc = b * b - 4.0 * c
-    if disc >= 0.0:
-        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        if q == 0.0:
-            return [complex(0.0), complex(0.0)]
-        return [complex(q), complex(c / q)]
-    q = 0.5 * math.sqrt(-disc)
-    return [complex(-b / 2.0, q), complex(-b / 2.0, -q)]
-
-
-def char_poly_eigen_oracle(matrix) -> np.ndarray:
-    """Eigenvalues via explicit characteristic-polynomial coefficients.
-
-    Independent of the LAPACK path: Faddeev-LeVerrier for the coefficients,
-    then the quadratic formula (degree <= 2) or companion-matrix root
-    finding (degree 3 to 5). Going through the polynomial squares the
-    sensitivity of multiple roots, so this is a test oracle for small
-    matrices, not a production solver.
+    Independent code, not a different algorithm: ``mpmath.eig`` is also a
+    Hessenberg QR iteration, carried out in pure Python at 40 digits, so it
+    shares no code with LAPACK and resolves multiple eigenvalues far below
+    LAPACK's own ``sqrt(eps)`` error on them. The closed-form spectra of
+    the tests carry the large sizes; this is a test oracle up to
+    ``ORACLE_MAX_DIMENSION``, not a production solver.
     """
-    a = _as_matrix(matrix)
-    n = a.shape[0]
-    if n > 5:
-        raise UnsupportedSizeError(f"characteristic-polynomial oracle supports n <= 5, got {n}")
-    coeffs = characteristic_polynomial(a)
+    arr = _as_matrix(matrix)
+    n = arr.shape[0]
+    if n > ORACLE_MAX_DIMENSION:
+        raise UnsupportedSizeError(
+            f"mpmath oracle supports n <= {ORACLE_MAX_DIMENSION}, got {n}")
     if n == 1:
-        roots = [complex(-coeffs[1])]
-    elif n == 2:
-        roots = _quadratic_roots(float(coeffs[1]), float(coeffs[2]))
-    else:
-        roots = list(np.roots(coeffs))
-    return sort_eigenvalues(roots)
+        # mpmath 1.3.0 returns (E, ER, EL) for a 1x1 matrix whatever the
+        # flags; the entry is the eigenvalue.
+        return sort_eigenvalues(arr[0])
+    # Imported here: only the oracle command uses it, and mpmath is slow
+    # to import.
+    import mpmath
+    with mpmath.workdps(ORACLE_DIGITS):
+        eigs = mpmath.eig(mpmath.matrix(arr.tolist()), left=False, right=False)
+    return sort_eigenvalues([complex(v) for v in eigs])
 
 
 def pair_eigenvalues(left, right) -> float:

@@ -79,6 +79,15 @@ def bernstein_eigenvalue_oracle(n: int) -> np.ndarray:
     return np.array([np.prod([1.0 - i / n for i in range(k)]) for k in range(n + 1)])
 
 
+def kantorovich_eigenvalue_oracle(n: int) -> np.ndarray:
+    """Closed-form spectrum of the Kantorovich collocation matrix:
+    ``lambda_k = prod_{i<k} (n - i) / (n + 1) = n! / ((n-k)! (n+1)^k)`` for
+    ``k = 0 .. n``. ``K_n f = (B_{n+1} F)'`` with ``F`` the antiderivative
+    of ``f``, so ``K_n`` maps the polynomials of degree ``k`` to themselves
+    with leading coefficient ``lambda_k``. The product form cannot overflow."""
+    return np.cumprod(np.concatenate(([1.0], (n - np.arange(n)) / (n + 1))))
+
+
 def bspline_value(knots: np.ndarray, i: int, degree: int, xs: np.ndarray) -> np.ndarray:
     """B-spline ``N[i, degree]`` by the Cox-de Boor recursion, independent
     of the package. Spans are closed on the left, and the last nonempty one

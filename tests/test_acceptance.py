@@ -23,9 +23,9 @@ from pouspec.operators import (apply_operator, bernstein_operator,
                                schoenberg_operator, verify_adjoint_identity,
                                verify_constant_reproduction, verify_positivity)
 from pouspec.report import dumps_json, parse_config, run_analyze
-from pouspec.spectra import (build_collocation_matrix, char_poly_eigen_oracle,
-                             classify_spectrum, eigenvalues, gershgorin_disks,
-                             iterate_limit, pair_eigenvalues)
+from pouspec.spectra import (build_collocation_matrix, classify_spectrum, eigenvalues,
+                             gershgorin_disks, iterate_limit, mpmath_eigen_oracle,
+                             pair_eigenvalues)
 
 GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -107,13 +107,13 @@ def test_criterion_03_kantorovich_n1_exactness():
 
 def test_criterion_04_bernstein_eigenvalue_oracle():
     # The closed-form product oracle is itself validated against the
-    # characteristic-polynomial route where that route applies (n <= 4);
-    # the double eigenvalue at 1 limits that route to ~sqrt(eps) there.
-    for n in range(1, 5):
+    # 40-digit mpmath eigensolver, which resolves the double eigenvalue 1
+    # far below LAPACK's sqrt(eps) error on it.
+    for n in (1, 2, 3, 4, 8, 16, 29):
         matrix = build_collocation_matrix(bernstein_operator(n))
         d = pair_eigenvalues(np.asarray(bernstein_eigenvalue_oracle(n), dtype=complex),
-                             char_poly_eigen_oracle(matrix))
-        assert d <= 1e-6, f"product oracle vs charpoly oracle at n={n}: {d:.2e}"
+                             mpmath_eigen_oracle(matrix))
+        assert d <= 1e-12, f"product oracle vs mpmath oracle at n={n}: {d:.2e}"
     worst = 0.0
     for n in range(1, 13):
         matrix = build_collocation_matrix(bernstein_operator(n))
@@ -224,8 +224,8 @@ def test_criterion_09_eigensolver_cross_validation():
         n = int(rng.integers(1, 6))
         matrix = random_stochastic(rng, n)
         worst = max(worst, pair_eigenvalues(eigenvalues(matrix),
-                                            char_poly_eigen_oracle(matrix)))
-    ok = worst <= 1e-7
+                                            mpmath_eigen_oracle(matrix)))
+    ok = worst <= 1e-12
     _criterion("criterion 9: eigensolver cross-validation", ok,
                f"500 random stochastic matrices (n <= 5), worst distance {worst:.2e}")
 

@@ -736,9 +736,10 @@ class TestCli:
         env = dict(os.environ, PYTHONPATH=str(src))
         run = subprocess.run(
             [sys.executable, "-c",
-             "import sys, pouspec.cli; print('scipy.optimize' in sys.modules)"],
+             "import sys, pouspec.cli; "
+             "print('scipy.optimize' in sys.modules, 'mpmath' in sys.modules)"],
             env=env, capture_output=True, text=True, timeout=120)
-        assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "False False\n", "")
 
     def test_verify_checks_only(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -762,9 +763,35 @@ class TestCli:
         assert lines[1:3] == ["  LAPACK eigenvalues: 1+0j, 0.5+0j",
                               "  oracle eigenvalues: 1+0j, 0.5+0j"]
 
+    def test_oracle_one_by_one(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "operator": "custom", "basis": {"kind": "bspline", "knots": [0, 1], "degree": 0},
+            "functionals": [{"kind": "dirac", "x": 0.5}]}), encoding="utf-8")
+        assert main(["oracle", "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == ["  LAPACK eigenvalues: 1+0j", "  oracle eigenvalues: 1+0j"]
+
+    def test_oracle_resolves_double_eigenvalue(self, tmp_path, capsys):
+        # Bernstein n = 4 has the eigenvalue 1 twice.
+        config = tmp_path / "config.json"
+        config.write_text('{"operator": "bernstein", "n": 4}', encoding="utf-8")
+        assert main(["oracle", "--config", str(config)]) == 0
+        line = capsys.readouterr().out.splitlines()[3]
+        assert line.startswith("  max matched distance: ")
+        assert float(line.split()[3]) <= 1e-14
+
+    def test_oracle_largest_size(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"operator": "hat-dirac",
+                                      "nodes": np.linspace(0.0, 1.0, 30).tolist()}),
+                          encoding="utf-8")
+        assert main(["oracle", "--config", str(config)]) == 0
+        assert "(n = 30)" in capsys.readouterr().out
+
     def test_oracle_oversize_exits_two(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text('{"operator": "bernstein", "n": 8}', encoding="utf-8")
+        config.write_text('{"operator": "bernstein", "n": 30}', encoding="utf-8")
         assert main(["oracle", "--config", str(config)]) == 2
 
     def test_oracle_checks_size_before_assembly(self, tmp_path, capsys, monkeypatch):
@@ -773,10 +800,10 @@ class TestCli:
 
         monkeypatch.setattr("pouspec.cli.build_collocation_matrix", never)
         config = tmp_path / "config.json"
-        config.write_text('{"operator": "bernstein", "n": 5}', encoding="utf-8")
+        config.write_text('{"operator": "kantorovich", "n": 30}', encoding="utf-8")
         assert main(["oracle", "--config", str(config)]) == 2
         assert capsys.readouterr().err == ("error: oracle cross-check supports matrices "
-                                           "up to 5x5, got 6x6\n")
+                                           "up to 30x30, got 31x31\n")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_report_value_exits_one(self, tmp_path, capsys, monkeypatch, bad):

@@ -8,9 +8,9 @@ import numpy.testing as nptest
 import pytest
 
 from helpers import (bernstein_eigenvalue_oracle, bernstein_value, collocation_rowwise,
-                     gershgorin_rowwise, kantorovich_matrix_exact,
-                     kantorovich_matrix_oracle, random_breakpoints, random_stochastic,
-                     sort_eigenvalues_by_key)
+                     gershgorin_rowwise, kantorovich_eigenvalue_oracle,
+                     kantorovich_matrix_exact, kantorovich_matrix_oracle,
+                     random_breakpoints, random_stochastic, sort_eigenvalues_by_key)
 
 from pouspec import spectra
 from pouspec.errors import ConfigError, DomainError, UnsupportedSizeError
@@ -19,15 +19,17 @@ from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
 from pouspec.bases import BasisSystem, clamped_knots, make_hat_basis
 from pouspec.operators import OperatorSpec, bernstein_operator, hat_dirac_operator, \
     kantorovich_operator, schoenberg_operator
-from pouspec.spectra import (MAX_DIMENSION, CollocationMatrix, build_collocation_matrix,
-                             char_poly_eigen_oracle, characteristic_polynomial,
-                             check_row_stochastic, classify_spectrum, eigenvalues,
-                             gershgorin_disks, iterate_limit, pair_eigenvalues,
+from pouspec.spectra import (MAX_DIMENSION, ORACLE_MAX_DIMENSION, CollocationMatrix,
+                             build_collocation_matrix, check_row_stochastic,
+                             classify_spectrum, eigenvalues, gershgorin_disks,
+                             iterate_limit, mpmath_eigen_oracle, pair_eigenvalues,
                              sort_eigenvalues)
 
 KANT1 = np.array([[0.75, 0.25], [0.25, 0.75]])
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 BERN2 = np.array([[1.0, 0.0, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]])
+#: Defective: a Jordan block of size two at 0.5 beside the eigenvalue 1.
+JORDAN = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
 
 
 def swap_operator() -> OperatorSpec:
@@ -281,6 +283,12 @@ class TestEigenvalues:
                            for k in range(n + 1)])
         assert pair_eigenvalues(eigenvalues(matrix), bernstein_eigenvalue_oracle(n)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 31, 60, 100, 200, 499])
+    def test_kantorovich_closed_form_spectrum(self, n):
+        matrix = build_collocation_matrix(kantorovich_operator(n))
+        d = pair_eigenvalues(eigenvalues(matrix), kantorovich_eigenvalue_oracle(n))
+        assert d <= 1e-12
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_matches_numpy_on_random_stochastic(self, n):
         rng = np.random.default_rng(n)
@@ -290,31 +298,71 @@ class TestEigenvalues:
             assert d <= 1e-8
 
 
-class TestCharPolyOracle:
-    def test_leverrier_coefficients(self):
-        # det(lambda I - KANT1) = lambda^2 - 1.5 lambda + 0.5.
-        nptest.assert_allclose(characteristic_polynomial(KANT1), [1.0, -1.5, 0.5],
-                               atol=1e-15)
+def three_cycle_operator() -> OperatorSpec:
+    """Each hat read at the next node, cyclically: the 3-cycle permutation,
+    whose spectrum holds a complex pair on the unit circle."""
+    basis = make_hat_basis([0.0, 0.5, 1.0])
+    return OperatorSpec(basis, tuple(map(DiracFunctional, (0.5, 1.0, 0.0))),
+                        name="three-cycle")
 
-    def test_kantorovich_roots(self):
-        nptest.assert_allclose(char_poly_eigen_oracle(KANT1), [1.0, 0.5], atol=1e-12)
+
+def _schoenberg_random(degree: int, interior: int) -> OperatorSpec:
+    knots = clamped_knots(random_breakpoints(np.random.default_rng(degree),
+                                             interior=interior), degree)
+    return schoenberg_operator(knots, degree)
+
+
+#: Kinds with no closed-form spectrum, at dimension 3 to 30.
+MPMATH_CASES = {
+    "schoenberg-linear": lambda: _schoenberg_random(1, 28),
+    "schoenberg-quadratic": lambda: _schoenberg_random(2, 15),
+    "schoenberg-cubic": lambda: _schoenberg_random(3, 10),
+    "hat-average-20": lambda: _hat_average_operator(20),
+    "mixed": _mixed_operator,
+    "three-cycle": three_cycle_operator,
+}
+
+
+class TestMpmathOracle:
+    def test_kantorovich_pair_exact(self):
+        nptest.assert_array_equal(mpmath_eigen_oracle(KANT1), [1.0, 0.5])
+
+    def test_forty_digits_round_once(self):
+        # At mpmath's default 15 digits the eigenvalue 1 comes back as
+        # 1.0000000000000002.
+        nptest.assert_array_equal(mpmath_eigen_oracle([[0.5, 0.5], [0.2, 0.8]]),
+                                  [1.0, 0.3])
 
     def test_identity_three(self):
-        # Triple root: the polynomial route is eps^(1/3)-conditioned, so
-        # agreement beyond ~1e-5 cannot be expected here.
-        nptest.assert_allclose(char_poly_eigen_oracle(np.eye(3)), np.ones(3),
-                               atol=1e-5)
+        nptest.assert_allclose(mpmath_eigen_oracle(np.eye(3)), np.ones(3), atol=1e-15)
+
+    def test_defective_eigenvalue_exact(self):
+        nptest.assert_array_equal(mpmath_eigen_oracle(JORDAN), [1.0, 0.5, 0.5])
+
+    def test_one_by_one(self):
+        nptest.assert_array_equal(mpmath_eigen_oracle([[0.3]]), [0.3])
 
     def test_matches_qr_on_random_stochastic(self):
         rng = np.random.default_rng(404)
         for _ in range(50):
             matrix = random_stochastic(rng, 4)
-            d = pair_eigenvalues(eigenvalues(matrix), char_poly_eigen_oracle(matrix))
-            assert d <= 1e-7
+            d = pair_eigenvalues(eigenvalues(matrix), mpmath_eigen_oracle(matrix))
+            assert d <= 1e-12
 
     def test_rejects_oversize(self):
         with pytest.raises(UnsupportedSizeError):
-            char_poly_eigen_oracle(np.eye(6))
+            mpmath_eigen_oracle(np.eye(ORACLE_MAX_DIMENSION + 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 11, 29])
+    def test_kantorovich_closed_form(self, n):
+        matrix = build_collocation_matrix(kantorovich_operator(n))
+        d = pair_eigenvalues(mpmath_eigen_oracle(matrix), kantorovich_eigenvalue_oracle(n))
+        assert d <= 1e-14
+
+    @pytest.mark.parametrize("case", MPMATH_CASES)
+    def test_matches_lapack_on_catalog_kinds(self, case):
+        matrix = build_collocation_matrix(MPMATH_CASES[case]())
+        assert pair_eigenvalues(eigenvalues(matrix), mpmath_eigen_oracle(matrix)) <= 1e-10
 
     def test_multiset_size_mismatch(self):
         with pytest.raises(ConfigError):
@@ -465,3 +513,11 @@ def test_subdominant_modulus_matches_bernstein_closed_form(n):
     matrix = build_collocation_matrix(bernstein_operator(n))
     report = classify_spectrum(eigenvalues(matrix), gershgorin_disks(matrix))
     assert abs(report.subdominant_modulus - (1.0 - 1.0 / n)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [31, 100, 499])
+def test_subdominant_modulus_matches_kantorovich_closed_form(n):
+    # Eigenvalues n! / ((n - k)! (n + 1)^k), k = 0..n: 1 once, then n / (n + 1).
+    matrix = build_collocation_matrix(kantorovich_operator(n))
+    report = classify_spectrum(eigenvalues(matrix), gershgorin_disks(matrix))
+    assert abs(report.subdominant_modulus - n / (n + 1)) <= 1e-12
