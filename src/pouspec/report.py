@@ -9,6 +9,18 @@ solve and classify the spectrum, and search for the limit of matrix powers.
 Reports serialize to JSON (17 significant digits, stable key order), to a
 flat eigenvalue CSV, and to a static SVG of the disks and eigenvalues.
 
+Each kind a config can name is one row of a table: ``OPERATORS`` for the
+``operator`` field, ``BASES`` and ``FUNCTIONALS`` for a custom operator's
+basis and functional specs. A row declares the kind's fields in config
+order with their parsers, its constructor, and for operators and bases
+its size. Parsing reads the named row's fields (for ``custom`` that reads
+its basis and functional specs through their rows), then the grid,
+settings and seed; only once every value is valid are the config's maps
+checked for unknown keys, against the same rows. ``build_operator`` checks
+the row's size against ``MAX_DIMENSION`` before anything is built, then
+calls the constructor with the parsed fields as keyword arguments. Adding
+a kind is adding a row (and its entry in ``cli.CATALOG_TEXT``).
+
 The emitters work on whole arrays, with the same bytes as formatting each
 number on its own:
 
@@ -31,7 +43,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -52,8 +64,6 @@ from .spectra import (CLASSIFICATION_CONFORMS, ITERATE_M_MAX, ITERATE_TOL, MAX_D
                       eigenvalues, gershgorin_disks, iterate_limit)
 
 SCHEMA_VERSION = 1
-
-OPERATOR_KINDS = ("bernstein", "kantorovich", "schoenberg", "hat-dirac", "custom")
 
 #: Largest verification grid. ``run_checks`` evaluates the basis on the grid
 #: once and every check reads that one ``n x grid_points`` array; at
@@ -129,6 +139,11 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value: Any) -> bool:
+    """An int; JSON ``true`` and ``false`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(data: dict, key: str, types, context: str):
     if key not in data:
         raise ConfigError(f"{context}: missing required field '{key}'")
@@ -143,16 +158,23 @@ def _require(data: dict, key: str, types, context: str):
 
 def _seed(value: Any) -> int:
     """A valid random seed: numpy's generators take integers >= 0 only."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if not _is_int(value) or value < 0:
         raise ConfigError(f"config: 'seed' must be an integer >= 0, got {value!r}")
     return value
 
 
-def _positive_int(data: dict, key: str, context: str, minimum: int = 1) -> int:
-    value = _require(data, key, (int,), context)
-    if value < minimum:
-        raise ConfigError(f"{context}: '{key}' must be an integer >= {minimum}")
-    return value
+def _integer_at_least(minimum: int) -> Callable[[dict, str, str], int]:
+    """Parser of an integer field that is at least ``minimum``."""
+    def parse(data: dict, key: str, context: str) -> int:
+        value = _require(data, key, (int,), context)
+        if value < minimum:
+            raise ConfigError(f"{context}: '{key}' must be an integer >= {minimum}")
+        return value
+    return parse
+
+
+def _number(data: dict, key: str, context: str) -> float:
+    return float(_require(data, key, (int, float), context))
 
 
 def _float_list(data: dict, key: str, context: str) -> list[float]:
@@ -173,139 +195,159 @@ def _reject_unknown(data: dict, allowed, context: str) -> None:
                           f"(expected one of {', '.join(allowed)})")
 
 
-def _reject_unknown_keys(data: dict, params: dict) -> None:
-    """Every map of a config that passed validation holds known keys only:
-    the common fields and the operator's parameters at the top level, the
-    dataclass fields in ``tolerances``, ``iterate`` and ``outputs``, and
-    ``kind`` plus that kind's fields in basis and functional specs (the
-    keys of their parsed form)."""
-    common = [f.name for f in fields(AnalysisConfig) if f.name != "params"]
-    _reject_unknown(data, [*common, *params], "config")
-    for name, settings in (("tolerances", Tolerances), ("iterate", IterateSettings),
-                           ("outputs", OutputFlags)):
-        _reject_unknown(data.get(name, {}), [f.name for f in fields(settings)],
-                        f"config: '{name}'")
-    if data["operator"] == "custom":
-        _reject_unknown(data["basis"], params["basis"], "custom basis")
-        for index, (spec, parsed) in enumerate(zip(data["functionals"],
-                                                   params["functionals"])):
-            _reject_unknown(spec, parsed, f"functional[{index}]")
+@dataclass(frozen=True)
+class Kind:
+    """One operator, basis or functional kind of a config: its fields in
+    config order, each with its parser ``(data, key, context) -> value``;
+    the constructor, which takes the parsed fields as keyword arguments;
+    and for operators and bases the size of what it builds, read off the
+    parsed fields before anything is built."""
+
+    params: dict[str, Callable[[dict, str, str], Any]]
+    build: Callable[..., Any]
+    size: Callable[[dict], int] | None = None
+
+    def parse(self, data: dict, context: str) -> dict:
+        return {name: parse(data, name, context) for name, parse in self.params.items()}
+
+    def construct(self, parsed: dict):
+        """What the parsed fields build; other keys of ``parsed`` (a spec's
+        ``kind``) are left out."""
+        return self.build(**{name: parsed[name] for name in self.params})
 
 
-def _parse_operator_params(kind: str, data: dict) -> dict:
-    if kind in ("bernstein", "kantorovich"):
-        return {"n": _positive_int(data, "n", f"operator '{kind}'")}
-    if kind == "schoenberg":
-        degree = _positive_int(data, "degree", "operator 'schoenberg'")
-        return {"knots": _float_list(data, "knots", "operator 'schoenberg'"),
-                "degree": degree}
-    if kind == "hat-dirac":
-        return {"nodes": _float_list(data, "nodes", "operator 'hat-dirac'")}
-    if kind == "custom":
-        basis = _require(data, "basis", (dict,), "operator 'custom'")
-        functionals = _require(data, "functionals", (list,), "operator 'custom'")
-        return {"basis": _parse_basis_spec(basis),
-                "functionals": [_parse_functional_spec(s, i)
-                                for i, s in enumerate(functionals)]}
-    raise ConfigError(f"unknown operator kind '{kind}' "
-                      f"(expected one of {', '.join(OPERATOR_KINDS)})")
+def _spec(table: dict[str, Kind], data: dict, context: str) -> dict:
+    """A basis or functional spec, parsed: ``kind``, then that kind's fields."""
+    kind = _require(data, "kind", (str,), context)
+    if kind not in table:
+        raise ConfigError(f"{context}: unknown kind '{kind}'")
+    return {"kind": kind, **table[kind].parse(data, context)}
 
 
-def _parse_basis_spec(spec: dict) -> dict:
-    kind = _require(spec, "kind", (str,), "custom basis")
-    if kind == "bernstein":
-        return {"kind": "bernstein", "n": _positive_int(spec, "n", "custom basis")}
-    if kind == "bspline":
-        return {"kind": "bspline",
-                "knots": _float_list(spec, "knots", "custom basis"),
-                "degree": _positive_int(spec, "degree", "custom basis", minimum=0)}
-    if kind == "hat":
-        return {"kind": "hat", "nodes": _float_list(spec, "nodes", "custom basis")}
-    raise ConfigError(f"custom basis: unknown kind '{kind}'")
+def _basis_spec(data: dict, key: str, context: str) -> dict:
+    return _spec(BASES, _require(data, key, (dict,), context), "custom basis")
 
 
-def _parse_functional_spec(spec: Any, index: int) -> dict:
-    context = f"functional[{index}]"
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{context}: must be a map")
-    kind = _require(spec, "kind", (str,), context)
-    if kind == "dirac":
-        return {"kind": "dirac", "x": float(_require(spec, "x", (int, float), context))}
-    if kind == "interval-average":
-        a = float(_require(spec, "a", (int, float), context))
-        b = float(_require(spec, "b", (int, float), context))
-        if a >= b:
-            raise ConfigError(f"{context}: requires a < b")
-        return {"kind": "interval-average", "a": a, "b": b}
-    if kind == "weighted-quadrature":
-        return {"kind": "weighted-quadrature",
-                "nodes": _float_list(spec, "nodes", context),
-                "weights": _float_list(spec, "weights", context)}
-    raise ConfigError(f"{context}: unknown kind '{kind}'")
+def _functional_specs(data: dict, key: str, context: str) -> list[dict]:
+    specs = []
+    for index, spec in enumerate(_require(data, key, (list,), context)):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"functional[{index}]: must be a map")
+        specs.append(_spec(FUNCTIONALS, spec, f"functional[{index}]"))
+    return specs
+
+
+def _custom_operator(basis: dict, functionals: list[dict]) -> OperatorSpec:
+    """The operator of a parsed basis spec and functional specs. An error
+    building functional ``i`` is prefixed ``functional[i]: ``."""
+    system = BASES[basis["kind"]].construct(basis)
+    built = []
+    for index, spec in enumerate(functionals):
+        try:
+            built.append(FUNCTIONALS[spec["kind"]].construct(spec))
+        except ConfigError as exc:
+            raise ConfigError(f"functional[{index}]: {exc}") from exc
+    return OperatorSpec(system, tuple(built), name="custom")
+
+
+#: Basis kinds of a custom operator's ``basis`` spec.
+BASES = {
+    "bernstein": Kind({"n": _integer_at_least(1)}, make_bernstein_basis,
+                      lambda p: p["n"] + 1),
+    "bspline": Kind({"knots": _float_list, "degree": _integer_at_least(0)},
+                    make_bspline_basis, lambda p: len(p["knots"]) - p["degree"] - 1),
+    "hat": Kind({"nodes": _float_list}, make_hat_basis, lambda p: len(p["nodes"])),
+}
+
+#: Functional kinds of a custom operator's ``functionals`` specs.
+FUNCTIONALS = {
+    "dirac": Kind({"x": _number}, DiracFunctional),
+    "interval-average": Kind({"a": _number, "b": _number}, IntervalAverageFunctional),
+    "weighted-quadrature": Kind({"nodes": _float_list, "weights": _float_list},
+                                WeightedQuadratureFunctional),
+}
+
+#: Operator kinds of a config's ``operator`` field. A catalog operator has
+#: the size of its basis; a custom one the larger of its basis size and
+#: its functional count.
+OPERATORS = {
+    "bernstein": Kind({"n": _integer_at_least(1)}, bernstein_operator,
+                      BASES["bernstein"].size),
+    "kantorovich": Kind({"n": _integer_at_least(1)}, kantorovich_operator,
+                        BASES["bernstein"].size),
+    "schoenberg": Kind({"knots": _float_list, "degree": _integer_at_least(1)},
+                       schoenberg_operator, BASES["bspline"].size),
+    "hat-dirac": Kind({"nodes": _float_list}, hat_dirac_operator, BASES["hat"].size),
+    "custom": Kind({"basis": _basis_spec, "functionals": _functional_specs},
+                   _custom_operator,
+                   lambda p: max(BASES[p["basis"]["kind"]].size(p["basis"]),
+                                 len(p["functionals"]))),
+}
+
+#: How a ``tolerances``, ``iterate`` or ``outputs`` value is read, by its
+#: field's declared type: the conversion, the test, and what the message
+#: says the value must be. ``iterate.m_max`` is the one integer.
+_SETTING_TYPES = {
+    "float": (float, lambda v: _is_number(v) and _finite(v) and v > 0,
+              "a finite positive number"),
+    "int": (int, lambda v: _is_int(v) and 2 <= v <= MAX_ITERATE_M,
+            f"an integer in [2, {MAX_ITERATE_M}]"),
+    "bool": (bool, lambda v: isinstance(v, bool), "a boolean"),
+}
+
+
+def _settings(data: dict, name: str, settings: type, label: str):
+    """The ``settings`` dataclass read from the map ``data[name]``, each
+    missing field at its default; ``label`` names a field in messages."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config: '{name}' must be a map")
+    values = {}
+    for setting in fields(settings):
+        convert, valid, expected = _SETTING_TYPES[setting.type]
+        value = section.get(setting.name, setting.default)
+        if not valid(value):
+            raise ConfigError(f"config: {label} '{setting.name}' must be {expected}")
+        values[setting.name] = convert(value)
+    return settings(**values)
 
 
 def config_from_mapping(data: dict) -> AnalysisConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a single top-level map")
     version = data.get("version", SCHEMA_VERSION)
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported config version {version!r} "
                           f"(this build reads version {SCHEMA_VERSION})")
     kind = _require(data, "operator", (str,), "config")
-    params = _parse_operator_params(kind, data)
-
+    if kind not in OPERATORS:
+        raise ConfigError(f"unknown operator kind '{kind}' "
+                          f"(expected one of {', '.join(OPERATORS)})")
+    params = OPERATORS[kind].parse(data, f"operator '{kind}'")
     grid_points = data.get("grid_points", DEFAULT_GRID_POINTS)
-    if (not isinstance(grid_points, int) or isinstance(grid_points, bool)
-            or not 11 <= grid_points <= MAX_GRID_POINTS):
+    if not _is_int(grid_points) or not 11 <= grid_points <= MAX_GRID_POINTS:
         raise ConfigError(f"config: 'grid_points' must be an integer in [11, {MAX_GRID_POINTS}]")
-
-    tol_data = data.get("tolerances", {})
-    if not isinstance(tol_data, dict):
-        raise ConfigError("config: 'tolerances' must be a map")
-    tol_kwargs = {}
-    for tol_field in fields(Tolerances):
-        name = tol_field.name
-        value = tol_data.get(name, tol_field.default)
-        if not _is_number(value) or not _finite(value) or value <= 0:
-            raise ConfigError(f"config: tolerance '{name}' must be a finite positive number")
-        tol_kwargs[name] = float(value)
-
-    it_data = data.get("iterate", {})
-    if not isinstance(it_data, dict):
-        raise ConfigError("config: 'iterate' must be a map")
-    it_defaults = IterateSettings()
-    m_max = it_data.get("m_max", it_defaults.m_max)
-    if (not isinstance(m_max, int) or isinstance(m_max, bool)
-            or not 2 <= m_max <= MAX_ITERATE_M):
-        raise ConfigError(f"config: iterate 'm_max' must be an integer in [2, {MAX_ITERATE_M}]")
-    it_tol = it_data.get("tol", it_defaults.tol)
-    if not _is_number(it_tol) or not _finite(it_tol) or it_tol <= 0:
-        raise ConfigError("config: iterate 'tol' must be a finite positive number")
-
+    tolerances = _settings(data, "tolerances", Tolerances, "tolerance")
+    iterate = _settings(data, "iterate", IterateSettings, "iterate")
     seed = _seed(data.get("seed", AnalysisConfig.seed))
+    outputs = _settings(data, "outputs", OutputFlags, "output flag")
 
-    out_data = data.get("outputs", {})
-    if not isinstance(out_data, dict):
-        raise ConfigError("config: 'outputs' must be a map")
-    flags = {}
-    for flag in fields(OutputFlags):
-        name = flag.name
-        value = out_data.get(name, flag.default)
-        if not isinstance(value, bool):
-            raise ConfigError(f"config: output flag '{name}' must be a boolean")
-        flags[name] = value
-    _reject_unknown_keys(data, params)
+    # Unknown keys are named only once every value has passed its check.
+    common = [f.name for f in fields(AnalysisConfig) if f.name != "params"]
+    _reject_unknown(data, [*common, *params], "config")
+    for name, settings in (("tolerances", tolerances), ("iterate", iterate),
+                           ("outputs", outputs)):
+        _reject_unknown(data.get(name, {}), [f.name for f in fields(settings)],
+                        f"config: '{name}'")
+    if kind == "custom":
+        _reject_unknown(data["basis"], params["basis"], "custom basis")
+        for index, (spec, parsed) in enumerate(zip(data["functionals"],
+                                                   params["functionals"])):
+            _reject_unknown(spec, parsed, f"functional[{index}]")
 
-    return AnalysisConfig(
-        operator=kind,
-        params=params,
-        grid_points=grid_points,
-        tolerances=Tolerances(**tol_kwargs),
-        iterate=IterateSettings(m_max=m_max, tol=float(it_tol)),
-        seed=seed,
-        outputs=OutputFlags(**flags),
-        version=SCHEMA_VERSION,
-    )
+    return AnalysisConfig(operator=kind, params=params, grid_points=grid_points,
+                          tolerances=tolerances, iterate=iterate, seed=seed,
+                          outputs=outputs, version=SCHEMA_VERSION)
 
 
 def parse_config(text: str) -> AnalysisConfig:
@@ -321,62 +363,15 @@ def parse_config(text: str) -> AnalysisConfig:
 # Operator construction from a config
 # --------------------------------------------------------------------------
 
-def _build_custom_basis(spec: dict):
-    if spec["kind"] == "bernstein":
-        return make_bernstein_basis(spec["n"])
-    if spec["kind"] == "bspline":
-        return make_bspline_basis(spec["knots"], spec["degree"])
-    return make_hat_basis(spec["nodes"])
-
-
-def _build_custom_functional(spec: dict):
-    if spec["kind"] == "dirac":
-        return DiracFunctional(spec["x"])
-    if spec["kind"] == "interval-average":
-        return IntervalAverageFunctional(spec["a"], spec["b"])
-    return WeightedQuadratureFunctional(spec["nodes"], spec["weights"])
-
-
-def _basis_size(kind: str, params: dict) -> int:
-    """Size of a basis read off its parameters: a Bernstein degree ``n``
-    (``bernstein``, ``kantorovich``), a knot vector and degree (``bspline``,
-    ``schoenberg``) or hat nodes (``hat``, ``hat-dirac``)."""
-    if kind in ("bernstein", "kantorovich"):
-        return params["n"] + 1
-    if kind in ("bspline", "schoenberg"):
-        return len(params["knots"]) - params["degree"] - 1
-    return len(params["nodes"])
-
-
-def _dimension(kind: str, params: dict) -> int:
-    """Size of the configured operator: its basis size, and for a custom
-    operator the larger of that and its functional count."""
-    if kind == "custom":
-        basis = params["basis"]
-        return max(_basis_size(basis["kind"], basis), len(params["functionals"]))
-    return _basis_size(kind, params)
-
-
 def build_operator(config: AnalysisConfig) -> OperatorSpec:
     """The configured operator, validated. Its size is checked against
     ``MAX_DIMENSION`` before anything is built or evaluated."""
-    kind = config.operator
-    params = config.params
-    n = _dimension(kind, params)
+    kind = OPERATORS[config.operator]
+    n = kind.size(config.params)
     if n > MAX_DIMENSION:
-        raise UnsupportedSizeError(f"operator '{kind}' has dimension {n}; the dense "
-                                   f"eigensolver supports n <= {MAX_DIMENSION}")
-    if kind == "bernstein":
-        return bernstein_operator(params["n"])
-    if kind == "kantorovich":
-        return kantorovich_operator(params["n"])
-    if kind == "schoenberg":
-        return schoenberg_operator(params["knots"], params["degree"])
-    if kind == "hat-dirac":
-        return hat_dirac_operator(params["nodes"])
-    basis = _build_custom_basis(params["basis"])
-    funcs = tuple(_build_custom_functional(s) for s in params["functionals"])
-    return OperatorSpec(basis, funcs, name="custom")
+        raise UnsupportedSizeError(f"operator '{config.operator}' has dimension {n}; the "
+                                   f"dense eigensolver supports n <= {MAX_DIMENSION}")
+    return kind.construct(config.params)
 
 
 # --------------------------------------------------------------------------

@@ -654,6 +654,18 @@ class TestCli:
                          "functionals": [{"kind": "dirac", "x": 0.0},
                                          {"kind": "dirac", "x": 1.0}]}),
              "custom basis: unknown field 'n'"),
+            ('{"version": 1.0, "operator": "bernstein", "n": 3}',
+             "unsupported config version 1.0"),
+            (_hat_custom([{"kind": "dirac", "x": 0.0},
+                          {"kind": "weighted-quadrature", "nodes": [0.5, 1.0],
+                           "weights": [1.0]}]),
+             "functional[1]: functional nodes and weights differ in length"),
+            (_hat_custom([{"kind": "dirac", "x": 0.0},
+                          {"kind": "weighted-quadrature", "nodes": [], "weights": []}]),
+             "functional[1]: functional needs at least one node"),
+            (_hat_custom([{"kind": "dirac", "x": 0.0},
+                          {"kind": "interval-average", "a": 0.5, "b": 0.2}]),
+             "functional[1]: interval average requires a < b, got [0.5, 0.2]"),
         ]),
         (KANT1_CONFIG, "'seed' must be an integer >= 0, got -1", ["verify", "--seed", "-1"]),
     ], ids=["n-zero", "nan-tolerance", "infinite-norm-tolerance", "nan-iterate-tol",
@@ -665,7 +677,8 @@ class TestCli:
             "custom-hat-slope-overflow", "boolean-version", "huge-m-max",
             "unknown-top-level-key", "other-kind-parameter", "unknown-tolerance",
             "unknown-iterate-key", "unknown-output-flag", "dirac-with-a", "hat-basis-with-n",
-            "negative-seed-override"])
+            "float-version", "quadrature-lengths-differ", "empty-quadrature",
+            "average-a-above-b", "negative-seed-override"])
     def test_bad_config_exits_two(self, tmp_path, capsys, text, named, command):
         config = tmp_path / "bad.json"
         config.write_text(text, encoding="utf-8")
