@@ -291,9 +291,11 @@ class DrawnTestFunctions:
     def values(self, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Row ``j`` is ``self.function(rows[j]).values(xs)``, bit for bit,
         for trials ``rows`` all of one kind, but ``xs`` is not checked against
-        [0, 1]: the caller checks it once. Polynomials share one Horner loop
-        over the block's widest coefficients, waves one ``np.sin`` or
-        ``np.cos``; each piecewise-linear trial is one ``np.interp``."""
+        [0, 1]: the caller's points lie there already (an operator's nodes by
+        construction, a check grid by the check's own test of it).
+        Polynomials share one Horner loop over the block's widest
+        coefficients, waves one ``np.sin`` or ``np.cos``; each
+        piecewise-linear trial is one ``np.interp``."""
         kind = self.kinds[rows[0]]
         if kind == POLYNOMIAL:
             width = int(self.terms[rows].max())

@@ -64,12 +64,16 @@ TRIAL_BLOCK_VALUES = 2 ** 13
 class OperatorSpec:
     """Basis plus functionals of equal count; immutable once built.
 
-    With ``validate=True`` (the default) construction verifies the partition
-    of unity and basis nonnegativity on one evaluation of the basis on the
-    default grid, that every functional node lies in [0, 1], and the
-    normalization of every functional (nonnegative weights of unit mass);
-    pass ``validate=False`` to build deliberately broken operators for
-    failure-path tests.
+    Every functional node lies in [0, 1]: whatever ``validate`` says,
+    construction raises :class:`~pouspec.errors.DomainError` naming the
+    first functional with a node outside, so no check and no collocation
+    assembly tests the nodes again. With ``validate=True`` (the default)
+    construction also verifies the partition of unity and basis
+    nonnegativity on one evaluation of the basis on the default grid, and
+    the normalization of every functional (nonnegative weights of unit
+    mass). ``validate=False`` builds deliberately broken operators for
+    failure-path tests: wrong mass, negative weights or a broken basis,
+    never a node outside [0, 1].
 
     ``nodes``, ``weights`` and ``starts`` are the functionals' rules joined
     once (read-only; functional ``k`` starts at ``starts[k]``). They take no
@@ -98,6 +102,13 @@ class OperatorSpec:
         for attr, array in joined.items():
             array.flags.writeable = False
             object.__setattr__(self, attr, array)
+        # The first functional with a node outside [0, 1], or n, from one
+        # domain test over the joined nodes.
+        outside = outside_domain(self.nodes)
+        first_outside = self.n
+        if outside.any():
+            first_outside = int(np.searchsorted(self.starts, np.argmax(outside),
+                                                side="right")) - 1
         if validate:
             xs = grid(DEFAULT_GRID_POINTS)
             values = self.basis.values(xs)
@@ -114,40 +125,20 @@ class OperatorSpec:
             # Functional k is checked for its nodes, then for its mass, in
             # order of k: the first functional with a node outside [0, 1]
             # raises after the normalization of those before it.
-            outside = _first_functional_outside_domain(self)
-            for k, functional in enumerate(self.functionals[:outside]):
+            for k, functional in enumerate(self.functionals[:first_outside]):
                 norm = check_functional_normalization(functional)
                 if not norm.passed:
                     raise ConfigError(f"{self.name}: functional {k} ({functional.name}) "
                                       f"is not a nonnegative rule of unit mass "
                                       f"({norm.detail})")
-            if outside < self.n:
-                _require_nodes_in_domain(self)
+        if first_outside < self.n:
+            functional = self.functionals[first_outside]
+            require_in_domain(functional.nodes,
+                              f"{self.name}: functional {first_outside} ({functional.name})")
 
     @property
     def n(self) -> int:
         return self.basis.n
-
-
-def _first_functional_outside_domain(op: OperatorSpec) -> int:
-    """Index of the first functional with a node outside [0, 1], or ``op.n``
-    when there is none, from one domain test over the joined nodes."""
-    outside = outside_domain(op.nodes)
-    if not outside.any():
-        return op.n
-    return int(np.searchsorted(op.starts, np.argmax(outside), side="right")) - 1
-
-
-def _require_nodes_in_domain(op: OperatorSpec, context: str = "") -> None:
-    """Raise :class:`DomainError` when a node of ``op`` lies outside [0, 1],
-    naming ``context``, the operator, the first such functional ``k`` and
-    its first node outside, as in ``"positivity check, bernstein(n=3):
-    functional 2 (dirac(1.5)): x=1.5 outside domain [0.0, 1.0]"``."""
-    k = _first_functional_outside_domain(op)
-    if k < op.n:
-        functional = op.functionals[k]
-        require_in_domain(functional.nodes,
-                          f"{context}{op.name}: functional {k} ({functional.name})")
 
 
 # --------------------------------------------------------------------------
@@ -242,7 +233,6 @@ def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray, values: np.
                                  tol: float = WITNESS_RESIDUAL_TOL) -> CheckResult:
     """Max deviation of ``T1`` from one on the grid."""
     grid = nonempty_grid(grid, values, "constant-reproduction")
-    _require_nodes_in_domain(op, "constant-reproduction check, ")
     return CheckResult.deviation_from_one(
         "constant_reproduction", coefficient_vector(op, ONE) @ values, grid, tol)
 
@@ -267,7 +257,6 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
     grid = nonempty_grid(grid, values, "positivity")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    _require_nodes_in_domain(op, "positivity check, ")
     draw = draw_test_functions(np.random.default_rng(seed), trials, nonnegative=True)
     # Blocks are kind-pure, not in draw order: the worst is the least
     # (value, trial) pair, so a tie goes to the first trial.
@@ -304,7 +293,6 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarra
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     require_in_domain(grid, "norm-estimate check grid")
-    _require_nodes_in_domain(op, "norm-estimate check, ")
     draw = draw_test_functions(np.random.default_rng(seed), trials)
     nodes = op.nodes.size
     # The constant one, ||1||_inf = 1 on the grid.
@@ -490,7 +478,6 @@ def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
     """Kernel-witness residual on the grid as a check; a non-constructible
     witness is reported as a failed check rather than silently skipped."""
     grid = nonempty_grid(grid, values, "kernel-witness")
-    _require_nodes_in_domain(op, "kernel-witness check, ")
     try:
         w, witness_norm, residual = _verified(op, values, *_candidate_witness(op, grid))
     except NotConstructibleError as exc:

@@ -308,6 +308,11 @@ def _settings(data: dict, name: str, settings: type, label: str):
         value = section.get(setting.name, setting.default)
         if not valid(value):
             raise ConfigError(f"config: {label} '{setting.name}' must be {expected}")
+        # Every float setting is a tolerance, and one of 1 or more would let
+        # its check pass without testing anything.
+        if setting.type == "float" and value >= 1:
+            raise ConfigError(f"config: {label} '{setting.name}' must be below 1, "
+                              f"got {value!r}")
         values[setting.name] = convert(value)
     return settings(**values)
 

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .checks import CheckResult
-from .errors import ConfigError, DomainError, UnsupportedSizeError
+from .errors import ConfigError, UnsupportedSizeError
 
 #: An eigenvalue is peripheral iff its modulus is >= 1 - TOL_PERIPHERAL.
 TOL_PERIPHERAL = 1e-8
@@ -85,16 +85,6 @@ class CollocationMatrix:
         return float(np.min(np.diag(self.entries)))
 
 
-def _collocation_row(op, k: int) -> np.ndarray:
-    """Row ``k`` from its own basis evaluation; a node outside [0, 1] is
-    re-raised naming row ``k`` and its functional."""
-    functional = op.functionals[k]
-    try:
-        return op.basis.values(functional.nodes) @ functional.weights
-    except DomainError as exc:
-        raise DomainError(f"collocation row {k} ({functional.name}): {exc}") from exc
-
-
 def build_collocation_matrix(op) -> CollocationMatrix:
     """Assemble ``M[k][j] = a_k(e_j)`` from the operator's joined rule.
 
@@ -103,8 +93,9 @@ def build_collocation_matrix(op) -> CollocationMatrix:
     ``MAX_BLOCK_ENTRIES`` values (a functional larger than that is a block
     of its own). Row ``k`` is then one matrix-vector product,
     ``values[:, s_k:e_k] @ op.weights[s_k:e_k]``, with the same result bit
-    for bit as ``basis.values(a_k.nodes) @ a_k.weights``. A node outside
-    [0, 1] is re-raised naming the first such row ``k`` and its functional."""
+    for bit as ``basis.values(a_k.nodes) @ a_k.weights``. Every node lies
+    in [0, 1], as :class:`~pouspec.operators.OperatorSpec` guarantees, so
+    no block can fail its domain test."""
     n = op.basis.n
     starts = op.starts
     stops = np.append(starts[1:], op.nodes.size)
@@ -114,12 +105,7 @@ def build_collocation_matrix(op) -> CollocationMatrix:
     while first < n:
         lo = starts[first]
         last = max(first + 1, int(np.searchsorted(stops, lo + budget, side="right")))
-        try:
-            values = op.basis.values(op.nodes[lo:stops[last - 1]])
-        except DomainError:
-            for k in range(first, last):
-                _collocation_row(op, k)
-            raise
+        values = op.basis.values(op.nodes[lo:stops[last - 1]])
         for k in range(first, last):
             s, e = starts[k], stops[k]
             entries[k] = values[:, s - lo:e - lo] @ op.weights[s:e]

@@ -78,6 +78,29 @@ class TestConstruction:
         with pytest.raises(error, match="functional 0 "):
             OperatorSpec(make_hat_basis([0.0, 1.0]), funcs)
 
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("funcs, message", [
+        ((DiracFunctional(0.0), DiracFunctional(1.5), DiracFunctional(-2.0)),
+         "functional 1 (dirac(1.5)): x=1.5"),
+        ((DiracFunctional(0.0), DiracFunctional(0.5), DiracFunctional(1.5)),
+         "functional 2 (dirac(1.5)): x=1.5"),
+        ((DiracFunctional(0.0),
+          WeightedQuadratureFunctional([0.5, 1.25, -0.5], [0.25, 0.25, 0.5]),
+          DiracFunctional(1.0)),
+         "functional 1 (quad(3 nodes)): x=1.25"),
+        ((DiracFunctional(0.0),
+          WeightedQuadratureFunctional([0.5, 1.25, 1.5], [0.2, 0.4, 0.4]),
+          DiracFunctional(1.5)),
+         "functional 1 (quad(3 nodes)): x=1.25"),
+    ], ids=["second-dirac", "last-dirac", "quadrature-both-sides", "quadrature-then-dirac"])
+    def test_node_outside_domain_rejected_whatever_validate(self, funcs, message, validate):
+        # The nodes lie in [0, 1] for every operator built, so no check and
+        # no collocation assembly has to test them again.
+        with pytest.raises(DomainError) as err:
+            OperatorSpec(make_hat_basis([0.0, 0.5, 1.0]), funcs, name="doctored",
+                         validate=validate)
+        assert str(err.value) == f"doctored: {message} outside domain [0.0, 1.0]"
+
     def test_validate_false_allows_doctored(self):
         basis = make_hat_basis([0.0, 1.0])
         bad = WeightedQuadratureFunctional([0.2, 0.8], [1.3, -0.3])
@@ -326,23 +349,6 @@ class TestBlockChecks:
         assert result.detail.endswith(f"at f = {function(draw, built[0]).name}")
         estimate_operator_norm(op, GRID, basis_values)
         assert len(built) == 1
-
-    @pytest.mark.parametrize("check, context", [
-        (verify_positivity, "positivity check"),
-        (estimate_operator_norm, "norm-estimate check"),
-        (verify_constant_reproduction, "constant-reproduction check"),
-        (kernel_witness_report, "kernel-witness check"),
-    ], ids=["positivity", "norm-estimate", "constant-reproduction", "kernel-witness"])
-    def test_node_outside_domain_names_check_operator_and_functional(self, check, context):
-        funcs = (DiracFunctional(0.0),
-                 WeightedQuadratureFunctional([0.5, 1.25, 1.5], [0.2, 0.4, 0.4]),
-                 DiracFunctional(1.5))
-        op = OperatorSpec(make_hat_basis([0.0, 0.5, 1.0]), funcs, name="doctored",
-                          validate=False)
-        with pytest.raises(DomainError) as err:
-            check(op, GRID, op.basis.values(GRID))
-        assert str(err.value) == (f"{context}, doctored: functional 1 (quad(3 nodes)): "
-                                  f"x=1.25 outside domain [0.0, 1.0]")
 
     def test_norm_grid_outside_domain_rejected(self):
         op = bernstein_operator(2)

@@ -586,6 +586,12 @@ class TestCli:
             ('{"operator": "kantorovich", "n": 2, "tolerances": {"norm": Infinity}}',
              "tolerance 'norm'"),
             ('{"operator": "kantorovich", "n": 2, "iterate": {"tol": NaN}}', "iterate 'tol'"),
+            ('{"operator": "bernstein", "n": 3, "iterate": {"tol": 1e300}}',
+             "config: iterate 'tol' must be below 1, got 1e+300"),
+            ('{"operator": "bernstein", "n": 3, "tolerances": {"peripheral": 1.5}}',
+             "config: tolerance 'peripheral' must be below 1, got 1.5"),
+            ('{"operator": "bernstein", "n": 3, "tolerances": {"norm": 1.0}}',
+             "config: tolerance 'norm' must be below 1, got 1.0"),
             (json.dumps({"operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]},
                          "functionals": [{"kind": "dirac", "x": 1.5},
                                          {"kind": "dirac", "x": 0.0}]}),
@@ -669,6 +675,7 @@ class TestCli:
         ]),
         (KANT1_CONFIG, "'seed' must be an integer >= 0, got -1", ["verify", "--seed", "-1"]),
     ], ids=["n-zero", "nan-tolerance", "infinite-norm-tolerance", "nan-iterate-tol",
+            "iterate-tol-above-one", "peripheral-tolerance-above-one", "norm-tolerance-one",
             "dirac-outside-domain", "nan-dirac", "infinite-interval-bound",
             "nan-quadrature-node", "infinite-quadrature-weight", "nan-knot",
             "knots-past-one", "custom-knots-below-zero", "negative-quadrature-weight",

@@ -13,7 +13,7 @@ from helpers import (bernstein_eigenvalue_oracle, bernstein_value, collocation_r
                      random_breakpoints, random_stochastic, sort_eigenvalues_by_key)
 
 from pouspec import spectra
-from pouspec.errors import ConfigError, DomainError, UnsupportedSizeError
+from pouspec.errors import ConfigError, UnsupportedSizeError
 from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
                                  WeightedQuadratureFunctional)
 from pouspec.bases import BasisSystem, clamped_knots, make_hat_basis
@@ -160,26 +160,6 @@ class TestBlockAssembly:
             assert (hi - lo) * op.n <= limit or rows == 1
             following = stops[stops > hi]
             assert following.size == 0 or (following[0] - lo) * op.n > limit
-
-
-class TestBlockAssemblyErrors:
-    @pytest.mark.parametrize("cap", [spectra.MAX_BLOCK_ENTRIES, 7, 1])
-    @pytest.mark.parametrize("funcs, message", [
-        ((DiracFunctional(0.0), DiracFunctional(1.5), DiracFunctional(-2.0)),
-         "collocation row 1 (dirac(1.5)): hat(3): x=1.5 outside domain [0.0, 1.0]"),
-        ((DiracFunctional(0.0), DiracFunctional(0.5), DiracFunctional(1.5)),
-         "collocation row 2 (dirac(1.5)): hat(3): x=1.5 outside domain [0.0, 1.0]"),
-        ((DiracFunctional(0.0),
-          WeightedQuadratureFunctional([0.5, 1.25, -0.5], [0.25, 0.25, 0.5]),
-          DiracFunctional(1.0)),
-         "collocation row 1 (quad(3 nodes)): hat(3): x=1.25 outside domain [0.0, 1.0]"),
-    ], ids=["first-block", "last-row", "quadrature"])
-    def test_names_first_row_outside_domain(self, monkeypatch, cap, funcs, message):
-        monkeypatch.setattr(spectra, "MAX_BLOCK_ENTRIES", cap)
-        op = OperatorSpec(make_hat_basis([0.0, 0.5, 1.0]), funcs, validate=False)
-        with pytest.raises(DomainError) as info:
-            build_collocation_matrix(op)
-        assert str(info.value) == message
 
 
 class TestRowStochastic:
