@@ -28,9 +28,8 @@ from .report import (AnalysisConfig, AnalysisReport, IterateSettings, OutputFlag
                      emit_report, emit_svg, exit_code_for, parse_config,
                      report_to_mapping, run_analyze)
 from .spectra import (CollocationMatrix, IterateResult, SpectrumReport,
-                      build_collocation_matrix, check_row_stochastic,
-                      classify_spectrum, eigenvalues, gershgorin_disks,
-                      iterate_limit, mpmath_eigen_oracle, pair_eigenvalues,
-                      sort_eigenvalues)
+                      build_collocation_matrix, check_row_stochastic, classify_spectrum,
+                      closed_classes, eigenvalues, gershgorin_disks, iterate_limit,
+                      mpmath_eigen_oracle, pair_eigenvalues, sort_eigenvalues)
 
 __version__ = "0.1.0"

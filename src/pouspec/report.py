@@ -5,7 +5,7 @@ operator from the catalog (or a custom basis/functional combination) plus
 grid, tolerance, iteration, seed, and output settings. ``run_analyze``
 executes the whole pipeline deterministically for a fixed seed: construct
 the operator, verify the lemma properties, assemble the collocation matrix,
-solve and classify the spectrum, and search for the limit of matrix powers.
+solve and classify the spectrum, and find the limit of matrix powers.
 Reports serialize to JSON (17 significant digits, stable key order), to a
 flat eigenvalue CSV, and to a static SVG of the disks and eigenvalues.
 
@@ -58,10 +58,10 @@ from .operators import (WITNESS_RESIDUAL_TOL, OperatorSpec, bernstein_operator,
                         hat_dirac_operator, kantorovich_operator, kernel_witness_report,
                         schoenberg_operator, verify_constant_reproduction,
                         verify_norm_bound, verify_positivity)
-from .spectra import (CLASSIFICATION_CONFORMS, ITERATE_M_MAX, ITERATE_TOL, MAX_DIMENSION,
-                      TOL_PERIPHERAL, TOL_STOCHASTIC, CollocationMatrix, IterateResult,
-                      SpectrumReport, build_collocation_matrix, classify_spectrum,
-                      eigenvalues, gershgorin_disks, iterate_limit)
+from .spectra import (CLASSIFICATION_CONFORMS, ITERATE_TOL, MAX_DIMENSION, TOL_PERIPHERAL,
+                      TOL_STOCHASTIC, CollocationMatrix, IterateResult, SpectrumReport,
+                      build_collocation_matrix, classify_spectrum, eigenvalues,
+                      gershgorin_disks, iterate_limit)
 
 SCHEMA_VERSION = 1
 
@@ -69,9 +69,6 @@ SCHEMA_VERSION = 1
 #: once and every check reads that one ``n x grid_points`` array; at
 #: n = MAX_DIMENSION this bound keeps it near 400 MB.
 MAX_GRID_POINTS = 100_001
-
-#: Largest ``iterate.m_max``: at most 30 doublings of the power search.
-MAX_ITERATE_M = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,6 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class IterateSettings:
-    m_max: int = ITERATE_M_MAX
     tol: float = ITERATE_TOL
 
 
@@ -286,12 +282,10 @@ OPERATORS = {
 
 #: How a ``tolerances``, ``iterate`` or ``outputs`` value is read, by its
 #: field's declared type: the conversion, the test, and what the message
-#: says the value must be. ``iterate.m_max`` is the one integer.
+#: says the value must be.
 _SETTING_TYPES = {
     "float": (float, lambda v: _is_number(v) and _finite(v) and v > 0,
               "a finite positive number"),
-    "int": (int, lambda v: _is_int(v) and 2 <= v <= MAX_ITERATE_M,
-            f"an integer in [2, {MAX_ITERATE_M}]"),
     "bool": (bool, lambda v: isinstance(v, bool), "a boolean"),
 }
 
@@ -457,7 +451,7 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     timings["spectrum"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    iterates = iterate_limit(matrix, tol=config.iterate.tol, m_max=config.iterate.m_max)
+    iterates = iterate_limit(matrix, tol=config.iterate.tol)
     timings["iterates"] = time.perf_counter() - t0
 
     return AnalysisReport(
@@ -671,7 +665,7 @@ def _report_mapping(report: AnalysisReport, entries: list | np.ndarray) -> dict:
         "iterates": {
             "converged": report.iterates.converged,
             "rate": report.rate,
-            "m_used": report.iterates.m_used,
+            "m_used": None,
             "message": report.iterates.message,
         },
         "timings": dict(report.timings),

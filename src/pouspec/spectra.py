@@ -11,7 +11,8 @@ reports them explicitly instead of asserting the peripheral statement.
 
 The eigenvalues come from LAPACK's dense nonsymmetric solver (``geev``)
 through scipy. An independent cross check for matrices up to 30x30 runs
-mpmath's eigensolver in 40-digit arithmetic.
+mpmath's eigensolver in 40-digit arithmetic. The limit of ``M^m`` is read
+off the closed classes of the support graph ``M > 0``, without powers.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .checks import CheckResult
 from .errors import ConfigError, UnsupportedSizeError
@@ -31,9 +34,8 @@ TOL_PERIPHERAL = 1e-8
 #: Row-sum / nonnegativity tolerance for stochasticity checks.
 TOL_STOCHASTIC = 1e-10
 
-#: Default convergence bound and largest power of the power-limit search.
+#: Default bound on the residual of the iterate limit.
 ITERATE_TOL = 1e-10
-ITERATE_M_MAX = 65536
 
 #: Largest supported dense eigenproblem.
 MAX_DIMENSION = 500
@@ -339,62 +341,88 @@ def classify_spectrum(eigs, disks: tuple[np.ndarray, np.ndarray],
 
 
 # --------------------------------------------------------------------------
-# Matrix powers and the limit of iterates
+# Closed classes and the limit of iterates
 # --------------------------------------------------------------------------
 
-def _linf(a: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(a), axis=1)))
+def closed_classes(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(labels, periods)`` of the support graph ``M > 0``: each state's
+    strongly connected class, and each class's period, 0 unless the class
+    is closed and has an edge. A positive diagonal entry gives period 1;
+    otherwise the period is the gcd of ``level[u] + 1 - level[v]`` over the
+    class's edges, ``level`` being the BFS depth. The support is read from
+    floating entries, so an entry that underflows to 0 drops an edge."""
+    arr = _as_matrix(matrix)
+    support = arr > 0
+    rows, cols = np.divmod(np.flatnonzero(support), arr.shape[0])
+    indptr = np.concatenate(([0], np.cumsum(support.sum(axis=1))))
+    graph = scipy.sparse.csr_array((np.ones(cols.size), cols, indptr), shape=arr.shape)
+    count, labels = connected_components(graph, connection="strong")
+    src, dst = labels[rows], labels[cols]
+    closed = np.bincount(src[src != dst], minlength=count) == 0
+    periods = (closed & (np.bincount(labels, np.diagonal(arr) > 0, count) > 0)).astype(int)
+    cyclic = closed & (periods == 0)
+    if cyclic.any():
+        roots = np.unique(labels, return_index=True)[1][cyclic]
+        level = dijkstra(graph, indices=roots, min_only=True, unweighted=True)
+        edges = cyclic[src]
+        steps = level[rows[edges]] + 1 - level[cols[edges]]
+        np.gcd.at(periods, src[edges], np.abs(steps).astype(int))
+    return labels, periods
 
 
 @dataclass(frozen=True)
 class IterateResult:
-    """Outcome of the power-limit search. ``converged`` distinguishes a
-    reached limit from an obstruction (which ``message`` names)."""
+    """``converged`` when every closed class is aperiodic and ``residual =
+    max(||LM - L||_inf, ||ML - L||_inf) <= tol``; ``limit`` is ``L`` then,
+    else ``None`` and ``message`` says why."""
 
     converged: bool
     limit: np.ndarray | None
-    m_used: int
+    residual: float
     message: str
 
 
-def iterate_limit(matrix, tol: float = ITERATE_TOL,
-                  m_max: int = ITERATE_M_MAX) -> IterateResult:
-    """Search for the limit of ``M^m`` by repeated squaring.
-
-    Doubles ``m`` until ``||M^{2m} - M^m||_inf <= tol`` or ``m > m_max``.
-    The rate of approach is not estimated here: it is the spectrum's
-    ``SpectrumReport.subdominant_modulus``. Failure to settle (e.g. a
-    peripheral eigenvalue other than 1) is reported as a result, not an
-    error.
-    """
+def iterate_limit(matrix, tol: float = ITERATE_TOL) -> IterateResult:
+    """``L = lim M^m`` from the closed classes of ``M > 0``. For a
+    row-stochastic ``M``, L exists iff every closed class is aperiodic, and
+    ``L = sum_C h_C pi_C^T`` (Seneta, ch. 4): one solve gives the stationary
+    vectors ``pi_C`` (the closed block is block diagonal), one of ``I - Q``
+    (``Q`` the transient block) the absorption probabilities ``h_C``. The
+    rate of approach is ``SpectrumReport.subdominant_modulus``."""
     arr = _as_matrix(matrix)
-    if m_max < 2:
-        raise ConfigError(f"m_max must be >= 2, got {m_max}")
-    power = arr.copy()
-    m = 1
-    limit = None
-    while m <= m_max:
-        squared = power @ power
-        # The doubling test alone is blind to even-period oscillation
-        # (M^4 = M^2 for the swap matrix), so the candidate limit must
-        # also be stationary under one further multiplication.
-        if _linf(squared - power) <= tol and _linf(squared @ arr - squared) <= tol:
-            limit = squared
-            break
-        power = squared
-        m *= 2
+    labels, periods = closed_classes(arr)
+    states, transient = np.flatnonzero(periods[labels]), np.flatnonzero(periods[labels] == 0)
+    owner = labels[states]
+    # I - M with each diagonal entry the sum of the other entries of its row
+    # (Grassmann, Taksar and Heyman): exact for a stochastic row, it keeps a
+    # leak below rounding that 1 - M[i, i] would cancel.
+    generator = -arr
+    np.fill_diagonal(generator, 0.0)
+    np.fill_diagonal(generator, -generator.sum(axis=1))
+    hits = np.zeros((arr.shape[0], periods.size))
+    hits[states, owner] = 1.0
+    # Each transient row over its diagonal entry, which a leak may leave subnormal.
+    jump = generator[transient] / np.diagonal(generator)[transient, None]
+    hits[transient] = np.linalg.solve(jump[:, transient], -jump[:, states] @ hits[states])
+    # In each class the equation of its first state becomes sum(pi_C) = 1.
+    system = generator[np.ix_(states, states)].T
+    first = np.unique(owner, return_index=True)[1]
+    system[first] = owner[first, None] == owner
+    rhs = np.zeros(states.size)
+    rhs[first] = 1.0
+    block = hits[:, owner] * np.linalg.solve(system, rhs)
+    limit = np.zeros_like(arr)
+    limit[:, states] = block  # the columns of transient states are 0
+    residual = float(max(np.abs(block @ arr[states] - limit).sum(axis=1).max(),
+                         np.abs(arr @ block - block).sum(axis=1).max()))
 
-    if limit is None:
-        message = f"no convergence: ||M^(2m) - M^m||_inf > {tol:g} up to m = {m_max}"
-        # Name the obstruction when the sequence is periodic.
-        probe = np.linalg.matrix_power(arr, 16)
-        step1 = _linf(probe @ arr - probe)
-        step2 = _linf(probe @ arr @ arr - probe)
-        if step2 <= 1e-8 and step1 > 1e-8:
-            message += "; period-2 oscillation detected (M^(m+2) = M^m, M^(m+1) != M^m)"
-        return IterateResult(converged=False, limit=None, m_used=m_max, message=message)
-
-    return IterateResult(
-        converged=True, limit=limit, m_used=m,
-        message=f"converged: ||M^(2m) - M^m||_inf <= {tol:g} at m = {m}",
-    )
+    cyclic = periods[periods > 1].tolist()
+    converged = not cyclic and residual <= tol
+    if cyclic:
+        message = f"no limit: closed class(es) of period {', '.join(map(str, cyclic))}"
+    elif not converged:
+        message = f"no limit: residual {residual:.3e} > {tol:g}"
+    else:
+        message = (f"converged: {np.count_nonzero(periods)} closed class(es), "
+                   f"residual {residual:.3e}")
+    return IterateResult(converged, limit if converged else None, residual, message)

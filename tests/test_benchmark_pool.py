@@ -14,10 +14,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pouspec.cli import main
-from pouspec.spectra import CLASSIFICATION_CONFORMS
+from pouspec.spectra import CLASSIFICATION_CONFORMS, closed_classes
 
 # The benchmark's modules import one another by their bare names.
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -61,8 +62,11 @@ def _cases(select, xfails: dict | None = None) -> list:
 @pytest.fixture(scope="module")
 def analysed(tmp_path_factory):
     """``analyse(workload, entry_id)``: the outcome, the checker's verdict
-    and the reported classification (``None`` when no report was written)
-    of one analysis, run the first time it is asked for."""
+    and, read off the report (``None`` when none was written), the
+    classification and the pair (sum of the closed-class periods of the
+    reported matrix, count of reported eigenvalues of modulus at least
+    ``1 - tolerances.peripheral``) of one analysis, run the first time it is
+    asked for."""
     work = tmp_path_factory.mktemp("pool")
     config = work / "config.json"
     results = {}
@@ -79,11 +83,15 @@ def analysed(tmp_path_factory):
                 verdict = checker.check_malformed(outcome, expect)
             else:
                 verdict = checker.check_report(entry.config, expect, outcome, *paths)
-            classification = None
+            classification = peripheral = None
             if paths[0].exists():
                 report = json.loads(paths[0].read_text(encoding="utf-8"))
                 classification = report["spectrum"]["classification"]
-            results[key] = outcome, verdict, classification
+                periods = closed_classes(np.array(report["matrix"]["entries"]))[1]
+                bound = 1.0 - report["config"]["tolerances"]["peripheral"]
+                peripheral = (int(periods.sum()), sum(
+                    e["modulus"] >= bound for e in report["spectrum"]["eigenvalues"]))
+            results[key] = outcome, verdict, classification, peripheral
         return results[key]
 
     return analyse
@@ -91,7 +99,7 @@ def analysed(tmp_path_factory):
 
 @pytest.mark.parametrize("workload, entry_id", _cases(lambda entry, expect: True))
 def test_matches_the_benchmark_reference(analysed, workload, entry_id):
-    _, verdict, _ = analysed(workload, entry_id)
+    _, verdict, _, _ = analysed(workload, entry_id)
     assert verdict.known or not verdict.failed, verdict.problems
 
 
@@ -99,6 +107,16 @@ def test_matches_the_benchmark_reference(analysed, workload, entry_id):
     lambda entry, expect: not entry.malformed
     and expect["classification"] == CLASSIFICATION_CONFORMS, FALSE_FAILURES))
 def test_conforming_spectrum_exits_zero(analysed, workload, entry_id):
-    outcome, _, classification = analysed(workload, entry_id)
+    outcome, _, classification, _ = analysed(workload, entry_id)
     assert classification == CLASSIFICATION_CONFORMS
     assert outcome.code == 0
+
+
+@pytest.mark.parametrize("workload, entry_id", _cases(lambda entry, expect: not entry.malformed))
+def test_closed_class_periods_count_the_peripheral_eigenvalues(analysed, workload, entry_id):
+    # Perron-Frobenius: the unit-circle eigenvalues of a row-stochastic
+    # matrix are the d-th roots of unity, once for each closed class of
+    # period d. The periods come from the support graph alone, not from
+    # the eigensolver.
+    periods_sum, peripheral = analysed(workload, entry_id)[3]
+    assert periods_sum == peripheral

@@ -16,7 +16,7 @@ from pouspec.cli import main
 BASE_CONFIGS = (
     {"version": 1, "operator": "bernstein", "n": 3, "grid_points": 101, "seed": 7,
      "tolerances": {"pou": 1e-10, "stochastic": 1e-10, "peripheral": 1e-8, "norm": 1e-10},
-     "iterate": {"m_max": 64, "tol": 1e-10},
+     "iterate": {"tol": 1e-10},
      "outputs": {"json": False, "csv": False, "svg": False}},
     {"operator": "kantorovich", "n": 2, "grid_points": 101},
     {"operator": "schoenberg", "degree": 2, "knots": [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0],
@@ -35,7 +35,7 @@ BASE_CONFIGS = (
      "grid_points": 101, "seed": 3},
     {"operator": "custom", "basis": {"kind": "bernstein", "n": 1},
      "functionals": [{"kind": "dirac", "x": 1.0}, {"kind": "dirac", "x": 0.0}],
-     "grid_points": 101, "iterate": {"m_max": 16, "tol": 1e-10}},
+     "grid_points": 101, "iterate": {"tol": 1e-10}},
 )
 
 # 10**400 is past the float range: an integer JSON reads exactly but

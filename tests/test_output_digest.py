@@ -1,10 +1,12 @@
-"""Smoke test of ``tools/output_digest.py``, the byte-identity check run
-over the benchmark pools."""
+"""Smoke tests of ``tools/output_digest.py``, the byte-identity check run
+over the benchmark pools, and of ``tools/output_diff.py``, which shows what
+an output change changed."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
 import sys
 import types
 from pathlib import Path
@@ -86,3 +88,90 @@ def test_main_fails_on_a_raised_config(digest, monkeypatch, capsys, analyze, sta
     assert digest.main([str(ROOT / "src")]) == status
     (line,) = capsys.readouterr().out.splitlines()
     assert line.startswith(f"only entry-0 {expected}")
+
+
+@pytest.fixture(scope="module")
+def output_diff():
+    spec = importlib.util.spec_from_file_location("output_diff", ROOT / "tools" / "output_diff.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _record(code="0", report=None, stdout="", stderr=""):
+    return {"config": "w e", "stratum": "w/s", "exit": code, "json": report,
+            "csv": None, "svg": None, "stdout": stdout, "stderr": stderr}
+
+
+def test_compare_names_transitions_paths_and_lines(output_diff):
+    old = {"config": {"iterate": {"tol": 1e-10, "m_max": 64}},
+           "spectrum": {"classification": "conforms", "eigenvalues": [{"re": 1.0}, {"re": 0.5}]},
+           "iterates": {"m_used": 4}}
+    new = {"config": {"iterate": {"tol": 1e-10}},
+           "spectrum": {"classification": "violates-theorem",
+                        "eigenvalues": [{"re": 1.0}, {"re": 0.4}]},
+           "iterates": {"m_used": None}}
+    changes = output_diff.compare(_record("0", old, "a\nb\n"), _record("1", new, "a\nc\n"))
+    assert changes == {
+        "exit": ["exit: 0 -> 1"],
+        "classification": ["classification: conforms -> violates-theorem"],
+        "config.iterate.m_max": ["config.iterate.m_max: 64 -> (absent)"],
+        "spectrum.classification": ['spectrum.classification: "conforms" -> '
+                                    '"violates-theorem"'],
+        "spectrum.eigenvalues[].re": ["spectrum.eigenvalues[].re: 0.5 -> 0.4 (rel 2.00e-01)"],
+        "iterates.m_used": ["iterates.m_used: 4 -> null"],
+        "stdout": ["stdout:", "  -b", "  +c"],
+    }
+    assert output_diff.compare(_record("0", old), _record("0", old)) == {}
+    assert output_diff.compare(_record("0", old), _record("2")) == {
+        "exit": ["exit: 0 -> 2"], "classification": ["classification: conforms -> None"],
+        "json": ["json: written -> not written"]}
+
+
+def _small_pool(monkeypatch):
+    """A three-entry stand-in for the benchmark pools."""
+    texts = {"kantorovich": '{"operator": "kantorovich", "n": 2}\n',
+             "bernstein": '{"operator": "bernstein", "n": 3}\n',
+             "swap": '{"operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]}, '
+                     '"functionals": [{"kind": "dirac", "x": 1.0}, {"kind": "dirac", "x": 0.0}]}\n'}
+    workloads = types.ModuleType("perfbench.workloads")
+    workloads.WORKLOADS = ("only",)
+    workloads.pool = lambda workload: {
+        name: types.SimpleNamespace(stratum=name, text=lambda text=text: text)
+        for name, text in texts.items()}
+    monkeypatch.setitem(sys.modules, "perfbench.workloads", workloads)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+
+def test_output_diff_of_a_tree_against_itself_is_identical(output_diff, monkeypatch, capsys):
+    _small_pool(monkeypatch)
+    src = str(ROOT / "src")
+    assert output_diff.main([src, src]) == 0
+    assert capsys.readouterr().out == "identical (3 configs)\n"
+
+
+def test_output_diff_names_exactly_a_mutant_changed_paths(output_diff, tmp_path, monkeypatch,
+                                                           capsys):
+    # A default iterate tolerance far below rounding: the limits found are
+    # rejected, and nothing but the iterates moves.
+    _small_pool(monkeypatch)
+    mutant = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "pouspec", mutant / "pouspec",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    spectra = mutant / "pouspec" / "spectra.py"
+    text = spectra.read_text(encoding="utf-8")
+    assert "\nITERATE_TOL = 1e-10\n" in text
+    spectra.write_text(text.replace("\nITERATE_TOL = 1e-10\n", "\nITERATE_TOL = 1e-20\n"),
+                       encoding="utf-8")
+    assert output_diff.main([str(ROOT / "src"), str(mutant)]) == 1
+    out = capsys.readouterr().out
+    summary = out[out.index("\n3 of 3 configs changed\n") + 1:].splitlines()
+    # The swap matrix has no limit either way; only its echoed tolerance moves.
+    assert summary[1:] == [
+        "by stratum:", "  only/kantorovich: 1 of 1", "  only/bernstein: 1 of 1",
+        "  only/swap: 1 of 1", "by key path:", "  config.iterate.tol: 3",
+        "  iterates.converged: 2", "  iterates.message: 2", "  iterates.rate: 2", "  stdout: 2"]
+    assert out.startswith("only kantorovich\n"
+                          "  config.iterate.tol: 1e-10 -> 1e-20 (rel 1.00e+00)\n"
+                          "  iterates.converged: true -> false\n"
+                          "  iterates.rate: 0.6666666666666667 -> null\n")

@@ -107,7 +107,7 @@ class TestParseConfig:
         assert config.grid_points == 1001
         assert config.seed == 42
         assert config.tolerances.pou == 1e-10
-        assert config.iterate.m_max == 65536
+        assert config.iterate.tol == 1e-10
         assert not config.outputs.json
 
     def test_rejects_nonpositive_n(self):
@@ -257,6 +257,7 @@ class TestRunAnalyze:
         assert {"re", "im", "modulus", "in_disk_union"} <= set(
             data["spectrum"]["eigenvalues"][0])
         assert data["iterates"]["converged"] is True
+        assert data["iterates"]["m_used"] is None
         assert "timings" in data
 
 
@@ -641,8 +642,10 @@ class TestCli:
              "hat basis nodes 0.0 and 5e-324 are too close"),
             ('{"version": true, "operator": "kantorovich", "n": 2}',
              "unsupported config version True"),
-            (json.dumps({"operator": "kantorovich", "n": 2, "iterate": {"m_max": 10**4000}}),
-             "iterate 'm_max' must be an integer in [2, 1073741824]"),
+            (json.dumps({"operator": "kantorovich", "n": 2, "iterate": {"tol": 10**4000}}),
+             "iterate 'tol' must be a finite positive number"),
+            ('{"operator": "kantorovich", "n": 2, "iterate": {"m_max": 64}}',
+             "config: 'iterate': unknown field 'm_max' (expected one of tol)"),
             ('{"operator": "bernstein", "n": 3, "grid_point": 11, "tolerence": {"pou": 1e-9}}',
              "config: unknown field 'grid_point'"),
             ('{"operator": "bernstein", "n": 3, "degree": 2}',
@@ -681,8 +684,8 @@ class TestCli:
             "knots-past-one", "custom-knots-below-zero", "negative-quadrature-weight",
             "negative-seed", "boolean-tolerance", "boolean-dirac", "huge-integer-dirac",
             "huge-integer-node", "string-node", "hat-slope-overflow",
-            "custom-hat-slope-overflow", "boolean-version", "huge-m-max",
-            "unknown-top-level-key", "other-kind-parameter", "unknown-tolerance",
+            "custom-hat-slope-overflow", "boolean-version", "huge-integer-iterate-tol",
+            "removed-m-max", "unknown-top-level-key", "other-kind-parameter", "unknown-tolerance",
             "unknown-iterate-key", "unknown-output-flag", "dirac-with-a", "hat-basis-with-n",
             "float-version", "quadrature-lengths-differ", "empty-quadrature",
             "average-a-above-b", "negative-seed-override"])

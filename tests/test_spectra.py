@@ -3,6 +3,8 @@ powers, and the limit of iterates."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
@@ -16,7 +18,7 @@ from pouspec import spectra
 from pouspec.errors import ConfigError, UnsupportedSizeError
 from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
                                  WeightedQuadratureFunctional)
-from pouspec.bases import BasisSystem, clamped_knots, make_hat_basis
+from pouspec.bases import BasisSystem, clamped_knots, make_bernstein_basis, make_hat_basis
 from pouspec.operators import OperatorSpec, bernstein_operator, hat_dirac_operator, \
     kantorovich_operator, schoenberg_operator
 from pouspec.spectra import (MAX_DIMENSION, ORACLE_MAX_DIMENSION, CollocationMatrix,
@@ -442,6 +444,61 @@ class TestPowers:
             assert check_row_stochastic(power, tol=1e-10 * max(m, 1)).passed
 
 
+def _permutation_operator(image: list[int]) -> OperatorSpec:
+    """Hat ``k`` read at node ``image[k]``: the permutation matrix of the
+    benchmark pool's crossed-Dirac configs, whose cycles are its closed
+    classes."""
+    nodes = np.linspace(0.0, 1.0, len(image))
+    basis = make_hat_basis(nodes)
+    return OperatorSpec(basis, tuple(DiracFunctional(nodes[j]) for j in image),
+                        name="permutation")
+
+
+@functools.cache
+def _catalog_matrix(kind: str, n: int) -> np.ndarray:
+    operator = {"bernstein": bernstein_operator, "kantorovich": kantorovich_operator}[kind]
+    return build_collocation_matrix(operator(n)).entries
+
+
+class TestClosedClasses:
+    @pytest.mark.parametrize("matrix, labels, periods", [
+        (np.eye(3), [0, 1, 2], [1, 1, 1]),
+        (SWAP, [0, 0], [2]),
+        (BERN2, [0, 2, 1], [1, 1, 0]),
+        (JORDAN, [2, 1, 0], [1, 0, 0]),
+        # A zero row is a class without an edge: not closed.
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), [1, 0], [0, 0]),
+        (np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), [0, 0, 0], [2]),
+    ], ids=["identity", "swap", "bernstein-2", "jordan", "zero-row", "star"])
+    def test_small_matrices(self, matrix, labels, periods):
+        found_labels, found_periods = spectra.closed_classes(matrix)
+        assert found_labels.tolist() == labels
+        assert found_periods.tolist() == periods
+
+    @pytest.mark.parametrize("n", [31, 499])
+    def test_bernstein_end_points_are_absorbing(self, n):
+        labels, periods = spectra.closed_classes(_catalog_matrix("bernstein", n))
+        assert periods[periods > 0].tolist() == [1, 1]
+        assert np.flatnonzero(periods[labels]).tolist() == [0, n]
+
+    @pytest.mark.parametrize("n", [31, 499])
+    def test_kantorovich_is_one_aperiodic_class(self, n):
+        labels, periods = spectra.closed_classes(_catalog_matrix("kantorovich", n))
+        assert periods.tolist() == [1] and not labels.any()
+
+    @pytest.mark.parametrize("image, periods", [
+        ([1, 0], [2]),
+        ([4, 5, 0, 1, 2, 3], [3, 3]),
+        ([1, 2, 3, 0], [4]),
+        ([1, 2, 0], [3]),
+        ([1, 2, 3, 4, 5, 0], [6]),
+        ([1, 2, 0, 3], [3, 1]),
+    ], ids=[*(f"custom-swap-{i}" for i in range(5)), "three-cycle-and-fixed-point"])
+    def test_permutation_cycles(self, image, periods):
+        matrix = build_collocation_matrix(_permutation_operator(image))
+        assert sorted(spectra.closed_classes(matrix)[1].tolist()) == sorted(periods)
+
+
 class TestIterateLimit:
     def test_kantorovich_limit_and_rate(self):
         result = iterate_limit(KANT1, tol=1e-10)
@@ -455,16 +512,75 @@ class TestIterateLimit:
         result = iterate_limit(identity, tol=1e-12)
         rate = classify_spectrum(eigenvalues(identity),
                                  gershgorin_disks(identity)).subdominant_modulus
-        assert result.converged and result.m_used == 1 and rate == 0.0
+        assert result.converged and result.residual == 0 and rate == 0.0
 
     def test_swap_oscillates(self):
-        result = iterate_limit(SWAP, tol=1e-10, m_max=256)
-        assert not result.converged
-        assert "period-2" in result.message
+        result = iterate_limit(SWAP, tol=1e-10)
+        assert not result.converged and result.limit is None
+        assert result.message == "no limit: closed class(es) of period 2"
 
-    def test_rejects_small_m_max(self):
-        with pytest.raises(ConfigError):
-            iterate_limit(KANT1, m_max=1)
+    @pytest.mark.parametrize("image, named", [
+        ([1, 0], "2"),
+        ([4, 5, 0, 1, 2, 3], "3, 3"),
+        ([1, 2, 3, 0], "4"),
+        ([1, 2, 0], "3"),
+        ([1, 2, 3, 4, 5, 0], "6"),
+    ], ids=[f"custom-swap-{i}" for i in range(5)])
+    def test_swap_configs_name_their_periods(self, image, named):
+        result = iterate_limit(build_collocation_matrix(_permutation_operator(image)))
+        assert not result.converged
+        assert result.message == f"no limit: closed class(es) of period {named}"
+
+    def test_reversed_bernstein_names_period_two(self):
+        # Nodes 1, 0.5, 0: the end points swap, and the middle state is
+        # transient, so M^m has no limit although M has a positive entry
+        # on its diagonal.
+        op = OperatorSpec(make_bernstein_basis(2), tuple(map(DiracFunctional, (1.0, 0.5, 0.0))),
+                          name="reversed-bernstein")
+        matrix = build_collocation_matrix(op)
+        assert matrix.diagonal_min() == 0.0 and matrix.entries[1, 1] == 0.5
+        result = iterate_limit(matrix)
+        assert result.message == "no limit: closed class(es) of period 2"
+
+    def test_residual_above_tol_is_no_limit(self):
+        # Row sums of 2: the class is closed and aperiodic, but M^m grows.
+        result = iterate_limit(np.array([[1.5, 0.5], [0.25, 1.75]]), tol=1e-10)
+        assert not result.converged and result.limit is None
+        assert result.residual > 0.5
+        assert result.message.startswith("no limit: residual ")
+
+    def test_leak_below_rounding_is_absorbed(self):
+        # Row 0 is (1.0, 5e-324): 1 - M[0, 0] is 0, yet state 0 leaks into
+        # the absorbing state 1, and the sum of its other entries keeps that.
+        result = iterate_limit(np.array([[1.0, 5e-324], [0.0, 1.0]]))
+        assert result.converged
+        nptest.assert_array_equal(result.limit, [[0.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("n", [31, 60, 499])
+    def test_bernstein_limit_is_kelisky_rivlin(self, n):
+        # Kelisky & Rivlin (1967): B_n^m f tends to the line through
+        # (0, f(0)) and (1, f(1)), so row k of L is (1 - k/n, 0, ..., 0, k/n).
+        x = np.arange(n + 1) / n
+        expected = np.zeros((n + 1, n + 1))
+        expected[:, 0], expected[:, -1] = 1.0 - x, x
+        result = iterate_limit(_catalog_matrix("bernstein", n))
+        assert result.converged
+        assert result.message.startswith("converged: 2 closed class(es), residual ")
+        assert np.max(np.abs(result.limit - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["bernstein", "kantorovich"])
+    @pytest.mark.parametrize("n", [60, 499])
+    def test_limit_matches_long_squaring(self, kind, n):
+        matrix = _catalog_matrix(kind, n)
+        result = iterate_limit(matrix)
+        assert result.converged and result.residual <= 1e-12
+        assert np.max(np.abs(result.limit - np.linalg.matrix_power(matrix, 2 ** 20))) <= 1e-10
+        if kind == "kantorovich":
+            # One closed class: L = 1 pi^T with pi the stationary vector.
+            pi = result.limit[0]
+            nptest.assert_array_equal(result.limit, np.broadcast_to(pi, matrix.shape))
+            assert abs(pi.sum() - 1.0) <= 1e-12 and pi.min() > 0.0
+            assert np.max(np.abs(pi @ matrix - pi)) <= 1e-12
 
     def test_power_eigen_consistency(self):
         # For diagonalizable stochastic matrices the deviation from the

@@ -62,9 +62,10 @@ def import_main(src: Path):
     return pouspec.cli.main
 
 
-def run_one(main, config_text: str) -> tuple[str, str]:
-    """Exit code and output digests of one ``pouspec analyze`` call, run in
-    the current directory with relative file names, and its stderr."""
+def run_texts(main, config_text: str) -> tuple[str, list[str | None], str, str]:
+    """Exit code, outputs (JSON without its ``timings``, CSV, SVG; ``None``
+    when not written), stdout and stderr of one ``pouspec analyze`` call,
+    run in the current directory with relative file names."""
     for name in OUTPUTS:
         Path(name).unlink(missing_ok=True)
     Path("config.json").write_text(config_text, encoding="utf-8")
@@ -82,11 +83,18 @@ def run_one(main, config_text: str) -> tuple[str, str]:
              for name in OUTPUTS]
     if texts[0] is not None:
         texts[0] = without_timings(texts[0])
+    return code, texts, stdout.getvalue(), stderr.getvalue()
+
+
+def run_one(main, config_text: str) -> tuple[str, str]:
+    """Exit code and output digests of one ``pouspec analyze`` call, and
+    its stderr."""
+    code, texts, stdout, stderr = run_texts(main, config_text)
     parts = [f"exit={code}"]
     parts += [f"{label}={_digest(text)}"
               for label, text in zip(("json", "csv", "svg"), texts)]
-    parts += [f"stdout={_digest(stdout.getvalue())}", f"stderr={_digest(stderr.getvalue())}"]
-    return " ".join(parts), stderr.getvalue()
+    parts += [f"stdout={_digest(stdout)}", f"stderr={_digest(stderr)}"]
+    return " ".join(parts), stderr
 
 
 def main(argv: list[str] | None = None) -> int:
