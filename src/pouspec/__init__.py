@@ -23,10 +23,9 @@ from .operators import (OperatorSpec, apply_adjoint, apply_operator,
                         schoenberg_operator, verify_adjoint_identity,
                         verify_constant_reproduction, verify_norm_bound,
                         verify_positivity)
-from .report import (AnalysisConfig, AnalysisReport, IterateSettings, OutputFlags,
-                     Tolerances, build_operator, config_from_mapping, dumps_json,
-                     emit_report, emit_svg, exit_code_for, parse_config,
-                     report_to_mapping, run_analyze)
+from .report import (AnalysisConfig, AnalysisReport, Tolerances, build_operator,
+                     config_from_mapping, dumps_json, emit_report, emit_svg,
+                     exit_code_for, parse_config, report_to_mapping, run_analyze)
 from .spectra import (CollocationMatrix, IterateResult, SpectrumReport,
                       build_collocation_matrix, check_row_stochastic, classify_spectrum,
                       closed_classes, eigenvalues, gershgorin_disks, iterate_limit,

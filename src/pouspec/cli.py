@@ -2,10 +2,12 @@
 
 Subcommands:
 
-* ``analyze``: full pipeline for one configured operator, with optional
-  JSON / CSV / SVG outputs.
+* ``analyze``: full pipeline for one configured operator; ``--json``,
+  ``--csv`` and ``--svg`` name the files of its outputs, and only those are
+  written.
 * ``catalog``: list the built-in operator kinds and their parameters.
-* ``verify``: lemma and stochasticity checks only, no spectrum.
+* ``verify``: lemma checks, and whether the collocation matrix is
+  row-stochastic within ``TOL_STOCHASTIC``; no spectrum.
 * ``oracle``: cross-check the LAPACK eigensolver against mpmath's
   eigensolver in 40-digit arithmetic (matrix dimension at most 30). That
   is independent code, not a different algorithm: both are QR iterations.
@@ -26,7 +28,7 @@ from numpy.linalg import LinAlgError
 from .errors import ConfigError, DomainError, UnsupportedSizeError
 from .report import (AnalysisConfig, build_operator, emit_report, emit_svg,
                      exit_code_for, parse_config, run_analyze, run_checks)
-from .spectra import (ORACLE_MAX_DIMENSION, build_collocation_matrix,
+from .spectra import (ORACLE_MAX_DIMENSION, TOL_STOCHASTIC, build_collocation_matrix,
                       check_row_stochastic, eigenvalues, mpmath_eigen_oracle,
                       pair_eigenvalues)
 
@@ -66,12 +68,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = run_analyze(config)
 
     renderers = (
-        (args.json or ("report.json" if config.outputs.json else None),
-         lambda: emit_report(report, "json")),
-        (args.csv or ("report.csv" if config.outputs.csv else None),
-         lambda: emit_report(report, "csv")),
-        (args.svg or ("report.svg" if config.outputs.svg else None),
-         lambda: emit_svg(report)),
+        (args.json, lambda: emit_report(report, "json")),
+        (args.csv, lambda: emit_report(report, "csv")),
+        (args.svg, lambda: emit_svg(report)),
     )
     # Every output is rendered before any is written, so a value the
     # serializer rejects (a non-finite number) leaves no file behind.
@@ -110,7 +109,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     op = build_operator(config)
     results = [
         *run_checks(op, config).values(),
-        check_row_stochastic(build_collocation_matrix(op), config.tolerances.stochastic),
+        check_row_stochastic(build_collocation_matrix(op), TOL_STOCHASTIC),
     ]
     print(f"operator: {op.name}")
     for check in results:

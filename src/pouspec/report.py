@@ -2,7 +2,10 @@
 
 A configuration is a single JSON map (schema ``version: 1``) that names one
 operator from the catalog (or a custom basis/functional combination) plus
-grid, tolerance, iteration, seed, and output settings. ``run_analyze``
+the settings of the verdict: the verification grid, its tolerances and the
+seed. The iterate tolerance and the row-sum tolerance of ``verify`` are
+constants (``spectra.ITERATE_TOL``, ``spectra.TOL_STOCHASTIC``), and the
+output paths are command-line flags. ``run_analyze``
 executes the whole pipeline deterministically for a fixed seed: construct
 the operator, verify the lemma properties, assemble the collocation matrix,
 solve and classify the spectrum, and find the limit of matrix powers.
@@ -15,7 +18,7 @@ basis and functional specs. A row declares the kind's fields in config
 order with their parsers, its constructor, and for operators and bases
 its size. Parsing reads the named row's fields (for ``custom`` that reads
 its basis and functional specs through their rows), then the grid,
-settings and seed; only once every value is valid are the config's maps
+tolerances and seed; only once every value is valid are the config's maps
 checked for unknown keys, against the same rows. ``build_operator`` checks
 the row's size against ``MAX_DIMENSION`` before anything is built, then
 calls the constructor with the parsed fields as keyword arguments. Adding
@@ -58,8 +61,8 @@ from .operators import (WITNESS_RESIDUAL_TOL, OperatorSpec, bernstein_operator,
                         hat_dirac_operator, kantorovich_operator, kernel_witness_report,
                         schoenberg_operator, verify_constant_reproduction,
                         verify_norm_bound, verify_positivity)
-from .spectra import (CLASSIFICATION_CONFORMS, ITERATE_TOL, MAX_DIMENSION, TOL_PERIPHERAL,
-                      TOL_STOCHASTIC, CollocationMatrix, IterateResult, SpectrumReport,
+from .spectra import (CLASSIFICATION_CONFORMS, MAX_DIMENSION, TOL_PERIPHERAL,
+                      CollocationMatrix, IterateResult, SpectrumReport,
                       build_collocation_matrix, classify_spectrum, eigenvalues,
                       gershgorin_disks, iterate_limit)
 
@@ -74,21 +77,8 @@ MAX_GRID_POINTS = 100_001
 @dataclass(frozen=True)
 class Tolerances:
     pou: float = TOL_POU
-    stochastic: float = TOL_STOCHASTIC
     peripheral: float = TOL_PERIPHERAL
     norm: float = WITNESS_RESIDUAL_TOL
-
-
-@dataclass(frozen=True)
-class IterateSettings:
-    tol: float = ITERATE_TOL
-
-
-@dataclass(frozen=True)
-class OutputFlags:
-    json: bool = False
-    csv: bool = False
-    svg: bool = False
 
 
 @dataclass(frozen=True)
@@ -97,9 +87,7 @@ class AnalysisConfig:
     params: dict
     grid_points: int = DEFAULT_GRID_POINTS
     tolerances: Tolerances = field(default_factory=Tolerances)
-    iterate: IterateSettings = field(default_factory=IterateSettings)
     seed: int = 42
-    outputs: OutputFlags = field(default_factory=OutputFlags)
     version: int = SCHEMA_VERSION
 
     def with_seed(self, seed: int) -> "AnalysisConfig":
@@ -111,9 +99,7 @@ class AnalysisConfig:
         out.update(self.params)
         out["grid_points"] = self.grid_points
         out["tolerances"] = asdict(self.tolerances)
-        out["iterate"] = asdict(self.iterate)
         out["seed"] = self.seed
-        out["outputs"] = asdict(self.outputs)
         return out
 
 
@@ -280,35 +266,24 @@ OPERATORS = {
                                  len(p["functionals"]))),
 }
 
-#: How a ``tolerances``, ``iterate`` or ``outputs`` value is read, by its
-#: field's declared type: the conversion, the test, and what the message
-#: says the value must be.
-_SETTING_TYPES = {
-    "float": (float, lambda v: _is_number(v) and _finite(v) and v > 0,
-              "a finite positive number"),
-    "bool": (bool, lambda v: isinstance(v, bool), "a boolean"),
-}
-
-
-def _settings(data: dict, name: str, settings: type, label: str):
-    """The ``settings`` dataclass read from the map ``data[name]``, each
-    missing field at its default; ``label`` names a field in messages."""
-    section = data.get(name, {})
+def _tolerances(data: dict) -> Tolerances:
+    """The ``tolerances`` map of ``data``, each missing tolerance at its
+    default. Each is a finite number in (0, 1): one of 1 or more would let
+    its check pass without testing anything."""
+    section = data.get("tolerances", {})
     if not isinstance(section, dict):
-        raise ConfigError(f"config: '{name}' must be a map")
+        raise ConfigError("config: 'tolerances' must be a map")
     values = {}
-    for setting in fields(settings):
-        convert, valid, expected = _SETTING_TYPES[setting.type]
+    for setting in fields(Tolerances):
         value = section.get(setting.name, setting.default)
-        if not valid(value):
-            raise ConfigError(f"config: {label} '{setting.name}' must be {expected}")
-        # Every float setting is a tolerance, and one of 1 or more would let
-        # its check pass without testing anything.
-        if setting.type == "float" and value >= 1:
-            raise ConfigError(f"config: {label} '{setting.name}' must be below 1, "
+        if not (_is_number(value) and _finite(value) and value > 0):
+            raise ConfigError(f"config: tolerance '{setting.name}' must be "
+                              "a finite positive number")
+        if value >= 1:
+            raise ConfigError(f"config: tolerance '{setting.name}' must be below 1, "
                               f"got {value!r}")
-        values[setting.name] = convert(value)
-    return settings(**values)
+        values[setting.name] = float(value)
+    return Tolerances(**values)
 
 
 def config_from_mapping(data: dict) -> AnalysisConfig:
@@ -326,18 +301,14 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
     grid_points = data.get("grid_points", DEFAULT_GRID_POINTS)
     if not _is_int(grid_points) or not 11 <= grid_points <= MAX_GRID_POINTS:
         raise ConfigError(f"config: 'grid_points' must be an integer in [11, {MAX_GRID_POINTS}]")
-    tolerances = _settings(data, "tolerances", Tolerances, "tolerance")
-    iterate = _settings(data, "iterate", IterateSettings, "iterate")
+    tolerances = _tolerances(data)
     seed = _seed(data.get("seed", AnalysisConfig.seed))
-    outputs = _settings(data, "outputs", OutputFlags, "output flag")
 
     # Unknown keys are named only once every value has passed its check.
     common = [f.name for f in fields(AnalysisConfig) if f.name != "params"]
     _reject_unknown(data, [*common, *params], "config")
-    for name, settings in (("tolerances", tolerances), ("iterate", iterate),
-                           ("outputs", outputs)):
-        _reject_unknown(data.get(name, {}), [f.name for f in fields(settings)],
-                        f"config: '{name}'")
+    _reject_unknown(data.get("tolerances", {}), [f.name for f in fields(Tolerances)],
+                    "config: 'tolerances'")
     if kind == "custom":
         _reject_unknown(data["basis"], params["basis"], "custom basis")
         for index, (spec, parsed) in enumerate(zip(data["functionals"],
@@ -345,8 +316,7 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
             _reject_unknown(spec, parsed, f"functional[{index}]")
 
     return AnalysisConfig(operator=kind, params=params, grid_points=grid_points,
-                          tolerances=tolerances, iterate=iterate, seed=seed,
-                          outputs=outputs, version=SCHEMA_VERSION)
+                          tolerances=tolerances, seed=seed, version=SCHEMA_VERSION)
 
 
 def parse_config(text: str) -> AnalysisConfig:
@@ -451,7 +421,7 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     timings["spectrum"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    iterates = iterate_limit(matrix, tol=config.iterate.tol)
+    iterates = iterate_limit(matrix)
     timings["iterates"] = time.perf_counter() - t0
 
     return AnalysisReport(

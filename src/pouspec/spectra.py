@@ -388,8 +388,13 @@ def iterate_limit(matrix, tol: float = ITERATE_TOL) -> IterateResult:
     ``L = sum_C h_C pi_C^T`` (Seneta, ch. 4): one solve gives the stationary
     vectors ``pi_C`` (the closed block is block diagonal), one of ``I - Q``
     (``Q`` the transient block) the absorption probabilities ``h_C``. The
-    rate of approach is ``SpectrumReport.subdominant_modulus``."""
+    rate of approach is ``SpectrumReport.subdominant_modulus``. A matrix
+    that is not row-stochastic within ``TOL_STOCHASTIC`` is a
+    :class:`ConfigError` naming its worst row."""
     arr = _as_matrix(matrix)
+    stochastic = check_row_stochastic(arr, TOL_STOCHASTIC)
+    if not stochastic.passed:
+        raise ConfigError(f"iterate limit needs a row-stochastic matrix: {stochastic.detail}")
     labels, periods = closed_classes(arr)
     states, transient = np.flatnonzero(periods[labels]), np.flatnonzero(periods[labels] == 0)
     owner = labels[states]

@@ -5,7 +5,8 @@ once through ``pouspec.cli.main``, writing the JSON, CSV and SVG outputs,
 and judged by ``perfbench/checker.py`` against
 ``perfbench/reference/<workload>.json.gz``: a result passes when it has no
 problem or reproduces a defect recorded in the reference, the rule of the
-benchmark's ``correct``. The perfbench modules are only imported.
+benchmark's ``correct``. Every analysis, well-formed or not, also writes
+at most one line to stderr. The perfbench modules are only imported.
 """
 
 from __future__ import annotations
@@ -101,6 +102,16 @@ def analysed(tmp_path_factory):
 def test_matches_the_benchmark_reference(analysed, workload, entry_id):
     _, verdict, _, _ = analysed(workload, entry_id)
     assert verdict.known or not verdict.failed, verdict.problems
+
+
+@pytest.mark.parametrize("workload, entry_id", _cases(lambda entry, expect: True))
+def test_writes_at_most_one_stderr_line(analysed, workload, entry_id):
+    # The CLI's contract: at most one stderr line, the "error:" line of a
+    # config that is malformed or whose analysis fails. A warning would add
+    # lines; the suite turns warnings into errors, which the test above
+    # reports as uncaught exceptions.
+    outcome = analysed(workload, entry_id)[0]
+    assert len(outcome.stderr.splitlines()) <= 1, outcome.stderr
 
 
 @pytest.mark.parametrize("workload, entry_id", _cases(

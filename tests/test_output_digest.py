@@ -1,6 +1,5 @@
-"""Smoke tests of ``tools/output_digest.py``, the byte-identity check run
-over the benchmark pools, and of ``tools/output_diff.py``, which shows what
-an output change changed."""
+"""Smoke tests of ``tools/output_diff.py``, which runs every benchmark pool
+config through two source trees and shows what an output change changed."""
 
 from __future__ import annotations
 
@@ -17,77 +16,6 @@ from pouspec.cli import main
 from pouspec.report import emit_report, parse_config, report_to_mapping, run_analyze
 
 ROOT = Path(__file__).resolve().parent.parent
-TOOL = ROOT / "tools" / "output_digest.py"
-
-
-@pytest.fixture(scope="module")
-def digest():
-    spec = importlib.util.spec_from_file_location("output_digest", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_run_one_is_repeatable(digest, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    config = '{"version": 1, "operator": "kantorovich", "n": 2}\n'
-    first, err = digest.run_one(main, config)
-    assert first.startswith("exit=0 json=")
-    assert "=-" not in first
-    assert err == ""
-    assert digest.run_one(main, config) == (first, err)
-
-
-def test_run_one_malformed_writes_nothing(digest, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    line, err = digest.run_one(main, '{"operator": "bernstein"}\n')
-    assert line.startswith("exit=2 json=- csv=- svg=- ")
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_without_timings_cuts_only_timings(digest):
-    report = run_analyze(parse_config('{"operator": "kantorovich", "n": 2}'))
-    text = emit_report(report, "json")
-    expected = report_to_mapping(report)
-    del expected["timings"]
-    cut = digest.without_timings(text)
-    assert json.loads(cut) == json.loads(json.dumps(expected))
-    # Only the tail is cut: everything before the timings map is untouched.
-    assert cut.endswith("\n}\n") and text.startswith(cut[:-len("\n}\n")])
-    assert digest.without_timings(cut) == cut
-
-
-def _crash(argv):
-    raise RuntimeError("analysis crashed")
-
-
-def _warn_then_fail(argv):
-    # A warning printed before the error line breaks the one-line contract.
-    print("RuntimeWarning: overflow encountered in divide", file=sys.stderr)
-    print("error: analysis failed", file=sys.stderr)
-    return 2
-
-
-@pytest.mark.parametrize("analyze, status, expected", [
-    (main, 0, "exit=0 json="),
-    (_crash, 1, "exit=raised:RuntimeError "),
-    (_warn_then_fail, 1, "exit=2 json=- "),
-], ids=["clean", "raised", "multi-line-stderr"])
-def test_main_fails_on_a_raised_config(digest, monkeypatch, capsys, analyze, status,
-                                       expected):
-    # A one-entry pool, so only the exit status and the printed line matter.
-    entry = types.SimpleNamespace(text=lambda: '{"operator": "kantorovich", "n": 2}\n')
-    workloads = types.ModuleType("perfbench.workloads")
-    workloads.WORKLOADS = ("only",)
-    workloads.pool = lambda workload: {"entry-0": entry}
-    monkeypatch.setitem(sys.modules, "perfbench.workloads", workloads)
-    monkeypatch.setattr(digest, "import_main", lambda src: analyze)
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    for var in digest.THREAD_VARS:
-        monkeypatch.setenv(var, "1")
-    assert digest.main([str(ROOT / "src")]) == status
-    (line,) = capsys.readouterr().out.splitlines()
-    assert line.startswith(f"only entry-0 {expected}")
 
 
 @pytest.fixture(scope="module")
@@ -98,16 +26,45 @@ def output_diff():
     return module
 
 
+def test_run_texts_is_repeatable(output_diff, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = '{"version": 1, "operator": "kantorovich", "n": 2}\n'
+    code, texts, stdout, stderr = first = output_diff.run_texts(main, config)
+    assert code == "0"
+    assert None not in texts
+    assert stdout.startswith("operator: kantorovich(n=2)") and stderr == ""
+    assert output_diff.run_texts(main, config) == first
+
+
+def test_run_texts_malformed_writes_nothing(output_diff, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, texts, stdout, stderr = output_diff.run_texts(main, '{"operator": "bernstein"}\n')
+    assert (code, texts, stdout) == ("2", [None, None, None], "")
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+def test_without_timings_cuts_only_timings(output_diff):
+    report = run_analyze(parse_config('{"operator": "kantorovich", "n": 2}'))
+    text = emit_report(report, "json")
+    expected = report_to_mapping(report)
+    del expected["timings"]
+    cut = output_diff.without_timings(text)
+    assert json.loads(cut) == json.loads(json.dumps(expected))
+    # Only the tail is cut: everything before the timings map is untouched.
+    assert cut.endswith("\n}\n") and text.startswith(cut[:-len("\n}\n")])
+    assert output_diff.without_timings(cut) == cut
+
+
 def _record(code="0", report=None, stdout="", stderr=""):
     return {"config": "w e", "stratum": "w/s", "exit": code, "json": report,
             "csv": None, "svg": None, "stdout": stdout, "stderr": stderr}
 
 
 def test_compare_names_transitions_paths_and_lines(output_diff):
-    old = {"config": {"iterate": {"tol": 1e-10, "m_max": 64}},
+    old = {"config": {"tolerances": {"pou": 1e-10, "stochastic": 1e-10}},
            "spectrum": {"classification": "conforms", "eigenvalues": [{"re": 1.0}, {"re": 0.5}]},
            "iterates": {"m_used": 4}}
-    new = {"config": {"iterate": {"tol": 1e-10}},
+    new = {"config": {"tolerances": {"pou": 1e-10}},
            "spectrum": {"classification": "violates-theorem",
                         "eigenvalues": [{"re": 1.0}, {"re": 0.4}]},
            "iterates": {"m_used": None}}
@@ -115,7 +72,7 @@ def test_compare_names_transitions_paths_and_lines(output_diff):
     assert changes == {
         "exit": ["exit: 0 -> 1"],
         "classification": ["classification: conforms -> violates-theorem"],
-        "config.iterate.m_max": ["config.iterate.m_max: 64 -> (absent)"],
+        "config.tolerances.stochastic": ["config.tolerances.stochastic: 1e-10 -> (absent)"],
         "spectrum.classification": ['spectrum.classification: "conforms" -> '
                                     '"violates-theorem"'],
         "spectrum.eigenvalues[].re": ["spectrum.eigenvalues[].re: 0.5 -> 0.4 (rel 2.00e-01)"],
@@ -165,13 +122,12 @@ def test_output_diff_names_exactly_a_mutant_changed_paths(output_diff, tmp_path,
                        encoding="utf-8")
     assert output_diff.main([str(ROOT / "src"), str(mutant)]) == 1
     out = capsys.readouterr().out
-    summary = out[out.index("\n3 of 3 configs changed\n") + 1:].splitlines()
-    # The swap matrix has no limit either way; only its echoed tolerance moves.
+    summary = out[out.index("\n2 of 3 configs changed\n") + 1:].splitlines()
+    # The swap matrix has no limit either way, so none of its output moves.
     assert summary[1:] == [
         "by stratum:", "  only/kantorovich: 1 of 1", "  only/bernstein: 1 of 1",
-        "  only/swap: 1 of 1", "by key path:", "  config.iterate.tol: 3",
-        "  iterates.converged: 2", "  iterates.message: 2", "  iterates.rate: 2", "  stdout: 2"]
+        "by key path:", "  iterates.converged: 2", "  iterates.message: 2",
+        "  iterates.rate: 2", "  stdout: 2"]
     assert out.startswith("only kantorovich\n"
-                          "  config.iterate.tol: 1e-10 -> 1e-20 (rel 1.00e+00)\n"
                           "  iterates.converged: true -> false\n"
                           "  iterates.rate: 0.6666666666666667 -> null\n")

@@ -107,8 +107,9 @@ class TestParseConfig:
         assert config.grid_points == 1001
         assert config.seed == 42
         assert config.tolerances.pou == 1e-10
-        assert config.iterate.tol == 1e-10
-        assert not config.outputs.json
+        assert list(config.echo()) == ["version", "operator", "n", "grid_points",
+                                       "tolerances", "seed"]
+        assert list(config.echo()["tolerances"]) == ["pou", "peripheral", "norm"]
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ConfigError, match="'n' must be an integer >= 1"):
@@ -586,9 +587,10 @@ class TestCli:
              "tolerance 'peripheral'"),
             ('{"operator": "kantorovich", "n": 2, "tolerances": {"norm": Infinity}}',
              "tolerance 'norm'"),
-            ('{"operator": "kantorovich", "n": 2, "iterate": {"tol": NaN}}', "iterate 'tol'"),
-            ('{"operator": "bernstein", "n": 3, "iterate": {"tol": 1e300}}',
-             "config: iterate 'tol' must be below 1, got 1e+300"),
+            ('{"operator": "kantorovich", "n": 2, "tolerances": {"pou": NaN}}',
+             "config: tolerance 'pou' must be a finite positive number"),
+            ('{"operator": "bernstein", "n": 3, "tolerances": {"pou": 1e300}}',
+             "config: tolerance 'pou' must be below 1, got 1e+300"),
             ('{"operator": "bernstein", "n": 3, "tolerances": {"peripheral": 1.5}}',
              "config: tolerance 'peripheral' must be below 1, got 1.5"),
             ('{"operator": "bernstein", "n": 3, "tolerances": {"norm": 1.0}}',
@@ -642,20 +644,25 @@ class TestCli:
              "hat basis nodes 0.0 and 5e-324 are too close"),
             ('{"version": true, "operator": "kantorovich", "n": 2}',
              "unsupported config version True"),
-            (json.dumps({"operator": "kantorovich", "n": 2, "iterate": {"tol": 10**4000}}),
-             "iterate 'tol' must be a finite positive number"),
+            (json.dumps({"operator": "kantorovich", "n": 2,
+                         "tolerances": {"peripheral": 10**4000}}),
+             "config: tolerance 'peripheral' must be a finite positive number"),
             ('{"operator": "kantorovich", "n": 2, "iterate": {"m_max": 64}}',
-             "config: 'iterate': unknown field 'm_max' (expected one of tol)"),
+             "config: unknown field 'iterate' (expected one of operator, grid_points, "
+             "tolerances, seed, version, n)"),
             ('{"operator": "bernstein", "n": 3, "grid_point": 11, "tolerence": {"pou": 1e-9}}',
              "config: unknown field 'grid_point'"),
             ('{"operator": "bernstein", "n": 3, "degree": 2}',
              "config: unknown field 'degree'"),
             ('{"operator": "bernstein", "n": 3, "tolerances": {"pu": 1e-9}}',
              "config: 'tolerances': unknown field 'pu'"),
+            ('{"operator": "bernstein", "n": 3, "tolerances": {"stochastic": 1e-10}}',
+             "config: 'tolerances': unknown field 'stochastic' "
+             "(expected one of pou, peripheral, norm)"),
             ('{"operator": "bernstein", "n": 3, "iterate": {"mmax": 8}}',
-             "config: 'iterate': unknown field 'mmax'"),
+             "config: unknown field 'iterate'"),
             ('{"operator": "bernstein", "n": 3, "outputs": {"jsn": true}}',
-             "config: 'outputs': unknown field 'jsn'"),
+             "config: unknown field 'outputs'"),
             (_hat_custom([{"kind": "dirac", "x": 0.0, "a": 0.0}, {"kind": "dirac", "x": 1.0}]),
              "functional[0]: unknown field 'a'"),
             (json.dumps({"operator": "custom",
@@ -677,17 +684,17 @@ class TestCli:
              "functional[1]: interval average requires a < b, got [0.5, 0.2]"),
         ]),
         (KANT1_CONFIG, "'seed' must be an integer >= 0, got -1", ["verify", "--seed", "-1"]),
-    ], ids=["n-zero", "nan-tolerance", "infinite-norm-tolerance", "nan-iterate-tol",
-            "iterate-tol-above-one", "peripheral-tolerance-above-one", "norm-tolerance-one",
+    ], ids=["n-zero", "nan-tolerance", "infinite-norm-tolerance", "nan-pou-tolerance",
+            "pou-tolerance-above-one", "peripheral-tolerance-above-one", "norm-tolerance-one",
             "dirac-outside-domain", "nan-dirac", "infinite-interval-bound",
             "nan-quadrature-node", "infinite-quadrature-weight", "nan-knot",
             "knots-past-one", "custom-knots-below-zero", "negative-quadrature-weight",
             "negative-seed", "boolean-tolerance", "boolean-dirac", "huge-integer-dirac",
             "huge-integer-node", "string-node", "hat-slope-overflow",
-            "custom-hat-slope-overflow", "boolean-version", "huge-integer-iterate-tol",
+            "custom-hat-slope-overflow", "boolean-version", "huge-integer-tolerance",
             "removed-m-max", "unknown-top-level-key", "other-kind-parameter", "unknown-tolerance",
-            "unknown-iterate-key", "unknown-output-flag", "dirac-with-a", "hat-basis-with-n",
-            "float-version", "quadrature-lengths-differ", "empty-quadrature",
+            "removed-stochastic-tolerance", "unknown-iterate-key", "unknown-output-flag",
+            "dirac-with-a", "hat-basis-with-n", "float-version", "quadrature-lengths-differ", "empty-quadrature",
             "average-a-above-b", "negative-seed-override"])
     def test_bad_config_exits_two(self, tmp_path, capsys, text, named, command):
         config = tmp_path / "bad.json"

@@ -543,11 +543,30 @@ class TestIterateLimit:
         assert result.message == "no limit: closed class(es) of period 2"
 
     def test_residual_above_tol_is_no_limit(self):
-        # Row sums of 2: the class is closed and aperiodic, but M^m grows.
-        result = iterate_limit(np.array([[1.5, 0.5], [0.25, 1.75]]), tol=1e-10)
+        # One closed aperiodic class, whose limit is found with a residual
+        # of rounding size, above a tolerance far below rounding.
+        matrix = random_stochastic(np.random.default_rng(8), 20)
+        result = iterate_limit(matrix, tol=1e-20)
         assert not result.converged and result.limit is None
-        assert result.residual > 0.5
-        assert result.message.startswith("no limit: residual ")
+        assert 0 < result.residual < 1e-15
+        assert result.message == f"no limit: residual {result.residual:.3e} > 1e-20"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix, detail", [
+        ([[1.0, 0.0], [0.5, 0.0]], "worst row 1: |sum - 1| = 5.000e-01"),
+        ([[1.0, 0.0], [0.0, 0.0]], "worst row 1: |sum - 1| = 1.000e+00"),
+        ([[1.0, 0.0], [0.3, 0.8]], "worst row 1: |sum - 1| = 1.000e-01"),
+        ([[1.2, -0.2], [0.0, 1.0]], "min entry = -2.000e-01"),
+        ([[1.5, 0.5], [0.25, 1.75]], "worst row 0: |sum - 1| = 1.000e+00"),
+    ], ids=["leaking-row", "zero-row", "row-sum-above-one", "negative-entry",
+            "row-sums-two"])
+    def test_rejects_a_matrix_that_is_not_row_stochastic(self, matrix, detail):
+        # Closed classes say nothing about M^m unless every row sums to 1
+        # over nonnegative entries.
+        with pytest.raises(ConfigError, match="^iterate limit needs a row-stochastic "
+                                              "matrix: worst row ") as info:
+            iterate_limit(np.array(matrix))
+        assert detail in str(info.value)
 
     def test_leak_below_rounding_is_absorbed(self):
         # Row 0 is (1.0, 5e-324): 1 - M[0, 0] is 0, yet state 0 leaks into

@@ -8,8 +8,8 @@ Each ``*_SRC`` is a directory that holds the ``pouspec`` package (``src``
 of a checkout). Every config of the three benchmark pools
 (``perfbench.workloads.pool``, read from this checkout) is analysed once
 per tree, each tree in its own child process so that each imports its own
-``pouspec``, as ``tools/output_digest.py`` runs it: in-process through
-``pouspec.cli.main``, BLAS pinned to one thread, ``timings`` left out.
+``pouspec``: in-process through ``pouspec.cli.main``, BLAS pinned to one
+thread, writing the JSON, CSV and SVG outputs, ``timings`` left out.
 
 For each config whose output differs it prints the exit-code and
 classification transitions, each JSON key path whose value changed (old ->
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import difflib
+import io
 import json
 import os
 import subprocess
@@ -37,11 +38,56 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from output_digest import ROOT, THREAD_VARS, import_main, run_texts  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+OUTPUTS = ("report.json", "report.csv", "report.svg")
 
 #: Stands for a key that one of the two reports does not have.
 ABSENT = "(absent)"
+
+
+def without_timings(report: str) -> str:
+    """The JSON report with its ``timings`` map and the comma before it cut
+    out (the only part that differs between runs); the rest still parses."""
+    head, found, tail = report.partition(',\n  "timings": {')
+    if not found:
+        return report
+    close = '\n  }'
+    return head + tail[tail.index(close) + len(close):]
+
+
+def import_main(src: Path):
+    """``pouspec.cli.main`` imported from ``src``, never from elsewhere."""
+    sys.path.insert(0, str(src))
+    import pouspec.cli
+    where = Path(pouspec.cli.__file__).resolve().parent
+    if where != src / "pouspec":
+        raise ImportError(f"pouspec imported from {where}, not {src}")
+    return pouspec.cli.main
+
+
+def run_texts(main, config_text: str) -> tuple[str, list[str | None], str, str]:
+    """Exit code, outputs (JSON without its ``timings``, CSV, SVG; ``None``
+    when not written), stdout and stderr of one ``pouspec analyze`` call,
+    run in the current directory with relative file names."""
+    for name in OUTPUTS:
+        Path(name).unlink(missing_ok=True)
+    Path("config.json").write_text(config_text, encoding="utf-8")
+    argv = ["analyze", "--config", "config.json", "--json", OUTPUTS[0],
+            "--csv", OUTPUTS[1], "--svg", OUTPUTS[2]]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = str(main(argv))
+        except SystemExit as exc:
+            code = f"exit:{exc.code}"
+        except Exception as exc:  # a traceback a user would see; recorded by type
+            code = f"raised:{type(exc).__name__}"
+    texts = [Path(name).read_text(encoding="utf-8") if Path(name).exists() else None
+             for name in OUTPUTS]
+    if texts[0] is not None:
+        texts[0] = without_timings(texts[0])
+    return code, texts, stdout.getvalue(), stderr.getvalue()
 
 
 def pool_configs() -> list[dict]:
