@@ -11,18 +11,29 @@ The verification helpers measure, on a grid the caller passes in and with
 seeded random test functions: constant reproduction, positivity, the unit
 operator norm and an explicit nonzero kernel witness. Each takes the grid
 and ``values``, the basis evaluated on it once by the caller (shape
-``(n, len(grid))``); none evaluates the basis itself. The positivity and
-norm checks draw all their test functions first, as parameter arrays
-(:func:`~pouspec.functions.draw_test_functions`), then work through them
-in kind-pure blocks of at most ``TRIAL_BLOCK_VALUES`` values: the block's
-values on the joined nodes (the norm check adds the grid) in one pass (one
-Horner loop for polynomials, one ``np.sin`` or ``np.cos`` for waves, one
-``np.interp`` per piecewise-linear trial), the coefficients of the whole
-block by one ``np.add.reduceat`` along its rows, and the images on the
-grid by one stacked product, one matrix-vector product per row. Each
-result has the bits of ``coefficient_vector(op, f) @ values`` taken one
-function at a time, and only the trial that positivity reports is built as
-a :class:`~pouspec.functions.Function`, for its name. The adjoint pairing
+``(n, len(grid))``); none evaluates the basis itself.
+
+The positivity and norm checks draw all their test functions first, as
+parameter arrays (:func:`~pouspec.functions.draw_test_functions`), and
+run in two passes. Pass 1 works through them in kind-pure blocks of at
+most ``TRIAL_BLOCK_VALUES`` values: the block's values on the joined nodes
+(the norm check adds the grid, for ``||f||``) in one pass (one Horner loop
+for polynomials, one ``np.sin`` or ``np.cos`` for waves, one ``np.interp``
+per piecewise-linear trial), and the coefficients of the whole block by
+one ``np.add.reduceat`` along its rows. It keeps the ``(trials, n)``
+coefficient matrix and one bound per trial. ``Tf(x)`` combines the
+coefficients ``c`` with the basis values at ``x``, which for a partition
+of unity sum to one, so ``|Tf| <= max|c|`` and ``Tf >= min(c)``; the
+bounds scale these by the basis' column sums and widen them by Higham's
+rounding-error bound for a dot product. Pass 2 computes images on the
+grid, by one stacked product (one matrix-vector product per row), only
+for the trials whose bound can still change the result, in bound order,
+and stops at the first that cannot. Each computed image has the bits of
+``coefficient_vector(op, f) @ values`` taken one function at a time, and a
+skipped trial provably cannot reach, or for positivity tie, the reported
+value, so every result has the bits of the one-at-a-time check. Only the
+trial that positivity reports is built as a
+:class:`~pouspec.functions.Function`, for its name. The adjoint pairing
 identity is checked at seeded random functionals instead.
 """
 
@@ -76,7 +87,10 @@ class OperatorSpec:
     never a node outside [0, 1].
 
     ``nodes``, ``weights`` and ``starts`` are the functionals' rules joined
-    once (read-only; functional ``k`` starts at ``starts[k]``). They take no
+    once (read-only; functional ``k`` starts at ``starts[k]``).
+    ``default_values`` is the basis on ``grid(DEFAULT_GRID_POINTS)`` that
+    validation evaluated (read-only), kept so that checks on that grid
+    reuse it; it is ``None`` when ``validate=False``. None of the four takes
     part in eq, hash or repr.
     """
 
@@ -87,6 +101,7 @@ class OperatorSpec:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
+    default_values: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, validate: bool):
         object.__setattr__(self, "functionals", tuple(self.functionals))
@@ -109,9 +124,11 @@ class OperatorSpec:
         if outside.any():
             first_outside = int(np.searchsorted(self.starts, np.argmax(outside),
                                                 side="right")) - 1
+        object.__setattr__(self, "default_values", None)
         if validate:
             xs = grid(DEFAULT_GRID_POINTS)
             values = self.basis.values(xs)
+            values.flags.writeable = False
             pou = check_partition_of_unity(values, xs)
             if not pou.passed:
                 raise ConfigError(
@@ -122,6 +139,7 @@ class OperatorSpec:
                 raise ConfigError(
                     f"{self.name}: basis takes negative values "
                     f"({nn.value:.3e} at x={nn.worst_x:.6g})")
+            object.__setattr__(self, "default_values", values)
             # Functional k is checked for its nodes, then for its mass, in
             # order of k: the first functional with a node outside [0, 1]
             # raises after the normalization of those before it.
@@ -237,33 +255,93 @@ def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray, values: np.
         "constant_reproduction", coefficient_vector(op, ONE) @ values, grid, tol)
 
 
-def _block_images(op: OperatorSpec, on_nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``Tf`` on the grid for each row of ``on_nodes``, the functions' values
-    on ``op.nodes`` (overwritten). Row ``i`` has the bits of
-    ``coefficient_vector(op, f_i) @ values``: ``reduceat`` along the rows sums
-    each functional's nodes in the same order, and numpy runs the stacked
-    product as one matrix-vector product per row. (One ``coeffs @ values``
-    matrix product would not give the same bits.)"""
+def _coefficients(op: OperatorSpec, on_nodes: np.ndarray) -> np.ndarray:
+    """The coefficients ``(a_k(f_i))_k`` for each row of ``on_nodes``, the
+    functions' values on ``op.nodes`` (overwritten). Row ``i`` has the bits
+    of ``coefficient_vector(op, f_i)``: ``reduceat`` along the rows sums each
+    functional's nodes in the same order."""
     on_nodes *= op.weights
-    coeffs = np.add.reduceat(on_nodes, op.starts, axis=1)
+    return np.add.reduceat(on_nodes, op.starts, axis=1)
+
+
+def _images(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``Tf`` on the grid for each row of ``coeffs``. Row ``i`` has the bits
+    of ``coeffs[i] @ values``: numpy runs the stacked product as one
+    matrix-vector product per row (one ``coeffs @ values`` matrix product
+    would not give the same bits)."""
     return (coeffs[:, None, :] @ values)[:, 0]
+
+
+# Bounds on computed images. For a coefficient row ``c``, every computed
+# entry of ``c @ values`` lies within ``gamma_n sum_k |c_k v_kj|`` plus
+# ``n 2**-1075`` of the exact sum, in any summation order, with or without
+# FMA (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+# section 3.1; ``gamma_m = m u / (1 - m u)``, ``u = 2**-53``). With
+# ``S_j = sum_k |v_kj|`` that gives ``|Tf(x_j)| <= max|c| S_j (1 + gamma)``
+# and, for a nonnegative basis, ``Tf(x_j) >= min(c) S_j - max|c| S_j gamma``,
+# each up to the underflow slack. The bounds take ``gamma = gamma_m`` and
+# the slack ``m 2**-1074`` with ``m = 2n + 8``, which covers the product's
+# own ``n`` terms, the ``n + 1`` of the computed column sums ``S_j`` and
+# the few roundings that form each bound.
+
+def _bound_terms(values: np.ndarray) -> tuple[np.ndarray, bool, float, float]:
+    """``(S, nonnegative, gamma, slack)``: the column sums ``sum_k |v_kj|``,
+    whether every basis value is >= 0, and the error factor and slack."""
+    nonnegative = bool(values.min() >= 0.0)
+    sums = (values if nonnegative else np.abs(values)).sum(axis=0)
+    m = 2 * values.shape[0] + 8
+    u = np.finfo(float).eps / 2
+    return sums, nonnegative, m * u / (1.0 - m * u), m * 2.0 ** -1074
+
+
+def _image_upper_bounds(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per row of ``coeffs``, at least ``max |_images(coeffs, values)|``."""
+    sums, _, gamma, slack = _bound_terms(values)
+    return np.abs(coeffs).max(axis=1) * (sums.max() * (1.0 + gamma)) + slack
+
+
+def _image_lower_bounds(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per row of ``coeffs``, at most ``min _images(coeffs, values)``: from
+    ``min(c)`` over a nonnegative basis, else from ``-max|c|``."""
+    sums, nonnegative, gamma, slack = _bound_terms(values)
+    if not nonnegative:
+        return -_image_upper_bounds(coeffs, values)
+    s_max = sums.max()
+    c_min = coeffs.min(axis=1)
+    return (c_min * np.where(c_min >= 0.0, sums.min(), s_max)
+            - (np.abs(coeffs).max(axis=1) * (s_max * gamma) + slack))
 
 
 def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
                       trials: int = 100, tol: float = WITNESS_RESIDUAL_TOL,
                       seed: int = 42) -> CheckResult:
     """Minimum of ``Tf`` over the grid across seeded nonnegative ``f``; the
-    first trial to reach the minimum names it."""
+    first trial to reach the minimum names it.
+
+    Pass 1 forms every trial's coefficients and a lower bound of its image
+    (see :func:`_image_lower_bounds`); pass 2 computes the images in ascending
+    order of that bound and stops at the first bound above the worst found,
+    which no later trial can reach or tie."""
     grid = nonempty_grid(grid, values, "positivity")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     draw = draw_test_functions(np.random.default_rng(seed), trials, nonnegative=True)
-    # Blocks are kind-pure, not in draw order: the worst is the least
-    # (value, trial) pair, so a tie goes to the first trial.
+    coeffs = np.empty((trials, op.n))
+    for rows in draw.kind_blocks(TRIAL_BLOCK_VALUES // op.nodes.size):
+        coeffs[rows] = _coefficients(op, draw.values(rows, op.nodes))
+    lower = _image_lower_bounds(coeffs, values)
+    # The worst is the least (value, trial) pair, so a tie goes to the
+    # first trial: a trial whose bound equals the worst value is computed.
     worst = (np.inf, trials)
     worst_x = None
-    for rows in draw.kind_blocks(TRIAL_BLOCK_VALUES // max(op.nodes.size, grid.size)):
-        images = _block_images(op, draw.values(rows, op.nodes), values)
+    order = np.argsort(lower, kind="stable")
+    size = max(1, TRIAL_BLOCK_VALUES // grid.size)
+    for start in range(0, trials, size):
+        rows = order[start:start + size]
+        rows = np.sort(rows[lower[rows] <= worst[0]])
+        if rows.size == 0:
+            break
+        images = _images(coeffs[rows], values)
         cols = np.argmin(images, axis=1)
         mins = images[np.arange(rows.size), cols]
         k = int(np.argmin(mins))
@@ -287,8 +365,13 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarra
     """Max of ``||Tf||_inf / ||f||_inf`` over the constant one plus seeded
     random test functions (sup norms on the grid); a function with
     ``||f||_inf < 1e-12`` is skipped. The constant attains the exact norm 1,
-    so the estimate is a tight lower bound of it. Each block of drawn
-    functions is evaluated once, on the joined nodes followed by the grid."""
+    so the estimate is a tight lower bound of it.
+
+    Pass 1 evaluates each block of drawn functions once, on the joined
+    nodes followed by the grid, and keeps the coefficients, ``||f||`` and an
+    upper bound of the ratio (see :func:`_image_upper_bounds`); pass 2 computes
+    the images in descending order of that bound and stops at the first
+    bound at or below the best ratio found."""
     grid = nonempty_grid(grid, values, "norm-estimate")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -296,17 +379,29 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarra
     draw = draw_test_functions(np.random.default_rng(seed), trials)
     nodes = op.nodes.size
     # The constant one, ||1||_inf = 1 on the grid.
-    best = float(np.abs(_block_images(op, np.ones((1, nodes)), values)).max())
+    best = float(np.abs(_images(_coefficients(op, np.ones((1, nodes))), values)).max())
     points = np.concatenate((op.nodes, grid))
+    coeffs = np.empty((trials, op.n))
+    denom = np.empty(trials)
     for rows in draw.kind_blocks(TRIAL_BLOCK_VALUES // points.size):
         block_values = draw.values(rows, points)
         on_grid = block_values[:, nodes:]
-        denom = np.abs(on_grid, out=on_grid).max(axis=1)
-        keep = denom >= 1e-12
-        images = _block_images(op, block_values[keep, :nodes], values)
+        denom[rows] = np.abs(on_grid, out=on_grid).max(axis=1)
+        coeffs[rows] = _coefficients(op, block_values[:, :nodes])
+    # Rounding is monotone: a computed max |Tf| at most the bound gives a
+    # computed ratio at most the bound over the same ||f||.
+    upper = np.full(trials, -np.inf)
+    np.divide(_image_upper_bounds(coeffs, values), denom, out=upper, where=denom >= 1e-12)
+    order = np.argsort(-upper, kind="stable")
+    size = max(1, TRIAL_BLOCK_VALUES // grid.size)
+    for start in range(0, trials, size):
+        rows = order[start:start + size]
+        rows = rows[upper[rows] > best]
+        if rows.size == 0:
+            break
+        images = _images(coeffs[rows], values)
         np.abs(images, out=images)
-        ratios = images.max(axis=1) / denom[keep]
-        best = float(np.max(ratios, initial=best))
+        best = float(np.max(images.max(axis=1) / denom[rows], initial=best))
     return best
 
 

@@ -373,10 +373,13 @@ class AnalysisReport:
 def run_checks(op: OperatorSpec, config: AnalysisConfig) -> dict[str, CheckResult]:
     """The lemma checks of an operator, in report order, seeded from the
     config. The verification grid of ``config.grid_points`` points is built
-    here once and the basis evaluated on it once; every check reads those
-    two arrays."""
+    here once and the basis evaluated on it once, or not at all on the
+    default grid, where the operator keeps the values its validation
+    evaluated; every check reads those two arrays."""
     xs = grid(config.grid_points)
-    values = op.basis.values(xs)
+    values = op.default_values
+    if values is None or config.grid_points != DEFAULT_GRID_POINTS:
+        values = op.basis.values(xs)
     tol = config.tolerances
     return {
         "partition_of_unity": check_partition_of_unity(values, xs, tol.pou),
@@ -410,13 +413,17 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     row_sum_max_dev = float(np.max(np.abs(matrix.row_sums() - 1.0)))
     diag_min = matrix.diagonal_min()
     timings["matrix"] = time.perf_counter() - t0
+    # The operator holds its basis values on the default grid; the later
+    # stages need only its name, so the values are freed before them.
+    name = op.name
+    del op
 
     t0 = time.perf_counter()
     disks = gershgorin_disks(matrix)
     try:
         eigs = eigenvalues(matrix)
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"operator {op.name}: eigensolve failed: {exc}") from exc
+        raise np.linalg.LinAlgError(f"operator {name}: eigensolve failed: {exc}") from exc
     spectrum = classify_spectrum(eigs, disks, config.tolerances.peripheral)
     timings["spectrum"] = time.perf_counter() - t0
 
@@ -426,7 +433,7 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
 
     return AnalysisReport(
         config=config,
-        operator_name=op.name,
+        operator_name=name,
         checks=checks,
         matrix=matrix,
         row_sum_max_dev=row_sum_max_dev,

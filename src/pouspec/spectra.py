@@ -117,13 +117,17 @@ def build_collocation_matrix(op) -> CollocationMatrix:
 
 def check_row_stochastic(matrix, tol: float = TOL_STOCHASTIC) -> CheckResult:
     """Entrywise nonnegativity (within ``tol``) and unit row sums (within
-    ``tol``); reports the worst row."""
+    ``tol``); reports the worst row: the one that holds the least entry when
+    that entry's negative part exceeds every ``|sum - 1|``, else the row of
+    the largest ``|sum - 1|``."""
     arr = _as_matrix(matrix)
     row_dev = np.abs(arr.sum(axis=1) - 1.0)
-    worst_row = int(np.argmax(row_dev))
-    min_entry = float(arr.min())
-    worst = max(float(row_dev[worst_row]), max(0.0, -min_entry))
-    passed = row_dev[worst_row] <= tol and min_entry >= -tol
+    dev_row = int(np.argmax(row_dev))
+    least = np.unravel_index(np.argmin(arr), arr.shape)
+    min_entry = float(arr[least])
+    worst_row = int(least[0]) if -min_entry > row_dev[dev_row] else dev_row
+    worst = max(float(row_dev[dev_row]), -min_entry)
+    passed = row_dev[dev_row] <= tol and min_entry >= -tol
     return CheckResult(
         name="row_stochastic",
         passed=bool(passed),

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
+from pouspec import operators
 from pouspec.bases import (BasisSystem, clamped_knots, make_bernstein_basis,
                            make_bspline_basis, make_hat_basis)
 from pouspec.errors import ConfigError, DomainError, NotConstructibleError
@@ -27,6 +28,7 @@ from pouspec.operators import (OperatorSpec, apply_adjoint, apply_operator,
 from helpers import norm_estimate_oracle, positivity_oracle
 
 GRID = np.linspace(0.0, 1.0, 1001)
+SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
 
 
 def catalog_operators():
@@ -272,8 +274,9 @@ class TestPositivityAndNorm:
 def block_check_operators():
     """Every catalog kind, a hat basis with cell averages, a crossed-Dirac
     derangement, mixed Dirac/average functionals, cell averages on a
-    B-spline basis (whose values come out F-ordered), and a doctored
-    operator with zero weights."""
+    B-spline basis (whose values come out F-ordered), and doctored
+    operators: zero weights, a zero first weight, a basis with negative
+    values and weights in the subnormal range."""
     hat_nodes = [0.0, 0.15, 0.4, 0.75, 1.0]
     edges = np.concatenate(([0.0], np.convolve(hat_nodes, [0.5, 0.5], "valid"), [1.0]))
     averages = tuple(IntervalAverageFunctional(a, b) for a, b in zip(edges, edges[1:]))
@@ -300,6 +303,21 @@ def block_check_operators():
         OperatorSpec(make_hat_basis([0.0, 1.0]),
                      (WeightedQuadratureFunctional([0.5], [0.0]),) * 2,
                      name="zero-weights", validate=False),
+        # Tf(0) = 0 and Tf > 0 elsewhere: every test function ties at the
+        # minimum 0, at x = 0.
+        OperatorSpec(make_hat_basis(hat_nodes),
+                     (WeightedQuadratureFunctional([0.0], [0.0]),) + averages[1:],
+                     name="tied-at-zero", validate=False),
+        # Alternating signs: the images are bounded without a nonnegative basis.
+        OperatorSpec(BasisSystem(lambda xs: SIGNS[:, None] * make_bernstein_basis(7).values(xs),
+                                 8, name="signed-bernstein"),
+                     bernstein_operator(7).functionals, name="signed-bernstein",
+                     validate=False),
+        # Coefficients and images below 2**-1022, where products lose bits.
+        OperatorSpec(make_bernstein_basis(6),
+                     tuple(WeightedQuadratureFunctional(a.nodes, a.weights * 2.0 ** -1060)
+                           for a in make_kantorovich_functionals(6)),
+                     name="subnormal-kantorovich", validate=False),
     ]
 
 
@@ -323,6 +341,29 @@ class TestBlockChecks:
             positivity_oracle(op, xs, values, trials=trials, seed=points)
         assert estimate_operator_norm(op, xs, values, trials=trials, seed=points + 1) == \
             norm_estimate_oracle(op, xs, values, trials=trials, seed=points + 1)
+
+    # The largest operators the CLI analyses, at the default grid.
+    @pytest.mark.parametrize("op", [bernstein_operator(499),
+                                    hat_dirac_operator(np.linspace(0.0, 1.0, 500))],
+                             ids=lambda o: o.name)
+    def test_equal_to_one_trial_at_a_time_at_top_size(self, op):
+        assert verify_positivity(op, GRID, op.default_values) == \
+            positivity_oracle(op, GRID, op.default_values)
+        assert estimate_operator_norm(op, GRID, op.default_values, seed=43) == \
+            norm_estimate_oracle(op, GRID, op.default_values, seed=43)
+
+    def test_bounds_skip_most_images(self, monkeypatch):
+        # Cell averages of a smooth f lie strictly inside its range, so the
+        # coefficient bounds rule out all but a few of the 300 trials.
+        rows = []
+        images = operators._images
+        monkeypatch.setattr(operators, "_images",
+                            lambda coeffs, values: rows.append(len(coeffs))
+                            or images(coeffs, values))
+        op = kantorovich_operator(30)
+        verify_positivity(op, GRID, op.default_values)
+        estimate_operator_norm(op, GRID, op.default_values, seed=43)
+        assert 0 < sum(rows) < 300 / 4
 
     def test_checks_make_no_single_function_evaluation(self, monkeypatch):
         calls = []

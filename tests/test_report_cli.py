@@ -183,11 +183,13 @@ class TestRunAnalyze:
                                atol=1e-10)
         assert report.rate == pytest.approx(0.5, abs=1e-3)
 
+    @pytest.mark.parametrize("grid_points", [1001, 97])
     @pytest.mark.parametrize("n", [5, 60])
-    def test_basis_evaluated_once_per_point_set(self, monkeypatch, n):
-        # One evaluation on the validation grid, one on the verification grid
-        # (both the default 1001 points) and one on the block of collocation
-        # nodes, whatever n.
+    def test_basis_evaluated_once_per_point_set(self, monkeypatch, n, grid_points):
+        # One evaluation on the validation grid of the default 1001 points,
+        # which the checks reuse when their grid is the default one, one on a
+        # verification grid of another size, and one on the block of
+        # collocation nodes, whatever n.
         calls = []
         values = BasisSystem.values
 
@@ -196,8 +198,10 @@ class TestRunAnalyze:
             return values(basis, xs)
 
         monkeypatch.setattr(BasisSystem, "values", counted)
-        run_analyze(parse_config(f'{{"operator": "bernstein", "n": {n}}}'))
-        assert calls == [1001, 1001, n + 1]
+        run_analyze(parse_config(
+            f'{{"operator": "bernstein", "n": {n}, "grid_points": {grid_points}}}'))
+        verification = [] if grid_points == 1001 else [grid_points]
+        assert calls == [1001, *verification, n + 1]
 
     @pytest.mark.parametrize("text", [
         '{"operator": "kantorovich", "n": 3, "grid_points": 97}',

@@ -183,6 +183,19 @@ class TestRowStochastic:
         result = check_row_stochastic(np.array([[1.2, -0.2], [0.0, 1.0]]), tol=1e-10)
         assert not result.passed
 
+    @pytest.mark.parametrize("matrix, row", [
+        ([[1.0, 0.0], [1.2, -0.2]], 1),
+        ([[0.5, 0.45], [1.1, -0.1]], 1),
+        ([[0.5, 0.3], [1.1, -0.1]], 0),
+    ], ids=["negative-entry-only", "negative-entry-beyond-deficit",
+            "deficit-beyond-negative-entry"])
+    def test_names_the_row_that_decides_the_failure(self, matrix, row):
+        # The row of the least entry when its negative part is the larger
+        # violation, else the row of the largest |sum - 1|.
+        result = check_row_stochastic(np.array(matrix), tol=1e-10)
+        assert not result.passed
+        assert result.detail.startswith(f"worst row {row}: ")
+
 
 class TestEigenvalues:
     def test_one_by_one(self):
