@@ -4,23 +4,16 @@ collocation matrices, eigensolver, Gershgorin classification, and a batch
 reporting front end."""
 
 from .bases import (BasisSystem, check_nonnegativity, check_partition_of_unity,
-                    clamped_knots, make_bernstein_basis, make_bspline_basis,
-                    make_hat_basis)
+                    make_bernstein_basis, make_bspline_basis, make_hat_basis)
 from .checks import CheckResult
 from .errors import (ConfigError, DomainError, NotConstructibleError,
                      UnsupportedSizeError)
 from .functionals import (DiracFunctional, Functional, IntervalAverageFunctional,
                           WeightedQuadratureFunctional,
-                          check_functional_normalization, integrate_gauss_legendre,
-                          make_kantorovich_functionals)
-from .functions import (BasisCombination, ClosedForm, Function, SampledFunction,
-                        constant, cosine_wave, exponential, monomial, polynomial,
-                        random_function, sine_wave)
-from .operators import (OperatorSpec, apply_adjoint, apply_operator,
-                        bernstein_operator, coefficient_vector, estimate_operator_norm,
-                        greville_abscissae, hat_dirac_operator, kantorovich_operator,
-                        kernel_witness, kernel_witness_report, operator_power_apply,
-                        schoenberg_operator, verify_adjoint_identity,
+                          check_functional_normalization, make_kantorovich_functionals)
+from .operators import (OperatorSpec, bernstein_operator, coefficient_vector,
+                        estimate_operator_norm, greville_abscissae, hat_dirac_operator,
+                        kantorovich_operator, kernel_witness_report, schoenberg_operator,
                         verify_constant_reproduction, verify_norm_bound,
                         verify_positivity)
 from .report import (AnalysisConfig, AnalysisReport, Tolerances, build_operator,

@@ -80,19 +80,6 @@ def make_bernstein_basis(n: int) -> BasisSystem:
 # B-spline basis (clamped)
 # --------------------------------------------------------------------------
 
-def clamped_knots(breakpoints: Sequence[float], degree: int) -> np.ndarray:
-    """Full clamped knot vector from strictly increasing breakpoints:
-    the first and last breakpoints are repeated ``degree + 1`` times."""
-    bp = np.asarray(breakpoints, dtype=float)
-    if bp.ndim != 1 or bp.size < 2:
-        raise ConfigError("need at least two breakpoints")
-    if not np.all(np.diff(bp) > 0):
-        raise ConfigError("breakpoints must be strictly increasing")
-    if degree < 0:
-        raise ConfigError("degree must be >= 0")
-    return np.concatenate((np.repeat(bp[0], degree), bp, np.repeat(bp[-1], degree)))
-
-
 def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
     """B-spline basis for a clamped knot vector spanning [0, 1].
 

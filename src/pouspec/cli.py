@@ -57,7 +57,10 @@ Built-in operator kinds (configuration field "operator"):
 
 
 def _read_config(path: str) -> AnalysisConfig:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"configuration is not valid UTF-8: {exc}") from exc
     return parse_config(text)
 
 

@@ -5,19 +5,20 @@ Every functional is a finite rule ``f -> sum_i w_i f(x_i)`` on read-only
 set them: point evaluation (Dirac) is one node of weight one, a normalized
 interval average a composite Gauss-Legendre rule scaled by ``1 / (b - a)``,
 a weighted quadrature its given rule. Nonnegative weights of unit sum make
-a positive functional with ``a(1) = 1`` and dual norm exactly one.
+a positive functional with ``a(1) = 1`` and dual norm exactly one. A
+functional is applied to values, not to a function object: ``a(f)`` is
+``weights @ f(nodes)``, and an operator joins the rules of all its
+functionals to apply them at once.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .checks import CheckResult
-from .errors import ConfigError, DomainError
-from .functions import Function
+from .errors import ConfigError
 
 #: Default composite Gauss-Legendre rule: exact for polynomials of degree
 #: 15 on each of 4 panels. Kantorovich cell averages reach degree 499, so
@@ -27,41 +28,19 @@ from .functions import Function
 DEFAULT_QUAD_ORDER = 8
 DEFAULT_QUAD_PANELS = 4
 
-
-@lru_cache(maxsize=32)
-def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+#: Gauss-Legendre nodes and weights of ``DEFAULT_QUAD_ORDER`` points on [-1, 1].
+_REFERENCE_NODES, _REFERENCE_WEIGHTS = np.polynomial.legendre.leggauss(DEFAULT_QUAD_ORDER)
 
 
-def _gauss_legendre_rule(a: float, b: float, order: int,
-                         panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule on ``[a, b]``."""
-    if a >= b:
-        raise DomainError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
-    if order < 1:
-        raise ConfigError(f"quadrature order must be >= 1, got {order}")
-    if panels < 1:
-        raise ConfigError(f"panel count must be >= 1, got {panels}")
-    ref_nodes, ref_weights = _reference_rule(order)
-    edges = np.linspace(a, b, panels + 1)
+def _gauss_legendre_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule on ``[a, b]``: the reference
+    rule on each of ``DEFAULT_QUAD_PANELS`` equal panels."""
+    edges = np.linspace(a, b, DEFAULT_QUAD_PANELS + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
-    xs = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
-    ws = (half[:, None] * ref_weights[None, :]).ravel()
+    xs = (mid[:, None] + half[:, None] * _REFERENCE_NODES[None, :]).ravel()
+    ws = (half[:, None] * _REFERENCE_WEIGHTS[None, :]).ravel()
     return xs, ws
-
-
-def integrate_gauss_legendre(f: Function, a: float, b: float,
-                             order: int = DEFAULT_QUAD_ORDER,
-                             panels: int = DEFAULT_QUAD_PANELS) -> float:
-    """Composite Gauss-Legendre approximation of the integral of ``f`` over
-    ``[a, b]``; exact to round-off for polynomials of degree ``2*order - 1``
-    on each panel."""
-    xs, ws = _gauss_legendre_rule(a, b, order, panels)
-    return float(ws @ f.values(xs))
 
 
 class Functional:
@@ -86,9 +65,6 @@ class Functional:
         self.weights = weights
         self.name = name
 
-    def __call__(self, f: Function) -> float:
-        return float(self.weights @ f.values(self.nodes))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 
@@ -112,8 +88,7 @@ class IntervalAverageFunctional(Functional):
             raise ConfigError(f"interval average requires a < b, got [{a}, {b}]")
         self.a = float(a)
         self.b = float(b)
-        xs, ws = _gauss_legendre_rule(self.a, self.b, DEFAULT_QUAD_ORDER,
-                                      DEFAULT_QUAD_PANELS)
+        xs, ws = _gauss_legendre_rule(self.a, self.b)
         super().__init__(xs, ws / (self.b - self.a), name=f"avg[{self.a:g},{self.b:g}]")
 
 

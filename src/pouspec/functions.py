@@ -1,27 +1,21 @@
-"""Real-valued functions on [0, 1].
+"""The domain [0, 1] and the seeded test functions of the lemma checks.
 
-Everything downstream (functionals, operators, spectra) consumes functions
-through the small :class:`Function` interface: vectorized evaluation on a
-grid plus scalar calls. The domain is [0, 1] throughout the package:
-:func:`require_in_domain` checks points against it and :func:`grid` spreads
-points over it. The concrete kinds are closed forms (polynomials and
-sine/cosine waves among them, each holding its parameters), sampled data
-with piecewise-linear interpolation, and linear combinations of a basis
-system. :func:`draw_test_functions` draws the seeded test functions of the
-lemma checks as parameter arrays rather than objects: a kind code per
-trial, zero-padded polynomial coefficients, wave parameters and
-piecewise-linear samples. Its :meth:`~DrawnTestFunctions.values` evaluates
-a kind-pure block of trials in one pass, with the same bits as each
-trial's :class:`Function` evaluated on its own, and
-:meth:`~DrawnTestFunctions.function` builds that object (and its name) for
-one trial. All instances are immutable after construction and safe to
-share between threads.
+A function reaches the package only as its values: the operator needs
+``f`` at its functionals' nodes (and a check at its grid points), never as
+an object. :func:`require_in_domain` checks points against [0, 1] and
+:func:`grid` spreads points over it. :func:`draw_test_functions` draws the
+test functions of the positivity and norm checks as parameter arrays: a
+kind code per trial, zero-padded polynomial coefficients, wave parameters
+and piecewise-linear samples. Its :meth:`~DrawnTestFunctions.values`
+evaluates a kind-pure block of trials in one pass, with the same bits as
+each trial's own one-dimensional formula, and
+:meth:`~DrawnTestFunctions.name` names one trial. Instances are immutable
+after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,96 +46,6 @@ def grid(points: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, points)
 
 
-class Function:
-    """Evaluable real-valued function on [0, 1]."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def _values(self, xs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def values(self, xs: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Evaluate on an array of points, all of which must lie in [0, 1]."""
-        arr = np.atleast_1d(np.asarray(xs, dtype=float))
-        if arr.size == 0:
-            return np.empty(0)
-        require_in_domain(arr, self.name)
-        return self._values(arr)
-
-    def __call__(self, x: float) -> float:
-        return float(self.values(np.array([x]))[0])
-
-    def sup_norm(self, grid: np.ndarray) -> float:
-        """Sup norm approximated as the max of ``|f|`` over ``grid``."""
-        return float(np.max(np.abs(self.values(grid))))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name!r})"
-
-
-class ClosedForm(Function):
-    """Catalog closed form backed by a vectorized callable."""
-
-    def __init__(self, name: str, fn: Callable[[np.ndarray], np.ndarray]):
-        super().__init__(name)
-        self._fn = fn
-
-    def _values(self, xs: np.ndarray) -> np.ndarray:
-        return np.asarray(self._fn(xs), dtype=float)
-
-
-class SampledFunction(Function):
-    """Sampled data, evaluated by piecewise-linear interpolation. The sample
-    points must span [0, 1] exactly."""
-
-    def __init__(self, xs: Sequence[float], ys: Sequence[float], name: str = "sampled"):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or xs.size < 2:
-            raise ConfigError("sampled function needs at least 2 grid points")
-        if ys.shape != xs.shape:
-            raise ConfigError("sampled function: grid and values differ in length")
-        if not np.all(xs[1:] > xs[:-1]):
-            raise ConfigError("sampled function grid must be strictly increasing")
-        if xs[0] != 0.0 or xs[-1] != 1.0:
-            raise ConfigError("sampled function grid must span [0.0, 1.0] exactly, "
-                              f"got [{float(xs[0])!r}, {float(xs[-1])!r}]")
-        super().__init__(name)
-        self.xs = xs
-        self.ys = ys
-        self.xs.flags.writeable = False
-        self.ys.flags.writeable = False
-
-    def _values(self, xs: np.ndarray) -> np.ndarray:
-        return np.interp(xs, self.xs, self.ys)
-
-
-class BasisCombination(Function):
-    """Linear combination ``sum_k c_k e_k`` of a basis system.
-
-    Operators return their output in this form so that the coefficient
-    vector is available for reuse (e.g. by the power iteration).
-    """
-
-    def __init__(self, basis, coefficients: Sequence[float], name: str = "combination"):
-        coeffs = np.asarray(coefficients, dtype=float)
-        if coeffs.shape != (basis.n,):
-            raise ConfigError(
-                f"coefficient count {coeffs.size} does not match basis size {basis.n}")
-        super().__init__(name)
-        self.basis = basis
-        self.coefficients = coeffs
-        self.coefficients.flags.writeable = False
-
-    def _values(self, xs: np.ndarray) -> np.ndarray:
-        return self.coefficients @ self.basis.values(xs)
-
-
-# --------------------------------------------------------------------------
-# Closed-form catalog
-# --------------------------------------------------------------------------
-
 def _horner(reversed_coefficients: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Horner's rule on ``xs`` for the coefficients along the last axis of
     ``reversed_coefficients``, leading coefficient first: one row of values
@@ -156,89 +60,6 @@ def _horner(reversed_coefficients: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _wave_values(trig: np.ufunc, omega, amplitude, offset, xs: np.ndarray) -> np.ndarray:
-    """``offset + amplitude * trig(omega * xs)``: scalar parameters give one
-    row of values, column arrays one row per wave."""
-    out = omega * xs
-    trig(out, out=out)
-    out *= amplitude
-    out += offset
-    return out
-
-
-class Polynomial(Function):
-    """Polynomial ``c[0] + c[1] x + ... + c[d] x^d`` by Horner's rule."""
-
-    def __init__(self, coefficients: Sequence[float], name: str):
-        c = np.array(coefficients, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ConfigError("polynomial needs a non-empty coefficient sequence")
-        super().__init__(name)
-        self.coefficients = c
-        self.coefficients.flags.writeable = False
-
-    def _values(self, xs: np.ndarray) -> np.ndarray:
-        return _horner(self.coefficients[::-1], xs)
-
-
-class Wave(Function):
-    """``offset + amplitude * trig(2 pi frequency x)``, with ``trig`` set by
-    the subclass."""
-
-    trig: np.ufunc
-
-    def __init__(self, frequency: float, amplitude: float = 1.0, offset: float = 0.0):
-        super().__init__(f"{offset:g}+{amplitude:g}*{self.trig.__name__}(2pi*{frequency:g}x)")
-        self.omega = 2.0 * np.pi * frequency
-        self.amplitude = amplitude
-        self.offset = offset
-
-    def _values(self, xs: np.ndarray) -> np.ndarray:
-        return _wave_values(self.trig, self.omega, self.amplitude, self.offset, xs)
-
-
-class SineWave(Wave):
-    trig = np.sin
-
-
-class CosineWave(Wave):
-    trig = np.cos
-
-
-def constant(c: float) -> Polynomial:
-    return Polynomial([c], f"const({c:g})")
-
-
-ONE = constant(1.0)
-
-
-def polynomial(coeffs: Sequence[float], name: str | None = None) -> Polynomial:
-    """Polynomial ``c[0] + c[1] x + ... + c[d] x^d`` (Horner evaluation)."""
-    return Polynomial(coeffs, name or f"poly(deg {np.size(coeffs) - 1})")
-
-
-def monomial(power: int) -> ClosedForm:
-    return ClosedForm(f"x^{power}", lambda xs: xs ** power)
-
-
-def sine_wave(frequency: float, amplitude: float = 1.0, offset: float = 0.0) -> SineWave:
-    """``offset + amplitude * sin(2 pi frequency x)``."""
-    return SineWave(frequency, amplitude, offset)
-
-
-def cosine_wave(frequency: float, amplitude: float = 1.0, offset: float = 0.0) -> CosineWave:
-    return CosineWave(frequency, amplitude, offset)
-
-
-def exponential() -> ClosedForm:
-    return ClosedForm("exp(x)", np.exp)
-
-
-def scaled(f: Function, factor: float, name: str | None = None) -> ClosedForm:
-    """Pointwise rescaling ``factor * f``."""
-    return ClosedForm(name or f"{factor:g}*{f.name}", lambda xs: factor * f.values(xs))
-
-
 # --------------------------------------------------------------------------
 # Random test-function catalog
 # --------------------------------------------------------------------------
@@ -246,8 +67,7 @@ def scaled(f: Function, factor: float, name: str | None = None) -> ClosedForm:
 # six, single sine/cosine modes up to frequency eight, and piecewise-linear
 # functions with at most 16 interior breakpoints. draw_test_functions is the
 # one place that calls the generator for test functions and
-# DrawnTestFunctions.function the one place that names them; random_function
-# is a draw of one.
+# DrawnTestFunctions.name the one place that names them.
 
 #: Kind codes of the drawn test functions.
 POLYNOMIAL, SINE, COSINE, PIECEWISE_LINEAR = range(4)
@@ -289,8 +109,10 @@ class DrawnTestFunctions:
                 yield rows[start:start + size]
 
     def values(self, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Row ``j`` is ``self.function(rows[j]).values(xs)``, bit for bit,
-        for trials ``rows`` all of one kind, but ``xs`` is not checked against
+        """Row ``j`` is trial ``rows[j]`` on ``xs``, for trials ``rows`` all
+        of one kind, with the bits of that trial's own formula: Horner's rule
+        from the leading coefficient, ``offset + amplitude * trig(omega x)``
+        or ``np.interp`` of its samples. ``xs`` is not checked against
         [0, 1]: the caller's points lie there already (an operator's nodes by
         construction, a check grid by the check's own test of it).
         Polynomials share one Horner loop over the block's widest
@@ -303,25 +125,27 @@ class DrawnTestFunctions:
         if kind == PIECEWISE_LINEAR:
             return np.array([np.interp(xs, *self.samples[i]) for i in rows])
         trig = np.cos if kind == COSINE else np.sin
-        return _wave_values(trig, self.omega[rows, None], self.amplitude[rows, None],
-                            self.offset, xs)
+        out = self.omega[rows, None] * xs
+        trig(out, out=out)
+        out *= self.amplitude[rows, None]
+        out += self.offset
+        return out
 
-    def function(self, i: int) -> Function:
-        """Trial ``i`` as a :class:`Function`, with its name."""
+    def name(self, i: int) -> str:
+        """Trial ``i``'s name: ``poly(deg d)^2`` (a squared polynomial),
+        ``poly(deg d)``, ``pwl(k)`` (``k`` samples) or
+        ``c+a*sin(2pi*fx)`` (or ``cos``), numbers in ``%g``."""
         kind = self.kinds[i]
         if kind == POLYNOMIAL:
             terms = int(self.terms[i])
-            coeffs = self.coefficients[i, TEST_POLYNOMIAL_WIDTH - terms:][::-1]
             if self.nonnegative:
-                return polynomial(coeffs, name=f"poly(deg {(terms - 1) // 2})^2")
-            return polynomial(coeffs)
+                return f"poly(deg {(terms - 1) // 2})^2"
+            return f"poly(deg {terms - 1})"
         if kind == PIECEWISE_LINEAR:
-            xs, ys = self.samples[i]
-            return SampledFunction(xs, ys, name=f"pwl({xs.size})")
-        make = cosine_wave if kind == COSINE else sine_wave
-        return make(int(self.frequency[i]), amplitude=float(self.amplitude[i]),
-                    offset=self.offset)
-
+            return f"pwl({self.samples[i][0].size})"
+        trig = "cos" if kind == COSINE else "sin"
+        return (f"{self.offset:g}+{float(self.amplitude[i]):g}*{trig}"
+                f"(2pi*{int(self.frequency[i]):g}x)")
 
 def draw_test_functions(rng: np.random.Generator, count: int,
                         nonnegative: bool = False) -> DrawnTestFunctions:
@@ -372,9 +196,3 @@ def draw_test_functions(rng: np.random.Generator, count: int,
                               amplitude=np.array(amplitude),
                               offset=1.0 if nonnegative else 0.0,
                               samples=samples, nonnegative=nonnegative)
-
-
-def random_function(rng: np.random.Generator, nonnegative: bool = False) -> Function:
-    """Draw one function from the test catalog: the first trial of
-    :func:`draw_test_functions`, as a :class:`Function`."""
-    return draw_test_functions(rng, 1, nonnegative).function(0)

@@ -7,11 +7,14 @@ Kantorovich operator (cell averages against the Bernstein basis), and the
 Schoenberg variational operator (point evaluation at Greville abscissae
 against a clamped B-spline basis).
 
-The verification helpers measure, on a grid the caller passes in and with
-seeded random test functions: constant reproduction, positivity, the unit
-operator norm and an explicit nonzero kernel witness. Each takes the grid
-and ``values``, the basis evaluated on it once by the caller (shape
-``(n, len(grid))``); none evaluates the basis itself.
+A function enters only through its values: :func:`coefficient_vector`
+takes a plain vectorized callable and evaluates it once on the operator's
+joined nodes. The verification helpers measure, on a grid the caller
+passes in and with seeded random test functions: constant reproduction,
+positivity, the unit operator norm and an explicit nonzero kernel
+witness. Each takes the grid and ``values``, the basis evaluated on it
+once by the caller (shape ``(n, len(grid))``); none evaluates the basis
+itself.
 
 The positivity and norm checks draw all their test functions first, as
 parameter arrays (:func:`~pouspec.functions.draw_test_functions`), and
@@ -31,16 +34,15 @@ for the trials whose bound can still change the result, in bound order,
 and stops at the first that cannot. Each computed image has the bits of
 ``coefficient_vector(op, f) @ values`` taken one function at a time, and a
 skipped trial provably cannot reach, or for positivity tie, the reported
-value, so every result has the bits of the one-at-a-time check. Only the
-trial that positivity reports is built as a
-:class:`~pouspec.functions.Function`, for its name. The adjoint pairing
-identity is checked at seeded random functionals instead.
+value, so every result has the bits of the one-at-a-time check. The
+trial that positivity reports is named from its parameters
+(:meth:`~pouspec.functions.DrawnTestFunctions.name`).
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,9 +51,7 @@ from .bases import (BasisSystem, DEFAULT_GRID_POINTS, check_nonnegativity,
                     make_bspline_basis, make_hat_basis)
 from .checks import CheckResult, nonempty_grid
 from .errors import ConfigError, NotConstructibleError
-from .functions import (BasisCombination, ClosedForm, Function, ONE,
-                        draw_test_functions, grid, outside_domain, random_function,
-                        require_in_domain)
+from .functions import draw_test_functions, grid, outside_domain, require_in_domain
 from .functionals import (DiracFunctional, Functional, IntervalAverageFunctional,
                           WeightedQuadratureFunctional,
                           check_functional_normalization,
@@ -210,37 +210,13 @@ def hat_dirac_operator(nodes: Sequence[float]) -> OperatorSpec:
 # Application
 # --------------------------------------------------------------------------
 
-def coefficient_vector(op: OperatorSpec, f: Function) -> np.ndarray:
-    """The vector ``(a_k(f))_k``: ``f`` is evaluated once on the operator's
-    joined nodes, then weighted and summed per functional."""
-    return np.add.reduceat(op.weights * f.values(op.nodes), op.starts)
-
-
-def apply_operator(op: OperatorSpec, f: Function) -> BasisCombination:
-    """``Tf`` as a basis combination; the coefficient vector rides along on
-    the result for reuse."""
-    coeffs = coefficient_vector(op, f)
-    return BasisCombination(op.basis, coeffs, name=f"T[{op.name}]({f.name})")
-
-
-def apply_adjoint(op: OperatorSpec, dual: Functional, f: Function) -> float:
-    """Adjoint pairing ``sum_k dual(e_k) a_k(f)``; equals ``dual(Tf)``."""
-    dual_on_basis = op.basis.values(dual.nodes) @ dual.weights
-    return float(dual_on_basis @ coefficient_vector(op, f))
-
-
-def operator_power_apply(op: OperatorSpec, f: Function, m: int) -> BasisCombination:
-    """``T^m f`` through the coefficient recursion ``a <- M a`` applied
-    ``m - 1`` times, followed by a single basis combination."""
-    if m < 1:
-        raise ConfigError(f"power must be >= 1, got {m}")
-    from .spectra import build_collocation_matrix
-    coeffs = coefficient_vector(op, f)
-    if m > 1:
-        matrix = build_collocation_matrix(op).entries
-        for _ in range(m - 1):
-            coeffs = matrix @ coeffs
-    return BasisCombination(op.basis, coeffs, name=f"T^{m}[{op.name}]({f.name})")
+def coefficient_vector(op: OperatorSpec,
+                       f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The vector ``(a_k(f))_k``: the vectorized callable ``f`` is evaluated
+    once on the operator's joined nodes, then weighted and summed per
+    functional. ``Tf`` on points ``xs`` is this vector times the basis
+    values there."""
+    return np.add.reduceat(op.weights * f(op.nodes), op.starts)
 
 
 # --------------------------------------------------------------------------
@@ -249,10 +225,11 @@ def operator_power_apply(op: OperatorSpec, f: Function, m: int) -> BasisCombinat
 
 def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
                                  tol: float = WITNESS_RESIDUAL_TOL) -> CheckResult:
-    """Max deviation of ``T1`` from one on the grid."""
+    """Max deviation of ``T1`` from one on the grid; the coefficients of the
+    constant one are the functionals' masses."""
     grid = nonempty_grid(grid, values, "constant-reproduction")
     return CheckResult.deviation_from_one(
-        "constant_reproduction", coefficient_vector(op, ONE) @ values, grid, tol)
+        "constant_reproduction", np.add.reduceat(op.weights, op.starts) @ values, grid, tol)
 
 
 def _coefficients(op: OperatorSpec, on_nodes: np.ndarray) -> np.ndarray:
@@ -349,7 +326,7 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
             worst = (float(mins[k]), int(rows[k]))
             worst_x = float(grid[cols[k]])
     worst_val, worst_trial = worst
-    worst_name = draw.function(worst_trial).name if worst_trial < trials else ""
+    worst_name = draw.name(worst_trial) if worst_trial < trials else ""
     return CheckResult(
         name="positivity",
         passed=bool(worst_val >= -tol),
@@ -421,40 +398,6 @@ def verify_norm_bound(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
     )
 
 
-def verify_adjoint_identity(op: OperatorSpec, pairs: int = 50,
-                            tol: float = WITNESS_RESIDUAL_TOL,
-                            seed: int = 42) -> CheckResult:
-    """Residual ``|T* dual (f) - dual(Tf)|`` over seeded (dual, f) pairs,
-    cycling through the three functional kinds for the dual."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(pairs):
-        f = random_function(rng)
-        kind = i % 3
-        if kind == 0:
-            dual: Functional = DiracFunctional(rng.uniform())
-        elif kind == 1:
-            a, b = np.sort(rng.uniform(size=2))
-            if b - a < 1e-3:
-                b = min(1.0, a + 1e-3)
-                a = b - 1e-3
-            dual = IntervalAverageFunctional(a, b)
-        else:
-            nodes = rng.uniform(size=4)
-            weights = rng.dirichlet(np.ones(4))
-            dual = WeightedQuadratureFunctional(nodes, weights)
-        lhs = apply_adjoint(op, dual, f)
-        rhs = dual(apply_operator(op, f))
-        worst = max(worst, abs(lhs - rhs))
-    return CheckResult(
-        name="adjoint_identity",
-        passed=bool(worst <= tol),
-        value=float(worst),
-        threshold=tol,
-        detail=f"max residual over {pairs} (dual, f) pairs",
-    )
-
-
 # --------------------------------------------------------------------------
 # Kernel witness
 # --------------------------------------------------------------------------
@@ -472,8 +415,11 @@ def _equally_spaced(values: np.ndarray) -> bool:
     return bool(np.max(np.abs(gaps - gaps[0])) <= 1e-9)
 
 
-def kernel_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
-    """A nonzero function annihilated by every functional, so ``Tw = 0``.
+def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> tuple[
+        str, Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """``(name, w, w_on_grid)``: a nonzero vectorized callable ``w``
+    annihilated by every functional, so ``Tw = 0``, with its name and its
+    values on the grid.
 
     Construction is analytic per functional kind. Point-type functionals
     (Dirac, finite quadrature) are killed by a sine vanishing at all node
@@ -481,17 +427,8 @@ def kernel_witness(op: OperatorSpec, grid: np.ndarray) -> Function:
     a normalized product of node-vanishing sine factors. Interval averages
     over non-overlapping cells are killed by one full sine period per cell.
     Mixed point/average families have no such closed form and raise
-    :class:`NotConstructibleError`, as does a constructed witness that fails
-    its own verification on the grid (``||w||_inf >= 0.5`` and
-    ``||Tw||_inf <= 1e-10``).
+    :class:`NotConstructibleError`.
     """
-    values = op.basis.values(grid)
-    grid = nonempty_grid(grid, values, "kernel-witness")
-    return _verified(op, values, *_candidate_witness(op, grid))[0]
-
-
-def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> tuple[Function, np.ndarray]:
-    """A witness ``w`` and its values on the grid."""
     # The sine witnesses print as "sin(...pi(x-0)/1)": reports carry that text.
     point_kinds = (DiracFunctional, WeightedQuadratureFunctional)
     all_point = all(isinstance(f, point_kinds) for f in op.functionals)
@@ -501,24 +438,25 @@ def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> tuple[Function, np
         nodes = _point_annihilation_nodes(op)
         if _equally_spaced(nodes):
             cells = nodes.size - 1
-            w: Function = ClosedForm(f"sin({cells}pi(x-0)/1)",
-                                     lambda xs: np.sin(cells * np.pi * xs))
+            name = f"sin({cells}pi(x-0)/1)"
+
+            def w(xs: np.ndarray) -> np.ndarray:
+                return np.sin(cells * np.pi * xs)
         else:
-            def product_of_sines(xs: np.ndarray, nodes=nodes) -> np.ndarray:
+            def product_of_sines(xs: np.ndarray) -> np.ndarray:
                 out = np.ones_like(xs)
                 for x0 in nodes:
                     out *= np.sin(np.pi * (xs - x0))
                 return out
 
-            raw_on_grid = ClosedForm("node-vanishing product", product_of_sines).values(grid)
+            raw_on_grid = product_of_sines(grid)
             peak = float(np.max(np.abs(raw_on_grid)))
             if peak <= 0.0:
                 raise NotConstructibleError(
                     f"{op.name}: node-vanishing product is identically zero "
                     f"on the verification grid")
-            w = ClosedForm(f"node-vanishing product ({nodes.size} nodes)",
-                           lambda xs: product_of_sines(xs) / peak)
-            return w, raw_on_grid / peak
+            return (f"node-vanishing product ({nodes.size} nodes)",
+                    lambda xs: product_of_sines(xs) / peak, raw_on_grid / peak)
     elif all_average:
         cells = sorted(((f.a, f.b) for f in op.functionals), key=lambda c: c[0])
         for (a0, b0), (a1, _) in zip(cells, cells[1:]):
@@ -534,38 +472,41 @@ def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> tuple[Function, np
                           [b for _, b in cells[:-1]])) <= 1e-12))
         if contiguous and np.max(np.abs(widths - widths[0])) <= 1e-9:
             m = len(cells)
-            w = ClosedForm(f"sin({2 * m}pi(x-0)/1)",
-                           lambda xs: np.sin(2.0 * m * np.pi * xs))
+            name = f"sin({2 * m}pi(x-0)/1)"
+
+            def w(xs: np.ndarray) -> np.ndarray:
+                return np.sin(2.0 * m * np.pi * xs)
         else:
-            def cellwise_sine(xs: np.ndarray, starts=starts, widths=widths) -> np.ndarray:
+            name = f"cellwise sine ({len(cells)} cells)"
+
+            def w(xs: np.ndarray) -> np.ndarray:
                 out = np.zeros_like(xs)
                 for a, cw in zip(starts, widths):
                     inside = (xs >= a) & (xs <= a + cw)
                     out[inside] = np.sin(2.0 * np.pi * (xs[inside] - a) / cw)
                 return out
-
-            w = ClosedForm(f"cellwise sine ({len(cells)} cells)", cellwise_sine)
     else:
         kinds = sorted({type(f).__name__ for f in op.functionals})
         raise NotConstructibleError(
             f"{op.name}: no analytic kernel witness for mixed functional "
             f"kinds {kinds}")
 
-    return w, w.values(grid)
+    return name, w, w(grid)
 
 
-def _verified(op: OperatorSpec, values: np.ndarray, w: Function,
-              w_on_grid: np.ndarray) -> tuple[Function, float, float]:
-    """``(w, ||w||, ||Tw||)`` on the grid, or :class:`NotConstructibleError`
-    when ``w`` is too small or not annihilated; ``values`` is the basis and
-    ``w_on_grid`` the witness evaluated on the grid."""
+def _verified(op: OperatorSpec, values: np.ndarray, w: Callable[[np.ndarray], np.ndarray],
+              w_on_grid: np.ndarray) -> tuple[float, float]:
+    """``(||w||, ||Tw||)`` on the grid, or :class:`NotConstructibleError`
+    when ``w`` is too small (``||w||_inf < 0.5``) or not annihilated
+    (``||Tw||_inf > 1e-10``); ``values`` is the basis and ``w_on_grid`` the
+    witness evaluated on the grid."""
     witness_norm = float(np.max(np.abs(w_on_grid)))
     residual = float(np.max(np.abs(coefficient_vector(op, w) @ values)))
     if witness_norm < WITNESS_MIN_NORM or residual > WITNESS_RESIDUAL_TOL:
         raise NotConstructibleError(
             f"{op.name}: witness verification failed "
             f"(||w|| = {witness_norm:.3e}, ||Tw|| = {residual:.3e})")
-    return w, witness_norm, residual
+    return witness_norm, residual
 
 
 def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
@@ -574,7 +515,8 @@ def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
     witness is reported as a failed check rather than silently skipped."""
     grid = nonempty_grid(grid, values, "kernel-witness")
     try:
-        w, witness_norm, residual = _verified(op, values, *_candidate_witness(op, grid))
+        name, w, w_on_grid = _candidate_witness(op, grid)
+        witness_norm, residual = _verified(op, values, w, w_on_grid)
     except NotConstructibleError as exc:
         return CheckResult(name="kernel_residual", passed=False, value=None,
                            threshold=WITNESS_RESIDUAL_TOL, detail=str(exc))
@@ -583,5 +525,5 @@ def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
         passed=bool(residual <= WITNESS_RESIDUAL_TOL),
         value=float(residual),
         threshold=WITNESS_RESIDUAL_TOL,
-        detail=f"witness {w.name}, ||w||_inf = {witness_norm:.6g}",
+        detail=f"witness {name}, ||w||_inf = {witness_norm:.6g}",
     )

@@ -325,6 +325,8 @@ def parse_config(text: str) -> AnalysisConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("configuration is not valid JSON: nested too deeply") from exc
     return config_from_mapping(data)
 
 

@@ -5,15 +5,85 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
 from pouspec.checks import CheckResult
-from pouspec.functions import (ONE, Function, Polynomial, SampledFunction, Wave,
-                               cosine_wave, polynomial, sine_wave)
+from pouspec.errors import ConfigError
+from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
+                                 WeightedQuadratureFunctional)
 from pouspec.operators import coefficient_vector
+
+
+def one(xs: np.ndarray) -> np.ndarray:
+    """The constant function one."""
+    return np.ones_like(xs)
+
+
+def image(op, f, xs: np.ndarray) -> np.ndarray:
+    """``Tf`` on ``xs`` for a vectorized callable ``f``."""
+    return coefficient_vector(op, f) @ op.basis.values(xs)
+
+
+def pairing(functional, f) -> float:
+    """``a(f) = sum_i w_i f(x_i)`` for a vectorized callable ``f``."""
+    return float(functional.weights @ f(functional.nodes))
+
+
+def adjoint_pairing(op, dual, f) -> float:
+    """``sum_k dual(e_k) a_k(f)``, which equals ``dual(Tf)``."""
+    dual_on_basis = op.basis.values(dual.nodes) @ dual.weights
+    return float(dual_on_basis @ coefficient_vector(op, f))
+
+
+def verify_adjoint_identity(op, pairs: int = 50, tol: float = 1e-10,
+                            seed: int = 42) -> CheckResult:
+    """Residual ``|T* dual (f) - dual(Tf)|`` over seeded (dual, f) pairs,
+    cycling through the three functional kinds for the dual."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for i in range(pairs):
+        f = random_function_oracle(rng)
+        kind = i % 3
+        if kind == 0:
+            dual = DiracFunctional(rng.uniform())
+        elif kind == 1:
+            a, b = np.sort(rng.uniform(size=2))
+            if b - a < 1e-3:
+                b = min(1.0, a + 1e-3)
+                a = b - 1e-3
+            dual = IntervalAverageFunctional(a, b)
+        else:
+            nodes = rng.uniform(size=4)
+            weights = rng.dirichlet(np.ones(4))
+            dual = WeightedQuadratureFunctional(nodes, weights)
+        lhs = adjoint_pairing(op, dual, f)
+        rhs = float(dual.weights @ image(op, f, dual.nodes))
+        worst = max(worst, abs(lhs - rhs))
+    return CheckResult(
+        name="adjoint_identity",
+        passed=bool(worst <= tol),
+        value=float(worst),
+        threshold=tol,
+        detail=f"max residual over {pairs} (dual, f) pairs",
+    )
+
+
+def clamped_knots(breakpoints: Sequence[float], degree: int) -> np.ndarray:
+    """Full clamped knot vector from strictly increasing breakpoints:
+    the first and last breakpoints are repeated ``degree + 1`` times."""
+    bp = np.asarray(breakpoints, dtype=float)
+    if bp.ndim != 1 or bp.size < 2:
+        raise ConfigError("need at least two breakpoints")
+    if not np.all(np.diff(bp) > 0):
+        raise ConfigError("breakpoints must be strictly increasing")
+    if degree < 0:
+        raise ConfigError("degree must be >= 0")
+    return np.concatenate((np.repeat(bp[0], degree), bp, np.repeat(bp[-1], degree)))
 
 
 def random_stochastic(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -166,33 +236,46 @@ def dumps_json_oracle(obj) -> str:
                   text) + "\n"
 
 
-def random_function_oracle(rng: np.random.Generator, nonnegative: bool = False) -> Function:
-    """One test-catalog draw built straight into its function object,
-    sharing no code with ``draw_test_functions``: the same generator calls
-    in the same order. The package's draw must match it bit for bit and name
-    for name."""
+@dataclass(frozen=True)
+class CatalogDraw:
+    """One test-catalog draw as the oracles hold it: its kind (``"poly"``,
+    ``"sin"``, ``"cos"`` or ``"pwl"``), its name and its parameters. Called
+    on points, it evaluates through :func:`catalog_values_oracle`."""
+
+    kind: str
+    name: str
+    params: dict
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        return catalog_values_oracle(self, xs)
+
+
+def random_function_oracle(rng: np.random.Generator, nonnegative: bool = False) -> CatalogDraw:
+    """One test-catalog draw, sharing no code with ``draw_test_functions``:
+    the same generator calls in the same order. The package's draw must
+    match it bit for bit and name for name."""
     kind = rng.integers(0, 3)
     if kind == 0:
         if nonnegative:
             base = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 5)))
             sq = np.convolve(base, base)
-            return polynomial(sq, name=f"poly(deg {base.size - 1})^2")
+            return CatalogDraw("poly", f"poly(deg {base.size - 1})^2", {"coefficients": sq})
         coeffs = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 8)))
-        return polynomial(coeffs)
+        return CatalogDraw("poly", f"poly(deg {coeffs.size - 1})", {"coefficients": coeffs})
     if kind == 1:
         freq = int(rng.integers(1, 9))
         amp = float(rng.uniform(-1.0, 1.0))
-        use_cos = bool(rng.integers(0, 2))
+        trig = "cos" if rng.integers(0, 2) else "sin"
         offset = 1.0 if nonnegative else 0.0
-        make = cosine_wave if use_cos else sine_wave
-        return make(freq, amplitude=amp, offset=offset)
+        return CatalogDraw(trig, f"{offset:g}+{amp:g}*{trig}(2pi*{freq}x)",
+                           {"omega": 2.0 * np.pi * freq, "amplitude": amp, "offset": offset})
     breaks = int(rng.integers(2, 17))
     inner = np.sort(rng.uniform(0.0, 1.0, size=breaks))
     xs = np.concatenate(([0.0], inner, [1.0]))
     xs = xs[np.concatenate(([True], xs[1:] > xs[:-1]))]  # np.unique of the sorted xs
     lo_val = 0.0 if nonnegative else -1.0
     ys = rng.uniform(lo_val, 1.0, size=xs.size)
-    return SampledFunction(xs, ys, name=f"pwl({xs.size})")
+    return CatalogDraw("pwl", f"pwl({xs.size})", {"xs": xs, "ys": ys})
 
 
 def positivity_oracle(op, grid: np.ndarray, values: np.ndarray, trials: int = 100,
@@ -229,10 +312,10 @@ def norm_estimate_oracle(op, grid: np.ndarray, values: np.ndarray, trials: int =
     ``Tf`` from separate evaluations on the grid and on the nodes."""
     rng = np.random.default_rng(seed)
     best = 0.0
-    samples = [ONE]
+    samples = [one]
     samples.extend(random_function_oracle(rng) for _ in range(trials))
     for f in samples:
-        denom = f.sup_norm(grid)
+        denom = float(np.max(np.abs(f(grid))))
         if denom < 1e-12:
             continue
         image = coefficient_vector(op, f) @ values
@@ -240,21 +323,22 @@ def norm_estimate_oracle(op, grid: np.ndarray, values: np.ndarray, trials: int =
     return float(best)
 
 
-def catalog_values_oracle(f, xs: np.ndarray) -> np.ndarray:
-    """A random-catalog function on ``xs`` by its own one-dimensional
-    formula, from its parameters: Horner from ``full(c[-1])`` for a
-    polynomial, ``offset + amplitude * trig(omega * xs)`` for a wave,
-    ``np.interp`` for sampled data."""
-    if isinstance(f, Polynomial):
-        c = f.coefficients
+def catalog_values_oracle(f: CatalogDraw, xs: np.ndarray) -> np.ndarray:
+    """A random-catalog draw on ``xs`` by its own one-dimensional formula,
+    from its parameters: Horner from ``full(c[-1])`` for a polynomial,
+    ``offset + amplitude * trig(omega * xs)`` for a wave, ``np.interp`` for
+    sampled data."""
+    p = f.params
+    if f.kind == "poly":
+        c = p["coefficients"]
         out = np.full_like(xs, c[-1])
         for a in c[-2::-1]:
             out = out * xs + a
         return out
-    if isinstance(f, Wave):
-        return f.offset + f.amplitude * f.trig(f.omega * xs)
-    assert isinstance(f, SampledFunction), f
-    return np.interp(xs, f.xs, f.ys)
+    if f.kind == "pwl":
+        return np.interp(xs, p["xs"], p["ys"])
+    trig = np.cos if f.kind == "cos" else np.sin
+    return p["offset"] + p["amplitude"] * trig(p["omega"] * xs)
 
 
 _SVG_SIZE = 800

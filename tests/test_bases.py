@@ -6,17 +6,16 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from helpers import bernstein_value, bspline_value, hat_values, random_breakpoints
+from helpers import (bernstein_value, bspline_value, clamped_knots, hat_values,
+                     random_breakpoints)
 
 from pouspec.bases import (check_nonnegativity, check_partition_of_unity,
-                           clamped_knots, make_bernstein_basis, make_bspline_basis,
-                           make_hat_basis, BasisSystem)
+                           make_bernstein_basis, make_bspline_basis, make_hat_basis,
+                           BasisSystem)
 from pouspec.errors import ConfigError
-from pouspec.functions import SampledFunction
 from pouspec.operators import (bernstein_operator, estimate_operator_norm,
-                               kernel_witness, kernel_witness_report,
-                               verify_constant_reproduction, verify_norm_bound,
-                               verify_positivity)
+                               kernel_witness_report, verify_constant_reproduction,
+                               verify_norm_bound, verify_positivity)
 
 
 class TestBernstein:
@@ -156,13 +155,11 @@ class TestHatBasis:
 @pytest.mark.parametrize("build, message", [
     (lambda: make_hat_basis([0.0, np.nan, 1.0]),
      "hat basis nodes must be strictly increasing"),
-    (lambda: SampledFunction([0.0, np.nan, 1.0], [0.0, 1.0, 2.0]),
-     "sampled function grid must be strictly increasing"),
     (lambda: clamped_knots([0.0, np.nan, 1.0], 2),
      "breakpoints must be strictly increasing"),
     (lambda: make_bspline_basis([0.0, 0.0, 0.0, np.nan, 1.0, 1.0, 1.0], 2),
      "knot vector must be nondecreasing"),
-], ids=["hat-nodes", "sampled-grid", "breakpoints", "bspline-knots"])
+], ids=["hat-nodes", "breakpoints", "bspline-knots"])
 def test_nan_in_ordered_points_rejected(build, message):
     # NaN compares false both ways, so an order test must fail on it.
     with pytest.raises(ConfigError, match=message):
@@ -181,7 +178,6 @@ GRID_CHECKS = {
     "positivity": verify_positivity,
     "operator_norm": estimate_operator_norm,
     "norm_bound": verify_norm_bound,
-    "kernel_witness": lambda op, grid, values: kernel_witness(op, grid),
     "kernel_witness_report": kernel_witness_report,
 }
 
@@ -222,11 +218,10 @@ class TestChecks:
     @pytest.mark.parametrize("check, grid, columns, message", [
         *(pytest.param(check, np.array([]), 0, "needs a non-empty grid", id=name)
           for name, check in GRID_CHECKS.items()),
-        # kernel_witness evaluates the basis itself, so it gets no values.
         *(pytest.param(check, np.linspace(0, 1, 11), 10,
                        r"needs basis values of shape \(n, 11\), got \(4, 10\)",
                        id=f"{name}-mismatched-columns")
-          for name, check in GRID_CHECKS.items() if name != "kernel_witness"),
+          for name, check in GRID_CHECKS.items()),
     ])
     def test_empty_grid_rejected(self, check, grid, columns, message):
         op = bernstein_operator(3)

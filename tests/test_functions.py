@@ -1,4 +1,4 @@
-"""Function handles: evaluation, domains, and the random catalog."""
+"""The domain grid and the drawn test functions of the lemma checks."""
 
 from __future__ import annotations
 
@@ -6,12 +6,8 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from pouspec.errors import ConfigError, DomainError
 from pouspec.functions import (DOMAIN_SLACK, PIECEWISE_LINEAR, POLYNOMIAL,
-                               TEST_POLYNOMIAL_WIDTH, BasisCombination, SampledFunction,
-                               constant, cosine_wave, draw_test_functions, exponential,
-                               grid, monomial, polynomial, random_function, sine_wave)
-from pouspec.bases import make_hat_basis
+                               TEST_POLYNOMIAL_WIDTH, draw_test_functions, grid)
 
 from helpers import catalog_values_oracle, random_function_oracle
 
@@ -21,95 +17,31 @@ def test_grid_endpoints():
     assert xs[0] == 0.0 and xs[-1] == 1.0 and xs.size == 11
 
 
-class TestEvaluation:
-    def test_constant_one(self):
-        assert constant(1.0)(0.37) == 1.0
-
-    def test_sampled_linear_interpolation(self):
-        f = SampledFunction([0.0, 1.0], [0.0, 1.0])
-        assert f(0.25) == 0.25
-
-    def test_catalog_sine(self):
-        assert sine_wave(1.0)(0.25) == pytest.approx(1.0, abs=1e-15)
-
-    def test_out_of_domain_raises(self):
-        with pytest.raises(DomainError):
-            constant(1.0)(1.5)
-        with pytest.raises(DomainError):
-            monomial(2).values([0.2, -0.3])
-
-    def test_polynomial_horner(self):
-        f = polynomial([1.0, -2.0, 3.0])  # 1 - 2x + 3x^2
-        assert f(0.5) == pytest.approx(1.0 - 1.0 + 0.75)
-
-    def test_exponential(self):
-        assert exponential()(1.0) == pytest.approx(np.e)
-
-    def test_cosine(self):
-        assert cosine_wave(2.0)(0.5) == pytest.approx(1.0)
-
-    def test_vectorized_matches_scalar(self):
-        f = polynomial([0.3, 0.1, -0.4, 0.2])
-        xs = np.linspace(0, 1, 17)
-        nptest.assert_allclose(f.values(xs), [f(x) for x in xs], rtol=0, atol=0)
-
-
-class TestSampledValidation:
-    def test_needs_two_points(self):
-        with pytest.raises(ConfigError):
-            SampledFunction([0.5], [1.0])
-
-    def test_needs_increasing_grid(self):
-        with pytest.raises(ConfigError):
-            SampledFunction([0.0, 0.5, 0.5], [0.0, 1.0, 2.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            SampledFunction([0.0, 1.0], [1.0, 2.0, 3.0])
-
-    @pytest.mark.parametrize("xs", [[0.0, 0.5], [0.1, 1.0], [-0.5, 1.0], [0.0, 1.5]])
-    def test_grid_must_span_unit_interval(self, xs):
-        with pytest.raises(ConfigError, match=r"must span \[0.0, 1.0\] exactly"):
-            SampledFunction(xs, [0.0, 1.0])
-
-
-class TestBasisCombination:
-    def test_coefficients_retained_and_used(self):
-        basis = make_hat_basis([0.0, 0.5, 1.0])
-        combo = BasisCombination(basis, [1.0, 2.0, 3.0])
-        nptest.assert_allclose(combo.coefficients, [1.0, 2.0, 3.0])
-        # Nodal basis: the combination interpolates its coefficients.
-        assert combo(0.5) == 2.0
-        assert combo(0.25) == pytest.approx(1.5)
-
-    def test_count_mismatch(self):
-        basis = make_hat_basis([0.0, 1.0])
-        with pytest.raises(ConfigError):
-            BasisCombination(basis, [1.0, 2.0, 3.0])
+def _all_values(draw, xs: np.ndarray) -> np.ndarray:
+    """Every trial of ``draw`` on ``xs``, one row per trial."""
+    rows = np.empty((draw.kinds.size, xs.size))
+    for block in draw.kind_blocks(draw.kinds.size):
+        rows[block] = draw.values(block, xs)
+    return rows
 
 
 class TestRandomCatalog:
     def test_deterministic_for_fixed_seed(self):
         xs = np.linspace(0, 1, 50)
-        a = random_function(np.random.default_rng(7)).values(xs)
-        b = random_function(np.random.default_rng(7)).values(xs)
+        a = _all_values(draw_test_functions(np.random.default_rng(7), 1), xs)
+        b = _all_values(draw_test_functions(np.random.default_rng(7), 1), xs)
         nptest.assert_array_equal(a, b)
 
     def test_nonnegative_draws_are_nonnegative(self):
-        rng = np.random.default_rng(123)
         xs = np.linspace(0, 1, 2001)
-        for _ in range(60):
-            f = random_function(rng, nonnegative=True)
-            assert f.values(xs).min() >= 0.0
+        draw = draw_test_functions(np.random.default_rng(123), 60, nonnegative=True)
+        assert _all_values(draw, xs).min() >= 0.0
 
     def test_draws_evaluate_on_domain(self):
-        rng = np.random.default_rng(5)
         xs = np.linspace(0, 1, 101)
-        for _ in range(30):
-            f = random_function(rng)
-            values = f.values(xs)
-            assert values.shape == xs.shape
-            assert np.all(np.isfinite(values))
+        values = _all_values(draw_test_functions(np.random.default_rng(5), 30), xs)
+        assert values.shape == (30, xs.size)
+        assert np.all(np.isfinite(values))
 
 
 class ScriptedGenerator:
@@ -151,11 +83,9 @@ class TestDrawnTestFunctions:
             single_rng = np.random.default_rng(seed)
             for i, row in enumerate(rows):
                 single = random_function_oracle(single_rng, nonnegative)
-                f = draw.function(i)
-                assert type(f) is type(single) and f.name == single.name
-                assert row.tobytes() == f.values(self.XS).tobytes(), single.name
-                assert row.tobytes() == single.values(self.XS).tobytes(), single.name
-                assert row.tobytes() == catalog_values_oracle(single, self.XS).tobytes()
+                assert draw.name(i) == single.name
+                assert row.tobytes() == catalog_values_oracle(single, self.XS).tobytes(), \
+                    single.name
             assert draw_rng.bit_generator.state == single_rng.bit_generator.state
 
     @pytest.mark.parametrize("nonnegative", [False, True])
@@ -167,22 +97,12 @@ class TestDrawnTestFunctions:
         oracle_rng = ScriptedGenerator(ints, units)
         for i, expected in enumerate(([0.0, 0.25, 0.5, 1.0], [0.0, 0.3, 0.7, 1.0])):
             single = random_function_oracle(oracle_rng, nonnegative)
-            f = draw.function(i)
-            assert f.xs.tolist() == single.xs.tolist() == expected
-            assert f.ys.tobytes() == single.ys.tobytes() and f.name == single.name == "pwl(4)"
+            xs, ys = draw.samples[i]
+            assert xs.tolist() == single.params["xs"].tolist() == expected
+            assert ys.tobytes() == single.params["ys"].tobytes()
+            assert draw.name(i) == single.name == "pwl(4)"
             assert draw.values(np.array([i]), self.XS).tobytes() == \
-                single.values(self.XS).tobytes()
-
-    @pytest.mark.parametrize("nonnegative", [False, True])
-    def test_random_function_is_a_draw_of_one(self, nonnegative):
-        rng = np.random.default_rng(3)
-        oracle_rng = np.random.default_rng(3)
-        for _ in range(40):
-            f = random_function(rng, nonnegative)
-            single = random_function_oracle(oracle_rng, nonnegative)
-            assert f.name == single.name
-            assert f.values(self.XS).tobytes() == single.values(self.XS).tobytes()
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+                single(self.XS).tobytes()
 
     @pytest.mark.parametrize("size", [0, 1, 3, 100])
     def test_kind_blocks_partition_the_trials(self, size):
@@ -196,24 +116,44 @@ class TestDrawnTestFunctions:
 
     def test_draws_cover_every_kind(self):
         rng = np.random.default_rng(1)
-        names = {type(random_function(rng, nonnegative)).__name__
+        kinds = {random_function_oracle(rng, nonnegative).kind
                  for nonnegative in (False, True) for _ in range(100)}
-        assert names == {"Polynomial", "SineWave", "CosineWave", "SampledFunction"}
+        assert kinds == {"poly", "sin", "cos", "pwl"}
         kinds = draw_test_functions(np.random.default_rng(1), 100).kinds
         assert set(kinds.tolist()) == set(range(PIECEWISE_LINEAR + 1))
 
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    def test_names_name_the_parameters(self, nonnegative):
+        draw = draw_test_functions(np.random.default_rng(6), 200, nonnegative)
+        for i in range(200):
+            name = draw.name(i)
+            if draw.kinds[i] == POLYNOMIAL:
+                degree = int(draw.terms[i]) - 1
+                assert name == (f"poly(deg {degree // 2})^2" if nonnegative
+                                else f"poly(deg {degree})")
+            elif draw.kinds[i] == PIECEWISE_LINEAR:
+                assert name == f"pwl({draw.samples[i][0].size})"
+            else:
+                offset, rest = name.split("+", 1)
+                assert float(offset) == draw.offset
+                assert rest.endswith(f"(2pi*{int(draw.frequency[i])}x)")
+
     def test_coefficients_padded_on_the_left(self):
+        rng = np.random.default_rng(4)
         draw = draw_test_functions(np.random.default_rng(4), 100, nonnegative=True)
+        singles = [random_function_oracle(rng, nonnegative=True) for _ in range(100)]
         for i in np.flatnonzero(draw.kinds == POLYNOMIAL):
             pad = TEST_POLYNOMIAL_WIDTH - draw.terms[i]
             assert not draw.coefficients[i, :pad].any()
             assert draw.coefficients[i, pad:][::-1].tobytes() == \
-                draw.function(i).coefficients.tobytes()
+                singles[i].params["coefficients"].tobytes()
 
     def test_polynomials_of_mixed_degree_in_one_block(self):
         xs = np.linspace(0.0, 1.0, 11)
+        rng = np.random.default_rng(9)
         draw = draw_test_functions(np.random.default_rng(9), 200)
+        singles = [random_function_oracle(rng) for _ in range(200)]
         rows = np.flatnonzero(draw.kinds == POLYNOMIAL)
         assert np.unique(draw.terms[rows]).size == TEST_POLYNOMIAL_WIDTH
         for row, i in zip(draw.values(rows, xs), rows):
-            assert row.tobytes() == draw.function(i).values(xs).tobytes()
+            assert row.tobytes() == singles[i](xs).tobytes()

@@ -7,25 +7,24 @@ import numpy.testing as nptest
 import pytest
 
 from pouspec import operators
-from pouspec.bases import (BasisSystem, clamped_knots, make_bernstein_basis,
-                           make_bspline_basis, make_hat_basis)
+from pouspec.bases import (BasisSystem, make_bernstein_basis, make_bspline_basis,
+                           make_hat_basis)
 from pouspec.errors import ConfigError, DomainError, NotConstructibleError
 from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
                                  WeightedQuadratureFunctional,
                                  make_kantorovich_functionals)
-from pouspec.functions import ONE, DrawnTestFunctions, Function, SampledFunction, \
-    draw_test_functions, grid, monomial, random_function, scaled, sine_wave
-from pouspec.operators import (OperatorSpec, apply_adjoint, apply_operator,
-                               bernstein_operator, coefficient_vector,
-                               estimate_operator_norm, greville_abscissae,
-                               hat_dirac_operator, kantorovich_operator,
-                               kernel_witness, kernel_witness_report,
-                               operator_power_apply, schoenberg_operator,
-                               verify_adjoint_identity,
-                               verify_constant_reproduction, verify_norm_bound,
-                               verify_positivity)
+from pouspec.functions import grid
+from pouspec.operators import (OperatorSpec, _candidate_witness, bernstein_operator,
+                               coefficient_vector, estimate_operator_norm,
+                               greville_abscissae, hat_dirac_operator,
+                               kantorovich_operator, kernel_witness_report,
+                               schoenberg_operator, verify_constant_reproduction,
+                               verify_norm_bound, verify_positivity)
+from pouspec.spectra import build_collocation_matrix
 
-from helpers import norm_estimate_oracle, positivity_oracle
+from helpers import (adjoint_pairing, clamped_knots, image, norm_estimate_oracle, one,
+                     pairing, positivity_oracle, random_function_oracle,
+                     verify_adjoint_identity)
 
 GRID = np.linspace(0.0, 1.0, 1001)
 SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
@@ -164,52 +163,54 @@ class TestJoinedRule:
         basis, funcs = _joined_rule_parts()[parts]
         op = OperatorSpec(basis, funcs, validate=validate)
         rng = np.random.default_rng(11)
-        for f in (ONE, monomial(3), random_function(rng), random_function(rng)):
-            nptest.assert_allclose(coefficient_vector(op, f), [a(f) for a in funcs],
+        for f in (one, lambda xs: xs ** 3, random_function_oracle(rng),
+                  random_function_oracle(rng)):
+            nptest.assert_allclose(coefficient_vector(op, f), [pairing(a, f) for a in funcs],
                                    rtol=0, atol=1e-14)
 
 
 class TestApplication:
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_reproduces_constants(self, op):
-        vals = apply_operator(op, ONE).values(GRID)
+        vals = image(op, one, GRID)
         assert np.max(np.abs(vals - 1.0)) <= 1e-12
 
     def test_bernstein2_reproduces_linear(self):
         op = bernstein_operator(2)
-        vals = apply_operator(op, monomial(1)).values(GRID)
+        vals = image(op, lambda xs: xs, GRID)
         assert np.max(np.abs(vals - GRID)) <= 1e-12
 
     def test_bernstein2_annihilates_full_sine(self):
         # sin(2 pi x) vanishes at the nodes 0, 1/2, 1.
         op = bernstein_operator(2)
-        vals = apply_operator(op, sine_wave(1.0)).values(GRID)
+        vals = image(op, lambda xs: np.sin(2 * np.pi * xs), GRID)
         assert np.max(np.abs(vals)) <= 1e-14
 
-    def test_coefficients_ride_along(self):
+    def test_coefficients_are_node_values(self):
         op = bernstein_operator(2)
-        result = apply_operator(op, monomial(1))
-        nptest.assert_allclose(result.coefficients, [0.0, 0.5, 1.0], atol=1e-15)
+        nptest.assert_allclose(coefficient_vector(op, lambda xs: xs), [0.0, 0.5, 1.0],
+                               atol=1e-15)
 
 
 class TestAdjoint:
     def test_dirac_dual_equals_point_value(self):
         op = bernstein_operator(3)
-        f = monomial(2)
-        tf = apply_operator(op, f)
+        def f(xs):
+            return xs ** 2
+
         for x0 in (0.0, 0.37, 1.0):
-            assert apply_adjoint(op, DiracFunctional(x0), f) == \
-                pytest.approx(tf(x0), abs=1e-14)
+            assert adjoint_pairing(op, DiracFunctional(x0), f) == \
+                pytest.approx(image(op, f, np.array([x0]))[0], abs=1e-14)
 
     def test_bernstein2_linear_at_half(self):
         # T reproduces linears, so dual = point mass at 1/2 gives 1/2.
-        assert apply_adjoint(bernstein_operator(2), DiracFunctional(0.5),
-                             monomial(1)) == pytest.approx(0.5, abs=1e-14)
+        assert adjoint_pairing(bernstein_operator(2), DiracFunctional(0.5),
+                               lambda xs: xs) == pytest.approx(0.5, abs=1e-14)
 
     def test_unit_maps_to_one(self):
         op = kantorovich_operator(3)
         dual = IntervalAverageFunctional(0.2, 0.9)
-        assert apply_adjoint(op, dual, ONE) == pytest.approx(1.0, abs=1e-12)
+        assert adjoint_pairing(op, dual, one) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_adjoint_identity_check(self, op):
@@ -220,12 +221,12 @@ class TestAdjoint:
 class TestPositivityAndNorm:
     def test_kantorovich_positive_on_square(self):
         op = kantorovich_operator(3)
-        vals = apply_operator(op, monomial(2)).values(GRID)
+        vals = image(op, lambda xs: xs ** 2, GRID)
         assert vals.min() >= 0.0
 
     def test_zero_maps_to_zero(self):
         op = bernstein_operator(4)
-        coeffs = coefficient_vector(op, scaled(ONE, 0.0))
+        coeffs = coefficient_vector(op, np.zeros_like)
         nptest.assert_array_equal(coeffs, np.zeros(5))
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
@@ -248,8 +249,8 @@ class TestPositivityAndNorm:
 
     def test_full_sine_has_zero_ratio(self):
         op = bernstein_operator(2)
-        tf = apply_operator(op, sine_wave(1.0))
-        assert tf.sup_norm(GRID) <= 1e-14
+        tf = image(op, lambda xs: np.sin(2 * np.pi * xs), GRID)
+        assert np.max(np.abs(tf)) <= 1e-14
 
     def test_kantorovich_norm_bound(self):
         op = kantorovich_operator(4)
@@ -265,8 +266,7 @@ class TestPositivityAndNorm:
     def test_rank_bound(self, op):
         # Images of 2n random functions span at most n directions.
         rng = np.random.default_rng(17)
-        rows = [apply_operator(op, random_function(rng)).values(GRID)
-                for _ in range(2 * op.n)]
+        rows = [image(op, random_function_oracle(rng), GRID) for _ in range(2 * op.n)]
         sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
         assert sv[op.n:].max(initial=0.0) <= 1e-8 * sv[0]
 
@@ -365,32 +365,6 @@ class TestBlockChecks:
         estimate_operator_norm(op, GRID, op.default_values, seed=43)
         assert 0 < sum(rows) < 300 / 4
 
-    def test_checks_make_no_single_function_evaluation(self, monkeypatch):
-        calls = []
-        values = Function.values
-        monkeypatch.setattr(Function, "values",
-                            lambda self, xs: calls.append(self.name) or values(self, xs))
-        op = kantorovich_operator(4)
-        basis_values = op.basis.values(GRID)
-        verify_positivity(op, GRID, basis_values)
-        estimate_operator_norm(op, GRID, basis_values)
-        verify_norm_bound(op, GRID, basis_values)
-        assert calls == []
-
-    def test_only_the_reported_trial_is_built(self, monkeypatch):
-        built = []
-        function = DrawnTestFunctions.function
-        monkeypatch.setattr(DrawnTestFunctions, "function",
-                            lambda self, i: built.append(i) or function(self, i))
-        op = kantorovich_operator(4)
-        basis_values = op.basis.values(GRID)
-        result = verify_positivity(op, GRID, basis_values, seed=5)
-        draw = draw_test_functions(np.random.default_rng(5), 100, nonnegative=True)
-        assert len(built) == 1
-        assert result.detail.endswith(f"at f = {function(draw, built[0]).name}")
-        estimate_operator_norm(op, GRID, basis_values)
-        assert len(built) == 1
-
     def test_norm_grid_outside_domain_rejected(self):
         op = bernstein_operator(2)
         xs = np.array([0.0, 0.5, 1.5])
@@ -419,28 +393,35 @@ class TestConstantReproductionCheck:
         assert result.value == pytest.approx(0.01, abs=1e-12)
 
 
+def _witness(op):
+    """The kernel witness of ``op`` on ``GRID``, a vectorized callable."""
+    return _candidate_witness(op, GRID)[1]
+
+
 class TestKernelWitness:
     def test_bernstein2_witness_is_full_sine(self):
-        w = kernel_witness(bernstein_operator(2), GRID)
+        w = _witness(bernstein_operator(2))
         xs = np.linspace(0, 1, 101)
-        nptest.assert_allclose(w.values(xs), np.sin(2 * np.pi * xs), atol=1e-12)
+        nptest.assert_allclose(w(xs), np.sin(2 * np.pi * xs), atol=1e-12)
 
     def test_kantorovich1_witness_frequency(self):
-        w = kernel_witness(kantorovich_operator(1), GRID)
+        w = _witness(kantorovich_operator(1))
         xs = np.linspace(0, 1, 101)
-        nptest.assert_allclose(w.values(xs), np.sin(4 * np.pi * xs), atol=1e-12)
+        nptest.assert_allclose(w(xs), np.sin(4 * np.pi * xs), atol=1e-12)
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_witness_annihilated(self, op):
-        w = kernel_witness(op, GRID)
-        assert w.sup_norm(GRID) >= 0.5
-        assert apply_operator(op, w).sup_norm(GRID) <= 1e-10
+        w = _witness(op)
+        assert np.max(np.abs(w(GRID))) >= 0.5
+        assert np.max(np.abs(image(op, w, GRID))) <= 1e-10
 
     def test_irregular_nodes_use_product_construction(self):
         op = hat_dirac_operator([0.0, 0.13, 0.55, 0.97, 1.0])
-        w = kernel_witness(op, GRID)
-        assert w.sup_norm(GRID) >= 0.5
-        assert apply_operator(op, w).sup_norm(GRID) <= 1e-10
+        name, w, on_grid = _candidate_witness(op, GRID)
+        assert name == "node-vanishing product (5 nodes)"
+        assert on_grid.tobytes() == w(GRID).tobytes()
+        assert np.max(np.abs(on_grid)) == 1.0
+        assert np.max(np.abs(image(op, w, GRID))) <= 1e-10
 
     def test_mixed_kinds_not_constructible(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
@@ -448,7 +429,7 @@ class TestKernelWitness:
                  DiracFunctional(1.0))
         op = OperatorSpec(basis, funcs, name="mixed")
         with pytest.raises(NotConstructibleError):
-            kernel_witness(op, GRID)
+            _candidate_witness(op, GRID)
 
     def test_report_flags_not_constructible(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
@@ -464,9 +445,9 @@ class TestKernelWitness:
         funcs = (IntervalAverageFunctional(0.0, 0.3),
                  IntervalAverageFunctional(0.3, 1.0))
         op = OperatorSpec(basis, funcs, name="lopsided")
-        w = kernel_witness(op, GRID)
-        assert w.sup_norm(GRID) >= 0.5
-        assert apply_operator(op, w).sup_norm(GRID) <= 1e-10
+        w = _witness(op)
+        assert np.max(np.abs(w(GRID))) >= 0.5
+        assert np.max(np.abs(image(op, w, GRID))) <= 1e-10
 
     def test_overlapping_averages_not_constructible(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
@@ -475,39 +456,38 @@ class TestKernelWitness:
                  IntervalAverageFunctional(0.0, 1.0))
         op = OperatorSpec(basis, funcs, name="overlap")
         with pytest.raises(NotConstructibleError):
-            kernel_witness(op, GRID)
+            _candidate_witness(op, GRID)
 
 
 class TestPowers:
-    def test_power_one_equals_apply(self):
-        op = kantorovich_operator(2)
-        f = monomial(2)
-        a = apply_operator(op, f).values(GRID)
-        b = operator_power_apply(op, f, 1).values(GRID)
-        assert np.max(np.abs(a - b)) <= 1e-14
+    """``T^m f`` through the coefficient recursion ``a <- M a``."""
 
     def test_constant_is_fixed_point(self):
         for op in (bernstein_operator(3), kantorovich_operator(2)):
-            vals = operator_power_apply(op, ONE, 7).values(GRID)
+            matrix = build_collocation_matrix(op).entries
+            coeffs = coefficient_vector(op, one)
+            for _ in range(6):
+                coeffs = matrix @ coeffs
+            vals = coeffs @ op.basis.values(GRID)
             assert np.max(np.abs(vals - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_power_consistency(self, m):
+        # a(T g) = M a(g): stepping the coefficients once equals taking the
+        # coefficients of the image as a function.
+        op = kantorovich_operator(3)
+        matrix = build_collocation_matrix(op).entries
+        coeffs = coefficient_vector(op, random_function_oracle(np.random.default_rng(23)))
+        for _ in range(m - 1):
+            coeffs = matrix @ coeffs
+        stepped = coefficient_vector(op, lambda xs: coeffs @ op.basis.values(xs))
+        assert np.max(np.abs(stepped - matrix @ coeffs)) <= 1e-12
 
     def test_kantorovich1_coefficient_recursion(self):
         # f with cell averages (1, 0); one step of M maps it to (0.75, 0.25).
         op = kantorovich_operator(1)
-        f = SampledFunction([0.0, 0.5, 1.0], [2.0, 0.0, 0.0])
-        nptest.assert_allclose(coefficient_vector(op, f), [1.0, 0.0], atol=1e-14)
-        squared = operator_power_apply(op, f, 2)
-        nptest.assert_allclose(squared.coefficients, [0.75, 0.25], atol=1e-14)
-
-    @pytest.mark.parametrize("m", [1, 2, 5])
-    def test_power_consistency(self, m):
-        op = kantorovich_operator(3)
-        rng = np.random.default_rng(23)
-        f = random_function(rng)
-        stepped = apply_operator(op, operator_power_apply(op, f, m)).values(GRID)
-        direct = operator_power_apply(op, f, m + 1).values(GRID)
-        assert np.max(np.abs(stepped - direct)) <= 1e-12
-
-    def test_rejects_power_zero(self):
-        with pytest.raises(ConfigError):
-            operator_power_apply(bernstein_operator(2), ONE, 0)
+        coeffs = coefficient_vector(op, lambda xs: np.interp(xs, [0.0, 0.5, 1.0],
+                                                             [2.0, 0.0, 0.0]))
+        nptest.assert_allclose(coeffs, [1.0, 0.0], atol=1e-14)
+        nptest.assert_allclose(build_collocation_matrix(op).entries @ coeffs, [0.75, 0.25],
+                               atol=1e-14)

@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from pouspec.cli import main
-from pouspec.report import emit_report, parse_config, report_to_mapping, run_analyze
+from pouspec.report import (build_operator, emit_report, parse_config, report_to_mapping,
+                            run_analyze)
+from pouspec.spectra import MAX_DIMENSION
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,12 +87,26 @@ def test_compare_names_transitions_paths_and_lines(output_diff):
         "json": ["json: written -> not written"]}
 
 
-def _small_pool(monkeypatch):
-    """A three-entry stand-in for the benchmark pools."""
+def test_largest_configs_reach_the_top_dimension(output_diff):
+    configs = output_diff.largest_configs()
+    assert [c["config"] for c in configs] == [
+        "largest bernstein-499", "largest kantorovich-499", "largest hat-dirac-500",
+        "largest schoenberg-cubic-500", "largest hat-average-500"]
+    names = []
+    for config in configs:
+        assert config["stratum"] == "largest"
+        op = build_operator(parse_config(config["text"]))
+        assert op.n == MAX_DIMENSION
+        names.append(op.name)
+    assert names == ["bernstein(n=499)", "kantorovich(n=499)", "hat-dirac(500)",
+                     "schoenberg(deg 3, n=500)", "custom"]
+
+
+def _small_pool(output_diff, monkeypatch):
+    """A two-entry stand-in for the benchmark pools and a one-entry stand-in
+    for the largest configs."""
     texts = {"kantorovich": '{"operator": "kantorovich", "n": 2}\n',
-             "bernstein": '{"operator": "bernstein", "n": 3}\n',
-             "swap": '{"operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]}, '
-                     '"functionals": [{"kind": "dirac", "x": 1.0}, {"kind": "dirac", "x": 0.0}]}\n'}
+             "bernstein": '{"operator": "bernstein", "n": 3}\n'}
     workloads = types.ModuleType("perfbench.workloads")
     workloads.WORKLOADS = ("only",)
     workloads.pool = lambda workload: {
@@ -98,10 +114,14 @@ def _small_pool(monkeypatch):
         for name, text in texts.items()}
     monkeypatch.setitem(sys.modules, "perfbench.workloads", workloads)
     monkeypatch.setattr(sys, "path", list(sys.path))
+    swap = ('{"operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]}, '
+            '"functionals": [{"kind": "dirac", "x": 1.0}, {"kind": "dirac", "x": 0.0}]}\n')
+    monkeypatch.setattr(output_diff, "largest_configs", lambda: [
+        {"config": "largest swap", "stratum": "largest", "text": swap}])
 
 
 def test_output_diff_of_a_tree_against_itself_is_identical(output_diff, monkeypatch, capsys):
-    _small_pool(monkeypatch)
+    _small_pool(output_diff, monkeypatch)
     src = str(ROOT / "src")
     assert output_diff.main([src, src]) == 0
     assert capsys.readouterr().out == "identical (3 configs)\n"
@@ -111,7 +131,7 @@ def test_output_diff_names_exactly_a_mutant_changed_paths(output_diff, tmp_path,
                                                            capsys):
     # A default iterate tolerance far below rounding: the limits found are
     # rejected, and nothing but the iterates moves.
-    _small_pool(monkeypatch)
+    _small_pool(output_diff, monkeypatch)
     mutant = tmp_path / "src"
     shutil.copytree(ROOT / "src" / "pouspec", mutant / "pouspec",
                     ignore=shutil.ignore_patterns("__pycache__"))

@@ -6,10 +6,12 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pouspec.bases import clamped_knots, make_bspline_basis, make_hat_basis
+from helpers import clamped_knots, random_breakpoints
+
+from pouspec.bases import make_bspline_basis, make_hat_basis
 from pouspec.functionals import DiracFunctional, WeightedQuadratureFunctional
 from pouspec.operators import OperatorSpec
-from pouspec.spectra import (CLASSIFICATION_VIOLATES, TOL_PERIPHERAL,
+from pouspec.spectra import (CLASSIFICATION_VIOLATES, MAX_DIMENSION, TOL_PERIPHERAL,
                              build_collocation_matrix, classify_spectrum, closed_classes,
                              eigenvalues, gershgorin_disks, iterate_limit)
 
@@ -91,5 +93,60 @@ def test_random_operator_obeys_theorem(op):
     assert np.max(np.abs(eigs)) <= 1.0 + 1e-8
     assert np.min(np.abs(eigs - 1.0)) <= 1e-8
     if matrix.diagonal_min() > TOL_PERIPHERAL:
+        spectrum = classify_spectrum(eigs, gershgorin_disks(matrix))
+        assert spectrum.classification != CLASSIFICATION_VIOLATES, spectrum.diagnostics
+
+
+#: Dimensions of the operators at scale, up to the largest the program
+#: analyses; the first is the one examples shrink towards.
+LADDER = (MAX_DIMENSION, 250, 100, 30, 10)
+
+
+def _random_functional(rng: np.random.Generator):
+    """A Dirac at a uniform point, or a rule on up to four uniform nodes
+    with weights uniform on the simplex."""
+    if rng.integers(0, 2):
+        return DiracFunctional(rng.uniform())
+    size = int(rng.integers(1, 5))
+    return WeightedQuadratureFunctional(rng.uniform(size=size), rng.dirichlet(np.ones(size)))
+
+
+@st.composite
+def operators_at_scale(draw) -> OperatorSpec:
+    """A hat basis on ``n`` random nodes, ``n`` from ``LADDER``, read by one
+    of three families of functionals. ``permuted``: hat ``k`` read at node
+    ``image[k]`` of a random permutation, so each cycle of length d is a
+    closed class of period d, then up to three rows redrawn as random
+    functionals, which joins or opens classes. ``lazy``: the same cycles
+    with weight on node ``k`` too, so every class is aperiodic. ``random``:
+    a random functional in every row."""
+    n = draw(st.sampled_from(LADDER))
+    kind = draw(st.sampled_from(("permuted", "lazy", "random")))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    nodes = random_breakpoints(rng, interior=n - 2)
+    image = rng.permutation(n)
+    if kind == "permuted":
+        funcs = [DiracFunctional(nodes[j]) for j in image]
+        for k in rng.choice(n, size=int(rng.integers(0, 4)), replace=False):
+            funcs[k] = _random_functional(rng)
+    elif kind == "lazy":
+        stay = rng.uniform(0.1, 0.9, size=n)
+        funcs = [WeightedQuadratureFunctional([nodes[k], nodes[j]], [stay[k], 1.0 - stay[k]])
+                 for k, j in enumerate(image)]
+    else:
+        funcs = [_random_functional(rng) for _ in range(n)]
+    return OperatorSpec(make_hat_basis(nodes), funcs, name=kind)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(operators_at_scale())
+def test_closed_class_periods_count_the_peripheral_eigenvalues(op):
+    # Each closed class of period d puts the d-th roots of unity on the
+    # unit circle, and every other eigenvalue lies strictly inside.
+    matrix = build_collocation_matrix(op)
+    periods = closed_classes(matrix)[1]
+    eigs = eigenvalues(matrix)
+    assert periods.sum() == np.count_nonzero(np.abs(eigs) >= 1.0 - TOL_PERIPHERAL)
+    if periods.max() == 1:
         spectrum = classify_spectrum(eigs, gershgorin_disks(matrix))
         assert spectrum.classification != CLASSIFICATION_VIOLATES, spectrum.diagnostics

@@ -686,6 +686,9 @@ class TestCli:
             (_hat_custom([{"kind": "dirac", "x": 0.0},
                           {"kind": "interval-average", "a": 0.5, "b": 0.2}]),
              "functional[1]: interval average requires a < b, got [0.5, 0.2]"),
+            (b'\xff\xfe{"operator": "bernstein", "n": 3}',
+             "configuration is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"),
+            ("[" * 100_000, "configuration is not valid JSON: nested too deeply"),
         ]),
         (KANT1_CONFIG, "'seed' must be an integer >= 0, got -1", ["verify", "--seed", "-1"]),
     ], ids=["n-zero", "nan-tolerance", "infinite-norm-tolerance", "nan-pou-tolerance",
@@ -699,10 +702,13 @@ class TestCli:
             "removed-m-max", "unknown-top-level-key", "other-kind-parameter", "unknown-tolerance",
             "removed-stochastic-tolerance", "unknown-iterate-key", "unknown-output-flag",
             "dirac-with-a", "hat-basis-with-n", "float-version", "quadrature-lengths-differ", "empty-quadrature",
-            "average-a-above-b", "negative-seed-override"])
+            "average-a-above-b", "not-utf8", "nested-too-deeply", "negative-seed-override"])
     def test_bad_config_exits_two(self, tmp_path, capsys, text, named, command):
         config = tmp_path / "bad.json"
-        config.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            config.write_bytes(text)
+        else:
+            config.write_text(text, encoding="utf-8")
         assert main([*command, "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert named in err

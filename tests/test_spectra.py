@@ -9,8 +9,8 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from helpers import (bernstein_eigenvalue_oracle, bernstein_value, collocation_rowwise,
-                     gershgorin_rowwise, kantorovich_eigenvalue_oracle,
+from helpers import (bernstein_eigenvalue_oracle, bernstein_value, clamped_knots,
+                     collocation_rowwise, gershgorin_rowwise, kantorovich_eigenvalue_oracle,
                      kantorovich_matrix_exact, kantorovich_matrix_oracle,
                      random_breakpoints, random_stochastic, sort_eigenvalues_by_key)
 
@@ -18,7 +18,7 @@ from pouspec import spectra
 from pouspec.errors import ConfigError, UnsupportedSizeError
 from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
                                  WeightedQuadratureFunctional)
-from pouspec.bases import BasisSystem, clamped_knots, make_bernstein_basis, make_hat_basis
+from pouspec.bases import BasisSystem, make_bernstein_basis, make_hat_basis
 from pouspec.operators import OperatorSpec, bernstein_operator, hat_dirac_operator, \
     kantorovich_operator, schoenberg_operator
 from pouspec.spectra import (MAX_DIMENSION, ORACLE_MAX_DIMENSION, CollocationMatrix,

@@ -6,8 +6,8 @@ Usage, from the repository root::
 
 Each ``*_SRC`` is a directory that holds the ``pouspec`` package (``src``
 of a checkout). Every config of the three benchmark pools
-(``perfbench.workloads.pool``, read from this checkout) is analysed once
-per tree, each tree in its own child process so that each imports its own
+(``perfbench.workloads.pool``, read from this checkout) and the five
+largest configs of :func:`largest_configs` is analysed once per tree, each tree in its own child process so that each imports its own
 ``pouspec``: in-process through ``pouspec.cli.main``, BLAS pinned to one
 thread, writing the JSON, CSV and SVG outputs, ``timings`` left out.
 
@@ -98,6 +98,33 @@ def pool_configs() -> list[dict]:
     return [{"config": f"{workload} {entry_id}", "stratum": f"{workload}/{entry.stratum}",
              "text": entry.text()}
             for workload in WORKLOADS for entry_id, entry in pool(workload).items()]
+
+
+def _uniform(count: int) -> list[float]:
+    return [k / (count - 1) for k in range(count)]
+
+
+def largest_configs() -> list[dict]:
+    """``config``, ``stratum`` and ``text`` of the five configs at the
+    largest dimension the program analyses (500, ``MAX_DIMENSION``), which
+    the pools do not reach: Bernstein and Kantorovich of degree 499,
+    hat-Dirac on 500 uniform nodes, cubic Schoenberg with 500 functions on
+    uniform breakpoints, and a hat basis on 500 uniform nodes with one cell
+    average per hat."""
+    nodes = _uniform(500)
+    edges = [0.0] + [(a + b) / 2.0 for a, b in zip(nodes, nodes[1:])] + [1.0]
+    configs = {
+        "bernstein-499": {"operator": "bernstein", "n": 499},
+        "kantorovich-499": {"operator": "kantorovich", "n": 499},
+        "hat-dirac-500": {"operator": "hat-dirac", "nodes": nodes},
+        "schoenberg-cubic-500": {"operator": "schoenberg", "degree": 3,
+                                 "knots": [0.0] * 3 + _uniform(498) + [1.0] * 3},
+        "hat-average-500": {"operator": "custom", "basis": {"kind": "hat", "nodes": nodes},
+                            "functionals": [{"kind": "interval-average", "a": a, "b": b}
+                                            for a, b in zip(edges, edges[1:])]},
+    }
+    return [{"config": f"largest {name}", "stratum": "largest", "text": json.dumps(config)}
+            for name, config in configs.items()]
 
 
 def dump(src: Path, configs_path: Path) -> None:
@@ -203,7 +230,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no pouspec package under {src}")
     with tempfile.TemporaryDirectory() as tmp:
         configs_path = Path(tmp) / "configs.json"
-        configs_path.write_text(json.dumps(pool_configs()), encoding="utf-8")
+        configs_path.write_text(json.dumps(pool_configs() + largest_configs()),
+                                encoding="utf-8")
         return _compare_children(_children(srcs, configs_path))
 
 
