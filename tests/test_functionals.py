@@ -9,8 +9,9 @@ import pytest
 from helpers import bernstein_antiderivative, one, pairing, random_function_oracle
 
 from pouspec.errors import ConfigError
-from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
-                                 WeightedQuadratureFunctional,
+from pouspec.functionals import (DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
+                                 DiracFunctional, IntervalAverageFunctional,
+                                 WeightedQuadratureFunctional, _gauss_legendre_rule,
                                  check_functional_normalization,
                                  make_kantorovich_functionals)
 from pouspec.bases import make_bernstein_basis
@@ -27,6 +28,30 @@ class TestGaussLegendre:
     def test_cubic_exact(self):
         assert pairing(IntervalAverageFunctional(0.0, 1.0), lambda xs: xs ** 3) == \
             pytest.approx(0.25, abs=1e-15)
+
+    def test_linear_on_half_interval(self):
+        # The rule itself integrates; the average divides by b - a.
+        xs, ws = _gauss_legendre_rule(0.0, 0.5)
+        assert ws @ xs == pytest.approx(0.125, abs=1e-15)
+
+    def test_rule_nodes_inside_each_panel(self):
+        xs, ws = _gauss_legendre_rule(0.2, 0.6)
+        assert xs.size == ws.size == DEFAULT_QUAD_ORDER * DEFAULT_QUAD_PANELS
+        panels = xs.reshape(DEFAULT_QUAD_PANELS, DEFAULT_QUAD_ORDER)
+        edges = np.linspace(0.2, 0.6, DEFAULT_QUAD_PANELS + 1)
+        assert np.all(panels > edges[:-1, None]) and np.all(panels < edges[1:, None])
+        assert np.all(np.diff(xs) > 0) and ws.min() > 0.0
+        assert ws.sum() == pytest.approx(0.4, abs=1e-15)
+
+    def test_rule_symmetric_about_the_midpoint(self):
+        xs, ws = _gauss_legendre_rule(0.0, 1.0)
+        nptest.assert_allclose(xs + xs[::-1], 1.0, rtol=0, atol=1e-15)
+        nptest.assert_allclose(ws, ws[::-1], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("degree", [7, 11, 15])
+    def test_exact_on_the_unit_interval(self, degree):
+        assert pairing(IntervalAverageFunctional(0.0, 1.0), lambda xs: xs ** degree) == \
+            pytest.approx(1.0 / (degree + 1), rel=1e-14)
 
     def test_degree_fifteen_exact_on_a_panel(self):
         # The first of the four panels of [0, 1] is [0, 1/4].

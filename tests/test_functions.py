@@ -6,8 +6,10 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from pouspec.functions import (DOMAIN_SLACK, PIECEWISE_LINEAR, POLYNOMIAL,
-                               TEST_POLYNOMIAL_WIDTH, draw_test_functions, grid)
+from pouspec.errors import ConfigError, DomainError
+from pouspec.functions import (COSINE, DOMAIN_SLACK, PIECEWISE_LINEAR, POLYNOMIAL, SINE,
+                               TEST_POLYNOMIAL_WIDTH, _horner, draw_test_functions, grid,
+                               outside_domain, require_in_domain)
 
 from helpers import catalog_values_oracle, random_function_oracle
 
@@ -15,6 +17,34 @@ from helpers import catalog_values_oracle, random_function_oracle
 def test_grid_endpoints():
     xs = grid(11)
     assert xs[0] == 0.0 and xs[-1] == 1.0 and xs.size == 11
+
+
+@pytest.mark.parametrize("points", [1, 0, -3])
+def test_grid_needs_two_points(points):
+    with pytest.raises(ConfigError, match=f"grid needs at least 2 points, got {points}"):
+        grid(points)
+
+
+class TestDomain:
+    def test_out_of_domain_raises(self):
+        # The first point outside is named, not the farthest.
+        with pytest.raises(DomainError, match=r"^check: x=-0.3 outside domain \[0.0, 1.0\]$"):
+            require_in_domain(np.array([0.2, -0.3, 1.4]), "check")
+
+    def test_nan_is_outside(self):
+        xs = np.array([0.5, np.nan])
+        assert outside_domain(xs).tolist() == [False, True]
+        with pytest.raises(DomainError, match="x=nan outside"):
+            require_in_domain(xs, "check")
+
+    def test_slack_is_inside(self):
+        xs = np.array([-DOMAIN_SLACK, 0.0, 1.0, 1.0 + DOMAIN_SLACK])
+        assert not outside_domain(xs).any()
+        require_in_domain(xs, "check")
+
+    def test_just_past_the_slack_is_outside(self):
+        xs = np.array([-2 * DOMAIN_SLACK, 0.5, 1.0 + 2 * DOMAIN_SLACK])
+        assert outside_domain(xs).tolist() == [True, False, True]
 
 
 def _all_values(draw, xs: np.ndarray) -> np.ndarray:
@@ -62,6 +92,57 @@ class ScriptedGenerator:
         return low + (high - low) * np.array([next(self._units) for _ in range(size)])
 
 
+class TestEvaluation:
+    """Scripted draws of each kind, evaluated at points with known values."""
+
+    def test_constant_one(self):
+        # A polynomial of one term, its coefficient drawn from [-1, 1].
+        draw = draw_test_functions(ScriptedGenerator([0, 1], [1.0]), 1)
+        assert draw.name(0) == "poly(deg 0)"
+        assert draw.values(np.array([0]), grid(5)).tolist() == [[1.0] * 5]
+
+    def test_polynomial_horner(self):
+        # 1 - 2x + 3x^2, leading coefficient first; zero padding on the left
+        # of a row leaves its values unchanged.
+        xs = np.array([0.0, 0.5, 1.0])
+        nptest.assert_allclose(_horner(np.array([[3.0, -2.0, 1.0]]), xs),
+                               [[1.0, 0.75, 2.0]], rtol=0, atol=1e-15)
+        padded = _horner(np.array([[0.0, 0.0, 3.0, -2.0, 1.0]]), xs)
+        assert padded.tobytes() == _horner(np.array([[3.0, -2.0, 1.0]]), xs).tobytes()
+
+    def test_catalog_sine(self):
+        # Frequency 1, amplitude 1 (the top of [-1, 1]), the sine.
+        draw = draw_test_functions(ScriptedGenerator([1, 1, 0], [1.0]), 1)
+        assert draw.kinds[0] == SINE and draw.name(0) == "0+1*sin(2pi*1x)"
+        nptest.assert_allclose(draw.values(np.array([0]), np.array([0.0, 0.25, 0.75])),
+                               [[0.0, 1.0, -1.0]], rtol=0, atol=1e-15)
+
+    def test_cosine(self):
+        # Frequency 2, amplitude 1, the cosine, raised by one when nonnegative.
+        draw = draw_test_functions(ScriptedGenerator([1, 2, 1], [1.0]), 1, nonnegative=True)
+        assert draw.kinds[0] == COSINE and draw.name(0) == "1+1*cos(2pi*2x)"
+        nptest.assert_allclose(draw.values(np.array([0]), np.array([0.0, 0.25, 0.5])),
+                               [[2.0, 0.0, 2.0]], rtol=0, atol=1e-15)
+
+    def test_sampled_linear_interpolation(self):
+        # Two breakpoints 0.25 < 0.5; samples -1, 0, 1, 0 (mapped from [0, 1]
+        # onto [-1, 1]) at 0, 0.25, 0.5, 1.
+        draw = draw_test_functions(ScriptedGenerator([2, 2], [0.5, 0.25, 0.0, 0.5, 1.0, 0.5]), 1)
+        assert draw.samples[0][0].tolist() == [0.0, 0.25, 0.5, 1.0]
+        nptest.assert_allclose(draw.values(np.array([0]), np.array([0.125, 0.375, 0.75])),
+                               [[-0.5, 0.5, 0.5]], rtol=0, atol=1e-15)
+
+    def test_vectorized_matches_scalar(self):
+        xs = np.random.default_rng(0).uniform(size=50)
+        for nonnegative in (False, True):
+            draw = draw_test_functions(np.random.default_rng(8), 100, nonnegative)
+            for block in draw.kind_blocks(100):
+                rows = draw.values(block, xs)
+                for j, x in enumerate(xs):
+                    assert draw.values(block, np.array([x]))[:, 0].tobytes() == \
+                        rows[:, j].tobytes()
+
+
 class TestDrawnTestFunctions:
     #: The verification grid, scattered nodes, and both ends just outside
     #: [0, 1] but inside DOMAIN_SLACK.
@@ -103,6 +184,32 @@ class TestDrawnTestFunctions:
             assert draw.name(i) == single.name == "pwl(4)"
             assert draw.values(np.array([i]), self.XS).tobytes() == \
                 single(self.XS).tobytes()
+
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    def test_draws_of_one_in_sequence_equal_one_draw(self, nonnegative):
+        # Each trial takes its own generator calls, in order, so drawing one
+        # at a time continues the same stream as drawing 40 at once.
+        rng = np.random.default_rng(3)
+        whole_rng = np.random.default_rng(3)
+        whole = draw_test_functions(whole_rng, 40, nonnegative)
+        for i in range(40):
+            single = draw_test_functions(rng, 1, nonnegative)
+            assert single.name(0) == whole.name(i)
+            assert single.values(np.array([0]), self.XS).tobytes() == \
+                whole.values(np.array([i]), self.XS).tobytes()
+        assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    def test_samples_span_the_unit_interval(self, nonnegative):
+        draw = draw_test_functions(np.random.default_rng(10), 200, nonnegative)
+        rows = np.flatnonzero(draw.kinds == PIECEWISE_LINEAR)
+        assert rows.size > 0
+        assert all(draw.samples[i] is None for i in np.flatnonzero(draw.kinds != PIECEWISE_LINEAR))
+        for i in rows:
+            xs, ys = draw.samples[i]
+            assert xs[0] == 0.0 and xs[-1] == 1.0 and np.all(np.diff(xs) > 0)
+            assert 3 <= xs.size <= 18 and ys.shape == xs.shape
+            assert ys.min() >= (0.0 if nonnegative else -1.0) and ys.max() < 1.0
 
     @pytest.mark.parametrize("size", [0, 1, 3, 100])
     def test_kind_blocks_partition_the_trials(self, size):

@@ -13,7 +13,7 @@ from pouspec.errors import ConfigError, DomainError, NotConstructibleError
 from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
                                  WeightedQuadratureFunctional,
                                  make_kantorovich_functionals)
-from pouspec.functions import grid
+from pouspec.functions import DrawnTestFunctions, draw_test_functions, grid
 from pouspec.operators import (OperatorSpec, _candidate_witness, bernstein_operator,
                                coefficient_vector, estimate_operator_norm,
                                greville_abscissae, hat_dirac_operator,
@@ -364,6 +364,40 @@ class TestBlockChecks:
         verify_positivity(op, GRID, op.default_values)
         estimate_operator_norm(op, GRID, op.default_values, seed=43)
         assert 0 < sum(rows) < 300 / 4
+
+    def test_checks_evaluate_each_trial_once(self, monkeypatch):
+        # Each check evaluates its drawn trials in kind-pure blocks of at
+        # most TRIAL_BLOCK_VALUES values, every trial in exactly one block.
+        calls = []
+        values = DrawnTestFunctions.values
+        monkeypatch.setattr(DrawnTestFunctions, "values",
+                            lambda self, rows, xs: calls.append(
+                                (rows, self.kinds[rows], xs.size)) or values(self, rows, xs))
+        op = kantorovich_operator(4)
+        basis_values = op.basis.values(GRID)
+        for check, trials in ((verify_positivity, 100), (estimate_operator_norm, 200),
+                              (verify_norm_bound, 200)):
+            calls.clear()
+            check(op, GRID, basis_values)
+            assert sorted(np.concatenate([rows for rows, _, _ in calls]).tolist()) == \
+                list(range(trials))
+            for _, kinds, points in calls:
+                assert np.unique(kinds).size == 1
+                assert kinds.size * points <= operators.TRIAL_BLOCK_VALUES
+
+    def test_only_the_reported_trial_is_named(self, monkeypatch):
+        named = []
+        name = DrawnTestFunctions.name
+        monkeypatch.setattr(DrawnTestFunctions, "name",
+                            lambda self, i: named.append(i) or name(self, i))
+        op = kantorovich_operator(4)
+        basis_values = op.basis.values(GRID)
+        result = verify_positivity(op, GRID, basis_values, seed=5)
+        draw = draw_test_functions(np.random.default_rng(5), 100, nonnegative=True)
+        assert len(named) == 1
+        assert result.detail.endswith(f"at f = {name(draw, named[0])}")
+        estimate_operator_norm(op, GRID, basis_values)
+        assert len(named) == 1
 
     def test_norm_grid_outside_domain_rejected(self):
         op = bernstein_operator(2)
