@@ -111,7 +111,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         config = config.with_seed(args.seed)
     op = build_operator(config)
     results = [
-        *run_checks(op, config).values(),
+        *run_checks(op, config)[0].values(),
         check_row_stochastic(build_collocation_matrix(op), TOL_STOCHASTIC),
     ]
     print(f"operator: {op.name}")

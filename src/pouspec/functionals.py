@@ -28,18 +28,36 @@ from .errors import ConfigError
 DEFAULT_QUAD_ORDER = 8
 DEFAULT_QUAD_PANELS = 4
 
+#: Default slack of the normalization check, on each negative weight and on
+#: the mass.
+NORMALIZATION_TOL = 1e-12
+
 #: Gauss-Legendre nodes and weights of ``DEFAULT_QUAD_ORDER`` points on [-1, 1].
 _REFERENCE_NODES, _REFERENCE_WEIGHTS = np.polynomial.legendre.leggauss(DEFAULT_QUAD_ORDER)
+
+#: Panel edge indices ``0 .. DEFAULT_QUAD_PANELS`` as floats.
+_PANEL_EDGES = np.arange(DEFAULT_QUAD_PANELS + 1.0)
 
 
 def _gauss_legendre_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule on ``[a, b]``: the reference
-    rule on each of ``DEFAULT_QUAD_PANELS`` equal panels."""
-    edges = np.linspace(a, b, DEFAULT_QUAD_PANELS + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    xs = (mid[:, None] + half[:, None] * _REFERENCE_NODES[None, :]).ravel()
-    ws = (half[:, None] * _REFERENCE_WEIGHTS[None, :]).ravel()
+    rule on each of ``DEFAULT_QUAD_PANELS`` equal panels.
+
+    The panel edges have the bits of ``np.linspace(a, b, panels + 1)``, by
+    its own arithmetic without its overhead: ``k * step + a`` with the last
+    edge set to ``b``, or ``k / panels * (b - a) + a`` when the step
+    underflows to zero."""
+    delta = b - a
+    step = delta / DEFAULT_QUAD_PANELS
+    if step == 0.0:
+        edges = _PANEL_EDGES / DEFAULT_QUAD_PANELS * delta + a
+    else:
+        edges = _PANEL_EDGES * step + a
+    edges[-1] = b
+    half = (edges[1:, None] - edges[:-1, None]) / 2.0
+    mid = (edges[:-1, None] + edges[1:, None]) / 2.0
+    xs = (mid + half * _REFERENCE_NODES).ravel()
+    ws = (half * _REFERENCE_WEIGHTS).ravel()
     return xs, ws
 
 
@@ -112,7 +130,7 @@ def make_kantorovich_functionals(n: int) -> tuple[IntervalAverageFunctional, ...
 
 
 def check_functional_normalization(functional: Functional,
-                                   tol: float = 1e-12) -> CheckResult:
+                                   tol: float = NORMALIZATION_TOL) -> CheckResult:
     """Exact structural check: every weight is ``>= -tol`` and the total
     mass is within ``tol`` of one. The value is the larger of the mass
     deviation and the magnitude of the most negative weight."""
@@ -128,3 +146,24 @@ def check_functional_normalization(functional: Functional,
         detail=(f"min weight {float(weights[i])!r} at node {float(functional.nodes[i])!r}, "
                 f"|sum w - 1| = {mass_dev:.3e}"),
     )
+
+
+def first_unnormalized(weights: np.ndarray, starts: np.ndarray) -> int:
+    """Index of the first rule that :func:`check_functional_normalization`
+    fails at its default tolerance, or the number of rules when none does;
+    rule ``k`` is ``weights[starts[k]:starts[k + 1]]`` (the last runs to
+    the end).
+
+    One pass over all rules instead of a call per rule. The least weight of
+    each rule is ``np.minimum.reduceat``, which is exact. The mass of each
+    rule is a row sum over the rules of one size gathered as a ``(count,
+    size)`` matrix, which has the bits of that rule's own ``weights.sum()``
+    (``np.add.reduceat`` sums in another order)."""
+    sizes = np.diff(starts, append=weights.size)
+    mass = np.empty(starts.size)
+    for size in np.unique(sizes).tolist():
+        rules = np.flatnonzero(sizes == size)
+        mass[rules] = weights[starts[rules, None] + np.arange(size)].sum(axis=1)
+    passed = ((np.minimum.reduceat(weights, starts) >= -NORMALIZATION_TOL)
+              & (np.abs(mass - 1.0) <= NORMALIZATION_TOL))
+    return starts.size if passed.all() else int(np.argmin(passed))

@@ -6,11 +6,12 @@ an object. :func:`require_in_domain` checks points against [0, 1] and
 :func:`grid` spreads points over it. :func:`draw_test_functions` draws the
 test functions of the positivity and norm checks as parameter arrays: a
 kind code per trial, zero-padded polynomial coefficients, wave parameters
-and piecewise-linear samples. Its :meth:`~DrawnTestFunctions.values`
-evaluates a kind-pure block of trials in one pass, with the same bits as
-each trial's own one-dimensional formula, and
-:meth:`~DrawnTestFunctions.name` names one trial. Instances are immutable
-after construction and safe to share between threads.
+and piecewise-linear samples. Its :meth:`~DrawnTestFunctions.blocks`
+evaluates the trials in kind-pure blocks, each block in one pass and each
+wave frequency once per point set, with the same bits as each trial's own
+one-dimensional formula, and :meth:`~DrawnTestFunctions.name` names one
+trial. Instances are immutable after construction and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -99,37 +100,43 @@ class DrawnTestFunctions:
     samples: list
     nonnegative: bool
 
-    def kind_blocks(self, size: int):
-        """Index arrays of at most ``size`` trials (and at least one), all of
-        one kind and in increasing order; every trial is in one block."""
+    def blocks(self, size: int, xs: np.ndarray):
+        """Yield ``(rows, values)`` for every trial once, in index arrays
+        ``rows`` of at most ``size`` trials (and at least one), all of one
+        kind and in increasing order; row ``j`` of the fresh array
+        ``values`` is trial ``rows[j]`` on ``xs``, with the bits of that
+        trial's own formula: Horner's rule from the leading coefficient,
+        ``offset + amplitude * trig(omega x)`` or ``np.interp`` of its
+        samples. ``xs`` is not checked against [0, 1]: the caller's points
+        lie there already (an operator's nodes by construction, a check grid
+        by the check's own test of it).
+
+        Polynomials share one Horner loop over the block's widest
+        coefficients; each piecewise-linear trial is one ``np.interp``. A
+        wave kind evaluates ``trig(omega x)`` once per distinct frequency
+        it draws, in one table held only while its blocks are yielded; a
+        wave trial is then its table row times its amplitude plus the
+        offset, the same operations in the same order as its own formula."""
         size = max(1, size)
         for kind in (POLYNOMIAL, SINE, COSINE, PIECEWISE_LINEAR):
             rows = np.flatnonzero(self.kinds == kind)
+            if kind in (SINE, COSINE) and rows.size:
+                omegas, slot = np.unique(self.omega[rows], return_inverse=True)
+                table = np.multiply.outer(omegas, xs)
+                (np.cos if kind == COSINE else np.sin)(table, out=table)
             for start in range(0, rows.size, size):
-                yield rows[start:start + size]
-
-    def values(self, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Row ``j`` is trial ``rows[j]`` on ``xs``, for trials ``rows`` all
-        of one kind, with the bits of that trial's own formula: Horner's rule
-        from the leading coefficient, ``offset + amplitude * trig(omega x)``
-        or ``np.interp`` of its samples. ``xs`` is not checked against
-        [0, 1]: the caller's points lie there already (an operator's nodes by
-        construction, a check grid by the check's own test of it).
-        Polynomials share one Horner loop over the block's widest
-        coefficients, waves one ``np.sin`` or ``np.cos``; each
-        piecewise-linear trial is one ``np.interp``."""
-        kind = self.kinds[rows[0]]
-        if kind == POLYNOMIAL:
-            width = int(self.terms[rows].max())
-            return _horner(self.coefficients[rows, TEST_POLYNOMIAL_WIDTH - width:], xs)
-        if kind == PIECEWISE_LINEAR:
-            return np.array([np.interp(xs, *self.samples[i]) for i in rows])
-        trig = np.cos if kind == COSINE else np.sin
-        out = self.omega[rows, None] * xs
-        trig(out, out=out)
-        out *= self.amplitude[rows, None]
-        out += self.offset
-        return out
+                block = rows[start:start + size]
+                if kind == POLYNOMIAL:
+                    width = int(self.terms[block].max())
+                    values = _horner(self.coefficients[block, TEST_POLYNOMIAL_WIDTH - width:],
+                                     xs)
+                elif kind == PIECEWISE_LINEAR:
+                    values = np.array([np.interp(xs, *self.samples[i]) for i in block])
+                else:
+                    values = table[slot[start:start + size]]
+                    values *= self.amplitude[block, None]
+                    values += self.offset
+                yield block, values
 
     def name(self, i: int) -> str:
         """Trial ``i``'s name: ``poly(deg d)^2`` (a squared polynomial),

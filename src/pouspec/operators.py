@@ -9,19 +9,25 @@ against a clamped B-spline basis).
 
 A function enters only through its values: :func:`coefficient_vector`
 takes a plain vectorized callable and evaluates it once on the operator's
-joined nodes. The verification helpers measure, on a grid the caller
-passes in and with seeded random test functions: constant reproduction,
-positivity, the unit operator norm and an explicit nonzero kernel
-witness. Each takes the grid and ``values``, the basis evaluated on it
-once by the caller (shape ``(n, len(grid))``); none evaluates the basis
-itself.
+joined nodes. Construction checks the normalization of every functional
+in one pass over the joined rule
+(:func:`~pouspec.functionals.first_unnormalized`). The verification
+helpers measure, on a grid the caller passes in and with seeded random
+test functions: constant reproduction, positivity, the unit operator norm
+and an explicit nonzero kernel witness. Each takes the grid and
+``values``, the basis evaluated on it once by the caller (shape ``(n,
+len(grid))``); none evaluates the basis itself. The kernel witness is
+evaluated once, on the grid and the joined nodes together, by array
+passes: a 2-D sine reduced along the node axis for a product of sines,
+one ``searchsorted`` for a cellwise sine.
 
 The positivity and norm checks draw all their test functions first, as
 parameter arrays (:func:`~pouspec.functions.draw_test_functions`), and
 run in two passes. Pass 1 works through them in kind-pure blocks of at
 most ``TRIAL_BLOCK_VALUES`` values: the block's values on the joined nodes
 (the norm check adds the grid, for ``||f||``) in one pass (one Horner loop
-for polynomials, one ``np.sin`` or ``np.cos`` for waves, one ``np.interp``
+for polynomials, a row of the check's table of ``trig(omega x)``, one per
+distinct frequency, scaled and shifted for each wave, one ``np.interp``
 per piecewise-linear trial), and the coefficients of the whole block by
 one ``np.add.reduceat`` along its rows. It keeps the ``(trials, n)``
 coefficient matrix and one bound per trial. ``Tf(x)`` combines the
@@ -54,7 +60,7 @@ from .errors import ConfigError, NotConstructibleError
 from .functions import draw_test_functions, grid, outside_domain, require_in_domain
 from .functionals import (DiracFunctional, Functional, IntervalAverageFunctional,
                           WeightedQuadratureFunctional,
-                          check_functional_normalization,
+                          check_functional_normalization, first_unnormalized,
                           make_kantorovich_functionals)
 
 #: Residual bound a kernel witness must meet on the verification grid.
@@ -69,6 +75,10 @@ WITNESS_MIN_NORM = 0.5
 #: larger ones raise peak memory: against 2**13, the benchmark's
 #: catalog-sweep measured +0.4 MB of peak RSS at 2**14 and +4.7 MB at 2**18.
 TRIAL_BLOCK_VALUES = 2 ** 13
+
+#: Most factors (points times nodes) the node-vanishing product of sines
+#: holds at once, 512 KB of float64; a block always holds at least one point.
+WITNESS_BLOCK_VALUES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -142,13 +152,16 @@ class OperatorSpec:
             object.__setattr__(self, "default_values", values)
             # Functional k is checked for its nodes, then for its mass, in
             # order of k: the first functional with a node outside [0, 1]
-            # raises after the normalization of those before it.
-            for k, functional in enumerate(self.functionals[:first_outside]):
+            # raises after the normalization of those before it. One pass
+            # finds the first unnormalized functional; only that one is
+            # checked on its own, for the message.
+            k = first_unnormalized(self.weights, self.starts)
+            if k < first_outside:
+                functional = self.functionals[k]
                 norm = check_functional_normalization(functional)
-                if not norm.passed:
-                    raise ConfigError(f"{self.name}: functional {k} ({functional.name}) "
-                                      f"is not a nonnegative rule of unit mass "
-                                      f"({norm.detail})")
+                raise ConfigError(f"{self.name}: functional {k} ({functional.name}) "
+                                  f"is not a nonnegative rule of unit mass "
+                                  f"({norm.detail})")
         if first_outside < self.n:
             functional = self.functionals[first_outside]
             require_in_domain(functional.nodes,
@@ -304,8 +317,8 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
         raise ConfigError(f"trials must be >= 1, got {trials}")
     draw = draw_test_functions(np.random.default_rng(seed), trials, nonnegative=True)
     coeffs = np.empty((trials, op.n))
-    for rows in draw.kind_blocks(TRIAL_BLOCK_VALUES // op.nodes.size):
-        coeffs[rows] = _coefficients(op, draw.values(rows, op.nodes))
+    for rows, on_nodes in draw.blocks(TRIAL_BLOCK_VALUES // op.nodes.size, op.nodes):
+        coeffs[rows] = _coefficients(op, on_nodes)
     lower = _image_lower_bounds(coeffs, values)
     # The worst is the least (value, trial) pair, so a tie goes to the
     # first trial: a trial whose bound equals the worst value is computed.
@@ -360,8 +373,7 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarra
     points = np.concatenate((op.nodes, grid))
     coeffs = np.empty((trials, op.n))
     denom = np.empty(trials)
-    for rows in draw.kind_blocks(TRIAL_BLOCK_VALUES // points.size):
-        block_values = draw.values(rows, points)
+    for rows, block_values in draw.blocks(TRIAL_BLOCK_VALUES // points.size, points):
         on_grid = block_values[:, nodes:]
         denom[rows] = np.abs(on_grid, out=on_grid).max(axis=1)
         coeffs[rows] = _coefficients(op, block_values[:, :nodes])
@@ -415,11 +427,49 @@ def _equally_spaced(values: np.ndarray) -> bool:
     return bool(np.max(np.abs(gaps - gaps[0])) <= 1e-9)
 
 
+def _sine_product(nodes: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``prod_k sin(pi (x - nodes[k]))`` at each ``x`` of ``xs``. Each block
+    of at most ``WITNESS_BLOCK_VALUES`` factors (at least one point) is one
+    2-D ``np.sin`` reduced along the node axis by ``np.multiply.reduce``,
+    which multiplies the factors in the order of ``nodes``, as a loop over
+    the nodes would."""
+    out = np.empty_like(xs)
+    step = max(1, WITNESS_BLOCK_VALUES // nodes.size)
+    for lo in range(0, xs.size, step):
+        factors = xs[None, lo:lo + step] - nodes[:, None]
+        factors *= np.pi
+        np.sin(factors, out=factors)
+        np.multiply.reduce(factors, axis=0, out=out[lo:lo + step])
+    return out
+
+
+def _cellwise_sine(starts: np.ndarray, widths: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """One full sine period ``sin(2 pi (x - a) / width)`` on each cell ``[a,
+    a + width]`` (``starts`` ascending) and zero outside every cell. A point
+    in two cells, where cells meet or overlap by up to 1e-12, takes the
+    value of the later cell. One ``searchsorted`` finds the last cell that
+    starts at or before each point; a cell narrower than the overlap can
+    end before a point that an earlier cell still holds, and such a point
+    steps back to that cell."""
+    ends = starts + widths
+    reach = np.maximum.accumulate(ends)
+    cell = np.searchsorted(starts, xs, side="right") - 1
+    back = (cell > 0) & (xs > ends[cell]) & (xs <= reach[cell - 1])
+    while back.any():
+        cell[back] -= 1
+        back &= (cell > 0) & (xs > ends[cell]) & (xs <= reach[cell - 1])
+    inside = (cell >= 0) & (xs <= ends[cell])
+    out = np.zeros_like(xs)
+    held = cell[inside]
+    out[inside] = np.sin(2.0 * np.pi * (xs[inside] - starts[held]) / widths[held])
+    return out
+
+
 def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> tuple[
-        str, Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """``(name, w, w_on_grid)``: a nonzero vectorized callable ``w``
-    annihilated by every functional, so ``Tw = 0``, with its name and its
-    values on the grid.
+        str, np.ndarray, np.ndarray]:
+    """``(name, on_grid, on_nodes)``: the name of a nonzero function ``w``
+    annihilated by every functional, so ``Tw = 0``, and its values on the
+    grid and on the operator's joined nodes, from one evaluation on both.
 
     Construction is analytic per functional kind. Point-type functionals
     (Dirac, finite quadrature) are killed by a sine vanishing at all node
@@ -433,75 +483,63 @@ def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> tuple[
     point_kinds = (DiracFunctional, WeightedQuadratureFunctional)
     all_point = all(isinstance(f, point_kinds) for f in op.functionals)
     all_average = all(isinstance(f, IntervalAverageFunctional) for f in op.functionals)
+    points = np.concatenate((grid, op.nodes))
 
     if all_point:
         nodes = _point_annihilation_nodes(op)
         if _equally_spaced(nodes):
             cells = nodes.size - 1
             name = f"sin({cells}pi(x-0)/1)"
-
-            def w(xs: np.ndarray) -> np.ndarray:
-                return np.sin(cells * np.pi * xs)
+            w = np.sin(cells * np.pi * points)
         else:
-            def product_of_sines(xs: np.ndarray) -> np.ndarray:
-                out = np.ones_like(xs)
-                for x0 in nodes:
-                    out *= np.sin(np.pi * (xs - x0))
-                return out
-
-            raw_on_grid = product_of_sines(grid)
-            peak = float(np.max(np.abs(raw_on_grid)))
+            w = _sine_product(nodes, points)
+            peak = float(np.max(np.abs(w[:grid.size])))
             if peak <= 0.0:
                 raise NotConstructibleError(
                     f"{op.name}: node-vanishing product is identically zero "
                     f"on the verification grid")
-            return (f"node-vanishing product ({nodes.size} nodes)",
-                    lambda xs: product_of_sines(xs) / peak, raw_on_grid / peak)
+            name = f"node-vanishing product ({nodes.size} nodes)"
+            w /= peak
     elif all_average:
-        cells = sorted(((f.a, f.b) for f in op.functionals), key=lambda c: c[0])
-        for (a0, b0), (a1, _) in zip(cells, cells[1:]):
-            if b0 > a1 + 1e-12:
-                raise NotConstructibleError(
-                    f"{op.name}: interval-average supports overlap "
-                    f"([{a0:g}, {b0:g}] and [{a1:g}, ...]); no cellwise witness")
-        widths = np.array([b - a for a, b in cells])
-        starts = np.array([a for a, _ in cells])
-        contiguous = (abs(starts[0]) <= 1e-12
-                      and abs(cells[-1][1] - 1.0) <= 1e-12
-                      and np.all(np.abs(starts[1:] - np.array(
-                          [b for _, b in cells[:-1]])) <= 1e-12))
+        order = np.argsort([f.a for f in op.functionals], kind="stable")
+        starts = np.array([f.a for f in op.functionals])[order]
+        stops = np.array([f.b for f in op.functionals])[order]
+        overlaps = np.flatnonzero(stops[:-1] > starts[1:] + 1e-12)
+        if overlaps.size:
+            k = overlaps[0]
+            raise NotConstructibleError(
+                f"{op.name}: interval-average supports overlap "
+                f"([{starts[k]:g}, {stops[k]:g}] and [{starts[k + 1]:g}, ...]); "
+                f"no cellwise witness")
+        widths = stops - starts
+        contiguous = (abs(starts[0]) <= 1e-12 and abs(stops[-1] - 1.0) <= 1e-12
+                      and np.all(np.abs(starts[1:] - stops[:-1]) <= 1e-12))
         if contiguous and np.max(np.abs(widths - widths[0])) <= 1e-9:
-            m = len(cells)
+            m = starts.size
             name = f"sin({2 * m}pi(x-0)/1)"
-
-            def w(xs: np.ndarray) -> np.ndarray:
-                return np.sin(2.0 * m * np.pi * xs)
+            w = np.sin(2.0 * m * np.pi * points)
         else:
-            name = f"cellwise sine ({len(cells)} cells)"
-
-            def w(xs: np.ndarray) -> np.ndarray:
-                out = np.zeros_like(xs)
-                for a, cw in zip(starts, widths):
-                    inside = (xs >= a) & (xs <= a + cw)
-                    out[inside] = np.sin(2.0 * np.pi * (xs[inside] - a) / cw)
-                return out
+            name = f"cellwise sine ({starts.size} cells)"
+            w = _cellwise_sine(starts, widths, points)
     else:
         kinds = sorted({type(f).__name__ for f in op.functionals})
         raise NotConstructibleError(
             f"{op.name}: no analytic kernel witness for mixed functional "
             f"kinds {kinds}")
 
-    return name, w, w(grid)
+    return name, w[:grid.size], w[grid.size:]
 
 
-def _verified(op: OperatorSpec, values: np.ndarray, w: Callable[[np.ndarray], np.ndarray],
-              w_on_grid: np.ndarray) -> tuple[float, float]:
+def _verified(op: OperatorSpec, values: np.ndarray, on_grid: np.ndarray,
+              on_nodes: np.ndarray) -> tuple[float, float]:
     """``(||w||, ||Tw||)`` on the grid, or :class:`NotConstructibleError`
     when ``w`` is too small (``||w||_inf < 0.5``) or not annihilated
-    (``||Tw||_inf > 1e-10``); ``values`` is the basis and ``w_on_grid`` the
-    witness evaluated on the grid."""
-    witness_norm = float(np.max(np.abs(w_on_grid)))
-    residual = float(np.max(np.abs(coefficient_vector(op, w) @ values)))
+    (``||Tw||_inf > 1e-10``); ``values`` is the basis on the grid and
+    ``on_grid`` and ``on_nodes`` the witness on the grid and on the joined
+    nodes."""
+    witness_norm = float(np.max(np.abs(on_grid)))
+    coeffs = np.add.reduceat(op.weights * on_nodes, op.starts)
+    residual = float(np.max(np.abs(coeffs @ values)))
     if witness_norm < WITNESS_MIN_NORM or residual > WITNESS_RESIDUAL_TOL:
         raise NotConstructibleError(
             f"{op.name}: witness verification failed "
@@ -515,8 +553,8 @@ def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
     witness is reported as a failed check rather than silently skipped."""
     grid = nonempty_grid(grid, values, "kernel-witness")
     try:
-        name, w, w_on_grid = _candidate_witness(op, grid)
-        witness_norm, residual = _verified(op, values, w, w_on_grid)
+        name, on_grid, on_nodes = _candidate_witness(op, grid)
+        witness_norm, residual = _verified(op, values, on_grid, on_nodes)
     except NotConstructibleError as exc:
         return CheckResult(name="kernel_residual", passed=False, value=None,
                            threshold=WITNESS_RESIDUAL_TOL, detail=str(exc))

@@ -372,25 +372,35 @@ class AnalysisReport:
         return self.spectrum.subdominant_modulus if self.iterates.converged else None
 
 
-def run_checks(op: OperatorSpec, config: AnalysisConfig) -> dict[str, CheckResult]:
+def run_checks(op: OperatorSpec, config: AnalysisConfig) -> tuple[
+        dict[str, CheckResult], dict[str, float]]:
     """The lemma checks of an operator, in report order, seeded from the
-    config. The verification grid of ``config.grid_points`` points is built
-    here once and the basis evaluated on it once, or not at all on the
-    default grid, where the operator keeps the values its validation
-    evaluated; every check reads those two arrays."""
+    config, and the seconds each check took, keyed ``checks.<name>``. The
+    verification grid of ``config.grid_points`` points is built here once
+    and the basis evaluated on it once, or not at all on the default grid,
+    where the operator keeps the values its validation evaluated; every
+    check reads those two arrays."""
     xs = grid(config.grid_points)
     values = op.default_values
     if values is None or config.grid_points != DEFAULT_GRID_POINTS:
         values = op.basis.values(xs)
     tol = config.tolerances
-    return {
-        "partition_of_unity": check_partition_of_unity(values, xs, tol.pou),
-        "positivity": verify_positivity(op, xs, values, tol=tol.norm, seed=config.seed),
-        "constant_reproduction": verify_constant_reproduction(op, xs, values, tol.norm),
-        "norm_estimate": verify_norm_bound(op, xs, values, seed=config.seed + 1,
-                                           tol=tol.norm),
-        "kernel_residual": kernel_witness_report(op, xs, values),
+    checks = {
+        "partition_of_unity": lambda: check_partition_of_unity(values, xs, tol.pou),
+        "positivity": lambda: verify_positivity(op, xs, values, tol=tol.norm,
+                                                seed=config.seed),
+        "constant_reproduction": lambda: verify_constant_reproduction(op, xs, values,
+                                                                      tol.norm),
+        "norm_estimate": lambda: verify_norm_bound(op, xs, values, seed=config.seed + 1,
+                                                   tol=tol.norm),
+        "kernel_residual": lambda: kernel_witness_report(op, xs, values),
     }
+    results, timings = {}, {}
+    for name, check in checks.items():
+        t0 = time.perf_counter()
+        results[name] = check()
+        timings[f"checks.{name}"] = time.perf_counter() - t0
+    return results, timings
 
 
 def run_analyze(config: AnalysisConfig) -> AnalysisReport:
@@ -407,8 +417,9 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    checks = run_checks(op, config)
+    checks, check_timings = run_checks(op, config)
     timings["checks"] = time.perf_counter() - t0
+    timings.update(check_timings)
 
     t0 = time.perf_counter()
     matrix = build_collocation_matrix(op)

@@ -389,41 +389,101 @@ class IterateResult:
 def iterate_limit(matrix, tol: float = ITERATE_TOL) -> IterateResult:
     """``L = lim M^m`` from the closed classes of ``M > 0``. For a
     row-stochastic ``M``, L exists iff every closed class is aperiodic, and
-    ``L = sum_C h_C pi_C^T`` (Seneta, ch. 4): one solve gives the stationary
-    vectors ``pi_C`` (the closed block is block diagonal), one of ``I - Q``
-    (``Q`` the transient block) the absorption probabilities ``h_C``. The
-    rate of approach is ``SpectrumReport.subdominant_modulus``. A matrix
-    that is not row-stochastic within ``TOL_STOCHASTIC`` is a
-    :class:`ConfigError` naming its worst row."""
-    arr = _as_matrix(matrix)
+    ``L = sum_C h_C pi_C^T`` (Seneta, ch. 4), with ``pi_C`` the stationary
+    vector of class ``C`` and ``h_C`` the probability of ending in it. L is
+    built and checked class by class, with one Python pass per distinct
+    class size, never per class:
+
+    - one batched solve per class size gives the ``pi_C``: each class's
+      block of ``I - M`` with its first equation replaced by ``sum(pi_C) =
+      1``, so a singleton class has ``pi_C = 1`` exactly;
+    - one solve of ``I - Q`` (``Q`` the transient block), with one
+      right-hand side per class, gives ``h_C`` on the transient states;
+    - the residual ``max(||LM - L||_inf, ||ML - L||_inf)`` takes its rows
+      of closed states from the class-sized products ``L_CC M_CC - L_CC``
+      and ``M_CC L_CC - L_CC``, and its rows of transient states from
+      ``|h_C| ||pi_C^T M_CC - pi_C^T||_1`` and ``|M h_C - h_C|
+      ||pi_C||_1`` summed over the classes. Entries of a closed row outside
+      its class's block are not positive and exceed ``-TOL_STOCHASTIC``;
+      the residual leaves them out.
+
+    With a single class and no transient state this is the dense formula,
+    with the same arithmetic. The rate of approach is
+    ``SpectrumReport.subdominant_modulus``. A matrix that is not
+    row-stochastic within ``TOL_STOCHASTIC`` is a :class:`ConfigError`
+    naming its worst row."""
+    # C order, so that flat positions address the limit's own storage.
+    arr = np.ascontiguousarray(_as_matrix(matrix))
     stochastic = check_row_stochastic(arr, TOL_STOCHASTIC)
     if not stochastic.passed:
         raise ConfigError(f"iterate limit needs a row-stochastic matrix: {stochastic.detail}")
     labels, periods = closed_classes(arr)
-    states, transient = np.flatnonzero(periods[labels]), np.flatnonzero(periods[labels] == 0)
+    closed = periods[labels] > 0
+    transient = np.flatnonzero(~closed)
+    # The closed states ordered by class size, then class (by its first
+    # state), then state, so each class and each size is one run.
+    sizes = np.bincount(labels)
+    first = np.unique(labels, return_index=True)[1]
+    states = np.flatnonzero(closed)
     owner = labels[states]
+    states = states[np.lexsort((states, first[owner], sizes[owner]))]
+    owner = labels[states]
+    new_class = np.empty(states.size, dtype=bool)
+    new_class[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=new_class[1:])
+    class_starts = np.flatnonzero(new_class)
+    state_class = np.cumsum(new_class) - 1
     # I - M with each diagonal entry the sum of the other entries of its row
     # (Grassmann, Taksar and Heyman): exact for a stochastic row, it keeps a
-    # leak below rounding that 1 - M[i, i] would cancel.
-    generator = -arr
+    # leak below rounding that 1 - M[i, i] would cancel. It is held in the
+    # storage of the limit, which is written only after its last read.
+    generator = limit = np.negative(arr)
     np.fill_diagonal(generator, 0.0)
     np.fill_diagonal(generator, -generator.sum(axis=1))
-    hits = np.zeros((arr.shape[0], periods.size))
-    hits[states, owner] = 1.0
-    # Each transient row over its diagonal entry, which a leak may leave subnormal.
-    jump = generator[transient] / np.diagonal(generator)[transient, None]
-    hits[transient] = np.linalg.solve(jump[:, transient], -jump[:, states] @ hits[states])
-    # In each class the equation of its first state becomes sum(pi_C) = 1.
-    system = generator[np.ix_(states, states)].T
-    first = np.unique(owner, return_index=True)[1]
-    system[first] = owner[first, None] == owner
-    rhs = np.zeros(states.size)
-    rhs[first] = 1.0
-    block = hits[:, owner] * np.linalg.solve(system, rhs)
-    limit = np.zeros_like(arr)
-    limit[:, states] = block  # the columns of transient states are 0
-    residual = float(max(np.abs(block @ arr[states] - limit).sum(axis=1).max(),
-                         np.abs(arr @ block - block).sum(axis=1).max()))
+    # Per class size, the classes' states and the flat positions of their
+    # blocks, [q, a, b] holding (members[q, a], members[q, b]).
+    groups = [states[sizes[owner] == size].reshape(-1, size)
+              for size in np.unique(sizes[owner]).tolist()]
+    positions = [members[:, :, None] * arr.shape[0] + members[:, None, :] for members in groups]
+    # Row a of class q's system is column a of its block of I - M.
+    systems = [generator.take(index).transpose(0, 2, 1) for index in positions]
+    if transient.size:
+        # Each transient row over its diagonal entry, which a leak may leave subnormal.
+        jump = generator[transient] / np.diagonal(generator)[transient, None]
+    limit.fill(0.0)
+    pis, rows_a, rows_b, class_norms = [], [], [], []
+    for members, index, system in zip(groups, positions, systems):
+        system[:, 0] = 1.0
+        rhs = np.zeros(members.shape + (1,))
+        rhs[:, 0] = 1.0
+        pi = np.linalg.solve(system, rhs)[:, :, 0]
+        pis.append(pi.ravel())
+        # The class's blocks of L (each row pi_C) and of M. L is held in
+        # column-major order, like H below: with one class, or with
+        # singleton classes, the products are then the dense formula's,
+        # bit for bit.
+        block = np.empty(members.shape + (members.shape[1],))
+        block[:] = pi[:, :, None]
+        block = block.transpose(0, 2, 1)
+        limit.ravel()[index] = pi[:, None, :]
+        inner = arr.take(index)
+        residual_a = np.abs(block @ inner - block).sum(axis=2)
+        rows_a.append(residual_a.ravel())
+        class_norms.append(residual_a[:, 0])
+        rows_b.append(np.abs(inner @ block - block).sum(axis=2).ravel())
+    if transient.size:
+        pi = np.concatenate(pis)
+        # H: one column h_C per class, 1 on C and 0 on the other closed states.
+        hits = np.zeros((class_starts.size, arr.shape[0])).T
+        hits[states, state_class] = 1.0
+        hits[transient] = np.linalg.solve(
+            jump[:, transient], -np.add.reduceat(jump[:, states], class_starts, axis=1))
+        limit[np.ix_(transient, states)] = hits[transient][:, state_class] * pi
+        rows_a.append((np.abs(hits[transient]) * np.concatenate(class_norms)).sum(axis=1))
+        drift = arr[transient] @ hits - hits[transient]
+        masses = np.add.reduceat(pi, class_starts)
+        rows_b.append((np.abs(drift, out=drift) * masses).sum(axis=1))
+    residual = float(max(np.concatenate(rows_a).max(), np.concatenate(rows_b).max()))
 
     cyclic = periods[periods > 1].tolist()
     converged = not cyclic and residual <= tol

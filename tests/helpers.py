@@ -8,15 +8,22 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from pouspec.checks import CheckResult
-from pouspec.errors import ConfigError
-from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
-                                 WeightedQuadratureFunctional)
-from pouspec.operators import coefficient_vector
+from pouspec.errors import ConfigError, NotConstructibleError
+from pouspec.functionals import (DEFAULT_QUAD_PANELS, _REFERENCE_NODES, _REFERENCE_WEIGHTS,
+                                 DiracFunctional, IntervalAverageFunctional,
+                                 WeightedQuadratureFunctional,
+                                 check_functional_normalization)
+from pouspec.functions import (COSINE, PIECEWISE_LINEAR, POLYNOMIAL, TEST_POLYNOMIAL_WIDTH,
+                               _horner, outside_domain, require_in_domain)
+from pouspec.operators import (_equally_spaced, _point_annihilation_nodes,
+                               coefficient_vector)
+from pouspec.spectra import (ITERATE_TOL, TOL_STOCHASTIC, IterateResult,
+                             check_row_stochastic, closed_classes)
 
 
 def one(xs: np.ndarray) -> np.ndarray:
@@ -390,3 +397,182 @@ def emit_svg_oracle(report) -> str:
         f'{report.operator_name}: {report.spectrum.classification}</text>')
     parts.append('</svg>')
     return "\n".join(parts) + "\n"
+
+
+# --------------------------------------------------------------------------
+# The per-item loops that array passes replaced, kept verbatim as oracles:
+# each array pass must give their bits (and their errors, in their order).
+# --------------------------------------------------------------------------
+
+def gauss_legendre_rule_linspace(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The composite Gauss-Legendre rule on ``[a, b]`` with its panel edges
+    from ``np.linspace``."""
+    edges = np.linspace(a, b, DEFAULT_QUAD_PANELS + 1)
+    half = np.diff(edges) / 2.0
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    xs = (mid[:, None] + half[:, None] * _REFERENCE_NODES[None, :]).ravel()
+    ws = (half[:, None] * _REFERENCE_WEIGHTS[None, :]).ravel()
+    return xs, ws
+
+
+def validate_functionals_one_by_one(name: str, functionals) -> None:
+    """The functionals' part of ``OperatorSpec`` validation, one functional
+    at a time: the normalization of each functional in order of ``k`` up to
+    the first with a node outside [0, 1], then that functional's domain
+    error."""
+    nodes = np.concatenate([a.nodes for a in functionals])
+    starts = np.cumsum([0] + [a.nodes.size for a in functionals[:-1]])
+    outside = outside_domain(nodes)
+    first_outside = len(functionals)
+    if outside.any():
+        first_outside = int(np.searchsorted(starts, np.argmax(outside), side="right")) - 1
+    for k, functional in enumerate(functionals[:first_outside]):
+        norm = check_functional_normalization(functional)
+        if not norm.passed:
+            raise ConfigError(f"{name}: functional {k} ({functional.name}) "
+                              f"is not a nonnegative rule of unit mass "
+                              f"({norm.detail})")
+    if first_outside < len(functionals):
+        functional = functionals[first_outside]
+        require_in_domain(functional.nodes,
+                          f"{name}: functional {first_outside} ({functional.name})")
+
+
+def drawn_values_per_block(draw, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Trials ``rows`` (all of one kind) of ``draw`` on ``xs``, each wave
+    block by its own ``trig(omega x)``."""
+    kind = draw.kinds[rows[0]]
+    if kind == POLYNOMIAL:
+        width = int(draw.terms[rows].max())
+        return _horner(draw.coefficients[rows, TEST_POLYNOMIAL_WIDTH - width:], xs)
+    if kind == PIECEWISE_LINEAR:
+        return np.array([np.interp(xs, *draw.samples[i]) for i in rows])
+    trig = np.cos if kind == COSINE else np.sin
+    out = draw.omega[rows, None] * xs
+    trig(out, out=out)
+    out *= draw.amplitude[rows, None]
+    out += draw.offset
+    return out
+
+
+def candidate_witness_two_pass(op, grid: np.ndarray) -> tuple[
+        str, Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """``(name, w, w_on_grid)`` of the kernel witness, built by a loop over
+    the nodes or the cells; ``w`` is evaluated on the grid here and again
+    on the nodes by :func:`verified_two_pass`."""
+    point_kinds = (DiracFunctional, WeightedQuadratureFunctional)
+    all_point = all(isinstance(f, point_kinds) for f in op.functionals)
+    all_average = all(isinstance(f, IntervalAverageFunctional) for f in op.functionals)
+
+    if all_point:
+        nodes = _point_annihilation_nodes(op)
+        if _equally_spaced(nodes):
+            cells = nodes.size - 1
+            name = f"sin({cells}pi(x-0)/1)"
+
+            def w(xs: np.ndarray) -> np.ndarray:
+                return np.sin(cells * np.pi * xs)
+        else:
+            def product_of_sines(xs: np.ndarray) -> np.ndarray:
+                out = np.ones_like(xs)
+                for x0 in nodes:
+                    out *= np.sin(np.pi * (xs - x0))
+                return out
+
+            raw_on_grid = product_of_sines(grid)
+            peak = float(np.max(np.abs(raw_on_grid)))
+            if peak <= 0.0:
+                raise NotConstructibleError(
+                    f"{op.name}: node-vanishing product is identically zero "
+                    f"on the verification grid")
+            return (f"node-vanishing product ({nodes.size} nodes)",
+                    lambda xs: product_of_sines(xs) / peak, raw_on_grid / peak)
+    elif all_average:
+        cells = sorted(((f.a, f.b) for f in op.functionals), key=lambda c: c[0])
+        for (a0, b0), (a1, _) in zip(cells, cells[1:]):
+            if b0 > a1 + 1e-12:
+                raise NotConstructibleError(
+                    f"{op.name}: interval-average supports overlap "
+                    f"([{a0:g}, {b0:g}] and [{a1:g}, ...]); no cellwise witness")
+        widths = np.array([b - a for a, b in cells])
+        starts = np.array([a for a, _ in cells])
+        contiguous = (abs(starts[0]) <= 1e-12
+                      and abs(cells[-1][1] - 1.0) <= 1e-12
+                      and np.all(np.abs(starts[1:] - np.array(
+                          [b for _, b in cells[:-1]])) <= 1e-12))
+        if contiguous and np.max(np.abs(widths - widths[0])) <= 1e-9:
+            m = len(cells)
+            name = f"sin({2 * m}pi(x-0)/1)"
+
+            def w(xs: np.ndarray) -> np.ndarray:
+                return np.sin(2.0 * m * np.pi * xs)
+        else:
+            name = f"cellwise sine ({len(cells)} cells)"
+
+            def w(xs: np.ndarray) -> np.ndarray:
+                out = np.zeros_like(xs)
+                for a, cw in zip(starts, widths):
+                    inside = (xs >= a) & (xs <= a + cw)
+                    out[inside] = np.sin(2.0 * np.pi * (xs[inside] - a) / cw)
+                return out
+    else:
+        kinds = sorted({type(f).__name__ for f in op.functionals})
+        raise NotConstructibleError(
+            f"{op.name}: no analytic kernel witness for mixed functional "
+            f"kinds {kinds}")
+
+    return name, w, w(grid)
+
+
+def verified_two_pass(op, values: np.ndarray, w: Callable[[np.ndarray], np.ndarray],
+                      w_on_grid: np.ndarray) -> tuple[float, float]:
+    """``(||w||, ||Tw||)`` on the grid, ``w`` evaluated again on the nodes."""
+    witness_norm = float(np.max(np.abs(w_on_grid)))
+    residual = float(np.max(np.abs(coefficient_vector(op, w) @ values)))
+    if witness_norm < 0.5 or residual > 1e-10:
+        raise NotConstructibleError(
+            f"{op.name}: witness verification failed "
+            f"(||w|| = {witness_norm:.3e}, ||Tw|| = {residual:.3e})")
+    return witness_norm, residual
+
+
+def iterate_limit_dense(matrix, tol: float = ITERATE_TOL) -> IterateResult:
+    """``iterate_limit`` by the dense formula: one solve for all stationary
+    vectors together, the absorption probabilities against an ``(n,
+    components)`` indicator, and the residual from the two ``n x n x |S|``
+    products."""
+    arr = np.asarray(matrix, dtype=float)
+    stochastic = check_row_stochastic(arr, TOL_STOCHASTIC)
+    if not stochastic.passed:
+        raise ConfigError(f"iterate limit needs a row-stochastic matrix: {stochastic.detail}")
+    labels, periods = closed_classes(arr)
+    states, transient = np.flatnonzero(periods[labels]), np.flatnonzero(periods[labels] == 0)
+    owner = labels[states]
+    generator = -arr
+    np.fill_diagonal(generator, 0.0)
+    np.fill_diagonal(generator, -generator.sum(axis=1))
+    hits = np.zeros((arr.shape[0], periods.size))
+    hits[states, owner] = 1.0
+    jump = generator[transient] / np.diagonal(generator)[transient, None]
+    hits[transient] = np.linalg.solve(jump[:, transient], -jump[:, states] @ hits[states])
+    system = generator[np.ix_(states, states)].T
+    first = np.unique(owner, return_index=True)[1]
+    system[first] = owner[first, None] == owner
+    rhs = np.zeros(states.size)
+    rhs[first] = 1.0
+    block = hits[:, owner] * np.linalg.solve(system, rhs)
+    limit = np.zeros_like(arr)
+    limit[:, states] = block
+    residual = float(max(np.abs(block @ arr[states] - limit).sum(axis=1).max(),
+                         np.abs(arr @ block - block).sum(axis=1).max()))
+
+    cyclic = periods[periods > 1].tolist()
+    converged = not cyclic and residual <= tol
+    if cyclic:
+        message = f"no limit: closed class(es) of period {', '.join(map(str, cyclic))}"
+    elif not converged:
+        message = f"no limit: residual {residual:.3e} > {tol:g}"
+    else:
+        message = (f"converged: {np.count_nonzero(periods)} closed class(es), "
+                   f"residual {residual:.3e}")
+    return IterateResult(converged, limit if converged else None, residual, message)

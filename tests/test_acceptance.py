@@ -205,8 +205,8 @@ def test_criterion_08_kernel_witness():
     worst_residual = 0.0
     smallest_norm = np.inf
     for op in operators:
-        _, witness, on_grid = _candidate_witness(op, GRID)
-        witness_norm, residual = _verified(op, op.basis.values(GRID), witness, on_grid)
+        _, on_grid, on_nodes = _candidate_witness(op, GRID)
+        witness_norm, residual = _verified(op, op.basis.values(GRID), on_grid, on_nodes)
         smallest_norm = min(smallest_norm, witness_norm)
         worst_residual = max(worst_residual, residual)
     ok = smallest_norm >= 0.5 and worst_residual <= 1e-10

@@ -11,7 +11,7 @@ from pouspec.functions import (COSINE, DOMAIN_SLACK, PIECEWISE_LINEAR, POLYNOMIA
                                TEST_POLYNOMIAL_WIDTH, _horner, draw_test_functions, grid,
                                outside_domain, require_in_domain)
 
-from helpers import catalog_values_oracle, random_function_oracle
+from helpers import catalog_values_oracle, drawn_values_per_block, random_function_oracle
 
 
 def test_grid_endpoints():
@@ -50,8 +50,8 @@ class TestDomain:
 def _all_values(draw, xs: np.ndarray) -> np.ndarray:
     """Every trial of ``draw`` on ``xs``, one row per trial."""
     rows = np.empty((draw.kinds.size, xs.size))
-    for block in draw.kind_blocks(draw.kinds.size):
-        rows[block] = draw.values(block, xs)
+    for block, values in draw.blocks(draw.kinds.size, xs):
+        rows[block] = values
     return rows
 
 
@@ -99,7 +99,7 @@ class TestEvaluation:
         # A polynomial of one term, its coefficient drawn from [-1, 1].
         draw = draw_test_functions(ScriptedGenerator([0, 1], [1.0]), 1)
         assert draw.name(0) == "poly(deg 0)"
-        assert draw.values(np.array([0]), grid(5)).tolist() == [[1.0] * 5]
+        assert _all_values(draw, grid(5)).tolist() == [[1.0] * 5]
 
     def test_polynomial_horner(self):
         # 1 - 2x + 3x^2, leading coefficient first; zero padding on the left
@@ -114,14 +114,14 @@ class TestEvaluation:
         # Frequency 1, amplitude 1 (the top of [-1, 1]), the sine.
         draw = draw_test_functions(ScriptedGenerator([1, 1, 0], [1.0]), 1)
         assert draw.kinds[0] == SINE and draw.name(0) == "0+1*sin(2pi*1x)"
-        nptest.assert_allclose(draw.values(np.array([0]), np.array([0.0, 0.25, 0.75])),
+        nptest.assert_allclose(_all_values(draw, np.array([0.0, 0.25, 0.75])),
                                [[0.0, 1.0, -1.0]], rtol=0, atol=1e-15)
 
     def test_cosine(self):
         # Frequency 2, amplitude 1, the cosine, raised by one when nonnegative.
         draw = draw_test_functions(ScriptedGenerator([1, 2, 1], [1.0]), 1, nonnegative=True)
         assert draw.kinds[0] == COSINE and draw.name(0) == "1+1*cos(2pi*2x)"
-        nptest.assert_allclose(draw.values(np.array([0]), np.array([0.0, 0.25, 0.5])),
+        nptest.assert_allclose(_all_values(draw, np.array([0.0, 0.25, 0.5])),
                                [[2.0, 0.0, 2.0]], rtol=0, atol=1e-15)
 
     def test_sampled_linear_interpolation(self):
@@ -129,18 +129,16 @@ class TestEvaluation:
         # onto [-1, 1]) at 0, 0.25, 0.5, 1.
         draw = draw_test_functions(ScriptedGenerator([2, 2], [0.5, 0.25, 0.0, 0.5, 1.0, 0.5]), 1)
         assert draw.samples[0][0].tolist() == [0.0, 0.25, 0.5, 1.0]
-        nptest.assert_allclose(draw.values(np.array([0]), np.array([0.125, 0.375, 0.75])),
+        nptest.assert_allclose(_all_values(draw, np.array([0.125, 0.375, 0.75])),
                                [[-0.5, 0.5, 0.5]], rtol=0, atol=1e-15)
 
     def test_vectorized_matches_scalar(self):
         xs = np.random.default_rng(0).uniform(size=50)
         for nonnegative in (False, True):
             draw = draw_test_functions(np.random.default_rng(8), 100, nonnegative)
-            for block in draw.kind_blocks(100):
-                rows = draw.values(block, xs)
-                for j, x in enumerate(xs):
-                    assert draw.values(block, np.array([x]))[:, 0].tobytes() == \
-                        rows[:, j].tobytes()
+            rows = _all_values(draw, xs)
+            for j, x in enumerate(xs):
+                assert _all_values(draw, np.array([x]))[:, 0].tobytes() == rows[:, j].tobytes()
 
 
 class TestDrawnTestFunctions:
@@ -159,8 +157,8 @@ class TestDrawnTestFunctions:
             draw_rng = np.random.default_rng(seed)
             draw = draw_test_functions(draw_rng, 40, nonnegative)
             rows = np.empty((40, self.XS.size))
-            for block in draw.kind_blocks(block_size):
-                rows[block] = draw.values(block, self.XS)
+            for block, values in draw.blocks(block_size, self.XS):
+                rows[block] = values
             single_rng = np.random.default_rng(seed)
             for i, row in enumerate(rows):
                 single = random_function_oracle(single_rng, nonnegative)
@@ -168,6 +166,16 @@ class TestDrawnTestFunctions:
                 assert row.tobytes() == catalog_values_oracle(single, self.XS).tobytes(), \
                     single.name
             assert draw_rng.bit_generator.state == single_rng.bit_generator.state
+
+    @pytest.mark.parametrize("block_size", [1, 7, 40])
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    def test_blocks_equal_the_per_block_evaluation(self, nonnegative, block_size):
+        # Waves read one trig table per kind; every block has the bits of
+        # evaluating its own trials, each wave block by its own trig.
+        for seed in range(20):
+            draw = draw_test_functions(np.random.default_rng(seed), 40, nonnegative)
+            for block, values in draw.blocks(block_size, self.XS):
+                assert values.tobytes() == drawn_values_per_block(draw, block, self.XS).tobytes()
 
     @pytest.mark.parametrize("nonnegative", [False, True])
     def test_repeated_breakpoints_keep_the_first(self, nonnegative):
@@ -182,8 +190,7 @@ class TestDrawnTestFunctions:
             assert xs.tolist() == single.params["xs"].tolist() == expected
             assert ys.tobytes() == single.params["ys"].tobytes()
             assert draw.name(i) == single.name == "pwl(4)"
-            assert draw.values(np.array([i]), self.XS).tobytes() == \
-                single(self.XS).tobytes()
+            assert _all_values(draw, self.XS)[i].tobytes() == single(self.XS).tobytes()
 
     @pytest.mark.parametrize("nonnegative", [False, True])
     def test_draws_of_one_in_sequence_equal_one_draw(self, nonnegative):
@@ -192,11 +199,11 @@ class TestDrawnTestFunctions:
         rng = np.random.default_rng(3)
         whole_rng = np.random.default_rng(3)
         whole = draw_test_functions(whole_rng, 40, nonnegative)
+        whole_values = _all_values(whole, self.XS)
         for i in range(40):
             single = draw_test_functions(rng, 1, nonnegative)
             assert single.name(0) == whole.name(i)
-            assert single.values(np.array([0]), self.XS).tobytes() == \
-                whole.values(np.array([i]), self.XS).tobytes()
+            assert _all_values(single, self.XS)[0].tobytes() == whole_values[i].tobytes()
         assert rng.bit_generator.state == whole_rng.bit_generator.state
 
     @pytest.mark.parametrize("nonnegative", [False, True])
@@ -214,9 +221,11 @@ class TestDrawnTestFunctions:
     @pytest.mark.parametrize("size", [0, 1, 3, 100])
     def test_kind_blocks_partition_the_trials(self, size):
         draw = draw_test_functions(np.random.default_rng(2), 60)
-        blocks = list(draw.kind_blocks(size))
-        assert sorted(np.concatenate(blocks).tolist()) == list(range(60))
-        for block in blocks:
+        xs = grid(11)
+        blocks = list(draw.blocks(size, xs))
+        assert sorted(np.concatenate([block for block, _ in blocks]).tolist()) == list(range(60))
+        for block, values in blocks:
+            assert values.shape == (block.size, xs.size)
             assert 1 <= block.size <= max(1, size)
             assert np.unique(draw.kinds[block]).size == 1
             assert np.all(np.diff(block) > 0)
@@ -262,5 +271,7 @@ class TestDrawnTestFunctions:
         singles = [random_function_oracle(rng) for _ in range(200)]
         rows = np.flatnonzero(draw.kinds == POLYNOMIAL)
         assert np.unique(draw.terms[rows]).size == TEST_POLYNOMIAL_WIDTH
-        for row, i in zip(draw.values(rows, xs), rows):
+        block, values = next(draw.blocks(200, xs))
+        assert block.tolist() == rows.tolist()
+        for row, i in zip(values, rows):
             assert row.tobytes() == singles[i](xs).tobytes()

@@ -12,6 +12,7 @@ from pouspec.bases import (BasisSystem, make_bernstein_basis, make_bspline_basis
 from pouspec.errors import ConfigError, DomainError, NotConstructibleError
 from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
                                  WeightedQuadratureFunctional,
+                                 check_functional_normalization, first_unnormalized,
                                  make_kantorovich_functionals)
 from pouspec.functions import DrawnTestFunctions, draw_test_functions, grid
 from pouspec.operators import (OperatorSpec, _candidate_witness, bernstein_operator,
@@ -22,9 +23,10 @@ from pouspec.operators import (OperatorSpec, _candidate_witness, bernstein_opera
                                verify_norm_bound, verify_positivity)
 from pouspec.spectra import build_collocation_matrix
 
-from helpers import (adjoint_pairing, clamped_knots, image, norm_estimate_oracle, one,
-                     pairing, positivity_oracle, random_function_oracle,
-                     verify_adjoint_identity)
+from helpers import (adjoint_pairing, candidate_witness_two_pass, clamped_knots, image,
+                     norm_estimate_oracle, one, pairing, positivity_oracle,
+                     random_function_oracle, validate_functionals_one_by_one,
+                     verified_two_pass, verify_adjoint_identity)
 
 GRID = np.linspace(0.0, 1.0, 1001)
 SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
@@ -101,6 +103,58 @@ class TestConstruction:
             OperatorSpec(make_hat_basis([0.0, 0.5, 1.0]), funcs, name="doctored",
                          validate=validate)
         assert str(err.value) == f"doctored: {message} outside domain [0.0, 1.0]"
+
+    @pytest.mark.parametrize("funcs", [
+        (DiracFunctional(0.0), DiracFunctional(0.3),
+         WeightedQuadratureFunctional([0.4, 0.6], [1.25, -0.25]), DiracFunctional(1.0)),
+        (DiracFunctional(0.0), WeightedQuadratureFunctional([0.4, 0.6], [0.5, 0.5 + 2e-12]),
+         DiracFunctional(0.7), DiracFunctional(1.0)),
+        (DiracFunctional(0.0), WeightedQuadratureFunctional([0.4, 0.6], [0.5, 0.5 + 5e-13]),
+         DiracFunctional(0.7), DiracFunctional(1.0)),
+        (IntervalAverageFunctional(0.0, 0.3), DiracFunctional(0.4),
+         WeightedQuadratureFunctional([0.5, 0.6, 0.7], [0.2, 0.3, 0.4]),
+         IntervalAverageFunctional(0.7, 1.0)),
+        (DiracFunctional(0.0), WeightedQuadratureFunctional([0.2, 0.3], [0.6, 0.6]),
+         DiracFunctional(1.5), WeightedQuadratureFunctional([0.8], [-1.0])),
+        (DiracFunctional(0.0), DiracFunctional(1.5),
+         WeightedQuadratureFunctional([0.2, 0.3], [0.6, 0.6]), DiracFunctional(1.0)),
+        (DiracFunctional(0.0), IntervalAverageFunctional(0.1, 0.5),
+         WeightedQuadratureFunctional([0.6, 0.7, 0.8], [0.5, 0.5, -2e-12]),
+         DiracFunctional(1.0)),
+    ], ids=["negative-weight", "mass-off-by-2e-12", "mass-off-by-5e-13",
+            "mixed-rule-sizes", "mass-before-domain", "domain-before-mass",
+            "tiny-negative-weight"])
+    def test_validation_matches_one_functional_at_a_time(self, funcs):
+        # One pass checks every functional; the error, its text and which
+        # functional it names are those of checking them one at a time.
+        basis = make_hat_basis([0.0, 0.3, 0.6, 1.0])
+        try:
+            validate_functionals_one_by_one("doctored", funcs)
+            expected = None
+        except (ConfigError, DomainError) as exc:
+            expected = (type(exc), str(exc))
+        try:
+            OperatorSpec(basis, funcs, name="doctored")
+            found = None
+        except (ConfigError, DomainError) as exc:
+            found = (type(exc), str(exc))
+        assert found == expected
+
+    def test_one_pass_finds_the_first_unnormalized_rule(self):
+        # Masses within a rounding of the tolerance, over rule sizes 1 to
+        # 1000: the one pass agrees with each rule's own check.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            rules = []
+            for size in rng.integers(1, 1001, size=12):
+                weights = rng.dirichlet(np.ones(size))
+                weights[rng.integers(size)] += rng.choice([0.0, 0.99e-12, 1.01e-12, -1e-12])
+                rules.append(WeightedQuadratureFunctional(np.full(size, 0.5), weights))
+            expected = next((k for k, rule in enumerate(rules)
+                             if not check_functional_normalization(rule).passed), len(rules))
+            weights = np.concatenate([rule.weights for rule in rules])
+            starts = np.cumsum([0] + [rule.weights.size for rule in rules[:-1]])
+            assert first_unnormalized(weights, starts) == expected
 
     def test_validate_false_allows_doctored(self):
         basis = make_hat_basis([0.0, 1.0])
@@ -369,10 +423,14 @@ class TestBlockChecks:
         # Each check evaluates its drawn trials in kind-pure blocks of at
         # most TRIAL_BLOCK_VALUES values, every trial in exactly one block.
         calls = []
-        values = DrawnTestFunctions.values
-        monkeypatch.setattr(DrawnTestFunctions, "values",
-                            lambda self, rows, xs: calls.append(
-                                (rows, self.kinds[rows], xs.size)) or values(self, rows, xs))
+        blocks = DrawnTestFunctions.blocks
+
+        def spy(self, size, xs):
+            for rows, values in blocks(self, size, xs):
+                calls.append((rows, self.kinds[rows], values.size))
+                yield rows, values
+
+        monkeypatch.setattr(DrawnTestFunctions, "blocks", spy)
         op = kantorovich_operator(4)
         basis_values = op.basis.values(GRID)
         for check, trials in ((verify_positivity, 100), (estimate_operator_norm, 200),
@@ -381,9 +439,9 @@ class TestBlockChecks:
             check(op, GRID, basis_values)
             assert sorted(np.concatenate([rows for rows, _, _ in calls]).tolist()) == \
                 list(range(trials))
-            for _, kinds, points in calls:
+            for _, kinds, size in calls:
                 assert np.unique(kinds).size == 1
-                assert kinds.size * points <= operators.TRIAL_BLOCK_VALUES
+                assert size <= operators.TRIAL_BLOCK_VALUES
 
     def test_only_the_reported_trial_is_named(self, monkeypatch):
         named = []
@@ -427,35 +485,86 @@ class TestConstantReproductionCheck:
         assert result.value == pytest.approx(0.01, abs=1e-12)
 
 
-def _witness(op):
-    """The kernel witness of ``op`` on ``GRID``, a vectorized callable."""
-    return _candidate_witness(op, GRID)[1]
+def _witness(op, xs=GRID):
+    """The kernel witness of ``op`` on ``xs`` and ``Tw`` on ``GRID``."""
+    _, on_xs, on_nodes = _candidate_witness(op, xs)
+    return on_xs, np.add.reduceat(op.weights * on_nodes, op.starts) @ op.basis.values(GRID)
+
+
+def witness_operators():
+    """Operators of every witness construction: equally spaced and
+    irregular nodes (300 of them, more than one block of the product of
+    sines), equal and unequal cells, and cells that meet or overlap by up
+    to 1e-12, one of them narrower than the overlap."""
+    nodes = np.sort(np.random.default_rng(4).uniform(size=298))
+    hat = make_hat_basis([0.0, 0.5, 1.0])
+    return [
+        *catalog_operators(),
+        hat_dirac_operator(np.concatenate(([0.0], nodes, [1.0]))),
+        OperatorSpec(hat, (IntervalAverageFunctional(0.0, 0.3),
+                           IntervalAverageFunctional(0.3 - 1e-12, 0.55),
+                           IntervalAverageFunctional(0.55 - 5e-13, 1.0)), name="overlap"),
+        OperatorSpec(hat, (IntervalAverageFunctional(0.0, 0.5),
+                           IntervalAverageFunctional(0.5, 0.8),
+                           IntervalAverageFunctional(0.8, 1.0)), name="touch"),
+        OperatorSpec(hat, (IntervalAverageFunctional(0.0, 0.5),
+                           IntervalAverageFunctional(0.5 - 9e-13, 0.5 - 8e-13),
+                           IntervalAverageFunctional(0.5 + 1e-13, 1.0)), name="nested",
+                     validate=False),
+        OperatorSpec(hat, (IntervalAverageFunctional(0.7, 1.0),
+                           IntervalAverageFunctional(0.1, 0.4),
+                           IntervalAverageFunctional(0.4 - 1e-12, 0.7)), name="gaps"),
+    ]
 
 
 class TestKernelWitness:
+    @pytest.mark.parametrize("points", [11, 1001, 20001])
+    @pytest.mark.parametrize("op", witness_operators(), ids=lambda o: o.name)
+    def test_equal_to_the_two_pass_loop(self, op, points):
+        # One evaluation on grid and nodes, the product of sines as a
+        # reduced 2-D sine and the cells found by searchsorted: the same
+        # name, values, norm and residual as the loop over the nodes or
+        # cells, evaluated on the grid and then on the nodes.
+        xs = grid(points)
+        values = op.basis.values(xs)
+        name, w, w_on_grid = candidate_witness_two_pass(op, xs)
+        found, on_grid, on_nodes = _candidate_witness(op, xs)
+        assert found == name
+        assert on_grid.tobytes() == w_on_grid.tobytes()
+        assert on_nodes.tobytes() == w(op.nodes).tobytes()
+        try:
+            expected = verified_two_pass(op, values, w, w_on_grid)
+        except NotConstructibleError as exc:
+            expected = str(exc)
+        try:
+            verified = operators._verified(op, values, on_grid, on_nodes)
+        except NotConstructibleError as exc:
+            verified = str(exc)
+        assert verified == expected
+
     def test_bernstein2_witness_is_full_sine(self):
-        w = _witness(bernstein_operator(2))
         xs = np.linspace(0, 1, 101)
-        nptest.assert_allclose(w(xs), np.sin(2 * np.pi * xs), atol=1e-12)
+        nptest.assert_allclose(_witness(bernstein_operator(2), xs)[0], np.sin(2 * np.pi * xs),
+                               atol=1e-12)
 
     def test_kantorovich1_witness_frequency(self):
-        w = _witness(kantorovich_operator(1))
         xs = np.linspace(0, 1, 101)
-        nptest.assert_allclose(w(xs), np.sin(4 * np.pi * xs), atol=1e-12)
+        nptest.assert_allclose(_witness(kantorovich_operator(1), xs)[0],
+                               np.sin(4 * np.pi * xs), atol=1e-12)
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_witness_annihilated(self, op):
-        w = _witness(op)
-        assert np.max(np.abs(w(GRID))) >= 0.5
-        assert np.max(np.abs(image(op, w, GRID))) <= 1e-10
+        on_grid, image_of_w = _witness(op)
+        assert np.max(np.abs(on_grid)) >= 0.5
+        assert np.max(np.abs(image_of_w)) <= 1e-10
 
     def test_irregular_nodes_use_product_construction(self):
         op = hat_dirac_operator([0.0, 0.13, 0.55, 0.97, 1.0])
-        name, w, on_grid = _candidate_witness(op, GRID)
+        name, on_grid, on_nodes = _candidate_witness(op, GRID)
         assert name == "node-vanishing product (5 nodes)"
-        assert on_grid.tobytes() == w(GRID).tobytes()
+        nptest.assert_allclose(on_nodes, 0.0, atol=1e-15)
         assert np.max(np.abs(on_grid)) == 1.0
-        assert np.max(np.abs(image(op, w, GRID))) <= 1e-10
+        assert np.max(np.abs(_witness(op)[1])) <= 1e-10
 
     def test_mixed_kinds_not_constructible(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
@@ -479,9 +588,9 @@ class TestKernelWitness:
         funcs = (IntervalAverageFunctional(0.0, 0.3),
                  IntervalAverageFunctional(0.3, 1.0))
         op = OperatorSpec(basis, funcs, name="lopsided")
-        w = _witness(op)
-        assert np.max(np.abs(w(GRID))) >= 0.5
-        assert np.max(np.abs(image(op, w, GRID))) <= 1e-10
+        on_grid, image_of_w = _witness(op)
+        assert np.max(np.abs(on_grid)) >= 0.5
+        assert np.max(np.abs(image_of_w)) <= 1e-10
 
     def test_overlapping_averages_not_constructible(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])

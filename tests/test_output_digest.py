@@ -47,7 +47,12 @@ def test_run_texts_malformed_writes_nothing(output_diff, tmp_path, monkeypatch):
 
 def test_without_timings_cuts_only_timings(output_diff):
     report = run_analyze(parse_config('{"operator": "kantorovich", "n": 2}'))
+    # One flat entry per stage and per check: no map nested in the timings.
+    checks = [f"checks.{name}" for name in report.checks]
+    assert list(report.timings) == ["build", "checks", *checks, "matrix", "spectrum",
+                                    "iterates"]
     text = emit_report(report, "json")
+    assert all(f'"{key}": ' in text for key in report.timings)
     expected = report_to_mapping(report)
     del expected["timings"]
     cut = output_diff.without_timings(text)
@@ -55,6 +60,7 @@ def test_without_timings_cuts_only_timings(output_diff):
     # Only the tail is cut: everything before the timings map is untouched.
     assert cut.endswith("\n}\n") and text.startswith(cut[:-len("\n}\n")])
     assert output_diff.without_timings(cut) == cut
+    assert "checks." not in cut
 
 
 def _record(code="0", report=None, stdout="", stderr=""):

@@ -10,9 +10,10 @@ import numpy.testing as nptest
 import pytest
 
 from helpers import (bernstein_eigenvalue_oracle, bernstein_value, clamped_knots,
-                     collocation_rowwise, gershgorin_rowwise, kantorovich_eigenvalue_oracle,
-                     kantorovich_matrix_exact, kantorovich_matrix_oracle,
-                     random_breakpoints, random_stochastic, sort_eigenvalues_by_key)
+                     collocation_rowwise, gershgorin_rowwise, iterate_limit_dense,
+                     kantorovich_eigenvalue_oracle, kantorovich_matrix_exact,
+                     kantorovich_matrix_oracle, random_breakpoints, random_stochastic,
+                     sort_eigenvalues_by_key)
 
 from pouspec import spectra
 from pouspec.errors import ConfigError, UnsupportedSizeError
@@ -632,6 +633,75 @@ class TestIterateLimit:
                                     axis=1))
                 ratio = dev / lam2 ** m
                 assert 0.1 <= ratio <= 10.0, (matrix, m, ratio)
+
+
+def _chain(seed: int, sizes: list[int], transient: int, periods: list[int] = ()) -> np.ndarray:
+    """A random row-stochastic matrix, its states shuffled: one closed
+    class per entry of ``sizes`` (period ``periods[i]``, else 1; an
+    aperiodic class is all positive, a class of period d moves each state
+    to the next of d groups), then ``transient`` states that move anywhere."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + transient
+    matrix = np.zeros((n, n))
+    start = 0
+    for size, period in zip(sizes, [*periods, *[1] * len(sizes)]):
+        group = np.arange(size) % period
+        for r in range(period):
+            rows = start + np.flatnonzero(group == r)
+            cols = start + np.flatnonzero(group == (r + 1) % period)
+            matrix[np.ix_(rows, cols)] = rng.dirichlet(np.ones(cols.size), size=rows.size)
+        start += size
+    matrix[start:] = rng.dirichlet(np.ones(n), size=transient)
+    order = rng.permutation(n)
+    return matrix[np.ix_(order, order)]
+
+
+class TestIterateLimitAtScale:
+    """The classwise limit against the dense formula (one solve for all
+    stationary vectors, two dense residual products) up to n = 500."""
+
+    @pytest.mark.parametrize("matrix", [
+        np.eye(1), np.eye(37), np.eye(500),
+        _chain(1, [60], 0), _chain(2, [500], 0),
+        _chain(3, [1, 1], 58), _chain(4, [1] * 250, 250),
+        _chain(5, [1, 3, 3, 7, 40], 20), _chain(6, [2, 5, 5, 1, 90, 1, 40], 300),
+        _chain(7, [*[1] * 100, *[4] * 50, 120], 80),
+    ], ids=["eye-1", "eye-37", "eye-500", "one-class-60", "one-class-500",
+            "two-absorbing", "singletons-and-transients", "mixed-sizes", "mixed-sizes-500",
+            "many-sizes-500"])
+    def test_equal_to_the_dense_formula(self, matrix):
+        result, dense = iterate_limit(matrix), iterate_limit_dense(matrix)
+        assert result.converged == dense.converged
+        assert abs(result.residual - dense.residual) <= 1e-13
+        if dense.converged:
+            assert np.max(np.abs(result.limit - dense.limit)) <= 1e-12
+        if len(np.unique(spectra.closed_classes(matrix)[0])) == 1:
+            # One class and no transient state: the dense arithmetic.
+            assert result.residual == dense.residual and result.message == dense.message
+
+    def test_column_major_input_gives_the_same_limit(self):
+        matrix = _chain(12, [1, 4, 30], 25)
+        result, fortran = iterate_limit(matrix), iterate_limit(np.asfortranarray(matrix))
+        assert (fortran.message, fortran.residual) == (result.message, result.residual)
+        assert fortran.limit.tobytes() == result.limit.tobytes()
+
+    def test_singleton_classes_are_exactly_one(self):
+        matrix = _chain(8, [1] * 40, 60)
+        labels, periods = spectra.closed_classes(matrix)
+        closed = np.flatnonzero(periods[labels])
+        assert iterate_limit(matrix).limit[closed, closed].tolist() == [1.0] * 40
+
+    @pytest.mark.parametrize("matrix, named", [
+        (_chain(9, [6], 0, [2]), "2"),
+        (_chain(10, [9, 4, 1], 30, [3, 2]), "3, 2"),
+        (_chain(11, [*[1] * 20, 12, 50], 100, [*[1] * 20, 4, 5]), "4, 5"),
+    ], ids=["one-periodic", "two-periodic-with-transients", "periodic-among-singletons"])
+    def test_periodic_classes_give_the_dense_message(self, matrix, named):
+        result, dense = iterate_limit(matrix), iterate_limit_dense(matrix)
+        assert not result.converged and result.limit is None
+        assert result.message == dense.message
+        assert sorted(result.message.rpartition("period ")[2].split(", ")) == \
+            sorted(named.split(", "))
 
 
 @pytest.mark.parametrize("n", [31, 100, 499])
