@@ -35,29 +35,15 @@ NORMALIZATION_TOL = 1e-12
 #: Gauss-Legendre nodes and weights of ``DEFAULT_QUAD_ORDER`` points on [-1, 1].
 _REFERENCE_NODES, _REFERENCE_WEIGHTS = np.polynomial.legendre.leggauss(DEFAULT_QUAD_ORDER)
 
-#: Panel edge indices ``0 .. DEFAULT_QUAD_PANELS`` as floats.
-_PANEL_EDGES = np.arange(DEFAULT_QUAD_PANELS + 1.0)
-
 
 def _gauss_legendre_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule on ``[a, b]``: the reference
-    rule on each of ``DEFAULT_QUAD_PANELS`` equal panels.
-
-    The panel edges have the bits of ``np.linspace(a, b, panels + 1)``, by
-    its own arithmetic without its overhead: ``k * step + a`` with the last
-    edge set to ``b``, or ``k / panels * (b - a) + a`` when the step
-    underflows to zero."""
-    delta = b - a
-    step = delta / DEFAULT_QUAD_PANELS
-    if step == 0.0:
-        edges = _PANEL_EDGES / DEFAULT_QUAD_PANELS * delta + a
-    else:
-        edges = _PANEL_EDGES * step + a
-    edges[-1] = b
-    half = (edges[1:, None] - edges[:-1, None]) / 2.0
-    mid = (edges[:-1, None] + edges[1:, None]) / 2.0
-    xs = (mid + half * _REFERENCE_NODES).ravel()
-    ws = (half * _REFERENCE_WEIGHTS).ravel()
+    rule on each of ``DEFAULT_QUAD_PANELS`` equal panels."""
+    edges = np.linspace(a, b, DEFAULT_QUAD_PANELS + 1)
+    half = np.diff(edges) / 2.0
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    xs = (mid[:, None] + half[:, None] * _REFERENCE_NODES[None, :]).ravel()
+    ws = (half[:, None] * _REFERENCE_WEIGHTS[None, :]).ravel()
     return xs, ws
 
 

@@ -8,7 +8,8 @@ test functions of the positivity and norm checks as parameter arrays: a
 kind code per trial, zero-padded polynomial coefficients, wave parameters
 and piecewise-linear samples. Its :meth:`~DrawnTestFunctions.blocks`
 evaluates the trials in kind-pure blocks, each block in one pass and each
-wave frequency once per point set, with the same bits as each trial's own
+wave frequency once per point set (up to ``WAVE_TABLE_VALUES`` values),
+with the same bits as each trial's own
 one-dimensional formula, and :meth:`~DrawnTestFunctions.name` names one
 trial. Instances are immutable after construction and safe to share
 between threads.
@@ -76,6 +77,13 @@ POLYNOMIAL, SINE, COSINE, PIECEWISE_LINEAR = range(4)
 #: Coefficient count of the highest-degree test polynomial (degree six).
 TEST_POLYNOMIAL_WIDTH = 7
 
+#: Most values the table of ``trig(omega x)`` of one wave kind holds, 512 KB
+#: of float64: eight frequencies on the 5120 nodes and 1001 grid points of
+#: the largest benchmark operator fit. Past it, as on a grid of 100001
+#: points, each block of waves evaluates its own ``trig(omega x)`` and the
+#: waves hold no more memory than the other kinds.
+WAVE_TABLE_VALUES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class DrawnTestFunctions:
@@ -114,16 +122,21 @@ class DrawnTestFunctions:
         Polynomials share one Horner loop over the block's widest
         coefficients; each piecewise-linear trial is one ``np.interp``. A
         wave kind evaluates ``trig(omega x)`` once per distinct frequency
-        it draws, in one table held only while its blocks are yielded; a
-        wave trial is then its table row times its amplitude plus the
-        offset, the same operations in the same order as its own formula."""
+        it draws, in one table of at most ``WAVE_TABLE_VALUES`` values held
+        only while its blocks are yielded, or else once per trial in each
+        block; a wave trial is then its ``trig(omega x)`` times its
+        amplitude plus the offset, the same operations in the same order as
+        its own formula."""
         size = max(1, size)
         for kind in (POLYNOMIAL, SINE, COSINE, PIECEWISE_LINEAR):
             rows = np.flatnonzero(self.kinds == kind)
+            trig = np.cos if kind == COSINE else np.sin
+            table = None
             if kind in (SINE, COSINE) and rows.size:
                 omegas, slot = np.unique(self.omega[rows], return_inverse=True)
-                table = np.multiply.outer(omegas, xs)
-                (np.cos if kind == COSINE else np.sin)(table, out=table)
+                if omegas.size * xs.size <= WAVE_TABLE_VALUES:
+                    table = np.multiply.outer(omegas, xs)
+                    trig(table, out=table)
             for start in range(0, rows.size, size):
                 block = rows[start:start + size]
                 if kind == POLYNOMIAL:
@@ -133,7 +146,11 @@ class DrawnTestFunctions:
                 elif kind == PIECEWISE_LINEAR:
                     values = np.array([np.interp(xs, *self.samples[i]) for i in block])
                 else:
-                    values = table[slot[start:start + size]]
+                    if table is None:
+                        values = np.multiply.outer(self.omega[block], xs)
+                        trig(values, out=values)
+                    else:
+                        values = table[slot[start:start + size]]
                     values *= self.amplitude[block, None]
                     values += self.offset
                 yield block, values

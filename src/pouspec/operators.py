@@ -27,7 +27,8 @@ run in two passes. Pass 1 works through them in kind-pure blocks of at
 most ``TRIAL_BLOCK_VALUES`` values: the block's values on the joined nodes
 (the norm check adds the grid, for ``||f||``) in one pass (one Horner loop
 for polynomials, a row of the check's table of ``trig(omega x)``, one per
-distinct frequency, scaled and shifted for each wave, one ``np.interp``
+distinct frequency (on too many points, the block's own ``trig(omega
+x)``), scaled and shifted for each wave, one ``np.interp``
 per piecewise-linear trial), and the coefficients of the whole block by
 one ``np.add.reduceat`` along its rows. It keeps the ``(trials, n)``
 coefficient matrix and one bound per trial. ``Tf(x)`` combines the
@@ -450,14 +451,17 @@ def _cellwise_sine(starts: np.ndarray, widths: np.ndarray, xs: np.ndarray) -> np
     value of the later cell. One ``searchsorted`` finds the last cell that
     starts at or before each point; a cell narrower than the overlap can
     end before a point that an earlier cell still holds, and such a point
-    steps back to that cell."""
+    steps back to that cell. ``reach[k]`` is the furthest end of the cells
+    before cell ``k``; it is read at every ``cell``, the -1 of a point
+    before all cells included, so it has one entry more than there are
+    cells."""
     ends = starts + widths
-    reach = np.maximum.accumulate(ends)
+    reach = np.maximum.accumulate(np.concatenate(([-np.inf], ends)))
     cell = np.searchsorted(starts, xs, side="right") - 1
-    back = (cell > 0) & (xs > ends[cell]) & (xs <= reach[cell - 1])
+    back = (cell > 0) & (xs > ends[cell]) & (xs <= reach[cell])
     while back.any():
         cell[back] -= 1
-        back &= (cell > 0) & (xs > ends[cell]) & (xs <= reach[cell - 1])
+        back &= (cell > 0) & (xs > ends[cell]) & (xs <= reach[cell])
     inside = (cell >= 0) & (xs <= ends[cell])
     out = np.zeros_like(xs)
     held = cell[inside]

@@ -14,8 +14,7 @@ import numpy as np
 
 from pouspec.checks import CheckResult
 from pouspec.errors import ConfigError, NotConstructibleError
-from pouspec.functionals import (DEFAULT_QUAD_PANELS, _REFERENCE_NODES, _REFERENCE_WEIGHTS,
-                                 DiracFunctional, IntervalAverageFunctional,
+from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
                                  WeightedQuadratureFunctional,
                                  check_functional_normalization)
 from pouspec.functions import (COSINE, PIECEWISE_LINEAR, POLYNOMIAL, TEST_POLYNOMIAL_WIDTH,
@@ -403,17 +402,6 @@ def emit_svg_oracle(report) -> str:
 # The per-item loops that array passes replaced, kept verbatim as oracles:
 # each array pass must give their bits (and their errors, in their order).
 # --------------------------------------------------------------------------
-
-def gauss_legendre_rule_linspace(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """The composite Gauss-Legendre rule on ``[a, b]`` with its panel edges
-    from ``np.linspace``."""
-    edges = np.linspace(a, b, DEFAULT_QUAD_PANELS + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    xs = (mid[:, None] + half[:, None] * _REFERENCE_NODES[None, :]).ravel()
-    ws = (half[:, None] * _REFERENCE_WEIGHTS[None, :]).ravel()
-    return xs, ws
-
 
 def validate_functionals_one_by_one(name: str, functionals) -> None:
     """The functionals' part of ``OperatorSpec`` validation, one functional

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
 
 from pouspec.errors import ConfigError, DomainError
 from pouspec.functions import (COSINE, DOMAIN_SLACK, PIECEWISE_LINEAR, POLYNOMIAL, SINE,
-                               TEST_POLYNOMIAL_WIDTH, _horner, draw_test_functions, grid,
-                               outside_domain, require_in_domain)
+                               TEST_POLYNOMIAL_WIDTH, WAVE_TABLE_VALUES, _horner,
+                               draw_test_functions, grid, outside_domain, require_in_domain)
 
 from helpers import catalog_values_oracle, drawn_values_per_block, random_function_oracle
 
@@ -176,6 +178,31 @@ class TestDrawnTestFunctions:
             draw = draw_test_functions(np.random.default_rng(seed), 40, nonnegative)
             for block, values in draw.blocks(block_size, self.XS):
                 assert values.tobytes() == drawn_values_per_block(draw, block, self.XS).tobytes()
+
+    @pytest.mark.parametrize("points", [WAVE_TABLE_VALUES // 8, WAVE_TABLE_VALUES + 1])
+    def test_blocks_past_the_table_bound_equal_the_per_block_evaluation(self, points):
+        # Eight frequencies just fit the table at the first size; at the
+        # second no table fits and each wave block takes its own trig.
+        xs = grid(points)
+        for seed in range(3):
+            draw = draw_test_functions(np.random.default_rng(seed), 40)
+            for block, values in draw.blocks(7, xs):
+                assert values.tobytes() == drawn_values_per_block(draw, block, xs).tobytes()
+
+    def test_blocks_of_one_trial_hold_a_few_rows_on_a_large_grid(self):
+        # On 100001 points a wave table would hold up to eight rows; without
+        # it, one-trial blocks hold fewer than four rows at a time.
+        xs = grid(100_001)
+        draw = draw_test_functions(np.random.default_rng(0), 40)
+        assert np.unique(draw.omega[draw.kinds == SINE]).size >= 4
+        tracemalloc.start()
+        try:
+            for _ in draw.blocks(1, xs):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * xs.nbytes
 
     @pytest.mark.parametrize("nonnegative", [False, True])
     def test_repeated_breakpoints_keep_the_first(self, nonnegative):

@@ -495,7 +495,8 @@ def witness_operators():
     """Operators of every witness construction: equally spaced and
     irregular nodes (300 of them, more than one block of the product of
     sines), equal and unequal cells, and cells that meet or overlap by up
-    to 1e-12, one of them narrower than the overlap."""
+    to 1e-12, one of them narrower than the overlap, and one cell off the
+    origin, with grid points before it."""
     nodes = np.sort(np.random.default_rng(4).uniform(size=298))
     hat = make_hat_basis([0.0, 0.5, 1.0])
     return [
@@ -514,6 +515,8 @@ def witness_operators():
         OperatorSpec(hat, (IntervalAverageFunctional(0.7, 1.0),
                            IntervalAverageFunctional(0.1, 0.4),
                            IntervalAverageFunctional(0.4 - 1e-12, 0.7)), name="gaps"),
+        OperatorSpec(make_bspline_basis([0.0, 1.0], 0),
+                     (IntervalAverageFunctional(0.25, 0.75),), name="one-cell"),
     ]
 
 

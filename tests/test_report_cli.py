@@ -789,6 +789,20 @@ class TestCli:
         assert "row_stochastic" in out
         assert "eigenvalue" not in out
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_one_cell_off_the_origin_has_a_witness(self, tmp_path, capsys, command):
+        # One interval average on [0.25, 0.75]: grid points left of the only
+        # cell lie before every cell, and the cellwise sine is zero there.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "operator": "custom", "basis": {"kind": "bspline", "knots": [0, 1], "degree": 0},
+            "functionals": [{"kind": "interval-average", "a": 0.25, "b": 0.75}]}),
+            encoding="utf-8")
+        assert main([command, "--config", str(config)]) == 0
+        out, err = capsys.readouterr()
+        assert "  kernel_residual: pass" in out
+        assert err == ""
+
     def test_oracle_cross_check(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(KANT1_CONFIG, encoding="utf-8")
