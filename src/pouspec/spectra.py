@@ -12,7 +12,8 @@ reports them explicitly instead of asserting the peripheral statement.
 The eigenvalues come from LAPACK's dense nonsymmetric solver (``geev``)
 through scipy. An independent cross check for matrices up to 30x30 runs
 mpmath's eigensolver in 40-digit arithmetic. The limit of ``M^m`` is read
-off the closed classes of the support graph ``M > 0``, without powers.
+off the closed classes of the support graph ``M > 0``, without powers, and
+checked by a residual taken class by class.
 """
 
 from __future__ import annotations
@@ -399,20 +400,21 @@ def iterate_limit(matrix, tol: float = ITERATE_TOL) -> IterateResult:
       1``, so a singleton class has ``pi_C = 1`` exactly;
     - one solve of ``I - Q`` (``Q`` the transient block), with one
       right-hand side per class, gives ``h_C`` on the transient states;
-    - the residual ``max(||LM - L||_inf, ||ML - L||_inf)`` takes its rows
-      of closed states from the class-sized products ``L_CC M_CC - L_CC``
-      and ``M_CC L_CC - L_CC``, and its rows of transient states from
-      ``|h_C| ||pi_C^T M_CC - pi_C^T||_1`` and ``|M h_C - h_C|
-      ||pi_C||_1`` summed over the classes. Entries of a closed row outside
-      its class's block are not positive and exceed ``-TOL_STOCHASTIC``;
-      the residual leaves them out.
+    - the residual ``max(||LM - L||_inf, ||ML - L||_inf)`` is read off two
+      numbers per class, its stationarity defect ``r_C = ||pi_C^T M_CC -
+      pi_C^T||_1`` and its mass ``||pi_C||_1``. A row ``i`` of class ``C``
+      has ``r_C`` and ``|sum_{j in C} M_ij - 1| ||pi_C||_1``; a transient
+      row has the sums over the classes of ``|h_C(i)| r_C`` and ``|(M
+      h_C)_i - h_C(i)| ||pi_C||_1``. Entries of a closed row outside its
+      class's block are not positive and exceed ``-TOL_STOCHASTIC``; the
+      residual leaves them out. In exact arithmetic these are the row norms
+      of ``LM - L`` and ``ML - L`` (for a transient row of ``LM - L``, a
+      bound on it); the residual's last printed digit is rounding.
 
-    With a single class and no transient state this is the dense formula,
-    with the same arithmetic. The rate of approach is
-    ``SpectrumReport.subdominant_modulus``. A matrix that is not
-    row-stochastic within ``TOL_STOCHASTIC`` is a :class:`ConfigError`
-    naming its worst row."""
-    # C order, so that flat positions address the limit's own storage.
+    The rate of approach is ``SpectrumReport.subdominant_modulus``. A
+    matrix that is not row-stochastic within ``TOL_STOCHASTIC`` is a
+    :class:`ConfigError` naming its worst row."""
+    # C order, so that a column-major input gives the same bits.
     arr = np.ascontiguousarray(_as_matrix(matrix))
     stochastic = check_row_stochastic(arr, TOL_STOCHASTIC)
     if not stochastic.passed:
@@ -440,48 +442,41 @@ def iterate_limit(matrix, tol: float = ITERATE_TOL) -> IterateResult:
     generator = limit = np.negative(arr)
     np.fill_diagonal(generator, 0.0)
     np.fill_diagonal(generator, -generator.sum(axis=1))
-    # Per class size, the classes' states and the flat positions of their
-    # blocks, [q, a, b] holding (members[q, a], members[q, b]).
+    # Per class size, the classes' states, one class per row.
     groups = [states[sizes[owner] == size].reshape(-1, size)
               for size in np.unique(sizes[owner]).tolist()]
-    positions = [members[:, :, None] * arr.shape[0] + members[:, None, :] for members in groups]
     # Row a of class q's system is column a of its block of I - M.
-    systems = [generator.take(index).transpose(0, 2, 1) for index in positions]
+    systems = [generator[members[:, None, :], members[:, :, None]] for members in groups]
     if transient.size:
         # Each transient row over its diagonal entry, which a leak may leave subnormal.
         jump = generator[transient] / np.diagonal(generator)[transient, None]
     limit.fill(0.0)
-    pis, rows_a, rows_b, class_norms = [], [], [], []
-    for members, index, system in zip(groups, positions, systems):
+    pis, defects, row_sums = [], [], []
+    for members, system in zip(groups, systems):
         system[:, 0] = 1.0
         rhs = np.zeros(members.shape + (1,))
         rhs[:, 0] = 1.0
         pi = np.linalg.solve(system, rhs)[:, :, 0]
         pis.append(pi.ravel())
-        # The class's blocks of L (each row pi_C) and of M. L is held in
-        # column-major order, like H below: with one class, or with
-        # singleton classes, the products are then the dense formula's,
-        # bit for bit.
-        block = np.empty(members.shape + (members.shape[1],))
-        block[:] = pi[:, :, None]
-        block = block.transpose(0, 2, 1)
-        limit.ravel()[index] = pi[:, None, :]
-        inner = arr.take(index)
-        residual_a = np.abs(block @ inner - block).sum(axis=2)
-        rows_a.append(residual_a.ravel())
-        class_norms.append(residual_a[:, 0])
-        rows_b.append(np.abs(inner @ block - block).sum(axis=2).ravel())
+        blocks = (members[:, :, None], members[:, None, :])
+        limit[blocks] = pi[:, None, :]
+        inner = arr[blocks]
+        defects.append(np.abs((pi[:, None, :] @ inner)[:, 0] - pi).sum(axis=1))
+        row_sums.append(inner.sum(axis=2).ravel())
+    pi, defect = np.concatenate(pis), np.concatenate(defects)
+    masses = np.add.reduceat(pi, class_starts)
+    rows_a = [defect]
+    rows_b = [np.abs(np.concatenate(row_sums) - 1.0) * masses[state_class]]
     if transient.size:
-        pi = np.concatenate(pis)
-        # H: one column h_C per class, 1 on C and 0 on the other closed states.
+        # H: one column h_C per class, 1 on C and 0 on the other closed
+        # states, held column-major (the layout sets the bits of M_T H).
         hits = np.zeros((class_starts.size, arr.shape[0])).T
         hits[states, state_class] = 1.0
         hits[transient] = np.linalg.solve(
             jump[:, transient], -np.add.reduceat(jump[:, states], class_starts, axis=1))
         limit[np.ix_(transient, states)] = hits[transient][:, state_class] * pi
-        rows_a.append((np.abs(hits[transient]) * np.concatenate(class_norms)).sum(axis=1))
+        rows_a.append((np.abs(hits[transient]) * defect).sum(axis=1))
         drift = arr[transient] @ hits - hits[transient]
-        masses = np.add.reduceat(pi, class_starts)
         rows_b.append((np.abs(drift, out=drift) * masses).sum(axis=1))
     residual = float(max(np.concatenate(rows_a).max(), np.concatenate(rows_b).max()))
 
