@@ -9,6 +9,13 @@ a positive functional with ``a(1) = 1`` and dual norm exactly one. A
 functional is applied to values, not to a function object: ``a(f)`` is
 ``weights @ f(nodes)``, and an operator joins the rules of all its
 functionals to apply them at once.
+
+Diracs and interval averages are built as families: :func:`dirac_functionals`
+and :func:`interval_average_functionals` compute the rules of all their
+members in one array pass (one ``(count, 1)`` node array; one
+``np.linspace`` over all cells), and each member holds read-only row views
+of the family's arrays. ``DiracFunctional(x)`` and
+``IntervalAverageFunctional(a, b)`` are the one-row case of the same pass.
 """
 
 from __future__ import annotations
@@ -36,14 +43,18 @@ NORMALIZATION_TOL = 1e-12
 _REFERENCE_NODES, _REFERENCE_WEIGHTS = np.polynomial.legendre.leggauss(DEFAULT_QUAD_ORDER)
 
 
-def _gauss_legendre_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre_rule(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule on ``[a, b]``: the reference
-    rule on each of ``DEFAULT_QUAD_PANELS`` equal panels."""
-    edges = np.linspace(a, b, DEFAULT_QUAD_PANELS + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    xs = (mid[:, None] + half[:, None] * _REFERENCE_NODES[None, :]).ravel()
-    ws = (half[:, None] * _REFERENCE_WEIGHTS[None, :]).ravel()
+    rule on each of ``DEFAULT_QUAD_PANELS`` equal panels. For arrays ``a``
+    and ``b`` of one shape, the rules of all intervals ``[a_k, b_k]`` at
+    once, one row each, from one ``np.linspace`` along the last axis; each
+    row has the bits of the rule on its own interval."""
+    edges = np.linspace(a, b, DEFAULT_QUAD_PANELS + 1, axis=-1)
+    half = np.diff(edges, axis=-1) / 2.0
+    mid = (edges[..., :-1] + edges[..., 1:]) / 2.0
+    shape = (*np.shape(a), DEFAULT_QUAD_PANELS * DEFAULT_QUAD_ORDER)
+    xs = (mid[..., None] + half[..., None] * _REFERENCE_NODES).reshape(shape)
+    ws = (half[..., None] * _REFERENCE_WEIGHTS).reshape(shape)
     return xs, ws
 
 
@@ -77,8 +88,7 @@ class DiracFunctional(Functional):
     """Point evaluation ``f -> f(x)``."""
 
     def __init__(self, x: float):
-        self.x = float(x)
-        super().__init__([self.x], [1.0], name=f"dirac({self.x:g})")
+        vars(self).update(vars(dirac_functionals([x])[0]))
 
 
 class IntervalAverageFunctional(Functional):
@@ -88,12 +98,7 @@ class IntervalAverageFunctional(Functional):
     weights."""
 
     def __init__(self, a: float, b: float):
-        if a >= b:
-            raise ConfigError(f"interval average requires a < b, got [{a}, {b}]")
-        self.a = float(a)
-        self.b = float(b)
-        xs, ws = _gauss_legendre_rule(self.a, self.b)
-        super().__init__(xs, ws / (self.b - self.a), name=f"avg[{self.a:g},{self.b:g}]")
+        vars(self).update(vars(interval_average_functionals([a], [b])[0]))
 
 
 class WeightedQuadratureFunctional(Functional):
@@ -104,15 +109,60 @@ class WeightedQuadratureFunctional(Functional):
         self.name = f"quad({self.nodes.size} nodes)"
 
 
+def _family(cls, nodes: np.ndarray, weights: np.ndarray, names: list[str],
+            **fields: list) -> tuple:
+    """One functional of ``cls`` per row of ``nodes`` and ``weights``, in
+    order: member ``k`` holds read-only views of row ``k``, the name
+    ``names[k]`` and ``fields[attr][k]`` as each further attribute."""
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    members = []
+    for k, name in enumerate(names):
+        member = cls.__new__(cls)
+        member.nodes, member.weights, member.name = nodes[k], weights[k], name
+        for attr, column in fields.items():
+            setattr(member, attr, column[k])
+        members.append(member)
+    return tuple(members)
+
+
+def dirac_functionals(x: Sequence[float] | np.ndarray) -> tuple[DiracFunctional, ...]:
+    """The point evaluations at the points ``x``, in order, from one
+    ``(count, 1)`` node array and its weights of one."""
+    nodes = np.array(x, dtype=float).reshape(-1, 1)
+    points = nodes[:, 0].tolist()
+    return _family(DiracFunctional, nodes, np.ones_like(nodes),
+                   [f"dirac({v:g})" for v in points], x=points)
+
+
+def interval_average_functionals(a: Sequence[float] | np.ndarray,
+                                 b: Sequence[float] | np.ndarray
+                                 ) -> tuple[IntervalAverageFunctional, ...]:
+    """The normalized averages over ``[a[k], b[k]]``, in order, from one
+    :func:`_gauss_legendre_rule` over all cells; :class:`ConfigError` names
+    the first cell with ``a[k] >= b[k]``."""
+    lo = np.array(a, dtype=float)
+    hi = np.array(b, dtype=float)
+    bad = np.flatnonzero(lo >= hi)
+    if bad.size:
+        k = int(bad[0])
+        raise ConfigError(f"interval average requires a < b, got [{a[k]}, {b[k]}]")
+    xs, ws = _gauss_legendre_rule(lo, hi)
+    ws /= (hi - lo)[:, None]
+    lo_list, hi_list = lo.tolist(), hi.tolist()
+    return _family(IntervalAverageFunctional, xs, ws,
+                   [f"avg[{p:g},{q:g}]" for p, q in zip(lo_list, hi_list)],
+                   a=lo_list, b=hi_list)
+
+
 def make_kantorovich_functionals(n: int) -> tuple[IntervalAverageFunctional, ...]:
     """The ``n + 1`` normalized cell averages over ``[k/(n+1), (k+1)/(n+1)]``
     for ``k = 0 .. n``."""
     if n < 1:
         raise ConfigError(f"Kantorovich index must be >= 1, got {n}")
     cells = n + 1
-    return tuple(
-        IntervalAverageFunctional(k / cells, (k + 1) / cells) for k in range(cells)
-    )
+    return interval_average_functionals(np.arange(cells) / cells,
+                                        np.arange(1, cells + 1) / cells)
 
 
 def check_functional_normalization(functional: Functional,

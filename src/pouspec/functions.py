@@ -178,45 +178,62 @@ def draw_test_functions(rng: np.random.Generator, count: int,
     With ``nonnegative=True`` every drawn function is pointwise >= 0 by
     construction (squared polynomial, raised sine, or nonnegative samples),
     not merely on a sample grid.
+
+    Each trial takes its integers from ``rng.integers`` and its unit values
+    from ``rng.random``, in the order of its own draws. The unit values of
+    the coefficients, amplitudes and samples are mapped onto their ranges
+    ``[low, 1)`` in one pass after the loop, as ``low + (1 - low) * u``:
+    ``1 - low`` is 1 or 2, so this has the bits of ``rng.uniform(low, 1.0)``
+    on the same stream. Breakpoints are drawn on [0, 1) and need no map.
     """
-    kinds = [0] * count
-    terms = [0] * count
+    kinds = np.empty(count, dtype=int)
     coefficients = np.zeros((count, TEST_POLYNOMIAL_WIDTH))
-    frequency = [0] * count
-    amplitude = [0.0] * count
+    frequency = np.zeros(count)
     samples: list = [None] * count
-    lo_val = 0.0 if nonnegative else -1.0
+    # units[i]: trial i's unit values, its coefficients, amplitude or samples.
+    units = []
     for i in range(count):
         kind = rng.integers(0, 3)
         if kind == 0:
-            if nonnegative:
-                base = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 5)))
-                coeffs = np.convolve(base, base)
-            else:
-                coeffs = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 8)))
             kinds[i] = POLYNOMIAL
-            terms[i] = coeffs.size
-            coefficients[i, TEST_POLYNOMIAL_WIDTH - coeffs.size:] = coeffs[::-1]
+            units.append(rng.random(size=int(rng.integers(1, 5 if nonnegative else 8))))
         elif kind == 1:
             frequency[i] = int(rng.integers(1, 9))
-            amplitude[i] = float(rng.uniform(-1.0, 1.0))
+            units.append(rng.random(size=1))
             kinds[i] = COSINE if rng.integers(0, 2) else SINE
         else:
             breaks = int(rng.integers(2, 17))
             xs = np.empty(breaks + 2)
             xs[0], xs[-1] = 0.0, 1.0
-            xs[1:-1] = rng.uniform(0.0, 1.0, size=breaks)
+            xs[1:-1] = rng.random(size=breaks)
             xs[1:-1].sort()
             # Sorted and without repeats means strictly increasing; a repeat
             # (a draw of exactly 0.0, or two equal draws) keeps its first.
             if len(set(xs.tolist())) < xs.size:
                 xs = xs[np.concatenate(([True], xs[1:] > xs[:-1]))]
             kinds[i] = PIECEWISE_LINEAR
-            samples[i] = (xs, rng.uniform(lo_val, 1.0, size=xs.size))
-    frequency = np.array(frequency, dtype=float)
-    return DrawnTestFunctions(kinds=np.array(kinds), terms=np.array(terms),
+            samples[i] = xs  # paired with its mapped values after the loop
+            units.append(rng.random(size=xs.size))
+    sizes = np.array([u.size for u in units], dtype=int)
+    starts = np.cumsum(sizes) - sizes
+    lo_val = 0.0 if nonnegative else -1.0
+    low = np.repeat(np.where(kinds == PIECEWISE_LINEAR, lo_val, -1.0), sizes)
+    drawn = low + (1.0 - low) * np.concatenate([np.empty(0), *units])
+    waves = np.flatnonzero((kinds == SINE) | (kinds == COSINE))
+    amplitude = np.zeros(count)
+    amplitude[waves] = drawn[starts[waves]]
+    terms = np.zeros(count, dtype=int)
+    for i in np.flatnonzero(kinds == POLYNOMIAL).tolist():
+        coeffs = drawn[starts[i]:starts[i] + sizes[i]]
+        if nonnegative:
+            coeffs = np.convolve(coeffs, coeffs)
+        terms[i] = coeffs.size
+        coefficients[i, TEST_POLYNOMIAL_WIDTH - coeffs.size:] = coeffs[::-1]
+    for i in np.flatnonzero(kinds == PIECEWISE_LINEAR).tolist():
+        samples[i] = (samples[i], drawn[starts[i]:starts[i] + sizes[i]])
+    return DrawnTestFunctions(kinds=kinds, terms=terms,
                               coefficients=coefficients, frequency=frequency,
                               omega=2.0 * np.pi * frequency,
-                              amplitude=np.array(amplitude),
+                              amplitude=amplitude,
                               offset=1.0 if nonnegative else 0.0,
                               samples=samples, nonnegative=nonnegative)

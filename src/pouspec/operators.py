@@ -18,8 +18,9 @@ and an explicit nonzero kernel witness. Each takes the grid and
 ``values``, the basis evaluated on it once by the caller (shape ``(n,
 len(grid))``); none evaluates the basis itself. The kernel witness is
 evaluated once, on the grid and the joined nodes together, by array
-passes: a 2-D sine reduced along the node axis for a product of sines,
-one ``searchsorted`` for a cellwise sine.
+passes: a 2-D sine reduced along the node axis for a product of sines
+(written as a signed zero, without sines, at the joined nodes that are its
+own nodes), one ``searchsorted`` for a cellwise sine.
 
 The positivity and norm checks draw all their test functions first, as
 parameter arrays (:func:`~pouspec.functions.draw_test_functions`), and
@@ -52,8 +53,9 @@ from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .bases import (BasisSystem, DEFAULT_GRID_POINTS, check_nonnegativity,
+from .bases import (BasisSystem, DEFAULT_GRID_POINTS, TOL_POU, check_nonnegativity,
                     check_partition_of_unity, make_bernstein_basis,
                     make_bspline_basis, make_hat_basis)
 from .checks import CheckResult, nonempty_grid
@@ -61,8 +63,8 @@ from .errors import ConfigError, NotConstructibleError
 from .functions import draw_test_functions, grid, outside_domain, require_in_domain
 from .functionals import (DiracFunctional, Functional, IntervalAverageFunctional,
                           WeightedQuadratureFunctional,
-                          check_functional_normalization, first_unnormalized,
-                          make_kantorovich_functionals)
+                          check_functional_normalization, dirac_functionals,
+                          first_unnormalized, make_kantorovich_functionals)
 
 #: Residual bound a kernel witness must meet on the verification grid.
 WITNESS_RESIDUAL_TOL = 1e-10
@@ -145,8 +147,9 @@ class OperatorSpec:
                 raise ConfigError(
                     f"{self.name}: basis violates the partition of unity "
                     f"(deviation {pou.value:.3e} at x={pou.worst_x:.6g})")
-            nn = check_nonnegativity(values, xs)
-            if not nn.passed:
+            # The least value decides; only a failure locates it.
+            if not values.min() >= -TOL_POU:
+                nn = check_nonnegativity(values, xs)
                 raise ConfigError(
                     f"{self.name}: basis takes negative values "
                     f"({nn.value:.3e} at x={nn.worst_x:.6g})")
@@ -181,8 +184,8 @@ def bernstein_operator(n: int) -> OperatorSpec:
     """Point-evaluation operator on the Bernstein basis: samples at the
     equally spaced nodes ``k/n``."""
     basis = make_bernstein_basis(n)
-    funcs = tuple(DiracFunctional(k / n) for k in range(n + 1))
-    return OperatorSpec(basis, funcs, name=f"bernstein(n={n})")
+    return OperatorSpec(basis, dirac_functionals(np.arange(n + 1) / n),
+                        name=f"bernstein(n={n})")
 
 
 def kantorovich_operator(n: int) -> OperatorSpec:
@@ -195,29 +198,30 @@ def kantorovich_operator(n: int) -> OperatorSpec:
 
 def greville_abscissae(knots: Sequence[float], degree: int) -> np.ndarray:
     """Knot averages ``(t_{k+1} + ... + t_{k+degree}) / degree`` for each
-    basis function of a clamped knot vector."""
+    basis function of a clamped knot vector: one ``mean`` over the sliding
+    windows of the inner knots, with the bits of each average taken on its
+    own."""
     t = np.asarray(knots, dtype=float)
     if degree < 1:
         raise ConfigError(f"Greville abscissae need degree >= 1, got {degree}")
-    n_basis = t.size - degree - 1
-    return np.array([t[k + 1:k + degree + 1].mean() for k in range(n_basis)])
+    if t.size < degree + 2:
+        return np.empty(0)
+    return sliding_window_view(t[1:-1], degree).mean(axis=1)
 
 
 def schoenberg_operator(knots: Sequence[float], degree: int) -> OperatorSpec:
     """Point evaluation at the Greville abscissae against the clamped
     B-spline basis for ``knots``."""
     basis = make_bspline_basis(knots, degree)
-    nodes = greville_abscissae(knots, degree)
-    funcs = tuple(DiracFunctional(x) for x in nodes)
-    return OperatorSpec(basis, funcs, name=f"schoenberg(deg {degree}, n={basis.n})")
+    return OperatorSpec(basis, dirac_functionals(greville_abscissae(knots, degree)),
+                        name=f"schoenberg(deg {degree}, n={basis.n})")
 
 
 def hat_dirac_operator(nodes: Sequence[float]) -> OperatorSpec:
     """Nodal interpolation: hat basis over a partition with point evaluation
     at the same nodes. Its collocation matrix is the identity."""
     basis = make_hat_basis(nodes)
-    funcs = tuple(DiracFunctional(x) for x in np.asarray(nodes, dtype=float))
-    return OperatorSpec(basis, funcs, name=f"hat-dirac({basis.n})")
+    return OperatorSpec(basis, dirac_functionals(nodes), name=f"hat-dirac({basis.n})")
 
 
 # --------------------------------------------------------------------------
@@ -444,6 +448,29 @@ def _sine_product(nodes: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _node_vanishing_product(nodes: np.ndarray, points: np.ndarray,
+                            grid_size: int) -> np.ndarray:
+    """:func:`_sine_product` of the kept ``nodes`` at ``points``, the grid's
+    ``grid_size`` points followed by the operator's joined nodes, with the
+    bits of evaluating it at every point. A joined node that is a kept node
+    has the exact factor ``sin(pi * +0) = +0``, so its product is a signed
+    zero; when every kept node lies in [0, 1], each other factor there has
+    the sign of ``x - node``, and the product is ``(-1)**(kept nodes above
+    x) * 0.0``, written without a sine. Only the other points are
+    evaluated."""
+    joined = points[grid_size:]
+    # Kept nodes at or below each joined node: at least one, the least
+    # joined node being the first kept node.
+    below = np.searchsorted(nodes, joined, side="right")
+    gap = joined - nodes[below - 1]
+    at_kept = (gap == 0.0) & ~np.signbit(gap) & (nodes[0] >= 0.0) & (nodes[-1] <= 1.0)
+    evaluated = np.concatenate((np.ones(grid_size, dtype=bool), ~at_kept))
+    out = np.empty_like(points)
+    out[evaluated] = _sine_product(nodes, points[evaluated])
+    out[grid_size:][at_kept] = np.where((nodes.size - below[at_kept]) % 2, -0.0, 0.0)
+    return out
+
+
 def _cellwise_sine(starts: np.ndarray, widths: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """One full sine period ``sin(2 pi (x - a) / width)`` on each cell ``[a,
     a + width]`` (``starts`` ascending) and zero outside every cell. A point
@@ -478,7 +505,9 @@ def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> tuple[
     Construction is analytic per functional kind. Point-type functionals
     (Dirac, finite quadrature) are killed by a sine vanishing at all node
     points when those are equally spaced across [0, 1], and otherwise by
-    a normalized product of node-vanishing sine factors. Interval averages
+    a normalized product of node-vanishing sine factors, which takes no
+    sine at a joined node that is a kept product node: it is a signed zero
+    there (:func:`_node_vanishing_product`). Interval averages
     over non-overlapping cells are killed by one full sine period per cell.
     Mixed point/average families have no such closed form and raise
     :class:`NotConstructibleError`.
@@ -496,7 +525,7 @@ def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> tuple[
             name = f"sin({cells}pi(x-0)/1)"
             w = np.sin(cells * np.pi * points)
         else:
-            w = _sine_product(nodes, points)
+            w = _node_vanishing_product(nodes, points, grid.size)
             peak = float(np.max(np.abs(w[:grid.size])))
             if peak <= 0.0:
                 raise NotConstructibleError(

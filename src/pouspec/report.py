@@ -56,7 +56,8 @@ from .checks import CheckResult
 from .errors import ConfigError, UnsupportedSizeError
 from .functions import grid
 from .functionals import (DiracFunctional, IntervalAverageFunctional,
-                          WeightedQuadratureFunctional)
+                          WeightedQuadratureFunctional, dirac_functionals,
+                          interval_average_functionals)
 from .operators import (WITNESS_RESIDUAL_TOL, OperatorSpec, bernstein_operator,
                         hat_dirac_operator, kantorovich_operator, kernel_witness_report,
                         schoenberg_operator, verify_constant_reproduction,
@@ -182,12 +183,15 @@ class Kind:
     """One operator, basis or functional kind of a config: its fields in
     config order, each with its parser ``(data, key, context) -> value``;
     the constructor, which takes the parsed fields as keyword arguments;
-    and for operators and bases the size of what it builds, read off the
-    parsed fields before anything is built."""
+    for operators and bases the size of what it builds, read off the
+    parsed fields before anything is built; and for a functional kind with
+    a family pass, that pass, which takes each field as a list over the
+    specs."""
 
     params: dict[str, Callable[[dict, str, str], Any]]
     build: Callable[..., Any]
     size: Callable[[dict], int] | None = None
+    family: Callable[..., tuple] | None = None
 
     def parse(self, data: dict, context: str) -> dict:
         return {name: parse(data, name, context) for name, parse in self.params.items()}
@@ -196,6 +200,13 @@ class Kind:
         """What the parsed fields build; other keys of ``parsed`` (a spec's
         ``kind``) are left out."""
         return self.build(**{name: parsed[name] for name in self.params})
+
+    def construct_all(self, specs: list[dict]) -> tuple:
+        """What each parsed spec builds, in order: by the family pass in one
+        call, else spec by spec."""
+        if self.family is None:
+            return tuple(map(self.construct, specs))
+        return self.family(**{name: [spec[name] for spec in specs] for name in self.params})
 
 
 def _spec(table: dict[str, Kind], data: dict, context: str) -> dict:
@@ -220,15 +231,27 @@ def _functional_specs(data: dict, key: str, context: str) -> list[dict]:
 
 
 def _custom_operator(basis: dict, functionals: list[dict]) -> OperatorSpec:
-    """The operator of a parsed basis spec and functional specs. An error
-    building functional ``i`` is prefixed ``functional[i]: ``."""
+    """The operator of a parsed basis spec and functional specs, the specs
+    of each kind built together and placed back in config order. An error
+    building functional ``i`` is prefixed ``functional[i]: ``; the first
+    spec that fails on its own is named, as building them in order would."""
     system = BASES[basis["kind"]].construct(basis)
-    built = []
+    by_kind: dict[str, list[int]] = {}
     for index, spec in enumerate(functionals):
-        try:
-            built.append(FUNCTIONALS[spec["kind"]].construct(spec))
-        except ConfigError as exc:
-            raise ConfigError(f"functional[{index}]: {exc}") from exc
+        by_kind.setdefault(spec["kind"], []).append(index)
+    built: list = [None] * len(functionals)
+    try:
+        for kind, indices in by_kind.items():
+            members = FUNCTIONALS[kind].construct_all([functionals[i] for i in indices])
+            for index, member in zip(indices, members):
+                built[index] = member
+    except ConfigError:
+        for index, spec in enumerate(functionals):
+            try:
+                FUNCTIONALS[spec["kind"]].construct(spec)
+            except ConfigError as exc:
+                raise ConfigError(f"functional[{index}]: {exc}") from exc
+        raise
     return OperatorSpec(system, tuple(built), name="custom")
 
 
@@ -243,8 +266,9 @@ BASES = {
 
 #: Functional kinds of a custom operator's ``functionals`` specs.
 FUNCTIONALS = {
-    "dirac": Kind({"x": _number}, DiracFunctional),
-    "interval-average": Kind({"a": _number, "b": _number}, IntervalAverageFunctional),
+    "dirac": Kind({"x": _number}, DiracFunctional, family=dirac_functionals),
+    "interval-average": Kind({"a": _number, "b": _number}, IntervalAverageFunctional,
+                             family=interval_average_functionals),
     "weighted-quadrature": Kind({"nodes": _float_list, "weights": _float_list},
                                 WeightedQuadratureFunctional),
 }

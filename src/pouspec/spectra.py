@@ -94,14 +94,20 @@ def build_collocation_matrix(op) -> CollocationMatrix:
     The basis is evaluated once per block of whole functionals on their
     joined nodes ``op.nodes``, each block holding at most
     ``MAX_BLOCK_ENTRIES`` values (a functional larger than that is a block
-    of its own). Row ``k`` is then one matrix-vector product,
-    ``values[:, s_k:e_k] @ op.weights[s_k:e_k]``, with the same result bit
-    for bit as ``basis.values(a_k.nodes) @ a_k.weights``. Every node lies
+    of its own). Each run of ``q`` consecutive functionals of one rule size
+    ``r`` in a block is then one stacked product ``(q, n, r) @ (q, r, 1)``
+    of views of the values and of ``op.weights``. numpy runs it as one
+    matrix-vector product per functional, with the same arguments as the
+    row's own ``values[:, s_k:e_k] @ op.weights[s_k:e_k]``, so row ``k`` has
+    the bits of ``basis.values(a_k.nodes) @ a_k.weights``. Every node lies
     in [0, 1], as :class:`~pouspec.operators.OperatorSpec` guarantees, so
     no block can fail its domain test."""
     n = op.basis.n
     starts = op.starts
     stops = np.append(starts[1:], op.nodes.size)
+    sizes = stops - starts
+    # The functionals whose rule size differs from the one before.
+    changes = np.flatnonzero(np.diff(sizes)) + 1
     budget = MAX_BLOCK_ENTRIES // n
     entries = np.empty((n, n))
     first = 0
@@ -109,9 +115,11 @@ def build_collocation_matrix(op) -> CollocationMatrix:
         lo = starts[first]
         last = max(first + 1, int(np.searchsorted(stops, lo + budget, side="right")))
         values = op.basis.values(op.nodes[lo:stops[last - 1]])
-        for k in range(first, last):
-            s, e = starts[k], stops[k]
-            entries[k] = values[:, s - lo:e - lo] @ op.weights[s:e]
+        cuts = changes[(changes > first) & (changes < last)].tolist()
+        for k, end in zip([first] + cuts, cuts + [last]):
+            q, r, s = end - k, int(sizes[k]), starts[k]
+            rows = values[:, s - lo:s - lo + q * r].reshape(n, q, r).transpose(1, 0, 2)
+            entries[k:end] = (rows @ op.weights[s:s + q * r].reshape(q, r, 1))[:, :, 0]
         first = last
     return CollocationMatrix(entries, name=op.name)
 

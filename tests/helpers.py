@@ -14,7 +14,8 @@ import numpy as np
 
 from pouspec.checks import CheckResult
 from pouspec.errors import ConfigError, NotConstructibleError
-from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
+from pouspec.functionals import (DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
+                                 DiracFunctional, IntervalAverageFunctional,
                                  WeightedQuadratureFunctional,
                                  check_functional_normalization)
 from pouspec.functions import (COSINE, PIECEWISE_LINEAR, POLYNOMIAL, TEST_POLYNOMIAL_WIDTH,
@@ -193,6 +194,34 @@ def collocation_rowwise(op) -> np.ndarray:
     """Collocation matrix one row at a time, each row from its own basis
     evaluation: ``basis.values(a_k.nodes) @ a_k.weights``."""
     return np.vstack([op.basis.values(a.nodes) @ a.weights for a in op.functionals])
+
+
+def dirac_rule_one_by_one(x: float) -> tuple[np.ndarray, np.ndarray, str]:
+    """``(nodes, weights, name)`` of the point evaluation at ``x``, built on
+    its own: one node of weight one."""
+    x = float(x)
+    return np.array([x]), np.array([1.0]), f"dirac({x:g})"
+
+
+def interval_average_rule_one_by_one(a: float, b: float) -> tuple[
+        np.ndarray, np.ndarray, str]:
+    """``(nodes, weights, name)`` of the normalized average over ``[a, b]``,
+    built on its own: the composite Gauss-Legendre rule of the cell from its
+    own ``np.linspace``, its weights divided by ``b - a``."""
+    a, b = float(a), float(b)
+    reference_nodes, reference_weights = np.polynomial.legendre.leggauss(DEFAULT_QUAD_ORDER)
+    edges = np.linspace(a, b, DEFAULT_QUAD_PANELS + 1)
+    half = np.diff(edges) / 2.0
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    xs = (mid[:, None] + half[:, None] * reference_nodes[None, :]).ravel()
+    ws = (half[:, None] * reference_weights[None, :]).ravel()
+    return xs, ws / (b - a), f"avg[{a:g},{b:g}]"
+
+
+def greville_loop(knots: Sequence[float], degree: int) -> np.ndarray:
+    """Greville abscissae one knot average at a time."""
+    t = np.asarray(knots, dtype=float)
+    return np.array([t[k + 1:k + degree + 1].mean() for k in range(t.size - degree - 1)])
 
 
 def sort_eigenvalues_by_key(values) -> np.ndarray:

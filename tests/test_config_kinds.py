@@ -110,3 +110,67 @@ def test_catalog_lists_the_operator_kinds(capsys):
              if line.startswith("  ") and not line.startswith("   ")]
     assert kinds == list(OPERATORS)
 
+
+
+def _custom_on_six_hats(functionals: list[dict]) -> dict:
+    return {"operator": "custom",
+            "basis": {"kind": "hat", "nodes": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]},
+            "functionals": functionals}
+
+
+def _dirac(x):
+    return {"kind": "dirac", "x": x}
+
+
+def _average(a, b):
+    return {"kind": "interval-average", "a": a, "b": b}
+
+
+def _quadrature(nodes, weights):
+    return {"kind": "weighted-quadrature", "nodes": nodes, "weights": weights}
+
+
+class TestCustomFunctionalOrder:
+    """A custom operator builds the functionals of each kind together, but
+    keeps config order and names the first spec that fails, as building
+    them one at a time in order would."""
+
+    @pytest.mark.parametrize("functionals, error, message", [
+        ([_dirac(0.0), _average(0.1, 0.3), _quadrature([0.4, 0.5], [0.5, 0.5]),
+          _average(0.7, 0.6), _dirac(0.8), _quadrature([0.9, 1.0], [1.0])],
+         "ConfigError", "functional[3]: interval average requires a < b, got [0.7, 0.6]"),
+        ([_average(0.0, 0.2), _dirac(1.5), _quadrature([0.4, 0.5], [0.5, 0.5]),
+          _average(0.6, 0.7), _dirac(0.8), _dirac(1.0)],
+         "DomainError", "custom: functional 1 (dirac(1.5)): x=1.5 outside domain [0.0, 1.0]"),
+        ([_average(0.0, 0.2), _dirac(1.5), _quadrature([0.4, 0.5], [0.5, 0.5]),
+          _average(0.7, 0.6), _dirac(0.8), _dirac(1.0)],
+         "ConfigError", "functional[3]: interval average requires a < b, got [0.7, 0.6]"),
+        ([_average(0.0, 0.2), _dirac(0.5), _quadrature([0.4, 0.5], [1.0]),
+          _average(0.7, 0.6), _dirac(0.8), _dirac(1.0)],
+         "ConfigError", "functional[2]: functional nodes and weights differ in length"),
+        ([_quadrature([0.4, -0.5], [0.5, 0.5]), _dirac(0.5), _average(0.3, 0.6),
+          _average(0.7, 0.8), _dirac(0.8), _dirac(1.0)],
+         "DomainError",
+         "custom: functional 0 (quad(2 nodes)): x=-0.5 outside domain [0.0, 1.0]"),
+    ], ids=["reversed-at-3", "outside-at-1", "outside-at-1-reversed-at-3",
+            "quadrature-at-2-reversed-at-3", "quadrature-outside-at-0"])
+    def test_first_failing_spec_is_named(self, functionals, error, message):
+        config = config_from_mapping(_custom_on_six_hats(functionals))
+        with pytest.raises(Exception) as caught:
+            build_operator(config)
+        assert type(caught.value).__name__ == error
+        assert str(caught.value) == message
+
+    def test_functionals_keep_config_order(self):
+        specs = [_dirac(0.0), _average(0.1, 0.3), _quadrature([0.4, 0.5], [0.5, 0.5]),
+                 _average(0.5, 0.6), _dirac(0.8), _dirac(1.0)]
+        op = build_operator(config_from_mapping(_custom_on_six_hats(specs)))
+        assert [f.name for f in op.functionals] == [
+            "dirac(0)", "avg[0.1,0.3]", "quad(2 nodes)", "avg[0.5,0.6]", "dirac(0.8)",
+            "dirac(1)"]
+        assert [type(f) for f in op.functionals] == [
+            FUNCTIONALS[spec["kind"]].build for spec in specs]
+        for f, spec in zip(op.functionals, specs):
+            expected = FUNCTIONALS[spec["kind"]].construct(spec)
+            assert f.nodes.tobytes() == expected.nodes.tobytes()
+            assert f.weights.tobytes() == expected.weights.tobytes()

@@ -6,13 +6,15 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from helpers import bernstein_antiderivative, one, pairing, random_function_oracle
+from helpers import (bernstein_antiderivative, dirac_rule_one_by_one,
+                     interval_average_rule_one_by_one, one, pairing, random_function_oracle)
 
 from pouspec.errors import ConfigError
 from pouspec.functionals import (DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
                                  DiracFunctional, IntervalAverageFunctional,
                                  WeightedQuadratureFunctional, _gauss_legendre_rule,
-                                 check_functional_normalization,
+                                 check_functional_normalization, dirac_functionals,
+                                 interval_average_functionals,
                                  make_kantorovich_functionals)
 from pouspec.bases import make_bernstein_basis
 
@@ -126,6 +128,85 @@ class TestKantorovich:
     def test_rejects_n_zero(self):
         with pytest.raises(ConfigError):
             make_kantorovich_functionals(0)
+
+
+def _assert_built_one_by_one(family, rules, kind, **fields):
+    """Member ``k`` of ``family`` is of ``kind`` and has the bits of the
+    rule ``rules[k] = (nodes, weights, name)`` built on its own, read-only
+    arrays and ``fields[attr][k]`` as each further attribute."""
+    assert len(family) == len(rules)
+    for k, (member, (nodes, weights, name)) in enumerate(zip(family, rules)):
+        assert type(member) is kind
+        assert member.nodes.tobytes() == nodes.tobytes()
+        assert member.weights.tobytes() == weights.tobytes()
+        assert member.nodes.shape == member.weights.shape == nodes.shape
+        assert member.name == name
+        assert not member.nodes.flags.writeable and not member.weights.flags.writeable
+        for attr, column in fields.items():
+            assert getattr(member, attr) == column[k]
+
+
+class TestFamilies:
+    """A family pass builds each member with the bits of its own rule; a
+    single constructor is the family's one-row case."""
+
+    @pytest.mark.parametrize("n", [*range(1, 31), 499])
+    def test_kantorovich_cells_equal_one_by_one(self, n):
+        cells = n + 1
+        bounds = [(k / cells, (k + 1) / cells) for k in range(cells)]
+        _assert_built_one_by_one(make_kantorovich_functionals(n),
+                                 [interval_average_rule_one_by_one(a, b) for a, b in bounds],
+                                 IntervalAverageFunctional,
+                                 a=[a for a, _ in bounds], b=[b for _, b in bounds])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_cells_equal_one_by_one(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(size=int(rng.integers(1, 60)))
+        b = a + rng.uniform(1e-9, 1.0, size=a.size) * rng.choice([1e-6, 1e-3, 1.0], a.size)
+        family = interval_average_functionals(a, b)
+        _assert_built_one_by_one(family,
+                                 [interval_average_rule_one_by_one(p, q) for p, q in zip(a, b)],
+                                 IntervalAverageFunctional, a=a.tolist(), b=b.tolist())
+        _assert_built_one_by_one([IntervalAverageFunctional(p, q) for p, q in zip(a, b)],
+                                 [interval_average_rule_one_by_one(p, q) for p, q in zip(a, b)],
+                                 IntervalAverageFunctional, a=a.tolist(), b=b.tolist())
+
+    def test_one_cell_family(self):
+        (member,) = interval_average_functionals([0.25], [0.75])
+        single = IntervalAverageFunctional(0.25, 0.75)
+        rule = interval_average_rule_one_by_one(0.25, 0.75)
+        _assert_built_one_by_one((member, single), [rule, rule], IntervalAverageFunctional,
+                                 a=[0.25, 0.25], b=[0.75, 0.75])
+
+    def test_family_rules_equal_the_rule_of_each_cell(self):
+        a = np.linspace(0.0, 0.9, 10)
+        xs, ws = _gauss_legendre_rule(a, a + 0.1)
+        for k in range(a.size):
+            one_xs, one_ws = _gauss_legendre_rule(float(a[k]), float(a[k]) + 0.1)
+            assert xs[k].tobytes() == one_xs.tobytes() and ws[k].tobytes() == one_ws.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_diracs_equal_one_by_one(self, seed):
+        xs = np.random.default_rng(seed).uniform(size=40)
+        xs[:3] = (0.0, -0.0, 1.0)
+        rules = [dirac_rule_one_by_one(x) for x in xs]
+        _assert_built_one_by_one(dirac_functionals(xs), rules, DiracFunctional,
+                                 x=xs.tolist())
+        _assert_built_one_by_one([DiracFunctional(x) for x in xs], rules, DiracFunctional,
+                                 x=xs.tolist())
+        assert np.signbit(dirac_functionals(xs)[1].nodes[0])
+
+    def test_first_reversed_cell_is_named(self):
+        with pytest.raises(ConfigError,
+                           match=r"^interval average requires a < b, got \[0.5, 0.4\]$"):
+            interval_average_functionals([0.0, 0.5, 0.7], [0.5, 0.4, 0.6])
+
+    def test_members_are_read_only_rows_of_one_array(self):
+        family = interval_average_functionals([0.0, 0.5], [0.5, 1.0])
+        with pytest.raises(ValueError):
+            family[1].nodes[0] = 0.0
+        assert family[0].nodes.base is family[1].nodes.base
 
 
 class TestNormalizationCheck:

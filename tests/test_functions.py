@@ -79,7 +79,8 @@ class TestRandomCatalog:
 class ScriptedGenerator:
     """Stands in for ``np.random.Generator`` with scripted draws:
     ``integers`` returns the next scripted integer, ``uniform`` maps the
-    next scripted unit values onto ``[low, high)``."""
+    next scripted unit values onto ``[low, high)`` and ``random`` returns
+    them as ``uniform(0, 1)`` does."""
 
     def __init__(self, ints, units):
         self._ints = iter(ints)
@@ -92,6 +93,9 @@ class ScriptedGenerator:
         if size is None:
             return low + (high - low) * next(self._units)
         return low + (high - low) * np.array([next(self._units) for _ in range(size)])
+
+    def random(self, size=None):
+        return self.uniform(0.0, 1.0, size)
 
 
 class TestEvaluation:
@@ -256,6 +260,34 @@ class TestDrawnTestFunctions:
             assert 1 <= block.size <= max(1, size)
             assert np.unique(draw.kinds[block]).size == 1
             assert np.all(np.diff(block) > 0)
+
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    def test_parameters_equal_the_uniform_draws(self, nonnegative):
+        # The draw takes unit values from rng.random and maps them after
+        # the loop; the oracle calls rng.uniform for each. Every parameter
+        # has the oracle's bits, and both leave the generator in one state.
+        for seed in range(300):
+            draw_rng = np.random.default_rng(seed)
+            draw = draw_test_functions(draw_rng, 30, nonnegative)
+            oracle_rng = np.random.default_rng(seed)
+            for i in range(30):
+                single = random_function_oracle(oracle_rng, nonnegative)
+                params = single.params
+                assert draw.name(i) == single.name
+                if single.kind == "poly":
+                    pad = TEST_POLYNOMIAL_WIDTH - int(draw.terms[i])
+                    assert draw.coefficients[i, pad:][::-1].tobytes() == \
+                        params["coefficients"].tobytes()
+                    assert not draw.coefficients[i, :pad].any()
+                elif single.kind == "pwl":
+                    xs, ys = draw.samples[i]
+                    assert xs.tobytes() == params["xs"].tobytes()
+                    assert ys.tobytes() == params["ys"].tobytes()
+                else:
+                    assert float(draw.amplitude[i]).hex() == params["amplitude"].hex()
+                    assert draw.omega[i] == params["omega"]
+                    assert draw.offset == params["offset"]
+            assert draw_rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_draws_cover_every_kind(self):
         rng = np.random.default_rng(1)

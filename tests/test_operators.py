@@ -23,10 +23,11 @@ from pouspec.operators import (OperatorSpec, _candidate_witness, bernstein_opera
                                verify_norm_bound, verify_positivity)
 from pouspec.spectra import build_collocation_matrix
 
-from helpers import (adjoint_pairing, candidate_witness_two_pass, clamped_knots, image,
-                     norm_estimate_oracle, one, pairing, positivity_oracle,
-                     random_function_oracle, validate_functionals_one_by_one,
-                     verified_two_pass, verify_adjoint_identity)
+from helpers import (adjoint_pairing, candidate_witness_two_pass, clamped_knots,
+                     greville_loop, image, norm_estimate_oracle, one, pairing,
+                     positivity_oracle, random_breakpoints, random_function_oracle,
+                     validate_functionals_one_by_one, verified_two_pass,
+                     verify_adjoint_identity)
 
 GRID = np.linspace(0.0, 1.0, 1001)
 SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
@@ -166,6 +167,24 @@ class TestConstruction:
     def test_greville_abscissae(self):
         knots = clamped_knots([0.0, 0.5, 1.0], 2)
         nptest.assert_allclose(greville_abscissae(knots, 2), [0.0, 0.25, 0.75, 1.0])
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8, 9, 17, 30])
+    def test_greville_abscissae_equal_the_loop(self, degree):
+        # One mean over sliding windows of the inner knots, with the bits of
+        # each knot average taken on its own (pairwise summation from eight
+        # knots on).
+        rng = np.random.default_rng(degree)
+        for _ in range(50):
+            breakpoints = random_breakpoints(rng, interior=int(rng.integers(0, 40)),
+                                             min_gap=0.0)
+            knots = clamped_knots(breakpoints, degree)
+            assert greville_abscissae(knots, degree).tobytes() == \
+                greville_loop(knots, degree).tobytes()
+
+    def test_greville_abscissae_of_too_few_knots_are_empty(self):
+        for knots in ([0.0, 1.0], [0.0, 0.5, 1.0]):
+            assert greville_abscissae(knots, 3).tobytes() == greville_loop(knots, 3).tobytes()
+            assert greville_abscissae(knots, 3).shape == (0,)
 
     def test_schoenberg_degree_one_is_nodal(self):
         op = schoenberg_operator(clamped_knots([0.0, 0.5, 1.0], 1), 1)
@@ -496,12 +515,29 @@ def witness_operators():
     irregular nodes (300 of them, more than one block of the product of
     sines), equal and unequal cells, and cells that meet or overlap by up
     to 1e-12, one of them narrower than the overlap, and one cell off the
-    origin, with grid points before it."""
+    origin, with grid points before it. Among the irregular nodes: repeats
+    and nodes within 1e-12 of a kept node, which the product evaluates;
+    a -0.0 beside 0.0; and a node below 0 within the domain slack, where the
+    signs of the factors at the kept nodes are not those of ``x - node``."""
     nodes = np.sort(np.random.default_rng(4).uniform(size=298))
     hat = make_hat_basis([0.0, 0.5, 1.0])
+    hat4 = make_hat_basis([0.0, 0.3, 0.6, 1.0])
     return [
         *catalog_operators(),
         hat_dirac_operator(np.concatenate(([0.0], nodes, [1.0]))),
+        OperatorSpec(hat4, (WeightedQuadratureFunctional([0.1, 0.1 + 5e-13], [0.5, 0.5]),
+                            DiracFunctional(0.3),
+                            WeightedQuadratureFunctional([0.6, 0.6 - 4e-13, 0.7, 0.3],
+                                                         [0.2, 0.3, 0.4, 0.1]),
+                            DiracFunctional(1.0)), name="near-duplicates"),
+        OperatorSpec(hat, (DiracFunctional(0.0),
+                           WeightedQuadratureFunctional([-0.0, 0.4], [0.5, 0.5]),
+                           DiracFunctional(1.0)), name="negative-zero"),
+        OperatorSpec(hat, (WeightedQuadratureFunctional([-0.0, 0.4], [0.5, 0.5]),
+                           DiracFunctional(0.0),
+                           DiracFunctional(1.0)), name="negative-zero-first"),
+        OperatorSpec(hat, (DiracFunctional(-1e-13), DiracFunctional(0.4),
+                           DiracFunctional(1.0)), name="below-zero"),
         OperatorSpec(hat, (IntervalAverageFunctional(0.0, 0.3),
                            IntervalAverageFunctional(0.3 - 1e-12, 0.55),
                            IntervalAverageFunctional(0.55 - 5e-13, 1.0)), name="overlap"),

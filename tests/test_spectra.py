@@ -19,7 +19,8 @@ from pouspec import spectra
 from pouspec.errors import ConfigError, UnsupportedSizeError
 from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
                                  WeightedQuadratureFunctional)
-from pouspec.bases import BasisSystem, make_bernstein_basis, make_hat_basis
+from pouspec.bases import (BasisSystem, make_bernstein_basis, make_bspline_basis,
+                           make_hat_basis)
 from pouspec.operators import OperatorSpec, bernstein_operator, hat_dirac_operator, \
     kantorovich_operator, schoenberg_operator
 from pouspec.spectra import (MAX_DIMENSION, ORACLE_MAX_DIMENSION, CollocationMatrix,
@@ -108,6 +109,30 @@ def _mixed_operator() -> OperatorSpec:
     return OperatorSpec(make_hat_basis(nodes), funcs, name="mixed")
 
 
+def _runs_operator(basis) -> OperatorSpec:
+    """``basis`` with runs of Dirac, cell-average and weighted-quadrature
+    functionals of 3 and 5 nodes (rule sizes 1, 32, 3 and 5), the runs one
+    to four functionals long, so that the rule size changes both inside a
+    block and where a block ends."""
+    rng = np.random.default_rng(basis.n)
+    runs = [("dirac", 4), ("average", 3), ("quad-3", 3), ("quad-5", 4), ("dirac", 1),
+            ("quad-5", 2), ("average", 1), ("quad-3", 1), ("dirac", 2), ("quad-3", 2)]
+    funcs = []
+    for run in range(basis.n):
+        kind, count = runs[run % len(runs)]
+        for _ in range(min(count, basis.n - len(funcs))):
+            if kind == "dirac":
+                funcs.append(DiracFunctional(rng.uniform()))
+            elif kind == "average":
+                a, b = np.sort(rng.uniform(size=2))
+                funcs.append(IntervalAverageFunctional(a, b))
+            else:
+                size = int(kind[-1])
+                funcs.append(WeightedQuadratureFunctional(rng.uniform(size=size),
+                                                          rng.dirichlet(np.ones(size))))
+    return OperatorSpec(basis, funcs, name=f"runs({basis.name})")
+
+
 COLLOCATION_CASES = {
     **{f"bernstein-{n}": (lambda n=n: bernstein_operator(n)) for n in (1, 31, 120)},
     **{f"kantorovich-{n}": (lambda n=n: kantorovich_operator(n)) for n in (1, 31, 120)},
@@ -117,6 +142,11 @@ COLLOCATION_CASES = {
         random_breakpoints(np.random.default_rng(300), interior=298)),
     "hat-average-160": lambda: _hat_average_operator(160),
     "mixed": _mixed_operator,
+    "runs-hat": lambda: _runs_operator(
+        make_hat_basis(random_breakpoints(np.random.default_rng(24), interior=22))),
+    "runs-bspline": lambda: _runs_operator(make_bspline_basis(
+        clamped_knots(random_breakpoints(np.random.default_rng(5), interior=30), 3), 3)),
+    "runs-bernstein": lambda: _runs_operator(make_bernstein_basis(40)),
 }
 
 #: Caps on the basis values per block, as functions of the operator.
