@@ -8,9 +8,9 @@ from .bases import (BasisSystem, check_nonnegativity, check_partition_of_unity,
 from .checks import CheckResult
 from .errors import (ConfigError, DomainError, NotConstructibleError,
                      UnsupportedSizeError)
-from .functionals import (DiracFunctional, Functional, IntervalAverageFunctional,
-                          WeightedQuadratureFunctional,
-                          check_functional_normalization, make_kantorovich_functionals)
+from .functionals import (Functionals, check_functional_normalization, dirac_functionals,
+                          interval_average_functionals, join,
+                          make_kantorovich_functionals, quadrature_functionals)
 from .operators import (OperatorSpec, bernstein_operator, coefficient_vector,
                         estimate_operator_norm, greville_abscissae, hat_dirac_operator,
                         kantorovich_operator, kernel_witness_report, schoenberg_operator,

@@ -26,7 +26,7 @@ from pathlib import Path
 from numpy.linalg import LinAlgError
 
 from .errors import ConfigError, DomainError, UnsupportedSizeError
-from .report import (AnalysisConfig, build_operator, emit_report, emit_svg,
+from .report import (OPERATORS, AnalysisConfig, build_operator, emit_report, emit_svg,
                      exit_code_for, parse_config, run_analyze, run_checks)
 from .spectra import (ORACLE_MAX_DIMENSION, TOL_STOCHASTIC, build_collocation_matrix,
                       check_row_stochastic, eigenvalues, mpmath_eigen_oracle,
@@ -122,11 +122,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     config = _read_config(args.config)
-    op = build_operator(config)
-    if op.n > ORACLE_MAX_DIMENSION:
+    n = OPERATORS[config.operator].size(config.params)  # before anything is built
+    if n > ORACLE_MAX_DIMENSION:
         raise UnsupportedSizeError(
             f"oracle cross-check supports matrices up to "
-            f"{ORACLE_MAX_DIMENSION}x{ORACLE_MAX_DIMENSION}, got {op.n}x{op.n}")
+            f"{ORACLE_MAX_DIMENSION}x{ORACLE_MAX_DIMENSION}, got {n}x{n}")
+    op = build_operator(config)
     matrix = build_collocation_matrix(op)
     lapack_eigs = eigenvalues(matrix)
     oracle_eigs = mpmath_eigen_oracle(matrix)

@@ -1,16 +1,17 @@
 """Positive finite-rank operators ``Tf = sum_k a_k(f) e_k`` and their checks.
 
 An :class:`OperatorSpec` pairs a partition-of-unity basis with one
-normalized positive functional per basis function. The catalog factories
-cover point-evaluation operators on Bernstein and hat bases, the
+normalized positive functional per basis function, all held as one
+joined rule (:class:`~pouspec.functionals.Functionals`). The catalog
+factories cover point-evaluation operators on Bernstein and hat bases, the
 Kantorovich operator (cell averages against the Bernstein basis), and the
 Schoenberg variational operator (point evaluation at Greville abscissae
 against a clamped B-spline basis).
 
 A function enters only through its values: :func:`coefficient_vector`
-takes a plain vectorized callable and evaluates it once on the operator's
-joined nodes. Construction checks the normalization of every functional
-in one pass over the joined rule
+takes a plain vectorized callable and evaluates it once on the joined
+nodes ``op.functionals.nodes``. Construction checks the normalization of
+every functional in one pass over the joined rule
 (:func:`~pouspec.functionals.first_unnormalized`). The verification
 helpers measure, on a grid the caller passes in and with seeded random
 test functions: constant reproduction, positivity, the unit operator norm
@@ -61,10 +62,9 @@ from .bases import (BasisSystem, DEFAULT_GRID_POINTS, TOL_POU, check_nonnegativi
 from .checks import CheckResult, nonempty_grid
 from .errors import ConfigError, NotConstructibleError
 from .functions import draw_test_functions, grid, outside_domain, require_in_domain
-from .functionals import (DiracFunctional, Functional, IntervalAverageFunctional,
-                          WeightedQuadratureFunctional,
-                          check_functional_normalization, dirac_functionals,
-                          first_unnormalized, make_kantorovich_functionals)
+from .functionals import (AVERAGE, KIND_NAMES, Functionals, check_functional_normalization,
+                          dirac_functionals, first_unnormalized,
+                          make_kantorovich_functionals)
 
 #: Residual bound a kernel witness must meet on the verification grid.
 WITNESS_RESIDUAL_TOL = 1e-10
@@ -99,43 +99,30 @@ class OperatorSpec:
     failure-path tests: wrong mass, negative weights or a broken basis,
     never a node outside [0, 1].
 
-    ``nodes``, ``weights`` and ``starts`` are the functionals' rules joined
-    once (read-only; functional ``k`` starts at ``starts[k]``).
     ``default_values`` is the basis on ``grid(DEFAULT_GRID_POINTS)`` that
     validation evaluated (read-only), kept so that checks on that grid
-    reuse it; it is ``None`` when ``validate=False``. None of the four takes
-    part in eq, hash or repr.
+    reuse it; it is ``None`` when ``validate=False``, and takes no part in
+    eq, hash or repr.
     """
 
     basis: BasisSystem
-    functionals: tuple[Functional, ...]
+    functionals: Functionals
     name: str = "operator"
     validate: InitVar[bool] = True
-    nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
     default_values: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, validate: bool):
-        object.__setattr__(self, "functionals", tuple(self.functionals))
-        if len(self.functionals) != self.basis.n:
+        fs = self.functionals
+        if fs.n != self.basis.n:
             raise ConfigError(
                 f"{self.name}: basis has {self.basis.n} functions but "
-                f"{len(self.functionals)} functionals were given")
-        joined = {
-            "nodes": np.concatenate([a.nodes for a in self.functionals]),
-            "weights": np.concatenate([a.weights for a in self.functionals]),
-            "starts": np.cumsum([0] + [a.nodes.size for a in self.functionals[:-1]]),
-        }
-        for attr, array in joined.items():
-            array.flags.writeable = False
-            object.__setattr__(self, attr, array)
+                f"{fs.n} functionals were given")
         # The first functional with a node outside [0, 1], or n, from one
         # domain test over the joined nodes.
-        outside = outside_domain(self.nodes)
+        outside = outside_domain(fs.nodes)
         first_outside = self.n
         if outside.any():
-            first_outside = int(np.searchsorted(self.starts, np.argmax(outside),
+            first_outside = int(np.searchsorted(fs.starts, np.argmax(outside),
                                                 side="right")) - 1
         object.__setattr__(self, "default_values", None)
         if validate:
@@ -159,17 +146,16 @@ class OperatorSpec:
             # raises after the normalization of those before it. One pass
             # finds the first unnormalized functional; only that one is
             # checked on its own, for the message.
-            k = first_unnormalized(self.weights, self.starts)
+            k = first_unnormalized(fs.weights, fs.starts)
             if k < first_outside:
-                functional = self.functionals[k]
-                norm = check_functional_normalization(functional)
-                raise ConfigError(f"{self.name}: functional {k} ({functional.name}) "
+                norm = check_functional_normalization(fs, k)
+                raise ConfigError(f"{self.name}: functional {k} ({fs.name(k)}) "
                                   f"is not a nonnegative rule of unit mass "
                                   f"({norm.detail})")
         if first_outside < self.n:
-            functional = self.functionals[first_outside]
-            require_in_domain(functional.nodes,
-                              f"{self.name}: functional {first_outside} ({functional.name})")
+            require_in_domain(fs.rule(first_outside)[0],
+                              f"{self.name}: functional {first_outside} "
+                              f"({fs.name(first_outside)})")
 
     @property
     def n(self) -> int:
@@ -234,7 +220,8 @@ def coefficient_vector(op: OperatorSpec,
     once on the operator's joined nodes, then weighted and summed per
     functional. ``Tf`` on points ``xs`` is this vector times the basis
     values there."""
-    return np.add.reduceat(op.weights * f(op.nodes), op.starts)
+    fs = op.functionals
+    return np.add.reduceat(fs.weights * f(fs.nodes), fs.starts)
 
 
 # --------------------------------------------------------------------------
@@ -247,16 +234,16 @@ def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray, values: np.
     constant one are the functionals' masses."""
     grid = nonempty_grid(grid, values, "constant-reproduction")
     return CheckResult.deviation_from_one(
-        "constant_reproduction", np.add.reduceat(op.weights, op.starts) @ values, grid, tol)
+        "constant_reproduction", coefficient_vector(op, np.ones_like) @ values, grid, tol)
 
 
 def _coefficients(op: OperatorSpec, on_nodes: np.ndarray) -> np.ndarray:
     """The coefficients ``(a_k(f_i))_k`` for each row of ``on_nodes``, the
-    functions' values on ``op.nodes`` (overwritten). Row ``i`` has the bits
-    of ``coefficient_vector(op, f_i)``: ``reduceat`` along the rows sums each
-    functional's nodes in the same order."""
-    on_nodes *= op.weights
-    return np.add.reduceat(on_nodes, op.starts, axis=1)
+    functions' values on ``op.functionals.nodes`` (overwritten). Row ``i``
+    has the bits of ``coefficient_vector(op, f_i)``: ``reduceat`` along the
+    rows sums each functional's nodes in the same order."""
+    on_nodes *= op.functionals.weights
+    return np.add.reduceat(on_nodes, op.functionals.starts, axis=1)
 
 
 def _images(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -322,7 +309,8 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
         raise ConfigError(f"trials must be >= 1, got {trials}")
     draw = draw_test_functions(np.random.default_rng(seed), trials, nonnegative=True)
     coeffs = np.empty((trials, op.n))
-    for rows, on_nodes in draw.blocks(TRIAL_BLOCK_VALUES // op.nodes.size, op.nodes):
+    nodes = op.functionals.nodes
+    for rows, on_nodes in draw.blocks(TRIAL_BLOCK_VALUES // nodes.size, nodes):
         coeffs[rows] = _coefficients(op, on_nodes)
     lower = _image_lower_bounds(coeffs, values)
     # The worst is the least (value, trial) pair, so a tie goes to the
@@ -372,10 +360,10 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarra
         raise ConfigError(f"trials must be >= 1, got {trials}")
     require_in_domain(grid, "norm-estimate check grid")
     draw = draw_test_functions(np.random.default_rng(seed), trials)
-    nodes = op.nodes.size
+    nodes = op.functionals.nodes.size
     # The constant one, ||1||_inf = 1 on the grid.
     best = float(np.abs(_images(_coefficients(op, np.ones((1, nodes))), values)).max())
-    points = np.concatenate((op.nodes, grid))
+    points = np.concatenate((op.functionals.nodes, grid))
     coeffs = np.empty((trials, op.n))
     denom = np.empty(trials)
     for rows, block_values in draw.blocks(TRIAL_BLOCK_VALUES // points.size, points):
@@ -420,7 +408,7 @@ def verify_norm_bound(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
 # --------------------------------------------------------------------------
 
 def _point_annihilation_nodes(op: OperatorSpec) -> np.ndarray:
-    nodes = np.sort(op.nodes)
+    nodes = np.sort(op.functionals.nodes)
     keep = np.concatenate(([True], np.diff(nodes) > 1e-12))
     return nodes[keep]
 
@@ -513,12 +501,11 @@ def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> tuple[
     :class:`NotConstructibleError`.
     """
     # The sine witnesses print as "sin(...pi(x-0)/1)": reports carry that text.
-    point_kinds = (DiracFunctional, WeightedQuadratureFunctional)
-    all_point = all(isinstance(f, point_kinds) for f in op.functionals)
-    all_average = all(isinstance(f, IntervalAverageFunctional) for f in op.functionals)
-    points = np.concatenate((grid, op.nodes))
+    fs = op.functionals
+    average = fs.kinds == AVERAGE
+    points = np.concatenate((grid, fs.nodes))
 
-    if all_point:
+    if not average.any():
         nodes = _point_annihilation_nodes(op)
         if _equally_spaced(nodes):
             cells = nodes.size - 1
@@ -533,10 +520,10 @@ def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> tuple[
                     f"on the verification grid")
             name = f"node-vanishing product ({nodes.size} nodes)"
             w /= peak
-    elif all_average:
-        order = np.argsort([f.a for f in op.functionals], kind="stable")
-        starts = np.array([f.a for f in op.functionals])[order]
-        stops = np.array([f.b for f in op.functionals])[order]
+    elif average.all():
+        order = np.argsort(fs.a, kind="stable")
+        starts = fs.a[order]
+        stops = fs.b[order]
         overlaps = np.flatnonzero(stops[:-1] > starts[1:] + 1e-12)
         if overlaps.size:
             k = overlaps[0]
@@ -555,7 +542,7 @@ def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> tuple[
             name = f"cellwise sine ({starts.size} cells)"
             w = _cellwise_sine(starts, widths, points)
     else:
-        kinds = sorted({type(f).__name__ for f in op.functionals})
+        kinds = sorted({KIND_NAMES[kind] for kind in fs.kinds.tolist()})
         raise NotConstructibleError(
             f"{op.name}: no analytic kernel witness for mixed functional "
             f"kinds {kinds}")
@@ -571,7 +558,7 @@ def _verified(op: OperatorSpec, values: np.ndarray, on_grid: np.ndarray,
     ``on_grid`` and ``on_nodes`` the witness on the grid and on the joined
     nodes."""
     witness_norm = float(np.max(np.abs(on_grid)))
-    coeffs = np.add.reduceat(op.weights * on_nodes, op.starts)
+    coeffs = np.add.reduceat(op.functionals.weights * on_nodes, op.functionals.starts)
     residual = float(np.max(np.abs(coeffs @ values)))
     if witness_norm < WITNESS_MIN_NORM or residual > WITNESS_RESIDUAL_TOL:
         raise NotConstructibleError(

@@ -92,19 +92,20 @@ def build_collocation_matrix(op) -> CollocationMatrix:
     """Assemble ``M[k][j] = a_k(e_j)`` from the operator's joined rule.
 
     The basis is evaluated once per block of whole functionals on their
-    joined nodes ``op.nodes``, each block holding at most
+    joined nodes ``op.functionals.nodes``, each block holding at most
     ``MAX_BLOCK_ENTRIES`` values (a functional larger than that is a block
     of its own). Each run of ``q`` consecutive functionals of one rule size
     ``r`` in a block is then one stacked product ``(q, n, r) @ (q, r, 1)``
-    of views of the values and of ``op.weights``. numpy runs it as one
+    of views of the values and of the joined weights. numpy runs it as one
     matrix-vector product per functional, with the same arguments as the
-    row's own ``values[:, s_k:e_k] @ op.weights[s_k:e_k]``, so row ``k`` has
-    the bits of ``basis.values(a_k.nodes) @ a_k.weights``. Every node lies
-    in [0, 1], as :class:`~pouspec.operators.OperatorSpec` guarantees, so
-    no block can fail its domain test."""
+    row's own ``values[:, s_k:e_k] @ weights[s_k:e_k]``, so row ``k`` has
+    the bits of ``basis.values(x) @ w`` for ``x, w = op.functionals.rule(k)``.
+    Every node lies in [0, 1], as :class:`~pouspec.operators.OperatorSpec`
+    guarantees, so no block can fail its domain test."""
     n = op.basis.n
-    starts = op.starts
-    stops = np.append(starts[1:], op.nodes.size)
+    nodes, weights, starts = (op.functionals.nodes, op.functionals.weights,
+                              op.functionals.starts)
+    stops = np.append(starts[1:], nodes.size)
     sizes = stops - starts
     # The functionals whose rule size differs from the one before.
     changes = np.flatnonzero(np.diff(sizes)) + 1
@@ -114,12 +115,12 @@ def build_collocation_matrix(op) -> CollocationMatrix:
     while first < n:
         lo = starts[first]
         last = max(first + 1, int(np.searchsorted(stops, lo + budget, side="right")))
-        values = op.basis.values(op.nodes[lo:stops[last - 1]])
+        values = op.basis.values(nodes[lo:stops[last - 1]])
         cuts = changes[(changes > first) & (changes < last)].tolist()
         for k, end in zip([first] + cuts, cuts + [last]):
             q, r, s = end - k, int(sizes[k]), starts[k]
             rows = values[:, s - lo:s - lo + q * r].reshape(n, q, r).transpose(1, 0, 2)
-            entries[k:end] = (rows @ op.weights[s:s + q * r].reshape(q, r, 1))[:, :, 0]
+            entries[k:end] = (rows @ weights[s:s + q * r].reshape(q, r, 1))[:, :, 0]
         first = last
     return CollocationMatrix(entries, name=op.name)
 

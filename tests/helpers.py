@@ -14,10 +14,10 @@ import numpy as np
 
 from pouspec.checks import CheckResult
 from pouspec.errors import ConfigError, NotConstructibleError
-from pouspec.functionals import (DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
-                                 DiracFunctional, IntervalAverageFunctional,
-                                 WeightedQuadratureFunctional,
-                                 check_functional_normalization)
+from pouspec.functionals import (AVERAGE, DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
+                                 KIND_NAMES, Functionals, check_functional_normalization,
+                                 dirac_functionals, interval_average_functionals, join,
+                                 quadrature_functionals)
 from pouspec.functions import (COSINE, PIECEWISE_LINEAR, POLYNOMIAL, TEST_POLYNOMIAL_WIDTH,
                                _horner, outside_domain, require_in_domain)
 from pouspec.operators import (_equally_spaced, _point_annihilation_nodes,
@@ -36,9 +36,35 @@ def image(op, f, xs: np.ndarray) -> np.ndarray:
     return coefficient_vector(op, f) @ op.basis.values(xs)
 
 
-def pairing(functional, f) -> float:
-    """``a(f) = sum_i w_i f(x_i)`` for a vectorized callable ``f``."""
-    return float(functional.weights @ f(functional.nodes))
+def dirac(x: float) -> Functionals:
+    """The one point evaluation at ``x``."""
+    return dirac_functionals([x])
+
+
+def average(a: float, b: float) -> Functionals:
+    """The one normalized average over ``[a, b]``."""
+    return interval_average_functionals([a], [b])
+
+
+def quadrature(nodes: Sequence[float], weights: Sequence[float]) -> Functionals:
+    """The one finite rule of ``nodes`` and ``weights``."""
+    return quadrature_functionals([nodes], [weights])
+
+
+def in_order(*parts: Functionals) -> Functionals:
+    """The members of ``parts``, in the order given."""
+    return join(parts, range(sum(part.n for part in parts)))
+
+
+def rules(functionals: Functionals) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(nodes, weights)`` of each member, in order."""
+    return [functionals.rule(k) for k in range(functionals.n)]
+
+
+def pairing(functionals: Functionals, f, k: int = 0) -> float:
+    """``a_k(f) = sum_i w_i f(x_i)`` for a vectorized callable ``f``."""
+    nodes, weights = functionals.rule(k)
+    return float(weights @ f(nodes))
 
 
 def adjoint_pairing(op, dual, f) -> float:
@@ -57,17 +83,17 @@ def verify_adjoint_identity(op, pairs: int = 50, tol: float = 1e-10,
         f = random_function_oracle(rng)
         kind = i % 3
         if kind == 0:
-            dual = DiracFunctional(rng.uniform())
+            dual = dirac(rng.uniform())
         elif kind == 1:
             a, b = np.sort(rng.uniform(size=2))
             if b - a < 1e-3:
                 b = min(1.0, a + 1e-3)
                 a = b - 1e-3
-            dual = IntervalAverageFunctional(a, b)
+            dual = average(a, b)
         else:
             nodes = rng.uniform(size=4)
             weights = rng.dirichlet(np.ones(4))
-            dual = WeightedQuadratureFunctional(nodes, weights)
+            dual = quadrature(nodes, weights)
         lhs = adjoint_pairing(op, dual, f)
         rhs = float(dual.weights @ image(op, f, dual.nodes))
         worst = max(worst, abs(lhs - rhs))
@@ -192,8 +218,8 @@ def hat_values(pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def collocation_rowwise(op) -> np.ndarray:
     """Collocation matrix one row at a time, each row from its own basis
-    evaluation: ``basis.values(a_k.nodes) @ a_k.weights``."""
-    return np.vstack([op.basis.values(a.nodes) @ a.weights for a in op.functionals])
+    evaluation: ``basis.values(nodes_k) @ weights_k`` for each rule."""
+    return np.vstack([op.basis.values(x) @ w for x, w in rules(op.functionals)])
 
 
 def dirac_rule_one_by_one(x: float) -> tuple[np.ndarray, np.ndarray, str]:
@@ -432,27 +458,23 @@ def emit_svg_oracle(report) -> str:
 # each array pass must give their bits (and their errors, in their order).
 # --------------------------------------------------------------------------
 
-def validate_functionals_one_by_one(name: str, functionals) -> None:
+def validate_functionals_one_by_one(name: str, functionals: Functionals) -> None:
     """The functionals' part of ``OperatorSpec`` validation, one functional
     at a time: the normalization of each functional in order of ``k`` up to
     the first with a node outside [0, 1], then that functional's domain
     error."""
-    nodes = np.concatenate([a.nodes for a in functionals])
-    starts = np.cumsum([0] + [a.nodes.size for a in functionals[:-1]])
-    outside = outside_domain(nodes)
-    first_outside = len(functionals)
-    if outside.any():
-        first_outside = int(np.searchsorted(starts, np.argmax(outside), side="right")) - 1
-    for k, functional in enumerate(functionals[:first_outside]):
-        norm = check_functional_normalization(functional)
+    outside = [outside_domain(nodes).any() for nodes, _ in rules(functionals)]
+    first_outside = outside.index(True) if True in outside else functionals.n
+    for k in range(first_outside):
+        norm = check_functional_normalization(functionals, k)
         if not norm.passed:
-            raise ConfigError(f"{name}: functional {k} ({functional.name}) "
+            raise ConfigError(f"{name}: functional {k} ({functionals.name(k)}) "
                               f"is not a nonnegative rule of unit mass "
                               f"({norm.detail})")
-    if first_outside < len(functionals):
-        functional = functionals[first_outside]
-        require_in_domain(functional.nodes,
-                          f"{name}: functional {first_outside} ({functional.name})")
+    if first_outside < functionals.n:
+        require_in_domain(functionals.rule(first_outside)[0],
+                          f"{name}: functional {first_outside} "
+                          f"({functionals.name(first_outside)})")
 
 
 def drawn_values_per_block(draw, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -477,9 +499,10 @@ def candidate_witness_two_pass(op, grid: np.ndarray) -> tuple[
     """``(name, w, w_on_grid)`` of the kernel witness, built by a loop over
     the nodes or the cells; ``w`` is evaluated on the grid here and again
     on the nodes by :func:`verified_two_pass`."""
-    point_kinds = (DiracFunctional, WeightedQuadratureFunctional)
-    all_point = all(isinstance(f, point_kinds) for f in op.functionals)
-    all_average = all(isinstance(f, IntervalAverageFunctional) for f in op.functionals)
+    fs = op.functionals
+    kinds = [int(fs.kinds[k]) for k in range(fs.n)]
+    all_point = all(kind != AVERAGE for kind in kinds)
+    all_average = all(kind == AVERAGE for kind in kinds)
 
     if all_point:
         nodes = _point_annihilation_nodes(op)
@@ -505,7 +528,8 @@ def candidate_witness_two_pass(op, grid: np.ndarray) -> tuple[
             return (f"node-vanishing product ({nodes.size} nodes)",
                     lambda xs: product_of_sines(xs) / peak, raw_on_grid / peak)
     elif all_average:
-        cells = sorted(((f.a, f.b) for f in op.functionals), key=lambda c: c[0])
+        cells = sorted(((float(fs.a[k]), float(fs.b[k])) for k in range(fs.n)),
+                       key=lambda c: c[0])
         for (a0, b0), (a1, _) in zip(cells, cells[1:]):
             if b0 > a1 + 1e-12:
                 raise NotConstructibleError(
@@ -533,10 +557,10 @@ def candidate_witness_two_pass(op, grid: np.ndarray) -> tuple[
                     out[inside] = np.sin(2.0 * np.pi * (xs[inside] - a) / cw)
                 return out
     else:
-        kinds = sorted({type(f).__name__ for f in op.functionals})
+        names = sorted({KIND_NAMES[kind] for kind in kinds})
         raise NotConstructibleError(
             f"{op.name}: no analytic kernel witness for mixed functional "
-            f"kinds {kinds}")
+            f"kinds {names}")
 
     return name, w, w(grid)
 

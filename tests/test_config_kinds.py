@@ -6,11 +6,15 @@ missing."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pouspec.cli import main
+from pouspec.functionals import join
 from pouspec.report import (BASES, FUNCTIONALS, OPERATORS, build_operator,
                             config_from_mapping)
 
@@ -88,7 +92,8 @@ def test_kind_parses_round_trips_and_builds(case_id):
     elif table is BASES:
         assert table[kind].size(config.params["basis"]) == op.basis.n
     else:
-        assert type(op.functionals[0]) is table[kind].build
+        alone = table[kind].construct_all([config.params["functionals"][0]])
+        assert op.functionals.kinds[0] == alone.kinds[0]
 
 
 @pytest.mark.parametrize("case_id, name", FIELD_CASES,
@@ -130,6 +135,26 @@ def _quadrature(nodes, weights):
     return {"kind": "weighted-quadrature", "nodes": nodes, "weights": weights}
 
 
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def _specs(draw) -> dict:
+    """A valid functional spec of any kind: nodes in [0, 1], cells at
+    least 1e-3 wide."""
+    kind = draw(st.sampled_from(list(FUNCTIONALS)))
+    if kind == "dirac":
+        return _dirac(draw(unit))
+    if kind == "interval-average":
+        a = draw(st.floats(min_value=0.0, max_value=0.99))
+        return _average(a, draw(st.floats(min_value=a + 1e-3, max_value=1.0)))
+    size = draw(st.integers(min_value=1, max_value=5))
+    raw = np.array(draw(st.lists(st.floats(min_value=1e-3, max_value=1.0),
+                                 min_size=size, max_size=size)))
+    return _quadrature(draw(st.lists(unit, min_size=size, max_size=size)),
+                       (raw / raw.sum()).tolist())
+
+
 class TestCustomFunctionalOrder:
     """A custom operator builds the functionals of each kind together, but
     keeps config order and names the first spec that fails, as building
@@ -165,12 +190,54 @@ class TestCustomFunctionalOrder:
         specs = [_dirac(0.0), _average(0.1, 0.3), _quadrature([0.4, 0.5], [0.5, 0.5]),
                  _average(0.5, 0.6), _dirac(0.8), _dirac(1.0)]
         op = build_operator(config_from_mapping(_custom_on_six_hats(specs)))
-        assert [f.name for f in op.functionals] == [
+        assert [op.functionals.name(k) for k in range(op.n)] == [
             "dirac(0)", "avg[0.1,0.3]", "quad(2 nodes)", "avg[0.5,0.6]", "dirac(0.8)",
             "dirac(1)"]
-        assert [type(f) for f in op.functionals] == [
-            FUNCTIONALS[spec["kind"]].build for spec in specs]
-        for f, spec in zip(op.functionals, specs):
-            expected = FUNCTIONALS[spec["kind"]].construct(spec)
-            assert f.nodes.tobytes() == expected.nodes.tobytes()
-            assert f.weights.tobytes() == expected.weights.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(specs=st.lists(_specs(), min_size=2, max_size=12), data=st.data())
+    @example(specs=[_dirac(0.0), _average(0.1, 0.3), _quadrature([0.4, 0.5], [0.5, 0.5]),
+                    _average(0.5, 0.6), _dirac(0.8), _dirac(1.0)],
+             data=None)
+    def test_each_member_equals_its_spec_built_alone(self, specs, data):
+        # Through a custom config (each kind built in one call, then
+        # joined), and through ``join`` of the specs built one by one in a
+        # random order: member k has the bits, name, kind and cell of spec k
+        # built on its own.
+        alone = [FUNCTIONALS[spec["kind"]].construct_all([spec]) for spec in specs]
+        config = {"operator": "custom",
+                  "basis": {"kind": "hat", "nodes": np.linspace(0.0, 1.0, len(specs)).tolist()},
+                  "functionals": specs}
+        order = list(range(len(specs)))
+        if data is not None:
+            order = data.draw(st.permutations(order))
+        joined = [build_operator(config_from_mapping(config)).functionals,
+                  join([alone[k] for k in order], order)]
+        for fs in joined:
+            assert fs.n == len(specs)
+            for k, single in enumerate(alone):
+                (nodes, weights), (single_nodes, single_weights) = fs.rule(k), single.rule(0)
+                assert nodes.tobytes() == single_nodes.tobytes()
+                assert weights.tobytes() == single_weights.tobytes()
+                assert fs.name(k) == single.name(0)
+                assert fs.kinds[k] == single.kinds[0]
+                assert fs.a[k:k + 1].tobytes() == single.a.tobytes()
+                assert fs.b[k:k + 1].tobytes() == single.b.tobytes()
+
+    def test_each_kind_is_built_once(self, monkeypatch):
+        # Alternating kinds: one builder call per kind, however the specs
+        # interleave, and none per spec.
+        calls = {kind: 0 for kind in FUNCTIONALS}
+        for kind, row in FUNCTIONALS.items():
+            def counted(*args, kind=kind, build=row.build, **kwargs):
+                calls[kind] += 1
+                return build(*args, **kwargs)
+            monkeypatch.setitem(FUNCTIONALS, kind, dataclasses.replace(row, build=counted))
+        specs = [[_dirac(x), _average(x, x + 0.01), _quadrature([x, x + 0.01], [0.5, 0.5])][k % 3]
+                 for k, x in enumerate(np.linspace(0.0, 0.9, 30).tolist())]
+        config = {"operator": "custom",
+                  "basis": {"kind": "hat", "nodes": np.linspace(0.0, 1.0, 30).tolist()},
+                  "functionals": specs}
+        op = build_operator(config_from_mapping(config))
+        assert op.n == 30
+        assert calls == {kind: 1 for kind in FUNCTIONALS}

@@ -1,4 +1,5 @@
-"""Functionals: quadrature engine, the three kinds, normalization checks."""
+"""Functionals: quadrature engine, the three kinds, the joined rule,
+normalization checks."""
 
 from __future__ import annotations
 
@@ -6,16 +7,16 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from helpers import (bernstein_antiderivative, dirac_rule_one_by_one,
-                     interval_average_rule_one_by_one, one, pairing, random_function_oracle)
+from helpers import (average, bernstein_antiderivative, dirac, dirac_rule_one_by_one,
+                     in_order, interval_average_rule_one_by_one, one, pairing, quadrature,
+                     random_function_oracle)
 
 from pouspec.errors import ConfigError
-from pouspec.functionals import (DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
-                                 DiracFunctional, IntervalAverageFunctional,
-                                 WeightedQuadratureFunctional, _gauss_legendre_rule,
+from pouspec.functionals import (AVERAGE, DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS, DIRAC,
+                                 QUADRATURE, _gauss_legendre_rule,
                                  check_functional_normalization, dirac_functionals,
                                  interval_average_functionals,
-                                 make_kantorovich_functionals)
+                                 make_kantorovich_functionals, quadrature_functionals)
 from pouspec.bases import make_bernstein_basis
 
 
@@ -24,11 +25,11 @@ class TestGaussLegendre:
     panels, exact for polynomials of degree 15 on each panel."""
 
     def test_constant(self):
-        assert pairing(IntervalAverageFunctional(0.0, 1.0), one) == \
+        assert pairing(average(0.0, 1.0), one) == \
             pytest.approx(1.0, abs=1e-15)
 
     def test_cubic_exact(self):
-        assert pairing(IntervalAverageFunctional(0.0, 1.0), lambda xs: xs ** 3) == \
+        assert pairing(average(0.0, 1.0), lambda xs: xs ** 3) == \
             pytest.approx(0.25, abs=1e-15)
 
     def test_linear_on_half_interval(self):
@@ -52,55 +53,55 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize("degree", [7, 11, 15])
     def test_exact_on_the_unit_interval(self, degree):
-        assert pairing(IntervalAverageFunctional(0.0, 1.0), lambda xs: xs ** degree) == \
+        assert pairing(average(0.0, 1.0), lambda xs: xs ** degree) == \
             pytest.approx(1.0 / (degree + 1), rel=1e-14)
 
     def test_degree_fifteen_exact_on_a_panel(self):
         # The first of the four panels of [0, 1] is [0, 1/4].
-        assert pairing(IntervalAverageFunctional(0.0, 0.25), lambda xs: xs ** 15) == \
+        assert pairing(average(0.0, 0.25), lambda xs: xs ** 15) == \
             pytest.approx(0.25 ** 15 / 16, rel=1e-14)
 
     def test_rejects_reversed_bounds(self):
         with pytest.raises(ConfigError, match=r"requires a < b, got \[0.7, 0.2\]"):
-            IntervalAverageFunctional(0.7, 0.2)
+            average(0.7, 0.2)
 
     def test_order_eight_hits_roundoff(self):
         exact = np.e - 1.0
-        err = abs(pairing(IntervalAverageFunctional(0.0, 1.0), np.exp) - exact)
+        err = abs(pairing(average(0.0, 1.0), np.exp) - exact)
         assert err <= 1e-14
 
 
 class TestKinds:
     def test_dirac_point_evaluation(self):
-        assert pairing(DiracFunctional(0.5), lambda xs: xs ** 2) == 0.25
+        assert pairing(dirac(0.5), lambda xs: xs ** 2) == 0.25
 
     def test_interval_average_normalization(self):
-        assert pairing(IntervalAverageFunctional(0.0, 0.5), one) == pytest.approx(1.0, abs=1e-15)
+        assert pairing(average(0.0, 0.5), one) == pytest.approx(1.0, abs=1e-15)
 
     def test_interval_average_of_linear(self):
         # 2 * integral_0^0.5 x dx = 0.25 by the antiderivative x^2/2.
-        assert pairing(IntervalAverageFunctional(0.0, 0.5), lambda xs: xs) == \
+        assert pairing(average(0.0, 0.5), lambda xs: xs) == \
             pytest.approx(0.25, abs=1e-15)
 
     def test_interval_average_rejects_empty(self):
         with pytest.raises(ConfigError):
-            IntervalAverageFunctional(0.5, 0.5)
+            average(0.5, 0.5)
 
     def test_weighted_quadrature(self):
-        rule = WeightedQuadratureFunctional([0.0, 0.5, 1.0], [0.25, 0.5, 0.25])
+        rule = quadrature([0.0, 0.5, 1.0], [0.25, 0.5, 0.25])
         assert pairing(rule, lambda xs: xs ** 2) == pytest.approx(0.5 * 0.25 + 0.25 * 1.0)
 
     def test_weighted_quadrature_shape_validation(self):
         with pytest.raises(ConfigError):
-            WeightedQuadratureFunctional([0.1, 0.2], [1.0])
+            quadrature([0.1, 0.2], [1.0])
         with pytest.raises(ConfigError):
-            WeightedQuadratureFunctional([], [])
+            quadrature([], [])
 
     def test_discrete_measure_representation(self):
-        dirac = DiracFunctional(0.3)
-        nptest.assert_array_equal(dirac.nodes, [0.3])
-        nptest.assert_array_equal(dirac.weights, [1.0])
-        avg = IntervalAverageFunctional(0.2, 0.6)
+        point = dirac(0.3)
+        nptest.assert_array_equal(point.nodes, [0.3])
+        nptest.assert_array_equal(point.weights, [1.0])
+        avg = average(0.2, 0.6)
         assert avg.nodes.size == 32 and 0.2 < avg.nodes.min() < avg.nodes.max() < 0.6
         assert avg.weights.min() > 0.0
         assert avg.weights.sum() == pytest.approx(1.0, abs=1e-15)
@@ -111,17 +112,17 @@ class TestKinds:
 class TestKantorovich:
     def test_n1_supports(self):
         funcs = make_kantorovich_functionals(1)
-        assert len(funcs) == 2
-        assert (funcs[0].a, funcs[0].b) == (0.0, 0.5)
-        assert (funcs[1].a, funcs[1].b) == (0.5, 1.0)
+        assert funcs.n == 2
+        assert (funcs.a[0], funcs.b[0]) == (0.0, 0.5)
+        assert (funcs.a[1], funcs.b[1]) == (0.5, 1.0)
 
     def test_n1_normalized(self):
         funcs = make_kantorovich_functionals(1)
-        assert pairing(funcs[0], one) == pytest.approx(1.0, abs=1e-15)
+        assert pairing(funcs, one, 0) == pytest.approx(1.0, abs=1e-15)
 
     def test_n2_equal_subdivision(self):
         funcs = make_kantorovich_functionals(2)
-        supports = [(f.a, f.b) for f in funcs]
+        supports = list(zip(funcs.a, funcs.b))
         nptest.assert_allclose(supports, [(0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1)],
                                atol=1e-15)
 
@@ -133,22 +134,25 @@ class TestKantorovich:
 def _assert_built_one_by_one(family, rules, kind, **fields):
     """Member ``k`` of ``family`` is of ``kind`` and has the bits of the
     rule ``rules[k] = (nodes, weights, name)`` built on its own, read-only
-    arrays and ``fields[attr][k]`` as each further attribute."""
-    assert len(family) == len(rules)
-    for k, (member, (nodes, weights, name)) in enumerate(zip(family, rules)):
-        assert type(member) is kind
-        assert member.nodes.tobytes() == nodes.tobytes()
-        assert member.weights.tobytes() == weights.tobytes()
-        assert member.nodes.shape == member.weights.shape == nodes.shape
-        assert member.name == name
-        assert not member.nodes.flags.writeable and not member.weights.flags.writeable
+    arrays and ``fields[attr][k]`` as each further column."""
+    assert family.n == len(rules)
+    for array in (family.nodes, family.weights, family.starts, family.kinds,
+                  family.a, family.b):
+        assert not array.flags.writeable
+    for k, (nodes, weights, name) in enumerate(rules):
+        member_nodes, member_weights = family.rule(k)
+        assert family.kinds[k] == kind
+        assert member_nodes.tobytes() == nodes.tobytes()
+        assert member_weights.tobytes() == weights.tobytes()
+        assert member_nodes.shape == member_weights.shape == nodes.shape
+        assert family.name(k) == name
         for attr, column in fields.items():
-            assert getattr(member, attr) == column[k]
+            assert getattr(family, attr)[k] == column[k]
 
 
 class TestFamilies:
-    """A family pass builds each member with the bits of its own rule; a
-    single constructor is the family's one-row case."""
+    """A family pass builds each member with the bits of its own rule, and
+    so do one-member families joined in order."""
 
     @pytest.mark.parametrize("n", [*range(1, 31), 499])
     def test_kantorovich_cells_equal_one_by_one(self, n):
@@ -156,8 +160,7 @@ class TestFamilies:
         bounds = [(k / cells, (k + 1) / cells) for k in range(cells)]
         _assert_built_one_by_one(make_kantorovich_functionals(n),
                                  [interval_average_rule_one_by_one(a, b) for a, b in bounds],
-                                 IntervalAverageFunctional,
-                                 a=[a for a, _ in bounds], b=[b for _, b in bounds])
+                                 AVERAGE, a=[a for a, _ in bounds], b=[b for _, b in bounds])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_cells_equal_one_by_one(self, seed):
@@ -167,16 +170,16 @@ class TestFamilies:
         family = interval_average_functionals(a, b)
         _assert_built_one_by_one(family,
                                  [interval_average_rule_one_by_one(p, q) for p, q in zip(a, b)],
-                                 IntervalAverageFunctional, a=a.tolist(), b=b.tolist())
-        _assert_built_one_by_one([IntervalAverageFunctional(p, q) for p, q in zip(a, b)],
+                                 AVERAGE, a=a.tolist(), b=b.tolist())
+        _assert_built_one_by_one(in_order(*[average(p, q) for p, q in zip(a, b)]),
                                  [interval_average_rule_one_by_one(p, q) for p, q in zip(a, b)],
-                                 IntervalAverageFunctional, a=a.tolist(), b=b.tolist())
+                                 AVERAGE, a=a.tolist(), b=b.tolist())
 
     def test_one_cell_family(self):
-        (member,) = interval_average_functionals([0.25], [0.75])
-        single = IntervalAverageFunctional(0.25, 0.75)
+        family = interval_average_functionals([0.25], [0.75])
         rule = interval_average_rule_one_by_one(0.25, 0.75)
-        _assert_built_one_by_one((member, single), [rule, rule], IntervalAverageFunctional,
+        _assert_built_one_by_one(family, [rule], AVERAGE, a=[0.25], b=[0.75])
+        _assert_built_one_by_one(in_order(family, family), [rule, rule], AVERAGE,
                                  a=[0.25, 0.25], b=[0.75, 0.75])
 
     def test_family_rules_equal_the_rule_of_each_cell(self):
@@ -191,11 +194,11 @@ class TestFamilies:
         xs = np.random.default_rng(seed).uniform(size=40)
         xs[:3] = (0.0, -0.0, 1.0)
         rules = [dirac_rule_one_by_one(x) for x in xs]
-        _assert_built_one_by_one(dirac_functionals(xs), rules, DiracFunctional,
-                                 x=xs.tolist())
-        _assert_built_one_by_one([DiracFunctional(x) for x in xs], rules, DiracFunctional,
-                                 x=xs.tolist())
-        assert np.signbit(dirac_functionals(xs)[1].nodes[0])
+        _assert_built_one_by_one(dirac_functionals(xs), rules, DIRAC,
+                                 a=xs.tolist(), b=xs.tolist())
+        _assert_built_one_by_one(in_order(*map(dirac, xs)), rules, DIRAC,
+                                 a=xs.tolist(), b=xs.tolist())
+        assert np.signbit(dirac_functionals(xs).rule(1)[0][0])
 
     def test_first_reversed_cell_is_named(self):
         with pytest.raises(ConfigError,
@@ -205,48 +208,47 @@ class TestFamilies:
     def test_members_are_read_only_rows_of_one_array(self):
         family = interval_average_functionals([0.0, 0.5], [0.5, 1.0])
         with pytest.raises(ValueError):
-            family[1].nodes[0] = 0.0
-        assert family[0].nodes.base is family[1].nodes.base
+            family.rule(1)[0][0] = 0.0
+        assert family.rule(0)[0].base is family.rule(1)[0].base
 
 
 class TestNormalizationCheck:
     def test_dirac_exact(self):
-        result = check_functional_normalization(DiracFunctional(0.3), tol=1e-12)
+        result = check_functional_normalization(dirac(0.3), 0, tol=1e-12)
         assert result.passed and result.value == 0.0
 
     def test_interval_average_passes(self):
-        result = check_functional_normalization(
-            IntervalAverageFunctional(0.0, 0.5), tol=1e-12)
+        result = check_functional_normalization(average(0.0, 0.5), 0, tol=1e-12)
         assert result.passed
 
     def test_denormalized_weights_fail(self):
-        rule = WeightedQuadratureFunctional([0.2, 0.8], [0.45, 0.45])
-        result = check_functional_normalization(rule, tol=1e-12)
+        rule = quadrature([0.2, 0.8], [0.45, 0.45])
+        result = check_functional_normalization(rule, 0, tol=1e-12)
         assert not result.passed
         assert result.value == pytest.approx(0.1, abs=1e-12)
 
     def test_negative_weight_fails_positivity_probe(self):
-        rule = WeightedQuadratureFunctional([0.0, 0.5, 1.0], [0.8, -0.3, 0.5])
-        result = check_functional_normalization(rule, tol=1e-12)
+        rule = quadrature([0.0, 0.5, 1.0], [0.8, -0.3, 0.5])
+        result = check_functional_normalization(rule, 0, tol=1e-12)
         assert not result.passed
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("functional", [
-        DiracFunctional(0.0),
-        DiracFunctional(0.71),
-        IntervalAverageFunctional(0.0, 1.0),
-        IntervalAverageFunctional(0.33, 0.34),
-        WeightedQuadratureFunctional([0.1, 0.9], [0.5, 0.5]),
-        *make_kantorovich_functionals(4),
-    ])
-    def test_unit_normalization(self, functional):
-        assert abs(pairing(functional, one) - 1.0) <= 1e-12
+    @pytest.mark.parametrize("functional, k", [
+        (dirac(0.0), 0),
+        (dirac(0.71), 0),
+        (average(0.0, 1.0), 0),
+        (average(0.33, 0.34), 0),
+        (quadrature([0.1, 0.9], [0.5, 0.5]), 0),
+        *((make_kantorovich_functionals(4), k) for k in range(5)),
+    ], ids=[f"functional{i}" for i in range(10)])
+    def test_unit_normalization(self, functional, k):
+        assert abs(pairing(functional, one, k) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("functional", [
-        DiracFunctional(0.25),
-        IntervalAverageFunctional(0.1, 0.8),
-        WeightedQuadratureFunctional([0.0, 0.4, 1.0], [0.2, 0.5, 0.3]),
+        dirac(0.25),
+        average(0.1, 0.8),
+        quadrature([0.0, 0.4, 1.0], [0.2, 0.5, 0.3]),
     ])
     def test_monotonicity(self, functional):
         rng = np.random.default_rng(99)
@@ -264,7 +266,7 @@ class TestInvariants:
             cells = n + 1
             for k in range(cells):
                 a, b = k / cells, (k + 1) / cells
-                avg = IntervalAverageFunctional(a, b)
+                avg = average(a, b)
                 for j in (0, n // 2, n):
                     exact = (bernstein_antiderivative(n, j, b)
                              - bernstein_antiderivative(n, j, a)) / (b - a)

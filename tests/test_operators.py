@@ -10,10 +10,9 @@ from pouspec import operators
 from pouspec.bases import (BasisSystem, make_bernstein_basis, make_bspline_basis,
                            make_hat_basis)
 from pouspec.errors import ConfigError, DomainError, NotConstructibleError
-from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
-                                 WeightedQuadratureFunctional,
-                                 check_functional_normalization, first_unnormalized,
-                                 make_kantorovich_functionals)
+from pouspec.functionals import (check_functional_normalization, dirac_functionals,
+                                 first_unnormalized, interval_average_functionals,
+                                 make_kantorovich_functionals, quadrature_functionals)
 from pouspec.functions import DrawnTestFunctions, draw_test_functions, grid
 from pouspec.operators import (OperatorSpec, _candidate_witness, bernstein_operator,
                                coefficient_vector, estimate_operator_norm,
@@ -23,11 +22,11 @@ from pouspec.operators import (OperatorSpec, _candidate_witness, bernstein_opera
                                verify_norm_bound, verify_positivity)
 from pouspec.spectra import build_collocation_matrix
 
-from helpers import (adjoint_pairing, candidate_witness_two_pass, clamped_knots,
-                     greville_loop, image, norm_estimate_oracle, one, pairing,
-                     positivity_oracle, random_breakpoints, random_function_oracle,
-                     validate_functionals_one_by_one, verified_two_pass,
-                     verify_adjoint_identity)
+from helpers import (adjoint_pairing, average, candidate_witness_two_pass, clamped_knots,
+                     dirac, greville_loop, image, in_order, norm_estimate_oracle, one,
+                     pairing, positivity_oracle, quadrature, random_breakpoints,
+                     random_function_oracle, rules, validate_functionals_one_by_one,
+                     verified_two_pass, verify_adjoint_identity)
 
 GRID = np.linspace(0.0, 1.0, 1001)
 SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
@@ -49,7 +48,7 @@ class TestConstruction:
     def test_count_mismatch_rejected(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
         with pytest.raises(ConfigError):
-            OperatorSpec(basis, (DiracFunctional(0.0),), name="short")
+            OperatorSpec(basis, dirac(0.0), name="short")
 
     def test_validation_rejects_scaled_basis(self):
         base = bernstein_operator(2)
@@ -60,12 +59,12 @@ class TestConstruction:
 
     def test_validation_rejects_denormalized_functional(self):
         basis = make_hat_basis([0.0, 1.0])
-        bad = WeightedQuadratureFunctional([0.3], [0.9])
+        bad = quadrature([0.3], [0.9])
         with pytest.raises(ConfigError):
-            OperatorSpec(basis, (DiracFunctional(0.0), bad))
+            OperatorSpec(basis, in_order(dirac(0.0), bad))
 
     def test_validation_names_first_functional_outside_domain(self):
-        funcs = (DiracFunctional(0.0), DiracFunctional(1.5), DiracFunctional(-0.5))
+        funcs = in_order(dirac(0.0), dirac(1.5), dirac(-0.5))
         with pytest.raises(DomainError) as err:
             OperatorSpec(make_hat_basis([0.0, 0.5, 1.0]), funcs, name="far")
         assert str(err.value) == "far: functional 1 (dirac(1.5)): x=1.5 outside domain [0.0, 1.0]"
@@ -76,25 +75,26 @@ class TestConstruction:
     def test_validation_checks_functionals_in_order(self, bad_first, error):
         # Functional k's nodes, then its mass, in order of k: the first
         # faulty functional decides which error is raised.
-        denormalized = WeightedQuadratureFunctional([0.3], [0.9])
-        outside = DiracFunctional(1.5)
-        funcs = (denormalized, outside) if bad_first == "mass" else (outside, denormalized)
+        denormalized = quadrature([0.3], [0.9])
+        outside = dirac(1.5)
+        funcs = (in_order(denormalized, outside) if bad_first == "mass"
+                 else in_order(outside, denormalized))
         with pytest.raises(error, match="functional 0 "):
             OperatorSpec(make_hat_basis([0.0, 1.0]), funcs)
 
     @pytest.mark.parametrize("validate", [True, False])
     @pytest.mark.parametrize("funcs, message", [
-        ((DiracFunctional(0.0), DiracFunctional(1.5), DiracFunctional(-2.0)),
+        (in_order(dirac(0.0), dirac(1.5), dirac(-2.0)),
          "functional 1 (dirac(1.5)): x=1.5"),
-        ((DiracFunctional(0.0), DiracFunctional(0.5), DiracFunctional(1.5)),
+        (in_order(dirac(0.0), dirac(0.5), dirac(1.5)),
          "functional 2 (dirac(1.5)): x=1.5"),
-        ((DiracFunctional(0.0),
-          WeightedQuadratureFunctional([0.5, 1.25, -0.5], [0.25, 0.25, 0.5]),
-          DiracFunctional(1.0)),
+        (in_order(dirac(0.0),
+          quadrature([0.5, 1.25, -0.5], [0.25, 0.25, 0.5]),
+          dirac(1.0)),
          "functional 1 (quad(3 nodes)): x=1.25"),
-        ((DiracFunctional(0.0),
-          WeightedQuadratureFunctional([0.5, 1.25, 1.5], [0.2, 0.4, 0.4]),
-          DiracFunctional(1.5)),
+        (in_order(dirac(0.0),
+          quadrature([0.5, 1.25, 1.5], [0.2, 0.4, 0.4]),
+          dirac(1.5)),
          "functional 1 (quad(3 nodes)): x=1.25"),
     ], ids=["second-dirac", "last-dirac", "quadrature-both-sides", "quadrature-then-dirac"])
     def test_node_outside_domain_rejected_whatever_validate(self, funcs, message, validate):
@@ -106,22 +106,22 @@ class TestConstruction:
         assert str(err.value) == f"doctored: {message} outside domain [0.0, 1.0]"
 
     @pytest.mark.parametrize("funcs", [
-        (DiracFunctional(0.0), DiracFunctional(0.3),
-         WeightedQuadratureFunctional([0.4, 0.6], [1.25, -0.25]), DiracFunctional(1.0)),
-        (DiracFunctional(0.0), WeightedQuadratureFunctional([0.4, 0.6], [0.5, 0.5 + 2e-12]),
-         DiracFunctional(0.7), DiracFunctional(1.0)),
-        (DiracFunctional(0.0), WeightedQuadratureFunctional([0.4, 0.6], [0.5, 0.5 + 5e-13]),
-         DiracFunctional(0.7), DiracFunctional(1.0)),
-        (IntervalAverageFunctional(0.0, 0.3), DiracFunctional(0.4),
-         WeightedQuadratureFunctional([0.5, 0.6, 0.7], [0.2, 0.3, 0.4]),
-         IntervalAverageFunctional(0.7, 1.0)),
-        (DiracFunctional(0.0), WeightedQuadratureFunctional([0.2, 0.3], [0.6, 0.6]),
-         DiracFunctional(1.5), WeightedQuadratureFunctional([0.8], [-1.0])),
-        (DiracFunctional(0.0), DiracFunctional(1.5),
-         WeightedQuadratureFunctional([0.2, 0.3], [0.6, 0.6]), DiracFunctional(1.0)),
-        (DiracFunctional(0.0), IntervalAverageFunctional(0.1, 0.5),
-         WeightedQuadratureFunctional([0.6, 0.7, 0.8], [0.5, 0.5, -2e-12]),
-         DiracFunctional(1.0)),
+        in_order(dirac(0.0), dirac(0.3),
+         quadrature([0.4, 0.6], [1.25, -0.25]), dirac(1.0)),
+        in_order(dirac(0.0), quadrature([0.4, 0.6], [0.5, 0.5 + 2e-12]),
+         dirac(0.7), dirac(1.0)),
+        in_order(dirac(0.0), quadrature([0.4, 0.6], [0.5, 0.5 + 5e-13]),
+         dirac(0.7), dirac(1.0)),
+        in_order(average(0.0, 0.3), dirac(0.4),
+         quadrature([0.5, 0.6, 0.7], [0.2, 0.3, 0.4]),
+         average(0.7, 1.0)),
+        in_order(dirac(0.0), quadrature([0.2, 0.3], [0.6, 0.6]),
+         dirac(1.5), quadrature([0.8], [-1.0])),
+        in_order(dirac(0.0), dirac(1.5),
+         quadrature([0.2, 0.3], [0.6, 0.6]), dirac(1.0)),
+        in_order(dirac(0.0), average(0.1, 0.5),
+         quadrature([0.6, 0.7, 0.8], [0.5, 0.5, -2e-12]),
+         dirac(1.0)),
     ], ids=["negative-weight", "mass-off-by-2e-12", "mass-off-by-5e-13",
             "mixed-rule-sizes", "mass-before-domain", "domain-before-mass",
             "tiny-negative-weight"])
@@ -146,21 +146,21 @@ class TestConstruction:
         # 1000: the one pass agrees with each rule's own check.
         rng = np.random.default_rng(11)
         for _ in range(20):
-            rules = []
+            members = []
             for size in rng.integers(1, 1001, size=12):
                 weights = rng.dirichlet(np.ones(size))
                 weights[rng.integers(size)] += rng.choice([0.0, 0.99e-12, 1.01e-12, -1e-12])
-                rules.append(WeightedQuadratureFunctional(np.full(size, 0.5), weights))
-            expected = next((k for k, rule in enumerate(rules)
-                             if not check_functional_normalization(rule).passed), len(rules))
-            weights = np.concatenate([rule.weights for rule in rules])
-            starts = np.cumsum([0] + [rule.weights.size for rule in rules[:-1]])
-            assert first_unnormalized(weights, starts) == expected
+                members.append(quadrature(np.full(size, 0.5), weights))
+            expected = next((k for k, rule in enumerate(members)
+                             if not check_functional_normalization(rule, 0).passed),
+                            len(members))
+            joined = in_order(*members)
+            assert first_unnormalized(joined.weights, joined.starts) == expected
 
     def test_validate_false_allows_doctored(self):
         basis = make_hat_basis([0.0, 1.0])
-        bad = WeightedQuadratureFunctional([0.2, 0.8], [1.3, -0.3])
-        op = OperatorSpec(basis, (DiracFunctional(0.0), bad), name="doctored",
+        bad = quadrature([0.2, 0.8], [1.3, -0.3])
+        op = OperatorSpec(basis, in_order(dirac(0.0), bad), name="doctored",
                           validate=False)
         assert op.n == 2
 
@@ -188,25 +188,23 @@ class TestConstruction:
 
     def test_schoenberg_degree_one_is_nodal(self):
         op = schoenberg_operator(clamped_knots([0.0, 0.5, 1.0], 1), 1)
-        xs = np.array([f.x for f in op.functionals])
+        xs = op.functionals.a
         nptest.assert_allclose(xs, [0.0, 0.5, 1.0])
 
 
 def _joined_rule_parts():
-    """(basis, functionals) of Kantorovich n = 7, a hat basis with cell
-    averages, and a hat basis with mixed Dirac/quadrature functionals."""
+    """(basis, parts) of Kantorovich n = 7, a hat basis with cell averages,
+    and a hat basis with mixed Dirac/quadrature functionals: the
+    functionals are the members of the parts, in order."""
     pts = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
     edges = np.concatenate(([0.0], (pts[:-1] + pts[1:]) / 2.0, [1.0]))
     return {
-        "kantorovich-7": (make_bernstein_basis(7), make_kantorovich_functionals(7)),
+        "kantorovich-7": (make_bernstein_basis(7), (make_kantorovich_functionals(7),)),
         "hat-average": (make_hat_basis(pts),
-                        tuple(IntervalAverageFunctional(a, b)
-                              for a, b in zip(edges, edges[1:]))),
+                        tuple(average(a, b) for a, b in zip(edges, edges[1:]))),
         "dirac-quadrature": (make_hat_basis([0.0, 0.5, 1.0]),
-                             (DiracFunctional(0.0),
-                              WeightedQuadratureFunctional([0.4, 0.5, 0.6],
-                                                           [0.25, 0.5, 0.25]),
-                              DiracFunctional(1.0))),
+                             (dirac(0.0), quadrature([0.4, 0.5, 0.6], [0.25, 0.5, 0.25]),
+                              dirac(1.0))),
     }
 
 
@@ -214,18 +212,20 @@ def _joined_rule_parts():
 @pytest.mark.parametrize("parts", ["kantorovich-7", "hat-average", "dirac-quadrature"])
 class TestJoinedRule:
     def test_joined_arrays_concatenate_functionals(self, parts, validate):
-        basis, funcs = _joined_rule_parts()[parts]
-        op = OperatorSpec(basis, funcs, validate=validate)
-        nptest.assert_array_equal(op.nodes, np.concatenate([a.nodes for a in funcs]))
-        nptest.assert_array_equal(op.weights, np.concatenate([a.weights for a in funcs]))
-        sizes = [a.nodes.size for a in funcs]
-        nptest.assert_array_equal(op.starts, np.cumsum([0] + sizes[:-1]))
-        for array in (op.nodes, op.weights, op.starts):
+        basis, parts = _joined_rule_parts()[parts]
+        op = OperatorSpec(basis, in_order(*parts), validate=validate)
+        fs = op.functionals
+        nptest.assert_array_equal(fs.nodes, np.concatenate([p.nodes for p in parts]))
+        nptest.assert_array_equal(fs.weights, np.concatenate([p.weights for p in parts]))
+        sizes = [nodes.size for p in parts for nodes, _ in rules(p)]
+        nptest.assert_array_equal(fs.starts, np.cumsum([0] + sizes[:-1]))
+        for array in (fs.nodes, fs.weights, fs.starts):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.5
 
     def test_same_parts_compare_equal(self, parts, validate):
-        basis, funcs = _joined_rule_parts()[parts]
+        basis, parts = _joined_rule_parts()[parts]
+        funcs = in_order(*parts)
         first = OperatorSpec(basis, funcs, name="op", validate=validate)
         second = OperatorSpec(basis, funcs, name="op", validate=validate)
         assert first == second
@@ -233,12 +233,14 @@ class TestJoinedRule:
         assert repr(first) == f"OperatorSpec(basis={basis!r}, functionals={funcs!r}, name='op')"
 
     def test_coefficient_vector_matches_functionals(self, parts, validate):
-        basis, funcs = _joined_rule_parts()[parts]
+        basis, parts = _joined_rule_parts()[parts]
+        funcs = in_order(*parts)
         op = OperatorSpec(basis, funcs, validate=validate)
         rng = np.random.default_rng(11)
         for f in (one, lambda xs: xs ** 3, random_function_oracle(rng),
                   random_function_oracle(rng)):
-            nptest.assert_allclose(coefficient_vector(op, f), [pairing(a, f) for a in funcs],
+            nptest.assert_allclose(coefficient_vector(op, f),
+                                   [pairing(funcs, f, k) for k in range(funcs.n)],
                                    rtol=0, atol=1e-14)
 
 
@@ -272,17 +274,17 @@ class TestAdjoint:
             return xs ** 2
 
         for x0 in (0.0, 0.37, 1.0):
-            assert adjoint_pairing(op, DiracFunctional(x0), f) == \
+            assert adjoint_pairing(op, dirac(x0), f) == \
                 pytest.approx(image(op, f, np.array([x0]))[0], abs=1e-14)
 
     def test_bernstein2_linear_at_half(self):
         # T reproduces linears, so dual = point mass at 1/2 gives 1/2.
-        assert adjoint_pairing(bernstein_operator(2), DiracFunctional(0.5),
+        assert adjoint_pairing(bernstein_operator(2), dirac(0.5),
                                lambda xs: xs) == pytest.approx(0.5, abs=1e-14)
 
     def test_unit_maps_to_one(self):
         op = kantorovich_operator(3)
-        dual = IntervalAverageFunctional(0.2, 0.9)
+        dual = average(0.2, 0.9)
         assert adjoint_pairing(op, dual, one) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
@@ -309,8 +311,8 @@ class TestPositivityAndNorm:
 
     def test_doctored_negative_weight_fails(self):
         basis = make_hat_basis([0.0, 1.0])
-        bad = WeightedQuadratureFunctional([0.2, 0.8], [1.5, -0.5])
-        op = OperatorSpec(basis, (DiracFunctional(0.0), bad), name="doctored",
+        bad = quadrature([0.2, 0.8], [1.5, -0.5])
+        op = OperatorSpec(basis, in_order(dirac(0.0), bad), name="doctored",
                           validate=False)
         result = verify_positivity(op, GRID, op.basis.values(GRID), trials=100, tol=1e-10, seed=3)
         assert not result.passed
@@ -352,7 +354,7 @@ def block_check_operators():
     values and weights in the subnormal range."""
     hat_nodes = [0.0, 0.15, 0.4, 0.75, 1.0]
     edges = np.concatenate(([0.0], np.convolve(hat_nodes, [0.5, 0.5], "valid"), [1.0]))
-    averages = tuple(IntervalAverageFunctional(a, b) for a, b in zip(edges, edges[1:]))
+    averages = tuple(average(a, b) for a, b in zip(edges, edges[1:]))
     knots = clamped_knots([0.0, 0.3, 0.55, 1.0], 3)
     spline_edges = np.linspace(0.0, 1.0, 7)
     return [
@@ -360,26 +362,24 @@ def block_check_operators():
         kantorovich_operator(6),
         schoenberg_operator(knots, 3),
         hat_dirac_operator(hat_nodes),
-        OperatorSpec(make_hat_basis(hat_nodes), averages, name="hat-average"),
-        OperatorSpec(make_hat_basis(hat_nodes),
-                     tuple(DiracFunctional(x) for x in np.roll(hat_nodes, 2)),
+        OperatorSpec(make_hat_basis(hat_nodes), in_order(*averages), name="hat-average"),
+        OperatorSpec(make_hat_basis(hat_nodes), dirac_functionals(np.roll(hat_nodes, 2)),
                      name="custom-swap"),
         OperatorSpec(make_hat_basis(hat_nodes),
-                     tuple(DiracFunctional(x) if k % 2 == 0 else a
-                           for k, (x, a) in enumerate(zip(hat_nodes, averages))),
+                     in_order(*(dirac(x) if k % 2 == 0 else a
+                                for k, (x, a) in enumerate(zip(hat_nodes, averages)))),
                      name="custom-mixed"),
         OperatorSpec(make_bspline_basis(knots, 3),
-                     tuple(IntervalAverageFunctional(a, b)
-                           for a, b in zip(spline_edges, spline_edges[1:])),
+                     interval_average_functionals(spline_edges[:-1], spline_edges[1:]),
                      name="bspline-average"),
         # T = 0: every test function ties at the minimum 0.
         OperatorSpec(make_hat_basis([0.0, 1.0]),
-                     (WeightedQuadratureFunctional([0.5], [0.0]),) * 2,
+                     in_order(*[quadrature([0.5], [0.0])] * 2),
                      name="zero-weights", validate=False),
         # Tf(0) = 0 and Tf > 0 elsewhere: every test function ties at the
         # minimum 0, at x = 0.
         OperatorSpec(make_hat_basis(hat_nodes),
-                     (WeightedQuadratureFunctional([0.0], [0.0]),) + averages[1:],
+                     in_order(quadrature([0.0], [0.0]), *averages[1:]),
                      name="tied-at-zero", validate=False),
         # Alternating signs: the images are bounded without a nonnegative basis.
         OperatorSpec(BasisSystem(lambda xs: SIGNS[:, None] * make_bernstein_basis(7).values(xs),
@@ -388,8 +388,9 @@ def block_check_operators():
                      validate=False),
         # Coefficients and images below 2**-1022, where products lose bits.
         OperatorSpec(make_bernstein_basis(6),
-                     tuple(WeightedQuadratureFunctional(a.nodes, a.weights * 2.0 ** -1060)
-                           for a in make_kantorovich_functionals(6)),
+                     quadrature_functionals(
+                         *zip(*((nodes, weights * 2.0 ** -1060)
+                                for nodes, weights in rules(make_kantorovich_functionals(6))))),
                      name="subnormal-kantorovich", validate=False),
     ]
 
@@ -507,7 +508,8 @@ class TestConstantReproductionCheck:
 def _witness(op, xs=GRID):
     """The kernel witness of ``op`` on ``xs`` and ``Tw`` on ``GRID``."""
     _, on_xs, on_nodes = _candidate_witness(op, xs)
-    return on_xs, np.add.reduceat(op.weights * on_nodes, op.starts) @ op.basis.values(GRID)
+    fs = op.functionals
+    return on_xs, np.add.reduceat(fs.weights * on_nodes, fs.starts) @ op.basis.values(GRID)
 
 
 def witness_operators():
@@ -525,34 +527,34 @@ def witness_operators():
     return [
         *catalog_operators(),
         hat_dirac_operator(np.concatenate(([0.0], nodes, [1.0]))),
-        OperatorSpec(hat4, (WeightedQuadratureFunctional([0.1, 0.1 + 5e-13], [0.5, 0.5]),
-                            DiracFunctional(0.3),
-                            WeightedQuadratureFunctional([0.6, 0.6 - 4e-13, 0.7, 0.3],
+        OperatorSpec(hat4, in_order(quadrature([0.1, 0.1 + 5e-13], [0.5, 0.5]),
+                            dirac(0.3),
+                            quadrature([0.6, 0.6 - 4e-13, 0.7, 0.3],
                                                          [0.2, 0.3, 0.4, 0.1]),
-                            DiracFunctional(1.0)), name="near-duplicates"),
-        OperatorSpec(hat, (DiracFunctional(0.0),
-                           WeightedQuadratureFunctional([-0.0, 0.4], [0.5, 0.5]),
-                           DiracFunctional(1.0)), name="negative-zero"),
-        OperatorSpec(hat, (WeightedQuadratureFunctional([-0.0, 0.4], [0.5, 0.5]),
-                           DiracFunctional(0.0),
-                           DiracFunctional(1.0)), name="negative-zero-first"),
-        OperatorSpec(hat, (DiracFunctional(-1e-13), DiracFunctional(0.4),
-                           DiracFunctional(1.0)), name="below-zero"),
-        OperatorSpec(hat, (IntervalAverageFunctional(0.0, 0.3),
-                           IntervalAverageFunctional(0.3 - 1e-12, 0.55),
-                           IntervalAverageFunctional(0.55 - 5e-13, 1.0)), name="overlap"),
-        OperatorSpec(hat, (IntervalAverageFunctional(0.0, 0.5),
-                           IntervalAverageFunctional(0.5, 0.8),
-                           IntervalAverageFunctional(0.8, 1.0)), name="touch"),
-        OperatorSpec(hat, (IntervalAverageFunctional(0.0, 0.5),
-                           IntervalAverageFunctional(0.5 - 9e-13, 0.5 - 8e-13),
-                           IntervalAverageFunctional(0.5 + 1e-13, 1.0)), name="nested",
+                            dirac(1.0)), name="near-duplicates"),
+        OperatorSpec(hat, in_order(dirac(0.0),
+                           quadrature([-0.0, 0.4], [0.5, 0.5]),
+                           dirac(1.0)), name="negative-zero"),
+        OperatorSpec(hat, in_order(quadrature([-0.0, 0.4], [0.5, 0.5]),
+                           dirac(0.0),
+                           dirac(1.0)), name="negative-zero-first"),
+        OperatorSpec(hat, in_order(dirac(-1e-13), dirac(0.4),
+                           dirac(1.0)), name="below-zero"),
+        OperatorSpec(hat, in_order(average(0.0, 0.3),
+                           average(0.3 - 1e-12, 0.55),
+                           average(0.55 - 5e-13, 1.0)), name="overlap"),
+        OperatorSpec(hat, in_order(average(0.0, 0.5),
+                           average(0.5, 0.8),
+                           average(0.8, 1.0)), name="touch"),
+        OperatorSpec(hat, in_order(average(0.0, 0.5),
+                           average(0.5 - 9e-13, 0.5 - 8e-13),
+                           average(0.5 + 1e-13, 1.0)), name="nested",
                      validate=False),
-        OperatorSpec(hat, (IntervalAverageFunctional(0.7, 1.0),
-                           IntervalAverageFunctional(0.1, 0.4),
-                           IntervalAverageFunctional(0.4 - 1e-12, 0.7)), name="gaps"),
+        OperatorSpec(hat, in_order(average(0.7, 1.0),
+                           average(0.1, 0.4),
+                           average(0.4 - 1e-12, 0.7)), name="gaps"),
         OperatorSpec(make_bspline_basis([0.0, 1.0], 0),
-                     (IntervalAverageFunctional(0.25, 0.75),), name="one-cell"),
+                     average(0.25, 0.75), name="one-cell"),
     ]
 
 
@@ -570,7 +572,7 @@ class TestKernelWitness:
         found, on_grid, on_nodes = _candidate_witness(op, xs)
         assert found == name
         assert on_grid.tobytes() == w_on_grid.tobytes()
-        assert on_nodes.tobytes() == w(op.nodes).tobytes()
+        assert on_nodes.tobytes() == w(op.functionals.nodes).tobytes()
         try:
             expected = verified_two_pass(op, values, w, w_on_grid)
         except NotConstructibleError as exc:
@@ -607,16 +609,16 @@ class TestKernelWitness:
 
     def test_mixed_kinds_not_constructible(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
-        funcs = (DiracFunctional(0.0), IntervalAverageFunctional(0.25, 0.75),
-                 DiracFunctional(1.0))
+        funcs = in_order(dirac(0.0), average(0.25, 0.75),
+                 dirac(1.0))
         op = OperatorSpec(basis, funcs, name="mixed")
         with pytest.raises(NotConstructibleError):
             _candidate_witness(op, GRID)
 
     def test_report_flags_not_constructible(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
-        funcs = (DiracFunctional(0.0), IntervalAverageFunctional(0.25, 0.75),
-                 DiracFunctional(1.0))
+        funcs = in_order(dirac(0.0), average(0.25, 0.75),
+                 dirac(1.0))
         op = OperatorSpec(basis, funcs, name="mixed")
         result = kernel_witness_report(op, GRID, op.basis.values(GRID))
         assert not result.passed and result.value is None
@@ -624,8 +626,8 @@ class TestKernelWitness:
 
     def test_unequal_disjoint_averages_cellwise(self):
         basis = make_hat_basis([0.0, 1.0])
-        funcs = (IntervalAverageFunctional(0.0, 0.3),
-                 IntervalAverageFunctional(0.3, 1.0))
+        funcs = in_order(average(0.0, 0.3),
+                 average(0.3, 1.0))
         op = OperatorSpec(basis, funcs, name="lopsided")
         on_grid, image_of_w = _witness(op)
         assert np.max(np.abs(on_grid)) >= 0.5
@@ -633,9 +635,9 @@ class TestKernelWitness:
 
     def test_overlapping_averages_not_constructible(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
-        funcs = (IntervalAverageFunctional(0.0, 0.6),
-                 IntervalAverageFunctional(0.4, 1.0),
-                 IntervalAverageFunctional(0.0, 1.0))
+        funcs = in_order(average(0.0, 0.6),
+                 average(0.4, 1.0),
+                 average(0.0, 1.0))
         op = OperatorSpec(basis, funcs, name="overlap")
         with pytest.raises(NotConstructibleError):
             _candidate_witness(op, GRID)

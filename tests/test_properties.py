@@ -6,10 +6,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import clamped_knots, random_breakpoints
+from helpers import clamped_knots, dirac, in_order, quadrature, random_breakpoints
 
 from pouspec.bases import make_bspline_basis, make_hat_basis
-from pouspec.functionals import DiracFunctional, WeightedQuadratureFunctional
 from pouspec.operators import OperatorSpec
 from pouspec.spectra import (CLASSIFICATION_VIOLATES, MAX_DIMENSION, TOL_PERIPHERAL,
                              build_collocation_matrix, classify_spectrum, closed_classes,
@@ -32,12 +31,12 @@ def breakpoints(draw) -> np.ndarray:
 def functional(draw):
     """A Dirac, or a rule on up to four nodes with Dirichlet-like weights."""
     if draw(st.booleans()):
-        return DiracFunctional(draw(unit))
+        return dirac(draw(unit))
     size = draw(st.integers(min_value=1, max_value=4))
     nodes = draw(st.lists(unit, min_size=size, max_size=size))
     raw = np.array(draw(st.lists(st.floats(min_value=1e-3, max_value=1.0),
                                  min_size=size, max_size=size)))
-    return WeightedQuadratureFunctional(nodes, raw / raw.sum())
+    return quadrature(nodes, raw / raw.sum())
 
 
 @st.composite
@@ -49,7 +48,7 @@ def operators(draw) -> OperatorSpec:
         degree = draw(st.integers(min_value=0, max_value=3))
         basis = make_bspline_basis(clamped_knots(points, degree), degree)
     funcs = draw(st.lists(functional(), min_size=basis.n, max_size=basis.n))
-    return OperatorSpec(basis, funcs, name="random")
+    return OperatorSpec(basis, in_order(*funcs), name="random")
 
 
 @st.composite
@@ -59,10 +58,10 @@ def permuted_diracs(draw) -> OperatorSpec:
     then redrawn as random functionals, which joins or opens classes."""
     nodes = draw(breakpoints())
     image = draw(st.permutations(range(nodes.size)))
-    funcs = [DiracFunctional(nodes[j]) for j in image]
+    funcs = [dirac(nodes[j]) for j in image]
     for k in draw(st.sets(st.integers(min_value=0, max_value=nodes.size - 1), max_size=2)):
         funcs[k] = draw(functional())
-    return OperatorSpec(make_hat_basis(nodes), funcs, name="permuted")
+    return OperatorSpec(make_hat_basis(nodes), in_order(*funcs), name="permuted")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -106,9 +105,9 @@ def _random_functional(rng: np.random.Generator):
     """A Dirac at a uniform point, or a rule on up to four uniform nodes
     with weights uniform on the simplex."""
     if rng.integers(0, 2):
-        return DiracFunctional(rng.uniform())
+        return dirac(rng.uniform())
     size = int(rng.integers(1, 5))
-    return WeightedQuadratureFunctional(rng.uniform(size=size), rng.dirichlet(np.ones(size)))
+    return quadrature(rng.uniform(size=size), rng.dirichlet(np.ones(size)))
 
 
 @st.composite
@@ -126,16 +125,16 @@ def operators_at_scale(draw) -> OperatorSpec:
     nodes = random_breakpoints(rng, interior=n - 2)
     image = rng.permutation(n)
     if kind == "permuted":
-        funcs = [DiracFunctional(nodes[j]) for j in image]
+        funcs = [dirac(nodes[j]) for j in image]
         for k in rng.choice(n, size=int(rng.integers(0, 4)), replace=False):
             funcs[k] = _random_functional(rng)
     elif kind == "lazy":
         stay = rng.uniform(0.1, 0.9, size=n)
-        funcs = [WeightedQuadratureFunctional([nodes[k], nodes[j]], [stay[k], 1.0 - stay[k]])
+        funcs = [quadrature([nodes[k], nodes[j]], [stay[k], 1.0 - stay[k]])
                  for k, j in enumerate(image)]
     else:
         funcs = [_random_functional(rng) for _ in range(n)]
-    return OperatorSpec(make_hat_basis(nodes), funcs, name=kind)
+    return OperatorSpec(make_hat_basis(nodes), in_order(*funcs), name=kind)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

@@ -20,6 +20,10 @@ def library_example() -> str:
 def test_library_example_states_its_values():
     scope: dict = {}
     exec(compile(library_example(), str(README), "exec"), scope)
+    assert scope["name"] == "avg[0.5,1]"
+    assert scope["nodes"].size == scope["weights"].size == 32
+    assert 0.5 < scope["nodes"].min() and scope["nodes"].max() < 1.0
+    assert abs(scope["weights"].sum() - 1.0) <= 1e-15
     assert scope["values"].shape == (2, 1001)
     nptest.assert_allclose(scope["coeffs"], [1 / 12, 7 / 12], rtol=0, atol=1e-15)
     nptest.assert_allclose(scope["matrix"].entries, [[0.75, 0.25], [0.25, 0.75]],

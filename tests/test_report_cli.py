@@ -859,6 +859,25 @@ class TestCli:
         assert capsys.readouterr().err == ("error: oracle cross-check supports matrices "
                                            "up to 30x30, got 31x31\n")
 
+    @pytest.mark.parametrize("text, size", [
+        ('{"operator": "bernstein", "n": 499}', 500),
+        ('{"operator": "kantorovich", "n": 30}', 31),
+        (json.dumps({"operator": "hat-dirac", "nodes": np.linspace(0.0, 1.0, 31).tolist()}), 31),
+    ], ids=["bernstein-499", "kantorovich-30", "hat-dirac-31"])
+    def test_oracle_checks_size_before_building(self, tmp_path, capsys, monkeypatch,
+                                                text, size):
+        def never(*_args, **_kwargs):
+            raise AssertionError("work started on an oversized oracle")
+
+        monkeypatch.setattr("pouspec.cli.build_operator", never)
+        monkeypatch.setattr(BasisSystem, "__post_init__", never)
+        monkeypatch.setattr(BasisSystem, "values", never)
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        assert main(["oracle", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == ("error: oracle cross-check supports matrices "
+                                           f"up to 30x30, got {size}x{size}\n")
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_report_value_exits_one(self, tmp_path, capsys, monkeypatch, bad):
         def broken(config):

@@ -9,16 +9,15 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from helpers import (bernstein_eigenvalue_oracle, bernstein_value, clamped_knots,
-                     collocation_rowwise, gershgorin_rowwise, iterate_limit_dense,
-                     kantorovich_eigenvalue_oracle, kantorovich_matrix_exact,
-                     kantorovich_matrix_oracle, random_breakpoints, random_stochastic,
-                     sort_eigenvalues_by_key)
+from helpers import (average, bernstein_eigenvalue_oracle, bernstein_value, clamped_knots,
+                     collocation_rowwise, dirac, gershgorin_rowwise, in_order,
+                     iterate_limit_dense, kantorovich_eigenvalue_oracle,
+                     kantorovich_matrix_exact, kantorovich_matrix_oracle, quadrature,
+                     random_breakpoints, random_stochastic, rules, sort_eigenvalues_by_key)
 
 from pouspec import spectra
 from pouspec.errors import ConfigError, UnsupportedSizeError
-from pouspec.functionals import (DiracFunctional, IntervalAverageFunctional,
-                                 WeightedQuadratureFunctional)
+from pouspec.functionals import dirac_functionals, interval_average_functionals
 from pouspec.bases import (BasisSystem, make_bernstein_basis, make_bspline_basis,
                            make_hat_basis)
 from pouspec.operators import OperatorSpec, bernstein_operator, hat_dirac_operator, \
@@ -38,8 +37,7 @@ JORDAN = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
 
 def swap_operator() -> OperatorSpec:
     basis = make_hat_basis([0.0, 1.0])
-    return OperatorSpec(basis, (DiracFunctional(1.0), DiracFunctional(0.0)),
-                        name="crossed-dirac")
+    return OperatorSpec(basis, dirac_functionals([1.0, 0.0]), name="crossed-dirac")
 
 
 class TestBuildMatrix:
@@ -86,7 +84,7 @@ def _hat_average_operator(count: int) -> OperatorSpec:
     the cells between the node midpoints (32 quadrature nodes each)."""
     nodes = random_breakpoints(np.random.default_rng(count), interior=count - 2)
     edges = np.concatenate(([0.0], (nodes[:-1] + nodes[1:]) / 2.0, [1.0]))
-    funcs = tuple(IntervalAverageFunctional(a, b) for a, b in zip(edges[:-1], edges[1:]))
+    funcs = interval_average_functionals(edges[:-1], edges[1:])
     return OperatorSpec(make_hat_basis(nodes), funcs, name=f"hat-average({count})")
 
 
@@ -98,15 +96,14 @@ def _mixed_operator() -> OperatorSpec:
     funcs = []
     for k in range(nodes.size):
         if k % 3 == 0:
-            funcs.append(DiracFunctional(rng.uniform()))
+            funcs.append(dirac(rng.uniform()))
         elif k % 3 == 1:
             a, b = np.sort(rng.uniform(size=2))
-            funcs.append(IntervalAverageFunctional(a, b))
+            funcs.append(average(a, b))
         else:
             size = k // 3 + 1
-            funcs.append(WeightedQuadratureFunctional(rng.uniform(size=size),
-                                                      rng.dirichlet(np.ones(size))))
-    return OperatorSpec(make_hat_basis(nodes), funcs, name="mixed")
+            funcs.append(quadrature(rng.uniform(size=size), rng.dirichlet(np.ones(size))))
+    return OperatorSpec(make_hat_basis(nodes), in_order(*funcs), name="mixed")
 
 
 def _runs_operator(basis) -> OperatorSpec:
@@ -122,15 +119,14 @@ def _runs_operator(basis) -> OperatorSpec:
         kind, count = runs[run % len(runs)]
         for _ in range(min(count, basis.n - len(funcs))):
             if kind == "dirac":
-                funcs.append(DiracFunctional(rng.uniform()))
+                funcs.append(dirac(rng.uniform()))
             elif kind == "average":
                 a, b = np.sort(rng.uniform(size=2))
-                funcs.append(IntervalAverageFunctional(a, b))
+                funcs.append(average(a, b))
             else:
                 size = int(kind[-1])
-                funcs.append(WeightedQuadratureFunctional(rng.uniform(size=size),
-                                                          rng.dirichlet(np.ones(size))))
-    return OperatorSpec(basis, funcs, name=f"runs({basis.name})")
+                funcs.append(quadrature(rng.uniform(size=size), rng.dirichlet(np.ones(size))))
+    return OperatorSpec(basis, in_order(*funcs), name=f"runs({basis.name})")
 
 
 COLLOCATION_CASES = {
@@ -154,9 +150,10 @@ BLOCK_CAPS = {
     "default": lambda op: spectra.MAX_BLOCK_ENTRIES,
     "1": lambda op: 1,
     "7": lambda op: 7,
-    "below-largest-functional": lambda op: op.n * max(a.nodes.size for a in op.functionals) - 1,
-    "first-two-functionals": lambda op: op.n * (op.functionals[0].nodes.size
-                                                + op.functionals[1].nodes.size),
+    "below-largest-functional": lambda op: op.n * max(
+        nodes.size for nodes, _ in rules(op.functionals)) - 1,
+    "first-two-functionals": lambda op: op.n * sum(
+        nodes.size for nodes, _ in rules(op.functionals)[:2]),
 }
 
 
@@ -182,9 +179,9 @@ class TestBlockAssembly:
 
         monkeypatch.setattr(BasisSystem, "values", counted)
         build_collocation_matrix(op)
-        stops = np.append(op.starts[1:], op.nodes.size)
+        stops = np.append(op.functionals.starts[1:], op.functionals.nodes.size)
         bounds = np.cumsum([0] + sizes)
-        assert bounds[-1] == op.nodes.size
+        assert bounds[-1] == op.functionals.nodes.size
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             assert hi in stops
             rows = np.count_nonzero((stops > lo) & (stops <= hi))
@@ -328,8 +325,7 @@ def three_cycle_operator() -> OperatorSpec:
     """Each hat read at the next node, cyclically: the 3-cycle permutation,
     whose spectrum holds a complex pair on the unit circle."""
     basis = make_hat_basis([0.0, 0.5, 1.0])
-    return OperatorSpec(basis, tuple(map(DiracFunctional, (0.5, 1.0, 0.0))),
-                        name="three-cycle")
+    return OperatorSpec(basis, dirac_functionals((0.5, 1.0, 0.0)), name="three-cycle")
 
 
 def _schoenberg_random(degree: int, interior: int) -> OperatorSpec:
@@ -494,8 +490,7 @@ def _permutation_operator(image: list[int]) -> OperatorSpec:
     classes."""
     nodes = np.linspace(0.0, 1.0, len(image))
     basis = make_hat_basis(nodes)
-    return OperatorSpec(basis, tuple(DiracFunctional(nodes[j]) for j in image),
-                        name="permutation")
+    return OperatorSpec(basis, dirac_functionals(nodes[image]), name="permutation")
 
 
 @functools.cache
@@ -579,7 +574,7 @@ class TestIterateLimit:
         # Nodes 1, 0.5, 0: the end points swap, and the middle state is
         # transient, so M^m has no limit although M has a positive entry
         # on its diagonal.
-        op = OperatorSpec(make_bernstein_basis(2), tuple(map(DiracFunctional, (1.0, 0.5, 0.0))),
+        op = OperatorSpec(make_bernstein_basis(2), dirac_functionals((1.0, 0.5, 0.0)),
                           name="reversed-bernstein")
         matrix = build_collocation_matrix(op)
         assert matrix.diagonal_min() == 0.0 and matrix.entries[1, 1] == 0.5
