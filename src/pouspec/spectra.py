@@ -9,9 +9,12 @@ internally tangent to the unit circle at 1 whenever its diagonal entry is
 positive. Zero diagonal entries void that tangency argument; the classifier
 reports them explicitly instead of asserting the peripheral statement.
 
-The eigenvalues come from LAPACK's dense nonsymmetric solver (``geev``)
-through scipy. An independent cross check for matrices up to 30x30 runs
-mpmath's eigensolver in 40-digit arithmetic. The limit of ``M^m`` is read
+The eigenvalues come from LAPACK through scipy: a symmetric tridiagonal
+solver for a tridiagonal matrix with nonnegative off-diagonal products (a
+hat basis with cell averages, quadratic B-splines at their Greville
+points), whose spectrum is real, and the dense nonsymmetric solver
+(``geev``) for every other matrix. An independent cross check for matrices
+up to 30x30 runs mpmath's eigensolver in 40-digit arithmetic. The limit of ``M^m`` is read
 off the closed classes of the support graph ``M > 0``, without powers, and
 checked by a residual taken class by class.
 """
@@ -170,8 +173,14 @@ def sort_eigenvalues(values: Sequence[complex] | np.ndarray) -> np.ndarray:
 def eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues (with multiplicity) of a real square matrix.
 
-    LAPACK ``geev`` (balancing, Hessenberg reduction, Francis QR) through
-    :func:`scipy.linalg.eigvals`; a LAPACK failure raises
+    A tridiagonal matrix with every ``M[k, k+1] * M[k+1, k] >= 0`` is
+    similar, through a positive diagonal matrix, to the symmetric one with
+    off-diagonal ``sqrt(|M[k, k+1]|) * sqrt(|M[k+1, k]|)`` (Wilkinson,
+    ch. 5): its spectrum is real (imaginary parts exactly 0), and
+    :func:`scipy.linalg.eigvalsh_tridiagonal` finds it in O(n^2). LAPACK
+    deflates a zero product, so a diagonal matrix gives its entries bit for
+    bit. Every other matrix goes to LAPACK ``geev`` through
+    :func:`scipy.linalg.eigvals`. A LAPACK failure on either path raises
     :class:`numpy.linalg.LinAlgError`. Returns a complex array in the
     canonical order of :func:`sort_eigenvalues`; conjugate pairs are exact
     conjugates.
@@ -181,6 +190,12 @@ def eigenvalues(matrix) -> np.ndarray:
     if n > MAX_DIMENSION:
         raise UnsupportedSizeError(
             f"dense eigensolver supports n <= {MAX_DIMENSION}, got {n}")
+    if max(scipy.linalg.bandwidth(arr)) <= 1:
+        sub, sup = np.diagonal(arr, -1), np.diagonal(arr, 1)
+        # Signs, not the product, which may underflow to -0.0.
+        if np.all(np.sign(sub) * np.sign(sup) >= 0):
+            off = np.sqrt(np.abs(sub)) * np.sqrt(np.abs(sup))
+            return sort_eigenvalues(scipy.linalg.eigvalsh_tridiagonal(np.diag(arr), off))
     return sort_eigenvalues(scipy.linalg.eigvals(arr))
 
 
@@ -364,9 +379,14 @@ def closed_classes(matrix) -> tuple[np.ndarray, np.ndarray]:
     is closed and has an edge. A positive diagonal entry gives period 1;
     otherwise the period is the gcd of ``level[u] + 1 - level[v]`` over the
     class's edges, ``level`` being the BFS depth. The support is read from
-    floating entries, so an entry that underflows to 0 drops an edge."""
+    floating entries, so an entry that underflows to 0 drops an edge. A
+    support that holds the diagonal and both first off-diagonals (an
+    all-positive matrix, say) is one aperiodic class, returned without
+    building the graph."""
     arr = _as_matrix(matrix)
     support = arr > 0
+    if all(np.diagonal(support, k).all() for k in (-1, 0, 1)):
+        return np.zeros(arr.shape[0], np.int32), np.ones(1, int)
     rows, cols = np.divmod(np.flatnonzero(support), arr.shape[0])
     indptr = np.concatenate(([0], np.cumsum(support.sum(axis=1))))
     graph = scipy.sparse.csr_array((np.ones(cols.size), cols, indptr), shape=arr.shape)

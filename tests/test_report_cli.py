@@ -31,6 +31,8 @@ from pouspec.spectra import CollocationMatrix, SpectrumReport
 
 KANT1_CONFIG = '{"version": 1, "operator": "kantorovich", "n": 1, "seed": 42}'
 
+KANT2_CONFIG = '{"version": 1, "operator": "kantorovich", "n": 2, "seed": 42}'
+
 KANT40_CONFIG = '{"version": 1, "operator": "kantorovich", "n": 40, "seed": 42}'
 
 
@@ -742,16 +744,32 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_eigensolve_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        # Kantorovich n = 2 has a full 3x3 matrix, so it reaches geev.
         def fail(_a):
             raise np.linalg.LinAlgError("geev did not converge")
 
         monkeypatch.setattr(scipy.linalg, "eigvals", fail)
         config = tmp_path / "config.json"
+        config.write_text(KANT2_CONFIG, encoding="utf-8")
+        json_path = tmp_path / "report.json"
+        assert main(["analyze", "--config", str(config), "--json", str(json_path)]) == 1
+        assert capsys.readouterr().err == ("error: operator kantorovich(n=2): eigensolve "
+                                           "failed: geev did not converge\n")
+        assert not json_path.exists()
+
+    def test_tridiagonal_eigensolve_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        # Kantorovich n = 1 has a symmetric 2x2 matrix, so it reaches the
+        # symmetric tridiagonal solver.
+        def fail(_d, _e):
+            raise np.linalg.LinAlgError("stemr did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", fail)
+        config = tmp_path / "config.json"
         config.write_text(KANT1_CONFIG, encoding="utf-8")
         json_path = tmp_path / "report.json"
         assert main(["analyze", "--config", str(config), "--json", str(json_path)]) == 1
         assert capsys.readouterr().err == ("error: operator kantorovich(n=1): eigensolve "
-                                           "failed: geev did not converge\n")
+                                           "failed: stemr did not converge\n")
         assert not json_path.exists()
 
     def test_catalog_lists_kinds(self, capsys):

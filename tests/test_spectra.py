@@ -8,10 +8,11 @@ import functools
 import numpy as np
 import numpy.testing as nptest
 import pytest
+import scipy.linalg
 
 from helpers import (average, bernstein_eigenvalue_oracle, bernstein_value, clamped_knots,
-                     collocation_rowwise, dirac, gershgorin_rowwise, in_order,
-                     iterate_limit_dense, kantorovich_eigenvalue_oracle,
+                     closed_classes_by_graph, collocation_rowwise, dirac, gershgorin_rowwise,
+                     in_order, iterate_limit_dense, kantorovich_eigenvalue_oracle,
                      kantorovich_matrix_exact, kantorovich_matrix_oracle, quadrature,
                      random_breakpoints, random_stochastic, rules, sort_eigenvalues_by_key)
 
@@ -391,6 +392,144 @@ class TestMpmathOracle:
             pair_eigenvalues([1.0], [1.0, 2.0])
 
 
+def _zero_diagonal_operator() -> OperatorSpec:
+    """The benchmark pool's zero-diagonal config: a hat basis read at its
+    nodes, except that functional 2 reads its neighbour's node."""
+    nodes = random_breakpoints(np.random.default_rng(6), interior=4)
+    return OperatorSpec(make_hat_basis(nodes), dirac_functionals(nodes[[0, 1, 3, 3, 4, 5]]),
+                        name="zero-diagonal")
+
+
+def _geev(matrix) -> np.ndarray:
+    return sort_eigenvalues(scipy.linalg.eigvals(np.asarray(matrix, dtype=float)))
+
+
+def _never(*_args):
+    raise AssertionError("solver not expected on this matrix")
+
+
+#: Matrices that are not tridiagonal, so they keep geev's eigenvalues.
+DENSE_CASES = {
+    "bernstein-5": lambda: _catalog_matrix("bernstein", 5),
+    "bernstein-60": lambda: _catalog_matrix("bernstein", 60),
+    "kantorovich-2": lambda: _catalog_matrix("kantorovich", 2),
+    "kantorovich-31": lambda: _catalog_matrix("kantorovich", 31),
+    "schoenberg-cubic": lambda: build_collocation_matrix(_schoenberg_random(3, 40)).entries,
+    "random-stochastic-3": lambda: random_stochastic(np.random.default_rng(3), 3),
+    "random-stochastic-40": lambda: random_stochastic(np.random.default_rng(40), 40),
+}
+
+#: Matrices whose off-diagonal pairs are all zero products, so their
+#: eigenvalues are their diagonal entries.
+DIAGONAL_CASES = {
+    "identity": lambda: np.eye(4),
+    "hat-dirac": lambda: build_collocation_matrix(hat_dirac_operator(
+        random_breakpoints(np.random.default_rng(9), interior=7))).entries,
+    "zero-diagonal": lambda: build_collocation_matrix(_zero_diagonal_operator()).entries,
+    "bernstein-2": lambda: _catalog_matrix("bernstein", 2),
+    "bernstein-1": lambda: _catalog_matrix("bernstein", 1),
+}
+
+
+class TestTridiagonalPath:
+    @pytest.mark.parametrize("case", DENSE_CASES)
+    def test_dense_matrix_keeps_geev_bit_for_bit(self, case, monkeypatch):
+        matrix = DENSE_CASES[case]()
+        expected = _geev(matrix)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", _never)
+        nptest.assert_array_equal(eigenvalues(matrix), expected)
+
+    def test_negative_product_goes_to_geev(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", _never)
+        nptest.assert_array_equal(eigenvalues([[0.0, 1.0], [-1.0, 0.0]]), [1j, -1j])
+
+    def test_negative_product_that_underflows_goes_to_geev(self, monkeypatch):
+        # The product is -0.0 in floating point; the signs still differ.
+        matrix = np.array([[0.0, 1e-200], [-1e-200, 0.0]])
+        expected = _geev(matrix)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", _never)
+        eigs = eigenvalues(matrix)
+        nptest.assert_array_equal(eigs, expected)
+        assert np.all(eigs.imag != 0.0)
+
+    @pytest.mark.parametrize("case", DIAGONAL_CASES)
+    def test_zero_products_give_the_diagonal_bit_for_bit(self, case, monkeypatch):
+        matrix = DIAGONAL_CASES[case]()
+        expected = _geev(matrix)
+        nptest.assert_array_equal(expected, sort_eigenvalues(np.diag(matrix)))
+        monkeypatch.setattr(scipy.linalg, "eigvals", _never)
+        nptest.assert_array_equal(eigenvalues(matrix), expected)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_entries_neither_overflow_nor_underflow(self, scale):
+        # The product of the off-diagonal pair, 1e600 or 1e-600, is out of
+        # range; the product of the square roots is not.
+        eigs = eigenvalues([[0.0, scale], [scale, 0.0]])
+        assert np.all(eigs.imag == 0.0)
+        nptest.assert_allclose(eigs.real, [scale, -scale], rtol=1e-15, atol=0.0)
+
+    def test_negative_pairs_are_real(self):
+        # Both off-diagonal entries negative: the product is positive and
+        # the spectrum of [[a, -b], [-b, a]] is a -+ b.
+        nptest.assert_array_equal(eigenvalues([[0.5, -0.25], [-0.25, 0.5]]), [0.75, 0.25])
+
+    @pytest.mark.parametrize("count", [3, 8, 20, 160, 500])
+    def test_hat_average_spectrum_is_real_and_matches_geev(self, count, monkeypatch):
+        matrix = build_collocation_matrix(_hat_average_operator(count)).entries
+        assert max(scipy.linalg.bandwidth(matrix)) == 1
+        expected = _geev(matrix)
+        monkeypatch.setattr(scipy.linalg, "eigvals", _never)
+        eigs = eigenvalues(matrix)
+        assert np.all(eigs.imag == 0.0)
+        assert pair_eigenvalues(eigs, expected) <= 1e-12
+        if count <= ORACLE_MAX_DIMENSION:
+            assert pair_eigenvalues(eigs, mpmath_eigen_oracle(matrix)) <= 1e-13
+
+    @pytest.mark.parametrize("interior", [2, 9, 27])
+    def test_quadratic_schoenberg_matches_the_oracle(self, interior, monkeypatch):
+        matrix = build_collocation_matrix(_schoenberg_random(2, interior)).entries
+        assert max(scipy.linalg.bandwidth(matrix)) == 1
+        monkeypatch.setattr(scipy.linalg, "eigvals", _never)
+        eigs = eigenvalues(matrix)
+        assert np.all(eigs.imag == 0.0)
+        assert pair_eigenvalues(eigs, mpmath_eigen_oracle(matrix)) <= 1e-13
+
+    def test_lapack_failure_raises_linalg_error(self, monkeypatch):
+        def fail(_d, _e):
+            raise np.linalg.LinAlgError("stemr did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", fail)
+        with pytest.raises(np.linalg.LinAlgError, match="stemr did not converge"):
+            eigenvalues(KANT1)
+
+
+#: Totally nonnegative collocation matrices of the catalog (Gantmacher and
+#: Krein: their eigenvalues are real and nonnegative), a few sizes each.
+TOTALLY_NONNEGATIVE_CASES = {
+    "bernstein-30": lambda: _catalog_matrix("bernstein", 30),
+    "bernstein-499": lambda: _catalog_matrix("bernstein", 499),
+    "kantorovich-30": lambda: _catalog_matrix("kantorovich", 30),
+    "kantorovich-499": lambda: _catalog_matrix("kantorovich", 499),
+    "schoenberg-quadratic-30": lambda: _schoenberg_random(2, 27),
+    "schoenberg-quadratic-500": lambda: _schoenberg_random(2, 497),
+    "schoenberg-cubic-30": lambda: _schoenberg_random(3, 26),
+    "schoenberg-cubic-500": lambda: _schoenberg_random(3, 496),
+    "hat-average-30": lambda: _hat_average_operator(30),
+    "hat-average-500": lambda: _hat_average_operator(500),
+}
+
+
+@pytest.mark.parametrize("case", TOTALLY_NONNEGATIVE_CASES)
+def test_totally_nonnegative_spectra_are_real_and_nonnegative(case):
+    matrix = TOTALLY_NONNEGATIVE_CASES[case]()
+    if isinstance(matrix, OperatorSpec):
+        matrix = build_collocation_matrix(matrix).entries
+    eigs = eigenvalues(matrix)
+    assert eigs.size == matrix.shape[0] and matrix.shape[0] in (30, 31, 500)
+    assert np.abs(eigs.imag).max() <= 1e-12
+    assert eigs.real.min() >= -1e-12
+
+
 class TestGershgorin:
     def test_identity_degenerate_disks(self):
         centers, radii = gershgorin_disks(np.eye(2))
@@ -499,6 +638,17 @@ def _catalog_matrix(kind: str, n: int) -> np.ndarray:
     return build_collocation_matrix(operator(n)).entries
 
 
+#: Matrices whose support holds the diagonal and both first off-diagonals.
+POSITIVE_BAND_CASES = {
+    "kantorovich-1": lambda: KANT1,
+    "one-by-one": lambda: np.full((1, 1), 1.0),
+    "random-stochastic": lambda: random_stochastic(np.random.default_rng(17), 17),
+    # 36,524 of its entries underflow to 0.
+    "kantorovich-499": lambda: _catalog_matrix("kantorovich", 499),
+    "hat-average-160": lambda: build_collocation_matrix(_hat_average_operator(160)).entries,
+}
+
+
 class TestClosedClasses:
     @pytest.mark.parametrize("matrix, labels, periods", [
         (np.eye(3), [0, 1, 2], [1, 1, 1]),
@@ -524,6 +674,32 @@ class TestClosedClasses:
     def test_kantorovich_is_one_aperiodic_class(self, n):
         labels, periods = spectra.closed_classes(_catalog_matrix("kantorovich", n))
         assert periods.tolist() == [1] and not labels.any()
+
+    @pytest.mark.parametrize("case", POSITIVE_BAND_CASES)
+    def test_positive_band_skips_the_graph(self, case, monkeypatch):
+        matrix = POSITIVE_BAND_CASES[case]()
+        expected = closed_classes_by_graph(matrix)
+        monkeypatch.setattr(spectra, "connected_components", _never)
+        found = spectra.closed_classes(matrix)
+        for got, want in zip(found, expected):
+            nptest.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+
+    def test_matches_the_graph_on_random_supports(self):
+        # Random supports, each band diagonal filled or not, so that both
+        # paths are taken.
+        rng = np.random.default_rng(1729)
+        for _ in range(400):
+            n = int(rng.integers(1, 10))
+            matrix = rng.random((n, n)) * (rng.random((n, n)) < rng.choice([0.3, 0.7, 0.95]))
+            for k in (-1, 0, 1):
+                if rng.random() < 0.6:
+                    rows = np.arange(n - abs(k))
+                    matrix[rows + max(-k, 0), rows + max(k, 0)] = 0.1 + rng.random(rows.size)
+            for got, want in zip(spectra.closed_classes(matrix),
+                                 closed_classes_by_graph(matrix)):
+                nptest.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
 
     @pytest.mark.parametrize("image, periods", [
         ([1, 0], [2]),
