@@ -14,9 +14,9 @@ solver for a tridiagonal matrix with nonnegative off-diagonal products (a
 hat basis with cell averages, quadratic B-splines at their Greville
 points), whose spectrum is real, and the dense nonsymmetric solver
 (``geev``) for every other matrix. An independent cross check for matrices
-up to 30x30 runs mpmath's eigensolver in 40-digit arithmetic. The limit of ``M^m`` is read
-off the closed classes of the support graph ``M > 0``, without powers, and
-checked by a residual taken class by class.
+up to 30x30 runs mpmath's eigensolver in 40-digit arithmetic. The limit of
+``M^m`` is read off the closed classes of the support graph ``M > 0``,
+without powers, and checked by a residual taken class by class.
 """
 
 from __future__ import annotations
