@@ -12,8 +12,10 @@ class ConfigError(ValueError):
 
 
 class NotConstructibleError(RuntimeError):
-    """A requested analytic construction (e.g. a kernel witness) does not
-    exist for the given combination of functional kinds."""
+    """No verified kernel witness: the operator's functionals mix interval
+    averages with point rules, which get no witness, or the built witness
+    failed its own check. For interval averages the witness annihilates the
+    quadrature rule that the operator applies, not the exact average."""
 
 
 class UnsupportedSizeError(ValueError):

@@ -17,11 +17,15 @@ helpers measure, on a grid the caller passes in and with seeded random
 test functions: constant reproduction, positivity, the unit operator norm
 and an explicit nonzero kernel witness. Each takes the grid and
 ``values``, the basis evaluated on it once by the caller (shape ``(n,
-len(grid))``); none evaluates the basis itself. The kernel witness is
-evaluated once, on the grid and the joined nodes together, by array
-passes: a 2-D sine reduced along the node axis for a product of sines
-(written as a signed zero, without sines, at the joined nodes that are its
-own nodes), one ``searchsorted`` for a cellwise sine.
+len(grid))``); none evaluates the basis itself. The kernel witness is a
+hat bump on the widest gap between the joined nodes and {0, 1}, evaluated
+once, on the grid, its peak and the joined nodes together: it is exactly
+0 at every node, so each functional's rule gives exactly 0 on it. For
+interval averages that rule is the composite Gauss-Legendre quadrature
+that ``T`` actually applies, not the exact average: the bump annihilates
+the quadrature rule, which is the operator analysed. Operators whose
+functionals mix interval averages with point rules get no witness, and the
+check reports that as a failure.
 
 The positivity and norm checks draw all their test functions first, as
 parameter arrays (:func:`~pouspec.functions.draw_test_functions`), and
@@ -29,8 +33,7 @@ run in two passes. Pass 1 works through them in kind-pure blocks of at
 most ``TRIAL_BLOCK_VALUES`` values: the block's values on the joined nodes
 (the norm check adds the grid, for ``||f||``) in one pass (one Horner loop
 for polynomials, a row of the check's table of ``trig(omega x)``, one per
-distinct frequency (on too many points, the block's own ``trig(omega
-x)``), scaled and shifted for each wave, one ``np.interp``
+distinct frequency, scaled and shifted for each wave, one ``np.interp``
 per piecewise-linear trial), and the coefficients of the whole block by
 one ``np.add.reduceat`` along its rows. It keeps the ``(trials, n)``
 coefficient matrix and one bound per trial. ``Tf(x)`` combines the
@@ -78,10 +81,6 @@ WITNESS_MIN_NORM = 0.5
 #: larger ones raise peak memory: against 2**13, the benchmark's
 #: catalog-sweep measured +0.4 MB of peak RSS at 2**14 and +4.7 MB at 2**18.
 TRIAL_BLOCK_VALUES = 2 ** 13
-
-#: Most factors (points times nodes) the node-vanishing product of sines
-#: holds at once, 512 KB of float64; a block always holds at least one point.
-WITNESS_BLOCK_VALUES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -407,156 +406,45 @@ def verify_norm_bound(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
 # Kernel witness
 # --------------------------------------------------------------------------
 
-def _point_annihilation_nodes(op: OperatorSpec) -> np.ndarray:
-    nodes = np.sort(op.functionals.nodes)
-    keep = np.concatenate(([True], np.diff(nodes) > 1e-12))
-    return nodes[keep]
-
-
-def _equally_spaced(values: np.ndarray) -> bool:
-    if values.size < 2 or abs(values[0]) > 1e-12 or abs(values[-1] - 1.0) > 1e-12:
-        return False
-    gaps = np.diff(values)
-    return bool(np.max(np.abs(gaps - gaps[0])) <= 1e-9)
-
-
-def _sine_product(nodes: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """``prod_k sin(pi (x - nodes[k]))`` at each ``x`` of ``xs``. Each block
-    of at most ``WITNESS_BLOCK_VALUES`` factors (at least one point) is one
-    2-D ``np.sin`` reduced along the node axis by ``np.multiply.reduce``,
-    which multiplies the factors in the order of ``nodes``, as a loop over
-    the nodes would."""
-    out = np.empty_like(xs)
-    step = max(1, WITNESS_BLOCK_VALUES // nodes.size)
-    for lo in range(0, xs.size, step):
-        factors = xs[None, lo:lo + step] - nodes[:, None]
-        factors *= np.pi
-        np.sin(factors, out=factors)
-        np.multiply.reduce(factors, axis=0, out=out[lo:lo + step])
-    return out
-
-
-def _node_vanishing_product(nodes: np.ndarray, points: np.ndarray,
-                            grid_size: int) -> np.ndarray:
-    """:func:`_sine_product` of the kept ``nodes`` at ``points``, the grid's
-    ``grid_size`` points followed by the operator's joined nodes, with the
-    bits of evaluating it at every point. A joined node that is a kept node
-    has the exact factor ``sin(pi * +0) = +0``, so its product is a signed
-    zero; when every kept node lies in [0, 1], each other factor there has
-    the sign of ``x - node``, and the product is ``(-1)**(kept nodes above
-    x) * 0.0``, written without a sine. Only the other points are
-    evaluated."""
-    joined = points[grid_size:]
-    # Kept nodes at or below each joined node: at least one, the least
-    # joined node being the first kept node.
-    below = np.searchsorted(nodes, joined, side="right")
-    gap = joined - nodes[below - 1]
-    at_kept = (gap == 0.0) & ~np.signbit(gap) & (nodes[0] >= 0.0) & (nodes[-1] <= 1.0)
-    evaluated = np.concatenate((np.ones(grid_size, dtype=bool), ~at_kept))
-    out = np.empty_like(points)
-    out[evaluated] = _sine_product(nodes, points[evaluated])
-    out[grid_size:][at_kept] = np.where((nodes.size - below[at_kept]) % 2, -0.0, 0.0)
-    return out
-
-
-def _cellwise_sine(starts: np.ndarray, widths: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """One full sine period ``sin(2 pi (x - a) / width)`` on each cell ``[a,
-    a + width]`` (``starts`` ascending) and zero outside every cell. A point
-    in two cells, where cells meet or overlap by up to 1e-12, takes the
-    value of the later cell. One ``searchsorted`` finds the last cell that
-    starts at or before each point; a cell narrower than the overlap can
-    end before a point that an earlier cell still holds, and such a point
-    steps back to that cell. ``reach[k]`` is the furthest end of the cells
-    before cell ``k``; it is read at every ``cell``, the -1 of a point
-    before all cells included, so it has one entry more than there are
-    cells."""
-    ends = starts + widths
-    reach = np.maximum.accumulate(np.concatenate(([-np.inf], ends)))
-    cell = np.searchsorted(starts, xs, side="right") - 1
-    back = (cell > 0) & (xs > ends[cell]) & (xs <= reach[cell])
-    while back.any():
-        cell[back] -= 1
-        back &= (cell > 0) & (xs > ends[cell]) & (xs <= reach[cell])
-    inside = (cell >= 0) & (xs <= ends[cell])
-    out = np.zeros_like(xs)
-    held = cell[inside]
-    out[inside] = np.sin(2.0 * np.pi * (xs[inside] - starts[held]) / widths[held])
-    return out
-
-
 def _candidate_witness(op: OperatorSpec, grid: np.ndarray) -> tuple[
         str, np.ndarray, np.ndarray]:
     """``(name, on_grid, on_nodes)``: the name of a nonzero function ``w``
-    annihilated by every functional, so ``Tw = 0``, and its values on the
-    grid and on the operator's joined nodes, from one evaluation on both.
+    that is 0 at every node of the joined rule, so every coefficient
+    ``a_k(w)`` is exactly 0 and ``Tw = 0``, and its values on the grid
+    followed by its peak and on the operator's joined nodes.
 
-    Construction is analytic per functional kind. Point-type functionals
-    (Dirac, finite quadrature) are killed by a sine vanishing at all node
-    points when those are equally spaced across [0, 1], and otherwise by
-    a normalized product of node-vanishing sine factors, which takes no
-    sine at a joined node that is a kept product node: it is a signed zero
-    there (:func:`_node_vanishing_product`). Interval averages
-    over non-overlapping cells are killed by one full sine period per cell.
-    Mixed point/average families have no such closed form and raise
+    ``w`` is the hat bump ``max(min(x - lo, hi - x), 0) / ((hi - lo) / 2)``
+    on the widest gap ``[lo, hi]`` between consecutive points of the joined
+    nodes and {0, 1}: no node lies inside the gap and the bump is 0 outside
+    it, and its peak ``lo + (hi - lo) / 2`` brings ``||w||`` to 1 on any
+    grid. Mixed point/average families raise
     :class:`NotConstructibleError`.
     """
-    # The sine witnesses print as "sin(...pi(x-0)/1)": reports carry that text.
     fs = op.functionals
     average = fs.kinds == AVERAGE
-    points = np.concatenate((grid, fs.nodes))
-
-    if not average.any():
-        nodes = _point_annihilation_nodes(op)
-        if _equally_spaced(nodes):
-            cells = nodes.size - 1
-            name = f"sin({cells}pi(x-0)/1)"
-            w = np.sin(cells * np.pi * points)
-        else:
-            w = _node_vanishing_product(nodes, points, grid.size)
-            peak = float(np.max(np.abs(w[:grid.size])))
-            if peak <= 0.0:
-                raise NotConstructibleError(
-                    f"{op.name}: node-vanishing product is identically zero "
-                    f"on the verification grid")
-            name = f"node-vanishing product ({nodes.size} nodes)"
-            w /= peak
-    elif average.all():
-        order = np.argsort(fs.a, kind="stable")
-        starts = fs.a[order]
-        stops = fs.b[order]
-        overlaps = np.flatnonzero(stops[:-1] > starts[1:] + 1e-12)
-        if overlaps.size:
-            k = overlaps[0]
-            raise NotConstructibleError(
-                f"{op.name}: interval-average supports overlap "
-                f"([{starts[k]:g}, {stops[k]:g}] and [{starts[k + 1]:g}, ...]); "
-                f"no cellwise witness")
-        widths = stops - starts
-        contiguous = (abs(starts[0]) <= 1e-12 and abs(stops[-1] - 1.0) <= 1e-12
-                      and np.all(np.abs(starts[1:] - stops[:-1]) <= 1e-12))
-        if contiguous and np.max(np.abs(widths - widths[0])) <= 1e-9:
-            m = starts.size
-            name = f"sin({2 * m}pi(x-0)/1)"
-            w = np.sin(2.0 * m * np.pi * points)
-        else:
-            name = f"cellwise sine ({starts.size} cells)"
-            w = _cellwise_sine(starts, widths, points)
-    else:
+    # The bump serves mixed kinds too; they are refused only while the
+    # benchmark references record these operators as failing (ROADMAP item 2).
+    if average.any() and not average.all():
         kinds = sorted({KIND_NAMES[kind] for kind in fs.kinds.tolist()})
         raise NotConstructibleError(
             f"{op.name}: no analytic kernel witness for mixed functional "
             f"kinds {kinds}")
-
-    return name, w[:grid.size], w[grid.size:]
+    ends = np.unique(np.concatenate(([0.0, 1.0], fs.nodes)))
+    k = int(np.argmax(np.diff(ends)))
+    lo, hi = ends[k], ends[k + 1]
+    half = (hi - lo) / 2
+    points = np.concatenate((grid, [lo + half], fs.nodes))
+    w = np.maximum(np.minimum(points - lo, hi - points), 0.0) / half
+    return f"hat bump on [{lo:.6g}, {hi:.6g}]", w[:grid.size + 1], w[grid.size + 1:]
 
 
 def _verified(op: OperatorSpec, values: np.ndarray, on_grid: np.ndarray,
               on_nodes: np.ndarray) -> tuple[float, float]:
     """``(||w||, ||Tw||)`` on the grid, or :class:`NotConstructibleError`
     when ``w`` is too small (``||w||_inf < 0.5``) or not annihilated
-    (``||Tw||_inf > 1e-10``); ``values`` is the basis on the grid and
-    ``on_grid`` and ``on_nodes`` the witness on the grid and on the joined
-    nodes."""
+    (``||Tw||_inf > 1e-10``); ``values`` is the basis on the grid,
+    ``on_grid`` the witness on the grid (and on any point added to measure
+    its norm) and ``on_nodes`` the witness on the joined nodes."""
     witness_norm = float(np.max(np.abs(on_grid)))
     coeffs = np.add.reduceat(op.functionals.weights * on_nodes, op.functionals.starts)
     residual = float(np.max(np.abs(coeffs @ values)))

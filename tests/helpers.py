@@ -8,22 +8,21 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from pouspec.checks import CheckResult
-from pouspec.errors import ConfigError, NotConstructibleError
-from pouspec.functionals import (AVERAGE, DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
-                                 KIND_NAMES, Functionals, check_functional_normalization,
+from pouspec.errors import ConfigError
+from pouspec.functionals import (DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
+                                 Functionals, check_functional_normalization,
                                  dirac_functionals, interval_average_functionals, join,
                                  quadrature_functionals)
 from pouspec.functions import (COSINE, PIECEWISE_LINEAR, POLYNOMIAL, TEST_POLYNOMIAL_WIDTH,
                                _horner, outside_domain, require_in_domain)
-from pouspec.operators import (_equally_spaced, _point_annihilation_nodes,
-                               coefficient_vector)
+from pouspec.operators import coefficient_vector
 from pouspec.spectra import (ITERATE_TOL, TOL_STOCHASTIC, IterateResult,
                              check_row_stochastic, closed_classes)
 
@@ -494,89 +493,6 @@ def drawn_values_per_block(draw, rows: np.ndarray, xs: np.ndarray) -> np.ndarray
     out *= draw.amplitude[rows, None]
     out += draw.offset
     return out
-
-
-def candidate_witness_two_pass(op, grid: np.ndarray) -> tuple[
-        str, Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """``(name, w, w_on_grid)`` of the kernel witness, built by a loop over
-    the nodes or the cells; ``w`` is evaluated on the grid here and again
-    on the nodes by :func:`verified_two_pass`."""
-    fs = op.functionals
-    kinds = [int(fs.kinds[k]) for k in range(fs.n)]
-    all_point = all(kind != AVERAGE for kind in kinds)
-    all_average = all(kind == AVERAGE for kind in kinds)
-
-    if all_point:
-        nodes = _point_annihilation_nodes(op)
-        if _equally_spaced(nodes):
-            cells = nodes.size - 1
-            name = f"sin({cells}pi(x-0)/1)"
-
-            def w(xs: np.ndarray) -> np.ndarray:
-                return np.sin(cells * np.pi * xs)
-        else:
-            def product_of_sines(xs: np.ndarray) -> np.ndarray:
-                out = np.ones_like(xs)
-                for x0 in nodes:
-                    out *= np.sin(np.pi * (xs - x0))
-                return out
-
-            raw_on_grid = product_of_sines(grid)
-            peak = float(np.max(np.abs(raw_on_grid)))
-            if peak <= 0.0:
-                raise NotConstructibleError(
-                    f"{op.name}: node-vanishing product is identically zero "
-                    f"on the verification grid")
-            return (f"node-vanishing product ({nodes.size} nodes)",
-                    lambda xs: product_of_sines(xs) / peak, raw_on_grid / peak)
-    elif all_average:
-        cells = sorted(((float(fs.a[k]), float(fs.b[k])) for k in range(fs.n)),
-                       key=lambda c: c[0])
-        for (a0, b0), (a1, _) in zip(cells, cells[1:]):
-            if b0 > a1 + 1e-12:
-                raise NotConstructibleError(
-                    f"{op.name}: interval-average supports overlap "
-                    f"([{a0:g}, {b0:g}] and [{a1:g}, ...]); no cellwise witness")
-        widths = np.array([b - a for a, b in cells])
-        starts = np.array([a for a, _ in cells])
-        contiguous = (abs(starts[0]) <= 1e-12
-                      and abs(cells[-1][1] - 1.0) <= 1e-12
-                      and np.all(np.abs(starts[1:] - np.array(
-                          [b for _, b in cells[:-1]])) <= 1e-12))
-        if contiguous and np.max(np.abs(widths - widths[0])) <= 1e-9:
-            m = len(cells)
-            name = f"sin({2 * m}pi(x-0)/1)"
-
-            def w(xs: np.ndarray) -> np.ndarray:
-                return np.sin(2.0 * m * np.pi * xs)
-        else:
-            name = f"cellwise sine ({len(cells)} cells)"
-
-            def w(xs: np.ndarray) -> np.ndarray:
-                out = np.zeros_like(xs)
-                for a, cw in zip(starts, widths):
-                    inside = (xs >= a) & (xs <= a + cw)
-                    out[inside] = np.sin(2.0 * np.pi * (xs[inside] - a) / cw)
-                return out
-    else:
-        names = sorted({KIND_NAMES[kind] for kind in kinds})
-        raise NotConstructibleError(
-            f"{op.name}: no analytic kernel witness for mixed functional "
-            f"kinds {names}")
-
-    return name, w, w(grid)
-
-
-def verified_two_pass(op, values: np.ndarray, w: Callable[[np.ndarray], np.ndarray],
-                      w_on_grid: np.ndarray) -> tuple[float, float]:
-    """``(||w||, ||Tw||)`` on the grid, ``w`` evaluated again on the nodes."""
-    witness_norm = float(np.max(np.abs(w_on_grid)))
-    residual = float(np.max(np.abs(coefficient_vector(op, w) @ values)))
-    if witness_norm < 0.5 or residual > 1e-10:
-        raise NotConstructibleError(
-            f"{op.name}: witness verification failed "
-            f"(||w|| = {witness_norm:.3e}, ||Tw|| = {residual:.3e})")
-    return witness_norm, residual
 
 
 def iterate_limit_dense(matrix, tol: float = ITERATE_TOL) -> IterateResult:

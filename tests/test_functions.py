@@ -10,7 +10,7 @@ import pytest
 
 from pouspec.errors import ConfigError, DomainError
 from pouspec.functions import (COSINE, DOMAIN_SLACK, PIECEWISE_LINEAR, POLYNOMIAL, SINE,
-                               TEST_POLYNOMIAL_WIDTH, WAVE_TABLE_VALUES, _horner,
+                               TEST_POLYNOMIAL_WIDTH, _horner,
                                draw_test_functions, grid, outside_domain, require_in_domain)
 
 from helpers import catalog_values_oracle, drawn_values_per_block, random_function_oracle
@@ -183,19 +183,19 @@ class TestDrawnTestFunctions:
             for block, values in draw.blocks(block_size, self.XS):
                 assert values.tobytes() == drawn_values_per_block(draw, block, self.XS).tobytes()
 
-    @pytest.mark.parametrize("points", [WAVE_TABLE_VALUES // 8, WAVE_TABLE_VALUES + 1])
-    def test_blocks_past_the_table_bound_equal_the_per_block_evaluation(self, points):
-        # Eight frequencies just fit the table at the first size; at the
-        # second no table fits and each wave block takes its own trig.
+    @pytest.mark.parametrize("points", [8192, 100_001])
+    def test_blocks_on_large_grids_equal_the_per_block_evaluation(self, points):
+        # Every point set takes the table, up to the largest check grid.
         xs = grid(points)
         for seed in range(3):
             draw = draw_test_functions(np.random.default_rng(seed), 40)
             for block, values in draw.blocks(7, xs):
                 assert values.tobytes() == drawn_values_per_block(draw, block, xs).tobytes()
 
-    def test_blocks_of_one_trial_hold_a_few_rows_on_a_large_grid(self):
-        # On 100001 points a wave table would hold up to eight rows; without
-        # it, one-trial blocks hold fewer than four rows at a time.
+    def test_wave_table_holds_at_most_eight_rows_on_a_large_grid(self):
+        # On 100001 points the table of a wave kind holds one row per
+        # distinct frequency, at most eight, and is dropped before the next
+        # kind's: one-trial blocks then hold at most ten rows at a time.
         xs = grid(100_001)
         draw = draw_test_functions(np.random.default_rng(0), 40)
         assert np.unique(draw.omega[draw.kinds == SINE]).size >= 4
@@ -206,7 +206,7 @@ class TestDrawnTestFunctions:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * xs.nbytes
+        assert peak < 10 * xs.nbytes
 
     @pytest.mark.parametrize("nonnegative", [False, True])
     def test_repeated_breakpoints_keep_the_first(self, nonnegative):

@@ -22,11 +22,11 @@ from pouspec.operators import (OperatorSpec, _candidate_witness, bernstein_opera
                                verify_norm_bound, verify_positivity)
 from pouspec.spectra import build_collocation_matrix
 
-from helpers import (adjoint_pairing, average, candidate_witness_two_pass, clamped_knots,
+from helpers import (adjoint_pairing, average, clamped_knots,
                      dirac, greville_loop, image, in_order, norm_estimate_oracle, one,
                      pairing, positivity_oracle, quadrature, random_breakpoints,
                      random_function_oracle, rules, validate_functionals_one_by_one,
-                     verified_two_pass, verify_adjoint_identity)
+                     verify_adjoint_identity)
 
 GRID = np.linspace(0.0, 1.0, 1001)
 SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
@@ -513,14 +513,12 @@ def _witness(op, xs=GRID):
 
 
 def witness_operators():
-    """Operators of every witness construction: equally spaced and
-    irregular nodes (300 of them, more than one block of the product of
-    sines), equal and unequal cells, and cells that meet or overlap by up
-    to 1e-12, one of them narrower than the overlap, and one cell off the
-    origin, with grid points before it. Among the irregular nodes: repeats
-    and nodes within 1e-12 of a kept node, which the product evaluates;
-    a -0.0 beside 0.0; and a node below 0 within the domain slack, where the
-    signs of the factors at the kept nodes are not those of ``x - node``."""
+    """Operators whose joined nodes lie in every kind of place: equally
+    spaced and irregular nodes (300 of them), equal and unequal cells, and
+    cells that meet or overlap by up to 1e-12, one of them narrower than the
+    overlap, and one cell off the origin. Among the irregular nodes: repeats
+    and nodes within 1e-12 of each other; a -0.0 beside 0.0; and a node
+    below 0 within the domain slack."""
     nodes = np.sort(np.random.default_rng(4).uniform(size=298))
     hat = make_hat_basis([0.0, 0.5, 1.0])
     hat4 = make_hat_basis([0.0, 0.3, 0.6, 1.0])
@@ -558,62 +556,69 @@ def witness_operators():
     ]
 
 
+def widest_gap(op) -> tuple[float, float]:
+    """The widest gap between consecutive distinct points of the joined
+    nodes and {0, 1}, the first of equal widths, by a loop over them."""
+    ends = sorted({0.0, 1.0, *op.functionals.nodes.tolist()})
+    return max(zip(ends, ends[1:]), key=lambda gap: gap[1] - gap[0])
+
+
+def bump(lo: float, hi: float):
+    """The hat of height one on ``[lo, hi]``, zero outside it."""
+    return lambda xs: np.clip(np.minimum(xs - lo, hi - xs), 0.0, None) / ((hi - lo) / 2)
+
+
 class TestKernelWitness:
     @pytest.mark.parametrize("points", [11, 1001, 20001])
     @pytest.mark.parametrize("op", witness_operators(), ids=lambda o: o.name)
-    def test_equal_to_the_two_pass_loop(self, op, points):
-        # One evaluation on grid and nodes, the product of sines as a
-        # reduced 2-D sine and the cells found by searchsorted: the same
-        # name, values, norm and residual as the loop over the nodes or
-        # cells, evaluated on the grid and then on the nodes.
+    def test_bump_vanishes_at_every_node(self, op, points):
+        # The bump on the widest gap is exactly 0 at every joined node, so
+        # every functional gives exactly 0 on it and the residual is 0.0;
+        # its peak, after the grid, gives it norm one on any grid.
         xs = grid(points)
         values = op.basis.values(xs)
-        name, w, w_on_grid = candidate_witness_two_pass(op, xs)
-        found, on_grid, on_nodes = _candidate_witness(op, xs)
-        assert found == name
-        assert on_grid.tobytes() == w_on_grid.tobytes()
-        assert on_nodes.tobytes() == w(op.functionals.nodes).tobytes()
-        try:
-            expected = verified_two_pass(op, values, w, w_on_grid)
-        except NotConstructibleError as exc:
-            expected = str(exc)
-        try:
-            verified = operators._verified(op, values, on_grid, on_nodes)
-        except NotConstructibleError as exc:
-            verified = str(exc)
-        assert verified == expected
+        name, on_grid, on_nodes = _candidate_witness(op, xs)
+        lo, hi = widest_gap(op)
+        w = bump(lo, hi)
+        assert name == f"hat bump on [{lo:.6g}, {hi:.6g}]"
+        assert on_grid.shape == (points + 1,)
+        nptest.assert_allclose(on_grid, w(np.append(xs, lo + (hi - lo) / 2)),
+                               rtol=0, atol=1e-12)
+        assert on_grid[-1] == pytest.approx(1.0, abs=1e-9)
+        assert np.all(on_nodes == 0.0) and np.all(w(op.functionals.nodes) == 0.0)
+        assert all(pairing(op.functionals, w, k) == 0.0 for k in range(op.n))
+        witness_norm, residual = operators._verified(op, values, on_grid, on_nodes)
+        assert witness_norm >= 0.5 and residual == 0.0
 
-    def test_bernstein2_witness_is_full_sine(self):
+    def test_bernstein2_witness_is_the_bump_on_the_first_half(self):
+        # Nodes 0, 1/2, 1: both gaps are widest, and the first is taken.
         xs = np.linspace(0, 1, 101)
-        nptest.assert_allclose(_witness(bernstein_operator(2), xs)[0], np.sin(2 * np.pi * xs),
-                               atol=1e-12)
-
-    def test_kantorovich1_witness_frequency(self):
-        xs = np.linspace(0, 1, 101)
-        nptest.assert_allclose(_witness(kantorovich_operator(1), xs)[0],
-                               np.sin(4 * np.pi * xs), atol=1e-12)
+        nptest.assert_allclose(_witness(bernstein_operator(2), xs)[0][:-1],
+                               np.maximum(np.minimum(xs, 0.5 - xs), 0.0) / 0.25, atol=1e-12)
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_witness_annihilated(self, op):
         on_grid, image_of_w = _witness(op)
         assert np.max(np.abs(on_grid)) >= 0.5
-        assert np.max(np.abs(image_of_w)) <= 1e-10
+        assert np.max(np.abs(image_of_w)) == 0.0
 
-    def test_irregular_nodes_use_product_construction(self):
+    def test_irregular_nodes_bump_on_the_widest_gap(self):
         op = hat_dirac_operator([0.0, 0.13, 0.55, 0.97, 1.0])
         name, on_grid, on_nodes = _candidate_witness(op, GRID)
-        assert name == "node-vanishing product (5 nodes)"
-        nptest.assert_allclose(on_nodes, 0.0, atol=1e-15)
-        assert np.max(np.abs(on_grid)) == 1.0
-        assert np.max(np.abs(_witness(op)[1])) <= 1e-10
+        assert name == "hat bump on [0.13, 0.55]"
+        assert np.all(on_nodes == 0.0)
+        assert np.max(np.abs(on_grid)) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(_witness(op)[1])) == 0.0
 
     def test_mixed_kinds_not_constructible(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
         funcs = in_order(dirac(0.0), average(0.25, 0.75),
                  dirac(1.0))
         op = OperatorSpec(basis, funcs, name="mixed")
-        with pytest.raises(NotConstructibleError):
+        with pytest.raises(NotConstructibleError) as raised:
             _candidate_witness(op, GRID)
+        assert str(raised.value) == ("mixed: no analytic kernel witness for mixed functional "
+                                     "kinds ['DiracFunctional', 'IntervalAverageFunctional']")
 
     def test_report_flags_not_constructible(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
@@ -624,23 +629,24 @@ class TestKernelWitness:
         assert not result.passed and result.value is None
         assert "mixed" in result.detail
 
-    def test_unequal_disjoint_averages_cellwise(self):
+    def test_unequal_disjoint_averages_have_a_witness(self):
         basis = make_hat_basis([0.0, 1.0])
         funcs = in_order(average(0.0, 0.3),
                  average(0.3, 1.0))
         op = OperatorSpec(basis, funcs, name="lopsided")
         on_grid, image_of_w = _witness(op)
         assert np.max(np.abs(on_grid)) >= 0.5
-        assert np.max(np.abs(image_of_w)) <= 1e-10
+        assert np.max(np.abs(image_of_w)) == 0.0
 
-    def test_overlapping_averages_not_constructible(self):
+    def test_overlapping_averages_have_a_witness(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
         funcs = in_order(average(0.0, 0.6),
                  average(0.4, 1.0),
                  average(0.0, 1.0))
         op = OperatorSpec(basis, funcs, name="overlap")
-        with pytest.raises(NotConstructibleError):
-            _candidate_witness(op, GRID)
+        result = kernel_witness_report(op, GRID, op.basis.values(GRID))
+        assert result.passed and result.value == 0.0
+        assert result.detail.startswith("witness hat bump on [")
 
 
 class TestPowers:

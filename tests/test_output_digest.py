@@ -108,9 +108,20 @@ def test_largest_configs_reach_the_top_dimension(output_diff):
                      "schoenberg(deg 3, n=500)", "custom"]
 
 
+def test_witness_configs_parse(output_diff):
+    configs = output_diff.witness_configs()
+    assert [c["config"] for c in configs] == [
+        "witness bernstein-10-grid-11", "witness kantorovich-49-grid-101",
+        "witness kantorovich-99-grid-101", "witness kantorovich-499",
+        "witness hat-overlapping-averages"]
+    parsed = [parse_config(c["text"]) for c in configs]
+    assert {c["stratum"] for c in configs} == {"witness"}
+    assert [c.grid_points for c in parsed] == [11, 101, 101, 1001, 1001]
+
+
 def _small_pool(output_diff, monkeypatch):
-    """A two-entry stand-in for the benchmark pools and a one-entry stand-in
-    for the largest configs."""
+    """A two-entry stand-in for the benchmark pools, a one-entry stand-in
+    for the largest configs and no witness configs."""
     texts = {"kantorovich": '{"operator": "kantorovich", "n": 2}\n',
              "bernstein": '{"operator": "bernstein", "n": 3}\n'}
     workloads = types.ModuleType("perfbench.workloads")
@@ -124,6 +135,7 @@ def _small_pool(output_diff, monkeypatch):
             '"functionals": [{"kind": "dirac", "x": 1.0}, {"kind": "dirac", "x": 0.0}]}\n')
     monkeypatch.setattr(output_diff, "largest_configs", lambda: [
         {"config": "largest swap", "stratum": "largest", "text": swap}])
+    monkeypatch.setattr(output_diff, "witness_configs", lambda: [])
 
 
 def test_output_diff_of_a_tree_against_itself_is_identical(output_diff, monkeypatch, capsys):

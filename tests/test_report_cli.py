@@ -268,6 +268,30 @@ class TestRunAnalyze:
         assert "timings" in data
 
 
+ALIASED_WITNESS_CONFIGS = pytest.mark.parametrize("text", [
+    '{"operator": "bernstein", "n": 10, "grid_points": 11}',
+    '{"operator": "kantorovich", "n": 49, "grid_points": 101}',
+    '{"operator": "kantorovich", "n": 99, "grid_points": 101}',
+    '{"operator": "kantorovich", "n": 499}',
+    json.dumps({"operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 0.5, 1.0]},
+                "functionals": [{"kind": "interval-average", "a": 0.0, "b": 0.6},
+                                {"kind": "interval-average", "a": 0.4, "b": 1.0},
+                                {"kind": "interval-average", "a": 0.0, "b": 1.0}]}),
+], ids=["bernstein-10-grid-11", "kantorovich-49-grid-101", "kantorovich-99-grid-101",
+        "kantorovich-499", "hat-overlapping-averages"])
+
+
+@ALIASED_WITNESS_CONFIGS
+def test_kernel_witness_on_aliasing_grids_and_overlapping_cells(text):
+    # On these grids a sine that vanishes at every node vanishes at every
+    # grid point too, and the last operator's cells overlap: its witness
+    # must depend on neither.
+    report = run_analyze(parse_config(text))
+    check = report.checks["kernel_residual"]
+    assert check.passed and check.value == 0.0, check.detail
+    assert exit_code_for(report) == 0
+
+
 @pytest.fixture(scope="module")
 def kant1_report():
     return run_analyze(parse_config(KANT1_CONFIG))
@@ -810,7 +834,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_one_cell_off_the_origin_has_a_witness(self, tmp_path, capsys, command):
         # One interval average on [0.25, 0.75]: grid points left of the only
-        # cell lie before every cell, and the cellwise sine is zero there.
+        # cell lie before every node, where the witness must be defined too.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "operator": "custom", "basis": {"kind": "bspline", "knots": [0, 1], "degree": 0},

@@ -6,10 +6,12 @@ Usage, from the repository root::
 
 Each ``*_SRC`` is a directory that holds the ``pouspec`` package (``src``
 of a checkout). Every config of the three benchmark pools
-(``perfbench.workloads.pool``, read from this checkout) and the five
-largest configs of :func:`largest_configs` is analysed once per tree, each tree in its own child process so that each imports its own
-``pouspec``: in-process through ``pouspec.cli.main``, BLAS pinned to one
-thread, writing the JSON, CSV and SVG outputs, ``timings`` left out.
+(``perfbench.workloads.pool``, read from this checkout), the five
+largest configs of :func:`largest_configs` and the five kernel-witness
+configs of :func:`witness_configs` is analysed once per tree, each tree in
+its own child process so that each imports its own ``pouspec``: in-process
+through ``pouspec.cli.main``, BLAS pinned to one thread, writing the JSON,
+CSV and SVG outputs, ``timings`` left out.
 
 For each config whose output differs it prints the exit-code and
 classification transitions, each JSON key path whose value changed (old ->
@@ -127,6 +129,27 @@ def largest_configs() -> list[dict]:
             for name, config in configs.items()]
 
 
+def witness_configs() -> list[dict]:
+    """``config``, ``stratum`` and ``text`` of five configs that the pools
+    do not reach and that test the kernel witness: grids on which a sine
+    vanishing at every functional node also vanishes at every grid point
+    (Bernstein n = 10 on 11 points, Kantorovich n = 49 and 99 on 101 points,
+    Kantorovich n = 499 on the default grid), and a hat basis with
+    overlapping cell averages."""
+    cells = [(0.0, 0.6), (0.4, 1.0), (0.0, 1.0)]
+    configs = {
+        "bernstein-10-grid-11": {"operator": "bernstein", "n": 10, "grid_points": 11},
+        "kantorovich-49-grid-101": {"operator": "kantorovich", "n": 49, "grid_points": 101},
+        "kantorovich-99-grid-101": {"operator": "kantorovich", "n": 99, "grid_points": 101},
+        "kantorovich-499": {"operator": "kantorovich", "n": 499},
+        "hat-overlapping-averages": {
+            "operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 0.5, 1.0]},
+            "functionals": [{"kind": "interval-average", "a": a, "b": b} for a, b in cells]},
+    }
+    return [{"config": f"witness {name}", "stratum": "witness", "text": json.dumps(config)}
+            for name, config in configs.items()]
+
+
 def dump(src: Path, configs_path: Path) -> None:
     """Child process: for each config of the JSON list at ``configs_path``,
     one JSON line with what ``src``'s ``pouspec analyze`` wrote for it."""
@@ -230,8 +253,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no pouspec package under {src}")
     with tempfile.TemporaryDirectory() as tmp:
         configs_path = Path(tmp) / "configs.json"
-        configs_path.write_text(json.dumps(pool_configs() + largest_configs()),
-                                encoding="utf-8")
+        configs = pool_configs() + largest_configs() + witness_configs()
+        configs_path.write_text(json.dumps(configs), encoding="utf-8")
         return _compare_children(_children(srcs, configs_path))
 
 
