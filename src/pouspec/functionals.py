@@ -9,7 +9,7 @@ Nonnegative weights of unit sum make a positive functional with
 
 The functionals of an operator are one :class:`Functionals`, their rules
 joined. They apply to values, not to a function object: all at once are
-``np.add.reduceat(weights * f(nodes), starts)``. Each kind has a builder
+:meth:`Functionals.apply` of ``f(nodes)``. Each kind has a builder
 of all its members in one array pass (:func:`dirac_functionals`,
 :func:`interval_average_functionals` by one ``np.linspace`` over all
 cells, :func:`quadrature_functionals`); :func:`join` gathers whole rules
@@ -27,11 +27,12 @@ import numpy as np
 from .checks import CheckResult
 from .errors import ConfigError
 
-#: Default composite Gauss-Legendre rule: exact for polynomials of degree
-#: 15 on each of 4 panels. Kantorovich cell averages reach degree 499, so
-#: the rule is not exact for them, but its error stays below rounding: at
-#: n = 499 its matrix differs from the exact cell averages (mpmath, 50
-#: digits) by at most 2.2e-15.
+#: Default composite Gauss-Legendre rule: exact for degree <= 15 on each of
+#: 4 panels. On Kantorovich cells (degree up to 499) it stays within
+#: rounding: 2.2e-15 from the exact matrix at n = 499 (mpmath, 50 digits).
+#: A hat with a kink inside a panel is another matter: the large hat-average
+#: matrices are 5.2e-4 to 9.2e-4 from the exact cell averages. Verdicts are
+#: about the operator that the rule defines.
 DEFAULT_QUAD_ORDER = 8
 DEFAULT_QUAD_PANELS = 4
 
@@ -95,6 +96,11 @@ class Functionals:
         """``(nodes, weights)`` of member ``k``, read-only views."""
         stop = self.starts[k + 1] if k + 1 < self.n else self.nodes.size
         return self.nodes[self.starts[k]:stop], self.weights[self.starts[k]:stop]
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """``(a_k(f))_k`` from ``f`` on ``nodes``, for each row of ``values``;
+        a row has the bits of its values applied on their own."""
+        return np.add.reduceat(values * self.weights, self.starts, axis=-1)
 
     def name(self, k: int) -> str:
         """Member ``k`` in messages, by its kind."""

@@ -35,12 +35,12 @@ most ``TRIAL_BLOCK_VALUES`` values: the block's values on the joined nodes
 for polynomials, a row of the check's table of ``trig(omega x)``, one per
 distinct frequency, scaled and shifted for each wave, one ``np.interp``
 per piecewise-linear trial), and the coefficients of the whole block by
-one ``np.add.reduceat`` along its rows. It keeps the ``(trials, n)``
-coefficient matrix and one bound per trial. ``Tf(x)`` combines the
-coefficients ``c`` with the basis values at ``x``, which for a partition
-of unity sum to one, so ``|Tf| <= max|c|`` and ``Tf >= min(c)``; the
-bounds scale these by the basis' column sums and widen them by Higham's
-rounding-error bound for a dot product. Pass 2 computes images on the
+one :meth:`~pouspec.functionals.Functionals.apply`. It keeps the
+``(trials, n)`` coefficient matrix and one bound per trial. ``Tf(x)``
+combines the coefficients ``c`` with the basis values at ``x``, which for
+a partition of unity sum to one, so ``|Tf| <= max|c|`` and
+``Tf >= min(c)``; the bounds scale these by the basis' column sums and
+widen them by Higham's rounding-error bound for a dot product. Pass 2 computes images on the
 grid, by one stacked product (one matrix-vector product per row), only
 for the trials whose bound can still change the result, in bound order,
 and stops at the first that cannot. Each computed image has the bits of
@@ -53,7 +53,7 @@ trial that positivity reports is named from its parameters
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,70 +87,60 @@ TRIAL_BLOCK_VALUES = 2 ** 13
 class OperatorSpec:
     """Basis plus functionals of equal count; immutable once built.
 
-    Every functional node lies in [0, 1]: whatever ``validate`` says,
-    construction raises :class:`~pouspec.errors.DomainError` naming the
-    first functional with a node outside, so no check and no collocation
-    assembly tests the nodes again. With ``validate=True`` (the default)
-    construction also verifies the partition of unity and basis
-    nonnegativity on one evaluation of the basis on the default grid, and
-    the normalization of every functional (nonnegative weights of unit
-    mass). ``validate=False`` builds deliberately broken operators for
-    failure-path tests: wrong mass, negative weights or a broken basis,
-    never a node outside [0, 1].
+    Construction verifies the partition of unity and basis nonnegativity on
+    one evaluation of the basis on the default grid, and every functional:
+    its nodes lie in [0, 1] and its rule is nonnegative of unit mass. The
+    first faulty functional raises :class:`~pouspec.errors.DomainError` or
+    :class:`~pouspec.errors.ConfigError`, so no check and no collocation
+    assembly tests the nodes again.
 
     ``default_values`` is the basis on ``grid(DEFAULT_GRID_POINTS)`` that
-    validation evaluated (read-only), kept so that checks on that grid
-    reuse it; it is ``None`` when ``validate=False``, and takes no part in
-    eq, hash or repr.
+    construction evaluated (read-only), kept so that checks on that grid
+    reuse it; it takes no part in eq, hash or repr.
     """
 
     basis: BasisSystem
     functionals: Functionals
     name: str = "operator"
-    validate: InitVar[bool] = True
-    default_values: np.ndarray | None = field(init=False, repr=False, compare=False)
+    default_values: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         fs = self.functionals
         if fs.n != self.basis.n:
             raise ConfigError(
                 f"{self.name}: basis has {self.basis.n} functions but "
                 f"{fs.n} functionals were given")
-        # The first functional with a node outside [0, 1], or n, from one
-        # domain test over the joined nodes.
+        xs = grid(DEFAULT_GRID_POINTS)
+        values = self.basis.values(xs)
+        values.flags.writeable = False
+        pou = check_partition_of_unity(values, xs)
+        if not pou.passed:
+            raise ConfigError(
+                f"{self.name}: basis violates the partition of unity "
+                f"(deviation {pou.value:.3e} at x={pou.worst_x:.6g})")
+        # The least value decides; only a failure locates it.
+        if not values.min() >= -TOL_POU:
+            nn = check_nonnegativity(values, xs)
+            raise ConfigError(
+                f"{self.name}: basis takes negative values "
+                f"({nn.value:.3e} at x={nn.worst_x:.6g})")
+        object.__setattr__(self, "default_values", values)
+        # Functional k is checked for its nodes, then for its mass, in order
+        # of k. One domain test over the joined nodes finds the first
+        # functional with a node outside [0, 1], one pass the first
+        # unnormalized one; only the first of the two is checked on its own,
+        # for the message.
         outside = outside_domain(fs.nodes)
         first_outside = self.n
         if outside.any():
             first_outside = int(np.searchsorted(fs.starts, np.argmax(outside),
                                                 side="right")) - 1
-        object.__setattr__(self, "default_values", None)
-        if validate:
-            xs = grid(DEFAULT_GRID_POINTS)
-            values = self.basis.values(xs)
-            values.flags.writeable = False
-            pou = check_partition_of_unity(values, xs)
-            if not pou.passed:
-                raise ConfigError(
-                    f"{self.name}: basis violates the partition of unity "
-                    f"(deviation {pou.value:.3e} at x={pou.worst_x:.6g})")
-            # The least value decides; only a failure locates it.
-            if not values.min() >= -TOL_POU:
-                nn = check_nonnegativity(values, xs)
-                raise ConfigError(
-                    f"{self.name}: basis takes negative values "
-                    f"({nn.value:.3e} at x={nn.worst_x:.6g})")
-            object.__setattr__(self, "default_values", values)
-            # Functional k is checked for its nodes, then for its mass, in
-            # order of k: the first functional with a node outside [0, 1]
-            # raises after the normalization of those before it. One pass
-            # finds the first unnormalized functional; only that one is
-            # checked on its own, for the message.
-            k = first_unnormalized(fs.weights, fs.starts)
-            if k < first_outside:
-                norm = check_functional_normalization(fs, k)
-                raise ConfigError(f"{self.name}: functional {k} ({fs.name(k)}) "
-                                  f"is not a nonnegative rule of unit mass "
-                                  f"({norm.detail})")
+        k = first_unnormalized(fs.weights, fs.starts)
+        if k < first_outside:
+            norm = check_functional_normalization(fs, k)
+            raise ConfigError(f"{self.name}: functional {k} ({fs.name(k)}) "
+                              f"is not a nonnegative rule of unit mass "
+                              f"({norm.detail})")
         if first_outside < self.n:
             require_in_domain(fs.rule(first_outside)[0],
                               f"{self.name}: functional {first_outside} "
@@ -219,8 +209,7 @@ def coefficient_vector(op: OperatorSpec,
     once on the operator's joined nodes, then weighted and summed per
     functional. ``Tf`` on points ``xs`` is this vector times the basis
     values there."""
-    fs = op.functionals
-    return np.add.reduceat(fs.weights * f(fs.nodes), fs.starts)
+    return op.functionals.apply(f(op.functionals.nodes))
 
 
 # --------------------------------------------------------------------------
@@ -234,15 +223,6 @@ def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray, values: np.
     grid = nonempty_grid(grid, values, "constant-reproduction")
     return CheckResult.deviation_from_one(
         "constant_reproduction", coefficient_vector(op, np.ones_like) @ values, grid, tol)
-
-
-def _coefficients(op: OperatorSpec, on_nodes: np.ndarray) -> np.ndarray:
-    """The coefficients ``(a_k(f_i))_k`` for each row of ``on_nodes``, the
-    functions' values on ``op.functionals.nodes`` (overwritten). Row ``i``
-    has the bits of ``coefficient_vector(op, f_i)``: ``reduceat`` along the
-    rows sums each functional's nodes in the same order."""
-    on_nodes *= op.functionals.weights
-    return np.add.reduceat(on_nodes, op.functionals.starts, axis=1)
 
 
 def _images(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -310,7 +290,7 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
     coeffs = np.empty((trials, op.n))
     nodes = op.functionals.nodes
     for rows, on_nodes in draw.blocks(TRIAL_BLOCK_VALUES // nodes.size, nodes):
-        coeffs[rows] = _coefficients(op, on_nodes)
+        coeffs[rows] = op.functionals.apply(on_nodes)
     lower = _image_lower_bounds(coeffs, values)
     # The worst is the least (value, trial) pair, so a tie goes to the
     # first trial: a trial whose bound equals the worst value is computed.
@@ -361,14 +341,14 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarra
     draw = draw_test_functions(np.random.default_rng(seed), trials)
     nodes = op.functionals.nodes.size
     # The constant one, ||1||_inf = 1 on the grid.
-    best = float(np.abs(_images(_coefficients(op, np.ones((1, nodes))), values)).max())
+    best = float(np.abs(_images(op.functionals.apply(np.ones((1, nodes))), values)).max())
     points = np.concatenate((op.functionals.nodes, grid))
     coeffs = np.empty((trials, op.n))
     denom = np.empty(trials)
     for rows, block_values in draw.blocks(TRIAL_BLOCK_VALUES // points.size, points):
         on_grid = block_values[:, nodes:]
         denom[rows] = np.abs(on_grid, out=on_grid).max(axis=1)
-        coeffs[rows] = _coefficients(op, block_values[:, :nodes])
+        coeffs[rows] = op.functionals.apply(block_values[:, :nodes])
     # Rounding is monotone: a computed max |Tf| at most the bound gives a
     # computed ratio at most the bound over the same ||f||.
     upper = np.full(trials, -np.inf)
@@ -446,8 +426,7 @@ def _verified(op: OperatorSpec, values: np.ndarray, on_grid: np.ndarray,
     ``on_grid`` the witness on the grid (and on any point added to measure
     its norm) and ``on_nodes`` the witness on the joined nodes."""
     witness_norm = float(np.max(np.abs(on_grid)))
-    coeffs = np.add.reduceat(op.functionals.weights * on_nodes, op.functionals.starts)
-    residual = float(np.max(np.abs(coeffs @ values)))
+    residual = float(np.max(np.abs(op.functionals.apply(on_nodes) @ values)))
     if witness_norm < WITNESS_MIN_NORM or residual > WITNESS_RESIDUAL_TOL:
         raise NotConstructibleError(
             f"{op.name}: witness verification failed "

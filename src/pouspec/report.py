@@ -395,11 +395,11 @@ def run_checks(op: OperatorSpec, config: AnalysisConfig) -> tuple[
     config, and the seconds each check took, keyed ``checks.<name>``. The
     verification grid of ``config.grid_points`` points is built here once
     and the basis evaluated on it once, or not at all on the default grid,
-    where the operator keeps the values its validation evaluated; every
+    where the operator keeps the values its construction evaluated; every
     check reads those two arrays."""
     xs = grid(config.grid_points)
     values = op.default_values
-    if values is None or config.grid_points != DEFAULT_GRID_POINTS:
+    if config.grid_points != DEFAULT_GRID_POINTS:
         values = op.basis.values(xs)
     tol = config.tolerances
     checks = {

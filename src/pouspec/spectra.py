@@ -69,7 +69,6 @@ class CollocationMatrix:
     """Square matrix of functional-basis pairings ``a_k(e_j)``."""
 
     entries: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
@@ -125,7 +124,7 @@ def build_collocation_matrix(op) -> CollocationMatrix:
             rows = values[:, s - lo:s - lo + q * r].reshape(n, q, r).transpose(1, 0, 2)
             entries[k:end] = (rows @ weights[s:s + q * r].reshape(q, r, 1))[:, :, 0]
         first = last
-    return CollocationMatrix(entries, name=op.name)
+    return CollocationMatrix(entries)
 
 
 def check_row_stochastic(matrix, tol: float = TOL_STOCHASTIC) -> CheckResult:

@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +56,13 @@ def quadrature(nodes: Sequence[float], weights: Sequence[float]) -> Functionals:
 def in_order(*parts: Functionals) -> Functionals:
     """The members of ``parts``, in the order given."""
     return join(parts, range(sum(part.n for part in parts)))
+
+
+def unchecked_operator(basis, functionals: Functionals, name: str = "operator"):
+    """An operator that ``OperatorSpec`` would refuse (wrong mass, negative
+    weights, a basis off the partition of unity), for failure-path tests:
+    the ``basis``, ``functionals``, ``n`` and ``name`` that the checks read."""
+    return SimpleNamespace(basis=basis, functionals=functionals, n=basis.n, name=name)
 
 
 def rules(functionals: Functionals) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -476,6 +484,47 @@ def validate_functionals_one_by_one(name: str, functionals: Functionals) -> None
         require_in_domain(functionals.rule(first_outside)[0],
                           f"{name}: functional {first_outside} "
                           f"({functionals.name(first_outside)})")
+
+
+def _pairwise_sum(terms: list[float]) -> float:
+    """numpy's pairwise summation of ``terms``: left to right from -0.0
+    below eight terms; up to 128, eight running sums over interleaved
+    terms, added in pairs, then the remainder left to right; beyond, the
+    two halves (the first a multiple of eight long) on their own."""
+    n = len(terms)
+    if n < 8:
+        total = -0.0
+        for term in terms:
+            total += term
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    sums = terms[:8]
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        sums = [s + term for s, term in zip(sums, terms[i:i + 8])]
+    total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5])
+                                                           + (sums[6] + sums[7]))
+    for term in terms[stop:]:
+        total += term
+    return total
+
+
+def apply_rule_by_rule(functionals: Functionals, on_nodes: np.ndarray) -> np.ndarray:
+    """``Functionals.apply`` one rule and one row at a time, in Python
+    floats: each product ``w_i * f(x_i)`` on its own, summed as
+    ``np.add.reduceat`` sums a segment, the first product plus the pairwise
+    sum of the rest."""
+    rows = np.atleast_2d(on_nodes)
+    out = np.empty((rows.shape[0], functionals.n))
+    for r, row in enumerate(rows.tolist()):
+        for k in range(functionals.n):
+            start = int(functionals.starts[k])
+            products = [w * f for w, f in zip(functionals.rule(k)[1].tolist(),
+                                               row[start:])]
+            out[r, k] = products[0] + _pairwise_sum(products[1:])
+    return out.reshape(np.shape(on_nodes)[:-1] + (functionals.n,))
 
 
 def drawn_values_per_block(draw, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -7,9 +7,9 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
-from helpers import (average, bernstein_antiderivative, dirac, dirac_rule_one_by_one,
-                     in_order, interval_average_rule_one_by_one, one, pairing, quadrature,
-                     random_function_oracle)
+from helpers import (apply_rule_by_rule, average, bernstein_antiderivative, dirac,
+                     dirac_rule_one_by_one, in_order, interval_average_rule_one_by_one, one,
+                     pairing, quadrature, random_function_oracle)
 
 from pouspec.errors import ConfigError
 from pouspec.functionals import (AVERAGE, DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS, DIRAC,
@@ -210,6 +210,37 @@ class TestFamilies:
         with pytest.raises(ValueError):
             family.rule(1)[0][0] = 0.0
         assert family.rule(0)[0].base is family.rule(1)[0].base
+
+
+def _apply_cases():
+    """Joined rules of each kind and mixed, with rule sizes 1 to 300 (past
+    the 128 terms at which numpy's pairwise summation splits)."""
+    rng = np.random.default_rng(5)
+    sizes = [1, 2, 3, 8, 9, 17, 129, 300]
+    quad = quadrature_functionals([rng.uniform(size=s) for s in sizes],
+                                  [rng.dirichlet(np.ones(s)) for s in sizes])
+    return {
+        "dirac": dirac_functionals(rng.uniform(size=7)),
+        "average": make_kantorovich_functionals(5),
+        "quadrature": quad,
+        "mixed": in_order(average(0.1, 0.4), dirac(0.5), quad, dirac(1.0), average(0.0, 1.0)),
+    }
+
+
+class TestApply:
+    """``Functionals.apply``: each member's weighted sum of the values on
+    its nodes, with the bits of that rule summed on its own."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 5])
+    @pytest.mark.parametrize("case", ["dirac", "average", "quadrature", "mixed"])
+    def test_equals_the_rule_by_rule_sum(self, case, rows):
+        fs = _apply_cases()[case]
+        rng = np.random.default_rng(7)
+        shape = (fs.nodes.size,) if rows is None else (rows, fs.nodes.size)
+        on_nodes = rng.standard_normal(shape) * rng.choice([1e-8, 1.0, 1e8], shape)
+        coeffs = fs.apply(on_nodes)
+        assert coeffs.shape == shape[:-1] + (fs.n,)
+        assert coeffs.tobytes() == apply_rule_by_rule(fs, on_nodes).tobytes()
 
 
 class TestNormalizationCheck:

@@ -7,8 +7,8 @@ import numpy.testing as nptest
 import pytest
 
 from pouspec import operators
-from pouspec.bases import (BasisSystem, make_bernstein_basis, make_bspline_basis,
-                           make_hat_basis)
+from pouspec.bases import (DEFAULT_GRID_POINTS, BasisSystem, make_bernstein_basis,
+                           make_bspline_basis, make_hat_basis)
 from pouspec.errors import ConfigError, DomainError, NotConstructibleError
 from pouspec.functionals import (check_functional_normalization, dirac_functionals,
                                  first_unnormalized, interval_average_functionals,
@@ -25,8 +25,8 @@ from pouspec.spectra import build_collocation_matrix
 from helpers import (adjoint_pairing, average, clamped_knots,
                      dirac, greville_loop, image, in_order, norm_estimate_oracle, one,
                      pairing, positivity_oracle, quadrature, random_breakpoints,
-                     random_function_oracle, rules, validate_functionals_one_by_one,
-                     verify_adjoint_identity)
+                     random_function_oracle, rules, unchecked_operator,
+                     validate_functionals_one_by_one, verify_adjoint_identity)
 
 GRID = np.linspace(0.0, 1.0, 1001)
 SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
@@ -82,7 +82,6 @@ class TestConstruction:
         with pytest.raises(error, match="functional 0 "):
             OperatorSpec(make_hat_basis([0.0, 1.0]), funcs)
 
-    @pytest.mark.parametrize("validate", [True, False])
     @pytest.mark.parametrize("funcs, message", [
         (in_order(dirac(0.0), dirac(1.5), dirac(-2.0)),
          "functional 1 (dirac(1.5)): x=1.5"),
@@ -97,12 +96,11 @@ class TestConstruction:
           dirac(1.5)),
          "functional 1 (quad(3 nodes)): x=1.25"),
     ], ids=["second-dirac", "last-dirac", "quadrature-both-sides", "quadrature-then-dirac"])
-    def test_node_outside_domain_rejected_whatever_validate(self, funcs, message, validate):
+    def test_node_outside_domain_rejected(self, funcs, message):
         # The nodes lie in [0, 1] for every operator built, so no check and
         # no collocation assembly has to test them again.
         with pytest.raises(DomainError) as err:
-            OperatorSpec(make_hat_basis([0.0, 0.5, 1.0]), funcs, name="doctored",
-                         validate=validate)
+            OperatorSpec(make_hat_basis([0.0, 0.5, 1.0]), funcs, name="doctored")
         assert str(err.value) == f"doctored: {message} outside domain [0.0, 1.0]"
 
     @pytest.mark.parametrize("funcs", [
@@ -157,12 +155,16 @@ class TestConstruction:
             joined = in_order(*members)
             assert first_unnormalized(joined.weights, joined.starts) == expected
 
-    def test_validate_false_allows_doctored(self):
-        basis = make_hat_basis([0.0, 1.0])
-        bad = quadrature([0.2, 0.8], [1.3, -0.3])
-        op = OperatorSpec(basis, in_order(dirac(0.0), bad), name="doctored",
-                          validate=False)
-        assert op.n == 2
+    @pytest.mark.parametrize("op", [*catalog_operators(), OperatorSpec(
+        make_hat_basis([0.0, 0.4, 1.0]),
+        in_order(dirac(0.0), average(0.2, 0.7), dirac(1.0)), name="custom")],
+        ids=lambda o: o.name)
+    def test_default_values_are_the_read_only_basis_on_the_default_grid(self, op):
+        assert op.default_values.shape == (op.n, DEFAULT_GRID_POINTS)
+        assert op.default_values.tobytes() == \
+            op.basis.values(grid(DEFAULT_GRID_POINTS)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            op.default_values[0, 0] = 0.5
 
     def test_greville_abscissae(self):
         knots = clamped_knots([0.0, 0.5, 1.0], 2)
@@ -208,12 +210,11 @@ def _joined_rule_parts():
     }
 
 
-@pytest.mark.parametrize("validate", [True, False])
 @pytest.mark.parametrize("parts", ["kantorovich-7", "hat-average", "dirac-quadrature"])
 class TestJoinedRule:
-    def test_joined_arrays_concatenate_functionals(self, parts, validate):
+    def test_joined_arrays_concatenate_functionals(self, parts):
         basis, parts = _joined_rule_parts()[parts]
-        op = OperatorSpec(basis, in_order(*parts), validate=validate)
+        op = OperatorSpec(basis, in_order(*parts))
         fs = op.functionals
         nptest.assert_array_equal(fs.nodes, np.concatenate([p.nodes for p in parts]))
         nptest.assert_array_equal(fs.weights, np.concatenate([p.weights for p in parts]))
@@ -223,19 +224,19 @@ class TestJoinedRule:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.5
 
-    def test_same_parts_compare_equal(self, parts, validate):
+    def test_same_parts_compare_equal(self, parts):
         basis, parts = _joined_rule_parts()[parts]
         funcs = in_order(*parts)
-        first = OperatorSpec(basis, funcs, name="op", validate=validate)
-        second = OperatorSpec(basis, funcs, name="op", validate=validate)
+        first = OperatorSpec(basis, funcs, name="op")
+        second = OperatorSpec(basis, funcs, name="op")
         assert first == second
         assert hash(first) == hash(second)
         assert repr(first) == f"OperatorSpec(basis={basis!r}, functionals={funcs!r}, name='op')"
 
-    def test_coefficient_vector_matches_functionals(self, parts, validate):
+    def test_coefficient_vector_matches_functionals(self, parts):
         basis, parts = _joined_rule_parts()[parts]
         funcs = in_order(*parts)
-        op = OperatorSpec(basis, funcs, validate=validate)
+        op = OperatorSpec(basis, funcs)
         rng = np.random.default_rng(11)
         for f in (one, lambda xs: xs ** 3, random_function_oracle(rng),
                   random_function_oracle(rng)):
@@ -312,8 +313,7 @@ class TestPositivityAndNorm:
     def test_doctored_negative_weight_fails(self):
         basis = make_hat_basis([0.0, 1.0])
         bad = quadrature([0.2, 0.8], [1.5, -0.5])
-        op = OperatorSpec(basis, in_order(dirac(0.0), bad), name="doctored",
-                          validate=False)
+        op = unchecked_operator(basis, in_order(dirac(0.0), bad), name="doctored")
         result = verify_positivity(op, GRID, op.basis.values(GRID), trials=100, tol=1e-10, seed=3)
         assert not result.passed
 
@@ -373,25 +373,23 @@ def block_check_operators():
                      interval_average_functionals(spline_edges[:-1], spline_edges[1:]),
                      name="bspline-average"),
         # T = 0: every test function ties at the minimum 0.
-        OperatorSpec(make_hat_basis([0.0, 1.0]),
-                     in_order(*[quadrature([0.5], [0.0])] * 2),
-                     name="zero-weights", validate=False),
+        unchecked_operator(make_hat_basis([0.0, 1.0]),
+                           in_order(*[quadrature([0.5], [0.0])] * 2), name="zero-weights"),
         # Tf(0) = 0 and Tf > 0 elsewhere: every test function ties at the
         # minimum 0, at x = 0.
-        OperatorSpec(make_hat_basis(hat_nodes),
-                     in_order(quadrature([0.0], [0.0]), *averages[1:]),
-                     name="tied-at-zero", validate=False),
+        unchecked_operator(make_hat_basis(hat_nodes),
+                           in_order(quadrature([0.0], [0.0]), *averages[1:]),
+                           name="tied-at-zero"),
         # Alternating signs: the images are bounded without a nonnegative basis.
-        OperatorSpec(BasisSystem(lambda xs: SIGNS[:, None] * make_bernstein_basis(7).values(xs),
-                                 8, name="signed-bernstein"),
-                     bernstein_operator(7).functionals, name="signed-bernstein",
-                     validate=False),
+        unchecked_operator(BasisSystem(lambda xs: SIGNS[:, None]
+                                       * make_bernstein_basis(7).values(xs),
+                                       8, name="signed-bernstein"),
+                           bernstein_operator(7).functionals, name="signed-bernstein"),
         # Coefficients and images below 2**-1022, where products lose bits.
-        OperatorSpec(make_bernstein_basis(6),
-                     quadrature_functionals(
-                         *zip(*((nodes, weights * 2.0 ** -1060)
-                                for nodes, weights in rules(make_kantorovich_functionals(6))))),
-                     name="subnormal-kantorovich", validate=False),
+        unchecked_operator(make_bernstein_basis(6), quadrature_functionals(
+            *zip(*((nodes, weights * 2.0 ** -1060)
+                   for nodes, weights in rules(make_kantorovich_functionals(6))))),
+            name="subnormal-kantorovich"),
     ]
 
 
@@ -499,7 +497,7 @@ class TestConstantReproductionCheck:
         base = bernstein_operator(3)
         shrunk = BasisSystem(lambda xs: 0.99 * base.basis.values(xs), base.basis.n,
                              name="shrunk")
-        op = OperatorSpec(shrunk, base.functionals, name="shrunk", validate=False)
+        op = unchecked_operator(shrunk, base.functionals, name="shrunk")
         result = verify_constant_reproduction(op, GRID, op.basis.values(GRID), tol=1e-10)
         assert not result.passed
         assert result.value == pytest.approx(0.01, abs=1e-12)
@@ -546,8 +544,7 @@ def witness_operators():
                            average(0.8, 1.0)), name="touch"),
         OperatorSpec(hat, in_order(average(0.0, 0.5),
                            average(0.5 - 9e-13, 0.5 - 8e-13),
-                           average(0.5 + 1e-13, 1.0)), name="nested",
-                     validate=False),
+                           average(0.5 + 1e-13, 1.0)), name="nested"),
         OperatorSpec(hat, in_order(average(0.7, 1.0),
                            average(0.1, 0.4),
                            average(0.4 - 1e-12, 0.7)), name="gaps"),

@@ -21,7 +21,7 @@ from helpers import dumps_json_oracle, emit_svg_oracle
 
 import pouspec.cli as cli_module
 import pouspec.report as report_module
-from pouspec.bases import BasisSystem
+from pouspec.bases import DEFAULT_GRID_POINTS, BasisSystem
 from pouspec.cli import build_parser, main
 from pouspec.errors import ConfigError
 from pouspec.report import (build_operator, config_from_mapping, dumps_json,
@@ -204,6 +204,21 @@ class TestRunAnalyze:
             f'{{"operator": "bernstein", "n": {n}, "grid_points": {grid_points}}}'))
         verification = [] if grid_points == 1001 else [grid_points]
         assert calls == [1001, *verification, n + 1]
+
+    @CATALOG_CONFIGS
+    def test_default_grid_basis_evaluated_once(self, monkeypatch, text):
+        # Construction evaluates the basis on the default grid, and every
+        # check of the default grid reads those values.
+        calls = []
+        values = BasisSystem.values
+
+        def counted(basis, xs):
+            calls.append(np.size(xs))
+            return values(basis, xs)
+
+        monkeypatch.setattr(BasisSystem, "values", counted)
+        run_analyze(parse_config(text))
+        assert calls.count(DEFAULT_GRID_POINTS) == 1
 
     @pytest.mark.parametrize("text", [
         '{"operator": "kantorovich", "n": 3, "grid_points": 97}',

@@ -130,10 +130,10 @@ def largest_configs() -> list[dict]:
 
 
 def witness_configs() -> list[dict]:
-    """``config``, ``stratum`` and ``text`` of five configs that the pools
-    do not reach and that test the kernel witness: grids on which a sine
-    vanishing at every functional node also vanishes at every grid point
-    (Bernstein n = 10 on 11 points, Kantorovich n = 49 and 99 on 101 points,
+    """``config``, ``stratum`` and ``text`` of five kernel-witness configs
+    that the pools do not reach: regression configs for the aliasing
+    failures of the sine witnesses that the hat bump replaced (Bernstein
+    n = 10 on 11 points, Kantorovich n = 49 and 99 on 101 points,
     Kantorovich n = 499 on the default grid), and a hat basis with
     overlapping cell averages."""
     cells = [(0.0, 0.6), (0.4, 1.0), (0.0, 1.0)]
