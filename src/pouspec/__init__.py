@@ -6,8 +6,7 @@ reporting front end."""
 from .bases import (BasisSystem, check_nonnegativity, check_partition_of_unity,
                     make_bernstein_basis, make_bspline_basis, make_hat_basis)
 from .checks import CheckResult
-from .errors import (ConfigError, DomainError, NotConstructibleError,
-                     UnsupportedSizeError)
+from .errors import ConfigError, DomainError, UnsupportedSizeError
 from .functionals import (Functionals, check_functional_normalization, dirac_functionals,
                           interval_average_functionals, join,
                           make_kantorovich_functionals, quadrature_functionals)

@@ -197,7 +197,8 @@ def check_functional_normalization(functionals: Functionals, k: int,
     nodes, weights = functionals.rule(k)
     i = int(np.argmin(weights))
     negative = max(0.0, -float(weights[i]))
-    mass_dev = abs(float(weights.sum()) - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite or NaN mass fails
+        mass_dev = abs(float(weights.sum()) - 1.0)
     return CheckResult(
         name="functional_normalization",
         passed=bool(negative <= tol and mass_dev <= tol),
@@ -221,9 +222,10 @@ def first_unnormalized(weights: np.ndarray, starts: np.ndarray) -> int:
     (``np.add.reduceat`` sums in another order)."""
     sizes = np.diff(starts, append=weights.size)
     mass = np.empty(starts.size)
-    for size in np.unique(sizes).tolist():
-        rules = np.flatnonzero(sizes == size)
-        mass[rules] = weights[starts[rules, None] + np.arange(size)].sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite or NaN mass fails
+        for size in np.unique(sizes).tolist():
+            rules = np.flatnonzero(sizes == size)
+            mass[rules] = weights[starts[rules, None] + np.arange(size)].sum(axis=1)
     passed = ((np.minimum.reduceat(weights, starts) >= -NORMALIZATION_TOL)
               & (np.abs(mass - 1.0) <= NORMALIZATION_TOL))
     return starts.size if passed.all() else int(np.argmin(passed))

@@ -28,6 +28,29 @@ from pouspec.spectra import (ITERATE_TOL, TOL_STOCHASTIC, IterateResult,
                              check_row_stochastic, closed_classes)
 
 
+def _overflowing_rule(nodes: list[float], weights: list[float]) -> str:
+    return json.dumps({"operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]},
+                       "functionals": [{"kind": "weighted-quadrature", "nodes": nodes,
+                                        "weights": weights}, {"kind": "dirac", "x": 1.0}]})
+
+
+#: Configs whose first functional's weights overflow as they are summed, to
+#: an infinite mass or, across numpy's pairwise partial sums, a NaN one; by
+#: id, the config and the one line ``pouspec analyze`` writes to stderr.
+OVERFLOWING_WEIGHT_CONFIGS = {
+    "two-nodes": (_overflowing_rule([0.4, 0.6], [1e308, 1e308]),
+                  "error: custom: functional 0 (quad(2 nodes)) is not a nonnegative rule "
+                  "of unit mass (min weight 1e+308 at node 0.4, |sum w - 1| = inf)\n"),
+    "three-nodes": (_overflowing_rule([0.4, 0.5, 0.6], [1e308, 1e308, -1e308]),
+                    "error: custom: functional 0 (quad(3 nodes)) is not a nonnegative rule "
+                    "of unit mass (min weight -1e+308 at node 0.6, |sum w - 1| = inf)\n"),
+    "nan-mass": (_overflowing_rule([0.3 + 0.01 * i for i in range(16)],
+                                   ([1e308, -1e308] + [0.0] * 6) * 2),
+                 "error: custom: functional 0 (quad(16 nodes)) is not a nonnegative rule "
+                 "of unit mass (min weight -1e+308 at node 0.31, |sum w - 1| = nan)\n"),
+}
+
+
 def one(xs: np.ndarray) -> np.ndarray:
     """The constant function one."""
     return np.ones_like(xs)
@@ -74,6 +97,18 @@ def pairing(functionals: Functionals, f, k: int = 0) -> float:
     """``a_k(f) = sum_i w_i f(x_i)`` for a vectorized callable ``f``."""
     nodes, weights = functionals.rule(k)
     return float(weights @ f(nodes))
+
+
+def widest_gap(op) -> tuple[float, float]:
+    """The widest gap between consecutive distinct points of the joined
+    nodes and {0, 1}, the first of equal widths, by a loop over them."""
+    ends = sorted({0.0, 1.0, *op.functionals.nodes.tolist()})
+    return max(zip(ends, ends[1:]), key=lambda gap: gap[1] - gap[0])
+
+
+def bump(lo: float, hi: float):
+    """The hat of height one on ``[lo, hi]``, zero outside it."""
+    return lambda xs: np.clip(np.minimum(xs - lo, hi - xs), 0.0, None) / ((hi - lo) / 2)
 
 
 def adjoint_pairing(op, dual, f) -> float:

@@ -12,12 +12,17 @@ at most one line to stderr. The perfbench modules are only imported.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import OVERFLOWING_WEIGHT_CONFIGS
+
+import pouspec
 from pouspec.cli import main
 from pouspec.spectra import CLASSIFICATION_CONFORMS, closed_classes
 
@@ -131,3 +136,46 @@ def test_closed_class_periods_count_the_peripheral_eigenvalues(analysed, workloa
     # the eigensolver.
     periods_sum, peripheral = analysed(workload, entry_id)[3]
     assert periods_sum == peripheral
+
+
+#: Child process: runs each config text of the JSON list on stdin through
+#: ``pouspec analyze`` and prints the JSON list of ``[exit code, stderr]``.
+#: Each run starts with fresh warning registries, so a warning already
+#: shown for an earlier config is shown again.
+_DEFAULT_WARNINGS_CHILD = """
+import contextlib, io, json, sys, tempfile, warnings
+from pathlib import Path
+from pouspec.cli import main
+results = []
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "config.json"
+    for text in json.load(sys.stdin):
+        config.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \\
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["analyze", "--config", str(config)])
+        results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_malformed_configs_print_one_line_under_default_warnings():
+    # The suite turns warnings into errors, so only a process with Python's
+    # default filters shows what a user would see: a warning's lines on
+    # stderr next to the error line.
+    texts = [entry.text() for entry in POOLS["catalog-sweep"].values() if entry.malformed]
+    texts += [text for text, _ in OVERFLOWING_WEIGHT_CONFIGS.values()]
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
+    env["PYTHONPATH"] = str(Path(pouspec.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", _DEFAULT_WARNINGS_CHILD], input=json.dumps(texts),
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert (run.returncode, run.stderr) == (0, "")
+    results = json.loads(run.stdout)
+    assert len(results) == len(texts)
+    for text, (code, stderr) in zip(texts, results):
+        assert code == 2 and stderr.startswith("error: ") and stderr.count("\n") == 1, (
+            text, stderr)
+    assert [stderr for _, stderr in results[-3:]] == [
+        stderr for _, stderr in OVERFLOWING_WEIGHT_CONFIGS.values()]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
@@ -9,12 +11,12 @@ import pytest
 from pouspec import operators
 from pouspec.bases import (DEFAULT_GRID_POINTS, BasisSystem, make_bernstein_basis,
                            make_bspline_basis, make_hat_basis)
-from pouspec.errors import ConfigError, DomainError, NotConstructibleError
+from pouspec.errors import ConfigError, DomainError
 from pouspec.functionals import (check_functional_normalization, dirac_functionals,
                                  first_unnormalized, interval_average_functionals,
                                  make_kantorovich_functionals, quadrature_functionals)
 from pouspec.functions import DrawnTestFunctions, draw_test_functions, grid
-from pouspec.operators import (OperatorSpec, _candidate_witness, bernstein_operator,
+from pouspec.operators import (WITNESS_RESIDUAL_TOL, OperatorSpec, bernstein_operator,
                                coefficient_vector, estimate_operator_norm,
                                greville_abscissae, hat_dirac_operator,
                                kantorovich_operator, kernel_witness_report,
@@ -22,11 +24,11 @@ from pouspec.operators import (OperatorSpec, _candidate_witness, bernstein_opera
                                verify_norm_bound, verify_positivity)
 from pouspec.spectra import build_collocation_matrix
 
-from helpers import (adjoint_pairing, average, clamped_knots,
+from helpers import (adjoint_pairing, average, bump, clamped_knots,
                      dirac, greville_loop, image, in_order, norm_estimate_oracle, one,
                      pairing, positivity_oracle, quadrature, random_breakpoints,
                      random_function_oracle, rules, unchecked_operator,
-                     validate_functionals_one_by_one, verify_adjoint_identity)
+                     validate_functionals_one_by_one, verify_adjoint_identity, widest_gap)
 
 GRID = np.linspace(0.0, 1.0, 1001)
 SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
@@ -503,11 +505,19 @@ class TestConstantReproductionCheck:
         assert result.value == pytest.approx(0.01, abs=1e-12)
 
 
-def _witness(op, xs=GRID):
-    """The kernel witness of ``op`` on ``xs`` and ``Tw`` on ``GRID``."""
-    _, on_xs, on_nodes = _candidate_witness(op, xs)
-    fs = op.functionals
-    return on_xs, np.add.reduceat(fs.weights * on_nodes, fs.starts) @ op.basis.values(GRID)
+def _bump_image(op, xs=GRID):
+    """The bump on ``widest_gap(op)`` and ``Tw`` on ``xs``, from the
+    functionals one at a time."""
+    w = bump(*widest_gap(op))
+    return w, np.array([pairing(op.functionals, w, k) for k in range(op.n)]) @ op.basis.values(xs)
+
+
+def _witness_detail(op, xs=GRID) -> str:
+    """The report's detail for the bump on ``widest_gap(op)``, with
+    ``||w||`` over ``xs`` and the bump's peak."""
+    lo, hi = widest_gap(op)
+    on_xs = bump(lo, hi)(np.append(xs, lo + (hi - lo) / 2))
+    return f"witness hat bump on [{lo:.6g}, {hi:.6g}], ||w||_inf = {on_xs.max():.6g}"
 
 
 def witness_operators():
@@ -553,18 +563,6 @@ def witness_operators():
     ]
 
 
-def widest_gap(op) -> tuple[float, float]:
-    """The widest gap between consecutive distinct points of the joined
-    nodes and {0, 1}, the first of equal widths, by a loop over them."""
-    ends = sorted({0.0, 1.0, *op.functionals.nodes.tolist()})
-    return max(zip(ends, ends[1:]), key=lambda gap: gap[1] - gap[0])
-
-
-def bump(lo: float, hi: float):
-    """The hat of height one on ``[lo, hi]``, zero outside it."""
-    return lambda xs: np.clip(np.minimum(xs - lo, hi - xs), 0.0, None) / ((hi - lo) / 2)
-
-
 class TestKernelWitness:
     @pytest.mark.parametrize("points", [11, 1001, 20001])
     @pytest.mark.parametrize("op", witness_operators(), ids=lambda o: o.name)
@@ -573,49 +571,37 @@ class TestKernelWitness:
         # every functional gives exactly 0 on it and the residual is 0.0;
         # its peak, after the grid, gives it norm one on any grid.
         xs = grid(points)
-        values = op.basis.values(xs)
-        name, on_grid, on_nodes = _candidate_witness(op, xs)
-        lo, hi = widest_gap(op)
-        w = bump(lo, hi)
-        assert name == f"hat bump on [{lo:.6g}, {hi:.6g}]"
-        assert on_grid.shape == (points + 1,)
-        nptest.assert_allclose(on_grid, w(np.append(xs, lo + (hi - lo) / 2)),
-                               rtol=0, atol=1e-12)
-        assert on_grid[-1] == pytest.approx(1.0, abs=1e-9)
-        assert np.all(on_nodes == 0.0) and np.all(w(op.functionals.nodes) == 0.0)
+        w, image_of_w = _bump_image(op, xs)
+        assert np.all(w(op.functionals.nodes) == 0.0)
         assert all(pairing(op.functionals, w, k) == 0.0 for k in range(op.n))
-        witness_norm, residual = operators._verified(op, values, on_grid, on_nodes)
-        assert witness_norm >= 0.5 and residual == 0.0
+        assert np.max(np.abs(image_of_w)) == 0.0
+        result = kernel_witness_report(op, xs, op.basis.values(xs))
+        assert result.passed and result.value == 0.0
+        assert result.threshold == WITNESS_RESIDUAL_TOL
+        assert result.detail == _witness_detail(op, xs)
+        assert result.detail.endswith(", ||w||_inf = 1")
 
     def test_bernstein2_witness_is_the_bump_on_the_first_half(self):
         # Nodes 0, 1/2, 1: both gaps are widest, and the first is taken.
-        xs = np.linspace(0, 1, 101)
-        nptest.assert_allclose(_witness(bernstein_operator(2), xs)[0][:-1],
-                               np.maximum(np.minimum(xs, 0.5 - xs), 0.0) / 0.25, atol=1e-12)
+        op = bernstein_operator(2)
+        assert widest_gap(op) == (0.0, 0.5)
+        result = kernel_witness_report(op, GRID, op.basis.values(GRID))
+        assert result.detail == "witness hat bump on [0, 0.5], ||w||_inf = 1"
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_witness_annihilated(self, op):
-        on_grid, image_of_w = _witness(op)
-        assert np.max(np.abs(on_grid)) >= 0.5
+        w, image_of_w = _bump_image(op)
+        assert w(np.append(GRID, sum(widest_gap(op)) / 2)).max() >= 0.5
         assert np.max(np.abs(image_of_w)) == 0.0
+        result = kernel_witness_report(op, GRID, op.basis.values(GRID))
+        assert result.passed and result.value == 0.0
 
     def test_irregular_nodes_bump_on_the_widest_gap(self):
         op = hat_dirac_operator([0.0, 0.13, 0.55, 0.97, 1.0])
-        name, on_grid, on_nodes = _candidate_witness(op, GRID)
-        assert name == "hat bump on [0.13, 0.55]"
-        assert np.all(on_nodes == 0.0)
-        assert np.max(np.abs(on_grid)) == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(_witness(op)[1])) == 0.0
-
-    def test_mixed_kinds_not_constructible(self):
-        basis = make_hat_basis([0.0, 0.5, 1.0])
-        funcs = in_order(dirac(0.0), average(0.25, 0.75),
-                 dirac(1.0))
-        op = OperatorSpec(basis, funcs, name="mixed")
-        with pytest.raises(NotConstructibleError) as raised:
-            _candidate_witness(op, GRID)
-        assert str(raised.value) == ("mixed: no analytic kernel witness for mixed functional "
-                                     "kinds ['DiracFunctional', 'IntervalAverageFunctional']")
+        result = kernel_witness_report(op, GRID, op.basis.values(GRID))
+        assert result.detail == "witness hat bump on [0.13, 0.55], ||w||_inf = 1"
+        assert result.passed and result.value == 0.0
+        assert np.max(np.abs(_bump_image(op)[1])) == 0.0
 
     def test_report_flags_not_constructible(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
@@ -624,16 +610,32 @@ class TestKernelWitness:
         op = OperatorSpec(basis, funcs, name="mixed")
         result = kernel_witness_report(op, GRID, op.basis.values(GRID))
         assert not result.passed and result.value is None
-        assert "mixed" in result.detail
+        assert result.threshold == WITNESS_RESIDUAL_TOL
+        assert result.detail == ("mixed: no analytic kernel witness for mixed functional "
+                                 "kinds ['DiracFunctional', 'IntervalAverageFunctional']")
+
+    def test_witness_that_does_not_vanish_fails_with_its_residual(self):
+        # Functionals that add 1e-9 to every coefficient: Tw is 1e-9 times
+        # the basis' column sums, 1e-9 on a partition of unity.
+        op = bernstein_operator(4)
+        fs = op.functionals
+        shifted = SimpleNamespace(nodes=fs.nodes, kinds=fs.kinds,
+                                  apply=lambda values: fs.apply(values) + 1e-9)
+        broken = unchecked_operator(op.basis, shifted, name="shifted")
+        result = kernel_witness_report(broken, GRID, op.basis.values(GRID))
+        assert not result.passed
+        assert result.value == pytest.approx(1e-9, rel=1e-12)
+        assert result.detail == _witness_detail(op)
 
     def test_unequal_disjoint_averages_have_a_witness(self):
         basis = make_hat_basis([0.0, 1.0])
         funcs = in_order(average(0.0, 0.3),
                  average(0.3, 1.0))
         op = OperatorSpec(basis, funcs, name="lopsided")
-        on_grid, image_of_w = _witness(op)
-        assert np.max(np.abs(on_grid)) >= 0.5
-        assert np.max(np.abs(image_of_w)) == 0.0
+        assert np.max(np.abs(_bump_image(op)[1])) == 0.0
+        result = kernel_witness_report(op, GRID, op.basis.values(GRID))
+        assert result.passed and result.value == 0.0
+        assert result.detail == _witness_detail(op)
 
     def test_overlapping_averages_have_a_witness(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])

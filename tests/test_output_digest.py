@@ -8,11 +8,13 @@ import json
 import shutil
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import pytest
 
 from pouspec.cli import main
+from pouspec.errors import ConfigError
 from pouspec.report import (build_operator, emit_report, parse_config, report_to_mapping,
                             run_analyze)
 from pouspec.spectra import MAX_DIMENSION
@@ -43,6 +45,25 @@ def test_run_texts_malformed_writes_nothing(output_diff, tmp_path, monkeypatch):
     code, texts, stdout, stderr = output_diff.run_texts(main, '{"operator": "bernstein"}\n')
     assert (code, texts, stdout) == ("2", [None, None, None], "")
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+def test_run_texts_shows_a_warning_on_every_call(output_diff, tmp_path, monkeypatch):
+    # Python's default action shows a warning once per code location and
+    # process; each config's stderr must still show its own.
+    monkeypatch.chdir(tmp_path)
+
+    def warns(argv):
+        warnings.warn("weights overflow", RuntimeWarning)
+        return 2
+
+    def to_stderr(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        warnings.showwarning = to_stderr  # as outside pytest, which records warnings
+        stderrs = [output_diff.run_texts(warns, "{}")[3] for _ in range(2)]
+    assert all("RuntimeWarning: weights overflow\n" in stderr for stderr in stderrs)
 
 
 def test_without_timings_cuts_only_timings(output_diff):
@@ -119,9 +140,26 @@ def test_witness_configs_parse(output_diff):
     assert [c.grid_points for c in parsed] == [11, 101, 101, 1001, 1001]
 
 
+def test_edge_configs_parse_and_are_refused_at_build(output_diff):
+    configs = output_diff.edge_configs()
+    assert [c["config"] for c in configs] == [
+        "edge quadrature-overflow-2", "edge quadrature-overflow-3"]
+    assert {c["stratum"] for c in configs} == {"edge"}
+    messages = []
+    for config in configs:
+        with pytest.raises(ConfigError) as raised:
+            build_operator(parse_config(config["text"]))
+        messages.append(str(raised.value))
+    assert messages == [
+        "custom: functional 0 (quad(2 nodes)) is not a nonnegative rule of unit mass "
+        "(min weight 1e+308 at node 0.4, |sum w - 1| = inf)",
+        "custom: functional 0 (quad(3 nodes)) is not a nonnegative rule of unit mass "
+        "(min weight -1e+308 at node 0.6, |sum w - 1| = inf)"]
+
+
 def _small_pool(output_diff, monkeypatch):
     """A two-entry stand-in for the benchmark pools, a one-entry stand-in
-    for the largest configs and no witness configs."""
+    for the largest configs and no witness or edge configs."""
     texts = {"kantorovich": '{"operator": "kantorovich", "n": 2}\n',
              "bernstein": '{"operator": "bernstein", "n": 3}\n'}
     workloads = types.ModuleType("perfbench.workloads")
@@ -136,6 +174,7 @@ def _small_pool(output_diff, monkeypatch):
     monkeypatch.setattr(output_diff, "largest_configs", lambda: [
         {"config": "largest swap", "stratum": "largest", "text": swap}])
     monkeypatch.setattr(output_diff, "witness_configs", lambda: [])
+    monkeypatch.setattr(output_diff, "edge_configs", lambda: [])
 
 
 def test_output_diff_of_a_tree_against_itself_is_identical(output_diff, monkeypatch, capsys):

@@ -17,7 +17,7 @@ import numpy.testing as nptest
 import pytest
 import scipy.linalg
 
-from helpers import dumps_json_oracle, emit_svg_oracle
+from helpers import OVERFLOWING_WEIGHT_CONFIGS, dumps_json_oracle, emit_svg_oracle
 
 import pouspec.cli as cli_module
 import pouspec.report as report_module
@@ -730,6 +730,10 @@ class TestCli:
             (b'\xff\xfe{"operator": "bernstein", "n": 3}',
              "configuration is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"),
             ("[" * 100_000, "configuration is not valid JSON: nested too deeply"),
+            # The whole line: a numpy warning of the overflowing sum would
+            # add lines (and the suite raises it as an error).
+            *((text, stderr.removeprefix("error: "))
+              for text, stderr in OVERFLOWING_WEIGHT_CONFIGS.values()),
         ]),
         (KANT1_CONFIG, "'seed' must be an integer >= 0, got -1", ["verify", "--seed", "-1"]),
     ], ids=["n-zero", "nan-tolerance", "infinite-norm-tolerance", "nan-pou-tolerance",
@@ -743,7 +747,9 @@ class TestCli:
             "removed-m-max", "unknown-top-level-key", "other-kind-parameter", "unknown-tolerance",
             "removed-stochastic-tolerance", "unknown-iterate-key", "unknown-output-flag",
             "dirac-with-a", "hat-basis-with-n", "float-version", "quadrature-lengths-differ", "empty-quadrature",
-            "average-a-above-b", "not-utf8", "nested-too-deeply", "negative-seed-override"])
+            "average-a-above-b", "not-utf8", "nested-too-deeply",
+            *(f"overflowing-weights-{name}" for name in OVERFLOWING_WEIGHT_CONFIGS),
+            "negative-seed-override"])
     def test_bad_config_exits_two(self, tmp_path, capsys, text, named, command):
         config = tmp_path / "bad.json"
         if isinstance(text, bytes):

@@ -7,8 +7,9 @@ Usage, from the repository root::
 Each ``*_SRC`` is a directory that holds the ``pouspec`` package (``src``
 of a checkout). Every config of the three benchmark pools
 (``perfbench.workloads.pool``, read from this checkout), the five
-largest configs of :func:`largest_configs` and the five kernel-witness
-configs of :func:`witness_configs` is analysed once per tree, each tree in
+largest configs of :func:`largest_configs`, the five kernel-witness
+configs of :func:`witness_configs` and the two malformed configs of
+:func:`edge_configs` is analysed once per tree, each tree in
 its own child process so that each imports its own ``pouspec``: in-process
 through ``pouspec.cli.main``, BLAS pinned to one thread, writing the JSON,
 CSV and SVG outputs, ``timings`` left out.
@@ -37,6 +38,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -71,14 +73,17 @@ def import_main(src: Path):
 def run_texts(main, config_text: str) -> tuple[str, list[str | None], str, str]:
     """Exit code, outputs (JSON without its ``timings``, CSV, SVG; ``None``
     when not written), stdout and stderr of one ``pouspec analyze`` call,
-    run in the current directory with relative file names."""
+    run in the current directory with relative file names. Each call starts
+    with fresh warning registries, so a warning shows on every config that
+    raises it, not only on the first."""
     for name in OUTPUTS:
         Path(name).unlink(missing_ok=True)
     Path("config.json").write_text(config_text, encoding="utf-8")
     argv = ["analyze", "--config", "config.json", "--json", OUTPUTS[0],
             "--csv", OUTPUTS[1], "--svg", OUTPUTS[2]]
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(stderr)):
         try:
             code = str(main(argv))
         except SystemExit as exc:
@@ -148,6 +153,20 @@ def witness_configs() -> list[dict]:
     }
     return [{"config": f"witness {name}", "stratum": "witness", "text": json.dumps(config)}
             for name, config in configs.items()]
+
+
+def edge_configs() -> list[dict]:
+    """``config``, ``stratum`` and ``text`` of two malformed configs that
+    the pools do not reach: a weighted-quadrature rule whose weights
+    overflow as they are summed, on two nodes (``[1e308, 1e308]``) and on
+    three (``[1e308, 1e308, -1e308]``). Each exits 2 with one stderr line."""
+    rules = {"quadrature-overflow-2": ([0.4, 0.6], [1e308, 1e308]),
+             "quadrature-overflow-3": ([0.4, 0.5, 0.6], [1e308, 1e308, -1e308])}
+    return [{"config": f"edge {name}", "stratum": "edge", "text": json.dumps({
+                "operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]},
+                "functionals": [{"kind": "weighted-quadrature", "nodes": nodes,
+                                 "weights": weights}, {"kind": "dirac", "x": 1.0}]})}
+            for name, (nodes, weights) in rules.items()]
 
 
 def dump(src: Path, configs_path: Path) -> None:
@@ -253,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no pouspec package under {src}")
     with tempfile.TemporaryDirectory() as tmp:
         configs_path = Path(tmp) / "configs.json"
-        configs = pool_configs() + largest_configs() + witness_configs()
+        configs = pool_configs() + largest_configs() + witness_configs() + edge_configs()
         configs_path.write_text(json.dumps(configs), encoding="utf-8")
         return _compare_children(_children(srcs, configs_path))
 
