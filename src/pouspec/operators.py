@@ -18,15 +18,13 @@ test functions: constant reproduction, positivity, the unit operator norm
 and an explicit nonzero kernel witness. Each takes the grid and
 ``values``, the basis evaluated on it once by the caller (shape ``(n,
 len(grid))``); none evaluates the basis itself. The kernel witness
-(:func:`kernel_witness_report`, one routine) is a hat bump on the widest
-gap between the joined nodes and {0, 1}, evaluated once, on the grid, its
-peak and the joined nodes together: it is exactly 0 at every node, so each
-functional's rule gives exactly 0 on it. For interval averages that rule
-is the composite Gauss-Legendre quadrature that ``T`` actually applies,
-not the exact average: the bump annihilates the quadrature rule, which is
-the operator analysed. Operators whose functionals mix interval averages
-with point rules get no witness: the check fails with no value and a
-detail naming the kinds.
+(:func:`kernel_witness_report`, one routine) is an odd bump on the widest
+gap between {0, 1}, the joined nodes and the cell ends of the averages,
+evaluated once, on the grid, its peaks and the joined nodes together. It
+is 0 at every node, so each rule gives exactly 0 on it, and its halves
+cancel over each cell, so each exact average is 0 too. Operators whose
+functionals mix interval averages with point rules get no witness: the
+check fails with no value and a detail naming the kinds.
 
 The positivity and norm checks draw all their test functions first, as
 parameter arrays (:func:`~pouspec.functions.draw_test_functions`), and
@@ -387,11 +385,12 @@ def verify_norm_bound(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
 def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
                           values: np.ndarray) -> CheckResult:
     """``||Tw||`` on the grid as a check, passed iff at most
-    ``WITNESS_RESIDUAL_TOL``, for the hat bump ``w(x) = max(min(x - lo,
-    hi - x), 0) / ((hi - lo) / 2)`` on the first widest gap ``[lo, hi]``
-    between consecutive points of the joined nodes and {0, 1}. No node lies
-    inside the gap and ``w`` is 0 outside it, so every ``a_k(w)`` is exactly
-    0; its peak ``lo + (hi - lo) / 2`` brings ``||w||`` to 1 on any grid."""
+    ``WITNESS_RESIDUAL_TOL``, for ``w`` the hat of height one on ``[lo,
+    mid]`` minus the hat on ``[mid, hi]``, on the first widest gap ``[lo,
+    hi]`` between points of {0, 1}, the joined nodes and the cell ends of
+    the averages. No node lies inside the gap, so every ``a_k(w)`` is
+    exactly 0; each cell holds the whole gap or none of it, so each exact
+    average is 0. The peaks bring ``||w||`` to 1 on any grid."""
     grid = nonempty_grid(grid, values, "kernel-witness")
     fs = op.functionals
     average = fs.kinds == AVERAGE
@@ -403,18 +402,21 @@ def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
                            threshold=WITNESS_RESIDUAL_TOL,
                            detail=f"{op.name}: no analytic kernel witness for mixed "
                                   f"functional kinds {kinds}")
-    ends = np.unique(np.concatenate(([0.0, 1.0], fs.nodes)))
+    ends = np.unique(np.concatenate(([0.0, 1.0], fs.nodes, fs.a[average], fs.b[average])))
     k = int(np.argmax(np.diff(ends)))
     lo, hi = ends[k], ends[k + 1]
-    half = (hi - lo) / 2
-    points = np.concatenate((grid, [lo + half], fs.nodes))
-    w = np.maximum(np.minimum(points - lo, hi - points), 0.0) / half
-    residual = float(np.max(np.abs(fs.apply(w[grid.size + 1:]) @ values)))
+    mid = lo + (hi - lo) / 2
+    peaks = [lo + (mid - lo) / 2, mid + (hi - mid) / 2]
+    points = np.concatenate((grid, peaks, fs.nodes))
+    left, right = (np.maximum(np.minimum(points - a, b - points), 0.0) / ((b - a) / 2)
+                   for a, b in ((lo, mid), (mid, hi)))
+    w = left - right
+    residual = float(np.max(np.abs(fs.apply(w[grid.size + 2:]) @ values)))
     return CheckResult(
         name="kernel_residual",
         passed=bool(residual <= WITNESS_RESIDUAL_TOL),
         value=residual,
         threshold=WITNESS_RESIDUAL_TOL,
-        detail=f"witness hat bump on [{lo:.6g}, {hi:.6g}], "
-               f"||w||_inf = {float(w[:grid.size + 1].max()):.6g}",
+        detail=f"witness odd bump on [{lo:.6g}, {hi:.6g}], "
+               f"||w||_inf = {float(np.abs(w[:grid.size + 2]).max()):.6g}",
     )

@@ -440,8 +440,8 @@ def run_analyze(config: AnalysisConfig) -> AnalysisReport:
 
     t0 = time.perf_counter()
     matrix = build_collocation_matrix(op)
-    row_sum_max_dev = float(np.max(np.abs(matrix.row_sums() - 1.0)))
-    diag_min = matrix.diagonal_min()
+    row_sum_max_dev = float(np.max(np.abs(matrix.entries.sum(axis=1) - 1.0)))
+    diag_min = float(np.min(np.diag(matrix.entries)))
     timings["matrix"] = time.perf_counter() - t0
     # The operator holds its basis values on the default grid; the later
     # stages need only its name, so the values are freed before them.
@@ -485,13 +485,17 @@ def exit_code_for(report: AnalysisReport) -> int:
 # Serialization
 # --------------------------------------------------------------------------
 
+#: Spaces per nesting level of the JSON report.
+JSON_INDENT = 2
+
+
 def _format_number(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite number {x!r}")
     return "%.17g" % x
 
 
-def _write_matrix(arr: np.ndarray, indent: int, level: int, out: list[str]) -> None:
+def _write_matrix(arr: np.ndarray, level: int, out: list[str]) -> None:
     """Append a 2-D float array with at least one entry as the JSON list of
     its rows at ``level``, each entry as ``"%.17g"`` writes it. A row at
     least half nonzero goes through one template for the whole row. A
@@ -501,8 +505,8 @@ def _write_matrix(arr: np.ndarray, indent: int, level: int, out: list[str]) -> N
     if not finite.all():
         _format_number(float(arr.flat[np.argmin(finite)]))  # raises, naming the first
     width = arr.shape[1]
-    inner = " " * (indent * (level + 1))
-    cell = " " * (indent * (level + 2))
+    inner = " " * (JSON_INDENT * (level + 1))
+    cell = " " * (JSON_INDENT * (level + 2))
     zero_cell, row_tail = cell + "0,\n", "\n" + inner + "]"
     dense = "[\n" + ((cell + "%.17g,\n") * width)[:-2] + row_tail
     nonzero = (arr != 0.0) | np.signbit(arr)
@@ -529,10 +533,10 @@ def _write_matrix(arr: np.ndarray, indent: int, level: int, out: list[str]) -> N
         pieces.append(zero_cell * (width - prev))
         out += ("".join(pieces)[:-2], row_tail)
         start = ends[k]
-    out.append("\n" + " " * (indent * level) + "]")
+    out.append("\n" + " " * (JSON_INDENT * level) + "]")
 
 
-def _records_body(records: list, indent: int, level: int) -> str | None:
+def _records_body(records: list, level: int) -> str | None:
     """The items of a list of maps as JSON at ``level``, through one template
     for every map, when all the maps share one key order and each key one
     value type (finite float, bool or str); ``None`` for any other list."""
@@ -558,21 +562,21 @@ def _records_body(records: list, indent: int, level: int) -> str | None:
         else:
             return None
         columns.append(column)
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+    pad = " " * (JSON_INDENT * level)
+    inner = " " * (JSON_INDENT * (level + 1))
     record = pad + "{\n" + ",\n".join(
         inner + json.dumps(str(k)).replace("%", "%%") + ": " + field
         for k, field in zip(keys, fields)) + "\n" + pad + "}"
     return ",\n".join([record] * len(records)) % tuple(chain.from_iterable(zip(*columns)))
 
 
-def _write_json(obj: Any, indent: int, level: int, out: list[str]) -> None:
+def _write_json(obj: Any, level: int, out: list[str]) -> None:
     """Append the JSON text of ``obj`` at nesting ``level`` to ``out``."""
     if type(obj) is float:  # check values, tolerances, timings: the commonest scalar
         out.append(_format_number(obj))
         return
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+    pad = " " * (JSON_INDENT * level)
+    inner = " " * (JSON_INDENT * (level + 1))
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -585,9 +589,9 @@ def _write_json(obj: Any, indent: int, level: int, out: list[str]) -> None:
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == float:
         if obj.size:
-            _write_matrix(obj, indent, level, out)
+            _write_matrix(obj, level, out)
         else:
-            _write_json(obj.tolist(), indent, level, out)
+            _write_json(obj.tolist(), level, out)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -598,7 +602,7 @@ def _write_json(obj: Any, indent: int, level: int, out: list[str]) -> None:
             # per-item path below and its error.
             body = ",\n".join([inner + "%.17g"] * len(obj)) % tuple(obj)
         else:
-            body = _records_body(obj, indent, level + 1)
+            body = _records_body(obj, level + 1)
         if body is not None:
             out += ("[\n", body)
         else:
@@ -606,7 +610,7 @@ def _write_json(obj: Any, indent: int, level: int, out: list[str]) -> None:
             for value in obj:
                 out += (sep, inner)
                 sep = ",\n"
-                _write_json(value, indent, level + 1, out)
+                _write_json(value, level + 1, out)
         out.append(f"\n{pad}]")
     elif isinstance(obj, dict):
         if not obj:
@@ -616,14 +620,15 @@ def _write_json(obj: Any, indent: int, level: int, out: list[str]) -> None:
         for key, value in obj.items():
             out.append(f"{sep}{inner}{json.dumps(str(key))}: ")
             sep = ",\n"
-            _write_json(value, indent, level + 1, out)
+            _write_json(value, level + 1, out)
         out.append(f"\n{pad}}}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_json(obj: Any, indent: int = 2) -> str:
-    """Deterministic JSON with floats at 17 significant digits.
+def dumps_json(obj: Any) -> str:
+    """Deterministic JSON with floats at 17 significant digits, indented by
+    ``JSON_INDENT`` spaces per level.
 
     The text is built as one list of pieces and joined once. Every float is
     written as ``"%.17g"`` writes it, whichever path it takes; the paths
@@ -633,7 +638,7 @@ def dumps_json(obj: Any, indent: int = 2) -> str:
     per map (``_records_body``); a 2-D float array is written as the list
     of its rows (``_write_matrix``)."""
     out: list[str] = []
-    _write_json(obj, indent, 0, out)
+    _write_json(obj, 0, out)
     out.append("\n")
     return "".join(out)
 

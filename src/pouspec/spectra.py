@@ -9,14 +9,15 @@ internally tangent to the unit circle at 1 whenever its diagonal entry is
 positive. Zero diagonal entries void that tangency argument; the classifier
 reports them explicitly instead of asserting the peripheral statement.
 
-The eigenvalues come from LAPACK through scipy: a symmetric tridiagonal
-solver for a tridiagonal matrix with nonnegative off-diagonal products (a
-hat basis with cell averages, quadratic B-splines at their Greville
-points), whose spectrum is real, and the dense nonsymmetric solver
-(``geev``) for every other matrix. An independent cross check for matrices
-up to 30x30 runs mpmath's eigensolver in 40-digit arithmetic. The limit of
-``M^m`` is read off the closed classes of the support graph ``M > 0``,
-without powers, and checked by a residual taken class by class.
+The eigenvalues come from LAPACK: scipy's symmetric tridiagonal solver
+for a tridiagonal matrix with nonnegative off-diagonal products (a hat
+basis with cell averages, quadratic B-splines at their Greville points),
+whose spectrum is real, and the dense nonsymmetric solver (``geev``)
+through :func:`numpy.linalg.eigvals` for every other matrix. An
+independent cross check for matrices up to 30x30 runs mpmath's eigensolver
+in 40-digit arithmetic. The limit of ``M^m`` is read off the closed classes
+of the support graph ``M > 0``, without powers, and checked by a residual
+taken class by class.
 """
 
 from __future__ import annotations
@@ -82,12 +83,6 @@ class CollocationMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
-
-    def diagonal_min(self) -> float:
-        return float(np.min(np.diag(self.entries)))
 
 
 def build_collocation_matrix(op) -> CollocationMatrix:
@@ -179,7 +174,7 @@ def eigenvalues(matrix) -> np.ndarray:
     :func:`scipy.linalg.eigvalsh_tridiagonal` finds it in O(n^2). LAPACK
     deflates a zero product, so a diagonal matrix gives its entries bit for
     bit. Every other matrix goes to LAPACK ``geev`` through
-    :func:`scipy.linalg.eigvals`. A LAPACK failure on either path raises
+    :func:`numpy.linalg.eigvals`. A LAPACK failure on either path raises
     :class:`numpy.linalg.LinAlgError`. Returns a complex array in the
     canonical order of :func:`sort_eigenvalues`; conjugate pairs are exact
     conjugates.
@@ -195,7 +190,7 @@ def eigenvalues(matrix) -> np.ndarray:
         if np.all(np.sign(sub) * np.sign(sup) >= 0):
             off = np.sqrt(np.abs(sub)) * np.sqrt(np.abs(sup))
             return sort_eigenvalues(scipy.linalg.eigvalsh_tridiagonal(np.diag(arr), off))
-    return sort_eigenvalues(scipy.linalg.eigvals(arr))
+    return sort_eigenvalues(np.linalg.eigvals(arr))
 
 
 # --------------------------------------------------------------------------
@@ -291,12 +286,10 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     moduli: np.ndarray
     disks: tuple[np.ndarray, np.ndarray]
-    peripheral: np.ndarray
     subdominant_modulus: float
     in_disk_union: np.ndarray
     classification: str
     diagnostics: str
-    containment_residual: float
 
 
 def classify_spectrum(eigs, disks: tuple[np.ndarray, np.ndarray],
@@ -317,8 +310,7 @@ def classify_spectrum(eigs, disks: tuple[np.ndarray, np.ndarray],
     non-peripheral eigenvalues (0.0 when every eigenvalue is peripheral),
     which is the rate at which ``M^m`` approaches its limit when 1 is the
     only peripheral eigenvalue; and ``in_disk_union``, whether each
-    eigenvalue lies within ``DISK_CONTAINMENT_TOL`` of the disk union, with
-    ``containment_residual`` the largest distance outside it.
+    eigenvalue lies within ``DISK_CONTAINMENT_TOL`` of the disk union.
     """
     arr = sort_eigenvalues(np.asarray(eigs, dtype=complex))
     centers, radii = disks
@@ -359,12 +351,10 @@ def classify_spectrum(eigs, disks: tuple[np.ndarray, np.ndarray],
         eigenvalues=arr,
         moduli=moduli,
         disks=(centers, radii),
-        peripheral=peripheral,
         subdominant_modulus=subdominant,
         in_disk_union=distances <= DISK_CONTAINMENT_TOL,
         classification=classification,
         diagnostics="; ".join(notes),
-        containment_residual=residual,
     )
 
 
@@ -479,7 +469,7 @@ def iterate_limit(matrix, tol: float = ITERATE_TOL) -> IterateResult:
         # Each transient row over its diagonal entry, which a leak may leave subnormal.
         jump = generator[transient] / np.diagonal(generator)[transient, None]
     limit.fill(0.0)
-    pis, defects, row_sums = [], [], []
+    pis, defects, block_sums = [], [], []
     for members, system in zip(groups, systems):
         system[:, 0] = 1.0
         rhs = np.zeros(members.shape + (1,))
@@ -490,11 +480,11 @@ def iterate_limit(matrix, tol: float = ITERATE_TOL) -> IterateResult:
         limit[blocks] = pi[:, None, :]
         inner = arr[blocks]
         defects.append(np.abs((pi[:, None, :] @ inner)[:, 0] - pi).sum(axis=1))
-        row_sums.append(inner.sum(axis=2).ravel())
+        block_sums.append(inner.sum(axis=2).ravel())
     pi, defect = np.concatenate(pis), np.concatenate(defects)
     masses = np.add.reduceat(pi, class_starts)
     rows_a = [defect]
-    rows_b = [np.abs(np.concatenate(row_sums) - 1.0) * masses[state_class]]
+    rows_b = [np.abs(np.concatenate(block_sums) - 1.0) * masses[state_class]]
     if transient.size:
         # H: one column h_C per class, 1 on C and 0 on the other closed
         # states, held column-major (the layout sets the bits of M_T H).

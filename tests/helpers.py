@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -17,7 +20,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from pouspec.checks import CheckResult
 from pouspec.errors import ConfigError
-from pouspec.functionals import (DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
+from pouspec.functionals import (AVERAGE, DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
                                  Functionals, check_functional_normalization,
                                  dirac_functionals, interval_average_functionals, join,
                                  quadrature_functionals)
@@ -100,15 +103,52 @@ def pairing(functionals: Functionals, f, k: int = 0) -> float:
 
 
 def widest_gap(op) -> tuple[float, float]:
-    """The widest gap between consecutive distinct points of the joined
-    nodes and {0, 1}, the first of equal widths, by a loop over them."""
-    ends = sorted({0.0, 1.0, *op.functionals.nodes.tolist()})
+    """The widest gap between consecutive distinct points of {0, 1}, the
+    joined nodes and the cell ends of the interval averages, the first of
+    equal widths, by a loop over them."""
+    fs = op.functionals
+    average = fs.kinds == AVERAGE
+    ends = sorted({0.0, 1.0, *fs.nodes.tolist(), *fs.a[average].tolist(),
+                   *fs.b[average].tolist()})
     return max(zip(ends, ends[1:]), key=lambda gap: gap[1] - gap[0])
 
 
 def bump(lo: float, hi: float):
-    """The hat of height one on ``[lo, hi]``, zero outside it."""
-    return lambda xs: np.clip(np.minimum(xs - lo, hi - xs), 0.0, None) / ((hi - lo) / 2)
+    """The odd bump on ``[lo, hi]``: the hat of height one on its left half
+    minus the hat on its right half, zero outside ``[lo, hi]``."""
+    mid = lo + (hi - lo) / 2
+
+    def hat(xs, a, b):
+        return np.clip(np.minimum(xs - a, b - xs), 0.0, None) / ((b - a) / 2)
+
+    return lambda xs: hat(xs, lo, mid) - hat(xs, mid, hi)
+
+
+def bump_breakpoints(lo: float, hi: float) -> list[float]:
+    """The points where :func:`bump` changes slope, in order: ``lo``, the
+    first peak, the midpoint, the second peak and ``hi``."""
+    mid = lo + (hi - lo) / 2
+    return [lo, lo + (mid - lo) / 2, mid, mid + (hi - mid) / 2, hi]
+
+
+def bump_peaks(lo: float, hi: float) -> list[float]:
+    """The peaks of :func:`bump`, the quarter points of ``[lo, hi]``."""
+    return bump_breakpoints(lo, hi)[1::2]
+
+
+def cell_integrals(op, w, breakpoints: Sequence[float]) -> list[float]:
+    """``integral_a^b w`` over each interval-average cell ``[a, b]`` of
+    ``op``, by the trapezoid rule over ``a``, ``b`` and the ``breakpoints``
+    inside the cell: exact, up to rounding, for a ``w`` that is linear
+    between its breakpoints."""
+    fs = op.functionals
+    integrals = []
+    for kind, a, b in zip(fs.kinds.tolist(), fs.a.tolist(), fs.b.tolist()):
+        if kind == AVERAGE:
+            xs = np.array(sorted({a, b, *(x for x in breakpoints if a < x < b)}))
+            ys = w(xs)
+            integrals.append(float(np.sum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2)))
+    return integrals
 
 
 def adjoint_pairing(op, dual, f) -> float:
@@ -642,3 +682,32 @@ def closed_classes_by_graph(matrix) -> tuple[np.ndarray, np.ndarray]:
         steps = level[rows[edges]] + 1 - level[cols[edges]]
         np.gcd.at(periods, src[edges], np.abs(steps).astype(int))
     return labels, periods
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def output_diff_tool():
+    """``tools/output_diff.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("output_diff", ROOT / "tools" / "output_diff.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def well_formed_configs(*groups: str) -> dict[str, str]:
+    """``name -> config text`` of every well-formed config of the three
+    benchmark pools (``perfbench/workloads.py``), then of each config group
+    of ``tools/output_diff.py`` named in ``groups`` (``"largest"``,
+    ``"witness"``), each named as ``output_diff.py`` names it."""
+    # The benchmark's modules import one another by their bare names.
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.append(str(ROOT / "perfbench"))
+    import workloads
+    configs = {f"{workload} {entry_id}": entry.text()
+               for workload in workloads.WORKLOADS
+               for entry_id, entry in workloads.pool(workload).items() if not entry.malformed}
+    tool = output_diff_tool()
+    for group in groups:
+        configs.update((c["config"], c["text"]) for c in getattr(tool, f"{group}_configs")())
+    return configs

@@ -12,7 +12,7 @@ from pouspec import operators
 from pouspec.bases import (DEFAULT_GRID_POINTS, BasisSystem, make_bernstein_basis,
                            make_bspline_basis, make_hat_basis)
 from pouspec.errors import ConfigError, DomainError
-from pouspec.functionals import (check_functional_normalization, dirac_functionals,
+from pouspec.functionals import (AVERAGE, check_functional_normalization, dirac_functionals,
                                  first_unnormalized, interval_average_functionals,
                                  make_kantorovich_functionals, quadrature_functionals)
 from pouspec.functions import DrawnTestFunctions, draw_test_functions, grid
@@ -22,13 +22,15 @@ from pouspec.operators import (WITNESS_RESIDUAL_TOL, OperatorSpec, bernstein_ope
                                kantorovich_operator, kernel_witness_report,
                                schoenberg_operator, verify_constant_reproduction,
                                verify_norm_bound, verify_positivity)
+from pouspec.report import build_operator, parse_config
 from pouspec.spectra import build_collocation_matrix
 
-from helpers import (adjoint_pairing, average, bump, clamped_knots,
-                     dirac, greville_loop, image, in_order, norm_estimate_oracle, one,
-                     pairing, positivity_oracle, quadrature, random_breakpoints,
-                     random_function_oracle, rules, unchecked_operator,
-                     validate_functionals_one_by_one, verify_adjoint_identity, widest_gap)
+from helpers import (adjoint_pairing, average, bump, bump_breakpoints, bump_peaks,
+                     cell_integrals, clamped_knots, dirac, greville_loop, image, in_order,
+                     norm_estimate_oracle, one, pairing, positivity_oracle, quadrature,
+                     random_breakpoints, random_function_oracle, rules, unchecked_operator,
+                     validate_functionals_one_by_one, verify_adjoint_identity,
+                     well_formed_configs, widest_gap)
 
 GRID = np.linspace(0.0, 1.0, 1001)
 SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
@@ -514,10 +516,10 @@ def _bump_image(op, xs=GRID):
 
 def _witness_detail(op, xs=GRID) -> str:
     """The report's detail for the bump on ``widest_gap(op)``, with
-    ``||w||`` over ``xs`` and the bump's peak."""
+    ``||w||`` over ``xs`` and the bump's two peaks."""
     lo, hi = widest_gap(op)
-    on_xs = bump(lo, hi)(np.append(xs, lo + (hi - lo) / 2))
-    return f"witness hat bump on [{lo:.6g}, {hi:.6g}], ||w||_inf = {on_xs.max():.6g}"
+    on_xs = np.abs(bump(lo, hi)(np.append(xs, bump_peaks(lo, hi))))
+    return f"witness odd bump on [{lo:.6g}, {hi:.6g}], ||w||_inf = {on_xs.max():.6g}"
 
 
 def witness_operators():
@@ -563,17 +565,24 @@ def witness_operators():
     ]
 
 
+#: The well-formed configs of the benchmark pools and the kernel-witness
+#: configs of ``tools/output_diff.py``.
+WITNESS_CONFIGS = well_formed_configs("witness")
+
+
 class TestKernelWitness:
     @pytest.mark.parametrize("points", [11, 1001, 20001])
     @pytest.mark.parametrize("op", witness_operators(), ids=lambda o: o.name)
     def test_bump_vanishes_at_every_node(self, op, points):
         # The bump on the widest gap is exactly 0 at every joined node, so
         # every functional gives exactly 0 on it and the residual is 0.0;
-        # its peak, after the grid, gives it norm one on any grid.
+        # its halves cancel over every cell; its peaks, after the grid, give
+        # it norm one on any grid.
         xs = grid(points)
         w, image_of_w = _bump_image(op, xs)
         assert np.all(w(op.functionals.nodes) == 0.0)
         assert all(pairing(op.functionals, w, k) == 0.0 for k in range(op.n))
+        assert all(v == 0.0 for v in cell_integrals(op, w, bump_breakpoints(*widest_gap(op))))
         assert np.max(np.abs(image_of_w)) == 0.0
         result = kernel_witness_report(op, xs, op.basis.values(xs))
         assert result.passed and result.value == 0.0
@@ -581,17 +590,37 @@ class TestKernelWitness:
         assert result.detail == _witness_detail(op, xs)
         assert result.detail.endswith(", ||w||_inf = 1")
 
+    @pytest.mark.parametrize("name", WITNESS_CONFIGS)
+    def test_bump_vanishes_on_every_rule_and_cell_of_the_configs(self, name):
+        # Each rule gives exactly 0 on the bump, and so does each exact cell
+        # average: the trapezoid rule over the bump's breakpoints is exact
+        # for a piecewise-linear function. Mixed kinds are still refused.
+        config = parse_config(WITNESS_CONFIGS[name])
+        op = build_operator(config)
+        lo, hi = widest_gap(op)
+        w = bump(lo, hi)
+        assert all(pairing(op.functionals, w, k) == 0.0 for k in range(op.n))
+        assert all(v == 0.0 for v in cell_integrals(op, w, bump_breakpoints(lo, hi)))
+        xs = grid(config.grid_points)
+        result = kernel_witness_report(op, xs, op.basis.values(xs))
+        average = op.functionals.kinds == AVERAGE
+        if average.any() and not average.all():
+            assert not result.passed and result.value is None
+        else:
+            assert result.passed and result.value == 0.0
+            assert result.detail == _witness_detail(op, xs)
+
     def test_bernstein2_witness_is_the_bump_on_the_first_half(self):
         # Nodes 0, 1/2, 1: both gaps are widest, and the first is taken.
         op = bernstein_operator(2)
         assert widest_gap(op) == (0.0, 0.5)
         result = kernel_witness_report(op, GRID, op.basis.values(GRID))
-        assert result.detail == "witness hat bump on [0, 0.5], ||w||_inf = 1"
+        assert result.detail == "witness odd bump on [0, 0.5], ||w||_inf = 1"
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_witness_annihilated(self, op):
         w, image_of_w = _bump_image(op)
-        assert w(np.append(GRID, sum(widest_gap(op)) / 2)).max() >= 0.5
+        assert np.abs(w(np.append(GRID, bump_peaks(*widest_gap(op))))).max() >= 0.5
         assert np.max(np.abs(image_of_w)) == 0.0
         result = kernel_witness_report(op, GRID, op.basis.values(GRID))
         assert result.passed and result.value == 0.0
@@ -599,7 +628,7 @@ class TestKernelWitness:
     def test_irregular_nodes_bump_on_the_widest_gap(self):
         op = hat_dirac_operator([0.0, 0.13, 0.55, 0.97, 1.0])
         result = kernel_witness_report(op, GRID, op.basis.values(GRID))
-        assert result.detail == "witness hat bump on [0.13, 0.55], ||w||_inf = 1"
+        assert result.detail == "witness odd bump on [0.13, 0.55], ||w||_inf = 1"
         assert result.passed and result.value == 0.0
         assert np.max(np.abs(_bump_image(op)[1])) == 0.0
 
@@ -619,7 +648,7 @@ class TestKernelWitness:
         # the basis' column sums, 1e-9 on a partition of unity.
         op = bernstein_operator(4)
         fs = op.functionals
-        shifted = SimpleNamespace(nodes=fs.nodes, kinds=fs.kinds,
+        shifted = SimpleNamespace(nodes=fs.nodes, kinds=fs.kinds, a=fs.a, b=fs.b,
                                   apply=lambda values: fs.apply(values) + 1e-9)
         broken = unchecked_operator(op.basis, shifted, name="shifted")
         result = kernel_witness_report(broken, GRID, op.basis.values(GRID))
@@ -645,7 +674,7 @@ class TestKernelWitness:
         op = OperatorSpec(basis, funcs, name="overlap")
         result = kernel_witness_report(op, GRID, op.basis.values(GRID))
         assert result.passed and result.value == 0.0
-        assert result.detail.startswith("witness hat bump on [")
+        assert result.detail.startswith("witness odd bump on [")
 
 
 class TestPowers:

@@ -3,7 +3,6 @@ config through two source trees and shows what an output change changed."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import shutil
 import sys
@@ -12,6 +11,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+
+from helpers import output_diff_tool
 
 from pouspec.cli import main
 from pouspec.errors import ConfigError
@@ -24,10 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(scope="module")
 def output_diff():
-    spec = importlib.util.spec_from_file_location("output_diff", ROOT / "tools" / "output_diff.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return output_diff_tool()
 
 
 def test_run_texts_is_repeatable(output_diff, tmp_path, monkeypatch):
@@ -140,13 +138,17 @@ def test_witness_configs_parse(output_diff):
     assert [c.grid_points for c in parsed] == [11, 101, 101, 1001, 1001]
 
 
-def test_edge_configs_parse_and_are_refused_at_build(output_diff):
+def test_edge_configs_parse_and_the_overflowing_ones_exit_two(output_diff, tmp_path,
+                                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
     configs = output_diff.edge_configs()
     assert [c["config"] for c in configs] == [
-        "edge quadrature-overflow-2", "edge quadrature-overflow-3"]
+        "edge quadrature-overflow-2", "edge quadrature-overflow-3", "edge bernstein-underflow"]
     assert {c["stratum"] for c in configs} == {"edge"}
+    assert build_operator(parse_config(configs[2]["text"])).n == 3
     messages = []
-    for config in configs:
+    for config in configs[:2]:
+        assert output_diff.run_texts(main, config["text"])[0] == "2"
         with pytest.raises(ConfigError) as raised:
             build_operator(parse_config(config["text"]))
         messages.append(str(raised.value))

@@ -445,10 +445,9 @@ class TestEmit:
         empty_spectrum = SpectrumReport(
             eigenvalues=np.empty(0, dtype=complex),
             moduli=np.empty(0),
-            disks=kant1_report.spectrum.disks,
-            peripheral=np.empty(0, dtype=complex), subdominant_modulus=0.0,
+            disks=kant1_report.spectrum.disks, subdominant_modulus=0.0,
             in_disk_union=np.empty(0, dtype=bool),
-            classification="conforms", diagnostics="", containment_residual=0.0)
+            classification="conforms", diagnostics="")
         broken = dataclasses.replace(kant1_report, spectrum=empty_spectrum)
         with pytest.raises(ValueError, match="empty eigenvalue list"):
             emit_report(broken, "json")
@@ -793,7 +792,7 @@ class TestCli:
         def fail(_a):
             raise np.linalg.LinAlgError("geev did not converge")
 
-        monkeypatch.setattr(scipy.linalg, "eigvals", fail)
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
         config = tmp_path / "config.json"
         config.write_text(KANT2_CONFIG, encoding="utf-8")
         json_path = tmp_path / "report.json"

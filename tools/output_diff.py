@@ -8,7 +8,7 @@ Each ``*_SRC`` is a directory that holds the ``pouspec`` package (``src``
 of a checkout). Every config of the three benchmark pools
 (``perfbench.workloads.pool``, read from this checkout), the five
 largest configs of :func:`largest_configs`, the five kernel-witness
-configs of :func:`witness_configs` and the two malformed configs of
+configs of :func:`witness_configs` and the three edge configs of
 :func:`edge_configs` is analysed once per tree, each tree in
 its own child process so that each imports its own ``pouspec``: in-process
 through ``pouspec.cli.main``, BLAS pinned to one thread, writing the JSON,
@@ -137,7 +137,7 @@ def largest_configs() -> list[dict]:
 def witness_configs() -> list[dict]:
     """``config``, ``stratum`` and ``text`` of five kernel-witness configs
     that the pools do not reach: regression configs for the aliasing
-    failures of the sine witnesses that the hat bump replaced (Bernstein
+    failures of the sine witnesses that the bump witness replaced (Bernstein
     n = 10 on 11 points, Kantorovich n = 49 and 99 on 101 points,
     Kantorovich n = 499 on the default grid), and a hat basis with
     overlapping cell averages."""
@@ -156,17 +156,25 @@ def witness_configs() -> list[dict]:
 
 
 def edge_configs() -> list[dict]:
-    """``config``, ``stratum`` and ``text`` of two malformed configs that
-    the pools do not reach: a weighted-quadrature rule whose weights
-    overflow as they are summed, on two nodes (``[1e308, 1e308]``) and on
-    three (``[1e308, 1e308, -1e308]``). Each exits 2 with one stderr line."""
+    """``config``, ``stratum`` and ``text`` of three configs that the pools
+    do not reach. Two are malformed: a weighted-quadrature rule whose
+    weights overflow as they are summed, on two nodes (``[1e308, 1e308]``)
+    and on three (``[1e308, 1e308, -1e308]``); each exits 2 with one stderr
+    line. The third reads a Bernstein basis of degree 2 at ``5e-324``
+    twice and at 1: ``e_2(5e-324)`` underflows to 0, so the support of its
+    matrix, read from the floats, loses the edges that make ``{0, 1}``
+    transient."""
     rules = {"quadrature-overflow-2": ([0.4, 0.6], [1e308, 1e308]),
              "quadrature-overflow-3": ([0.4, 0.5, 0.6], [1e308, 1e308, -1e308])}
-    return [{"config": f"edge {name}", "stratum": "edge", "text": json.dumps({
-                "operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]},
-                "functionals": [{"kind": "weighted-quadrature", "nodes": nodes,
-                                 "weights": weights}, {"kind": "dirac", "x": 1.0}]})}
-            for name, (nodes, weights) in rules.items()]
+    configs = {name: {"operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]},
+                      "functionals": [{"kind": "weighted-quadrature", "nodes": nodes,
+                                       "weights": weights}, {"kind": "dirac", "x": 1.0}]}
+               for name, (nodes, weights) in rules.items()}
+    configs["bernstein-underflow"] = {
+        "operator": "custom", "basis": {"kind": "bernstein", "n": 2},
+        "functionals": [{"kind": "dirac", "x": x} for x in (5e-324, 5e-324, 1.0)]}
+    return [{"config": f"edge {name}", "stratum": "edge", "text": json.dumps(config)}
+            for name, config in configs.items()]
 
 
 def dump(src: Path, configs_path: Path) -> None:
