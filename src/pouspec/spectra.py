@@ -9,15 +9,19 @@ internally tangent to the unit circle at 1 whenever its diagonal entry is
 positive. Zero diagonal entries void that tangency argument; the classifier
 reports them explicitly instead of asserting the peripheral statement.
 
-The eigenvalues come from LAPACK: scipy's symmetric tridiagonal solver
-for a tridiagonal matrix with nonnegative off-diagonal products (a hat
-basis with cell averages, quadratic B-splines at their Greville points),
-whose spectrum is real, and the dense nonsymmetric solver (``geev``)
-through :func:`numpy.linalg.eigvals` for every other matrix. An
-independent cross check for matrices up to 30x30 runs mpmath's eigensolver
-in 40-digit arithmetic. The limit of ``M^m`` is read off the closed classes
-of the support graph ``M > 0``, without powers, and checked by a residual
-taken class by class.
+A diagonal matrix's eigenvalues are its entries. The others come from
+LAPACK: scipy's symmetric tridiagonal solver for a tridiagonal matrix with
+nonnegative off-diagonal products (a hat basis with cell averages,
+quadratic B-splines at their Greville points), whose spectrum is real, and
+the dense nonsymmetric solver (``geev``) through
+:func:`numpy.linalg.eigvals` for every other matrix. An independent cross
+check for matrices up to 30x30 runs mpmath's eigensolver in 40-digit
+arithmetic. The limit of ``M^m`` is read off the closed classes of the
+support graph ``M > 0``, found from its reachability in numpy without
+powers of ``M``, and checked by a residual taken class by class.
+
+The module imports no scipy: the tridiagonal solver, ``mpmath`` and
+``scipy.optimize`` are imported on first use.
 """
 
 from __future__ import annotations
@@ -26,9 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .checks import CheckResult
 from .errors import ConfigError, UnsupportedSizeError
@@ -171,9 +172,10 @@ def eigenvalues(matrix) -> np.ndarray:
     similar, through a positive diagonal matrix, to the symmetric one with
     off-diagonal ``sqrt(|M[k, k+1]|) * sqrt(|M[k+1, k]|)`` (Wilkinson,
     ch. 5): its spectrum is real (imaginary parts exactly 0), and
-    :func:`scipy.linalg.eigvalsh_tridiagonal` finds it in O(n^2). LAPACK
-    deflates a zero product, so a diagonal matrix gives its entries bit for
-    bit. Every other matrix goes to LAPACK ``geev`` through
+    :func:`scipy.linalg.eigvalsh_tridiagonal` finds it in O(n^2). When
+    every product is zero the spectrum is the diagonal, returned without
+    LAPACK; these are the bits LAPACK gives, as it deflates a zero product.
+    Every other matrix goes to LAPACK ``geev`` through
     :func:`numpy.linalg.eigvals`. A LAPACK failure on either path raises
     :class:`numpy.linalg.LinAlgError`. Returns a complex array in the
     canonical order of :func:`sort_eigenvalues`; conjugate pairs are exact
@@ -184,11 +186,19 @@ def eigenvalues(matrix) -> np.ndarray:
     if n > MAX_DIMENSION:
         raise UnsupportedSizeError(
             f"dense eigensolver supports n <= {MAX_DIMENSION}, got {n}")
-    if max(scipy.linalg.bandwidth(arr)) <= 1:
+    # Tridiagonal when the three central diagonals hold every nonzero (NaN
+    # counts as one).
+    if np.count_nonzero(arr) == sum(np.count_nonzero(np.diagonal(arr, k)) for k in (-1, 0, 1)):
         sub, sup = np.diagonal(arr, -1), np.diagonal(arr, 1)
         # Signs, not the product, which may underflow to -0.0.
         if np.all(np.sign(sub) * np.sign(sup) >= 0):
             off = np.sqrt(np.abs(sub)) * np.sqrt(np.abs(sup))
+            # A non-finite diagonal goes on to scipy, which rejects it.
+            if not off.any() and np.isfinite(np.diagonal(arr)).all():
+                return sort_eigenvalues(np.diag(arr))
+            # Imported here: only a tridiagonal matrix with a nonzero
+            # off-diagonal pair needs scipy.
+            import scipy.linalg
             return sort_eigenvalues(scipy.linalg.eigvalsh_tridiagonal(np.diag(arr), off))
     return sort_eigenvalues(np.linalg.eigvals(arr))
 
@@ -362,34 +372,67 @@ def classify_spectrum(eigs, disks: tuple[np.ndarray, np.ndarray],
 # Closed classes and the limit of iterates
 # --------------------------------------------------------------------------
 
+def _reachability(support: np.ndarray) -> np.ndarray:
+    """``reach[i, j]``: state ``j`` is reachable from ``i`` in zero or more
+    steps. The closure of ``support | I``, squared as a float32 product
+    until its count of true entries stops growing: at most ``ceil(log2 n)
+    + 1`` products. Each entry counts paths, at most ``n < 2^24``, so it is
+    exact whatever the BLAS summation order."""
+    reach = support | np.eye(support.shape[0], dtype=bool)
+    count = np.count_nonzero(reach)
+    while True:
+        paths = reach.astype(np.float32)
+        reach = paths @ paths > 0
+        count, previous = np.count_nonzero(reach), count
+        if count == previous:
+            return reach
+
+
 def closed_classes(matrix) -> tuple[np.ndarray, np.ndarray]:
     """``(labels, periods)`` of the support graph ``M > 0``: each state's
-    strongly connected class, and each class's period, 0 unless the class
-    is closed and has an edge. A positive diagonal entry gives period 1;
-    otherwise the period is the gcd of ``level[u] + 1 - level[v]`` over the
-    class's edges, ``level`` being the BFS depth. The support is read from
-    floating entries, so an entry that underflows to 0 drops an edge. A
-    support that holds the diagonal and both first off-diagonals (an
-    all-positive matrix, say) is one aperiodic class, returned without
-    building the graph."""
+    strongly connected class, numbered in order of its first state, and
+    each class's period, 0 unless the class is closed and has an edge. A
+    positive diagonal entry gives period 1; otherwise the period is the gcd
+    of ``level[u] + 1 - level[v]`` over the class's edges, ``level`` being
+    the BFS depth from the class's first state. The support is read from
+    floating entries, so an entry that underflows to 0 drops an edge.
+
+    Two supports need no reachability: one that holds the diagonal and both
+    first off-diagonals (an all-positive matrix, say) is one aperiodic
+    class, and one within the diagonal makes every state its own class, of
+    period 1 where its diagonal entry is positive. Otherwise the classes
+    are the rows of equal mutual reachability, from :func:`_reachability`."""
     arr = _as_matrix(matrix)
+    n = arr.shape[0]
     support = arr > 0
+    diagonal = np.diagonal(support)
     if all(np.diagonal(support, k).all() for k in (-1, 0, 1)):
-        return np.zeros(arr.shape[0], np.int32), np.ones(1, int)
-    rows, cols = np.divmod(np.flatnonzero(support), arr.shape[0])
-    indptr = np.concatenate(([0], np.cumsum(support.sum(axis=1))))
-    graph = scipy.sparse.csr_array((np.ones(cols.size), cols, indptr), shape=arr.shape)
-    count, labels = connected_components(graph, connection="strong")
+        return np.zeros(n, np.int32), np.ones(1, int)
+    if np.count_nonzero(support) == np.count_nonzero(diagonal):
+        return np.arange(n, dtype=np.int32), diagonal.astype(int)
+    reach = _reachability(support)
+    first, labels = np.unique(np.argmax(reach & reach.T, axis=1), return_inverse=True)
+    labels = labels.astype(np.int32)
+    count = first.size
+    rows, cols = np.divmod(np.flatnonzero(support), n)
     src, dst = labels[rows], labels[cols]
     closed = np.bincount(src[src != dst], minlength=count) == 0
-    periods = (closed & (np.bincount(labels, np.diagonal(arr) > 0, count) > 0)).astype(int)
+    periods = (closed & (np.bincount(labels, diagonal, count) > 0)).astype(int)
     cyclic = closed & (periods == 0)
     if cyclic.any():
-        roots = np.unique(labels, return_index=True)[1][cyclic]
-        level = dijkstra(graph, indices=roots, min_only=True, unweighted=True)
+        # One breadth-first search from every cyclic class's first state;
+        # the classes are closed, so none reaches another.
+        level = np.full(n, -1)
+        frontier = np.zeros(n, dtype=bool)
+        frontier[first[cyclic]] = True
+        depth = 0
+        while frontier.any():
+            level[frontier] = depth
+            frontier = support[frontier].any(axis=0) & (level < 0)
+            depth += 1
         edges = cyclic[src]
         steps = level[rows[edges]] + 1 - level[cols[edges]]
-        np.gcd.at(periods, src[edges], np.abs(steps).astype(int))
+        np.gcd.at(periods, src[edges], np.abs(steps))
     return labels, periods
 
 

@@ -662,9 +662,12 @@ def iterate_limit_dense(matrix, tol: float = ITERATE_TOL) -> IterateResult:
 
 
 def closed_classes_by_graph(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """``closed_classes`` by its general path on every matrix: the support
-    graph's strong components and periods, with no short-cut for a positive
-    tridiagonal band."""
+    """The independent oracle of ``closed_classes``: the support graph's
+    strong components from scipy's ``csgraph`` and its periods from BFS
+    levels by ``dijkstra``, with no short-cut for a positive tridiagonal
+    band or a diagonal support. Classes are renumbered in order of their
+    first state, as ``closed_classes`` numbers them; the labels keep
+    ``connected_components``' dtype."""
     arr = np.asarray(matrix, dtype=float)
     support = arr > 0
     rows, cols = np.divmod(np.flatnonzero(support), arr.shape[0])
@@ -681,7 +684,10 @@ def closed_classes_by_graph(matrix) -> tuple[np.ndarray, np.ndarray]:
         edges = cyclic[src]
         steps = level[rows[edges]] + 1 - level[cols[edges]]
         np.gcd.at(periods, src[edges], np.abs(steps).astype(int))
-    return labels, periods
+    order = np.argsort(np.unique(labels, return_index=True)[1])
+    rank = np.empty_like(labels, shape=count)
+    rank[order] = np.arange(count)
+    return rank[labels], periods[order]
 
 
 ROOT = Path(__file__).resolve().parent.parent

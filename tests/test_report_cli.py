@@ -52,6 +52,29 @@ def _hat_average_config(count: int) -> str:
 
 HAT_AVERAGE_160_CONFIG = _hat_average_config(160)
 
+#: Child process: the scipy modules loaded after ``import pouspec.cli`` and
+#: whether ``mpmath`` is; after analysing every config path of argv but the
+#: last, the exit codes and the scipy modules; after analysing the last,
+#: its exit code and whether ``scipy.linalg``, ``scipy.sparse.csgraph`` and
+#: ``scipy.optimize`` are loaded. One JSON object on stdout.
+_SCIPY_MODULES_CHILD = """
+import contextlib, io, json, sys
+import pouspec.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+def analyze(path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return pouspec.cli.main(["analyze", "--config", path])
+
+seen = {"import": [scipy_modules(), "mpmath" in sys.modules]}
+seen["analyze"] = [[analyze(path) for path in sys.argv[1:-1]], scipy_modules()]
+seen["hat-average"] = [analyze(sys.argv[-1]), *(name in sys.modules for name in (
+    "scipy.linalg", "scipy.sparse.csgraph", "scipy.optimize"))]
+print(json.dumps(seen))
+"""
+
 SWAP_CONFIG = json.dumps({
     "version": 1,
     "operator": "custom",
@@ -833,15 +856,24 @@ class TestCli:
         assert args == cli_module.PARSER.parse_args(["verify", "--config", "c.json",
                                                       "--seed", "3"])
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
+    def test_import_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # A Bernstein (reachability of the support), a Kantorovich (positive
+        # band, dense spectrum) and a hat-Dirac config (diagonal) need no
+        # scipy; a hat average needs scipy.linalg's tridiagonal solver.
+        paths = []
+        for name, text in [("bernstein", '{"operator": "bernstein", "n": 4}'),
+                           ("kantorovich", KANT2_CONFIG), ("hat-dirac", HAT_DIRAC_300_CONFIG),
+                           ("hat-average", HAT_AVERAGE_160_CONFIG)]:
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(text, encoding="utf-8")
         src = Path(cli_module.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
-        run = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, pouspec.cli; "
-             "print('scipy.optimize' in sys.modules, 'mpmath' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert (run.returncode, run.stdout, run.stderr) == (0, "False False\n", "")
+        run = subprocess.run([sys.executable, "-c", _SCIPY_MODULES_CHILD, *map(str, paths)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert json.loads(run.stdout) == {
+            "import": [[], False], "analyze": [[0, 0, 0], []],
+            "hat-average": [0, True, False, False]}
 
     def test_verify_checks_only(self, tmp_path, capsys):
         config = tmp_path / "config.json"

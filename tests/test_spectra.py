@@ -469,7 +469,13 @@ class TestTridiagonalPath:
         expected = _geev(matrix)
         nptest.assert_array_equal(expected, sort_eigenvalues(np.diag(matrix)))
         monkeypatch.setattr(np.linalg, "eigvals", _never)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", _never)
         nptest.assert_array_equal(eigenvalues(matrix), expected)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_diagonal_is_rejected(self, entry):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eigenvalues(np.diag([0.5, entry]))
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
     def test_extreme_entries_neither_overflow_nor_underflow(self, scale):
@@ -699,15 +705,31 @@ POSITIVE_BAND_CASES = {
     "hat-average-160": lambda: build_collocation_matrix(_hat_average_operator(160)).entries,
 }
 
+#: Matrices whose support lies within the diagonal.
+DIAGONAL_SUPPORT_CASES = {
+    "identity": lambda: np.eye(300),
+    "some-zero": lambda: np.diag([1.0, 0.0, 0.5, 0.0]),
+    "zero": lambda: np.zeros((3, 3)),
+    "hat-dirac": DIAGONAL_CASES["hat-dirac"],
+}
+
+
+def _assert_matches_the_graph(matrix, name: str = "") -> None:
+    """``closed_classes`` gives the oracle's labels and periods, dtypes
+    included."""
+    for got, want in zip(spectra.closed_classes(matrix), closed_classes_by_graph(matrix)):
+        nptest.assert_array_equal(got, want, err_msg=name)
+        assert got.dtype == want.dtype, name
+
 
 class TestClosedClasses:
     @pytest.mark.parametrize("matrix, labels, periods", [
         (np.eye(3), [0, 1, 2], [1, 1, 1]),
         (SWAP, [0, 0], [2]),
-        (BERN2, [0, 2, 1], [1, 1, 0]),
-        (JORDAN, [2, 1, 0], [1, 0, 0]),
+        (BERN2, [0, 1, 2], [1, 0, 1]),
+        (JORDAN, [0, 1, 2], [0, 0, 1]),
         # A zero row is a class without an edge: not closed.
-        (np.array([[0.0, 1.0], [0.0, 0.0]]), [1, 0], [0, 0]),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), [0, 1], [0, 0]),
         (np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), [0, 0, 0], [2]),
     ], ids=["identity", "swap", "bernstein-2", "jordan", "zero-row", "star"])
     def test_small_matrices(self, matrix, labels, periods):
@@ -728,18 +750,20 @@ class TestClosedClasses:
 
     @pytest.mark.parametrize("case", POSITIVE_BAND_CASES)
     def test_positive_band_skips_the_graph(self, case, monkeypatch):
-        matrix = POSITIVE_BAND_CASES[case]()
-        expected = closed_classes_by_graph(matrix)
-        monkeypatch.setattr(spectra, "connected_components", _never)
-        found = spectra.closed_classes(matrix)
-        for got, want in zip(found, expected):
-            nptest.assert_array_equal(got, want)
-            assert got.dtype == want.dtype
+        monkeypatch.setattr(spectra, "_reachability", _never)
+        _assert_matches_the_graph(POSITIVE_BAND_CASES[case]())
+
+    @pytest.mark.parametrize("case", DIAGONAL_SUPPORT_CASES)
+    def test_diagonal_support_skips_the_graph(self, case, monkeypatch):
+        monkeypatch.setattr(spectra, "_reachability", _never)
+        _assert_matches_the_graph(DIAGONAL_SUPPORT_CASES[case]())
 
     def test_matches_the_graph_on_random_supports(self):
-        # Random supports, each band diagonal filled or not, so that both
-        # paths are taken.
+        # Random supports, each band diagonal filled or not, so that every
+        # path is taken, then random permutations up to n = 40, whose
+        # cycles are closed classes of every period.
         rng = np.random.default_rng(1729)
+        matrices = []
         for _ in range(400):
             n = int(rng.integers(1, 10))
             matrix = rng.random((n, n)) * (rng.random((n, n)) < rng.choice([0.3, 0.7, 0.95]))
@@ -747,10 +771,17 @@ class TestClosedClasses:
                 if rng.random() < 0.6:
                     rows = np.arange(n - abs(k))
                     matrix[rows + max(-k, 0), rows + max(k, 0)] = 0.1 + rng.random(rows.size)
-            for got, want in zip(spectra.closed_classes(matrix),
-                                 closed_classes_by_graph(matrix)):
-                nptest.assert_array_equal(got, want)
-                assert got.dtype == want.dtype
+            matrices.append(matrix)
+        matrices += [np.eye(n)[rng.permutation(n)] for n in range(1, 41) for _ in range(5)]
+        for matrix in matrices:
+            _assert_matches_the_graph(matrix)
+
+    def test_matches_the_graph_on_the_configs(self):
+        # Every well-formed benchmark pool config and the largest and
+        # witness configs of tools/output_diff.py.
+        for name, text in well_formed_configs("largest", "witness").items():
+            _assert_matches_the_graph(
+                build_collocation_matrix(build_operator(parse_config(text))).entries, name)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 30, 31, 60, 120, 250, 499])
     @pytest.mark.parametrize("kind, closed", [("bernstein", 2), ("kantorovich", 1)])
