@@ -13,7 +13,9 @@ joined. They apply to values, not to a function object: all at once are
 of all its members in one array pass (:func:`dirac_functionals`,
 :func:`interval_average_functionals` by one ``np.linspace`` over all
 cells, :func:`quadrature_functionals`); :func:`join` gathers whole rules
-of several kinds into one order.
+of several kinds into one order. :meth:`Functionals.blocks` cuts the
+joined rule into runs of whole rules of a bounded node count, for callers
+that evaluate something on the nodes a block at a time.
 """
 
 from __future__ import annotations
@@ -101,6 +103,22 @@ class Functionals:
         """``(a_k(f))_k`` from ``f`` on ``nodes``, for each row of ``values``;
         a row has the bits of its values applied on their own."""
         return np.add.reduceat(values * self.weights, self.starts, axis=-1)
+
+    def blocks(self, budget: int):
+        """Yield ``(first, block)`` for consecutive runs of whole members,
+        every member once and in order: ``block`` holds members ``first ..
+        first + block.n - 1`` as views of these arrays, on at most
+        ``budget`` joined nodes, or one member that has more."""
+        stops = np.append(self.starts[1:], self.nodes.size)
+        first = 0
+        while first < self.n:
+            lo = self.starts[first]
+            last = max(first + 1, int(np.searchsorted(stops, lo + budget, side="right")))
+            hi = stops[last - 1]
+            yield first, Functionals(self.nodes[lo:hi], self.weights[lo:hi],
+                                     self.starts[first:last] - lo, self.kinds[first:last],
+                                     self.a[first:last], self.b[first:last])
+            first = last
 
     def name(self, k: int) -> str:
         """Member ``k`` in messages, by its kind."""

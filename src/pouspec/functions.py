@@ -10,8 +10,12 @@ and piecewise-linear samples. Its :meth:`~DrawnTestFunctions.blocks`
 evaluates the trials in kind-pure blocks, each block in one pass and each
 wave frequency once per point set, with the same bits as each trial's own
 one-dimensional formula, and :meth:`~DrawnTestFunctions.name` names one
-trial. Instances are immutable after construction and safe to share
-between threads.
+trial. Every polynomial and wave trial is a combination of the 23
+functions of :func:`dictionary`, with the weights of
+:meth:`~DrawnTestFunctions.dictionary_weights`, so a check that needs only
+linear images of the trials can evaluate those 23 in place of the trials.
+Instances are immutable after construction and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -77,6 +81,25 @@ POLYNOMIAL, SINE, COSINE, PIECEWISE_LINEAR = range(4)
 TEST_POLYNOMIAL_WIDTH = 7
 
 
+def dictionary(xs: np.ndarray) -> np.ndarray:
+    """The 23 functions that every polynomial and wave of the test catalog
+    combines, on ``xs``, one row each in a fresh ``(23, xs.size)`` array:
+    the powers ``1, x, ..., x^6``, each the one before times ``x``, then
+    ``sin(omega x)`` and then ``cos(omega x)`` for the catalog's
+    ``omega = 2 pi f``, ``f = 1 .. 8``, with the bits of a wave trial's own
+    ``omega`` and argument."""
+    omega = 2.0 * np.pi * np.arange(1.0, 9.0)
+    out = np.empty((TEST_POLYNOMIAL_WIDTH + 2 * omega.size, xs.size))
+    out[0] = 1.0
+    for d in range(1, TEST_POLYNOMIAL_WIDTH):
+        np.multiply(out[d - 1], xs, out=out[d])
+    sines, cosines = out[TEST_POLYNOMIAL_WIDTH:].reshape(2, omega.size, xs.size)
+    np.multiply.outer(omega, xs, out=sines)
+    np.cos(sines, out=cosines)
+    np.sin(sines, out=sines)
+    return out
+
+
 @dataclass(frozen=True)
 class DrawnTestFunctions:
     """Seeded test functions held as parameter arrays, one entry per trial.
@@ -100,10 +123,11 @@ class DrawnTestFunctions:
     samples: list
     nonnegative: bool
 
-    def blocks(self, size: int, xs: np.ndarray):
-        """Yield ``(rows, values)`` for every trial once, in index arrays
-        ``rows`` of at most ``size`` trials (and at least one), all of one
-        kind and in increasing order; row ``j`` of the fresh array
+    def blocks(self, size: int, xs: np.ndarray,
+               kinds: tuple = (POLYNOMIAL, SINE, COSINE, PIECEWISE_LINEAR)):
+        """Yield ``(rows, values)`` for every trial of ``kinds`` once, in
+        index arrays ``rows`` of at most ``size`` trials (and at least one),
+        all of one kind and in increasing order; row ``j`` of the fresh array
         ``values`` is trial ``rows[j]`` on ``xs``, with the bits of that
         trial's own formula: Horner's rule from the leading coefficient,
         ``offset + amplitude * trig(omega x)`` or ``np.interp`` of its
@@ -119,7 +143,7 @@ class DrawnTestFunctions:
         its table row times its amplitude plus the offset, the same
         operations in the same order as its own formula."""
         size = max(1, size)
-        for kind in (POLYNOMIAL, SINE, COSINE, PIECEWISE_LINEAR):
+        for kind in kinds:
             rows = np.flatnonzero(self.kinds == kind)
             table = None
             if kind in (SINE, COSINE) and rows.size:
@@ -139,6 +163,21 @@ class DrawnTestFunctions:
                     values *= self.amplitude[block, None]
                     values += self.offset
                 yield block, values
+
+    def dictionary_weights(self) -> np.ndarray:
+        """The ``(count, 23)`` weights of every trial over the rows of
+        :func:`dictionary`: a polynomial's coefficients by power, a wave's
+        offset on the constant and its amplitude on its own sine or cosine,
+        and a zero row for a piecewise-linear trial."""
+        weights = np.zeros((self.kinds.size, TEST_POLYNOMIAL_WIDTH + 16))
+        polynomials = self.kinds == POLYNOMIAL
+        weights[polynomials, :TEST_POLYNOMIAL_WIDTH] = self.coefficients[polynomials, ::-1]
+        waves = np.flatnonzero((self.kinds == SINE) | (self.kinds == COSINE))
+        weights[waves, 0] = self.offset
+        columns = (TEST_POLYNOMIAL_WIDTH - 1 + self.frequency[waves].astype(int)
+                   + 8 * (self.kinds[waves] == COSINE))
+        weights[waves, columns] = self.amplitude[waves]
+        return weights
 
     def name(self, i: int) -> str:
         """Trial ``i``'s name: ``poly(deg d)^2`` (a squared polynomial),

@@ -28,26 +28,37 @@ check fails with no value and a detail naming the kinds.
 
 The positivity and norm checks draw all their test functions first, as
 parameter arrays (:func:`~pouspec.functions.draw_test_functions`), and
-run in two passes. Pass 1 works through them in kind-pure blocks of at
-most ``TRIAL_BLOCK_VALUES`` values: the block's values on the joined nodes
-(the norm check adds the grid, for ``||f||``) in one pass (one Horner loop
-for polynomials, a row of the check's table of ``trig(omega x)``, one per
-distinct frequency, scaled and shifted for each wave, one ``np.interp``
-per piecewise-linear trial), and the coefficients of the whole block by
-one :meth:`~pouspec.functionals.Functionals.apply`. It keeps the
-``(trials, n)`` coefficient matrix and one bound per trial. ``Tf(x)``
-combines the coefficients ``c`` with the basis values at ``x``, which for
-a partition of unity sum to one, so ``|Tf| <= max|c|`` and
-``Tf >= min(c)``; the bounds scale these by the basis' column sums and
-widen them by Higham's rounding-error bound for a dot product. Pass 2 computes images on the
-grid, by one stacked product (one matrix-vector product per row), only
-for the trials whose bound can still change the result, in bound order,
-and stops at the first that cannot. Each computed image has the bits of
-``coefficient_vector(op, f) @ values`` taken one function at a time, and a
-skipped trial provably cannot reach, or for positivity tie, the reported
-value, so every result has the bits of the one-at-a-time check. The
-trial that positivity reports is named from its parameters
-(:meth:`~pouspec.functions.DrawnTestFunctions.name`).
+run in two passes. Pass 1 forms every trial's coefficients, the
+``(trials, n)`` coefficient matrix, and one bound per trial. Positivity
+works through its trials in kind-pure blocks of at most
+``TRIAL_BLOCK_VALUES`` values on the joined nodes (one Horner loop for
+polynomials, a row of a table of ``trig(omega x)``, one per distinct
+frequency, scaled and shifted for each wave, one ``np.interp`` per
+piecewise-linear trial), each block's coefficients by one
+:meth:`~pouspec.functionals.Functionals.apply`. The norm check takes its
+polynomials and waves by linearity: each is a combination of the 23
+functions of :func:`~pouspec.functions.dictionary`, so their coefficients
+are one product of the draw's weights over it with the dictionary's
+moments, and their ``||f||`` come from the weights times the dictionary
+on the grid; it interpolates each piecewise-linear trial once on the
+nodes and once on the grid. ``Tf(x)`` combines the coefficients ``c``
+with the basis values at ``x``, which for a partition of unity sum to
+one, so ``|Tf| <= max|c|`` and ``Tf >= min(c)``; the bounds scale these by
+the basis' column sums and widen them by Higham's rounding-error bound for
+a dot product, which holds in any summation order. Pass 2 computes images
+on the grid only for the trials whose bound can still change the result,
+in bound order, in blocks, and stops at the first that cannot; a skipped
+trial provably cannot reach, or for positivity tie, the reported value.
+Positivity takes each block as one stacked product (one matrix-vector
+product per row), so each image, and its result, has the bits of
+``coefficient_vector(op, f) @ values`` taken one function at a time; the
+trial it reports is named from its parameters
+(:meth:`~pouspec.functions.DrawnTestFunctions.name`). The norm check
+takes each block as one matrix product. Its estimate is the same
+statistic rounded differently: within the rounding bound that
+``tests/helpers.py::norm_estimate_bound`` derives of the one-at-a-time
+estimate, and at most 3 units in the last place from it on the
+benchmark's configs.
 """
 
 from __future__ import annotations
@@ -63,7 +74,8 @@ from .bases import (BasisSystem, DEFAULT_GRID_POINTS, TOL_POU, check_nonnegativi
                     make_bspline_basis, make_hat_basis)
 from .checks import CheckResult, nonempty_grid
 from .errors import ConfigError
-from .functions import draw_test_functions, grid, outside_domain, require_in_domain
+from .functions import (PIECEWISE_LINEAR, dictionary, draw_test_functions, grid,
+                        outside_domain, require_in_domain)
 from .functionals import (AVERAGE, KIND_NAMES, Functionals, check_functional_normalization,
                           dirac_functionals, first_unnormalized,
                           make_kantorovich_functionals)
@@ -71,11 +83,12 @@ from .functionals import (AVERAGE, KIND_NAMES, Functionals, check_functional_nor
 #: Residual bound a kernel witness must meet on the verification grid.
 WITNESS_RESIDUAL_TOL = 1e-10
 
-#: Most values (test functions times points) the positivity and norm checks
-#: hold in one block, 64 KB of float64; a block always holds at least one
-#: test function. Smaller blocks pay more Python overhead per function;
-#: larger ones raise peak memory: against 2**13, the benchmark's
-#: catalog-sweep measured +0.4 MB of peak RSS at 2**14 and +4.7 MB at 2**18.
+#: Most values (test or dictionary functions times points) the positivity
+#: and norm checks hold in one block, 64 KB of float64; a block always holds
+#: at least one test function, or one rule of the joined nodes. Smaller
+#: blocks pay more Python overhead per function; larger ones raise peak
+#: memory: against 2**13, the benchmark's catalog-sweep measured +0.4 MB of
+#: peak RSS at 2**14 and +4.7 MB at 2**18.
 TRIAL_BLOCK_VALUES = 2 ** 13
 
 
@@ -229,6 +242,13 @@ def _images(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (coeffs[:, None, :] @ values)[:, 0]
 
 
+def _block_images(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``Tf`` on the grid for each row of ``coeffs``, by one matrix product:
+    fewer calls than :func:`_images`, in another summation order, which the
+    bounds below allow."""
+    return coeffs @ values
+
+
 # Bounds on computed images. For a coefficient row ``c``, every computed
 # entry of ``c @ values`` lies within ``gamma_n sum_k |c_k v_kj|`` plus
 # ``n 2**-1075`` of the exact sum, in any summation order, with or without
@@ -325,26 +345,51 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarra
     ``||f||_inf < 1e-12`` is skipped. The constant attains the exact norm 1,
     so the estimate is a tight lower bound of it.
 
-    Pass 1 evaluates each block of drawn functions once, on the joined
-    nodes followed by the grid, and keeps the coefficients, ``||f||`` and an
-    upper bound of the ratio (see :func:`_image_upper_bounds`); pass 2 computes
-    the images in descending order of that bound and stops at the first
-    bound at or below the best ratio found."""
+    Pass 1 takes the polynomial and wave trials by linearity: each is a
+    combination of the rows of :func:`~pouspec.functions.dictionary`, with
+    the draw's :meth:`~pouspec.functions.DrawnTestFunctions.dictionary_weights`.
+    Their ``||f||`` comes from the weights times the dictionary on the grid,
+    in column blocks, and their coefficients from one product of the
+    weights with the dictionary's moments, the functionals applied to the
+    dictionary on the joined nodes in blocks of whole rules
+    (:meth:`~pouspec.functionals.Functionals.blocks`). Each
+    piecewise-linear trial is one ``np.interp`` on the nodes and one on the
+    grid. Every block holds at most ``TRIAL_BLOCK_VALUES`` values, or one
+    rule. Pass 1 keeps an upper bound of each ratio (see
+    :func:`_image_upper_bounds`); pass 2 computes the images in descending
+    order of that bound, each block of trials by one matrix product
+    (:func:`_block_images`), and stops at the first bound at or below the
+    best ratio found."""
     grid = nonempty_grid(grid, values, "norm-estimate")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     require_in_domain(grid, "norm-estimate check grid")
     draw = draw_test_functions(np.random.default_rng(seed), trials)
-    nodes = op.functionals.nodes.size
+    fs = op.functionals
     # The constant one, ||1||_inf = 1 on the grid.
-    best = float(np.abs(_images(op.functionals.apply(np.ones((1, nodes))), values)).max())
-    points = np.concatenate((op.functionals.nodes, grid))
-    coeffs = np.empty((trials, op.n))
+    best = float(np.abs(_images(fs.apply(np.ones((1, fs.nodes.size))), values)).max())
+    weights = draw.dictionary_weights()
+    count = weights.shape[1]
+    smooth = np.flatnonzero(draw.kinds != PIECEWISE_LINEAR)
+    pwl = (PIECEWISE_LINEAR,)
+    # ||f|| of the polynomials and waves: their weights times the dictionary
+    # on columns of the grid, each product within one block.
+    smooth_weights, sup = weights[smooth], np.zeros(smooth.size)
+    columns = max(1, TRIAL_BLOCK_VALUES // max(smooth.size, count))
+    for start in range(0, grid.size, columns):
+        on_grid = smooth_weights @ dictionary(grid[start:start + columns])
+        np.maximum(sup, np.abs(on_grid, out=on_grid).max(axis=1), out=sup)
     denom = np.empty(trials)
-    for rows, block_values in draw.blocks(TRIAL_BLOCK_VALUES // points.size, points):
-        on_grid = block_values[:, nodes:]
+    denom[smooth] = sup
+    for rows, on_grid in draw.blocks(TRIAL_BLOCK_VALUES // grid.size, grid, pwl):
         denom[rows] = np.abs(on_grid, out=on_grid).max(axis=1)
-        coeffs[rows] = op.functionals.apply(block_values[:, :nodes])
+    # Their coefficients: the weights times the moments a_k(dictionary row).
+    moments = np.empty((count, op.n))
+    for first, block in fs.blocks(TRIAL_BLOCK_VALUES // count):
+        moments[:, first:first + block.n] = block.apply(dictionary(block.nodes))
+    coeffs = weights @ moments
+    for rows, on_nodes in draw.blocks(TRIAL_BLOCK_VALUES // fs.nodes.size, fs.nodes, pwl):
+        coeffs[rows] = fs.apply(on_nodes)
     # Rounding is monotone: a computed max |Tf| at most the bound gives a
     # computed ratio at most the bound over the same ||f||.
     upper = np.full(trials, -np.inf)
@@ -356,7 +401,7 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarra
         rows = rows[upper[rows] > best]
         if rows.size == 0:
             break
-        images = _images(coeffs[rows], values)
+        images = _block_images(coeffs[rows], values)
         np.abs(images, out=images)
         best = float(np.max(images.max(axis=1) / denom[rows], initial=best))
     return best

@@ -26,7 +26,7 @@ from pouspec.functionals import (AVERAGE, DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANEL
                                  quadrature_functionals)
 from pouspec.functions import (COSINE, PIECEWISE_LINEAR, POLYNOMIAL, TEST_POLYNOMIAL_WIDTH,
                                _horner, outside_domain, require_in_domain)
-from pouspec.operators import coefficient_vector
+from pouspec.operators import coefficient_vector, estimate_operator_norm, verify_norm_bound
 from pouspec.spectra import (ITERATE_TOL, TOL_STOCHASTIC, IterateResult,
                              check_row_stochastic, closed_classes)
 
@@ -466,6 +466,129 @@ def norm_estimate_oracle(op, grid: np.ndarray, values: np.ndarray, trials: int =
         image = coefficient_vector(op, f) @ values
         best = max(best, float(np.max(np.abs(image))) / denom)
     return float(best)
+
+
+def dictionary_weight_norm(f) -> float:
+    """``P``: the 1-norm of the weights of the draw ``f`` over the 23
+    dictionary functions ``1, x, .., x^6, sin(2 pi k x), cos(2 pi k x)``,
+    from the draw's own parameters; 0 for a piecewise-linear draw and for
+    the constant one, which the package computes as the oracle does."""
+    if f is one or f.kind == "pwl":
+        return 0.0
+    if f.kind == "poly":
+        return float(np.abs(f.params["coefficients"]).sum())
+    return abs(f.params["amplitude"]) + abs(f.params["offset"])
+
+
+def norm_estimate_bound(op, grid: np.ndarray, values: np.ndarray, trials: int = 200,
+                        seed: int = 42) -> tuple[float, float]:
+    """``(oracle, bound)``: :func:`norm_estimate_oracle` and a bound on its
+    distance from ``estimate_operator_norm``, derived below; the bound is
+    infinite when a trial's ``||f||`` may fall on either side of the skip
+    threshold 1e-12.
+
+    Both computations take the same draws and the same maximum, but round
+    differently: the package evaluates a polynomial or wave ``f = sum_j W_j
+    g_j`` through the 23 dictionary functions ``g_j`` (a power by repeated
+    products from 1; ``sin`` or ``cos`` of the same float argument
+    ``fl(omega x)`` as the oracle's), forms coefficients from the dictionary
+    moments ``m_jk = a_k(g_j)``, and computes images by one matrix product
+    per block; the oracle evaluates ``f`` by Horner's rule or ``amplitude *
+    trig``, applies each functional to it and takes one matrix-vector
+    product per image. A piecewise-linear draw and the constant one are the
+    same operations on both sides up to the image product.
+
+    Error model (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., sections 2.2, 3.1, 5.1): ``u = 2**-53``, ``gamma_k = k u / (1 -
+    k u)``, and a product that underflows is off by at most ``eta =
+    2**-1075``, sums being exact there. A computed sum of ``k`` products,
+    in any order and with or without FMA, is within ``gamma_k sum |a_i b_i|
+    + 2 k eta`` of the exact one. numpy's float64 ``sin`` and ``cos`` are
+    within 1 ulp of the rounded value (numpy's own accuracy tests), so
+    within ``3 u |s|`` or ``3 eta`` of the exact one. Per trial ``i`` take
+    ``P_i`` from :func:`dictionary_weight_norm`, ``G = max(1, max|x|)**6``
+    over the nodes and the grid, which bounds every ``|g_j|``, ``r`` the
+    longest rule, ``M`` the largest rule mass ``sum |w|``, ``n`` the basis
+    size, ``S = max_j sum_k |v_kj|``, and ``c_i``, ``d_i``, ``rho_i`` the
+    oracle's coefficients, ``||f||`` and ratio.
+
+    - A dictionary value is within ``gamma_8 G + 8 G eta`` of ``g_j``: five
+      products for ``x^6``, ``3 u`` for a sine.
+    - ``f`` on a point: the package's ``sum_j W_j g_j`` (23 products) is
+      within ``gamma_31 P_i G + (46 + 16 P_i) G eta`` of the exact value;
+      the oracle's Horner's rule of degree at most 6 (``gamma_12``) or
+      ``amplitude * trig`` within ``gamma_12 P_i G + 12 G eta``. So
+      ``|d_hat - d_i| <= delta_d = gamma_43 P_i G + (58 + 16 P_i) G eta``.
+    - A moment is within ``gamma_{r+8} M G + (2r + 16 M G) eta`` of its
+      exact value, so the package's coefficient (23 products) is within
+      ``gamma_{r+31} P_i M G + (2 P_i (2r + 16 M G) + 46) eta``; the
+      oracle's (``r`` products of values within the bound above) within
+      ``gamma_{r+12} P_i M G + (2r + 24 M G) eta``. Together:
+      ``delta_c = gamma_{2r+43} P_i M G + (4 P_i r + 32 P_i M G + 2r + 24 M
+      G + 46) eta``, and 0 when ``P_i = 0``.
+    - Each image entry is a sum of ``n`` products on each side, so the two
+      differ by at most ``gap_i = S (delta_c + gamma_n (2 max|c_i| +
+      delta_c)) + 4 n eta``, and so do the two maxima ``A`` of ``|Tf|``.
+    - The exact ratios differ by at most ``E_i = (gap_i + rho_i (1 +
+      gamma_1) delta_d) / (d_i - delta_d)``; each side's division rounds,
+      so the computed ratios differ by at most ``E_i (1 + u) + 2 u rho_i (1
+      + gamma_1)``.
+
+    The two estimates are maxima over the same trials, so they differ by at
+    most the largest of these. ``S``, ``M`` and ``G`` are rounded up by
+    ``1 + gamma`` of their own sums, and the result by ``1 + gamma_64`` and
+    ``64 eta`` for the few dozen roundings of the bound itself. ``eta`` is
+    half the least subnormal, so ``k eta`` is taken as ``ceil(k / 2)``
+    subnormals."""
+    u = 2.0 ** -53
+
+    def gamma(k: int) -> float:
+        return k * u / (1.0 - k * u)
+
+    def eta(k: float) -> float:
+        return math.ceil(k / 2) * 2.0 ** -1074
+
+    fs, n = op.functionals, op.n
+    r = int(np.diff(fs.starts, append=fs.nodes.size).max())
+    mass = max(float(np.abs(fs.rule(k)[1]).sum()) for k in range(n)) * (1.0 + gamma(r))
+    sums = float(np.abs(values).sum(axis=0).max()) * (1.0 + gamma(n))
+    reach = max(1.0, float(np.abs(fs.nodes).max()), float(np.abs(grid).max()))
+    g = reach ** 6 * (1.0 + gamma(6))
+    oracle, worst = 0.0, 0.0
+    rng = np.random.default_rng(seed)
+    for f in [one] + [random_function_oracle(rng) for _ in range(trials)]:
+        p = dictionary_weight_norm(f)
+        delta_d = gamma(43) * p * g + eta((58 + 16 * p) * g) if p else 0.0
+        denom = float(np.max(np.abs(f(grid))))
+        if denom - delta_d < 1e-12 <= denom + delta_d:
+            worst = np.inf
+        if denom < 1e-12:
+            continue
+        delta_c = (gamma(2 * r + 43) * p * mass * g
+                   + eta(4 * p * r + 32 * p * mass * g + 2 * r + 24 * mass * g + 46)
+                   if p else 0.0)
+        coefficients = coefficient_vector(op, f)
+        rho = float(np.max(np.abs(coefficients @ values))) / denom
+        gap = (sums * (delta_c + gamma(n) * (2.0 * float(np.abs(coefficients).max()) + delta_c))
+               + eta(4 * n))
+        spread = (gap + rho * (1.0 + gamma(1)) * delta_d) / (denom - delta_d)
+        oracle = max(oracle, rho)
+        worst = max(worst, spread * (1.0 + u) + 2.0 * u * rho * (1.0 + gamma(1)))
+    return oracle, worst * (1.0 + gamma(64)) + eta(64)
+
+
+def assert_norm_estimate_near_oracle(op, grid: np.ndarray, values: np.ndarray,
+                                     trials: int = 200, seed: int = 42) -> None:
+    """``estimate_operator_norm`` lies within :func:`norm_estimate_bound` of
+    the one-at-a-time oracle, the bound is below ``1e-12 * max(1,
+    estimate)``, so that it cannot hide a real difference, and
+    ``verify_norm_bound`` passes exactly when the oracle's estimate would."""
+    oracle, bound = norm_estimate_bound(op, grid, values, trials, seed)
+    estimate = estimate_operator_norm(op, grid, values, trials=trials, seed=seed)
+    assert abs(estimate - oracle) <= bound, (estimate, oracle, bound)
+    assert bound <= 1e-12 * max(1.0, estimate), (bound, estimate)
+    check = verify_norm_bound(op, grid, values, trials=trials, seed=seed)
+    assert check.passed == (1.0 - 1e-12 <= oracle <= 1.0 + check.threshold), (oracle, check)
 
 
 def catalog_values_oracle(f: CatalogDraw, xs: np.ndarray) -> np.ndarray:

@@ -243,6 +243,31 @@ class TestApply:
         assert coeffs.tobytes() == apply_rule_by_rule(fs, on_nodes).tobytes()
 
 
+class TestBlocks:
+    """``Functionals.blocks``: runs of whole members, each as long as the
+    node budget allows, that together are the joined rule."""
+
+    @pytest.mark.parametrize("budget", [1, 4, 8, 9, 100])
+    def test_runs_of_whole_rules_within_the_budget(self, budget):
+        sizes = [1, 3, 5, 2, 8, 1, 1, 9]
+        fs = quadrature_functionals([np.linspace(0.0, 1.0, size) for size in sizes],
+                                    [np.full(size, 1.0 / size) for size in sizes])
+        first_expected = 0
+        for first, block in fs.blocks(budget):
+            assert first == first_expected
+            assert block.n == 1 or block.nodes.size <= budget
+            stop = first + block.n
+            assert stop == fs.n or block.nodes.size + sizes[stop] > budget
+            for k in range(block.n):
+                for got, want in zip(block.rule(k), fs.rule(first + k)):
+                    assert np.shares_memory(got, want)
+                    nptest.assert_array_equal(got, want)
+            nptest.assert_array_equal(block.apply(np.ones(block.nodes.size)),
+                                      fs.apply(np.ones(fs.nodes.size))[first:stop])
+            first_expected = stop
+        assert first_expected == fs.n
+
+
 class TestNormalizationCheck:
     def test_dirac_exact(self):
         result = check_functional_normalization(dirac(0.3), 0, tol=1e-12)

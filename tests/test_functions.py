@@ -10,7 +10,7 @@ import pytest
 
 from pouspec.errors import ConfigError, DomainError
 from pouspec.functions import (COSINE, DOMAIN_SLACK, PIECEWISE_LINEAR, POLYNOMIAL, SINE,
-                               TEST_POLYNOMIAL_WIDTH, _horner,
+                               TEST_POLYNOMIAL_WIDTH, _horner, dictionary,
                                draw_test_functions, grid, outside_domain, require_in_domain)
 
 from helpers import catalog_values_oracle, drawn_values_per_block, random_function_oracle
@@ -260,6 +260,41 @@ class TestDrawnTestFunctions:
             assert 1 <= block.size <= max(1, size)
             assert np.unique(draw.kinds[block]).size == 1
             assert np.all(np.diff(block) > 0)
+
+    @pytest.mark.parametrize("kinds", [(PIECEWISE_LINEAR,), (COSINE, POLYNOMIAL)])
+    def test_blocks_of_chosen_kinds_are_those_of_all_kinds(self, kinds):
+        draw = draw_test_functions(np.random.default_rng(2), 60)
+        xs = grid(11)
+        chosen = [(block, values) for block, values in draw.blocks(3, xs)
+                  if draw.kinds[block[0]] in kinds]
+        got = {tuple(block): values.tobytes() for block, values in draw.blocks(3, xs, kinds)}
+        assert got == {tuple(block): values.tobytes() for block, values in chosen}
+
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    def test_dictionary_weights_combine_the_trials(self, nonnegative):
+        # A polynomial or wave trial is its weights times the dictionary, up
+        # to rounding: within gamma_43 P G of the trial's own formula, P the
+        # 1-norm of its weights and G = (1 + DOMAIN_SLACK)**6 a bound of
+        # every dictionary value (tests/helpers.py::norm_estimate_bound);
+        # gamma_8 more covers the bound's own roundings. A piecewise-linear
+        # trial has no weights.
+        u = 2.0 ** -53
+
+        def gamma(k):
+            return k * u / (1 - k * u)
+
+        for seed in range(20):
+            draw = draw_test_functions(np.random.default_rng(seed), 200, nonnegative)
+            weights = draw.dictionary_weights()
+            assert weights.shape == (200, dictionary(self.XS).shape[0]) == (200, 23)
+            combined = weights @ dictionary(self.XS)
+            bound = (gamma(43) * np.abs(weights).sum(axis=1) * (1 + DOMAIN_SLACK) ** 6
+                     * (1 + gamma(8)))
+            for block, values in draw.blocks(200, self.XS):
+                if draw.kinds[block[0]] == PIECEWISE_LINEAR:
+                    assert not weights[block].any()
+                    continue
+                assert np.all(np.abs(combined[block] - values) <= bound[block, None])
 
     @pytest.mark.parametrize("nonnegative", [False, True])
     def test_parameters_equal_the_uniform_draws(self, nonnegative):

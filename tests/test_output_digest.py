@@ -3,6 +3,7 @@ config through two source trees and shows what an output change changed."""
 
 from __future__ import annotations
 
+import io
 import json
 import shutil
 import sys
@@ -110,6 +111,26 @@ def test_compare_names_transitions_paths_and_lines(output_diff):
     assert output_diff.compare(_record("0", old), _record("2")) == {
         "exit": ["exit: 0 -> 2"], "classification": ["classification: conforms -> None"],
         "json": ["json: written -> not written"]}
+
+
+def test_summary_gives_each_numeric_path_its_largest_relative_difference(output_diff, capsys):
+    # Two changed configs: the estimate moves by 2 and by 3 ulp of 1.0, the
+    # flag only in the second. A path whose values are not numbers keeps
+    # its bare count.
+    old = {"spectrum": {"classification": "conforms"},
+           "checks": {"norm_estimate": {"value": 1.0, "passed": True}}}
+    news = [{"spectrum": {"classification": "conforms"},
+             "checks": {"norm_estimate": {"value": 1.0 + 4.4e-16, "passed": True}}},
+            {"spectrum": {"classification": "conforms"},
+             "checks": {"norm_estimate": {"value": 1.0 + 6.7e-16, "passed": False}}}]
+    children = [types.SimpleNamespace(stdout=io.StringIO("".join(
+        json.dumps(_record("0", report)) + "\n" for report in reports)), wait=lambda: 0)
+        for reports in ([old, old], news)]
+    assert output_diff._compare_children(children) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("by key path:\n"
+                        "  checks.norm_estimate.passed: 1\n"
+                        "  checks.norm_estimate.value: 2 (max rel 6.66e-16)\n")
 
 
 def test_largest_configs_reach_the_top_dimension(output_diff):

@@ -6,15 +6,19 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import clamped_knots, dirac, in_order, quadrature, random_breakpoints
+from helpers import (assert_norm_estimate_near_oracle, clamped_knots, dirac, in_order,
+                     quadrature, random_breakpoints)
 
-from pouspec.bases import make_bspline_basis, make_hat_basis
+from pouspec.bases import DEFAULT_GRID_POINTS, make_bspline_basis, make_hat_basis
+from pouspec.functions import grid
 from pouspec.operators import OperatorSpec
 from pouspec.spectra import (CLASSIFICATION_VIOLATES, MAX_DIMENSION, TOL_PERIPHERAL,
                              build_collocation_matrix, classify_spectrum, closed_classes,
                              eigenvalues, gershgorin_disks, iterate_limit)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+GRID = grid(DEFAULT_GRID_POINTS)
 
 
 @st.composite
@@ -94,6 +98,14 @@ def test_random_operator_obeys_theorem(op):
     if np.diag(matrix.entries).min() > TOL_PERIPHERAL:
         spectrum = classify_spectrum(eigs, gershgorin_disks(matrix))
         assert spectrum.classification != CLASSIFICATION_VIOLATES, spectrum.diagnostics
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(operators(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_norm_estimate_is_the_oracle_up_to_rounding(op, seed):
+    # The block check and the one-at-a-time oracle differ only in rounding,
+    # within the derived bound, and give the same verdict.
+    assert_norm_estimate_near_oracle(op, GRID, op.default_values, seed=seed)
 
 
 #: Dimensions of the operators at scale, up to the largest the program

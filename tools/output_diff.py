@@ -20,8 +20,9 @@ new, with the relative difference for floats; list indices are written
 ``[]``, and a path changed at several indices is counted once with its
 largest difference) and the changed stdout and stderr lines; a changed CSV
 or SVG is named with its count of changed lines. It ends with the number of
-changed configs per stratum and per key path. Two trees with the same
-output on every config print ``identical``.
+changed configs per stratum and per key path, with the largest relative
+difference of each key path whose values are numbers. Two trees with the
+same output on every config print ``identical``.
 
 The exit status is 0 when the outputs are identical, 1 when they differ,
 and 2 when a child process fails.
@@ -219,10 +220,13 @@ def _changed_lines(old: str | None, new: str | None) -> list[str]:
     return [line for line in diff if line[:1] in "+-" and line[:3] not in ("+++", "---")]
 
 
-def compare(old: dict, new: dict) -> dict[str, list[str]]:
+def compare(old: dict, new: dict,
+            largest: dict[str, float] | None = None) -> dict[str, list[str]]:
     """The changes of one config, by key path: the pseudo-paths ``exit``,
     ``classification``, ``json``, ``csv``, ``svg``, ``stdout``, ``stderr``,
-    and the JSON key paths, each with its printed lines."""
+    and the JSON key paths, each with its printed lines. Each JSON key path
+    whose changed values include numbers also raises ``largest[path]``, when
+    ``largest`` is given, to its largest relative difference."""
     changes: dict[str, list[str]] = {}
     if old["exit"] != new["exit"]:
         changes["exit"] = [f"exit: {old['exit']} -> {new['exit']}"]
@@ -247,6 +251,8 @@ def compare(old: dict, new: dict) -> dict[str, list[str]]:
                 line = f"{path}: {len(pairs)} values, first {_show(x)} -> {_show(y)}"
             if rel:
                 line += f" (rel {max(rel):.2e})"
+                if largest is not None:
+                    largest[path] = max(largest.get(path, 0.0), max(rel))
             changes[path] = [line]
     for name in ("csv", "svg"):
         if old[name] != new[name]:
@@ -289,11 +295,12 @@ def _compare_children(children: list[subprocess.Popen]) -> int:
     """Print the changes between the two children's records and the summary;
     the exit status of :func:`main`."""
     total, by_stratum, changed_by_stratum, by_path = 0, Counter(), Counter(), Counter()
+    largest: dict[str, float] = {}
     for old_line, new_line in zip(*(child.stdout for child in children)):
         old, new = json.loads(old_line), json.loads(new_line)
         total += 1
         by_stratum[old["stratum"]] += 1
-        changes = compare(old, new)
+        changes = compare(old, new, largest)
         if not changes:
             continue
         changed_by_stratum[old["stratum"]] += 1
@@ -318,7 +325,8 @@ def _compare_children(children: list[subprocess.Popen]) -> int:
             print(f"  {stratum}: {changed_by_stratum[stratum]} of {count}")
     print("by key path:")
     for path, count in sorted(by_path.items()):
-        print(f"  {path}: {count}")
+        print(f"  {path}: {count}" + (f" (max rel {largest[path]:.2e})" if path in largest
+                                      else ""))
     return 1
 
 
