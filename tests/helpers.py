@@ -27,6 +27,7 @@ from pouspec.functionals import (AVERAGE, DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANEL
 from pouspec.functions import (COSINE, PIECEWISE_LINEAR, POLYNOMIAL, TEST_POLYNOMIAL_WIDTH,
                                _horner, outside_domain, require_in_domain)
 from pouspec.operators import coefficient_vector, estimate_operator_norm, verify_norm_bound
+from pouspec.report import AnalysisConfig
 from pouspec.spectra import (ITERATE_TOL, TOL_STOCHASTIC, IterateResult,
                              check_row_stochastic, closed_classes)
 
@@ -822,6 +823,18 @@ def output_diff_tool():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def benchmark_seeds() -> list[int]:
+    """The sorted distinct seeds of the well-formed configs of the three
+    benchmark pools (``perfbench/workloads.py``), the default seed of a
+    config without one included."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.append(str(ROOT / "perfbench"))
+    import workloads
+    return sorted({entry.config.get("seed", AnalysisConfig.seed)
+                   for workload in workloads.WORKLOADS
+                   for entry in workloads.pool(workload).values() if not entry.malformed})
 
 
 def well_formed_configs(*groups: str) -> dict[str, str]:

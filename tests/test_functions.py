@@ -8,12 +8,14 @@ import numpy as np
 import numpy.testing as nptest
 import pytest
 
+from pouspec import functions
 from pouspec.errors import ConfigError, DomainError
 from pouspec.functions import (COSINE, DOMAIN_SLACK, PIECEWISE_LINEAR, POLYNOMIAL, SINE,
-                               TEST_POLYNOMIAL_WIDTH, _horner, dictionary,
+                               TEST_POLYNOMIAL_WIDTH, _draw_from_words, _horner, dictionary,
                                draw_test_functions, grid, outside_domain, require_in_domain)
 
-from helpers import catalog_values_oracle, drawn_values_per_block, random_function_oracle
+from helpers import (benchmark_seeds, catalog_values_oracle, drawn_values_per_block,
+                     random_function_oracle)
 
 
 def test_grid_endpoints():
@@ -77,10 +79,10 @@ class TestRandomCatalog:
 
 
 class ScriptedGenerator:
-    """Stands in for ``np.random.Generator`` with scripted draws:
-    ``integers`` returns the next scripted integer, ``uniform`` maps the
-    next scripted unit values onto ``[low, high)`` and ``random`` returns
-    them as ``uniform(0, 1)`` does."""
+    """Stands in for ``np.random.Generator`` with scripted draws, for the
+    oracle: ``integers`` returns the next scripted integer, ``uniform``
+    maps the next scripted unit values onto ``[low, high)`` and ``random``
+    returns them as ``uniform(0, 1)`` does."""
 
     def __init__(self, ints, units):
         self._ints = iter(ints)
@@ -98,13 +100,59 @@ class ScriptedGenerator:
         return self.uniform(0.0, 1.0, size)
 
 
+# Scripted raw words for ``_draw_from_words``, as ``PCG64`` would make them.
+
+#: The largest unit value a word gives, ``1 - 2**-53``.
+TOP = 1.0 - 2.0**-53
+
+
+def draw32(value: int, r: int) -> int:
+    """A 32-bit draw that ``integers(0, r)`` takes, without a redraw, as
+    ``value``: ``x * r`` has high half ``value`` and low half at least
+    ``r``, above the redraw threshold ``(2**32 - r) % r``."""
+    return ((value << 32) + r - 1) // r + 1
+
+
+def word(low: int, high: int = 0) -> int:
+    """The word whose low and high halves are the 32-bit draws ``low`` and
+    ``high``."""
+    return low | high << 32
+
+
+def unit(u: float) -> int:
+    """The word of unit value ``u``, a multiple of 2**-53 in [0, 1)."""
+    assert 0.0 <= u < 1.0 and (u * 2.0**53).is_integer(), u
+    return int(u * 2.0**53) << 11
+
+
+def unit_value(w: int) -> float:
+    """The unit value of word ``w``, as ``Generator.random`` takes it."""
+    return (w >> 11) * 2.0**-53
+
+
+def scripted_draw(words, count: int = 1, nonnegative: bool = False, chunk: int | None = None):
+    """``_draw_from_words`` on ``words``, in chunks of ``chunk`` words (one
+    chunk if ``None``), then zero words: a draw whose breakpoints repeat
+    first takes them as distinct, which can read past the scripted words."""
+    words = np.array(words, dtype=np.uint64)
+    size = chunk or words.size
+    chunks = [words[i:i + size] for i in range(0, words.size, size)]
+    return _draw_from_words(iter(chunks + [np.zeros(64, dtype=np.uint64)]), count, nonnegative)
+
+
 class TestEvaluation:
     """Scripted draws of each kind, evaluated at points with known values."""
 
     def test_constant_one(self):
-        # A polynomial of one term, its coefficient drawn from [-1, 1].
-        draw = draw_test_functions(ScriptedGenerator([0, 1], [1.0]), 1)
+        # A polynomial of one term. Its coefficient from the zero word is -1,
+        # the bottom of [-1, 1), and its square is the constant one. (The
+        # top of [-1, 1) is 1 - 2**-52: no word gives a unit value of 1.)
+        words = [word(draw32(0, 3), draw32(0, 7)), unit(0.0)]
+        draw = scripted_draw(words)[0]
         assert draw.name(0) == "poly(deg 0)"
+        assert _all_values(draw, grid(5)).tolist() == [[-1.0] * 5]
+        draw = scripted_draw(words, nonnegative=True)[0]
+        assert draw.name(0) == "poly(deg 0)^2"
         assert _all_values(draw, grid(5)).tolist() == [[1.0] * 5]
 
     def test_polynomial_horner(self):
@@ -117,23 +165,28 @@ class TestEvaluation:
         assert padded.tobytes() == _horner(np.array([[3.0, -2.0, 1.0]]), xs).tobytes()
 
     def test_catalog_sine(self):
-        # Frequency 1, amplitude 1 (the top of [-1, 1]), the sine.
-        draw = draw_test_functions(ScriptedGenerator([1, 1, 0], [1.0]), 1)
+        # Frequency 1, amplitude 1 - 2**-52 (the top of [-1, 1)), the sine.
+        words = [word(draw32(1, 3), draw32(0, 8)), unit(TOP), word(draw32(0, 2))]
+        draw = scripted_draw(words)[0]
         assert draw.kinds[0] == SINE and draw.name(0) == "0+1*sin(2pi*1x)"
         nptest.assert_allclose(_all_values(draw, np.array([0.0, 0.25, 0.75])),
                                [[0.0, 1.0, -1.0]], rtol=0, atol=1e-15)
 
     def test_cosine(self):
-        # Frequency 2, amplitude 1, the cosine, raised by one when nonnegative.
-        draw = draw_test_functions(ScriptedGenerator([1, 2, 1], [1.0]), 1, nonnegative=True)
+        # Frequency 2, amplitude 1 - 2**-52, the cosine, raised by one when
+        # nonnegative.
+        words = [word(draw32(1, 3), draw32(1, 8)), unit(TOP), word(draw32(1, 2))]
+        draw = scripted_draw(words, nonnegative=True)[0]
         assert draw.kinds[0] == COSINE and draw.name(0) == "1+1*cos(2pi*2x)"
         nptest.assert_allclose(_all_values(draw, np.array([0.0, 0.25, 0.5])),
                                [[2.0, 0.0, 2.0]], rtol=0, atol=1e-15)
 
     def test_sampled_linear_interpolation(self):
-        # Two breakpoints 0.25 < 0.5; samples -1, 0, 1, 0 (mapped from [0, 1]
-        # onto [-1, 1]) at 0, 0.25, 0.5, 1.
-        draw = draw_test_functions(ScriptedGenerator([2, 2], [0.5, 0.25, 0.0, 0.5, 1.0, 0.5]), 1)
+        # Two breakpoints 0.25 < 0.5; samples -1, 0, 1 - 2**-52, 0 (mapped
+        # from [0, 1) onto [-1, 1)) at 0, 0.25, 0.5, 1.
+        words = [word(draw32(2, 3), draw32(0, 15)),
+                 *map(unit, [0.5, 0.25, 0.0, 0.5, TOP, 0.5])]
+        draw = scripted_draw(words)[0]
         assert draw.samples[0][0].tolist() == [0.0, 0.25, 0.5, 1.0]
         nptest.assert_allclose(_all_values(draw, np.array([0.125, 0.375, 0.75])),
                                [[-0.5, 0.5, 0.5]], rtol=0, atol=1e-15)
@@ -211,11 +264,18 @@ class TestDrawnTestFunctions:
     @pytest.mark.parametrize("nonnegative", [False, True])
     def test_repeated_breakpoints_keep_the_first(self, nonnegative):
         # Two piecewise-linear draws whose breakpoints repeat: a draw of
-        # exactly 0.0 repeats the left end, and 0.5 is drawn twice.
-        ints, units = [2, 4, 2, 3], [0.0, 0.5, 0.5, 0.25] + [0.1] * 4 + [0.3, 0.3, 0.7] + [0.2] * 4
-        draw = draw_test_functions(ScriptedGenerator(ints, units), 2, nonnegative)
-        oracle_rng = ScriptedGenerator(ints, units)
-        for i, expected in enumerate(([0.0, 0.25, 0.5, 1.0], [0.0, 0.3, 0.7, 1.0])):
+        # exactly 0.0 repeats the left end, and 0.5 is drawn twice; then
+        # 0.375 is drawn twice. Each takes one sample per distinct point,
+        # so the second trial and the words after it move up by two.
+        words = [word(draw32(2, 3), draw32(2, 15)), *map(unit, [0.0, 0.5, 0.5, 0.25]),
+                 *[unit(0.125)] * 4,
+                 word(draw32(2, 3), draw32(1, 15)), *map(unit, [0.375, 0.375, 0.75]),
+                 *[unit(0.625)] * 4]
+        draw, used, buffered = scripted_draw(words, 2, nonnegative)
+        assert used == len(words) and buffered == (0, draw32(1, 15))
+        oracle_rng = ScriptedGenerator([2, 4, 2, 3],
+                                       [unit_value(w) for w in words[1:9] + words[10:]])
+        for i, expected in enumerate(([0.0, 0.25, 0.5, 1.0], [0.0, 0.375, 0.75, 1.0])):
             single = random_function_oracle(oracle_rng, nonnegative)
             xs, ys = draw.samples[i]
             assert xs.tolist() == single.params["xs"].tolist() == expected
@@ -369,3 +429,142 @@ class TestDrawnTestFunctions:
         assert block.tolist() == rows.tolist()
         for row, i in zip(values, rows):
             assert row.tobytes() == singles[i](xs).tobytes()
+
+
+class TestRawWords:
+    """The draw decodes raw PCG64 words as ``Generator`` does."""
+
+    XS = grid(101)
+
+    def test_fields_are_read_only(self):
+        draw = draw_test_functions(np.random.default_rng(10), 60)
+        assert isinstance(draw.samples, tuple)
+        arrays = [draw.kinds, draw.terms, draw.coefficients, draw.frequency, draw.omega,
+                  draw.amplitude, *(a for pair in draw.samples if pair for a in pair)]
+        assert len(arrays) > 6
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        with pytest.raises(TypeError):
+            draw.samples[0] = None
+        with pytest.raises(AttributeError):
+            draw.offset = 2.0
+        # By identity: comparing the arrays field by field would raise.
+        assert draw == draw and draw != draw_test_functions(np.random.default_rng(10), 60)
+        assert hash(draw) == hash(draw)
+
+    def test_repeated_breakpoints_are_read_only(self):
+        words = [word(draw32(2, 3), draw32(0, 15)), *map(unit, [0.0, 0.5, 0.25, 0.5, 0.75])]
+        xs, ys = scripted_draw(words)[0].samples[0]
+        assert xs.tolist() == [0.0, 0.5, 1.0]
+        for array in (xs, ys):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_needs_pcg64(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="^draw_test_functions needs a PCG64 generator, "
+                                            "got MT19937$"):
+            draw_test_functions(rng, 1)
+
+    @pytest.mark.parametrize("seed", benchmark_seeds())
+    def test_draws_of_the_benchmark_seeds_equal_the_oracle(self, seed):
+        # As the checks draw: 100 nonnegative trials at the seed for
+        # positivity, 200 signed trials at the seed plus one for the norm.
+        for count, nonnegative, stream in ((100, True, seed), (200, False, seed + 1)):
+            draw_rng = np.random.default_rng(stream)
+            draw = draw_test_functions(draw_rng, count, nonnegative)
+            oracle_rng = np.random.default_rng(stream)
+            for i in range(count):
+                _assert_trial_is(draw, i, random_function_oracle(oracle_rng, nonnegative))
+            assert draw_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    def test_a_half_buffered_before_the_draw_is_its_first(self, nonnegative):
+        # The generator holds the high half of a word when the draw starts:
+        # the draw's first integer is that half, and the draws after the
+        # draw continue the oracle's stream.
+        for seed in range(100):
+            draw_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert draw_rng.integers(0, 5) == oracle_rng.integers(0, 5)
+            assert draw_rng.bit_generator.state["has_uint32"] == 1
+            draw = draw_test_functions(draw_rng, 7, nonnegative)
+            for i in range(7):
+                _assert_trial_is(draw, i, random_function_oracle(oracle_rng, nonnegative))
+            assert draw_rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert draw_rng.integers(0, 9, size=3).tolist() == \
+                oracle_rng.integers(0, 9, size=3).tolist()
+            assert draw_rng.random() == oracle_rng.random()
+
+    def test_a_lemire_redraw_takes_the_next_half(self):
+        # integers(0, 3) redraws a 32-bit draw of 0 (x * 3 has low half 0,
+        # below (2**32 - 3) % 3 = 1): the kind is the high half's, and the
+        # term count the low half of the next word.
+        words = [word(0, draw32(0, 3)), word(draw32(2, 7), draw32(1, 3)),
+                 *map(unit, [0.25, 0.5, 0.75])]
+        draw, used, buffered = scripted_draw(words)
+        assert draw.kinds.tolist() == [POLYNOMIAL] and draw.terms.tolist() == [3]
+        assert draw.coefficients[0, -3:].tolist() == [0.5, 0.0, -0.5]
+        assert used == 5 and buffered == (1, draw32(1, 3))
+
+    def test_a_buffered_half_outlives_the_unit_words(self):
+        # A wave's last integer leaves a high half buffered, which is the
+        # next trial's kind; that polynomial's term count leaves another,
+        # which is the third trial's kind after the polynomial's unit words.
+        # The third trial, a wave, takes its sine past its amplitude's word.
+        words = [word(draw32(1, 3), draw32(3, 8)), unit(0.75),
+                 word(draw32(1, 2), draw32(0, 3)),
+                 word(draw32(1, 7), draw32(1, 3)), *map(unit, [0.25, 0.5]),
+                 word(draw32(4, 8), draw32(0, 2)), unit(0.5)]
+        draw, used, buffered = scripted_draw(words, 3)
+        assert draw.kinds.tolist() == [COSINE, POLYNOMIAL, SINE]
+        assert draw.frequency.tolist() == [4.0, 0.0, 5.0]
+        assert draw.amplitude.tolist() == [0.5, 0.0, 0.0]
+        assert draw.coefficients[1, -2:].tolist() == [0.0, -0.5]
+        assert used == len(words) and buffered == (0, draw32(0, 2))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_a_draw_across_chunks_equals_one_chunk(self, chunk):
+        # Chunks of a few words split trials, unit values and the two halves
+        # of a word's integers; the draw reads on into the next chunk.
+        words = np.random.default_rng(1).bit_generator.random_raw(600)
+        whole, used, buffered = scripted_draw(words, 40)
+        assert 40 < used < 600
+        split = scripted_draw(words, 40, chunk=chunk)
+        assert split[1:] == (used, buffered)
+        for i in range(40):
+            assert split[0].name(i) == whole.name(i)
+        assert _all_values(split[0], self.XS).tobytes() == _all_values(whole, self.XS).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 5, 36, 37])
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    def test_small_chunks_of_the_generator_equal_the_oracle(self, monkeypatch, chunk,
+                                                            nonnegative):
+        # A piecewise-linear trial takes up to 36 words, so most trials
+        # cross a chunk of 36 words or fewer.
+        monkeypatch.setattr(functions, "WORD_CHUNK", chunk)
+        for seed in range(10):
+            draw_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            draw = draw_test_functions(draw_rng, 30, nonnegative)
+            for i in range(30):
+                _assert_trial_is(draw, i, random_function_oracle(oracle_rng, nonnegative))
+            assert draw_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _assert_trial_is(draw, i: int, single) -> None:
+    """Trial ``i`` of ``draw`` has the name and the parameters' bits of the
+    oracle's draw ``single``."""
+    params = single.params
+    assert draw.name(i) == single.name
+    if single.kind == "poly":
+        pad = TEST_POLYNOMIAL_WIDTH - int(draw.terms[i])
+        assert draw.coefficients[i, pad:][::-1].tobytes() == params["coefficients"].tobytes()
+        assert not draw.coefficients[i, :pad].any()
+    elif single.kind == "pwl":
+        xs, ys = draw.samples[i]
+        assert xs.tobytes() == params["xs"].tobytes()
+        assert ys.tobytes() == params["ys"].tobytes()
+    else:
+        assert float(draw.amplitude[i]).hex() == params["amplitude"].hex()
+        assert draw.omega[i] == params["omega"]
+        assert draw.offset == params["offset"]

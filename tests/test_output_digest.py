@@ -180,9 +180,23 @@ def test_edge_configs_parse_and_the_overflowing_ones_exit_two(output_diff, tmp_p
         "(min weight -1e+308 at node 0.6, |sum w - 1| = inf)"]
 
 
+def test_seed_configs_parse_and_differ_only_in_their_seed(output_diff):
+    configs = output_diff.seed_configs()
+    assert len(configs) == 300 and {c["stratum"] for c in configs} == {"seed"}
+    assert [c["config"] for c in configs[::100]] == [
+        "seed bernstein-5 0", "seed kantorovich-7 0", "seed hat-average-12 0"]
+    parsed = [parse_config(c["text"]) for c in configs]
+    assert [c.seed for c in parsed] == list(range(100)) * 3
+    assert [build_operator(c).n for c in parsed[::100]] == [6, 8, 12]
+    for start in (0, 100, 200):
+        texts = {json.dumps({**json.loads(c["text"]), "seed": 0})
+                 for c in configs[start:start + 100]}
+        assert len(texts) == 1
+
+
 def _small_pool(output_diff, monkeypatch):
     """A two-entry stand-in for the benchmark pools, a one-entry stand-in
-    for the largest configs and no witness or edge configs."""
+    for the largest configs and no witness, edge or seed configs."""
     texts = {"kantorovich": '{"operator": "kantorovich", "n": 2}\n',
              "bernstein": '{"operator": "bernstein", "n": 3}\n'}
     workloads = types.ModuleType("perfbench.workloads")
@@ -198,6 +212,7 @@ def _small_pool(output_diff, monkeypatch):
         {"config": "largest swap", "stratum": "largest", "text": swap}])
     monkeypatch.setattr(output_diff, "witness_configs", lambda: [])
     monkeypatch.setattr(output_diff, "edge_configs", lambda: [])
+    monkeypatch.setattr(output_diff, "seed_configs", lambda: [])
 
 
 def test_output_diff_of_a_tree_against_itself_is_identical(output_diff, monkeypatch, capsys):

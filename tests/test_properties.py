@@ -4,6 +4,7 @@ paired with random nonnegative discrete-measure functionals."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (assert_norm_estimate_near_oracle, clamped_knots, dirac, in_order,
@@ -11,7 +12,7 @@ from helpers import (assert_norm_estimate_near_oracle, clamped_knots, dirac, in_
 
 from pouspec.bases import DEFAULT_GRID_POINTS, make_bspline_basis, make_hat_basis
 from pouspec.functions import grid
-from pouspec.operators import OperatorSpec
+from pouspec.operators import OperatorSpec, bernstein_operator, kantorovich_operator
 from pouspec.spectra import (CLASSIFICATION_VIOLATES, MAX_DIMENSION, TOL_PERIPHERAL,
                              build_collocation_matrix, classify_spectrum, closed_classes,
                              eigenvalues, gershgorin_disks, iterate_limit)
@@ -161,3 +162,16 @@ def test_closed_class_periods_count_the_peripheral_eigenvalues(op):
     if periods.max() == 1:
         spectrum = classify_spectrum(eigs, gershgorin_disks(matrix))
         assert spectrum.classification != CLASSIFICATION_VIOLATES, spectrum.diagnostics
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 100, MAX_DIMENSION - 1])
+@pytest.mark.parametrize("build", [bernstein_operator, kantorovich_operator])
+def test_closed_class_periods_count_the_catalog_peripheral_eigenvalues(build, n):
+    # Bernstein's end rows are its two closed classes; Kantorovich's cell
+    # averages of a positive basis make one. Each is aperiodic, and the
+    # count holds up to the largest dimension, where the next eigenvalue is
+    # 1 - 1 / n (Bernstein) or 1 - 1 / (n + 1) (Kantorovich).
+    matrix = build_collocation_matrix(build(n))
+    periods = closed_classes(matrix)[1]
+    assert periods.max() == 1
+    assert periods.sum() == np.count_nonzero(np.abs(eigenvalues(matrix)) >= 1.0 - TOL_PERIPHERAL)

@@ -8,8 +8,9 @@ Each ``*_SRC`` is a directory that holds the ``pouspec`` package (``src``
 of a checkout). Every config of the three benchmark pools
 (``perfbench.workloads.pool``, read from this checkout), the five
 largest configs of :func:`largest_configs`, the five kernel-witness
-configs of :func:`witness_configs` and the three edge configs of
-:func:`edge_configs` is analysed once per tree, each tree in
+configs of :func:`witness_configs`, the three edge configs of
+:func:`edge_configs` and the 300 seeded configs of :func:`seed_configs` is
+analysed once per tree, each tree in
 its own child process so that each imports its own ``pouspec``: in-process
 through ``pouspec.cli.main``, BLAS pinned to one thread, writing the JSON,
 CSV and SVG outputs, ``timings`` left out.
@@ -112,6 +113,16 @@ def _uniform(count: int) -> list[float]:
     return [k / (count - 1) for k in range(count)]
 
 
+def _hat_average(count: int) -> dict:
+    """A hat basis on ``count`` uniform nodes with one cell average per hat,
+    the cells split at the midpoints between the nodes."""
+    nodes = _uniform(count)
+    edges = [0.0] + [(a + b) / 2.0 for a, b in zip(nodes, nodes[1:])] + [1.0]
+    return {"operator": "custom", "basis": {"kind": "hat", "nodes": nodes},
+            "functionals": [{"kind": "interval-average", "a": a, "b": b}
+                            for a, b in zip(edges, edges[1:])]}
+
+
 def largest_configs() -> list[dict]:
     """``config``, ``stratum`` and ``text`` of the five configs at the
     largest dimension the program analyses (500, ``MAX_DIMENSION``), which
@@ -120,16 +131,13 @@ def largest_configs() -> list[dict]:
     uniform breakpoints, and a hat basis on 500 uniform nodes with one cell
     average per hat."""
     nodes = _uniform(500)
-    edges = [0.0] + [(a + b) / 2.0 for a, b in zip(nodes, nodes[1:])] + [1.0]
     configs = {
         "bernstein-499": {"operator": "bernstein", "n": 499},
         "kantorovich-499": {"operator": "kantorovich", "n": 499},
         "hat-dirac-500": {"operator": "hat-dirac", "nodes": nodes},
         "schoenberg-cubic-500": {"operator": "schoenberg", "degree": 3,
                                  "knots": [0.0] * 3 + _uniform(498) + [1.0] * 3},
-        "hat-average-500": {"operator": "custom", "basis": {"kind": "hat", "nodes": nodes},
-                            "functionals": [{"kind": "interval-average", "a": a, "b": b}
-                                            for a, b in zip(edges, edges[1:])]},
+        "hat-average-500": _hat_average(500),
     }
     return [{"config": f"largest {name}", "stratum": "largest", "text": json.dumps(config)}
             for name, config in configs.items()]
@@ -176,6 +184,20 @@ def edge_configs() -> list[dict]:
         "functionals": [{"kind": "dirac", "x": x} for x in (5e-324, 5e-324, 1.0)]}
     return [{"config": f"edge {name}", "stratum": "edge", "text": json.dumps(config)}
             for name, config in configs.items()]
+
+
+def seed_configs() -> list[dict]:
+    """``config``, ``stratum`` and ``text`` of 300 configs that differ only
+    in their seed, 0 to 99: Bernstein n = 5, Kantorovich n = 7 and a hat
+    basis on 12 uniform nodes with one cell average per hat. The seed picks
+    the test functions of the positivity and norm checks, so these run 300
+    more streams of their draw than the pools' own seeds do."""
+    operators = {"bernstein-5": {"operator": "bernstein", "n": 5},
+                 "kantorovich-7": {"operator": "kantorovich", "n": 7},
+                 "hat-average-12": _hat_average(12)}
+    return [{"config": f"seed {name} {seed}", "stratum": "seed",
+             "text": json.dumps({**config, "seed": seed})}
+            for name, config in operators.items() for seed in range(100)]
 
 
 def dump(src: Path, configs_path: Path) -> None:
@@ -286,7 +308,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no pouspec package under {src}")
     with tempfile.TemporaryDirectory() as tmp:
         configs_path = Path(tmp) / "configs.json"
-        configs = pool_configs() + largest_configs() + witness_configs() + edge_configs()
+        configs = (pool_configs() + largest_configs() + witness_configs() + edge_configs()
+                   + seed_configs())
         configs_path.write_text(json.dumps(configs), encoding="utf-8")
         return _compare_children(_children(srcs, configs_path))
 
