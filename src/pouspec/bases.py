@@ -4,8 +4,9 @@ Three constructions are provided: Bernstein polynomials, clamped B-splines
 and piecewise-linear hat functions. Each returns a :class:`BasisSystem`, an
 ordered family ``e_1 .. e_n`` of nonnegative functions on [0, 1] whose
 pointwise sum is the constant one there. Each kind has one evaluator of the
-whole family: the binomial formula (Bernstein), scipy's design matrix
-(B-spline) or one binary search writing two nonzero rows per point (hat).
+whole family: the binomial formula (Bernstein), de Boor's recurrence over
+all points at once (B-spline) or one binary search writing two nonzero rows
+per point (hat). The module imports no scipy.
 """
 
 from __future__ import annotations
@@ -84,10 +85,18 @@ def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
     """B-spline basis for a clamped knot vector spanning [0, 1].
 
     ``knots`` must be the full nondecreasing vector with the first and last
-    values, 0 and 1, each repeated ``degree + 1`` times. Values come from
-    :meth:`scipy.interpolate.BSpline.design_matrix`; each span is closed on
-    the left and the last nonempty one also on the right, so the partition
+    values, 0 and 1, each repeated ``degree + 1`` times, and no knot repeated
+    more often, so every B-spline has a nonempty support. Each span is closed
+    on the left and the last nonempty one also on the right, so the partition
     of unity holds on the whole of [0, 1].
+
+    Values come from de Boor's recurrence (de Boor, *A Practical Guide to
+    Splines*, ch. X), run over all points at once in the order of operations
+    of scipy's ``_deBoor_D``, so they equal scipy's
+    ``BSpline.design_matrix(x, t, degree).toarray().T`` bit for bit. The
+    result is the transpose of a ``(points, n)`` array, the Fortran-ordered
+    layout that expression has too: summing over it downstream keeps the
+    same order, and so the same roundings.
     """
     t = np.array(knots, dtype=float)
     if degree < 0:
@@ -103,17 +112,48 @@ def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
     if t[0] != 0.0 or t[-1] != 1.0:
         raise ConfigError("knot vector must span [0.0, 1.0] exactly, "
                           f"got [{float(t[0])!r}, {float(t[-1])!r}]")
+    empty = np.flatnonzero(t[:-degree - 1] == t[degree + 1:])
+    if empty.size:
+        knot = t[empty[0]]
+        raise ConfigError(f"knot {float(knot)!r} is repeated {np.count_nonzero(t == knot)} "
+                          f"times, more than degree + 1 = {degree + 1}: "
+                          f"B-spline {int(empty[0])} has empty support")
     t.flags.writeable = False
-    # Imported here: scipy.interpolate is a large package that only B-spline
-    # bases need, so other runs do not pay for loading it.
-    from scipy.interpolate import BSpline
+    n = t.size - degree - 1
+    # Knot offsets from a point's span ell that the recurrence reads:
+    # t[ell - degree + 1] .. t[ell + degree].
+    reach = np.arange(1 - degree, degree + 1)[:, None]
+    columns = np.arange(degree + 1)
 
     def evaluate(xs: np.ndarray) -> np.ndarray:
         # Points within DOMAIN_SLACK outside [0, 1] pass the domain check.
-        return BSpline.design_matrix(np.clip(xs, 0.0, 1.0), t, degree).toarray().T
+        # Adding 0.0 turns -0.0 into 0.0, so no value is a negative zero, as
+        # none is in the design matrix, whose toarray adds each to a zero.
+        x = np.clip(xs, 0.0, 1.0) + 0.0
+        # The span t[ell] <= x < t[ell + 1], and ell = n - 1 at x = 1.
+        ell = np.clip(np.searchsorted(t, x, side="right") - 1, degree, n - 1)
+        near = t[ell + reach]
+        h = np.empty((degree + 1, x.size))
+        h[0] = 1.0
+        # Knots closer than 1 / DBL_MAX overflow w to inf, as in the compiled
+        # recurrence, and the partition-of-unity check reports the result.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, degree + 1):
+                hh = h[:j].copy()
+                h[0] = 0.0
+                for q in range(1, j + 1):
+                    # xb > xa: the span ell is nonempty, as no knot repeats
+                    # more than degree + 1 times.
+                    xb = near[q + degree - 1]
+                    xa = near[q - j + degree - 1]
+                    w = hh[q - 1] / (xb - xa)
+                    h[q - 1] += w * (xb - x)
+                    h[q] = w * (x - xa)
+        out = np.zeros((x.size, n))
+        out[np.arange(x.size)[:, None], (ell - degree)[:, None] + columns] = h.T
+        return out.T
 
-    return BasisSystem(evaluate, t.size - degree - 1,
-                       name=f"bspline(deg {degree}, {t.size} knots)")
+    return BasisSystem(evaluate, n, name=f"bspline(deg {degree}, {t.size} knots)")
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import numpy.testing as nptest
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import BSpline
 
 from helpers import (bernstein_value, bspline_value, clamped_knots, hat_values,
                      random_breakpoints)
@@ -13,6 +17,7 @@ from pouspec.bases import (check_nonnegativity, check_partition_of_unity,
                            make_bernstein_basis, make_bspline_basis, make_hat_basis,
                            BasisSystem)
 from pouspec.errors import ConfigError
+from pouspec.functions import DOMAIN_SLACK
 from pouspec.operators import (bernstein_operator, estimate_operator_norm,
                                kernel_witness_report, verify_constant_reproduction,
                                verify_norm_bound, verify_positivity)
@@ -48,6 +53,24 @@ class TestBernstein:
             expected = [bernstein_value(n, k, x) for x in xs]
             nptest.assert_allclose(basis.values(xs)[k], expected,
                                    rtol=1e-12, atol=1e-14)
+
+
+@st.composite
+def clamped_knots_and_points(draw):
+    """A clamped knot vector of degree 0-5 whose interior knots repeat up to
+    ``degree + 1`` times, and points: random ones, every knot and its two
+    neighbouring doubles, 0, -0.0, 1, and the ends of the domain slack."""
+    degree = draw(st.integers(0, 5))
+    breaks = sorted(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                  max_size=6, unique=True)))
+    repeats = draw(st.lists(st.integers(1, degree + 1),
+                            min_size=len(breaks), max_size=len(breaks)))
+    knots = np.concatenate((np.zeros(degree + 1), np.repeat(breaks, repeats),
+                            np.ones(degree + 1)))
+    xs = np.concatenate((draw(st.lists(st.floats(0.0, 1.0), max_size=30)), knots,
+                         np.nextafter(knots, -1.0), np.nextafter(knots, 2.0),
+                         [0.0, -0.0, 1.0, -DOMAIN_SLACK, 1.0 + DOMAIN_SLACK]))
+    return knots, degree, xs[(xs >= -DOMAIN_SLACK) & (xs <= 1.0 + DOMAIN_SLACK)]
 
 
 class TestBSpline:
@@ -107,6 +130,33 @@ class TestBSpline:
             expected = np.vstack([bspline_value(knots, i, degree, xs)
                                   for i in range(basis.n)])
             nptest.assert_allclose(basis.values(xs), expected, rtol=0, atol=1e-14)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(clamped_knots_and_points())
+    @example((np.array([0.0, 0.0, 5e-324, 1.0, 1.0]), 1, np.array([-0.0, 5e-324, 0.5, 1.0])))
+    def test_matches_scipy_design_matrix(self, case):
+        # Same values, negative zeros and layout as scipy's compiled
+        # recurrence; knots closer than 1 / DBL_MAX give the same inf and nan.
+        knots, degree, xs = case
+        values = make_bspline_basis(knots, degree).values(xs)
+        expected = BSpline.design_matrix(np.clip(xs, 0.0, 1.0), knots, degree).toarray().T
+        assert np.array_equal(values, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(values), np.signbit(expected))
+        assert values.flags.f_contiguous == expected.flags.f_contiguous
+
+    @pytest.mark.parametrize("knots, degree, message", [
+        ([0, 0, 0, 0.5, 0.5, 0.5, 0.5, 1, 1, 1], 2,
+         "knot 0.5 is repeated 4 times, more than degree + 1 = 3: B-spline 3 has"),
+        ([0, 0, 0, 1, 1], 1, "knot 0.0 is repeated 3 times, more than degree + 1 = 2: "
+         "B-spline 0 has"),
+        ([0, 0.5, 1, 1], 0, "knot 1.0 is repeated 2 times, more than degree + 1 = 1: "
+         "B-spline 2 has"),
+    ], ids=["interior", "at-zero", "at-one"])
+    def test_rejects_empty_support(self, knots, degree, message):
+        # A knot repeated more than degree + 1 times makes a B-spline
+        # identically zero.
+        with pytest.raises(ConfigError, match=re.escape(message) + " empty support$"):
+            make_bspline_basis(knots, degree)
 
 
 class TestHatBasis:

@@ -69,9 +69,11 @@ def analyze(path):
         return pouspec.cli.main(["analyze", "--config", path])
 
 seen = {"import": [scipy_modules(), "mpmath" in sys.modules]}
-seen["analyze"] = [[analyze(path) for path in sys.argv[1:-1]], scipy_modules()]
+seen["analyze"] = [[analyze(path) for path in sys.argv[1:-2]], scipy_modules()]
+seen["schoenberg-quadratic"] = [analyze(sys.argv[-2]), *(name in sys.modules for name in (
+    "scipy.linalg", "scipy.interpolate"))]
 seen["hat-average"] = [analyze(sys.argv[-1]), *(name in sys.modules for name in (
-    "scipy.linalg", "scipy.sparse.csgraph", "scipy.optimize"))]
+    "scipy.linalg", "scipy.sparse.csgraph", "scipy.optimize", "scipy.interpolate"))]
 print(json.dumps(seen))
 """
 
@@ -96,13 +98,19 @@ CYCLIC_CONFIG = json.dumps({
 HAT_DIRAC_300_CONFIG = json.dumps({"operator": "hat-dirac",
                                    "nodes": np.linspace(0.0, 1.0, 300).tolist()})
 
+SCHOENBERG_QUADRATIC_CONFIG = json.dumps({"operator": "schoenberg", "degree": 2,
+                                          "knots": [0.0] * 3 + [0.3, 0.6] + [1.0] * 3})
+
+SCHOENBERG_CUBIC_80_CONFIG = json.dumps({
+    "operator": "schoenberg", "degree": 3,
+    "knots": [0.0] * 4 + np.linspace(0.0, 1.0, 78)[1:-1].tolist() + [1.0] * 4})
+
 #: One config per catalog kind, plus the swap and a custom operator with
 #: mixed functional kinds (so config records with mixed keys).
 CATALOG_CONFIGS = pytest.mark.parametrize("text", [
     '{"operator": "bernstein", "n": 4}',
     '{"operator": "kantorovich", "n": 3}',
-    json.dumps({"operator": "schoenberg", "degree": 2,
-                "knots": [0.0] * 3 + [0.3, 0.6] + [1.0] * 3}),
+    SCHOENBERG_QUADRATIC_CONFIG,
     '{"operator": "hat-dirac", "nodes": [0, 0.2, 0.7, 1]}',
     _hat_average_config(6),
     SWAP_CONFIG,
@@ -119,8 +127,7 @@ CATALOG_CONFIGS = pytest.mark.parametrize("text", [
 #: a banded and an identity matrix.
 LARGE_OPERATOR_CONFIGS = pytest.mark.parametrize("text", [
     HAT_AVERAGE_160_CONFIG,
-    json.dumps({"operator": "schoenberg", "degree": 3,
-                "knots": [0.0] * 4 + np.linspace(0.0, 1.0, 78)[1:-1].tolist() + [1.0] * 4}),
+    SCHOENBERG_CUBIC_80_CONFIG,
     json.dumps({"operator": "hat-dirac", "nodes": np.concatenate(
         ([0.0], np.sort(np.random.default_rng(300).uniform(0.0, 1.0, 298)), [1.0])).tolist()}),
 ], ids=["hat-average-160", "schoenberg-cubic-80", "hat-dirac-300-random"])
@@ -688,6 +695,21 @@ class TestCli:
                          "functionals": [{"kind": "dirac", "x": 0.0},
                                          {"kind": "dirac", "x": 1.0}]}),
              "knot vector must span [0.0, 1.0] exactly, got [-1.0, 1.0]"),
+            ('{"operator": "schoenberg", "degree": 2, '
+             '"knots": [0, 0, 0, 0.5, 0.5, 0.5, 0.5, 1, 1, 1]}',
+             "knot 0.5 is repeated 4 times, more than degree + 1 = 3: "
+             "B-spline 3 has empty support"),
+            # One line: de Boor's recurrence overflows on knots this close
+            # and must not warn.
+            ('{"operator": "schoenberg", "degree": 1, "knots": [0, 0, 5e-324, 1, 1]}',
+             "schoenberg(deg 1, n=3): basis violates the partition of unity "
+             "(deviation nan at x=0)"),
+            (json.dumps({"operator": "custom",
+                         "basis": {"kind": "bspline", "degree": 1, "knots": [0, 0, 0.5, 1, 1, 1]},
+                         "functionals": [{"kind": "dirac", "x": x}
+                                         for x in (0.0, 0.5, 1.0, 1.0)]}),
+             "knot 1.0 is repeated 3 times, more than degree + 1 = 2: "
+             "B-spline 3 has empty support"),
             (_hat_custom([{"kind": "dirac", "x": 0.0},
                           {"kind": "weighted-quadrature", "nodes": [0.5, 0.5000001],
                            "weights": [1.2, -0.2]}]),
@@ -762,7 +784,8 @@ class TestCli:
             "pou-tolerance-above-one", "peripheral-tolerance-above-one", "norm-tolerance-one",
             "dirac-outside-domain", "nan-dirac", "infinite-interval-bound",
             "nan-quadrature-node", "infinite-quadrature-weight", "nan-knot",
-            "knots-past-one", "custom-knots-below-zero", "negative-quadrature-weight",
+            "knots-past-one", "custom-knots-below-zero", "inner-knot-empty-support",
+            "knot-spacing-overflow", "end-knot-empty-support", "negative-quadrature-weight",
             "negative-seed", "boolean-tolerance", "boolean-dirac", "huge-integer-dirac",
             "huge-integer-node", "string-node", "hat-slope-overflow",
             "custom-hat-slope-overflow", "boolean-version", "huge-integer-tolerance",
@@ -858,11 +881,22 @@ class TestCli:
 
     def test_import_leaves_scipy_optimize_unloaded(self, tmp_path):
         # A Bernstein (reachability of the support), a Kantorovich (positive
-        # band, dense spectrum) and a hat-Dirac config (diagonal) need no
-        # scipy; a hat average needs scipy.linalg's tridiagonal solver.
+        # band, dense spectrum), a hat-Dirac config (diagonal), a cubic
+        # Schoenberg (banded) and cubic B-splines read by interval averages
+        # (dense) need no scipy; a quadratic Schoenberg and a hat average
+        # need scipy.linalg's tridiagonal solver, and B-splines never need
+        # scipy.interpolate.
+        bspline_averages = json.dumps({
+            "operator": "custom",
+            "basis": {"kind": "bspline", "degree": 3, "knots": [0.0] * 4 + [0.4] + [1.0] * 4},
+            "functionals": [{"kind": "interval-average", "a": a, "b": a + 0.2}
+                            for a in (0.0, 0.2, 0.4, 0.6, 0.8)]})
         paths = []
         for name, text in [("bernstein", '{"operator": "bernstein", "n": 4}'),
                            ("kantorovich", KANT2_CONFIG), ("hat-dirac", HAT_DIRAC_300_CONFIG),
+                           ("schoenberg-cubic", SCHOENBERG_CUBIC_80_CONFIG),
+                           ("bspline-averages", bspline_averages),
+                           ("schoenberg-quadratic", SCHOENBERG_QUADRATIC_CONFIG),
                            ("hat-average", HAT_AVERAGE_160_CONFIG)]:
             paths.append(tmp_path / f"{name}.json")
             paths[-1].write_text(text, encoding="utf-8")
@@ -872,8 +906,9 @@ class TestCli:
                              env=env, capture_output=True, text=True, timeout=120)
         assert (run.returncode, run.stderr) == (0, "")
         assert json.loads(run.stdout) == {
-            "import": [[], False], "analyze": [[0, 0, 0], []],
-            "hat-average": [0, True, False, False]}
+            "import": [[], False], "analyze": [[0, 0, 0, 0, 0], []],
+            "schoenberg-quadratic": [0, True, False],
+            "hat-average": [0, True, False, False, False]}
 
     def test_verify_checks_only(self, tmp_path, capsys):
         config = tmp_path / "config.json"
