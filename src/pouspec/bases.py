@@ -3,10 +3,15 @@
 Three constructions are provided: Bernstein polynomials, clamped B-splines
 and piecewise-linear hat functions. Each returns a :class:`BasisSystem`, an
 ordered family ``e_1 .. e_n`` of nonnegative functions on [0, 1] whose
-pointwise sum is the constant one there. Each kind has one evaluator of the
-whole family: the binomial formula (Bernstein), de Boor's recurrence over
-all points at once (B-spline) or one binary search writing two nonzero rows
-per point (hat). The module imports no scipy.
+pointwise sum is the constant one there. Each kind has one evaluator, which
+returns its local form: per point, the index of the first of the ``width``
+functions that may be nonzero there and their values. That is two hats from
+one binary search (hat), ``degree + 1`` B-splines from de Boor's recurrence
+over all points at once (B-spline), or every function from index 0 by the
+binomial formula (Bernstein). :meth:`BasisSystem.values` scatters the local
+form into the dense ``(n, points)`` array, and
+:meth:`BasisSystem.local` returns it as it is, for callers that need only
+the nonzero values. The module imports no scipy.
 """
 
 from __future__ import annotations
@@ -31,25 +36,62 @@ DEFAULT_GRID_POINTS = 1001
 
 @dataclass(frozen=True)
 class BasisSystem:
-    """Ordered family of ``n`` basis functions on [0, 1]. ``evaluate`` maps a
-    1-D array of points already checked against [0, 1] (so within
-    ``DOMAIN_SLACK`` of it) to the whole family's values, shape ``(n, len(xs))``."""
+    """Ordered family of ``n`` basis functions on [0, 1], at most ``width``
+    of which (``n`` when not given) are nonzero at any point.
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
+    ``evaluate`` maps a 1-D array of points already checked against [0, 1]
+    (so within ``DOMAIN_SLACK`` of it) to their local form ``(first,
+    values)``: per point the index ``first`` of its first function, with
+    ``first + width <= n``, and the values of its ``width`` functions from
+    there, shape ``(width, len(xs))``. When ``width`` is ``n``, every point
+    may start at 0 and ``evaluate`` return the values alone. ``point_major``
+    sets the layout of the dense values of a local form: the transpose of a
+    ``(points, n)`` array, else a C-ordered ``(n, points)`` one. Summing
+    over them downstream follows the layout, so it sets the roundings."""
+
+    evaluate: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]]
     n: int
     name: str
+    width: int | None = None
+    point_major: bool = False
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("basis system needs at least one function")
+        if self.width is None:
+            object.__setattr__(self, "width", self.n)
+
+    def _points(self, xs: Sequence[float] | np.ndarray) -> np.ndarray:
+        arr = np.atleast_1d(np.asarray(xs, dtype=float))
+        if arr.size:
+            require_in_domain(arr, self.name)
+        return arr
+
+    def local(self, xs: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The local form ``(first, values)`` on ``xs``: ``values`` has shape
+        ``(width, len(xs))``, and row ``c`` of column ``i`` is function
+        ``first[i] + c`` at ``xs[i]``."""
+        arr = self._points(xs)
+        form = self.evaluate(arr)
+        return form if isinstance(form, tuple) else (np.zeros(arr.size, dtype=np.intp), form)
 
     def values(self, xs: Sequence[float] | np.ndarray) -> np.ndarray:
         """Evaluate all basis functions on ``xs``; shape ``(n, len(xs))``."""
-        arr = np.atleast_1d(np.asarray(xs, dtype=float))
+        arr = self._points(xs)
         if arr.size == 0:
             return np.empty((self.n, 0))
-        require_in_domain(arr, self.name)
-        return self.evaluate(arr)
+        form = self.evaluate(arr)
+        if not isinstance(form, tuple):
+            return form
+        first, local = form
+        points = np.arange(arr.size)
+        if self.point_major:
+            out = np.zeros((arr.size, self.n))
+            out[points[:, None], first[:, None] + np.arange(self.width)] = local.T
+            return out.T
+        out = np.zeros((self.n, arr.size))
+        out[first + np.arange(self.width)[:, None], points] = local
+        return out
 
     def __repr__(self) -> str:
         return f"BasisSystem({self.name!r}, n={self.n})"
@@ -92,11 +134,14 @@ def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
 
     Values come from de Boor's recurrence (de Boor, *A Practical Guide to
     Splines*, ch. X), run over all points at once in the order of operations
-    of scipy's ``_deBoor_D``, so they equal scipy's
-    ``BSpline.design_matrix(x, t, degree).toarray().T`` bit for bit. The
-    result is the transpose of a ``(points, n)`` array, the Fortran-ordered
-    layout that expression has too: summing over it downstream keeps the
-    same order, and so the same roundings.
+    of scipy's ``_deBoor_D``: the local form is the ``degree + 1`` B-splines
+    from ``ell - degree`` of each point's span ``ell``. The dense values
+    equal scipy's ``BSpline.design_matrix(x, t, degree).toarray().T`` bit
+    for bit, in the same layout, the transpose of a ``(points, n)`` array:
+    summing over them downstream keeps the same order, and so the same
+    roundings. Every divisor of the recurrence is at least one positive gap
+    between consecutive knots, so from degree 1 on a gap whose reciprocal
+    overflows is a :class:`ConfigError` naming its two knots.
     """
     t = np.array(knots, dtype=float)
     if degree < 0:
@@ -118,14 +163,21 @@ def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
         raise ConfigError(f"knot {float(knot)!r} is repeated {np.count_nonzero(t == knot)} "
                           f"times, more than degree + 1 = {degree + 1}: "
                           f"B-spline {int(empty[0])} has empty support")
+    # Degree 0 divides by nothing.
+    spaced = np.flatnonzero(t[1:] > t[:-1]) if degree else np.empty(0, dtype=np.intp)
+    with np.errstate(over="ignore"):
+        overflows = ~np.isfinite(1.0 / (t[spaced + 1] - t[spaced]))
+    if overflows.any():
+        k = spaced[np.argmax(overflows)]
+        raise ConfigError(f"knots {float(t[k])!r} and {float(t[k + 1])!r} are too close: "
+                          "the reciprocal of their spacing overflows")
     t.flags.writeable = False
     n = t.size - degree - 1
     # Knot offsets from a point's span ell that the recurrence reads:
     # t[ell - degree + 1] .. t[ell + degree].
     reach = np.arange(1 - degree, degree + 1)[:, None]
-    columns = np.arange(degree + 1)
 
-    def evaluate(xs: np.ndarray) -> np.ndarray:
+    def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Points within DOMAIN_SLACK outside [0, 1] pass the domain check.
         # Adding 0.0 turns -0.0 into 0.0, so no value is a negative zero, as
         # none is in the design matrix, whose toarray adds each to a zero.
@@ -135,25 +187,21 @@ def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
         near = t[ell + reach]
         h = np.empty((degree + 1, x.size))
         h[0] = 1.0
-        # Knots closer than 1 / DBL_MAX overflow w to inf, as in the compiled
-        # recurrence, and the partition-of-unity check reports the result.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1, degree + 1):
-                hh = h[:j].copy()
-                h[0] = 0.0
-                for q in range(1, j + 1):
-                    # xb > xa: the span ell is nonempty, as no knot repeats
-                    # more than degree + 1 times.
-                    xb = near[q + degree - 1]
-                    xa = near[q - j + degree - 1]
-                    w = hh[q - 1] / (xb - xa)
-                    h[q - 1] += w * (xb - x)
-                    h[q] = w * (x - xa)
-        out = np.zeros((x.size, n))
-        out[np.arange(x.size)[:, None], (ell - degree)[:, None] + columns] = h.T
-        return out.T
+        for j in range(1, degree + 1):
+            hh = h[:j].copy()
+            h[0] = 0.0
+            for q in range(1, j + 1):
+                # xb - xa >= t[ell + 1] - t[ell] > 0: the span ell is
+                # nonempty, as no knot repeats more than degree + 1 times.
+                xb = near[q + degree - 1]
+                xa = near[q - j + degree - 1]
+                w = hh[q - 1] / (xb - xa)
+                h[q - 1] += w * (xb - x)
+                h[q] = w * (x - xa)
+        return ell - degree, h
 
-    return BasisSystem(evaluate, n, name=f"bspline(deg {degree}, {t.size} knots)")
+    return BasisSystem(evaluate, n, name=f"bspline(deg {degree}, {t.size} knots)",
+                       width=degree + 1, point_major=True)
 
 
 # --------------------------------------------------------------------------
@@ -164,7 +212,8 @@ def make_hat_basis(nodes: Sequence[float]) -> BasisSystem:
     """Piecewise-linear nodal basis over a partition of [0, 1].
 
     One hat per node, ``e_k(x_j) = delta_kj``; the partition of unity is
-    exact since linear interpolation reproduces the constant one. Row ``k``
+    exact since linear interpolation reproduces the constant one. The local
+    form is the two hats of each point's cell. Row ``k`` of the dense values
     equals ``np.interp`` of the ``k``-th unit vector bit for bit, at points
     within ``DOMAIN_SLACK`` outside [0, 1] too (both clamp to the ends).
     """
@@ -181,21 +230,22 @@ def make_hat_basis(nodes: Sequence[float]) -> BasisSystem:
         k = int(np.argmin(np.isfinite(slopes)))
         raise ConfigError(f"hat basis nodes {float(pts[k])!r} and {float(pts[k + 1])!r} "
                           "are too close: the slope between them overflows")
-    # x == pts[-1] lands in a cell past the last node; slope 0 there makes
-    # w = 0, so the last hat is 1 and the extra row receiving w is cut off.
-    slopes = np.append(slopes, 0.0)
+    inner = pts[1:-1]
 
-    def evaluate(xs: np.ndarray) -> np.ndarray:
+    def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.clip(xs, pts[0], pts[-1])
-        cell = np.searchsorted(pts, x, side="right") - 1
-        w = slopes[cell] * (x - pts[cell])
-        out = np.zeros((pts.size + 1, x.size))
-        cols = np.arange(x.size)
-        out[cell, cols] = 1.0 - w
-        out[cell + 1, cols] = w
-        return out[:-1]
+        # The cell pts[cell] <= x < pts[cell + 1], and the last cell at x = 1.
+        cell = np.searchsorted(inner, x, side="right")
+        local = np.empty((2, x.size))
+        w = local[1]
+        np.multiply(slopes[cell], x - pts[cell], out=w)
+        # The last node takes the last hat's 1 as it is, not as a slope
+        # times the last cell's width.
+        w[x == pts[-1]] = 1.0
+        np.subtract(1.0, w, out=local[0])
+        return cell, local
 
-    return BasisSystem(evaluate, pts.size, name=f"hat({pts.size})")
+    return BasisSystem(evaluate, pts.size, name=f"hat({pts.size})", width=2)
 
 
 # --------------------------------------------------------------------------

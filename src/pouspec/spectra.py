@@ -9,6 +9,14 @@ internally tangent to the unit circle at 1 whenever its diagonal entry is
 positive. Zero diagonal entries void that tangency argument; the classifier
 reports them explicitly instead of asserting the peripheral statement.
 
+The matrix is assembled in one of two forms, chosen by the basis' width,
+the most functions nonzero at a point. On a hat or B-spline basis each
+node's few nonzero values are added into their entries in node order, so
+row ``k`` is the rule's sum ``w_1 e(x_1) + w_2 e(x_2) + ...`` taken from
+left to right. On a Bernstein basis, where every function is nonzero, the
+dense values are applied block by block, and row ``k`` has the bits of
+``basis.values(x) @ w``.
+
 A diagonal matrix's eigenvalues are its entries. The others come from
 LAPACK: scipy's symmetric tridiagonal solver for a tridiagonal matrix with
 nonnegative off-diagonal products (a hat basis with cell averages,
@@ -52,7 +60,8 @@ ORACLE_MAX_DIMENSION = 30
 ORACLE_DIGITS = 40
 
 #: Most basis values (basis size times nodes) evaluated at once while the
-#: collocation matrix is assembled: 2 MB of float64.
+#: collocation matrix of a basis whose every function may be nonzero at a
+#: point is assembled: 2 MB of float64.
 MAX_BLOCK_ENTRIES = 2 ** 18
 
 
@@ -68,12 +77,15 @@ def _as_matrix(matrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CollocationMatrix:
-    """Square matrix of functional-basis pairings ``a_k(e_j)``."""
+    """Square matrix of functional-basis pairings ``a_k(e_j)``. A read-only
+    float array is held as it is, anything else as a read-only copy."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
+        arr = self.entries
+        if not (isinstance(arr, np.ndarray) and arr.dtype == float and not arr.flags.writeable):
+            arr = np.array(arr, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ConfigError(f"collocation matrix must be square, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -89,21 +101,39 @@ class CollocationMatrix:
 def build_collocation_matrix(op) -> CollocationMatrix:
     """Assemble ``M[k][j] = a_k(e_j)`` from the operator's joined rule.
 
-    The basis is evaluated once per block of whole functionals on their
-    joined nodes (:meth:`~pouspec.functionals.Functionals.blocks`), each
-    block holding at most ``MAX_BLOCK_ENTRIES`` values (a functional larger
-    than that is a block of its own). Each run of ``q`` consecutive
-    functionals of one rule size ``r`` in a block is then one stacked
-    product ``(q, n, r) @ (q, r, 1)`` of views of the values and of the
-    joined weights. numpy runs it as one matrix-vector product per
-    functional, with the same arguments as the row's own ``values[:,
-    s_k:e_k] @ weights[s_k:e_k]``, so row ``k`` has the bits of
-    ``basis.values(x) @ w`` for ``x, w = op.functionals.rule(k)``.
+    On a basis with fewer than ``n`` functions nonzero at a point (hat,
+    B-spline), the basis' local form on all joined nodes at once
+    (:meth:`~pouspec.bases.BasisSystem.local`) gives each node's ``width``
+    values, and one ``np.bincount`` adds each product ``w_i e_j(x_i)`` into
+    its entry in node order: row ``k`` has the bits of the sum ``((0 + w_1
+    e_j(x_1)) + w_2 e_j(x_2)) + ...`` over the rule ``x, w =
+    op.functionals.rule(k)``, so a Dirac row holds the basis values as
+    they are. No dense array of the basis on the nodes is formed.
+
+    On any other basis (Bernstein), the basis is evaluated once per block
+    of whole functionals on their joined nodes
+    (:meth:`~pouspec.functionals.Functionals.blocks`), each block holding
+    at most ``MAX_BLOCK_ENTRIES`` values (a functional larger than that is
+    a block of its own). Each run of ``q`` consecutive functionals of one
+    rule size ``r`` in a block is then one stacked product ``(q, n, r) @
+    (q, r, 1)`` of views of the values and of the joined weights. numpy
+    runs it as one matrix-vector product per functional, with the same
+    arguments as the row's own ``values[:, s_k:e_k] @ weights[s_k:e_k]``,
+    so row ``k`` has the bits of ``basis.values(x) @ w``.
+
     Every node lies in [0, 1], as :class:`~pouspec.operators.OperatorSpec`
-    guarantees, so no block can fail its domain test."""
-    n = op.basis.n
+    guarantees, so no evaluation can fail its domain test."""
+    n, width = op.basis.n, op.basis.width
     weights, starts = op.functionals.weights, op.functionals.starts
     sizes = np.diff(starts, append=weights.size)
+    if width < n:
+        first, local = op.basis.local(op.functionals.nodes)
+        # Entry index of each node's first value, row by row, then one
+        # column per value: node-major, so bincount adds in node order.
+        slots = (np.repeat(np.arange(0, n * n, n), sizes) + first)[:, None] + np.arange(width)
+        entries = np.bincount(slots.ravel(), (local * weights).T.ravel(), n * n).reshape(n, n)
+        entries.flags.writeable = False
+        return CollocationMatrix(entries)
     # The functionals whose rule size differs from the one before.
     changes = np.flatnonzero(np.diff(sizes)) + 1
     entries = np.empty((n, n))
@@ -115,6 +145,7 @@ def build_collocation_matrix(op) -> CollocationMatrix:
             q, r, s = end - k, int(sizes[k]), starts[k]
             rows = values[:, s - lo:s - lo + q * r].reshape(n, q, r).transpose(1, 0, 2)
             entries[k:end] = (rows @ weights[s:s + q * r].reshape(q, r, 1))[:, :, 0]
+    entries.flags.writeable = False
     return CollocationMatrix(entries)
 
 

@@ -303,8 +303,16 @@ def hat_values(pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def collocation_rowwise(op) -> np.ndarray:
     """Collocation matrix one row at a time, each row from its own basis
-    evaluation: ``basis.values(nodes_k) @ weights_k`` for each rule."""
-    return np.vstack([op.basis.values(x) @ w for x, w in rules(op.functionals)])
+    evaluation: ``basis.values(nodes_k) @ weights_k`` for each rule, or, on
+    a basis with fewer than ``n`` functions nonzero at a point, the sum of
+    ``w_i e(x_i)`` over the rule in node order, starting from zero."""
+    if op.basis.width == op.n:
+        return np.vstack([op.basis.values(x) @ w for x, w in rules(op.functionals)])
+    rows = np.zeros((op.n, op.n))
+    for row, (x, w) in zip(rows, rules(op.functionals)):
+        for column, weight in zip(op.basis.values(x).T, w):
+            row += weight * column
+    return rows
 
 
 def dirac_rule_one_by_one(x: float) -> tuple[np.ndarray, np.ndarray, str]:

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import numpy.testing as nptest
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import BSpline
 
 from helpers import (bernstein_value, bspline_value, clamped_knots, hat_values,
@@ -133,16 +133,33 @@ class TestBSpline:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(clamped_knots_and_points())
-    @example((np.array([0.0, 0.0, 5e-324, 1.0, 1.0]), 1, np.array([-0.0, 5e-324, 0.5, 1.0])))
     def test_matches_scipy_design_matrix(self, case):
         # Same values, negative zeros and layout as scipy's compiled
-        # recurrence; knots closer than 1 / DBL_MAX give the same inf and nan.
+        # recurrence. Knots too close for it are rejected, and only those:
+        # the points include every knot, so scipy overflows on them.
         knots, degree, xs = case
-        values = make_bspline_basis(knots, degree).values(xs)
         expected = BSpline.design_matrix(np.clip(xs, 0.0, 1.0), knots, degree).toarray().T
-        assert np.array_equal(values, expected, equal_nan=True)
+        try:
+            basis = make_bspline_basis(knots, degree)
+        except ConfigError as error:
+            assert "too close" in str(error) and not np.isfinite(expected).all()
+            return
+        values = basis.values(xs)
+        assert np.array_equal(values, expected)
         assert np.array_equal(np.signbit(values), np.signbit(expected))
         assert values.flags.f_contiguous == expected.flags.f_contiguous
+
+    @pytest.mark.parametrize("knots, degree, message", [
+        ([0, 0, 5e-324, 1, 1], 1, "knots 0.0 and 5e-324 are too close"),
+        ([0, 0, 0, 1e-300, 1.0000000000000002e-300, 1, 1, 1], 2,
+         "knots 1e-300 and 1.0000000000000002e-300 are too close"),
+    ], ids=["at-zero", "interior"])
+    def test_rejects_spacing_whose_reciprocal_overflows(self, knots, degree, message):
+        # Every divisor of de Boor's recurrence is at least one positive gap
+        # between consecutive knots; knots that close overflowed it to inf.
+        with pytest.raises(ConfigError, match=re.escape(message) + ": the reciprocal of "
+                           "their spacing overflows$"):
+            make_bspline_basis(knots, degree)
 
     @pytest.mark.parametrize("knots, degree, message", [
         ([0, 0, 0, 0.5, 0.5, 0.5, 0.5, 1, 1, 1], 2,

@@ -699,11 +699,9 @@ class TestCli:
              '"knots": [0, 0, 0, 0.5, 0.5, 0.5, 0.5, 1, 1, 1]}',
              "knot 0.5 is repeated 4 times, more than degree + 1 = 3: "
              "B-spline 3 has empty support"),
-            # One line: de Boor's recurrence overflows on knots this close
-            # and must not warn.
+            # De Boor's recurrence would overflow on knots this close.
             ('{"operator": "schoenberg", "degree": 1, "knots": [0, 0, 5e-324, 1, 1]}',
-             "schoenberg(deg 1, n=3): basis violates the partition of unity "
-             "(deviation nan at x=0)"),
+             "knots 0.0 and 5e-324 are too close: the reciprocal of their spacing overflows"),
             (json.dumps({"operator": "custom",
                          "basis": {"kind": "bspline", "degree": 1, "knots": [0, 0, 0.5, 1, 1, 1]},
                          "functionals": [{"kind": "dirac", "x": x}

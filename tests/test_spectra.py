@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from helpers import (average, bernstein_eigenvalue_oracle, bernstein_value, clam
                      in_order, iterate_limit_dense, kantorovich_eigenvalue_oracle,
                      kantorovich_matrix_exact, kantorovich_matrix_oracle, quadrature,
                      random_breakpoints, random_stochastic, rules, sort_eigenvalues_by_key,
-                     well_formed_configs)
+                     unchecked_operator, well_formed_configs)
 
 import pouspec
 from pouspec import spectra
@@ -189,6 +190,10 @@ class TestBlockAssembly:
 
         monkeypatch.setattr(BasisSystem, "values", counted)
         build_collocation_matrix(op)
+        if op.basis.width < op.n:
+            # A local basis forms no dense values on the nodes, whatever the cap.
+            assert sizes == []
+            return
         stops = np.append(op.functionals.starts[1:], op.functionals.nodes.size)
         bounds = np.cumsum([0] + sizes)
         assert bounds[-1] == op.functionals.nodes.size
@@ -200,6 +205,119 @@ class TestBlockAssembly:
             assert (hi - lo) * op.n <= limit or rows == 1
             following = stops[stops > hi]
             assert following.size == 0 or (following[0] - lo) * op.n > limit
+
+
+def _gamma(m: int) -> Fraction:
+    """Higham's ``gamma_m = m u / (1 - m u)``, ``u = 2**-53``."""
+    mu = Fraction(m, 2 ** 53)
+    return mu / (1 - mu)
+
+
+def _hat_exact(pts: list[Fraction], j: int, x: Fraction) -> Fraction:
+    """Hat ``j`` on the nodes ``pts`` by linear interpolation."""
+    if j > 0 and pts[j - 1] <= x <= pts[j]:
+        return (x - pts[j - 1]) / (pts[j] - pts[j - 1])
+    if j + 1 < len(pts) and pts[j] <= x <= pts[j + 1]:
+        return (pts[j + 1] - x) / (pts[j + 1] - pts[j])
+    return Fraction(0)
+
+
+def _bspline_exact(t: list[Fraction], i: int, degree: int, x: Fraction) -> Fraction:
+    """B-spline ``N[i, degree]`` by the Cox-de Boor recursion. Spans are
+    closed on the left, and the last nonempty one also on the right."""
+    if degree == 0:
+        last = t[i + 1] == t[-1] and t[i] < t[i + 1]
+        return Fraction(int(t[i] <= x < t[i + 1] or (last and x == t[-1])))
+    out = Fraction(0)
+    if t[i + degree] > t[i]:
+        out += (x - t[i]) / (t[i + degree] - t[i]) * _bspline_exact(t, i, degree - 1, x)
+    if t[i + degree + 1] > t[i + 1]:
+        out += ((t[i + degree + 1] - x) / (t[i + degree + 1] - t[i + 1])
+                * _bspline_exact(t, i + 1, degree - 1, x))
+    return out
+
+
+def _special_points_operator(basis, breakpoints: list[float]):
+    """``basis`` with ``basis.n`` functionals that cycle through a Dirac
+    functional, an interval average and a weighted quadrature, each placed
+    on the breakpoints, 0 and 1 where it can: Dirac functionals at every
+    breakpoint in turn, averages between consecutive breakpoints and over
+    [0, 1], and rules of 3 to 6 nodes mixing breakpoints, 0, 1 and
+    uniform points."""
+    rng = np.random.default_rng(basis.n)
+    funcs = []
+    for k in range(basis.n):
+        if k % 3 == 0:
+            funcs.append(dirac(breakpoints[k // 3 % len(breakpoints)]))
+        elif k % 3 == 1:
+            lo = k // 3 % len(breakpoints)
+            funcs.append(average(breakpoints[lo], breakpoints[lo + 1])
+                         if lo + 1 < len(breakpoints) else average(0.0, 1.0))
+        else:
+            size = 3 + k % 4
+            xs = np.concatenate((rng.choice(breakpoints, size - 1), rng.uniform(size=1)))
+            funcs.append(quadrature(xs, rng.dirichlet(np.ones(size))))
+    return unchecked_operator(basis, in_order(*funcs))
+
+
+#: ``(basis, breakpoints, exact, error)``: ``exact(j, x)`` is basis
+#: function ``j`` at ``x``, and ``error(j, x)`` bounds the distance of the
+#: evaluator's value from it. It is relative for de Boor's recurrence, whose
+#: terms are all nonnegative (five roundings per degree), and absolute on a
+#: hat's cells, where the left hat's ``1 - w`` cancels.
+LOCAL_EXACT_CASES = {
+    "hat": lambda: _hat_case([0.0, 0.3, 0.55, 0.8, 1.0]),
+    "hat-irregular": lambda: _hat_case(
+        random_breakpoints(np.random.default_rng(9), interior=7).tolist()),
+    **{f"bspline-{degree}": (lambda degree=degree: _bspline_case(
+        [0.0, 0.2, 0.45, 0.7, 1.0], degree)) for degree in range(4)},
+    # 0.45 repeated degree + 1 times: the B-splines break there.
+    **{f"bspline-{degree}-repeated": (lambda degree=degree: _bspline_case(
+        [0.0, 0.2] + [0.45] * (degree + 1) + [0.7, 1.0], degree)) for degree in range(1, 4)},
+}
+
+
+def _hat_case(pts: list[float]):
+    exact = [Fraction(p) for p in pts]
+
+    def error(j: int, x: Fraction) -> Fraction:
+        inside = exact[max(j - 1, 0)] <= x <= exact[min(j + 1, len(pts) - 1)]
+        return _gamma(5) if inside else Fraction(0)
+
+    return make_hat_basis(pts), pts, lambda j, x: _hat_exact(exact, j, x), error
+
+
+def _bspline_case(interior: list[float], degree: int):
+    """Clamped knots on ``interior``, from 0 to 1, interior knots kept as
+    repeated."""
+    knots = [0.0] * degree + interior + [1.0] * degree
+    exact = [Fraction(float(t)) for t in knots]
+
+    def value(j: int, x: Fraction) -> Fraction:
+        return _bspline_exact(exact, j, degree, x)
+
+    return (make_bspline_basis(knots, degree), sorted(set(interior)), value,
+            lambda j, x: _gamma(5 * degree) * value(j, x))
+
+
+class TestLocalAssemblyError:
+    @pytest.mark.parametrize("case", LOCAL_EXACT_CASES)
+    def test_entries_within_rounding_of_the_exact_rule_sum(self, case):
+        # Each product w_i e_j(x_i) and each of the r - 1 additions in node
+        # order rounds once, so an entry is within gamma_r sum |w_i e_j(x_i)|
+        # of the rule's sum over the evaluator's values, and those are
+        # within error(j, x_i) of the exact ones.
+        basis, breakpoints, exact, error = LOCAL_EXACT_CASES[case]()
+        assert basis.width < basis.n
+        op = _special_points_operator(basis, breakpoints)
+        entries = build_collocation_matrix(op).entries
+        for k, (xs, ws) in enumerate(rules(op.functionals)):
+            rule = [(Fraction(x), Fraction(w)) for x, w in zip(xs, ws)]
+            gamma = _gamma(len(rule))
+            for j in range(basis.n):
+                total = sum(w * exact(j, x) for x, w in rule)
+                bound = gamma * total + (1 + gamma) * sum(w * error(j, x) for x, w in rule)
+                assert abs(Fraction(entries[k, j]) - total) <= bound, (k, j)
 
 
 class TestRowStochastic:
