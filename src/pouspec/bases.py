@@ -8,10 +8,11 @@ returns its local form: per point, the index of the first of the ``width``
 functions that may be nonzero there and their values. That is two hats from
 one binary search (hat), ``degree + 1`` B-splines from de Boor's recurrence
 over all points at once (B-spline), or every function from index 0 by the
-binomial formula (Bernstein). :meth:`BasisSystem.values` scatters the local
-form into the dense ``(n, points)`` array, and
-:meth:`BasisSystem.local` returns it as it is, for callers that need only
-the nonzero values. The module imports no scipy.
+binomial formula (Bernstein). :meth:`BasisSystem.local` is the one way in:
+it checks the points against [0, 1], clamps them to it once and returns the
+evaluator's local form, for callers that need only the nonzero values.
+:meth:`BasisSystem.values` scatters that form into the dense ``(n,
+points)`` array. The module imports no scipy.
 """
 
 from __future__ import annotations
@@ -37,59 +38,51 @@ DEFAULT_GRID_POINTS = 1001
 @dataclass(frozen=True)
 class BasisSystem:
     """Ordered family of ``n`` basis functions on [0, 1], at most ``width``
-    of which (``n`` when not given) are nonzero at any point.
+    of which are nonzero at any point.
 
-    ``evaluate`` maps a 1-D array of points already checked against [0, 1]
-    (so within ``DOMAIN_SLACK`` of it) to their local form ``(first,
-    values)``: per point the index ``first`` of its first function, with
-    ``first + width <= n``, and the values of its ``width`` functions from
-    there, shape ``(width, len(xs))``. When ``width`` is ``n``, every point
-    may start at 0 and ``evaluate`` return the values alone. ``point_major``
-    sets the layout of the dense values of a local form: the transpose of a
-    ``(points, n)`` array, else a C-ordered ``(n, points)`` one. Summing
-    over them downstream follows the layout, so it sets the roundings."""
+    ``evaluate`` maps a 1-D array of points in [0, 1] to their local form
+    ``(first, values)``: per point the index ``first`` of its first
+    function, with ``first + width <= n``, and the values of its ``width``
+    functions from there, shape ``(width, len(xs))``. It is called only
+    through :meth:`local`, which checks the points and clamps them to
+    [0, 1], so it clamps nothing itself. ``point_major`` sets the layout of
+    the dense values: the transpose of a ``(points, n)`` array, else a
+    C-ordered ``(n, points)`` one. Summing over them downstream follows the
+    layout, so it sets the roundings."""
 
-    evaluate: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]]
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     n: int
     name: str
-    width: int | None = None
+    width: int
     point_major: bool = False
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("basis system needs at least one function")
-        if self.width is None:
-            object.__setattr__(self, "width", self.n)
-
-    def _points(self, xs: Sequence[float] | np.ndarray) -> np.ndarray:
-        arr = np.atleast_1d(np.asarray(xs, dtype=float))
-        if arr.size:
-            require_in_domain(arr, self.name)
-        return arr
 
     def local(self, xs: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The local form ``(first, values)`` on ``xs``: ``values`` has shape
         ``(width, len(xs))``, and row ``c`` of column ``i`` is function
-        ``first[i] + c`` at ``xs[i]``."""
-        arr = self._points(xs)
-        form = self.evaluate(arr)
-        return form if isinstance(form, tuple) else (np.zeros(arr.size, dtype=np.intp), form)
+        ``first[i] + c`` at ``xs[i]``. Points within ``DOMAIN_SLACK`` outside
+        [0, 1] pass the domain check and are evaluated at its nearest end;
+        adding 0.0 turns -0.0 into 0.0, so no point is a negative zero."""
+        arr = np.atleast_1d(np.asarray(xs, dtype=float))
+        require_in_domain(arr, self.name)
+        return self.evaluate(np.clip(arr, 0.0, 1.0) + 0.0)
 
     def values(self, xs: Sequence[float] | np.ndarray) -> np.ndarray:
         """Evaluate all basis functions on ``xs``; shape ``(n, len(xs))``."""
-        arr = self._points(xs)
-        if arr.size == 0:
-            return np.empty((self.n, 0))
-        form = self.evaluate(arr)
-        if not isinstance(form, tuple):
-            return form
-        first, local = form
-        points = np.arange(arr.size)
+        first, local = self.local(xs)
+        # Values of every function from index 0 are already dense, and in
+        # the C layout; a point-major basis takes its own layout below.
+        if self.width == self.n and not self.point_major:
+            return local
+        points = np.arange(first.size)
         if self.point_major:
-            out = np.zeros((arr.size, self.n))
+            out = np.zeros((first.size, self.n))
             out[points[:, None], first[:, None] + np.arange(self.width)] = local.T
             return out.T
-        out = np.zeros((self.n, arr.size))
+        out = np.zeros((self.n, first.size))
         out[first + np.arange(self.width)[:, None], points] = local
         return out
 
@@ -109,14 +102,14 @@ def make_bernstein_basis(n: int) -> BasisSystem:
         raise ConfigError(f"Bernstein degree must be >= 1, got {n}")
     binomials = [float(math.comb(n, k)) for k in range(n + 1)]
 
-    def evaluate(xs: np.ndarray) -> np.ndarray:
+    def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = np.empty((n + 1, xs.size))
         rest = 1.0 - xs
         for k, binomial in enumerate(binomials):
             out[k] = binomial * xs ** k * rest ** (n - k)
-        return out
+        return np.zeros(xs.size, dtype=np.intp), out
 
-    return BasisSystem(evaluate, n + 1, name=f"bernstein({n})")
+    return BasisSystem(evaluate, n + 1, name=f"bernstein({n})", width=n + 1)
 
 
 # --------------------------------------------------------------------------
@@ -177,11 +170,7 @@ def make_bspline_basis(knots: Sequence[float], degree: int) -> BasisSystem:
     # t[ell - degree + 1] .. t[ell + degree].
     reach = np.arange(1 - degree, degree + 1)[:, None]
 
-    def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Points within DOMAIN_SLACK outside [0, 1] pass the domain check.
-        # Adding 0.0 turns -0.0 into 0.0, so no value is a negative zero, as
-        # none is in the design matrix, whose toarray adds each to a zero.
-        x = np.clip(xs, 0.0, 1.0) + 0.0
+    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The span t[ell] <= x < t[ell + 1], and ell = n - 1 at x = 1.
         ell = np.clip(np.searchsorted(t, x, side="right") - 1, degree, n - 1)
         near = t[ell + reach]
@@ -215,7 +204,8 @@ def make_hat_basis(nodes: Sequence[float]) -> BasisSystem:
     exact since linear interpolation reproduces the constant one. The local
     form is the two hats of each point's cell. Row ``k`` of the dense values
     equals ``np.interp`` of the ``k``-th unit vector bit for bit, at points
-    within ``DOMAIN_SLACK`` outside [0, 1] too (both clamp to the ends).
+    within ``DOMAIN_SLACK`` outside [0, 1] too, which both read at the
+    nearest end, and at -0.0, which :meth:`BasisSystem.local` reads as 0.0.
     """
     pts = np.array(nodes, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
@@ -232,8 +222,7 @@ def make_hat_basis(nodes: Sequence[float]) -> BasisSystem:
                           "are too close: the slope between them overflows")
     inner = pts[1:-1]
 
-    def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.clip(xs, pts[0], pts[-1])
+    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The cell pts[cell] <= x < pts[cell + 1], and the last cell at x = 1.
         cell = np.searchsorted(inner, x, side="right")
         local = np.empty((2, x.size))

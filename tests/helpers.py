@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
+from pouspec.bases import BasisSystem
 from pouspec.checks import CheckResult
 from pouspec.errors import ConfigError
 from pouspec.functionals import (AVERAGE, DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
@@ -90,6 +91,13 @@ def unchecked_operator(basis, functionals: Functionals, name: str = "operator"):
     weights, a basis off the partition of unity), for failure-path tests:
     the ``basis``, ``functionals``, ``n`` and ``name`` that the checks read."""
     return SimpleNamespace(basis=basis, functionals=functionals, n=basis.n, name=name)
+
+
+def dense_basis(dense, n: int, name: str) -> BasisSystem:
+    """A basis of ``n`` functions from ``dense``, a map from points to their
+    ``(n, points)`` values: its local form starts every point at index 0."""
+    return BasisSystem(lambda xs: (np.zeros(xs.size, dtype=np.intp), dense(xs)), n,
+                       name=name, width=n)
 
 
 def rules(functionals: Functionals) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -831,6 +839,43 @@ def output_diff_tool():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _mirrored(points: Sequence[float]) -> list[float]:
+    """``1 - x`` of each point, in reverse order."""
+    return [1.0 - x for x in reversed(points)]
+
+
+def _mirror_functional(spec: dict) -> dict:
+    if spec["kind"] == "dirac":
+        return {**spec, "x": 1.0 - spec["x"]}
+    if spec["kind"] == "interval-average":
+        return {**spec, "a": 1.0 - spec["b"], "b": 1.0 - spec["a"]}
+    return {**spec, "nodes": _mirrored(spec["nodes"]), "weights": spec["weights"][::-1]}
+
+
+def mirror_config(config: dict) -> dict:
+    """``config`` under ``x -> 1 - x``, with the basis and the functionals
+    reversed: hat nodes and B-spline knots ``1 - x`` in reverse order, a
+    Dirac at ``1 - x``, a cell ``[a, b]`` as ``[1 - b, 1 - a]`` and a
+    quadrature's nodes ``1 - x`` (nodes and weights reversed). Its matrix
+    is ``J M J``, ``J`` the reversal, up to the rounding of ``1 - x``. A
+    Bernstein basis and the catalog Bernstein and Kantorovich operators are
+    their own mirrors; every other field is kept."""
+    mirrored = dict(config)
+    if config["operator"] == "hat-dirac":
+        mirrored["nodes"] = _mirrored(config["nodes"])
+    elif config["operator"] == "schoenberg":
+        mirrored["knots"] = _mirrored(config["knots"])
+    elif config["operator"] == "custom":
+        basis = dict(config["basis"])
+        for key in ("nodes", "knots"):
+            if key in basis:
+                basis[key] = _mirrored(basis[key])
+        mirrored["basis"] = basis
+        mirrored["functionals"] = [_mirror_functional(spec)
+                                   for spec in reversed(config["functionals"])]
+    return mirrored
 
 
 def benchmark_seeds() -> list[int]:

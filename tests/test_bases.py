@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import BSpline
 
-from helpers import (bernstein_value, bspline_value, clamped_knots, hat_values,
-                     random_breakpoints)
+from helpers import (bernstein_value, bspline_value, clamped_knots, dense_basis,
+                     hat_values, random_breakpoints)
 
 from pouspec.bases import (check_nonnegativity, check_partition_of_unity,
-                           make_bernstein_basis, make_bspline_basis, make_hat_basis,
-                           BasisSystem)
+                           make_bernstein_basis, make_bspline_basis, make_hat_basis)
 from pouspec.errors import ConfigError
 from pouspec.functions import DOMAIN_SLACK
 from pouspec.operators import (bernstein_operator, estimate_operator_norm,
@@ -53,6 +52,16 @@ class TestBernstein:
             expected = [bernstein_value(n, k, x) for x in xs]
             nptest.assert_allclose(basis.values(xs)[k], expected,
                                    rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 31])
+    def test_points_in_the_slack_read_as_the_ends(self, n):
+        # Points within DOMAIN_SLACK outside [0, 1] pass the domain check
+        # and read as the nearest end, bit for bit. Read where they are,
+        # e_1(-1e-13) of degree 3 is -3e-13, below a nonnegative basis.
+        basis = make_bernstein_basis(n)
+        outside = basis.values([-1e-13, -0.0, 1 + 1e-13])
+        assert outside.tobytes() == basis.values([0.0, 0.0, 1.0]).tobytes()
+        assert not np.signbit(outside).any()
 
 
 @st.composite
@@ -208,6 +217,15 @@ class TestHatBasis:
                              [-1e-13, 1 + 1e-13]))
         nptest.assert_array_equal(make_hat_basis(pts).values(xs), hat_values(pts, xs))
 
+    def test_negative_zero_has_the_sign_bits_of_interp(self):
+        # np.interp reads -0.0 as 0.0: the right hat of the first cell is
+        # +0.0 there, not slope * -0.0.
+        pts = np.array([0.0, 0.3, 1.0])
+        xs = np.array([-0.0, 0.0])
+        values = make_hat_basis(pts).values(xs)
+        assert values.tobytes() == hat_values(pts, xs).tobytes()
+        assert not np.signbit(values).any()
+
     def test_rejects_unsorted_nodes(self):
         with pytest.raises(ConfigError):
             make_hat_basis([0.0, 0.6, 0.4, 1.0])
@@ -217,6 +235,46 @@ class TestHatBasis:
     def test_rejects_nodes_not_spanning(self):
         with pytest.raises(ConfigError):
             make_hat_basis([0.1, 0.5, 1.0])
+
+
+#: A basis of each kind and shape, with the layout of its dense values:
+#: Bernstein up to past the degree where the benchmark's high-degree
+#: workload starts, hats on two and on irregular nodes, and B-splines of
+#: degree 0-3, each also on one span, where n = degree + 1 = width.
+LOCAL_FORM_BASES = {
+    **{f"bernstein-{n}": (lambda n=n: make_bernstein_basis(n), "C") for n in (1, 10, 31)},
+    "hat-2": (lambda: make_hat_basis([0.0, 1.0]), "C"),
+    "hat-irregular": (lambda: make_hat_basis([0.0, 0.05, 0.3, 0.31, 0.9, 1.0]), "C"),
+    **{f"bspline-{degree}": (
+        lambda degree=degree: make_bspline_basis(
+            clamped_knots([0.0, 0.2, 0.5, 0.9, 1.0], degree), degree), "F")
+       for degree in range(4)},
+    **{f"bspline-{degree}-one-span": (
+        lambda degree=degree: make_bspline_basis(clamped_knots([0.0, 1.0], degree), degree),
+        "F") for degree in range(4)},
+}
+
+
+@pytest.mark.parametrize("make, layout", LOCAL_FORM_BASES.values(), ids=LOCAL_FORM_BASES)
+def test_values_scatter_the_local_form(make, layout):
+    # Every evaluator gives at most width values per point, from a first
+    # index that keeps them inside the basis; values() places them, zeros
+    # elsewhere, in the kind's layout (a B-spline's is scipy's design
+    # matrix's, also when its width is n).
+    basis = make()
+    xs = np.concatenate((np.random.default_rng(38).uniform(0, 1, 200),
+                         [0.0, -0.0, 1.0, 0.05, 0.2, 0.3, 0.31, 0.5, 0.9,
+                          -DOMAIN_SLACK, 1.0 + DOMAIN_SLACK]))
+    first, local = basis.local(xs)
+    assert first.shape == xs.shape and first.min() >= 0
+    assert (first + basis.width).max() <= basis.n
+    assert local.shape == (basis.width, xs.size)
+    expected = np.zeros((basis.n, xs.size))
+    for i, start in enumerate(first):
+        expected[start:start + basis.width, i] = local[:, i]
+    values = basis.values(xs)
+    assert values.tobytes(order="A") == np.asarray(expected, order=layout).tobytes(order="A")
+    assert values.flags[f"{layout}_CONTIGUOUS"]
 
 
 @pytest.mark.parametrize("build, message", [
@@ -258,7 +316,7 @@ class TestChecks:
 
     def test_scaled_basis_fails_with_deviation(self):
         base = make_bernstein_basis(3)
-        shrunk = BasisSystem(lambda xs: 0.9 * base.values(xs), base.n, name="shrunk")
+        shrunk = dense_basis(lambda xs: 0.9 * base.values(xs), base.n, name="shrunk")
         result = check_partition_of_unity(*_on_grid(shrunk, np.linspace(0, 1, 101)),
                                           tol=1e-12)
         assert not result.passed
@@ -276,7 +334,7 @@ class TestChecks:
         assert result.passed and result.value == 0.0
 
     def test_nonnegativity_detects_violation(self):
-        bad = BasisSystem(lambda xs: np.vstack((2 * xs - 1, 2 - 2 * xs)), 2, name="bad")
+        bad = dense_basis(lambda xs: np.vstack((2 * xs - 1, 2 - 2 * xs)), 2, name="bad")
         result = check_nonnegativity(*_on_grid(bad, np.linspace(0, 1, 101)), tol=1e-12)
         assert not result.passed
         assert result.value == pytest.approx(-1.0)

@@ -15,8 +15,8 @@ import numpy.testing as nptest
 import pytest
 
 from pouspec import operators
-from pouspec.bases import (DEFAULT_GRID_POINTS, BasisSystem, make_bernstein_basis,
-                           make_bspline_basis, make_hat_basis)
+from pouspec.bases import (DEFAULT_GRID_POINTS, make_bernstein_basis, make_bspline_basis,
+                           make_hat_basis)
 from pouspec.errors import ConfigError, DomainError
 from pouspec.functionals import (AVERAGE, check_functional_normalization, dirac_functionals,
                                  first_unnormalized, interval_average_functionals,
@@ -33,9 +33,9 @@ from pouspec.report import build_operator, parse_config
 from pouspec.spectra import build_collocation_matrix
 
 from helpers import (adjoint_pairing, assert_norm_estimate_near_oracle, average, bump,
-                     bump_breakpoints, bump_peaks, cell_integrals, clamped_knots, dirac,
-                     greville_loop, image, in_order, one, output_diff_tool, pairing,
-                     positivity_oracle, quadrature, random_breakpoints,
+                     bump_breakpoints, bump_peaks, cell_integrals, clamped_knots,
+                     dense_basis, dirac, greville_loop, image, in_order, one,
+                     output_diff_tool, pairing, positivity_oracle, quadrature, random_breakpoints,
                      random_function_oracle, rules, unchecked_operator,
                      validate_functionals_one_by_one, verify_adjoint_identity,
                      well_formed_configs, widest_gap)
@@ -64,7 +64,7 @@ class TestConstruction:
 
     def test_validation_rejects_scaled_basis(self):
         base = bernstein_operator(2)
-        shrunk = BasisSystem(lambda xs: 0.9 * base.basis.values(xs), base.basis.n,
+        shrunk = dense_basis(lambda xs: 0.9 * base.basis.values(xs), base.basis.n,
                              name="shrunk")
         with pytest.raises(ConfigError):
             OperatorSpec(shrunk, base.functionals)
@@ -393,7 +393,7 @@ def block_check_operators():
                            in_order(quadrature([0.0], [0.0]), *averages[1:]),
                            name="tied-at-zero"),
         # Alternating signs: the images are bounded without a nonnegative basis.
-        unchecked_operator(BasisSystem(lambda xs: SIGNS[:, None]
+        unchecked_operator(dense_basis(lambda xs: SIGNS[:, None]
                                        * make_bernstein_basis(7).values(xs),
                                        8, name="signed-bernstein"),
                            bernstein_operator(7).functionals, name="signed-bernstein"),
@@ -607,7 +607,7 @@ class TestConstantReproductionCheck:
 
     def test_scaled_basis_fails(self):
         base = bernstein_operator(3)
-        shrunk = BasisSystem(lambda xs: 0.99 * base.basis.values(xs), base.basis.n,
+        shrunk = dense_basis(lambda xs: 0.99 * base.basis.values(xs), base.basis.n,
                              name="shrunk")
         op = unchecked_operator(shrunk, base.functionals, name="shrunk")
         result = verify_constant_reproduction(op, GRID, op.basis.values(GRID), tol=1e-10)

@@ -206,6 +206,22 @@ class TestRunAnalyze:
         assert not report.iterates.converged
         assert exit_code_for(report) == 1
 
+    def test_bernstein_diracs_in_the_slack_read_the_ends(self):
+        # Diracs within DOMAIN_SLACK outside [0, 1] read the basis at the
+        # nearest end, so rows 0 and 3 are unit rows and both end states
+        # are closed classes, one per peripheral eigenvalue. Read where the
+        # Diracs are, row 0 was [1 + 3e-13, -3e-13, 3e-26, -1e-39], and the
+        # iterates found one closed class beside 2 peripheral eigenvalues.
+        report = run_analyze(parse_config(json.dumps({
+            "operator": "custom", "basis": {"kind": "bernstein", "n": 3},
+            "functionals": [{"kind": "dirac", "x": x}
+                            for x in (-1e-13, 1 / 3, 2 / 3, 1 + 1e-13)]})))
+        assert report.matrix.entries[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert report.matrix.entries[3].tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert report.iterates.message.startswith("converged: 2 closed class(es),")
+        assert report.spectrum.diagnostics.startswith("2 peripheral eigenvalue(s)")
+        assert exit_code_for(report) == 0
+
     def test_kantorovich1_report_values(self):
         report = run_analyze(parse_config(KANT1_CONFIG))
         nptest.assert_allclose(report.matrix.entries,
