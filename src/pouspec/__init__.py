@@ -3,7 +3,7 @@ unity: basis systems, normalized positive functionals, operator assembly,
 collocation matrices, eigensolver, Gershgorin classification, and a batch
 reporting front end."""
 
-from .bases import (BasisSystem, check_nonnegativity, check_partition_of_unity,
+from .bases import (BasisSystem, LocalForm, check_nonnegativity, check_partition_of_unity,
                     make_bernstein_basis, make_bspline_basis, make_hat_basis)
 from .checks import CheckResult
 from .errors import ConfigError, DomainError, UnsupportedSizeError

@@ -12,7 +12,15 @@ binomial formula (Bernstein). :meth:`BasisSystem.local` is the one way in:
 it checks the points against [0, 1], clamps them to it once and returns the
 evaluator's local form, for callers that need only the nonzero values.
 :meth:`BasisSystem.values` scatters that form into the dense ``(n,
-points)`` array. The module imports no scipy.
+points)`` array.
+
+:meth:`BasisSystem.on` holds the basis on a point set, such as a
+verification grid, as a :class:`LocalForm`, whose :meth:`LocalForm.combine`
+is the one routine that combines coefficient rows with it: ``Tf`` on the
+points. Below ``LOCAL_CROSSOVER`` functions per nonzero one it is the
+BLAS product with the dense values, and the form keeps them; from there on
+it adds ``width`` products per point and the form holds no dense array.
+The module imports no scipy.
 """
 
 from __future__ import annotations
@@ -33,6 +41,16 @@ TOL_POU = 1e-10
 #: Default number of verification grid points: the config's ``grid_points``
 #: default and the grid an operator's basis is validated on when built.
 DEFAULT_GRID_POINTS = 1001
+
+#: Ratio ``n / width`` from which :meth:`LocalForm.combine` adds each
+#: point's ``width`` products instead of taking the BLAS product with the
+#: dense values; a Bernstein basis (``width == n``) always takes the dense
+#: product. The local routine costs about 30 us per block of 8 trials on
+#: 1001 points whatever ``n``, the product 13 us at n = 40 and 180 us at
+#: n = 300: on one BLAS thread an analysis breaks even near 9 linear
+#: B-splines per nonzero one, 20 cubic ones and 30 hats (ROADMAP, "Where
+#: the time goes now").
+LOCAL_CROSSOVER = 20
 
 
 @dataclass(frozen=True)
@@ -72,7 +90,18 @@ class BasisSystem:
 
     def values(self, xs: Sequence[float] | np.ndarray) -> np.ndarray:
         """Evaluate all basis functions on ``xs``; shape ``(n, len(xs))``."""
+        return self._scatter(*self.local(xs))
+
+    def on(self, xs: Sequence[float] | np.ndarray) -> "LocalForm":
+        """The basis on ``xs`` for the checks, evaluated once: the local
+        form, and the dense values too below ``LOCAL_CROSSOVER``."""
         first, local = self.local(xs)
+        dense = self._scatter(first, local) if self.n < LOCAL_CROSSOVER * self.width else None
+        return LocalForm(first, local, self.n, dense)
+
+    def _scatter(self, first: np.ndarray, local: np.ndarray) -> np.ndarray:
+        """The dense ``(n, points)`` values of the local form ``(first,
+        local)``, zeros elsewhere, in the basis' layout."""
         # Values of every function from index 0 are already dense, and in
         # the C layout; a point-major basis takes its own layout below.
         if self.width == self.n and not self.point_major:
@@ -88,6 +117,57 @@ class BasisSystem:
 
     def __repr__(self) -> str:
         return f"BasisSystem({self.name!r}, n={self.n})"
+
+
+@dataclass(frozen=True)
+class LocalForm:
+    """A basis of ``n`` functions on a point set, read-only: row ``q`` of
+    ``values`` (shape ``(width, points)``) is function ``first + q`` at
+    each point, and every other function is 0 there. ``dense`` is the same
+    values scattered as :meth:`BasisSystem.values` lays them out, kept only
+    where :meth:`combine` takes the dense product, else ``None``."""
+
+    first: np.ndarray
+    values: np.ndarray
+    n: int
+    dense: np.ndarray | None = None
+
+    def __post_init__(self):
+        for arr in (self.first, self.values, self.dense):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def points(self) -> int:
+        return self.values.shape[1]
+
+    def combine(self, coeffs: np.ndarray) -> np.ndarray:
+        """``Tf`` on the points for each coefficient row: ``coeffs @ dense``,
+        over any leading axes of ``coeffs`` (last axis ``n``). Where the form
+        keeps the dense values it is that product, with its bits. Otherwise
+        each point's ``width`` products are added one ``q`` at a time,
+        ``(c[first] v[0] + c[first + 1] v[1]) + ...``, with no temporary
+        larger than the result; each row has the bits it has on its own."""
+        if self.dense is not None:
+            return coeffs @ self.dense
+        out = np.take(coeffs, self.first, axis=-1)
+        out *= self.values[0]
+        for q in range(1, self.width):
+            term = np.take(coeffs[..., q:], self.first, axis=-1)
+            term *= self.values[q]
+            out += term
+        return out
+
+    def sums(self, absolute: bool = False) -> np.ndarray:
+        """``sum_k e_k`` at each point, or ``sum_k |e_k|``: numpy's sum over
+        the functions of the dense values where the form keeps them, else of
+        the ``width`` local values."""
+        values = self.values if self.dense is None else self.dense
+        return (np.abs(values) if absolute else values).sum(axis=0)
 
 
 # --------------------------------------------------------------------------
@@ -241,26 +321,30 @@ def make_hat_basis(nodes: Sequence[float]) -> BasisSystem:
 # Verification
 # --------------------------------------------------------------------------
 
-def check_partition_of_unity(values: np.ndarray, grid: np.ndarray,
+def check_partition_of_unity(form: LocalForm, grid: np.ndarray,
                              tol: float = TOL_POU) -> CheckResult:
-    """Max deviation of ``sum_k e_k`` from one over the grid; ``values`` is
-    the basis evaluated on ``grid``, shape ``(n, len(grid))``."""
-    grid = nonempty_grid(grid, values, "partition-of-unity")
-    return CheckResult.deviation_from_one(
-        "partition_of_unity", values.sum(axis=0), grid, tol)
+    """Max deviation of ``sum_k e_k`` from one over the grid; ``form`` is
+    the basis on ``grid`` (:meth:`BasisSystem.on`)."""
+    grid = nonempty_grid(grid, form, "partition-of-unity")
+    return CheckResult.deviation_from_one("partition_of_unity", form.sums(), grid, tol)
 
 
-def check_nonnegativity(values: np.ndarray, grid: np.ndarray,
+def check_nonnegativity(form: LocalForm, grid: np.ndarray,
                         tol: float = TOL_POU) -> CheckResult:
-    """Minimum of any basis function over the grid; passes iff >= -tol.
-    ``values`` is the basis evaluated on ``grid``, shape ``(n, len(grid))``."""
-    grid = nonempty_grid(grid, values, "nonnegativity")
-    k, j = np.unravel_index(np.argmin(values), values.shape)
+    """Least value over the grid of a basis function that may be nonzero
+    there (every other one is 0); passes iff >= -tol. ``form`` is the basis
+    on ``grid`` (:meth:`BasisSystem.on`). Of equal values the one of the
+    lowest function, then of the first point, is reported."""
+    grid = nonempty_grid(grid, form, "nonnegativity")
+    least = form.values.min()
+    q, j = np.nonzero(np.isnan(form.values) if np.isnan(least) else form.values == least)
+    k = form.first[j] + q
+    at = np.lexsort((j, k))[0]
     return CheckResult(
         name="nonnegativity",
-        passed=bool(values[k, j] >= -tol),
-        value=float(values[k, j]),
+        passed=bool(least >= -tol),
+        value=float(least),
         threshold=tol,
-        worst_x=float(grid[j]),
-        detail=f"attained by basis function {int(k)}",
+        worst_x=float(grid[j[at]]),
+        detail=f"attained by basis function {int(k[at])}",
     )

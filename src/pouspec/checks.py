@@ -9,17 +9,18 @@ import numpy as np
 from .errors import ConfigError
 
 
-def nonempty_grid(grid, values: np.ndarray, check: str) -> np.ndarray:
+def nonempty_grid(grid, form, check: str) -> np.ndarray:
     """``grid`` as a float array, or :class:`ConfigError` naming ``check``
-    when it holds no point or when ``values``, the basis evaluated on it, has
-    not one column per point. Every check that measures on a grid calls this
-    first."""
+    when it holds no point or when ``form``, the basis' local form on it
+    (:class:`~pouspec.bases.LocalForm`), has not one column per point.
+    Every check that measures on a grid calls this first."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ConfigError(f"{check} check needs a non-empty grid")
-    if np.ndim(values) != 2 or np.shape(values)[1] != grid.size:
-        raise ConfigError(f"{check} check needs basis values of shape (n, {grid.size}), "
-                          f"got {np.shape(values)}")
+    if form.points != grid.size:
+        raise ConfigError(f"{check} check needs the basis' local form on {grid.size} "
+                          f"points, of shape (width, {grid.size}), got "
+                          f"{form.values.shape}")
     return grid
 
 

@@ -16,8 +16,17 @@ every functional in one pass over the joined rule
 helpers measure, on a grid the caller passes in and with seeded random
 test functions: constant reproduction, positivity, the unit operator norm
 and an explicit nonzero kernel witness. Each takes the grid and
-``values``, the basis evaluated on it once by the caller (shape ``(n,
-len(grid))``); none evaluates the basis itself. The kernel witness
+``form``, the basis on it as the caller evaluated it once
+(:meth:`~pouspec.bases.BasisSystem.on`), a
+:class:`~pouspec.bases.LocalForm`: per point the index of the first of the
+``width`` functions that may be nonzero there and their values. None
+evaluates the basis itself, and every ``Tf`` on the grid is one call of
+:meth:`~pouspec.bases.LocalForm.combine`, which takes the BLAS product
+with the dense values below ``LOCAL_CROSSOVER`` functions per nonzero one
+(always on a Bernstein basis) and adds each point's ``width`` products
+from there on (hat and B-spline bases with many functions), so that no
+check multiplies through the ``n - width`` zeros at each point. The
+kernel witness
 (:func:`kernel_witness_report`, one routine) is an odd bump on the widest
 gap between {0, 1}, the joined nodes and the cell ends of the averages,
 evaluated once, on the grid, its peaks and the joined nodes together. It
@@ -50,11 +59,13 @@ on the grid only for the trials whose bound can still change the result,
 in bound order, in blocks, and stops at the first that cannot; a skipped
 trial provably cannot reach, or for positivity tie, the reported value.
 Positivity takes each block as one stacked product (one matrix-vector
-product per row), so each image, and its result, has the bits of
-``coefficient_vector(op, f) @ values`` taken one function at a time; the
+product per row on the dense product), so each image, and its result,
+has the bits of ``form.combine(coefficient_vector(op, f))`` taken one
+function at a time; the
 trial it reports is named from its parameters
 (:meth:`~pouspec.functions.DrawnTestFunctions.name`). The norm check
-takes each block as one matrix product. Its estimate is the same
+takes each block as one matrix product on the dense product. Its
+estimate is the same
 statistic rounded differently: within the rounding bound that
 ``tests/helpers.py::norm_estimate_bound`` derives of the one-at-a-time
 estimate, and at most 3 units in the last place from it on the
@@ -69,8 +80,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bases import (BasisSystem, DEFAULT_GRID_POINTS, TOL_POU, check_nonnegativity,
-                    check_partition_of_unity, make_bernstein_basis,
+from .bases import (BasisSystem, DEFAULT_GRID_POINTS, TOL_POU, LocalForm,
+                    check_nonnegativity, check_partition_of_unity, make_bernstein_basis,
                     make_bspline_basis, make_hat_basis)
 from .checks import CheckResult, nonempty_grid
 from .errors import ConfigError
@@ -97,21 +108,22 @@ class OperatorSpec:
     """Basis plus functionals of equal count; immutable once built.
 
     Construction verifies the partition of unity and basis nonnegativity on
-    one evaluation of the basis on the default grid, and every functional:
+    the basis' local form on the default grid, evaluated once, and every
+    functional:
     its nodes lie in [0, 1] and its rule is nonnegative of unit mass. The
     first faulty functional raises :class:`~pouspec.errors.DomainError` or
     :class:`~pouspec.errors.ConfigError`, so no check and no collocation
     assembly tests the nodes again.
 
-    ``default_values`` is the basis on ``grid(DEFAULT_GRID_POINTS)`` that
-    construction evaluated (read-only), kept so that checks on that grid
-    reuse it; it takes no part in eq, hash or repr.
+    ``default_values`` is that :class:`~pouspec.bases.LocalForm`, the basis
+    on ``grid(DEFAULT_GRID_POINTS)`` (read-only), kept so that checks on
+    that grid reuse it; it takes no part in eq, hash or repr.
     """
 
     basis: BasisSystem
     functionals: Functionals
     name: str = "operator"
-    default_values: np.ndarray = field(init=False, repr=False, compare=False)
+    default_values: LocalForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fs = self.functionals
@@ -120,20 +132,19 @@ class OperatorSpec:
                 f"{self.name}: basis has {self.basis.n} functions but "
                 f"{fs.n} functionals were given")
         xs = grid(DEFAULT_GRID_POINTS)
-        values = self.basis.values(xs)
-        values.flags.writeable = False
-        pou = check_partition_of_unity(values, xs)
+        form = self.basis.on(xs)
+        pou = check_partition_of_unity(form, xs)
         if not pou.passed:
             raise ConfigError(
                 f"{self.name}: basis violates the partition of unity "
                 f"(deviation {pou.value:.3e} at x={pou.worst_x:.6g})")
         # The least value decides; only a failure locates it.
-        if not values.min() >= -TOL_POU:
-            nn = check_nonnegativity(values, xs)
+        if not form.values.min() >= -TOL_POU:
+            nn = check_nonnegativity(form, xs)
             raise ConfigError(
                 f"{self.name}: basis takes negative values "
                 f"({nn.value:.3e} at x={nn.worst_x:.6g})")
-        object.__setattr__(self, "default_values", values)
+        object.__setattr__(self, "default_values", form)
         # Functional k is checked for its nodes, then for its mass, in order
         # of k. One domain test over the joined nodes finds the first
         # functional with a node outside [0, 1], one pass the first
@@ -216,8 +227,8 @@ def coefficient_vector(op: OperatorSpec,
                        f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """The vector ``(a_k(f))_k``: the vectorized callable ``f`` is evaluated
     once on the operator's joined nodes, then weighted and summed per
-    functional. ``Tf`` on points ``xs`` is this vector times the basis
-    values there."""
+    functional. ``Tf`` on points ``xs`` is this vector combined with the
+    basis there, ``op.basis.on(xs).combine(vector)``."""
     return op.functionals.apply(f(op.functionals.nodes))
 
 
@@ -225,71 +236,76 @@ def coefficient_vector(op: OperatorSpec,
 # Lemma verification
 # --------------------------------------------------------------------------
 
-def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
+def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
                                  tol: float = WITNESS_RESIDUAL_TOL) -> CheckResult:
     """Max deviation of ``T1`` from one on the grid; the coefficients of the
     constant one are the functionals' masses."""
-    grid = nonempty_grid(grid, values, "constant-reproduction")
+    grid = nonempty_grid(grid, form, "constant-reproduction")
     return CheckResult.deviation_from_one(
-        "constant_reproduction", coefficient_vector(op, np.ones_like) @ values, grid, tol)
+        "constant_reproduction", form.combine(coefficient_vector(op, np.ones_like)), grid, tol)
 
 
-def _images(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _images(coeffs: np.ndarray, form: LocalForm) -> np.ndarray:
     """``Tf`` on the grid for each row of ``coeffs``. Row ``i`` has the bits
-    of ``coeffs[i] @ values``: numpy runs the stacked product as one
-    matrix-vector product per row (one ``coeffs @ values`` matrix product
-    would not give the same bits)."""
-    return (coeffs[:, None, :] @ values)[:, 0]
+    of ``form.combine(coeffs[i])``: on the dense product numpy runs the
+    stacked product as one matrix-vector product per row (one matrix
+    product would not give the same bits)."""
+    return form.combine(coeffs[:, None, :])[:, 0]
 
 
-def _block_images(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``Tf`` on the grid for each row of ``coeffs``, by one matrix product:
-    fewer calls than :func:`_images`, in another summation order, which the
-    bounds below allow."""
-    return coeffs @ values
+def _block_images(coeffs: np.ndarray, form: LocalForm) -> np.ndarray:
+    """``Tf`` on the grid for each row of ``coeffs``, on the dense product
+    by one matrix product: fewer calls than :func:`_images`, in another
+    summation order, which the bounds below allow."""
+    return form.combine(coeffs)
 
 
 # Bounds on computed images. For a coefficient row ``c``, every computed
-# entry of ``c @ values`` lies within ``gamma_n sum_k |c_k v_kj|`` plus
-# ``n 2**-1075`` of the exact sum, in any summation order, with or without
-# FMA (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-# section 3.1; ``gamma_m = m u / (1 - m u)``, ``u = 2**-53``). With
-# ``S_j = sum_k |v_kj|`` that gives ``|Tf(x_j)| <= max|c| S_j (1 + gamma)``
-# and, for a nonnegative basis, ``Tf(x_j) >= min(c) S_j - max|c| S_j gamma``,
-# each up to the underflow slack. The bounds take ``gamma = gamma_m`` and
-# the slack ``m 2**-1074`` with ``m = 2n + 8``, which covers the product's
-# own ``n`` terms, the ``n + 1`` of the computed column sums ``S_j`` and
-# the few roundings that form each bound.
+# entry of ``form.combine(c)`` is a sum of ``p`` products ``c_k v_kj``: the
+# dense product's ``p = n``, the local routine's ``p = width``, the other
+# ``n - width`` terms being exactly 0. It lies within ``gamma_p sum_k |c_k
+# v_kj|`` plus ``p 2**-1075`` of the exact sum, in any summation order,
+# with or without FMA (Higham, *Accuracy and Stability of Numerical
+# Algorithms*, 2nd ed., section 3.1; ``gamma_m = m u / (1 - m u)``, ``u =
+# 2**-53``). With ``S_j = sum_k |v_kj|`` that gives ``|Tf(x_j)| <= max|c|
+# S_j (1 + gamma)`` and, for a nonnegative basis, ``Tf(x_j) >= min(c) S_j -
+# max|c| S_j gamma``, each up to the underflow slack. The bounds take
+# ``gamma = gamma_m`` and the slack ``m 2**-1074`` with ``m = 2n + 8``,
+# which covers the product's own at most ``n`` terms, the at most ``n + 1``
+# of the computed sums ``S_j`` (:meth:`~pouspec.bases.LocalForm.sums`) and
+# the few roundings that form each bound. As ``width <= n``, the local
+# routine stays within the same bounds as the dense product.
 
-def _bound_terms(values: np.ndarray) -> tuple[np.ndarray, bool, float, float]:
-    """``(S, nonnegative, gamma, slack)``: the column sums ``sum_k |v_kj|``,
-    whether every basis value is >= 0, and the error factor and slack."""
-    nonnegative = bool(values.min() >= 0.0)
-    sums = (values if nonnegative else np.abs(values)).sum(axis=0)
-    m = 2 * values.shape[0] + 8
+def _bound_terms(form: LocalForm) -> tuple[np.ndarray, bool, float, float]:
+    """``(S, nonnegative, gamma, slack)``: the sums ``sum_k |v_kj|`` at each
+    point, whether every basis value is >= 0, and the error factor and
+    slack."""
+    nonnegative = bool(form.values.min() >= 0.0)
+    sums = form.sums(absolute=not nonnegative)
+    m = 2 * form.n + 8
     u = np.finfo(float).eps / 2
     return sums, nonnegative, m * u / (1.0 - m * u), m * 2.0 ** -1074
 
 
-def _image_upper_bounds(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per row of ``coeffs``, at least ``max |_images(coeffs, values)|``."""
-    sums, _, gamma, slack = _bound_terms(values)
+def _image_upper_bounds(coeffs: np.ndarray, form: LocalForm) -> np.ndarray:
+    """Per row of ``coeffs``, at least ``max |_images(coeffs, form)|``."""
+    sums, _, gamma, slack = _bound_terms(form)
     return np.abs(coeffs).max(axis=1) * (sums.max() * (1.0 + gamma)) + slack
 
 
-def _image_lower_bounds(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per row of ``coeffs``, at most ``min _images(coeffs, values)``: from
+def _image_lower_bounds(coeffs: np.ndarray, form: LocalForm) -> np.ndarray:
+    """Per row of ``coeffs``, at most ``min _images(coeffs, form)``: from
     ``min(c)`` over a nonnegative basis, else from ``-max|c|``."""
-    sums, nonnegative, gamma, slack = _bound_terms(values)
+    sums, nonnegative, gamma, slack = _bound_terms(form)
     if not nonnegative:
-        return -_image_upper_bounds(coeffs, values)
+        return -_image_upper_bounds(coeffs, form)
     s_max = sums.max()
     c_min = coeffs.min(axis=1)
     return (c_min * np.where(c_min >= 0.0, sums.min(), s_max)
             - (np.abs(coeffs).max(axis=1) * (s_max * gamma) + slack))
 
 
-def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
+def verify_positivity(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
                       trials: int = 100, tol: float = WITNESS_RESIDUAL_TOL,
                       seed: int = 42) -> CheckResult:
     """Minimum of ``Tf`` over the grid across seeded nonnegative ``f``; the
@@ -299,7 +315,7 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
     (see :func:`_image_lower_bounds`); pass 2 computes the images in ascending
     order of that bound and stops at the first bound above the worst found,
     which no later trial can reach or tie."""
-    grid = nonempty_grid(grid, values, "positivity")
+    grid = nonempty_grid(grid, form, "positivity")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     draw = draw_test_functions(np.random.default_rng(seed), trials, nonnegative=True)
@@ -307,7 +323,7 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
     nodes = op.functionals.nodes
     for rows, on_nodes in draw.blocks(TRIAL_BLOCK_VALUES // nodes.size, nodes):
         coeffs[rows] = op.functionals.apply(on_nodes)
-    lower = _image_lower_bounds(coeffs, values)
+    lower = _image_lower_bounds(coeffs, form)
     # The worst is the least (value, trial) pair, so a tie goes to the
     # first trial: a trial whose bound equals the worst value is computed.
     worst = (np.inf, trials)
@@ -319,7 +335,7 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
         rows = np.sort(rows[lower[rows] <= worst[0]])
         if rows.size == 0:
             break
-        images = _images(coeffs[rows], values)
+        images = _images(coeffs[rows], form)
         cols = np.argmin(images, axis=1)
         mins = images[np.arange(rows.size), cols]
         k = int(np.argmin(mins))
@@ -338,7 +354,7 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
     )
 
 
-def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
+def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
                            trials: int = 200, seed: int = 42) -> float:
     """Max of ``||Tf||_inf / ||f||_inf`` over the constant one plus seeded
     random test functions (sup norms on the grid); a function with
@@ -360,14 +376,14 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarra
     order of that bound, each block of trials by one matrix product
     (:func:`_block_images`), and stops at the first bound at or below the
     best ratio found."""
-    grid = nonempty_grid(grid, values, "norm-estimate")
+    grid = nonempty_grid(grid, form, "norm-estimate")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     require_in_domain(grid, "norm-estimate check grid")
     draw = draw_test_functions(np.random.default_rng(seed), trials)
     fs = op.functionals
     # The constant one, ||1||_inf = 1 on the grid.
-    best = float(np.abs(_images(fs.apply(np.ones((1, fs.nodes.size))), values)).max())
+    best = float(np.abs(_images(fs.apply(np.ones((1, fs.nodes.size))), form)).max())
     weights = draw.dictionary_weights()
     count = weights.shape[1]
     smooth = np.flatnonzero(draw.kinds != PIECEWISE_LINEAR)
@@ -393,7 +409,7 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarra
     # Rounding is monotone: a computed max |Tf| at most the bound gives a
     # computed ratio at most the bound over the same ||f||.
     upper = np.full(trials, -np.inf)
-    np.divide(_image_upper_bounds(coeffs, values), denom, out=upper, where=denom >= 1e-12)
+    np.divide(_image_upper_bounds(coeffs, form), denom, out=upper, where=denom >= 1e-12)
     order = np.argsort(-upper, kind="stable")
     size = max(1, TRIAL_BLOCK_VALUES // grid.size)
     for start in range(0, trials, size):
@@ -401,18 +417,18 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, values: np.ndarra
         rows = rows[upper[rows] > best]
         if rows.size == 0:
             break
-        images = _block_images(coeffs[rows], values)
+        images = _block_images(coeffs[rows], form)
         np.abs(images, out=images)
         best = float(np.max(images.max(axis=1) / denom[rows], initial=best))
     return best
 
 
-def verify_norm_bound(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
+def verify_norm_bound(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
                       trials: int = 200, seed: int = 42,
                       tol: float = WITNESS_RESIDUAL_TOL) -> CheckResult:
     """Norm estimate on the grid packaged as a check: passes iff the estimate
     lies in ``[1 - 1e-12, 1 + tol]`` (the unit ball bound, attained at one)."""
-    estimate = estimate_operator_norm(op, grid, values, trials=trials, seed=seed)
+    estimate = estimate_operator_norm(op, grid, form, trials=trials, seed=seed)
     passed = 1.0 - 1e-12 <= estimate <= 1.0 + tol
     return CheckResult(
         name="norm_estimate",
@@ -428,7 +444,7 @@ def verify_norm_bound(op: OperatorSpec, grid: np.ndarray, values: np.ndarray,
 # --------------------------------------------------------------------------
 
 def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
-                          values: np.ndarray) -> CheckResult:
+                          form: LocalForm) -> CheckResult:
     """``||Tw||`` on the grid as a check, passed iff at most
     ``WITNESS_RESIDUAL_TOL``, for ``w`` the hat of height one on ``[lo,
     mid]`` minus the hat on ``[mid, hi]``, on the first widest gap ``[lo,
@@ -436,7 +452,7 @@ def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
     the averages. No node lies inside the gap, so every ``a_k(w)`` is
     exactly 0; each cell holds the whole gap or none of it, so each exact
     average is 0. The peaks bring ``||w||`` to 1 on any grid."""
-    grid = nonempty_grid(grid, values, "kernel-witness")
+    grid = nonempty_grid(grid, form, "kernel-witness")
     fs = op.functionals
     average = fs.kinds == AVERAGE
     # The bump serves mixed kinds too; they are refused only while the
@@ -456,7 +472,7 @@ def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
     left, right = (np.maximum(np.minimum(points - a, b - points), 0.0) / ((b - a) / 2)
                    for a, b in ((lo, mid), (mid, hi)))
     w = left - right
-    residual = float(np.max(np.abs(fs.apply(w[grid.size + 2:]) @ values)))
+    residual = float(np.max(np.abs(form.combine(fs.apply(w[grid.size + 2:])))))
     return CheckResult(
         name="kernel_residual",
         passed=bool(residual <= WITNESS_RESIDUAL_TOL),

@@ -69,8 +69,11 @@ from .spectra import (CLASSIFICATION_CONFORMS, MAX_DIMENSION, TOL_PERIPHERAL,
 SCHEMA_VERSION = 1
 
 #: Largest verification grid. ``run_checks`` evaluates the basis on the grid
-#: once and every check reads that one ``n x grid_points`` array; at
-#: n = MAX_DIMENSION this bound keeps it near 400 MB.
+#: once, as its local form: ``width`` values and one index per point, and
+#: the dense ``n x grid_points`` values too below ``bases.LOCAL_CROSSOVER``
+#: functions per nonzero one. On a Bernstein basis of MAX_DIMENSION
+#: functions those take near 400 MB; an analysis of 500 hats or cubic
+#: B-splines, which keeps no dense values, peaks near 50 MB.
 MAX_GRID_POINTS = 100_001
 
 
@@ -394,23 +397,25 @@ def run_checks(op: OperatorSpec, config: AnalysisConfig) -> tuple[
     """The lemma checks of an operator, in report order, seeded from the
     config, and the seconds each check took, keyed ``checks.<name>``. The
     verification grid of ``config.grid_points`` points is built here once
-    and the basis evaluated on it once, or not at all on the default grid,
-    where the operator keeps the values its construction evaluated; every
-    check reads those two arrays."""
+    and the basis evaluated on it once, as its local form
+    (:meth:`~pouspec.bases.BasisSystem.on`), or not at all on the default
+    grid, where the operator keeps the form its construction evaluated;
+    every check reads the grid and that form, and combines coefficients
+    with it only through :meth:`~pouspec.bases.LocalForm.combine`."""
     xs = grid(config.grid_points)
-    values = op.default_values
+    form = op.default_values
     if config.grid_points != DEFAULT_GRID_POINTS:
-        values = op.basis.values(xs)
+        form = op.basis.on(xs)
     tol = config.tolerances
     checks = {
-        "partition_of_unity": lambda: check_partition_of_unity(values, xs, tol.pou),
-        "positivity": lambda: verify_positivity(op, xs, values, tol=tol.norm,
+        "partition_of_unity": lambda: check_partition_of_unity(form, xs, tol.pou),
+        "positivity": lambda: verify_positivity(op, xs, form, tol=tol.norm,
                                                 seed=config.seed),
-        "constant_reproduction": lambda: verify_constant_reproduction(op, xs, values,
+        "constant_reproduction": lambda: verify_constant_reproduction(op, xs, form,
                                                                       tol.norm),
-        "norm_estimate": lambda: verify_norm_bound(op, xs, values, seed=config.seed + 1,
+        "norm_estimate": lambda: verify_norm_bound(op, xs, form, seed=config.seed + 1,
                                                    tol=tol.norm),
-        "kernel_residual": lambda: kernel_witness_report(op, xs, values),
+        "kernel_residual": lambda: kernel_witness_report(op, xs, form),
     }
     results, timings = {}, {}
     for name, check in checks.items():

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from pouspec.bases import BasisSystem
+from pouspec.bases import BasisSystem, LocalForm
 from pouspec.checks import CheckResult
 from pouspec.errors import ConfigError
 from pouspec.functionals import (AVERAGE, DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
@@ -27,7 +27,8 @@ from pouspec.functionals import (AVERAGE, DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANEL
                                  quadrature_functionals)
 from pouspec.functions import (COSINE, PIECEWISE_LINEAR, POLYNOMIAL, TEST_POLYNOMIAL_WIDTH,
                                _horner, outside_domain, require_in_domain)
-from pouspec.operators import coefficient_vector, estimate_operator_norm, verify_norm_bound
+from pouspec.operators import (coefficient_vector, estimate_operator_norm, verify_norm_bound,
+                               verify_positivity)
 from pouspec.report import AnalysisConfig
 from pouspec.spectra import (ITERATE_TOL, TOL_STOCHASTIC, IterateResult,
                              check_row_stochastic, closed_classes)
@@ -98,6 +99,14 @@ def dense_basis(dense, n: int, name: str) -> BasisSystem:
     ``(n, points)`` values: its local form starts every point at index 0."""
     return BasisSystem(lambda xs: (np.zeros(xs.size, dtype=np.intp), dense(xs)), n,
                        name=name, width=n)
+
+
+def dense_product_form(basis: BasisSystem, xs: np.ndarray) -> LocalForm:
+    """The basis on ``xs`` with its dense values kept, so that
+    :meth:`~pouspec.bases.LocalForm.combine` takes the dense product
+    whatever the basis' ``n / width``."""
+    first, local = basis.local(xs)
+    return LocalForm(first, local, basis.n, basis.values(xs))
 
 
 def rules(functionals: Functionals) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -594,18 +603,78 @@ def norm_estimate_bound(op, grid: np.ndarray, values: np.ndarray, trials: int = 
     return oracle, worst * (1.0 + gamma(64)) + eta(64)
 
 
-def assert_norm_estimate_near_oracle(op, grid: np.ndarray, values: np.ndarray,
-                                     trials: int = 200, seed: int = 42) -> None:
-    """``estimate_operator_norm`` lies within :func:`norm_estimate_bound` of
-    the one-at-a-time oracle, the bound is below ``1e-12 * max(1,
-    estimate)``, so that it cannot hide a real difference, and
-    ``verify_norm_bound`` passes exactly when the oracle's estimate would."""
-    oracle, bound = norm_estimate_bound(op, grid, values, trials, seed)
-    estimate = estimate_operator_norm(op, grid, values, trials=trials, seed=seed)
+def assert_norm_estimate_near_oracle(op, grid: np.ndarray, trials: int = 200,
+                                     seed: int = 42) -> None:
+    """``estimate_operator_norm`` on the basis' local form lies within
+    :func:`norm_estimate_bound` of the one-at-a-time oracle on the dense
+    values, the bound is below ``1e-12 * max(1, estimate)``, so that it
+    cannot hide a real difference, and ``verify_norm_bound`` passes exactly
+    when the oracle's estimate would. The bound holds for the local
+    routine too: each of its image entries is a sum of ``width <= n``
+    products."""
+    form = op.basis.on(grid)
+    oracle, bound = norm_estimate_bound(op, grid, op.basis.values(grid), trials, seed)
+    estimate = estimate_operator_norm(op, grid, form, trials=trials, seed=seed)
     assert abs(estimate - oracle) <= bound, (estimate, oracle, bound)
     assert bound <= 1e-12 * max(1.0, estimate), (bound, estimate)
-    check = verify_norm_bound(op, grid, values, trials=trials, seed=seed)
+    check = verify_norm_bound(op, grid, form, trials=trials, seed=seed)
     assert check.passed == (1.0 - 1e-12 <= oracle <= 1.0 + check.threshold), (oracle, check)
+
+
+def local_sum_bound(op, grid: np.ndarray, coefficients: Sequence[np.ndarray]) -> float:
+    """A bound on the distance between ``Tf`` on ``grid`` computed by
+    :meth:`~pouspec.bases.LocalForm.combine` and by the dense product
+    ``c @ op.basis.values(grid)``, over every coefficient row ``c`` of
+    ``coefficients`` and every point.
+
+    At a point only ``width`` of the ``n`` products ``c_k v_kj`` are
+    nonzero; the others are exactly 0, and adding them is exact. So each
+    side is a sum of ``width`` products in some order, with or without FMA:
+    a binary tree of additions whose rounding nodes join two nonzero
+    subtrees, at most ``width - 1`` of them on any path. Each side is then
+    within ``gamma_width sum_k |c_k v_kj| + 2 width eta`` of the exact sum
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    section 3.1; ``eta = 2**-1075`` for a product that underflows), and the
+    two within twice that: ``2 gamma_width max|c| S + 4 width eta`` with
+    ``S = max_j sum_k |v_kj|``. ``S`` is rounded up by ``1 + gamma_n`` of
+    its own sum and the result by ``1 + gamma_8`` and ``8 eta``."""
+    u = 2.0 ** -53
+
+    def gamma(k: int) -> float:
+        return k * u / (1.0 - k * u)
+
+    width, n = op.basis.width, op.n
+    sums = float(np.abs(op.basis.values(grid)).sum(axis=0).max()) * (1.0 + gamma(n))
+    largest = max(float(np.abs(c).max()) for c in coefficients)
+    subnormal = 2.0 ** -1074
+    return ((2.0 * gamma(width) * largest * sums + 2 * width * subnormal) * (1.0 + gamma(8))
+            + 4 * subnormal)
+
+
+def assert_positivity_near_oracle(op, grid: np.ndarray, trials: int = 100,
+                                  seed: int = 42) -> None:
+    """``verify_positivity`` on the basis' local form against
+    :func:`positivity_oracle` on the dense values: equal where the form
+    keeps the dense values, whose product has the oracle's bits; elsewhere
+    the value within :func:`local_sum_bound` of the oracle's over the
+    trials' coefficients, a bound below ``1e-12 * max(1, |value|)``, the
+    same verdict unless the oracle's value lies within the bound of the
+    threshold, and the reported point on the grid."""
+    form = op.basis.on(grid)
+    check = verify_positivity(op, grid, form, trials=trials, seed=seed)
+    oracle = positivity_oracle(op, grid, op.basis.values(grid), trials=trials, seed=seed)
+    if form.dense is not None:
+        assert check == oracle
+        return
+    rng = np.random.default_rng(seed)
+    bound = local_sum_bound(op, grid, [coefficient_vector(op, random_function_oracle(
+        rng, nonnegative=True)) for _ in range(trials)])
+    assert abs(check.value - oracle.value) <= bound, (check, oracle, bound)
+    assert bound <= 1e-12 * max(1.0, abs(oracle.value)), (bound, oracle)
+    if abs(oracle.value + oracle.threshold) > bound:
+        assert check.passed == oracle.passed, (check, oracle)
+    assert (check.name, check.threshold) == (oracle.name, oracle.threshold)
+    assert check.worst_x in grid.tolist()
 
 
 def catalog_values_oracle(f: CatalogDraw, xs: np.ndarray) -> np.ndarray:

@@ -172,7 +172,7 @@ def test_criterion_07_lemma_suite():
     worst = {"constant": 0.0, "positivity": np.inf, "norm_low": np.inf,
              "norm_high": 0.0, "adjoint": 0.0, "attain": 0.0}
     for op in operators:
-        values = op.basis.values(GRID)
+        values = op.basis.on(GRID)
         worst["constant"] = max(worst["constant"],
                                 verify_constant_reproduction(op, GRID, values, 1e-10).value)
         positivity = verify_positivity(op, GRID, values, trials=100, tol=1e-10, seed=42)
@@ -213,7 +213,7 @@ def test_criterion_08_kernel_witness():
         w = bump(lo, hi)
         witness_norm = float(np.abs(w(np.append(GRID, bump_peaks(lo, hi)))).max())
         image_of_w = np.array([pairing(op.functionals, w, k) for k in range(op.n)]) @ values
-        result = kernel_witness_report(op, GRID, values)
+        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
         reported &= result.passed and result.detail == (
             f"witness odd bump on [{lo:.6g}, {hi:.6g}], ||w||_inf = {witness_norm:.6g}")
         smallest_norm = min(smallest_norm, witness_norm)

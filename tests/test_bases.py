@@ -292,7 +292,7 @@ def test_nan_in_ordered_points_rejected(build, message):
 
 
 def _on_grid(basis, grid):
-    return basis.values(grid), grid
+    return basis.on(grid), grid
 
 
 #: Every check that measures on a grid, called as ``check(op, grid, values)``.
@@ -344,13 +344,14 @@ class TestChecks:
         *(pytest.param(check, np.array([]), 0, "needs a non-empty grid", id=name)
           for name, check in GRID_CHECKS.items()),
         *(pytest.param(check, np.linspace(0, 1, 11), 10,
-                       r"needs basis values of shape \(n, 11\), got \(4, 10\)",
+                       r"needs the basis' local form on 11 points, "
+                       r"of shape \(width, 11\), got \(4, 10\)",
                        id=f"{name}-mismatched-columns")
           for name, check in GRID_CHECKS.items()),
     ])
     def test_empty_grid_rejected(self, check, grid, columns, message):
         op = bernstein_operator(3)
-        values = op.basis.values(np.linspace(0, 1, columns))
+        values = op.basis.on(np.linspace(0, 1, columns))
         with pytest.raises(ConfigError, match=message):
             check(op, grid, values)
 

@@ -15,8 +15,8 @@ import numpy.testing as nptest
 import pytest
 
 from pouspec import operators
-from pouspec.bases import (DEFAULT_GRID_POINTS, make_bernstein_basis, make_bspline_basis,
-                           make_hat_basis)
+from pouspec.bases import (DEFAULT_GRID_POINTS, LOCAL_CROSSOVER, make_bernstein_basis,
+                           make_bspline_basis, make_hat_basis)
 from pouspec.errors import ConfigError, DomainError
 from pouspec.functionals import (AVERAGE, check_functional_normalization, dirac_functionals,
                                  first_unnormalized, interval_average_functionals,
@@ -35,7 +35,8 @@ from pouspec.spectra import build_collocation_matrix
 from helpers import (adjoint_pairing, assert_norm_estimate_near_oracle, average, bump,
                      bump_breakpoints, bump_peaks, cell_integrals, clamped_knots,
                      dense_basis, dirac, greville_loop, image, in_order, one,
-                     output_diff_tool, pairing, positivity_oracle, quadrature, random_breakpoints,
+                     output_diff_tool, pairing, assert_positivity_near_oracle, quadrature,
+                     random_breakpoints,
                      random_function_oracle, rules, unchecked_operator,
                      validate_functionals_one_by_one, verify_adjoint_identity,
                      well_formed_configs, widest_gap)
@@ -172,11 +173,21 @@ class TestConstruction:
         in_order(dirac(0.0), average(0.2, 0.7), dirac(1.0)), name="custom")],
         ids=lambda o: o.name)
     def test_default_values_are_the_read_only_basis_on_the_default_grid(self, op):
-        assert op.default_values.shape == (op.n, DEFAULT_GRID_POINTS)
-        assert op.default_values.tobytes() == \
-            op.basis.values(grid(DEFAULT_GRID_POINTS)).tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            op.default_values[0, 0] = 0.5
+        # The local form on the default grid, and the dense values only
+        # where the checks take the dense product.
+        form, xs = op.default_values, grid(DEFAULT_GRID_POINTS)
+        first, local = op.basis.local(xs)
+        assert (form.n, form.width, form.points) == (op.n, op.basis.width, DEFAULT_GRID_POINTS)
+        assert form.first.tobytes() == first.tobytes()
+        assert form.values.tobytes() == local.tobytes()
+        if op.n < LOCAL_CROSSOVER * op.basis.width:
+            assert form.dense.tobytes(order="A") == op.basis.values(xs).tobytes(order="A")
+        else:
+            assert form.dense is None
+        for arr in (form.first, form.values, form.dense):
+            if arr is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[(0,) * arr.ndim] = 0
 
     def test_greville_abscissae(self):
         knots = clamped_knots([0.0, 0.5, 1.0], 2)
@@ -319,19 +330,19 @@ class TestPositivityAndNorm:
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_positivity_check(self, op):
-        result = verify_positivity(op, GRID, op.basis.values(GRID), trials=100, tol=1e-10, seed=3)
+        result = verify_positivity(op, GRID, op.basis.on(GRID), trials=100, tol=1e-10, seed=3)
         assert result.passed, result
 
     def test_doctored_negative_weight_fails(self):
         basis = make_hat_basis([0.0, 1.0])
         bad = quadrature([0.2, 0.8], [1.5, -0.5])
         op = unchecked_operator(basis, in_order(dirac(0.0), bad), name="doctored")
-        result = verify_positivity(op, GRID, op.basis.values(GRID), trials=100, tol=1e-10, seed=3)
+        result = verify_positivity(op, GRID, op.basis.on(GRID), trials=100, tol=1e-10, seed=3)
         assert not result.passed
 
     def test_norm_includes_constant_witness(self):
         op = bernstein_operator(5)
-        estimate = estimate_operator_norm(op, GRID, op.basis.values(GRID), trials=10, seed=0)
+        estimate = estimate_operator_norm(op, GRID, op.basis.on(GRID), trials=10, seed=0)
         assert 1.0 - 1e-12 <= estimate <= 1.0 + 1e-10
 
     def test_full_sine_has_zero_ratio(self):
@@ -341,12 +352,12 @@ class TestPositivityAndNorm:
 
     def test_kantorovich_norm_bound(self):
         op = kantorovich_operator(4)
-        estimate = estimate_operator_norm(op, GRID, op.basis.values(GRID), trials=200, seed=7)
+        estimate = estimate_operator_norm(op, GRID, op.basis.on(GRID), trials=200, seed=7)
         assert 0.5 <= estimate <= 1.0 + 1e-10
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_norm_check(self, op):
-        result = verify_norm_bound(op, GRID, op.basis.values(GRID), trials=60, seed=5)
+        result = verify_norm_bound(op, GRID, op.basis.on(GRID), trials=60, seed=5)
         assert result.passed, result
 
     @pytest.mark.parametrize("op", catalog_operators()[:4], ids=lambda o: o.name)
@@ -361,7 +372,8 @@ class TestPositivityAndNorm:
 def block_check_operators():
     """Every catalog kind, a hat basis with cell averages, a crossed-Dirac
     derangement, mixed Dirac/average functionals, cell averages on a
-    B-spline basis (whose values come out F-ordered), and doctored
+    B-spline basis (whose values come out F-ordered), hat and cubic B-spline
+    bases whose checks take the local routine, and doctored
     operators: zero weights, a zero first weight, a basis with negative
     values and weights in the subnormal range."""
     hat_nodes = [0.0, 0.15, 0.4, 0.75, 1.0]
@@ -384,6 +396,10 @@ def block_check_operators():
         OperatorSpec(make_bspline_basis(knots, 3),
                      interval_average_functionals(spline_edges[:-1], spline_edges[1:]),
                      name="bspline-average"),
+        # At LOCAL_CROSSOVER functions per nonzero one: the local routine.
+        hat_dirac_operator(random_breakpoints(np.random.default_rng(39),
+                                              interior=2 * LOCAL_CROSSOVER - 2)),
+        schoenberg_operator(clamped_knots(np.linspace(0.0, 1.0, 4 * LOCAL_CROSSOVER - 2), 3), 3),
         # T = 0: every test function ties at the minimum 0.
         unchecked_operator(make_hat_basis([0.0, 1.0]),
                            in_order(*[quadrature([0.5], [0.0])] * 2), name="zero-weights"),
@@ -407,9 +423,10 @@ def block_check_operators():
 
 class TestBlockChecks:
     """The positivity and norm checks, run on blocks of test functions,
-    against the same checks run one function at a time: positivity with the
-    same bits, the norm estimate within the rounding bound of
-    ``helpers.norm_estimate_bound``."""
+    against the same checks run one function at a time on the dense values:
+    positivity with the same bits on the dense product and within
+    ``helpers.local_sum_bound`` on the local routine, the norm estimate
+    within the rounding bound of ``helpers.norm_estimate_bound``."""
 
     def test_operators_cover_f_ordered_values(self):
         layouts = {op.basis.values(GRID).flags.c_contiguous for op in block_check_operators()}
@@ -422,19 +439,16 @@ class TestBlockChecks:
     @pytest.mark.parametrize("op", block_check_operators(), ids=lambda o: o.name)
     def test_equal_to_one_trial_at_a_time(self, op, points, trials):
         xs = grid(points)
-        values = op.basis.values(xs)
-        assert verify_positivity(op, xs, values, trials=trials, seed=points) == \
-            positivity_oracle(op, xs, values, trials=trials, seed=points)
-        assert_norm_estimate_near_oracle(op, xs, values, trials=trials, seed=points + 1)
+        assert_positivity_near_oracle(op, xs, trials=trials, seed=points)
+        assert_norm_estimate_near_oracle(op, xs, trials=trials, seed=points + 1)
 
     # The largest operators the CLI analyses, at the default grid.
     @pytest.mark.parametrize("op", [bernstein_operator(499),
                                     hat_dirac_operator(np.linspace(0.0, 1.0, 500))],
                              ids=lambda o: o.name)
     def test_equal_to_one_trial_at_a_time_at_top_size(self, op):
-        assert verify_positivity(op, GRID, op.default_values) == \
-            positivity_oracle(op, GRID, op.default_values)
-        assert_norm_estimate_near_oracle(op, GRID, op.default_values, seed=43)
+        assert_positivity_near_oracle(op, GRID)
+        assert_norm_estimate_near_oracle(op, GRID, seed=43)
 
     def test_bounds_skip_most_images(self, monkeypatch):
         # Cell averages of a smooth f lie strictly inside its range, so the
@@ -477,7 +491,7 @@ class TestBlockChecks:
         monkeypatch.setattr(operators, "dictionary", dictionary_spy)
         op = kantorovich_operator(30)
         nodes = op.functionals.nodes
-        basis_values = op.basis.values(GRID)
+        basis_values = op.basis.on(GRID)
         verify_positivity(op, GRID, basis_values)
         assert sorted(np.concatenate([rows for rows, *_ in calls]).tolist()) == list(range(100))
         for _, kinds, size, xs in calls:
@@ -513,7 +527,7 @@ class TestBlockChecks:
         monkeypatch.setattr(DrawnTestFunctions, "name",
                             lambda self, i: named.append(i) or name(self, i))
         op = kantorovich_operator(4)
-        basis_values = op.basis.values(GRID)
+        basis_values = op.basis.on(GRID)
         result = verify_positivity(op, GRID, basis_values, seed=5)
         draw = draw_test_functions(np.random.default_rng(5), 100, nonnegative=True)
         assert len(named) == 1
@@ -525,7 +539,7 @@ class TestBlockChecks:
         op = bernstein_operator(2)
         xs = np.array([0.0, 0.5, 1.5])
         with pytest.raises(DomainError, match=r"^norm-estimate check grid: x=1.5 outside"):
-            estimate_operator_norm(op, xs, op.basis.values(np.array([0.0, 0.5, 1.0])))
+            estimate_operator_norm(op, xs, op.basis.on(np.array([0.0, 0.5, 1.0])))
 
 
 #: Child process: for each config text of the JSON list on stdin, the norm
@@ -540,7 +554,7 @@ for text in json.load(sys.stdin):
     config = parse_config(text)
     op = build_operator(config)
     xs = grid(config.grid_points)
-    estimates.append(estimate_operator_norm(op, xs, op.basis.values(xs),
+    estimates.append(estimate_operator_norm(op, xs, op.basis.on(xs),
                                             seed=config.seed + 1).hex())
 print(json.dumps(estimates))
 """
@@ -584,7 +598,7 @@ class TestNormCheckResources:
         # check holds less than that in all.
         op = bernstein_operator(4)
         xs = grid(100001)
-        values = op.basis.values(xs)
+        values = op.basis.on(xs)
         tracemalloc.start()
         try:
             estimate_operator_norm(op, xs, values)
@@ -597,12 +611,12 @@ class TestNormCheckResources:
 class TestConstantReproductionCheck:
     def test_bernstein_tight(self):
         op = bernstein_operator(8)
-        result = verify_constant_reproduction(op, GRID, op.basis.values(GRID), tol=1e-12)
+        result = verify_constant_reproduction(op, GRID, op.basis.on(GRID), tol=1e-12)
         assert result.passed
 
     def test_kantorovich_with_quadrature(self):
         op = kantorovich_operator(5)
-        result = verify_constant_reproduction(op, GRID, op.basis.values(GRID), tol=1e-10)
+        result = verify_constant_reproduction(op, GRID, op.basis.on(GRID), tol=1e-10)
         assert result.passed
 
     def test_scaled_basis_fails(self):
@@ -610,7 +624,7 @@ class TestConstantReproductionCheck:
         shrunk = dense_basis(lambda xs: 0.99 * base.basis.values(xs), base.basis.n,
                              name="shrunk")
         op = unchecked_operator(shrunk, base.functionals, name="shrunk")
-        result = verify_constant_reproduction(op, GRID, op.basis.values(GRID), tol=1e-10)
+        result = verify_constant_reproduction(op, GRID, op.basis.on(GRID), tol=1e-10)
         assert not result.passed
         assert result.value == pytest.approx(0.01, abs=1e-12)
 
@@ -692,7 +706,7 @@ class TestKernelWitness:
         assert all(pairing(op.functionals, w, k) == 0.0 for k in range(op.n))
         assert all(v == 0.0 for v in cell_integrals(op, w, bump_breakpoints(*widest_gap(op))))
         assert np.max(np.abs(image_of_w)) == 0.0
-        result = kernel_witness_report(op, xs, op.basis.values(xs))
+        result = kernel_witness_report(op, xs, op.basis.on(xs))
         assert result.passed and result.value == 0.0
         assert result.threshold == WITNESS_RESIDUAL_TOL
         assert result.detail == _witness_detail(op, xs)
@@ -710,7 +724,7 @@ class TestKernelWitness:
         assert all(pairing(op.functionals, w, k) == 0.0 for k in range(op.n))
         assert all(v == 0.0 for v in cell_integrals(op, w, bump_breakpoints(lo, hi)))
         xs = grid(config.grid_points)
-        result = kernel_witness_report(op, xs, op.basis.values(xs))
+        result = kernel_witness_report(op, xs, op.basis.on(xs))
         average = op.functionals.kinds == AVERAGE
         if average.any() and not average.all():
             assert not result.passed and result.value is None
@@ -722,7 +736,7 @@ class TestKernelWitness:
         # Nodes 0, 1/2, 1: both gaps are widest, and the first is taken.
         op = bernstein_operator(2)
         assert widest_gap(op) == (0.0, 0.5)
-        result = kernel_witness_report(op, GRID, op.basis.values(GRID))
+        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
         assert result.detail == "witness odd bump on [0, 0.5], ||w||_inf = 1"
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
@@ -730,12 +744,12 @@ class TestKernelWitness:
         w, image_of_w = _bump_image(op)
         assert np.abs(w(np.append(GRID, bump_peaks(*widest_gap(op))))).max() >= 0.5
         assert np.max(np.abs(image_of_w)) == 0.0
-        result = kernel_witness_report(op, GRID, op.basis.values(GRID))
+        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
         assert result.passed and result.value == 0.0
 
     def test_irregular_nodes_bump_on_the_widest_gap(self):
         op = hat_dirac_operator([0.0, 0.13, 0.55, 0.97, 1.0])
-        result = kernel_witness_report(op, GRID, op.basis.values(GRID))
+        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
         assert result.detail == "witness odd bump on [0.13, 0.55], ||w||_inf = 1"
         assert result.passed and result.value == 0.0
         assert np.max(np.abs(_bump_image(op)[1])) == 0.0
@@ -745,7 +759,7 @@ class TestKernelWitness:
         funcs = in_order(dirac(0.0), average(0.25, 0.75),
                  dirac(1.0))
         op = OperatorSpec(basis, funcs, name="mixed")
-        result = kernel_witness_report(op, GRID, op.basis.values(GRID))
+        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
         assert not result.passed and result.value is None
         assert result.threshold == WITNESS_RESIDUAL_TOL
         assert result.detail == ("mixed: no analytic kernel witness for mixed functional "
@@ -759,7 +773,7 @@ class TestKernelWitness:
         shifted = SimpleNamespace(nodes=fs.nodes, kinds=fs.kinds, a=fs.a, b=fs.b,
                                   apply=lambda values: fs.apply(values) + 1e-9)
         broken = unchecked_operator(op.basis, shifted, name="shifted")
-        result = kernel_witness_report(broken, GRID, op.basis.values(GRID))
+        result = kernel_witness_report(broken, GRID, op.basis.on(GRID))
         assert not result.passed
         assert result.value == pytest.approx(1e-9, rel=1e-12)
         assert result.detail == _witness_detail(op)
@@ -770,7 +784,7 @@ class TestKernelWitness:
                  average(0.3, 1.0))
         op = OperatorSpec(basis, funcs, name="lopsided")
         assert np.max(np.abs(_bump_image(op)[1])) == 0.0
-        result = kernel_witness_report(op, GRID, op.basis.values(GRID))
+        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
         assert result.passed and result.value == 0.0
         assert result.detail == _witness_detail(op)
 
@@ -780,7 +794,7 @@ class TestKernelWitness:
                  average(0.4, 1.0),
                  average(0.0, 1.0))
         op = OperatorSpec(basis, funcs, name="overlap")
-        result = kernel_witness_report(op, GRID, op.basis.values(GRID))
+        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
         assert result.passed and result.value == 0.0
         assert result.detail.startswith("witness odd bump on [")
 

@@ -3,6 +3,7 @@ config through two source trees and shows what an output change changed."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import shutil
@@ -15,6 +16,7 @@ import pytest
 
 from helpers import output_diff_tool
 
+from pouspec.bases import DEFAULT_GRID_POINTS, LOCAL_CROSSOVER
 from pouspec.cli import main
 from pouspec.errors import ConfigError
 from pouspec.report import (build_operator, emit_report, parse_config, report_to_mapping,
@@ -148,6 +150,28 @@ def test_largest_configs_reach_the_top_dimension(output_diff):
                      "schoenberg(deg 3, n=500)", "custom"]
 
 
+def test_grid_configs_take_the_local_form_on_their_own_grid(output_diff):
+    configs = output_diff.grid_configs()
+    assert [c["config"] for c in configs] == [
+        "grid hat-dirac-500-grid-10001", "grid schoenberg-cubic-500-grid-10001"]
+    for config, largest in zip(configs, output_diff.largest_configs()[2:4]):
+        assert config["stratum"] == "grid"
+        parsed = parse_config(config["text"])
+        assert parsed.grid_points == 10001
+        assert dataclasses.replace(parsed, grid_points=DEFAULT_GRID_POINTS) == \
+            parse_config(largest["text"])
+        op = build_operator(parsed)
+        assert op.n >= LOCAL_CROSSOVER * op.basis.width
+
+
+def test_config_count(output_diff):
+    # The count the module docstring and README state.
+    groups = (output_diff.pool_configs, output_diff.largest_configs, output_diff.grid_configs,
+              output_diff.witness_configs, output_diff.edge_configs, output_diff.seed_configs)
+    assert sum(len(group()) for group in groups) == 559
+    assert "559 in all" in " ".join(output_diff.__doc__.split())
+
+
 def test_witness_configs_parse(output_diff):
     configs = output_diff.witness_configs()
     assert [c["config"] for c in configs] == [
@@ -196,7 +220,7 @@ def test_seed_configs_parse_and_differ_only_in_their_seed(output_diff):
 
 def _small_pool(output_diff, monkeypatch):
     """A two-entry stand-in for the benchmark pools, a one-entry stand-in
-    for the largest configs and no witness, edge or seed configs."""
+    for the largest configs and no grid, witness, edge or seed configs."""
     texts = {"kantorovich": '{"operator": "kantorovich", "n": 2}\n',
              "bernstein": '{"operator": "bernstein", "n": 3}\n'}
     workloads = types.ModuleType("perfbench.workloads")
@@ -210,6 +234,7 @@ def _small_pool(output_diff, monkeypatch):
             '"functionals": [{"kind": "dirac", "x": 1.0}, {"kind": "dirac", "x": 0.0}]}\n')
     monkeypatch.setattr(output_diff, "largest_configs", lambda: [
         {"config": "largest swap", "stratum": "largest", "text": swap}])
+    monkeypatch.setattr(output_diff, "grid_configs", lambda: [])
     monkeypatch.setattr(output_diff, "witness_configs", lambda: [])
     monkeypatch.setattr(output_diff, "edge_configs", lambda: [])
     monkeypatch.setattr(output_diff, "seed_configs", lambda: [])

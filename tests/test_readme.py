@@ -26,6 +26,7 @@ def test_library_example_states_its_values():
     assert abs(scope["weights"].sum() - 1.0) <= 1e-15
     assert scope["values"].shape == (2, 1001)
     nptest.assert_allclose(scope["coeffs"], [1 / 12, 7 / 12], rtol=0, atol=1e-15)
+    assert scope["tf"].tobytes() == (scope["coeffs"] @ scope["values"]).tobytes()
     nptest.assert_allclose(scope["matrix"].entries, [[0.75, 0.25], [0.25, 0.75]],
                            rtol=0, atol=1e-15)
     nptest.assert_allclose(scope["centers"], [0.75, 0.75], rtol=0, atol=1e-15)

@@ -21,11 +21,11 @@ from helpers import OVERFLOWING_WEIGHT_CONFIGS, dumps_json_oracle, emit_svg_orac
 
 import pouspec.cli as cli_module
 import pouspec.report as report_module
-from pouspec.bases import DEFAULT_GRID_POINTS, BasisSystem
+from pouspec.bases import DEFAULT_GRID_POINTS, LOCAL_CROSSOVER, BasisSystem
 from pouspec.cli import build_parser, main
 from pouspec.errors import ConfigError
-from pouspec.report import (build_operator, config_from_mapping, dumps_json,
-                            emit_report, emit_svg, exit_code_for, parse_config,
+from pouspec.report import (MAX_GRID_POINTS, build_operator, config_from_mapping,
+                            dumps_json, emit_report, emit_svg, exit_code_for, parse_config,
                             report_to_mapping, run_analyze)
 from pouspec.spectra import CollocationMatrix, SpectrumReport
 
@@ -237,15 +237,16 @@ class TestRunAnalyze:
         # One evaluation on the validation grid of the default 1001 points,
         # which the checks reuse when their grid is the default one, one on a
         # verification grid of another size, and one on the block of
-        # collocation nodes, whatever n.
+        # collocation nodes, whatever n. Every evaluation goes through
+        # BasisSystem.local.
         calls = []
-        values = BasisSystem.values
+        local = BasisSystem.local
 
         def counted(basis, xs):
             calls.append(np.size(xs))
-            return values(basis, xs)
+            return local(basis, xs)
 
-        monkeypatch.setattr(BasisSystem, "values", counted)
+        monkeypatch.setattr(BasisSystem, "local", counted)
         run_analyze(parse_config(
             f'{{"operator": "bernstein", "n": {n}, "grid_points": {grid_points}}}'))
         verification = [] if grid_points == 1001 else [grid_points]
@@ -254,17 +255,38 @@ class TestRunAnalyze:
     @CATALOG_CONFIGS
     def test_default_grid_basis_evaluated_once(self, monkeypatch, text):
         # Construction evaluates the basis on the default grid, and every
-        # check of the default grid reads those values.
+        # check of the default grid reads that local form. Every evaluation
+        # goes through BasisSystem.local.
         calls = []
-        values = BasisSystem.values
+        local = BasisSystem.local
 
         def counted(basis, xs):
             calls.append(np.size(xs))
-            return values(basis, xs)
+            return local(basis, xs)
 
-        monkeypatch.setattr(BasisSystem, "values", counted)
+        monkeypatch.setattr(BasisSystem, "local", counted)
         run_analyze(parse_config(text))
         assert calls.count(DEFAULT_GRID_POINTS) == 1
+
+    @pytest.mark.parametrize("grid_points", [DEFAULT_GRID_POINTS, 2001])
+    @LARGE_OPERATOR_CONFIGS
+    def test_no_dense_basis_past_the_crossover(self, monkeypatch, text, grid_points):
+        # Hat and B-spline bases with LOCAL_CROSSOVER or more functions per
+        # nonzero one: the checks read the local form, and the collocation
+        # matrix is assembled from it, so the dense values are never formed.
+        config = parse_config(text)
+        config = dataclasses.replace(config, grid_points=grid_points)
+        op = build_operator(config)
+        assert op.n >= LOCAL_CROSSOVER * op.basis.width
+
+        def refused(basis, xs):
+            raise AssertionError("BasisSystem.values called")
+
+        monkeypatch.setattr(BasisSystem, "values", refused)
+        assert set(run_analyze(config).checks) == {
+            "partition_of_unity", "positivity", "constant_reproduction", "norm_estimate",
+            "kernel_residual"}
+        assert op.default_values.dense is None
 
     @pytest.mark.parametrize("text", [
         '{"operator": "kantorovich", "n": 3, "grid_points": 97}',
@@ -274,7 +296,7 @@ class TestRunAnalyze:
     def test_config_grid_reaches_every_check(self, monkeypatch, text):
         # The values of these operators' checks are the same on 97 and 1001
         # points, so each check's grid argument is compared, not only results;
-        # all five read one array of basis values on that grid.
+        # all five read one local form of the basis on that grid.
         config = parse_config(text)
         expected = np.linspace(0.0, 1.0, 97)
         received = {}
@@ -298,8 +320,10 @@ class TestRunAnalyze:
             assert values is shared, name
 
         op = build_operator(config)
-        values = op.basis.values(expected)
-        nptest.assert_array_equal(shared, values)
+        first, local = op.basis.local(expected)
+        nptest.assert_array_equal(shared.first, first)
+        nptest.assert_array_equal(shared.values, local)
+        values = op.basis.on(expected)
         tol = config.tolerances
         assert report.checks == {
             "partition_of_unity": originals["check_partition_of_unity"](
@@ -1054,3 +1078,47 @@ class TestCli:
         assert a["config"]["seed"] == 99
         a.pop("timings"); b.pop("timings")
         assert a == b
+
+
+#: Child process: runs ``python -m pouspec`` with its argv as its only child
+#: and prints that child's exit code and peak RSS (``ru_maxrss``, KB on
+#: Linux) as one JSON list.
+_PEAK_RSS_CHILD = """
+import json, resource, subprocess, sys
+code = subprocess.run([sys.executable, "-m", "pouspec", *sys.argv[1:]],
+                      stdout=subprocess.DEVNULL).returncode
+print(json.dumps([code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]))
+"""
+
+#: The largest hat and cubic B-spline operators on the largest grid.
+LARGEST_GRID_CONFIGS = {
+    "hat-dirac-500": {"operator": "hat-dirac", "nodes": np.linspace(0.0, 1.0, 500).tolist(),
+                      "grid_points": MAX_GRID_POINTS},
+    "schoenberg-cubic-500": {"operator": "schoenberg", "degree": 3,
+                             "knots": [0.0] * 3 + np.linspace(0.0, 1.0, 498).tolist()
+                             + [1.0] * 3,
+                             "grid_points": MAX_GRID_POINTS},
+}
+
+
+class TestLargestGrid:
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("name", LARGEST_GRID_CONFIGS)
+    def test_peak_memory(self, tmp_path, name, command):
+        # 500 functions on 100001 points: their dense values alone take
+        # 400 MB, and an analysis that read them peaked at 427 MB (hats) and
+        # 430 MB (cubic B-splines). The local form takes 2.4 MB.
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(LARGEST_GRID_CONFIGS[name]), encoding="utf-8")
+        assert build_operator(parse_config(config.read_text())).n == 500
+        src = Path(cli_module.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                           "MKL_NUM_THREADS")})
+        run = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, command,
+                              "--config", str(config)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stderr) == (0, "")
+        code, peak_kb = json.loads(run.stdout)
+        assert code == 0
+        assert peak_kb < 150 * 1024

@@ -7,9 +7,10 @@ Usage, from the repository root::
 Each ``*_SRC`` is a directory that holds the ``pouspec`` package (``src``
 of a checkout). Every config of the three benchmark pools
 (``perfbench.workloads.pool``, read from this checkout), the five
-largest configs of :func:`largest_configs`, the five kernel-witness
-configs of :func:`witness_configs`, the three edge configs of
-:func:`edge_configs` and the 300 seeded configs of :func:`seed_configs` is
+largest configs of :func:`largest_configs`, the two fine-grid configs of
+:func:`grid_configs`, the five kernel-witness configs of
+:func:`witness_configs`, the three edge configs of :func:`edge_configs`
+and the 300 seeded configs of :func:`seed_configs`, 559 in all, is
 analysed once per tree, each tree in
 its own child process so that each imports its own ``pouspec``: in-process
 through ``pouspec.cli.main``, BLAS pinned to one thread, writing the JSON,
@@ -140,6 +141,19 @@ def largest_configs() -> list[dict]:
         "hat-average-500": _hat_average(500),
     }
     return [{"config": f"largest {name}", "stratum": "largest", "text": json.dumps(config)}
+            for name, config in configs.items()]
+
+
+def grid_configs() -> list[dict]:
+    """``config``, ``stratum`` and ``text`` of the two largest configs of a
+    local basis, hat-Dirac on 500 uniform nodes and cubic Schoenberg with
+    500 functions on uniform breakpoints, on a verification grid of 10001
+    points: their checks read the basis' local form on a grid of their own,
+    not the one construction validated the basis on."""
+    configs = {name: {**json.loads(config["text"]), "grid_points": 10001}
+               for name, config in zip(("hat-dirac-500", "schoenberg-cubic-500"),
+                                       largest_configs()[2:4])}
+    return [{"config": f"grid {name}-grid-10001", "stratum": "grid", "text": json.dumps(config)}
             for name, config in configs.items()]
 
 
@@ -308,8 +322,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no pouspec package under {src}")
     with tempfile.TemporaryDirectory() as tmp:
         configs_path = Path(tmp) / "configs.json"
-        configs = (pool_configs() + largest_configs() + witness_configs() + edge_configs()
-                   + seed_configs())
+        configs = (pool_configs() + largest_configs() + grid_configs() + witness_configs()
+                   + edge_configs() + seed_configs())
         configs_path.write_text(json.dumps(configs), encoding="utf-8")
         return _compare_children(_children(srcs, configs_path))
 
