@@ -15,9 +15,11 @@ evaluator's local form, for callers that need only the nonzero values.
 points)`` array.
 
 :meth:`BasisSystem.on` holds the basis on a point set, such as a
-verification grid, as a :class:`LocalForm`, whose :meth:`LocalForm.combine`
-is the one routine that combines coefficient rows with it: ``Tf`` on the
-points. Below ``LOCAL_CROSSOVER`` functions per nonzero one it is the
+verification grid, as a :class:`LocalForm`, which keeps the points with
+their values, so that a check takes the form alone and no form can be
+paired with the wrong points. :meth:`LocalForm.combine` is the one
+routine that combines coefficient rows with it: ``Tf`` on the points.
+Below ``LOCAL_CROSSOVER`` functions per nonzero one it is the
 BLAS product with the dense values, and the form keeps them; from there on
 it adds ``width`` products per point and the form holds no dense array.
 The module imports no scipy.
@@ -31,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checks import CheckResult, nonempty_grid
+from .checks import CheckResult
 from .errors import ConfigError
 from .functions import require_in_domain
 
@@ -93,11 +95,16 @@ class BasisSystem:
         return self._scatter(*self.local(xs))
 
     def on(self, xs: Sequence[float] | np.ndarray) -> "LocalForm":
-        """The basis on ``xs`` for the checks, evaluated once: the local
-        form, and the dense values too below ``LOCAL_CROSSOVER``."""
-        first, local = self.local(xs)
+        """The basis on ``xs`` for the checks, evaluated once: the points (a
+        read-only view, so that the caller's array stays writeable), the
+        local form, and the dense values too below ``LOCAL_CROSSOVER``. An
+        empty point set is a :class:`ConfigError`."""
+        arr = np.atleast_1d(np.asarray(xs, dtype=float))
+        if arr.size == 0:
+            raise ConfigError(f"{self.name}: the checks need a non-empty grid")
+        first, local = self.local(arr)
         dense = self._scatter(first, local) if self.n < LOCAL_CROSSOVER * self.width else None
-        return LocalForm(first, local, self.n, dense)
+        return LocalForm(arr.view(), first, local, self.n, dense)
 
     def _scatter(self, first: np.ndarray, local: np.ndarray) -> np.ndarray:
         """The dense ``(n, points)`` values of the local form ``(first,
@@ -121,29 +128,27 @@ class BasisSystem:
 
 @dataclass(frozen=True)
 class LocalForm:
-    """A basis of ``n`` functions on a point set, read-only: row ``q`` of
-    ``values`` (shape ``(width, points)``) is function ``first + q`` at
-    each point, and every other function is 0 there. ``dense`` is the same
-    values scattered as :meth:`BasisSystem.values` lays them out, kept only
-    where :meth:`combine` takes the dense product, else ``None``."""
+    """A basis of ``n`` functions on the points ``xs``, read-only: row
+    ``q`` of ``values`` (shape ``(width, len(xs))``) is function ``first +
+    q`` at each point, and every other function is 0 there. ``dense`` is
+    the same values scattered as :meth:`BasisSystem.values` lays them out,
+    kept only where :meth:`combine` takes the dense product, else
+    ``None``."""
 
+    xs: np.ndarray
     first: np.ndarray
     values: np.ndarray
     n: int
     dense: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.first, self.values, self.dense):
+        for arr in (self.xs, self.first, self.values, self.dense):
             if arr is not None:
                 arr.flags.writeable = False
 
     @property
     def width(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def points(self) -> int:
-        return self.values.shape[1]
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
         """``Tf`` on the points for each coefficient row: ``coeffs @ dense``,
@@ -321,21 +326,17 @@ def make_hat_basis(nodes: Sequence[float]) -> BasisSystem:
 # Verification
 # --------------------------------------------------------------------------
 
-def check_partition_of_unity(form: LocalForm, grid: np.ndarray,
-                             tol: float = TOL_POU) -> CheckResult:
-    """Max deviation of ``sum_k e_k`` from one over the grid; ``form`` is
-    the basis on ``grid`` (:meth:`BasisSystem.on`)."""
-    grid = nonempty_grid(grid, form, "partition-of-unity")
-    return CheckResult.deviation_from_one("partition_of_unity", form.sums(), grid, tol)
+def check_partition_of_unity(form: LocalForm, tol: float = TOL_POU) -> CheckResult:
+    """Max deviation of ``sum_k e_k`` from one over the points of ``form``,
+    the basis on a grid (:meth:`BasisSystem.on`)."""
+    return CheckResult.deviation_from_one("partition_of_unity", form.sums(), form.xs, tol)
 
 
-def check_nonnegativity(form: LocalForm, grid: np.ndarray,
-                        tol: float = TOL_POU) -> CheckResult:
-    """Least value over the grid of a basis function that may be nonzero
-    there (every other one is 0); passes iff >= -tol. ``form`` is the basis
-    on ``grid`` (:meth:`BasisSystem.on`). Of equal values the one of the
-    lowest function, then of the first point, is reported."""
-    grid = nonempty_grid(grid, form, "nonnegativity")
+def check_nonnegativity(form: LocalForm, tol: float = TOL_POU) -> CheckResult:
+    """Least value over the points of ``form``, the basis on a grid
+    (:meth:`BasisSystem.on`), of a basis function that may be nonzero there
+    (every other one is 0); passes iff >= -tol. Of equal values the one of
+    the lowest function, then of the first point, is reported."""
     least = form.values.min()
     q, j = np.nonzero(np.isnan(form.values) if np.isnan(least) else form.values == least)
     k = form.first[j] + q
@@ -345,6 +346,6 @@ def check_nonnegativity(form: LocalForm, grid: np.ndarray,
         passed=bool(least >= -tol),
         value=float(least),
         threshold=tol,
-        worst_x=float(grid[j[at]]),
+        worst_x=float(form.xs[j[at]]),
         detail=f"attained by basis function {int(k[at])}",
     )

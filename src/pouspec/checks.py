@@ -6,23 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-
-
-def nonempty_grid(grid, form, check: str) -> np.ndarray:
-    """``grid`` as a float array, or :class:`ConfigError` naming ``check``
-    when it holds no point or when ``form``, the basis' local form on it
-    (:class:`~pouspec.bases.LocalForm`), has not one column per point.
-    Every check that measures on a grid calls this first."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ConfigError(f"{check} check needs a non-empty grid")
-    if form.points != grid.size:
-        raise ConfigError(f"{check} check needs the basis' local form on {grid.size} "
-                          f"points, of shape (width, {grid.size}), got "
-                          f"{form.values.shape}")
-    return grid
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -42,14 +25,14 @@ class CheckResult:
     detail: str = ""
 
     @classmethod
-    def deviation_from_one(cls, name: str, values: np.ndarray, grid: np.ndarray,
+    def deviation_from_one(cls, name: str, values: np.ndarray, xs: np.ndarray,
                            tol: float) -> "CheckResult":
-        """Max of ``|values - 1|`` over the grid, passing iff it is at most
-        ``tol``; ``values[j]`` is taken at ``grid[j]``."""
+        """Max of ``|values - 1|`` over the points ``xs``, passing iff it is
+        at most ``tol``; ``values[j]`` is taken at ``xs[j]``."""
         dev = np.abs(values - 1.0)
         worst = int(np.argmax(dev))
         return cls(name=name, passed=bool(dev[worst] <= tol), value=float(dev[worst]),
-                   threshold=tol, worst_x=float(grid[worst]))
+                   threshold=tol, worst_x=float(xs[worst]))
 
     def as_dict(self) -> dict:
         out: dict = {

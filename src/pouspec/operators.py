@@ -13,13 +13,14 @@ takes a plain vectorized callable and evaluates it once on the joined
 nodes ``op.functionals.nodes``. Construction checks the normalization of
 every functional in one pass over the joined rule
 (:func:`~pouspec.functionals.first_unnormalized`). The verification
-helpers measure, on a grid the caller passes in and with seeded random
+helpers measure, on a grid the caller chooses and with seeded random
 test functions: constant reproduction, positivity, the unit operator norm
-and an explicit nonzero kernel witness. Each takes the grid and
-``form``, the basis on it as the caller evaluated it once
+and an explicit nonzero kernel witness. Each takes ``form``, the basis on
+that grid as the caller evaluated it once
 (:meth:`~pouspec.bases.BasisSystem.on`), a
-:class:`~pouspec.bases.LocalForm`: per point the index of the first of the
-``width`` functions that may be nonzero there and their values. None
+:class:`~pouspec.bases.LocalForm`: the grid's points ``form.xs`` and, per
+point, the index of the first of the ``width`` functions that may be
+nonzero there and their values. None
 evaluates the basis itself, and every ``Tf`` on the grid is one call of
 :meth:`~pouspec.bases.LocalForm.combine`, which takes the BLAS product
 with the dense values below ``LOCAL_CROSSOVER`` functions per nonzero one
@@ -83,7 +84,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .bases import (BasisSystem, DEFAULT_GRID_POINTS, TOL_POU, LocalForm,
                     check_nonnegativity, check_partition_of_unity, make_bernstein_basis,
                     make_bspline_basis, make_hat_basis)
-from .checks import CheckResult, nonempty_grid
+from .checks import CheckResult
 from .errors import ConfigError
 from .functions import (PIECEWISE_LINEAR, dictionary, draw_test_functions, grid,
                         outside_domain, require_in_domain)
@@ -131,16 +132,15 @@ class OperatorSpec:
             raise ConfigError(
                 f"{self.name}: basis has {self.basis.n} functions but "
                 f"{fs.n} functionals were given")
-        xs = grid(DEFAULT_GRID_POINTS)
-        form = self.basis.on(xs)
-        pou = check_partition_of_unity(form, xs)
+        form = self.basis.on(grid(DEFAULT_GRID_POINTS))
+        pou = check_partition_of_unity(form)
         if not pou.passed:
             raise ConfigError(
                 f"{self.name}: basis violates the partition of unity "
                 f"(deviation {pou.value:.3e} at x={pou.worst_x:.6g})")
         # The least value decides; only a failure locates it.
         if not form.values.min() >= -TOL_POU:
-            nn = check_nonnegativity(form, xs)
+            nn = check_nonnegativity(form)
             raise ConfigError(
                 f"{self.name}: basis takes negative values "
                 f"({nn.value:.3e} at x={nn.worst_x:.6g})")
@@ -236,13 +236,12 @@ def coefficient_vector(op: OperatorSpec,
 # Lemma verification
 # --------------------------------------------------------------------------
 
-def verify_constant_reproduction(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
+def verify_constant_reproduction(op: OperatorSpec, form: LocalForm,
                                  tol: float = WITNESS_RESIDUAL_TOL) -> CheckResult:
-    """Max deviation of ``T1`` from one on the grid; the coefficients of the
-    constant one are the functionals' masses."""
-    grid = nonempty_grid(grid, form, "constant-reproduction")
-    return CheckResult.deviation_from_one(
-        "constant_reproduction", form.combine(coefficient_vector(op, np.ones_like)), grid, tol)
+    """Max deviation of ``T1`` from one on the grid of ``form``; the
+    coefficients of the constant one are the functionals' masses."""
+    images = form.combine(coefficient_vector(op, np.ones_like))
+    return CheckResult.deviation_from_one("constant_reproduction", images, form.xs, tol)
 
 
 def _images(coeffs: np.ndarray, form: LocalForm) -> np.ndarray:
@@ -251,13 +250,6 @@ def _images(coeffs: np.ndarray, form: LocalForm) -> np.ndarray:
     stacked product as one matrix-vector product per row (one matrix
     product would not give the same bits)."""
     return form.combine(coeffs[:, None, :])[:, 0]
-
-
-def _block_images(coeffs: np.ndarray, form: LocalForm) -> np.ndarray:
-    """``Tf`` on the grid for each row of ``coeffs``, on the dense product
-    by one matrix product: fewer calls than :func:`_images`, in another
-    summation order, which the bounds below allow."""
-    return form.combine(coeffs)
 
 
 # Bounds on computed images. For a coefficient row ``c``, every computed
@@ -305,17 +297,15 @@ def _image_lower_bounds(coeffs: np.ndarray, form: LocalForm) -> np.ndarray:
             - (np.abs(coeffs).max(axis=1) * (s_max * gamma) + slack))
 
 
-def verify_positivity(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
-                      trials: int = 100, tol: float = WITNESS_RESIDUAL_TOL,
-                      seed: int = 42) -> CheckResult:
-    """Minimum of ``Tf`` over the grid across seeded nonnegative ``f``; the
-    first trial to reach the minimum names it.
+def verify_positivity(op: OperatorSpec, form: LocalForm, trials: int = 100,
+                      tol: float = WITNESS_RESIDUAL_TOL, seed: int = 42) -> CheckResult:
+    """Minimum of ``Tf`` over the grid of ``form`` across seeded
+    nonnegative ``f``; the first trial to reach the minimum names it.
 
     Pass 1 forms every trial's coefficients and a lower bound of its image
     (see :func:`_image_lower_bounds`); pass 2 computes the images in ascending
     order of that bound and stops at the first bound above the worst found,
     which no later trial can reach or tie."""
-    grid = nonempty_grid(grid, form, "positivity")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     draw = draw_test_functions(np.random.default_rng(seed), trials, nonnegative=True)
@@ -329,7 +319,7 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
     worst = (np.inf, trials)
     worst_x = None
     order = np.argsort(lower, kind="stable")
-    size = max(1, TRIAL_BLOCK_VALUES // grid.size)
+    size = max(1, TRIAL_BLOCK_VALUES // form.xs.size)
     for start in range(0, trials, size):
         rows = order[start:start + size]
         rows = np.sort(rows[lower[rows] <= worst[0]])
@@ -341,7 +331,7 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
         k = int(np.argmin(mins))
         if (mins[k], rows[k]) < worst:
             worst = (float(mins[k]), int(rows[k]))
-            worst_x = float(grid[cols[k]])
+            worst_x = float(form.xs[cols[k]])
     worst_val, worst_trial = worst
     worst_name = draw.name(worst_trial) if worst_trial < trials else ""
     return CheckResult(
@@ -354,10 +344,10 @@ def verify_positivity(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
     )
 
 
-def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
-                           trials: int = 200, seed: int = 42) -> float:
+def estimate_operator_norm(op: OperatorSpec, form: LocalForm, trials: int = 200,
+                           seed: int = 42) -> float:
     """Max of ``||Tf||_inf / ||f||_inf`` over the constant one plus seeded
-    random test functions (sup norms on the grid); a function with
+    random test functions (sup norms on the grid of ``form``); a function with
     ``||f||_inf < 1e-12`` is skipped. The constant attains the exact norm 1,
     so the estimate is a tight lower bound of it.
 
@@ -373,13 +363,13 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
     grid. Every block holds at most ``TRIAL_BLOCK_VALUES`` values, or one
     rule. Pass 1 keeps an upper bound of each ratio (see
     :func:`_image_upper_bounds`); pass 2 computes the images in descending
-    order of that bound, each block of trials by one matrix product
-    (:func:`_block_images`), and stops at the first bound at or below the
+    order of that bound, each block of trials by one
+    :meth:`~pouspec.bases.LocalForm.combine`, on the dense product one
+    matrix product, and stops at the first bound at or below the
     best ratio found."""
-    grid = nonempty_grid(grid, form, "norm-estimate")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    require_in_domain(grid, "norm-estimate check grid")
+    xs = form.xs
     draw = draw_test_functions(np.random.default_rng(seed), trials)
     fs = op.functionals
     # The constant one, ||1||_inf = 1 on the grid.
@@ -392,12 +382,12 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
     # on columns of the grid, each product within one block.
     smooth_weights, sup = weights[smooth], np.zeros(smooth.size)
     columns = max(1, TRIAL_BLOCK_VALUES // max(smooth.size, count))
-    for start in range(0, grid.size, columns):
-        on_grid = smooth_weights @ dictionary(grid[start:start + columns])
+    for start in range(0, xs.size, columns):
+        on_grid = smooth_weights @ dictionary(xs[start:start + columns])
         np.maximum(sup, np.abs(on_grid, out=on_grid).max(axis=1), out=sup)
     denom = np.empty(trials)
     denom[smooth] = sup
-    for rows, on_grid in draw.blocks(TRIAL_BLOCK_VALUES // grid.size, grid, pwl):
+    for rows, on_grid in draw.blocks(TRIAL_BLOCK_VALUES // xs.size, xs, pwl):
         denom[rows] = np.abs(on_grid, out=on_grid).max(axis=1)
     # Their coefficients: the weights times the moments a_k(dictionary row).
     moments = np.empty((count, op.n))
@@ -411,24 +401,24 @@ def estimate_operator_norm(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
     upper = np.full(trials, -np.inf)
     np.divide(_image_upper_bounds(coeffs, form), denom, out=upper, where=denom >= 1e-12)
     order = np.argsort(-upper, kind="stable")
-    size = max(1, TRIAL_BLOCK_VALUES // grid.size)
+    size = max(1, TRIAL_BLOCK_VALUES // xs.size)
     for start in range(0, trials, size):
         rows = order[start:start + size]
         rows = rows[upper[rows] > best]
         if rows.size == 0:
             break
-        images = _block_images(coeffs[rows], form)
+        images = form.combine(coeffs[rows])
         np.abs(images, out=images)
         best = float(np.max(images.max(axis=1) / denom[rows], initial=best))
     return best
 
 
-def verify_norm_bound(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
-                      trials: int = 200, seed: int = 42,
+def verify_norm_bound(op: OperatorSpec, form: LocalForm, trials: int = 200, seed: int = 42,
                       tol: float = WITNESS_RESIDUAL_TOL) -> CheckResult:
-    """Norm estimate on the grid packaged as a check: passes iff the estimate
-    lies in ``[1 - 1e-12, 1 + tol]`` (the unit ball bound, attained at one)."""
-    estimate = estimate_operator_norm(op, grid, form, trials=trials, seed=seed)
+    """Norm estimate on the grid of ``form`` packaged as a check: passes iff
+    the estimate lies in ``[1 - 1e-12, 1 + tol]`` (the unit ball bound,
+    attained at one)."""
+    estimate = estimate_operator_norm(op, form, trials=trials, seed=seed)
     passed = 1.0 - 1e-12 <= estimate <= 1.0 + tol
     return CheckResult(
         name="norm_estimate",
@@ -443,16 +433,14 @@ def verify_norm_bound(op: OperatorSpec, grid: np.ndarray, form: LocalForm,
 # Kernel witness
 # --------------------------------------------------------------------------
 
-def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
-                          form: LocalForm) -> CheckResult:
-    """``||Tw||`` on the grid as a check, passed iff at most
+def kernel_witness_report(op: OperatorSpec, form: LocalForm) -> CheckResult:
+    """``||Tw||`` on the grid of ``form`` as a check, passed iff at most
     ``WITNESS_RESIDUAL_TOL``, for ``w`` the hat of height one on ``[lo,
     mid]`` minus the hat on ``[mid, hi]``, on the first widest gap ``[lo,
     hi]`` between points of {0, 1}, the joined nodes and the cell ends of
     the averages. No node lies inside the gap, so every ``a_k(w)`` is
     exactly 0; each cell holds the whole gap or none of it, so each exact
     average is 0. The peaks bring ``||w||`` to 1 on any grid."""
-    grid = nonempty_grid(grid, form, "kernel-witness")
     fs = op.functionals
     average = fs.kinds == AVERAGE
     # The bump serves mixed kinds too; they are refused only while the
@@ -468,16 +456,16 @@ def kernel_witness_report(op: OperatorSpec, grid: np.ndarray,
     lo, hi = ends[k], ends[k + 1]
     mid = lo + (hi - lo) / 2
     peaks = [lo + (mid - lo) / 2, mid + (hi - mid) / 2]
-    points = np.concatenate((grid, peaks, fs.nodes))
+    points = np.concatenate((form.xs, peaks, fs.nodes))
     left, right = (np.maximum(np.minimum(points - a, b - points), 0.0) / ((b - a) / 2)
                    for a, b in ((lo, mid), (mid, hi)))
     w = left - right
-    residual = float(np.max(np.abs(form.combine(fs.apply(w[grid.size + 2:])))))
+    residual = float(np.max(np.abs(form.combine(fs.apply(w[form.xs.size + 2:])))))
     return CheckResult(
         name="kernel_residual",
         passed=bool(residual <= WITNESS_RESIDUAL_TOL),
         value=residual,
         threshold=WITNESS_RESIDUAL_TOL,
         detail=f"witness odd bump on [{lo:.6g}, {hi:.6g}], "
-               f"||w||_inf = {float(np.abs(w[:grid.size + 2]).max()):.6g}",
+               f"||w||_inf = {float(np.abs(w[:form.xs.size + 2]).max()):.6g}",
     )

@@ -15,14 +15,16 @@ flat eigenvalue CSV, and to a static SVG of the disks and eigenvalues.
 Each kind a config can name is one row of a table: ``OPERATORS`` for the
 ``operator`` field, ``BASES`` and ``FUNCTIONALS`` for a custom operator's
 basis and functional specs. A row declares the kind's fields in config
-order with their parsers, its constructor, and for operators and bases
-its size. Parsing reads the named row's fields (for ``custom`` that reads
-its basis and functional specs through their rows), then the grid,
-tolerances and seed; only once every value is valid are the config's maps
-checked for unknown keys, against the same rows. ``build_operator`` checks
-the row's size against ``MAX_DIMENSION`` before anything is built, then
-calls the constructor with the parsed fields as keyword arguments. Adding
-a kind is adding a row (and its entry in ``cli.CATALOG_TEXT``).
+order with their parsers, its constructor, for operators and bases its
+size, and for operators and functionals the nodes of their rules. Parsing
+reads the named row's fields (for ``custom`` that reads its basis and
+functional specs through their rows), then the grid, tolerances and seed;
+only once every value is valid are the config's maps checked for unknown
+keys, against the same rows. ``build_operator`` checks the row's size
+against ``MAX_DIMENSION`` and its nodes against ``MAX_RULE_NODES`` before
+anything is built, then calls the constructor with the parsed fields as
+keyword arguments. Adding a kind is adding a row (and its entry in
+``cli.CATALOG_TEXT``).
 
 The emitters work on whole arrays, with the same bytes as formatting each
 number on its own:
@@ -55,8 +57,8 @@ from .bases import (DEFAULT_GRID_POINTS, TOL_POU, check_partition_of_unity,
 from .checks import CheckResult
 from .errors import ConfigError, UnsupportedSizeError
 from .functions import grid
-from .functionals import (dirac_functionals, interval_average_functionals, join,
-                          quadrature_functionals)
+from .functionals import (DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS, dirac_functionals,
+                          interval_average_functionals, join, quadrature_functionals)
 from .operators import (WITNESS_RESIDUAL_TOL, OperatorSpec, bernstein_operator,
                         hat_dirac_operator, kantorovich_operator, kernel_witness_report,
                         schoenberg_operator, verify_constant_reproduction,
@@ -75,6 +77,13 @@ SCHEMA_VERSION = 1
 #: functions those take near 400 MB; an analysis of 500 hats or cubic
 #: B-splines, which keeps no dense values, peaks near 50 MB.
 MAX_GRID_POINTS = 100_001
+
+#: Most nodes of an operator's joined rule. The collocation matrix reads the
+#: basis on at most ``spectra.MAX_BLOCK_ENTRIES // n`` nodes at a time, but
+#: a longer rule is one block of ``n x nodes`` values: at this limit and
+#: MAX_DIMENSION functions, 400 MB, the envelope of the largest grid. The
+#: largest catalog rules, Kantorovich 499 and 500 hat averages, hold 16,000.
+MAX_RULE_NODES = 100_001
 
 
 @dataclass(frozen=True)
@@ -186,13 +195,15 @@ class Kind:
     config order, each with its parser ``(data, key, context) -> value``;
     the constructor, which takes the parsed fields as keyword arguments (a
     functional kind's takes each field as a list over its specs, and
-    builds them all in one call); and for operators and bases the size of
-    what it builds, read off the parsed fields before anything is
-    built."""
+    builds them all in one call); for operators and bases the size of
+    what it builds; and for operators and functionals the nodes of the rule
+    it builds (a functional kind's, of one spec). Sizes and nodes are read
+    off the parsed fields before anything is built."""
 
     params: dict[str, Callable[[dict, str, str], Any]]
     build: Callable[..., Any]
     size: Callable[[dict], int] | None = None
+    nodes: Callable[[dict], int] | None = None
 
     def parse(self, data: dict, context: str) -> dict:
         return {name: parse(data, name, context) for name, parse in self.params.items()}
@@ -263,27 +274,34 @@ BASES = {
 
 #: Functional kinds of a custom operator's ``functionals`` specs.
 FUNCTIONALS = {
-    "dirac": Kind({"x": _number}, dirac_functionals),
-    "interval-average": Kind({"a": _number, "b": _number}, interval_average_functionals),
+    "dirac": Kind({"x": _number}, dirac_functionals, nodes=lambda p: 1),
+    "interval-average": Kind({"a": _number, "b": _number}, interval_average_functionals,
+                             nodes=lambda p: DEFAULT_QUAD_ORDER * DEFAULT_QUAD_PANELS),
     "weighted-quadrature": Kind({"nodes": _float_list, "weights": _float_list},
-                                quadrature_functionals),
+                                quadrature_functionals, nodes=lambda p: len(p["nodes"])),
 }
 
 #: Operator kinds of a config's ``operator`` field. A catalog operator has
 #: the size of its basis; a custom one the larger of its basis size and
-#: its functional count.
+#: its functional count. The point-evaluation operators have one node per
+#: function, Kantorovich one average's per function, and a custom operator
+#: the sum of its functionals' nodes.
 OPERATORS = {
     "bernstein": Kind({"n": _integer_at_least(1)}, bernstein_operator,
-                      BASES["bernstein"].size),
+                      BASES["bernstein"].size, BASES["bernstein"].size),
     "kantorovich": Kind({"n": _integer_at_least(1)}, kantorovich_operator,
-                        BASES["bernstein"].size),
+                        BASES["bernstein"].size,
+                        lambda p: (p["n"] + 1) * FUNCTIONALS["interval-average"].nodes(p)),
     "schoenberg": Kind({"knots": _float_list, "degree": _integer_at_least(1)},
-                       schoenberg_operator, BASES["bspline"].size),
-    "hat-dirac": Kind({"nodes": _float_list}, hat_dirac_operator, BASES["hat"].size),
+                       schoenberg_operator, BASES["bspline"].size, BASES["bspline"].size),
+    "hat-dirac": Kind({"nodes": _float_list}, hat_dirac_operator, BASES["hat"].size,
+                      BASES["hat"].size),
     "custom": Kind({"basis": _basis_spec, "functionals": _functional_specs},
                    _custom_operator,
                    lambda p: max(BASES[p["basis"]["kind"]].size(p["basis"]),
-                                 len(p["functionals"]))),
+                                 len(p["functionals"])),
+                   lambda p: sum(FUNCTIONALS[spec["kind"]].nodes(spec)
+                                 for spec in p["functionals"])),
 }
 
 def _tolerances(data: dict) -> Tolerances:
@@ -356,12 +374,17 @@ def parse_config(text: str) -> AnalysisConfig:
 
 def build_operator(config: AnalysisConfig) -> OperatorSpec:
     """The configured operator, validated. Its size is checked against
-    ``MAX_DIMENSION`` before anything is built or evaluated."""
+    ``MAX_DIMENSION``, and the nodes of its joined rule against
+    ``MAX_RULE_NODES``, before anything is built or evaluated."""
     kind = OPERATORS[config.operator]
     n = kind.size(config.params)
     if n > MAX_DIMENSION:
         raise UnsupportedSizeError(f"operator '{config.operator}' has dimension {n}; the "
                                    f"dense eigensolver supports n <= {MAX_DIMENSION}")
+    nodes = kind.nodes(config.params)
+    if nodes > MAX_RULE_NODES:
+        raise UnsupportedSizeError(f"operator '{config.operator}' has {nodes} functional "
+                                   f"nodes; the joined rule may hold at most {MAX_RULE_NODES}")
     return kind.construct(config.params)
 
 
@@ -395,33 +418,30 @@ class AnalysisReport:
 def run_checks(op: OperatorSpec, config: AnalysisConfig) -> tuple[
         dict[str, CheckResult], dict[str, float]]:
     """The lemma checks of an operator, in report order, seeded from the
-    config, and the seconds each check took, keyed ``checks.<name>``. The
-    verification grid of ``config.grid_points`` points is built here once
-    and the basis evaluated on it once, as its local form
+    config, each keyed by the name its result carries, and the seconds each
+    took, keyed ``checks.<name>``. The basis is evaluated once on the
+    verification grid of ``config.grid_points`` points, as its local form
     (:meth:`~pouspec.bases.BasisSystem.on`), or not at all on the default
     grid, where the operator keeps the form its construction evaluated;
-    every check reads the grid and that form, and combines coefficients
+    every check reads the grid from that form, and combines coefficients
     with it only through :meth:`~pouspec.bases.LocalForm.combine`."""
-    xs = grid(config.grid_points)
     form = op.default_values
     if config.grid_points != DEFAULT_GRID_POINTS:
-        form = op.basis.on(xs)
+        form = op.basis.on(grid(config.grid_points))
     tol = config.tolerances
-    checks = {
-        "partition_of_unity": lambda: check_partition_of_unity(form, xs, tol.pou),
-        "positivity": lambda: verify_positivity(op, xs, form, tol=tol.norm,
-                                                seed=config.seed),
-        "constant_reproduction": lambda: verify_constant_reproduction(op, xs, form,
-                                                                      tol.norm),
-        "norm_estimate": lambda: verify_norm_bound(op, xs, form, seed=config.seed + 1,
-                                                   tol=tol.norm),
-        "kernel_residual": lambda: kernel_witness_report(op, xs, form),
-    }
+    checks = (
+        lambda: check_partition_of_unity(form, tol.pou),
+        lambda: verify_positivity(op, form, tol=tol.norm, seed=config.seed),
+        lambda: verify_constant_reproduction(op, form, tol.norm),
+        lambda: verify_norm_bound(op, form, seed=config.seed + 1, tol=tol.norm),
+        lambda: kernel_witness_report(op, form),
+    )
     results, timings = {}, {}
-    for name, check in checks.items():
+    for check in checks:
         t0 = time.perf_counter()
-        results[name] = check()
-        timings[f"checks.{name}"] = time.perf_counter() - t0
+        result = check()
+        timings[f"checks.{result.name}"] = time.perf_counter() - t0
+        results[result.name] = result
     return results, timings
 
 

@@ -106,7 +106,8 @@ def dense_product_form(basis: BasisSystem, xs: np.ndarray) -> LocalForm:
     :meth:`~pouspec.bases.LocalForm.combine` takes the dense product
     whatever the basis' ``n / width``."""
     first, local = basis.local(xs)
-    return LocalForm(first, local, basis.n, basis.values(xs))
+    return LocalForm(np.asarray(xs, dtype=float).view(), first, local, basis.n,
+                     basis.values(xs))
 
 
 def rules(functionals: Functionals) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -614,10 +615,10 @@ def assert_norm_estimate_near_oracle(op, grid: np.ndarray, trials: int = 200,
     products."""
     form = op.basis.on(grid)
     oracle, bound = norm_estimate_bound(op, grid, op.basis.values(grid), trials, seed)
-    estimate = estimate_operator_norm(op, grid, form, trials=trials, seed=seed)
+    estimate = estimate_operator_norm(op, form, trials=trials, seed=seed)
     assert abs(estimate - oracle) <= bound, (estimate, oracle, bound)
     assert bound <= 1e-12 * max(1.0, estimate), (bound, estimate)
-    check = verify_norm_bound(op, grid, form, trials=trials, seed=seed)
+    check = verify_norm_bound(op, form, trials=trials, seed=seed)
     assert check.passed == (1.0 - 1e-12 <= oracle <= 1.0 + check.threshold), (oracle, check)
 
 
@@ -661,7 +662,7 @@ def assert_positivity_near_oracle(op, grid: np.ndarray, trials: int = 100,
     same verdict unless the oracle's value lies within the bound of the
     threshold, and the reported point on the grid."""
     form = op.basis.on(grid)
-    check = verify_positivity(op, grid, form, trials=trials, seed=seed)
+    check = verify_positivity(op, form, trials=trials, seed=seed)
     oracle = positivity_oracle(op, grid, op.basis.values(grid), trials=trials, seed=seed)
     if form.dense is not None:
         assert check == oracle

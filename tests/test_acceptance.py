@@ -174,10 +174,10 @@ def test_criterion_07_lemma_suite():
     for op in operators:
         values = op.basis.on(GRID)
         worst["constant"] = max(worst["constant"],
-                                verify_constant_reproduction(op, GRID, values, 1e-10).value)
-        positivity = verify_positivity(op, GRID, values, trials=100, tol=1e-10, seed=42)
+                                verify_constant_reproduction(op, values, 1e-10).value)
+        positivity = verify_positivity(op, values, trials=100, tol=1e-10, seed=42)
         worst["positivity"] = min(worst["positivity"], positivity.value)
-        estimate = estimate_operator_norm(op, GRID, values, trials=200, seed=43)
+        estimate = estimate_operator_norm(op, values, trials=200, seed=43)
         worst["norm_low"] = min(worst["norm_low"], estimate)
         worst["norm_high"] = max(worst["norm_high"], estimate)
         constant_ratio = float(np.max(np.abs(image(op, one, GRID))))
@@ -213,7 +213,7 @@ def test_criterion_08_kernel_witness():
         w = bump(lo, hi)
         witness_norm = float(np.abs(w(np.append(GRID, bump_peaks(lo, hi)))).max())
         image_of_w = np.array([pairing(op.functionals, w, k) for k in range(op.n)]) @ values
-        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
+        result = kernel_witness_report(op, op.basis.on(GRID))
         reported &= result.passed and result.detail == (
             f"witness odd bump on [{lo:.6g}, {hi:.6g}], ||w||_inf = {witness_norm:.6g}")
         smallest_norm = min(smallest_norm, witness_norm)

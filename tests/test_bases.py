@@ -17,9 +17,6 @@ from pouspec.bases import (check_nonnegativity, check_partition_of_unity,
                            make_bernstein_basis, make_bspline_basis, make_hat_basis)
 from pouspec.errors import ConfigError
 from pouspec.functions import DOMAIN_SLACK
-from pouspec.operators import (bernstein_operator, estimate_operator_norm,
-                               kernel_witness_report, verify_constant_reproduction,
-                               verify_norm_bound, verify_positivity)
 
 
 class TestBernstein:
@@ -291,69 +288,55 @@ def test_nan_in_ordered_points_rejected(build, message):
         build()
 
 
-def _on_grid(basis, grid):
-    return basis.on(grid), grid
-
-
-#: Every check that measures on a grid, called as ``check(op, grid, values)``.
-GRID_CHECKS = {
-    "partition_of_unity": lambda op, grid, values: check_partition_of_unity(values, grid),
-    "nonnegativity": lambda op, grid, values: check_nonnegativity(values, grid),
-    "constant_reproduction": verify_constant_reproduction,
-    "positivity": verify_positivity,
-    "operator_norm": estimate_operator_norm,
-    "norm_bound": verify_norm_bound,
-    "kernel_witness_report": kernel_witness_report,
-}
-
-
 class TestChecks:
     def test_bernstein_partition_passes(self):
         basis = make_bernstein_basis(5)
-        result = check_partition_of_unity(*_on_grid(basis, np.linspace(0, 1, 1001)),
-                                          tol=1e-12)
+        result = check_partition_of_unity(basis.on(np.linspace(0, 1, 1001)), tol=1e-12)
         assert result.passed
 
     def test_scaled_basis_fails_with_deviation(self):
         base = make_bernstein_basis(3)
         shrunk = dense_basis(lambda xs: 0.9 * base.values(xs), base.n, name="shrunk")
-        result = check_partition_of_unity(*_on_grid(shrunk, np.linspace(0, 1, 101)),
-                                          tol=1e-12)
+        result = check_partition_of_unity(shrunk.on(np.linspace(0, 1, 101)), tol=1e-12)
         assert not result.passed
         assert result.value == pytest.approx(0.1, abs=1e-12)
 
     def test_bspline_partition_on_interior_grid(self):
         basis = make_bspline_basis(clamped_knots([0.0, 0.4, 0.9, 1.0], 3), 3)
-        result = check_partition_of_unity(*_on_grid(basis, np.linspace(0, 1, 501)),
-                                          tol=1e-12)
+        result = check_partition_of_unity(basis.on(np.linspace(0, 1, 501)), tol=1e-12)
         assert result.passed
 
     def test_nonnegativity_pass_and_min_zero(self):
         basis = make_hat_basis([0.0, 0.5, 1.0])
-        result = check_nonnegativity(*_on_grid(basis, np.linspace(0, 1, 101)), tol=0.0)
+        result = check_nonnegativity(basis.on(np.linspace(0, 1, 101)), tol=0.0)
         assert result.passed and result.value == 0.0
 
     def test_nonnegativity_detects_violation(self):
         bad = dense_basis(lambda xs: np.vstack((2 * xs - 1, 2 - 2 * xs)), 2, name="bad")
-        result = check_nonnegativity(*_on_grid(bad, np.linspace(0, 1, 101)), tol=1e-12)
+        result = check_nonnegativity(bad.on(np.linspace(0, 1, 101)), tol=1e-12)
         assert not result.passed
         assert result.value == pytest.approx(-1.0)
         assert result.worst_x == 0.0
 
-    @pytest.mark.parametrize("check, grid, columns, message", [
-        *(pytest.param(check, np.array([]), 0, "needs a non-empty grid", id=name)
-          for name, check in GRID_CHECKS.items()),
-        *(pytest.param(check, np.linspace(0, 1, 11), 10,
-                       r"needs the basis' local form on 11 points, "
-                       r"of shape \(width, 11\), got \(4, 10\)",
-                       id=f"{name}-mismatched-columns")
-          for name, check in GRID_CHECKS.items()),
-    ])
-    def test_empty_grid_rejected(self, check, grid, columns, message):
-        op = bernstein_operator(3)
-        values = op.basis.on(np.linspace(0, 1, columns))
-        with pytest.raises(ConfigError, match=message):
-            check(op, grid, values)
+    @pytest.mark.parametrize("basis", [
+        make_bernstein_basis(3),
+        make_bspline_basis(clamped_knots([0.0, 0.5, 1.0], 2), 2),
+        make_hat_basis([0.0, 1.0]),
+    ], ids=["bernstein", "bspline", "hat"])
+    def test_empty_grid_rejected(self, basis):
+        # Every check reads its grid from the basis' local form, so no check
+        # can run on an empty one.
+        with pytest.raises(ConfigError, match=re.escape(f"{basis.name}: the checks need "
+                                                        "a non-empty grid")):
+            basis.on(np.array([]))
+
+    def test_form_keeps_a_read_only_view_of_the_points(self):
+        xs = np.linspace(0, 1, 11)
+        form = make_hat_basis([0.0, 0.5, 1.0]).on(xs)
+        assert np.shares_memory(form.xs, xs) and xs.flags.writeable
+        nptest.assert_array_equal(form.xs, xs)
+        with pytest.raises(ValueError, match="read-only"):
+            form.xs[0] = 0.5
 
     @pytest.mark.parametrize("make", [
         lambda: make_bernstein_basis(4),
@@ -364,5 +347,5 @@ class TestChecks:
     def test_catalog_bases_pou_and_nonneg(self, make):
         basis = make()
         grid = np.linspace(0, 1, 1000)
-        assert check_partition_of_unity(*_on_grid(basis, grid), tol=1e-12).passed
+        assert check_partition_of_unity(basis.on(grid), tol=1e-12).passed
         assert basis.values(grid).min() >= 0.0

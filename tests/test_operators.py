@@ -15,8 +15,8 @@ import numpy.testing as nptest
 import pytest
 
 from pouspec import operators
-from pouspec.bases import (DEFAULT_GRID_POINTS, LOCAL_CROSSOVER, make_bernstein_basis,
-                           make_bspline_basis, make_hat_basis)
+from pouspec.bases import (DEFAULT_GRID_POINTS, LOCAL_CROSSOVER, LocalForm,
+                           make_bernstein_basis, make_bspline_basis, make_hat_basis)
 from pouspec.errors import ConfigError, DomainError
 from pouspec.functionals import (AVERAGE, check_functional_normalization, dirac_functionals,
                                  first_unnormalized, interval_average_functionals,
@@ -177,14 +177,15 @@ class TestConstruction:
         # where the checks take the dense product.
         form, xs = op.default_values, grid(DEFAULT_GRID_POINTS)
         first, local = op.basis.local(xs)
-        assert (form.n, form.width, form.points) == (op.n, op.basis.width, DEFAULT_GRID_POINTS)
+        assert (form.n, form.width) == (op.n, op.basis.width)
+        assert form.xs.tobytes() == xs.tobytes()
         assert form.first.tobytes() == first.tobytes()
         assert form.values.tobytes() == local.tobytes()
         if op.n < LOCAL_CROSSOVER * op.basis.width:
             assert form.dense.tobytes(order="A") == op.basis.values(xs).tobytes(order="A")
         else:
             assert form.dense is None
-        for arr in (form.first, form.values, form.dense):
+        for arr in (form.xs, form.first, form.values, form.dense):
             if arr is not None:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[(0,) * arr.ndim] = 0
@@ -330,19 +331,19 @@ class TestPositivityAndNorm:
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_positivity_check(self, op):
-        result = verify_positivity(op, GRID, op.basis.on(GRID), trials=100, tol=1e-10, seed=3)
+        result = verify_positivity(op, op.basis.on(GRID), trials=100, tol=1e-10, seed=3)
         assert result.passed, result
 
     def test_doctored_negative_weight_fails(self):
         basis = make_hat_basis([0.0, 1.0])
         bad = quadrature([0.2, 0.8], [1.5, -0.5])
         op = unchecked_operator(basis, in_order(dirac(0.0), bad), name="doctored")
-        result = verify_positivity(op, GRID, op.basis.on(GRID), trials=100, tol=1e-10, seed=3)
+        result = verify_positivity(op, op.basis.on(GRID), trials=100, tol=1e-10, seed=3)
         assert not result.passed
 
     def test_norm_includes_constant_witness(self):
         op = bernstein_operator(5)
-        estimate = estimate_operator_norm(op, GRID, op.basis.on(GRID), trials=10, seed=0)
+        estimate = estimate_operator_norm(op, op.basis.on(GRID), trials=10, seed=0)
         assert 1.0 - 1e-12 <= estimate <= 1.0 + 1e-10
 
     def test_full_sine_has_zero_ratio(self):
@@ -352,12 +353,12 @@ class TestPositivityAndNorm:
 
     def test_kantorovich_norm_bound(self):
         op = kantorovich_operator(4)
-        estimate = estimate_operator_norm(op, GRID, op.basis.on(GRID), trials=200, seed=7)
+        estimate = estimate_operator_norm(op, op.basis.on(GRID), trials=200, seed=7)
         assert 0.5 <= estimate <= 1.0 + 1e-10
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
     def test_norm_check(self, op):
-        result = verify_norm_bound(op, GRID, op.basis.on(GRID), trials=60, seed=5)
+        result = verify_norm_bound(op, op.basis.on(GRID), trials=60, seed=5)
         assert result.passed, result
 
     @pytest.mark.parametrize("op", catalog_operators()[:4], ids=lambda o: o.name)
@@ -452,19 +453,18 @@ class TestBlockChecks:
 
     def test_bounds_skip_most_images(self, monkeypatch):
         # Cell averages of a smooth f lie strictly inside its range, so the
-        # coefficient bounds rule out all but a few of the 300 trials. Both
-        # image routines are counted: positivity's row by row and the norm
-        # check's block products.
+        # coefficient bounds rule out all but a few of the 300 trials. Every
+        # image is one LocalForm.combine, and both kinds are counted: the
+        # stacked rows of _images (positivity's, and the norm check's
+        # constant one) and the norm check's block products.
         rows = []
-        for name in ("_images", "_block_images"):
-            images = getattr(operators, name)
-            monkeypatch.setattr(operators, name,
-                                lambda coeffs, values, name=name, images=images:
-                                rows.append((name, len(coeffs))) or images(coeffs, values))
+        combine = LocalForm.combine
+        monkeypatch.setattr(LocalForm, "combine", lambda form, coeffs: rows.append(
+            (coeffs.ndim, len(coeffs))) or combine(form, coeffs))
         op = kantorovich_operator(30)
-        verify_positivity(op, GRID, op.default_values)
-        estimate_operator_norm(op, GRID, op.default_values, seed=43)
-        assert {name for name, _ in rows} == {"_images", "_block_images"}
+        verify_positivity(op, op.default_values)
+        estimate_operator_norm(op, op.default_values, seed=43)
+        assert {ndim for ndim, _ in rows} == {2, 3}
         assert 0 < sum(count for _, count in rows) < 300 / 4
 
     def test_checks_evaluate_each_trial_once(self, monkeypatch):
@@ -492,7 +492,7 @@ class TestBlockChecks:
         op = kantorovich_operator(30)
         nodes = op.functionals.nodes
         basis_values = op.basis.on(GRID)
-        verify_positivity(op, GRID, basis_values)
+        verify_positivity(op, basis_values)
         assert sorted(np.concatenate([rows for rows, *_ in calls]).tolist()) == list(range(100))
         for _, kinds, size, xs in calls:
             assert np.unique(kinds).size == 1
@@ -504,7 +504,7 @@ class TestBlockChecks:
         for check in (estimate_operator_norm, verify_norm_bound):
             calls.clear()
             points.clear()
-            check(op, GRID, basis_values)
+            check(op, basis_values)
             for on_nodes in (True, False):
                 rows = [rows for rows, _, _, xs in calls if (xs is nodes) == on_nodes]
                 assert sorted(np.concatenate(rows).tolist()) == pwl
@@ -528,18 +528,19 @@ class TestBlockChecks:
                             lambda self, i: named.append(i) or name(self, i))
         op = kantorovich_operator(4)
         basis_values = op.basis.on(GRID)
-        result = verify_positivity(op, GRID, basis_values, seed=5)
+        result = verify_positivity(op, basis_values, seed=5)
         draw = draw_test_functions(np.random.default_rng(5), 100, nonnegative=True)
         assert len(named) == 1
         assert result.detail.endswith(f"at f = {name(draw, named[0])}")
-        estimate_operator_norm(op, GRID, basis_values)
+        estimate_operator_norm(op, basis_values)
         assert len(named) == 1
 
-    def test_norm_grid_outside_domain_rejected(self):
+    def test_grid_outside_domain_rejected_by_the_form(self):
+        # The checks read the grid from the basis' local form, which is
+        # built only on points in the domain.
         op = bernstein_operator(2)
-        xs = np.array([0.0, 0.5, 1.5])
-        with pytest.raises(DomainError, match=r"^norm-estimate check grid: x=1.5 outside"):
-            estimate_operator_norm(op, xs, op.basis.on(np.array([0.0, 0.5, 1.0])))
+        with pytest.raises(DomainError, match=r"^bernstein\(2\): x=1.5 outside"):
+            op.basis.on(np.array([0.0, 0.5, 1.5]))
 
 
 #: Child process: for each config text of the JSON list on stdin, the norm
@@ -553,9 +554,8 @@ estimates = []
 for text in json.load(sys.stdin):
     config = parse_config(text)
     op = build_operator(config)
-    xs = grid(config.grid_points)
-    estimates.append(estimate_operator_norm(op, xs, op.basis.on(xs),
-                                            seed=config.seed + 1).hex())
+    form = op.basis.on(grid(config.grid_points))
+    estimates.append(estimate_operator_norm(op, form, seed=config.seed + 1).hex())
 print(json.dumps(estimates))
 """
 
@@ -584,10 +584,10 @@ class TestNormCheckResources:
         # nodes when it evaluated every trial on the nodes and the grid, one
         # trial per block; the dictionary may add at most one block.
         op = kantorovich_operator(499)
-        estimate_operator_norm(op, GRID, op.default_values)
+        estimate_operator_norm(op, op.default_values)
         tracemalloc.start()
         try:
-            estimate_operator_norm(op, GRID, op.default_values)
+            estimate_operator_norm(op, op.default_values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -601,7 +601,7 @@ class TestNormCheckResources:
         values = op.basis.on(xs)
         tracemalloc.start()
         try:
-            estimate_operator_norm(op, xs, values)
+            estimate_operator_norm(op, values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -611,12 +611,12 @@ class TestNormCheckResources:
 class TestConstantReproductionCheck:
     def test_bernstein_tight(self):
         op = bernstein_operator(8)
-        result = verify_constant_reproduction(op, GRID, op.basis.on(GRID), tol=1e-12)
+        result = verify_constant_reproduction(op, op.basis.on(GRID), tol=1e-12)
         assert result.passed
 
     def test_kantorovich_with_quadrature(self):
         op = kantorovich_operator(5)
-        result = verify_constant_reproduction(op, GRID, op.basis.on(GRID), tol=1e-10)
+        result = verify_constant_reproduction(op, op.basis.on(GRID), tol=1e-10)
         assert result.passed
 
     def test_scaled_basis_fails(self):
@@ -624,7 +624,7 @@ class TestConstantReproductionCheck:
         shrunk = dense_basis(lambda xs: 0.99 * base.basis.values(xs), base.basis.n,
                              name="shrunk")
         op = unchecked_operator(shrunk, base.functionals, name="shrunk")
-        result = verify_constant_reproduction(op, GRID, op.basis.on(GRID), tol=1e-10)
+        result = verify_constant_reproduction(op, op.basis.on(GRID), tol=1e-10)
         assert not result.passed
         assert result.value == pytest.approx(0.01, abs=1e-12)
 
@@ -706,7 +706,7 @@ class TestKernelWitness:
         assert all(pairing(op.functionals, w, k) == 0.0 for k in range(op.n))
         assert all(v == 0.0 for v in cell_integrals(op, w, bump_breakpoints(*widest_gap(op))))
         assert np.max(np.abs(image_of_w)) == 0.0
-        result = kernel_witness_report(op, xs, op.basis.on(xs))
+        result = kernel_witness_report(op, op.basis.on(xs))
         assert result.passed and result.value == 0.0
         assert result.threshold == WITNESS_RESIDUAL_TOL
         assert result.detail == _witness_detail(op, xs)
@@ -724,7 +724,7 @@ class TestKernelWitness:
         assert all(pairing(op.functionals, w, k) == 0.0 for k in range(op.n))
         assert all(v == 0.0 for v in cell_integrals(op, w, bump_breakpoints(lo, hi)))
         xs = grid(config.grid_points)
-        result = kernel_witness_report(op, xs, op.basis.on(xs))
+        result = kernel_witness_report(op, op.basis.on(xs))
         average = op.functionals.kinds == AVERAGE
         if average.any() and not average.all():
             assert not result.passed and result.value is None
@@ -736,7 +736,7 @@ class TestKernelWitness:
         # Nodes 0, 1/2, 1: both gaps are widest, and the first is taken.
         op = bernstein_operator(2)
         assert widest_gap(op) == (0.0, 0.5)
-        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
+        result = kernel_witness_report(op, op.basis.on(GRID))
         assert result.detail == "witness odd bump on [0, 0.5], ||w||_inf = 1"
 
     @pytest.mark.parametrize("op", catalog_operators(), ids=lambda o: o.name)
@@ -744,12 +744,12 @@ class TestKernelWitness:
         w, image_of_w = _bump_image(op)
         assert np.abs(w(np.append(GRID, bump_peaks(*widest_gap(op))))).max() >= 0.5
         assert np.max(np.abs(image_of_w)) == 0.0
-        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
+        result = kernel_witness_report(op, op.basis.on(GRID))
         assert result.passed and result.value == 0.0
 
     def test_irregular_nodes_bump_on_the_widest_gap(self):
         op = hat_dirac_operator([0.0, 0.13, 0.55, 0.97, 1.0])
-        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
+        result = kernel_witness_report(op, op.basis.on(GRID))
         assert result.detail == "witness odd bump on [0.13, 0.55], ||w||_inf = 1"
         assert result.passed and result.value == 0.0
         assert np.max(np.abs(_bump_image(op)[1])) == 0.0
@@ -759,7 +759,7 @@ class TestKernelWitness:
         funcs = in_order(dirac(0.0), average(0.25, 0.75),
                  dirac(1.0))
         op = OperatorSpec(basis, funcs, name="mixed")
-        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
+        result = kernel_witness_report(op, op.basis.on(GRID))
         assert not result.passed and result.value is None
         assert result.threshold == WITNESS_RESIDUAL_TOL
         assert result.detail == ("mixed: no analytic kernel witness for mixed functional "
@@ -773,7 +773,7 @@ class TestKernelWitness:
         shifted = SimpleNamespace(nodes=fs.nodes, kinds=fs.kinds, a=fs.a, b=fs.b,
                                   apply=lambda values: fs.apply(values) + 1e-9)
         broken = unchecked_operator(op.basis, shifted, name="shifted")
-        result = kernel_witness_report(broken, GRID, op.basis.on(GRID))
+        result = kernel_witness_report(broken, op.basis.on(GRID))
         assert not result.passed
         assert result.value == pytest.approx(1e-9, rel=1e-12)
         assert result.detail == _witness_detail(op)
@@ -784,7 +784,7 @@ class TestKernelWitness:
                  average(0.3, 1.0))
         op = OperatorSpec(basis, funcs, name="lopsided")
         assert np.max(np.abs(_bump_image(op)[1])) == 0.0
-        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
+        result = kernel_witness_report(op, op.basis.on(GRID))
         assert result.passed and result.value == 0.0
         assert result.detail == _witness_detail(op)
 
@@ -794,7 +794,7 @@ class TestKernelWitness:
                  average(0.4, 1.0),
                  average(0.0, 1.0))
         op = OperatorSpec(basis, funcs, name="overlap")
-        result = kernel_witness_report(op, GRID, op.basis.on(GRID))
+        result = kernel_witness_report(op, op.basis.on(GRID))
         assert result.passed and result.value == 0.0
         assert result.detail.startswith("witness odd bump on [")
 

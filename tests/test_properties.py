@@ -148,11 +148,11 @@ def test_local_checks_are_the_dense_product_up_to_rounding(op, points):
     xs = grid(points)
     form, dense = op.basis.on(xs), dense_product_form(op.basis, xs)
     checks = {
-        "partition_of_unity": lambda f: check_partition_of_unity(f, xs),
-        "positivity": lambda f: verify_positivity(op, xs, f),
-        "constant_reproduction": lambda f: verify_constant_reproduction(op, xs, f),
-        "norm_estimate": lambda f: verify_norm_bound(op, xs, f, seed=43),
-        "kernel_residual": lambda f: kernel_witness_report(op, xs, f),
+        "partition_of_unity": check_partition_of_unity,
+        "positivity": lambda f: verify_positivity(op, f),
+        "constant_reproduction": lambda f: verify_constant_reproduction(op, f),
+        "norm_estimate": lambda f: verify_norm_bound(op, f, seed=43),
+        "kernel_residual": lambda f: kernel_witness_report(op, f),
     }
     results = {name: (check(form), check(dense)) for name, check in checks.items()}
     if op.n < LOCAL_CROSSOVER * op.basis.width:
@@ -197,11 +197,11 @@ def test_bernstein_checks_are_the_dense_product_bit_for_bit(op, points):
     assert form.dense is form.values
     coeffs = np.random.default_rng(points).uniform(-1.0, 1.0, (3, op.n))
     assert form.combine(coeffs).tobytes() == (coeffs @ op.basis.values(xs)).tobytes()
-    for check in (lambda f: check_partition_of_unity(f, xs),
-                  lambda f: verify_positivity(op, xs, f),
-                  lambda f: verify_constant_reproduction(op, xs, f),
-                  lambda f: verify_norm_bound(op, xs, f, seed=43),
-                  lambda f: kernel_witness_report(op, xs, f)):
+    for check in (check_partition_of_unity,
+                  lambda f: verify_positivity(op, f),
+                  lambda f: verify_constant_reproduction(op, f),
+                  lambda f: verify_norm_bound(op, f, seed=43),
+                  lambda f: kernel_witness_report(op, f)):
         local, on_dense = check(form), check(dense)
         assert local == on_dense
         assert (local.value is None or

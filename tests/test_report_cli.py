@@ -24,9 +24,10 @@ import pouspec.report as report_module
 from pouspec.bases import DEFAULT_GRID_POINTS, LOCAL_CROSSOVER, BasisSystem
 from pouspec.cli import build_parser, main
 from pouspec.errors import ConfigError
-from pouspec.report import (MAX_GRID_POINTS, build_operator, config_from_mapping,
-                            dumps_json, emit_report, emit_svg, exit_code_for, parse_config,
-                            report_to_mapping, run_analyze)
+from pouspec.report import (MAX_GRID_POINTS, MAX_RULE_NODES, build_operator,
+                            config_from_mapping, dumps_json, emit_report, emit_svg,
+                            exit_code_for, parse_config, report_to_mapping, run_analyze,
+                            run_checks)
 from pouspec.spectra import CollocationMatrix, SpectrumReport
 
 KANT1_CONFIG = '{"version": 1, "operator": "kantorovich", "n": 1, "seed": 42}'
@@ -295,8 +296,8 @@ class TestRunAnalyze:
     ], ids=["kantorovich-3", "schoenberg-cubic"])
     def test_config_grid_reaches_every_check(self, monkeypatch, text):
         # The values of these operators' checks are the same on 97 and 1001
-        # points, so each check's grid argument is compared, not only results;
-        # all five read one local form of the basis on that grid.
+        # points, so each check's form is compared, not only results: all
+        # five read one local form of the basis, and its grid.
         config = parse_config(text)
         expected = np.linspace(0.0, 1.0, 97)
         received = {}
@@ -313,11 +314,10 @@ class TestRunAnalyze:
             monkeypatch.setattr(report_module, name, recording)
         report = run_analyze(config)
         assert set(received) == set(originals)
-        shared, pou_grid = received.pop("check_partition_of_unity")[:2]
-        nptest.assert_array_equal(pou_grid, expected)
-        for name, (_, grid, values, *_) in received.items():
-            nptest.assert_array_equal(grid, expected, err_msg=name)
-            assert values is shared, name
+        shared = received.pop("check_partition_of_unity")[0]
+        nptest.assert_array_equal(shared.xs, expected)
+        for name, (_, form, *_) in received.items():
+            assert form is shared, name
 
         op = build_operator(config)
         first, local = op.basis.local(expected)
@@ -326,16 +326,26 @@ class TestRunAnalyze:
         values = op.basis.on(expected)
         tol = config.tolerances
         assert report.checks == {
-            "partition_of_unity": originals["check_partition_of_unity"](
-                values, expected, tol.pou),
+            "partition_of_unity": originals["check_partition_of_unity"](values, tol.pou),
             "positivity": originals["verify_positivity"](
-                op, expected, values, trials=100, tol=tol.norm, seed=config.seed),
+                op, values, trials=100, tol=tol.norm, seed=config.seed),
             "constant_reproduction": originals["verify_constant_reproduction"](
-                op, expected, values, tol.norm),
+                op, values, tol.norm),
             "norm_estimate": originals["verify_norm_bound"](
-                op, expected, values, trials=200, seed=config.seed + 1, tol=tol.norm),
-            "kernel_residual": originals["kernel_witness_report"](op, expected, values),
+                op, values, trials=200, seed=config.seed + 1, tol=tol.norm),
+            "kernel_residual": originals["kernel_witness_report"](op, values),
         }
+
+    @CATALOG_CONFIGS
+    def test_checks_keyed_by_their_own_names(self, text):
+        # run_checks spells no check name: each result, and its timing, is
+        # keyed by the name the check returns, in report order.
+        config = parse_config(text)
+        results, timings = run_checks(build_operator(config), config)
+        assert list(results) == [result.name for result in results.values()] == [
+            "partition_of_unity", "positivity", "constant_reproduction", "norm_estimate",
+            "kernel_residual"]
+        assert list(timings) == [f"checks.{name}" for name in results]
 
     def test_mapping_key_paths(self):
         report = run_analyze(parse_config(KANT1_CONFIG))
@@ -671,6 +681,14 @@ def _hat_custom(functionals: list) -> str:
                        "functionals": functionals})
 
 
+#: Two hats with a Dirac and one quadrature rule of MAX_RULE_NODES nodes: a
+#: joined rule one node over the limit.
+RULE_OVER_LIMIT_CONFIG = _hat_custom([
+    {"kind": "dirac", "x": 0.0},
+    {"kind": "weighted-quadrature", "nodes": [0.5] * MAX_RULE_NODES,
+     "weights": [1.0 / MAX_RULE_NODES] * MAX_RULE_NODES}])
+
+
 class TestCli:
     def test_analyze_writes_outputs(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -812,6 +830,9 @@ class TestCli:
             (b'\xff\xfe{"operator": "bernstein", "n": 3}',
              "configuration is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"),
             ("[" * 100_000, "configuration is not valid JSON: nested too deeply"),
+            (RULE_OVER_LIMIT_CONFIG,
+             "operator 'custom' has 100002 functional nodes; the joined rule may hold "
+             "at most 100001"),
             # The whole line: a numpy warning of the overflowing sum would
             # add lines (and the suite raises it as an error).
             *((text, stderr.removeprefix("error: "))
@@ -830,7 +851,7 @@ class TestCli:
             "removed-m-max", "unknown-top-level-key", "other-kind-parameter", "unknown-tolerance",
             "removed-stochastic-tolerance", "unknown-iterate-key", "unknown-output-flag",
             "dirac-with-a", "hat-basis-with-n", "float-version", "quadrature-lengths-differ", "empty-quadrature",
-            "average-a-above-b", "not-utf8", "nested-too-deeply",
+            "average-a-above-b", "not-utf8", "nested-too-deeply", "rule-over-limit",
             *(f"overflowing-weights-{name}" for name in OVERFLOWING_WEIGHT_CONFIGS),
             "negative-seed-override"])
     def test_bad_config_exits_two(self, tmp_path, capsys, text, named, command):
@@ -854,8 +875,9 @@ class TestCli:
                      "functionals": [{"kind": "dirac", "x": 0.0},
                                      {"kind": "dirac", "x": 1.0}]}),
          "operator 'custom' has dimension 2001"),
+        (RULE_OVER_LIMIT_CONFIG, "has 100002 functional nodes"),
     ], ids=["bernstein-501", "hat-dirac-1000", "grid-points-100002",
-            "custom-bernstein-2000"])
+            "custom-bernstein-2000", "rule-over-limit"])
     def test_size_limits_checked_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                  text, named):
         def never(*_args, **_kwargs):
