@@ -38,8 +38,8 @@ from .errors import ConfigError
 DEFAULT_QUAD_ORDER = 8
 DEFAULT_QUAD_PANELS = 4
 
-#: Default slack of the normalization check, on each negative weight and on
-#: the mass.
+#: Slack of the normalization check, on each negative weight and on the
+#: mass.
 NORMALIZATION_TOL = 1e-12
 
 #: Kind codes of the members of a :class:`Functionals`, and the name of
@@ -207,11 +207,11 @@ def make_kantorovich_functionals(n: int) -> Functionals:
                                         np.arange(1, cells + 1) / cells)
 
 
-def check_functional_normalization(functionals: Functionals, k: int,
-                                   tol: float = NORMALIZATION_TOL) -> CheckResult:
-    """Exact structural check of member ``k``: every weight is ``>= -tol``
-    and the total mass is within ``tol`` of one. The value is the larger of
-    the mass deviation and the magnitude of the most negative weight."""
+def check_functional_normalization(functionals: Functionals, k: int) -> CheckResult:
+    """Exact structural check of member ``k``: every weight is ``>=
+    -NORMALIZATION_TOL`` and the total mass is within ``NORMALIZATION_TOL``
+    of one, the test of :func:`first_unnormalized`. The value is the larger
+    of the mass deviation and the magnitude of the most negative weight."""
     nodes, weights = functionals.rule(k)
     i = int(np.argmin(weights))
     negative = max(0.0, -float(weights[i]))
@@ -219,9 +219,9 @@ def check_functional_normalization(functionals: Functionals, k: int,
         mass_dev = abs(float(weights.sum()) - 1.0)
     return CheckResult(
         name="functional_normalization",
-        passed=bool(negative <= tol and mass_dev <= tol),
+        passed=bool(negative <= NORMALIZATION_TOL and mass_dev <= NORMALIZATION_TOL),
         value=max(mass_dev, negative),
-        threshold=tol,
+        threshold=NORMALIZATION_TOL,
         detail=(f"min weight {float(weights[i])!r} at node {float(nodes[i])!r}, "
                 f"|sum w - 1| = {mass_dev:.3e}"),
     )
@@ -229,9 +229,8 @@ def check_functional_normalization(functionals: Functionals, k: int,
 
 def first_unnormalized(weights: np.ndarray, starts: np.ndarray) -> int:
     """Index of the first rule that :func:`check_functional_normalization`
-    fails at its default tolerance, or the number of rules when none does;
-    rule ``k`` is ``weights[starts[k]:starts[k + 1]]`` (the last runs to
-    the end).
+    fails, or the number of rules when none does; rule ``k`` is
+    ``weights[starts[k]:starts[k + 1]]`` (the last runs to the end).
 
     One pass over all rules instead of a call per rule. The least weight of
     each rule is ``np.minimum.reduceat``, which is exact. The mass of each

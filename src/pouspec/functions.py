@@ -5,20 +5,19 @@ A function reaches the package only as its values: the operator needs
 an object. :func:`require_in_domain` checks points against [0, 1] and
 :func:`grid` spreads points over it. :func:`draw_test_functions` draws the
 test functions of the positivity and norm checks as parameter arrays: a
-kind code per trial, zero-padded polynomial coefficients, wave parameters
-and piecewise-linear samples. It decodes the generator's raw PCG64 words to
-the numbers that one ``integers``/``uniform`` call after another would
-give, in one loop over each trial's integers and array passes over the
-rest. :meth:`~DrawnTestFunctions.blocks` evaluates the trials in
-kind-pure blocks, each block in one pass and each wave frequency once per
-point set, with the same bits as each trial's own one-dimensional formula,
-and :meth:`~DrawnTestFunctions.name` names one trial. Every polynomial and
-wave trial is a combination of the 23 functions of :func:`dictionary`,
-with the weights of :meth:`~DrawnTestFunctions.dictionary_weights`, so a
-check that needs only linear images of the trials can evaluate those 23 in
-place of the trials. A draw's arrays are read-only and its samples a
-tuple, so it is immutable after construction and safe to share between
-threads.
+kind code per trial, zero-padded polynomial coefficients in power order,
+wave parameters and piecewise-linear samples. It decodes the generator's
+raw PCG64 words to the numbers that one ``integers``/``uniform`` call
+after another would give, in one loop over each trial's integers and
+array passes over the rest, and :meth:`~DrawnTestFunctions.name` names one
+trial. Every polynomial and wave trial is a combination of the 23
+functions of :func:`dictionary`, with the weights of
+:meth:`~DrawnTestFunctions.dictionary_weights`: the checks, which need
+only linear images of the trials, evaluate those 23 in place of the
+trials. :meth:`~DrawnTestFunctions.blocks` interpolates the
+piecewise-linear trials, which are no such combination. A draw's arrays
+are read-only and its samples a tuple, so it is immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -55,20 +54,6 @@ def grid(points: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, points)
 
 
-def _horner(reversed_coefficients: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Horner's rule on ``xs`` for the coefficients along the last axis of
-    ``reversed_coefficients``, leading coefficient first: one row of values
-    per row of coefficients. A row zero-padded on the left stays exactly
-    zero until its own leading coefficient, so it has the bits of Horner's
-    rule on its own coefficients."""
-    out = np.empty(reversed_coefficients.shape[:-1] + xs.shape)
-    out[...] = reversed_coefficients[..., :1]
-    for d in range(1, reversed_coefficients.shape[-1]):
-        out *= xs
-        out += reversed_coefficients[..., d:d + 1]
-    return out
-
-
 # --------------------------------------------------------------------------
 # Random test-function catalog
 # --------------------------------------------------------------------------
@@ -89,9 +74,8 @@ def dictionary(xs: np.ndarray) -> np.ndarray:
     """The 23 functions that every polynomial and wave of the test catalog
     combines, on ``xs``, one row each in a fresh ``(23, xs.size)`` array:
     the powers ``1, x, ..., x^6``, each the one before times ``x``, then
-    ``sin(omega x)`` and then ``cos(omega x)`` for the catalog's
-    ``omega = 2 pi f``, ``f = 1 .. 8``, with the bits of a wave trial's own
-    ``omega`` and argument."""
+    ``sin(omega x)`` and then ``cos(omega x)`` for the catalog's wave
+    frequencies ``f = 1 .. 8``, ``omega = 2.0 * np.pi * f`` as a float."""
     omega = 2.0 * np.pi * np.arange(1.0, 9.0)
     out = np.empty((TEST_POLYNOMIAL_WIDTH + 2 * omega.size, xs.size))
     out[0] = 1.0
@@ -110,12 +94,15 @@ class DrawnTestFunctions:
 
     ``kinds`` holds the kind code of each trial. A polynomial trial ``i``
     has ``terms[i]`` coefficients, stored in row ``i`` of the
-    ``(count, TEST_POLYNOMIAL_WIDTH)`` matrix ``coefficients`` leading
-    coefficient first and zero-padded on the left. A wave trial is
-    ``offset + amplitude[i] * trig(omega[i] x)`` of frequency
-    ``frequency[i]``. A piecewise-linear trial interpolates its samples
-    ``samples[i] = (xs, ys)``; the entry is ``None`` for the other kinds.
-    Every array is read-only. Draws compare and hash by identity, as
+    ``(count, TEST_POLYNOMIAL_WIDTH)`` matrix ``coefficients`` in power
+    order, constant first, and zero-padded on the right; the rows of the
+    other kinds are zero. A wave trial is
+    ``offset + amplitude[i] * trig(2 pi frequency[i] x)``. A
+    piecewise-linear trial interpolates its samples ``samples[i] = (xs,
+    ys)``; the entry is ``None`` for the other kinds. Polynomials and waves
+    are evaluated only through their :meth:`dictionary_weights`,
+    piecewise-linear trials through :meth:`blocks`. Every array is
+    read-only. Draws compare and hash by identity, as
     :class:`~pouspec.functionals.Functionals` do.
     """
 
@@ -123,7 +110,6 @@ class DrawnTestFunctions:
     terms: np.ndarray
     coefficients: np.ndarray
     frequency: np.ndarray
-    omega: np.ndarray
     amplitude: np.ndarray
     offset: float
     samples: tuple
@@ -132,50 +118,22 @@ class DrawnTestFunctions:
     def __post_init__(self):
         # The draw makes its samples read-only: a flag per sample here would
         # cost about as much as all of the draw's array passes.
-        for array in (self.kinds, self.terms, self.coefficients, self.frequency, self.omega,
-                      self.amplitude):
+        for array in (self.kinds, self.terms, self.coefficients, self.frequency, self.amplitude):
             array.flags.writeable = False
 
-    def blocks(self, size: int, xs: np.ndarray,
-               kinds: tuple = (POLYNOMIAL, SINE, COSINE, PIECEWISE_LINEAR)):
-        """Yield ``(rows, values)`` for every trial of ``kinds`` once, in
+    def blocks(self, size: int, xs: np.ndarray):
+        """Yield ``(rows, values)`` for every piecewise-linear trial once, in
         index arrays ``rows`` of at most ``size`` trials (and at least one),
-        all of one kind and in increasing order; row ``j`` of the fresh array
-        ``values`` is trial ``rows[j]`` on ``xs``, with the bits of that
-        trial's own formula: Horner's rule from the leading coefficient,
-        ``offset + amplitude * trig(omega x)`` or ``np.interp`` of its
-        samples. ``xs`` is not checked against [0, 1]: the caller's points
-        lie there already (an operator's nodes by construction, a check grid
-        by the check's own test of it).
-
-        Polynomials share one Horner loop over the block's widest
-        coefficients; each piecewise-linear trial is one ``np.interp``. A
-        wave kind evaluates ``trig(omega x)`` once per distinct frequency
-        it draws, in one table of at most eight rows (the frequencies are 1
-        to 8) held only while its blocks are yielded; a wave trial is then
-        its table row times its amplitude plus the offset, the same
-        operations in the same order as its own formula."""
+        in increasing order; row ``j`` of the fresh array ``values`` is
+        ``np.interp`` of trial ``rows[j]``'s samples on ``xs``. ``xs`` is
+        not checked against [0, 1]: the caller's points lie there already
+        (an operator's nodes by construction, a check grid by the check's
+        own test of it)."""
         size = max(1, size)
-        for kind in kinds:
-            rows = np.flatnonzero(self.kinds == kind)
-            table = None
-            if kind in (SINE, COSINE) and rows.size:
-                omegas, slot = np.unique(self.omega[rows], return_inverse=True)
-                table = np.multiply.outer(omegas, xs)
-                (np.cos if kind == COSINE else np.sin)(table, out=table)
-            for start in range(0, rows.size, size):
-                block = rows[start:start + size]
-                if kind == POLYNOMIAL:
-                    width = int(self.terms[block].max())
-                    values = _horner(self.coefficients[block, TEST_POLYNOMIAL_WIDTH - width:],
-                                     xs)
-                elif kind == PIECEWISE_LINEAR:
-                    values = np.array([np.interp(xs, *self.samples[i]) for i in block])
-                else:
-                    values = table[slot[start:start + size]]
-                    values *= self.amplitude[block, None]
-                    values += self.offset
-                yield block, values
+        rows = np.flatnonzero(self.kinds == PIECEWISE_LINEAR)
+        for start in range(0, rows.size, size):
+            block = rows[start:start + size]
+            yield block, np.array([np.interp(xs, *self.samples[i]) for i in block])
 
     def dictionary_weights(self) -> np.ndarray:
         """The ``(count, 23)`` weights of every trial over the rows of
@@ -183,8 +141,7 @@ class DrawnTestFunctions:
         offset on the constant and its amplitude on its own sine or cosine,
         and a zero row for a piecewise-linear trial."""
         weights = np.zeros((self.kinds.size, TEST_POLYNOMIAL_WIDTH + 16))
-        polynomials = self.kinds == POLYNOMIAL
-        weights[polynomials, :TEST_POLYNOMIAL_WIDTH] = self.coefficients[polynomials, ::-1]
+        weights[:, :TEST_POLYNOMIAL_WIDTH] = self.coefficients
         waves = np.flatnonzero((self.kinds == SINE) | (self.kinds == COSINE))
         weights[waves, 0] = self.offset
         columns = (TEST_POLYNOMIAL_WIDTH - 1 + self.frequency[waves].astype(int)
@@ -388,13 +345,12 @@ def _draw_from_words(chunks, count: int, nonnegative: bool,
                                                            sizes[polynomials]))):
             square = np.convolve(drawn[offset:offset + size], drawn[offset:offset + size])
             terms[i] = square.size
-            coefficients[i, TEST_POLYNOMIAL_WIDTH - square.size:] = square[::-1]
+            coefficients[i, :square.size] = square
     else:
         terms[polynomials] = sizes[polynomials]
         entries = _ranges(offsets[polynomials], sizes[polynomials])
         power = entries - np.repeat(offsets[polynomials], sizes[polynomials])
-        coefficients[np.repeat(polynomials, sizes[polynomials]),
-                     TEST_POLYNOMIAL_WIDTH - 1 - power] = drawn[entries]
+        coefficients[np.repeat(polynomials, sizes[polynomials]), power] = drawn[entries]
 
     # Row j: 0, then trial pwl[j]'s breakpoints sorted and padded with ones.
     rows = np.ones((pwl.size, 18))
@@ -418,8 +374,6 @@ def _draw_from_words(chunks, count: int, nonnegative: bool,
             xs = xs[np.concatenate(([True], xs[1:] > xs[:-1]))]
             xs.flags.writeable = False
         samples[i] = (xs, drawn[offset:offset + size])
-    return (DrawnTestFunctions(kinds=kinds, terms=terms, coefficients=coefficients,
-                               frequency=frequency, omega=2.0 * np.pi * frequency,
-                               amplitude=amplitude, offset=1.0 if nonnegative else 0.0,
-                               samples=tuple(samples), nonnegative=nonnegative),
+    return (DrawnTestFunctions(kinds, terms, coefficients, frequency, amplitude,
+                               1.0 if nonnegative else 0.0, tuple(samples), nonnegative),
             used, (has_half, half))

@@ -39,38 +39,29 @@ check fails with no value and a detail naming the kinds.
 The positivity and norm checks draw all their test functions first, as
 parameter arrays (:func:`~pouspec.functions.draw_test_functions`), and
 run in two passes. Pass 1 forms every trial's coefficients, the
-``(trials, n)`` coefficient matrix, and one bound per trial. Positivity
-works through its trials in kind-pure blocks of at most
-``TRIAL_BLOCK_VALUES`` values on the joined nodes (one Horner loop for
-polynomials, a row of a table of ``trig(omega x)``, one per distinct
-frequency, scaled and shifted for each wave, one ``np.interp`` per
-piecewise-linear trial), each block's coefficients by one
-:meth:`~pouspec.functionals.Functionals.apply`. The norm check takes its
-polynomials and waves by linearity: each is a combination of the 23
-functions of :func:`~pouspec.functions.dictionary`, so their coefficients
-are one product of the draw's weights over it with the dictionary's
-moments, and their ``||f||`` come from the weights times the dictionary
-on the grid; it interpolates each piecewise-linear trial once on the
-nodes and once on the grid. ``Tf(x)`` combines the coefficients ``c``
-with the basis values at ``x``, which for a partition of unity sum to
-one, so ``|Tf| <= max|c|`` and ``Tf >= min(c)``; the bounds scale these by
-the basis' column sums and widen them by Higham's rounding-error bound for
-a dot product, which holds in any summation order. Pass 2 computes images
-on the grid only for the trials whose bound can still change the result,
-in bound order, in blocks, and stops at the first that cannot; a skipped
-trial provably cannot reach, or for positivity tie, the reported value.
-Positivity takes each block as one stacked product (one matrix-vector
-product per row on the dense product), so each image, and its result,
-has the bits of ``form.combine(coefficient_vector(op, f))`` taken one
-function at a time; the
-trial it reports is named from its parameters
-(:meth:`~pouspec.functions.DrawnTestFunctions.name`). The norm check
-takes each block as one matrix product on the dense product. Its
-estimate is the same
-statistic rounded differently: within the rounding bound that
-``tests/helpers.py::norm_estimate_bound`` derives of the one-at-a-time
-estimate, and at most 3 units in the last place from it on the
-benchmark's configs.
+``(trials, n)`` coefficient matrix, through one routine
+(:func:`_trial_coefficients`), and one bound per trial. Each polynomial
+and wave is a combination of the 23 functions of
+:func:`~pouspec.functions.dictionary`, so its coefficients are a row of
+one product of the draw's weights over the dictionary with the
+dictionary's moments; each piecewise-linear trial is one ``np.interp``
+on the joined nodes. The norm check takes ``||f||`` of the polynomials
+and waves from the weights times the dictionary on the grid, and of each
+piecewise-linear trial from one ``np.interp`` on the grid. ``Tf(x)``
+combines the coefficients ``c`` with the basis values at ``x``, which for
+a partition of unity sum to one, so ``|Tf| <= max|c|`` and ``Tf >=
+min(c)``; the bounds scale these by the basis' column sums and widen them
+by Higham's rounding-error bound for a dot product, which holds in any
+summation order. Pass 2 computes images on the grid only for the trials
+whose bound can still change the result, in bound order, each block of
+trials by one :meth:`~pouspec.bases.LocalForm.combine` (one matrix
+product on the dense product), and stops at the first that cannot; a
+skipped trial provably cannot reach, or for positivity tie, the reported
+value. The trial that positivity reports is named from its parameters
+(:meth:`~pouspec.functions.DrawnTestFunctions.name`). Both results are
+the one-at-a-time statistics rounded differently: within the rounding
+bounds that ``tests/helpers.py::positivity_bound`` and
+``norm_estimate_bound`` derive of the one-at-a-time value.
 """
 
 from __future__ import annotations
@@ -86,8 +77,8 @@ from .bases import (BasisSystem, DEFAULT_GRID_POINTS, TOL_POU, LocalForm,
                     make_bspline_basis, make_hat_basis)
 from .checks import CheckResult
 from .errors import ConfigError
-from .functions import (PIECEWISE_LINEAR, dictionary, draw_test_functions, grid,
-                        outside_domain, require_in_domain)
+from .functions import (PIECEWISE_LINEAR, DrawnTestFunctions, dictionary,
+                        draw_test_functions, grid, outside_domain, require_in_domain)
 from .functionals import (AVERAGE, KIND_NAMES, Functionals, check_functional_normalization,
                           dirac_functionals, first_unnormalized,
                           make_kantorovich_functionals)
@@ -244,14 +235,6 @@ def verify_constant_reproduction(op: OperatorSpec, form: LocalForm,
     return CheckResult.deviation_from_one("constant_reproduction", images, form.xs, tol)
 
 
-def _images(coeffs: np.ndarray, form: LocalForm) -> np.ndarray:
-    """``Tf`` on the grid for each row of ``coeffs``. Row ``i`` has the bits
-    of ``form.combine(coeffs[i])``: on the dense product numpy runs the
-    stacked product as one matrix-vector product per row (one matrix
-    product would not give the same bits)."""
-    return form.combine(coeffs[:, None, :])[:, 0]
-
-
 # Bounds on computed images. For a coefficient row ``c``, every computed
 # entry of ``form.combine(c)`` is a sum of ``p`` products ``c_k v_kj``: the
 # dense product's ``p = n``, the local routine's ``p = width``, the other
@@ -280,13 +263,13 @@ def _bound_terms(form: LocalForm) -> tuple[np.ndarray, bool, float, float]:
 
 
 def _image_upper_bounds(coeffs: np.ndarray, form: LocalForm) -> np.ndarray:
-    """Per row of ``coeffs``, at least ``max |_images(coeffs, form)|``."""
+    """Per row of ``coeffs``, at least ``max |form.combine(coeffs)|``."""
     sums, _, gamma, slack = _bound_terms(form)
     return np.abs(coeffs).max(axis=1) * (sums.max() * (1.0 + gamma)) + slack
 
 
 def _image_lower_bounds(coeffs: np.ndarray, form: LocalForm) -> np.ndarray:
-    """Per row of ``coeffs``, at most ``min _images(coeffs, form)``: from
+    """Per row of ``coeffs``, at most ``min form.combine(coeffs)``: from
     ``min(c)`` over a nonnegative basis, else from ``-max|c|``."""
     sums, nonnegative, gamma, slack = _bound_terms(form)
     if not nonnegative:
@@ -297,22 +280,43 @@ def _image_lower_bounds(coeffs: np.ndarray, form: LocalForm) -> np.ndarray:
             - (np.abs(coeffs).max(axis=1) * (s_max * gamma) + slack))
 
 
+def _trial_coefficients(op: OperatorSpec, draw: DrawnTestFunctions) -> np.ndarray:
+    """The ``(trials, n)`` coefficients ``a_k(f)`` of every trial ``f`` of
+    ``draw``. The polynomials and waves take theirs by linearity: the
+    draw's :meth:`~pouspec.functions.DrawnTestFunctions.dictionary_weights`
+    times the moments ``a_k(g)`` of the rows ``g`` of
+    :func:`~pouspec.functions.dictionary`, the functionals applied to the
+    dictionary on the joined nodes in blocks of whole rules
+    (:meth:`~pouspec.functionals.Functionals.blocks`). Each
+    piecewise-linear trial is one ``np.interp`` on the nodes. Every block
+    holds at most ``TRIAL_BLOCK_VALUES`` values, or one rule."""
+    fs = op.functionals
+    weights = draw.dictionary_weights()
+    count = weights.shape[1]
+    moments = np.empty((count, op.n))
+    for first, block in fs.blocks(TRIAL_BLOCK_VALUES // count):
+        moments[:, first:first + block.n] = block.apply(dictionary(block.nodes))
+    coeffs = weights @ moments
+    for rows, on_nodes in draw.blocks(TRIAL_BLOCK_VALUES // fs.nodes.size, fs.nodes):
+        coeffs[rows] = fs.apply(on_nodes)
+    return coeffs
+
+
 def verify_positivity(op: OperatorSpec, form: LocalForm, trials: int = 100,
                       tol: float = WITNESS_RESIDUAL_TOL, seed: int = 42) -> CheckResult:
     """Minimum of ``Tf`` over the grid of ``form`` across seeded
     nonnegative ``f``; the first trial to reach the minimum names it.
 
-    Pass 1 forms every trial's coefficients and a lower bound of its image
-    (see :func:`_image_lower_bounds`); pass 2 computes the images in ascending
-    order of that bound and stops at the first bound above the worst found,
-    which no later trial can reach or tie."""
+    Pass 1 forms every trial's coefficients (:func:`_trial_coefficients`)
+    and a lower bound of its image (see :func:`_image_lower_bounds`); pass
+    2 computes the images in ascending order of that bound, each block of
+    trials by one :meth:`~pouspec.bases.LocalForm.combine`, and stops at
+    the first bound above the worst found, which no later trial can reach
+    or tie."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     draw = draw_test_functions(np.random.default_rng(seed), trials, nonnegative=True)
-    coeffs = np.empty((trials, op.n))
-    nodes = op.functionals.nodes
-    for rows, on_nodes in draw.blocks(TRIAL_BLOCK_VALUES // nodes.size, nodes):
-        coeffs[rows] = op.functionals.apply(on_nodes)
+    coeffs = _trial_coefficients(op, draw)
     lower = _image_lower_bounds(coeffs, form)
     # The worst is the least (value, trial) pair, so a tie goes to the
     # first trial: a trial whose bound equals the worst value is computed.
@@ -325,7 +329,7 @@ def verify_positivity(op: OperatorSpec, form: LocalForm, trials: int = 100,
         rows = np.sort(rows[lower[rows] <= worst[0]])
         if rows.size == 0:
             break
-        images = _images(coeffs[rows], form)
+        images = form.combine(coeffs[rows])
         cols = np.argmin(images, axis=1)
         mins = images[np.arange(rows.size), cols]
         k = int(np.argmin(mins))
@@ -351,51 +355,36 @@ def estimate_operator_norm(op: OperatorSpec, form: LocalForm, trials: int = 200,
     ``||f||_inf < 1e-12`` is skipped. The constant attains the exact norm 1,
     so the estimate is a tight lower bound of it.
 
-    Pass 1 takes the polynomial and wave trials by linearity: each is a
-    combination of the rows of :func:`~pouspec.functions.dictionary`, with
-    the draw's :meth:`~pouspec.functions.DrawnTestFunctions.dictionary_weights`.
-    Their ``||f||`` comes from the weights times the dictionary on the grid,
-    in column blocks, and their coefficients from one product of the
-    weights with the dictionary's moments, the functionals applied to the
-    dictionary on the joined nodes in blocks of whole rules
-    (:meth:`~pouspec.functionals.Functionals.blocks`). Each
-    piecewise-linear trial is one ``np.interp`` on the nodes and one on the
-    grid. Every block holds at most ``TRIAL_BLOCK_VALUES`` values, or one
-    rule. Pass 1 keeps an upper bound of each ratio (see
-    :func:`_image_upper_bounds`); pass 2 computes the images in descending
-    order of that bound, each block of trials by one
-    :meth:`~pouspec.bases.LocalForm.combine`, on the dense product one
-    matrix product, and stops at the first bound at or below the
-    best ratio found."""
+    Pass 1 forms every trial's coefficients (:func:`_trial_coefficients`)
+    and its ``||f||``: the polynomials' and waves' from the draw's
+    :meth:`~pouspec.functions.DrawnTestFunctions.dictionary_weights` times
+    the :func:`~pouspec.functions.dictionary` on the grid, in column
+    blocks, each piecewise-linear trial's from one ``np.interp`` on the
+    grid. Every block holds at most ``TRIAL_BLOCK_VALUES`` values. Pass 1
+    keeps an upper bound of each ratio (see :func:`_image_upper_bounds`);
+    pass 2 computes the images in descending order of that bound, each
+    block of trials by one :meth:`~pouspec.bases.LocalForm.combine`, and
+    stops at the first bound at or below the best ratio found."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     xs = form.xs
     draw = draw_test_functions(np.random.default_rng(seed), trials)
-    fs = op.functionals
     # The constant one, ||1||_inf = 1 on the grid.
-    best = float(np.abs(_images(fs.apply(np.ones((1, fs.nodes.size))), form)).max())
+    best = float(np.abs(form.combine(coefficient_vector(op, np.ones_like))).max())
     weights = draw.dictionary_weights()
-    count = weights.shape[1]
     smooth = np.flatnonzero(draw.kinds != PIECEWISE_LINEAR)
-    pwl = (PIECEWISE_LINEAR,)
     # ||f|| of the polynomials and waves: their weights times the dictionary
     # on columns of the grid, each product within one block.
     smooth_weights, sup = weights[smooth], np.zeros(smooth.size)
-    columns = max(1, TRIAL_BLOCK_VALUES // max(smooth.size, count))
+    columns = max(1, TRIAL_BLOCK_VALUES // max(smooth.size, weights.shape[1]))
     for start in range(0, xs.size, columns):
         on_grid = smooth_weights @ dictionary(xs[start:start + columns])
         np.maximum(sup, np.abs(on_grid, out=on_grid).max(axis=1), out=sup)
     denom = np.empty(trials)
     denom[smooth] = sup
-    for rows, on_grid in draw.blocks(TRIAL_BLOCK_VALUES // xs.size, xs, pwl):
+    for rows, on_grid in draw.blocks(TRIAL_BLOCK_VALUES // xs.size, xs):
         denom[rows] = np.abs(on_grid, out=on_grid).max(axis=1)
-    # Their coefficients: the weights times the moments a_k(dictionary row).
-    moments = np.empty((count, op.n))
-    for first, block in fs.blocks(TRIAL_BLOCK_VALUES // count):
-        moments[:, first:first + block.n] = block.apply(dictionary(block.nodes))
-    coeffs = weights @ moments
-    for rows, on_nodes in draw.blocks(TRIAL_BLOCK_VALUES // fs.nodes.size, fs.nodes, pwl):
-        coeffs[rows] = fs.apply(on_nodes)
+    coeffs = _trial_coefficients(op, draw)
     # Rounding is monotone: a computed max |Tf| at most the bound gives a
     # computed ratio at most the bound over the same ||f||.
     upper = np.full(trials, -np.inf)

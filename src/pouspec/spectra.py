@@ -15,7 +15,9 @@ node's few nonzero values are added into their entries in node order, so
 row ``k`` is the rule's sum ``w_1 e(x_1) + w_2 e(x_2) + ...`` taken from
 left to right. On a Bernstein basis, where every function is nonzero, the
 dense values are applied block by block, and row ``k`` has the bits of
-``basis.values(x) @ w``.
+``basis.values(x) @ w``; a rule longer than a block is applied in node
+chunks of a block each, its row the sum of the chunks' products, so that
+no rule's length raises the memory that assembly takes.
 
 A diagonal matrix's eigenvalues are its entries. The others come from
 LAPACK: scipy's symmetric tridiagonal solver for a tridiagonal matrix with
@@ -113,13 +115,16 @@ def build_collocation_matrix(op) -> CollocationMatrix:
     On any other basis (Bernstein), the basis is evaluated once per block
     of whole functionals on their joined nodes
     (:meth:`~pouspec.functionals.Functionals.blocks`), each block holding
-    at most ``MAX_BLOCK_ENTRIES`` values (a functional larger than that is
-    a block of its own). Each run of ``q`` consecutive functionals of one
-    rule size ``r`` in a block is then one stacked product ``(q, n, r) @
-    (q, r, 1)`` of views of the values and of the joined weights. numpy
-    runs it as one matrix-vector product per functional, with the same
-    arguments as the row's own ``values[:, s_k:e_k] @ weights[s_k:e_k]``,
-    so row ``k`` has the bits of ``basis.values(x) @ w``.
+    at most ``MAX_BLOCK_ENTRIES`` values. Each run of ``q`` consecutive
+    functionals of one rule size ``r`` in a block is then one stacked
+    product ``(q, n, r) @ (q, r, 1)`` of views of the values and of the
+    joined weights. numpy runs it as one matrix-vector product per
+    functional, with the same arguments as the row's own ``values[:,
+    s_k:e_k] @ weights[s_k:e_k]``, so row ``k`` has the bits of
+    ``basis.values(x) @ w``. A rule of more than ``MAX_BLOCK_ENTRIES // n``
+    nodes is evaluated in chunks of that many nodes, and its row is the sum
+    of the chunks' products, taken in node order: memory stays bounded by
+    the block, whatever the rule's length.
 
     Every node lies in [0, 1], as :class:`~pouspec.operators.OperatorSpec`
     guarantees, so no evaluation can fail its domain test."""
@@ -137,7 +142,14 @@ def build_collocation_matrix(op) -> CollocationMatrix:
     # The functionals whose rule size differs from the one before.
     changes = np.flatnonzero(np.diff(sizes)) + 1
     entries = np.empty((n, n))
-    for first, block in op.functionals.blocks(MAX_BLOCK_ENTRIES // n):
+    budget = max(1, MAX_BLOCK_ENTRIES // n)
+    for first, block in op.functionals.blocks(budget):
+        if block.nodes.size > budget:
+            # One rule longer than a block: its products, chunk by chunk.
+            entries[first] = sum(op.basis.values(block.nodes[s:s + budget])
+                                 @ block.weights[s:s + budget]
+                                 for s in range(0, block.nodes.size, budget))
+            continue
         last, lo = first + block.n, starts[first]
         values = op.basis.values(block.nodes)
         cuts = changes[(changes > first) & (changes < last)].tolist()

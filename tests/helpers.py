@@ -25,8 +25,7 @@ from pouspec.functionals import (AVERAGE, DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANEL
                                  Functionals, check_functional_normalization,
                                  dirac_functionals, interval_average_functionals, join,
                                  quadrature_functionals)
-from pouspec.functions import (COSINE, PIECEWISE_LINEAR, POLYNOMIAL, TEST_POLYNOMIAL_WIDTH,
-                               _horner, outside_domain, require_in_domain)
+from pouspec.functions import outside_domain, require_in_domain
 from pouspec.operators import (coefficient_vector, estimate_operator_norm, verify_norm_bound,
                                verify_positivity)
 from pouspec.report import AnalysisConfig
@@ -319,13 +318,20 @@ def hat_values(pts: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.vstack([np.interp(xs, pts, row) for row in np.eye(pts.size)])
 
 
-def collocation_rowwise(op) -> np.ndarray:
+def collocation_rowwise(op, chunk: int | None = None) -> np.ndarray:
     """Collocation matrix one row at a time, each row from its own basis
     evaluation: ``basis.values(nodes_k) @ weights_k`` for each rule, or, on
     a basis with fewer than ``n`` functions nonzero at a point, the sum of
-    ``w_i e(x_i)`` over the rule in node order, starting from zero."""
+    ``w_i e(x_i)`` over the rule in node order, starting from zero. With
+    ``chunk``, a rule of more than ``chunk`` nodes on a basis whose every
+    function may be nonzero is the sum, from zero and in node order, of the
+    products of its runs of ``chunk`` nodes."""
     if op.basis.width == op.n:
-        return np.vstack([op.basis.values(x) @ w for x, w in rules(op.functionals)])
+        chunk = chunk or op.functionals.nodes.size
+        return np.vstack([op.basis.values(x) @ w if x.size <= chunk else
+                          sum(op.basis.values(x[s:s + chunk]) @ w[s:s + chunk]
+                              for s in range(0, x.size, chunk))
+                          for x, w in rules(op.functionals)])
     rows = np.zeros((op.n, op.n))
     for row, (x, w) in zip(rows, rules(op.functionals)):
         for column, weight in zip(op.basis.values(x).T, w):
@@ -507,6 +513,47 @@ def dictionary_weight_norm(f) -> float:
     return abs(f.params["amplitude"]) + abs(f.params["offset"])
 
 
+#: Unit roundoff of float64.
+U = 2.0 ** -53
+
+
+def gamma(k: int) -> float:
+    """``gamma_k = k u / (1 - k u)``, Higham's factor for ``k`` roundings."""
+    return k * U / (1.0 - k * U)
+
+
+def eta(k: float) -> float:
+    """``k`` times ``2**-1075``, the error of a product that underflows,
+    taken as ``ceil(k / 2)`` least subnormals."""
+    return math.ceil(k / 2) * 2.0 ** -1074
+
+
+def trial_gaps(op, grid: np.ndarray, values: np.ndarray):
+    """``gaps(f, c) -> (delta_d, delta_c, gap)`` for a draw ``f`` whose
+    oracle coefficients are ``c``: the bounds ``delta_d``, ``delta_c`` and
+    ``gap_i`` of :func:`norm_estimate_bound` on the distance between the
+    package's and the oracle's ``f`` at a point, coefficients, and images
+    at a point of ``grid``."""
+    fs, n = op.functionals, op.n
+    r = int(np.diff(fs.starts, append=fs.nodes.size).max())
+    mass = max(float(np.abs(fs.rule(k)[1]).sum()) for k in range(n)) * (1.0 + gamma(r))
+    sums = float(np.abs(values).sum(axis=0).max()) * (1.0 + gamma(n))
+    reach = max(1.0, float(np.abs(fs.nodes).max()), float(np.abs(grid).max()))
+    g = reach ** 6 * (1.0 + gamma(6))
+
+    def gaps(f, coefficients: np.ndarray) -> tuple[float, float, float]:
+        p = dictionary_weight_norm(f)
+        delta_d = gamma(43) * p * g + eta((58 + 16 * p) * g) if p else 0.0
+        delta_c = (gamma(2 * r + 43) * p * mass * g
+                   + eta(4 * p * r + 32 * p * mass * g + 2 * r + 24 * mass * g + 46)
+                   if p else 0.0)
+        gap = (sums * (delta_c + gamma(n) * (2.0 * float(np.abs(coefficients).max()) + delta_c))
+               + eta(4 * n))
+        return delta_d, delta_c, gap
+
+    return gaps
+
+
 def norm_estimate_bound(op, grid: np.ndarray, values: np.ndarray, trials: int = 200,
                         seed: int = 42) -> tuple[float, float]:
     """``(oracle, bound)``: :func:`norm_estimate_oracle` and a bound on its
@@ -567,40 +614,21 @@ def norm_estimate_bound(op, grid: np.ndarray, values: np.ndarray, trials: int = 
     ``64 eta`` for the few dozen roundings of the bound itself. ``eta`` is
     half the least subnormal, so ``k eta`` is taken as ``ceil(k / 2)``
     subnormals."""
-    u = 2.0 ** -53
-
-    def gamma(k: int) -> float:
-        return k * u / (1.0 - k * u)
-
-    def eta(k: float) -> float:
-        return math.ceil(k / 2) * 2.0 ** -1074
-
-    fs, n = op.functionals, op.n
-    r = int(np.diff(fs.starts, append=fs.nodes.size).max())
-    mass = max(float(np.abs(fs.rule(k)[1]).sum()) for k in range(n)) * (1.0 + gamma(r))
-    sums = float(np.abs(values).sum(axis=0).max()) * (1.0 + gamma(n))
-    reach = max(1.0, float(np.abs(fs.nodes).max()), float(np.abs(grid).max()))
-    g = reach ** 6 * (1.0 + gamma(6))
+    gaps = trial_gaps(op, grid, values)
     oracle, worst = 0.0, 0.0
     rng = np.random.default_rng(seed)
     for f in [one] + [random_function_oracle(rng) for _ in range(trials)]:
-        p = dictionary_weight_norm(f)
-        delta_d = gamma(43) * p * g + eta((58 + 16 * p) * g) if p else 0.0
+        coefficients = coefficient_vector(op, f)
+        delta_d, _, gap = gaps(f, coefficients)
         denom = float(np.max(np.abs(f(grid))))
         if denom - delta_d < 1e-12 <= denom + delta_d:
             worst = np.inf
         if denom < 1e-12:
             continue
-        delta_c = (gamma(2 * r + 43) * p * mass * g
-                   + eta(4 * p * r + 32 * p * mass * g + 2 * r + 24 * mass * g + 46)
-                   if p else 0.0)
-        coefficients = coefficient_vector(op, f)
         rho = float(np.max(np.abs(coefficients @ values))) / denom
-        gap = (sums * (delta_c + gamma(n) * (2.0 * float(np.abs(coefficients).max()) + delta_c))
-               + eta(4 * n))
         spread = (gap + rho * (1.0 + gamma(1)) * delta_d) / (denom - delta_d)
         oracle = max(oracle, rho)
-        worst = max(worst, spread * (1.0 + u) + 2.0 * u * rho * (1.0 + gamma(1)))
+        worst = max(worst, spread * (1.0 + U) + 2.0 * U * rho * (1.0 + gamma(1)))
     return oracle, worst * (1.0 + gamma(64)) + eta(64)
 
 
@@ -622,6 +650,35 @@ def assert_norm_estimate_near_oracle(op, grid: np.ndarray, trials: int = 200,
     assert check.passed == (1.0 - 1e-12 <= oracle <= 1.0 + check.threshold), (oracle, check)
 
 
+def positivity_bound(op, grid: np.ndarray, values: np.ndarray, trials: int = 100,
+                     seed: int = 42) -> tuple[CheckResult, float]:
+    """``(oracle, bound)``: :func:`positivity_oracle` and a bound on the
+    distance of its value from ``verify_positivity``'s, on the error model
+    of :func:`norm_estimate_bound`.
+
+    Both take the least image entry over the same nonnegative draws and
+    round differently only in the coefficients and the images. The
+    package's coefficients of a polynomial or wave come from the
+    dictionary moments, the oracle's from Horner's rule or ``amplitude *
+    trig`` on the nodes: within ``delta_c`` of each other. A
+    piecewise-linear draw's are the same operations on both sides. Each
+    image entry is a sum of at most ``n`` products on each side (a block's
+    matrix product, or ``width`` products on the local routine, against
+    the oracle's matrix-vector product), so the two differ by at most
+    ``gap_i``, and so do the least entries of the two images and the least
+    over all draws: a trial that the package skips has, by its bound, a
+    least entry above the value it reports. The result is rounded up by
+    ``1 + gamma_64`` and ``64 eta``, as there."""
+    gaps = trial_gaps(op, grid, values)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        f = random_function_oracle(rng, nonnegative=True)
+        worst = max(worst, gaps(f, coefficient_vector(op, f))[2])
+    oracle = positivity_oracle(op, grid, values, trials=trials, seed=seed)
+    return oracle, worst * (1.0 + gamma(64)) + eta(64)
+
+
 def local_sum_bound(op, grid: np.ndarray, coefficients: Sequence[np.ndarray]) -> float:
     """A bound on the distance between ``Tf`` on ``grid`` computed by
     :meth:`~pouspec.bases.LocalForm.combine` and by the dense product
@@ -639,11 +696,6 @@ def local_sum_bound(op, grid: np.ndarray, coefficients: Sequence[np.ndarray]) ->
     two within twice that: ``2 gamma_width max|c| S + 4 width eta`` with
     ``S = max_j sum_k |v_kj|``. ``S`` is rounded up by ``1 + gamma_n`` of
     its own sum and the result by ``1 + gamma_8`` and ``8 eta``."""
-    u = 2.0 ** -53
-
-    def gamma(k: int) -> float:
-        return k * u / (1.0 - k * u)
-
     width, n = op.basis.width, op.n
     sums = float(np.abs(op.basis.values(grid)).sum(axis=0).max()) * (1.0 + gamma(n))
     largest = max(float(np.abs(c).max()) for c in coefficients)
@@ -655,21 +707,13 @@ def local_sum_bound(op, grid: np.ndarray, coefficients: Sequence[np.ndarray]) ->
 def assert_positivity_near_oracle(op, grid: np.ndarray, trials: int = 100,
                                   seed: int = 42) -> None:
     """``verify_positivity`` on the basis' local form against
-    :func:`positivity_oracle` on the dense values: equal where the form
-    keeps the dense values, whose product has the oracle's bits; elsewhere
-    the value within :func:`local_sum_bound` of the oracle's over the
-    trials' coefficients, a bound below ``1e-12 * max(1, |value|)``, the
-    same verdict unless the oracle's value lies within the bound of the
+    :func:`positivity_oracle` on the dense values: the value within
+    :func:`positivity_bound` of the oracle's, a bound below ``1e-12 *
+    max(1, |value|)``, so that it cannot hide a real difference, the same
+    verdict unless the oracle's value lies within the bound of the
     threshold, and the reported point on the grid."""
-    form = op.basis.on(grid)
-    check = verify_positivity(op, form, trials=trials, seed=seed)
-    oracle = positivity_oracle(op, grid, op.basis.values(grid), trials=trials, seed=seed)
-    if form.dense is not None:
-        assert check == oracle
-        return
-    rng = np.random.default_rng(seed)
-    bound = local_sum_bound(op, grid, [coefficient_vector(op, random_function_oracle(
-        rng, nonnegative=True)) for _ in range(trials)])
+    check = verify_positivity(op, op.basis.on(grid), trials=trials, seed=seed)
+    oracle, bound = positivity_bound(op, grid, op.basis.values(grid), trials, seed)
     assert abs(check.value - oracle.value) <= bound, (check, oracle, bound)
     assert bound <= 1e-12 * max(1.0, abs(oracle.value)), (bound, oracle)
     if abs(oracle.value + oracle.threshold) > bound:
@@ -810,23 +854,6 @@ def apply_rule_by_rule(functionals: Functionals, on_nodes: np.ndarray) -> np.nda
                                                row[start:])]
             out[r, k] = products[0] + _pairwise_sum(products[1:])
     return out.reshape(np.shape(on_nodes)[:-1] + (functionals.n,))
-
-
-def drawn_values_per_block(draw, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Trials ``rows`` (all of one kind) of ``draw`` on ``xs``, each wave
-    block by its own ``trig(omega x)``."""
-    kind = draw.kinds[rows[0]]
-    if kind == POLYNOMIAL:
-        width = int(draw.terms[rows].max())
-        return _horner(draw.coefficients[rows, TEST_POLYNOMIAL_WIDTH - width:], xs)
-    if kind == PIECEWISE_LINEAR:
-        return np.array([np.interp(xs, *draw.samples[i]) for i in rows])
-    trig = np.cos if kind == COSINE else np.sin
-    out = draw.omega[rows, None] * xs
-    trig(out, out=out)
-    out *= draw.amplitude[rows, None]
-    out += draw.offset
-    return out
 
 
 def iterate_limit_dense(matrix, tol: float = ITERATE_TOL) -> IterateResult:

@@ -270,22 +270,22 @@ class TestBlocks:
 
 class TestNormalizationCheck:
     def test_dirac_exact(self):
-        result = check_functional_normalization(dirac(0.3), 0, tol=1e-12)
+        result = check_functional_normalization(dirac(0.3), 0)
         assert result.passed and result.value == 0.0
 
     def test_interval_average_passes(self):
-        result = check_functional_normalization(average(0.0, 0.5), 0, tol=1e-12)
+        result = check_functional_normalization(average(0.0, 0.5), 0)
         assert result.passed
 
     def test_denormalized_weights_fail(self):
         rule = quadrature([0.2, 0.8], [0.45, 0.45])
-        result = check_functional_normalization(rule, 0, tol=1e-12)
+        result = check_functional_normalization(rule, 0)
         assert not result.passed
         assert result.value == pytest.approx(0.1, abs=1e-12)
 
     def test_negative_weight_fails_positivity_probe(self):
         rule = quadrature([0.0, 0.5, 1.0], [0.8, -0.3, 0.5])
-        result = check_functional_normalization(rule, 0, tol=1e-12)
+        result = check_functional_normalization(rule, 0)
         assert not result.passed
 
 

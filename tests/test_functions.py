@@ -11,11 +11,10 @@ import pytest
 from pouspec import functions
 from pouspec.errors import ConfigError, DomainError
 from pouspec.functions import (COSINE, DOMAIN_SLACK, PIECEWISE_LINEAR, POLYNOMIAL, SINE,
-                               TEST_POLYNOMIAL_WIDTH, _draw_from_words, _horner, dictionary,
+                               TEST_POLYNOMIAL_WIDTH, _draw_from_words, dictionary,
                                draw_test_functions, grid, outside_domain, require_in_domain)
 
-from helpers import (benchmark_seeds, catalog_values_oracle, drawn_values_per_block,
-                     random_function_oracle)
+from helpers import CatalogDraw, benchmark_seeds, catalog_values_oracle, random_function_oracle
 
 
 def test_grid_endpoints():
@@ -51,9 +50,27 @@ class TestDomain:
         assert outside_domain(xs).tolist() == [True, False, True]
 
 
+def _trial(draw, i: int) -> CatalogDraw:
+    """Trial ``i`` of ``draw`` as the oracle holds a draw, from its
+    parameters."""
+    kind = int(draw.kinds[i])
+    if kind == POLYNOMIAL:
+        return CatalogDraw("poly", draw.name(i),
+                           {"coefficients": draw.coefficients[i, :int(draw.terms[i])]})
+    if kind == PIECEWISE_LINEAR:
+        xs, ys = draw.samples[i]
+        return CatalogDraw("pwl", draw.name(i), {"xs": xs, "ys": ys})
+    return CatalogDraw("cos" if kind == COSINE else "sin", draw.name(i),
+                       {"omega": 2.0 * np.pi * draw.frequency[i],
+                        "amplitude": float(draw.amplitude[i]), "offset": draw.offset})
+
+
 def _all_values(draw, xs: np.ndarray) -> np.ndarray:
-    """Every trial of ``draw`` on ``xs``, one row per trial."""
-    rows = np.empty((draw.kinds.size, xs.size))
+    """Every trial of ``draw`` on ``xs``, one row per trial: the
+    piecewise-linear trials from :meth:`DrawnTestFunctions.blocks`, the
+    others by their own formula from their parameters."""
+    rows = np.array([catalog_values_oracle(_trial(draw, i), xs)
+                     for i in range(draw.kinds.size)]).reshape(draw.kinds.size, xs.size)
     for block, values in draw.blocks(draw.kinds.size, xs):
         rows[block] = values
     return rows
@@ -155,15 +172,6 @@ class TestEvaluation:
         assert draw.name(0) == "poly(deg 0)^2"
         assert _all_values(draw, grid(5)).tolist() == [[1.0] * 5]
 
-    def test_polynomial_horner(self):
-        # 1 - 2x + 3x^2, leading coefficient first; zero padding on the left
-        # of a row leaves its values unchanged.
-        xs = np.array([0.0, 0.5, 1.0])
-        nptest.assert_allclose(_horner(np.array([[3.0, -2.0, 1.0]]), xs),
-                               [[1.0, 0.75, 2.0]], rtol=0, atol=1e-15)
-        padded = _horner(np.array([[0.0, 0.0, 3.0, -2.0, 1.0]]), xs)
-        assert padded.tobytes() == _horner(np.array([[3.0, -2.0, 1.0]]), xs).tobytes()
-
     def test_catalog_sine(self):
         # Frequency 1, amplitude 1 - 2**-52 (the top of [-1, 1)), the sine.
         words = [word(draw32(1, 3), draw32(0, 8)), unit(TOP), word(draw32(0, 2))]
@@ -192,12 +200,18 @@ class TestEvaluation:
                                [[-0.5, 0.5, 0.5]], rtol=0, atol=1e-15)
 
     def test_vectorized_matches_scalar(self):
+        # The dictionary and the interpolated trials on many points have
+        # the bits of each point on its own.
         xs = np.random.default_rng(0).uniform(size=50)
+        columns = dictionary(xs)
+        for j, x in enumerate(xs):
+            assert dictionary(np.array([x]))[:, 0].tobytes() == columns[:, j].tobytes()
         for nonnegative in (False, True):
             draw = draw_test_functions(np.random.default_rng(8), 100, nonnegative)
-            rows = _all_values(draw, xs)
+            rows = np.concatenate([values for _, values in draw.blocks(100, xs)])
             for j, x in enumerate(xs):
-                assert _all_values(draw, np.array([x]))[:, 0].tobytes() == rows[:, j].tobytes()
+                single = np.concatenate([values for _, values in draw.blocks(100, np.array([x]))])
+                assert single[:, 0].tobytes() == rows[:, j].tobytes()
 
 
 class TestDrawnTestFunctions:
@@ -212,46 +226,32 @@ class TestDrawnTestFunctions:
     @pytest.mark.parametrize("block_size", [1, 7, 40])
     @pytest.mark.parametrize("nonnegative", [False, True])
     def test_blocks_equal_single_draws_bit_for_bit(self, nonnegative, block_size):
+        # The blocks hold the piecewise-linear trials, each with the bits of
+        # the oracle's draw.
         for seed in range(50):
             draw_rng = np.random.default_rng(seed)
             draw = draw_test_functions(draw_rng, 40, nonnegative)
-            rows = np.empty((40, self.XS.size))
+            rows = {}
             for block, values in draw.blocks(block_size, self.XS):
-                rows[block] = values
+                rows.update(zip(block.tolist(), values))
             single_rng = np.random.default_rng(seed)
-            for i, row in enumerate(rows):
+            for i in range(40):
                 single = random_function_oracle(single_rng, nonnegative)
                 assert draw.name(i) == single.name
-                assert row.tobytes() == catalog_values_oracle(single, self.XS).tobytes(), \
-                    single.name
+                if single.kind == "pwl":
+                    assert rows.pop(i).tobytes() == \
+                        catalog_values_oracle(single, self.XS).tobytes(), single.name
+            assert rows == {}
             assert draw_rng.bit_generator.state == single_rng.bit_generator.state
 
-    @pytest.mark.parametrize("block_size", [1, 7, 40])
-    @pytest.mark.parametrize("nonnegative", [False, True])
-    def test_blocks_equal_the_per_block_evaluation(self, nonnegative, block_size):
-        # Waves read one trig table per kind; every block has the bits of
-        # evaluating its own trials, each wave block by its own trig.
-        for seed in range(20):
-            draw = draw_test_functions(np.random.default_rng(seed), 40, nonnegative)
-            for block, values in draw.blocks(block_size, self.XS):
-                assert values.tobytes() == drawn_values_per_block(draw, block, self.XS).tobytes()
-
-    @pytest.mark.parametrize("points", [8192, 100_001])
-    def test_blocks_on_large_grids_equal_the_per_block_evaluation(self, points):
-        # Every point set takes the table, up to the largest check grid.
-        xs = grid(points)
-        for seed in range(3):
-            draw = draw_test_functions(np.random.default_rng(seed), 40)
-            for block, values in draw.blocks(7, xs):
-                assert values.tobytes() == drawn_values_per_block(draw, block, xs).tobytes()
-
-    def test_wave_table_holds_at_most_eight_rows_on_a_large_grid(self):
-        # On 100001 points the table of a wave kind holds one row per
-        # distinct frequency, at most eight, and is dropped before the next
-        # kind's: one-trial blocks then hold at most ten rows at a time.
+    def test_blocks_hold_one_block_at_a_time_on_a_large_grid(self):
+        # On 100001 points one-trial blocks of the piecewise-linear trials
+        # hold at most three rows at a time (the block yielded before, the
+        # next trial's interpolation and its copy into its block), and
+        # nothing of the polynomials or waves.
         xs = grid(100_001)
         draw = draw_test_functions(np.random.default_rng(0), 40)
-        assert np.unique(draw.omega[draw.kinds == SINE]).size >= 4
+        assert np.count_nonzero(draw.kinds == PIECEWISE_LINEAR) >= 4
         tracemalloc.start()
         try:
             for _ in draw.blocks(1, xs):
@@ -259,7 +259,7 @@ class TestDrawnTestFunctions:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * xs.nbytes
+        assert peak < 4 * xs.nbytes
 
     @pytest.mark.parametrize("nonnegative", [False, True])
     def test_repeated_breakpoints_keep_the_first(self, nonnegative):
@@ -310,25 +310,16 @@ class TestDrawnTestFunctions:
             assert ys.min() >= (0.0 if nonnegative else -1.0) and ys.max() < 1.0
 
     @pytest.mark.parametrize("size", [0, 1, 3, 100])
-    def test_kind_blocks_partition_the_trials(self, size):
+    def test_blocks_partition_the_piecewise_linear_trials(self, size):
         draw = draw_test_functions(np.random.default_rng(2), 60)
         xs = grid(11)
         blocks = list(draw.blocks(size, xs))
-        assert sorted(np.concatenate([block for block, _ in blocks]).tolist()) == list(range(60))
+        assert np.concatenate([block for block, _ in blocks]).tolist() == \
+            np.flatnonzero(draw.kinds == PIECEWISE_LINEAR).tolist()
         for block, values in blocks:
             assert values.shape == (block.size, xs.size)
             assert 1 <= block.size <= max(1, size)
-            assert np.unique(draw.kinds[block]).size == 1
             assert np.all(np.diff(block) > 0)
-
-    @pytest.mark.parametrize("kinds", [(PIECEWISE_LINEAR,), (COSINE, POLYNOMIAL)])
-    def test_blocks_of_chosen_kinds_are_those_of_all_kinds(self, kinds):
-        draw = draw_test_functions(np.random.default_rng(2), 60)
-        xs = grid(11)
-        chosen = [(block, values) for block, values in draw.blocks(3, xs)
-                  if draw.kinds[block[0]] in kinds]
-        got = {tuple(block): values.tobytes() for block, values in draw.blocks(3, xs, kinds)}
-        assert got == {tuple(block): values.tobytes() for block, values in chosen}
 
     @pytest.mark.parametrize("nonnegative", [False, True])
     def test_dictionary_weights_combine_the_trials(self, nonnegative):
@@ -350,11 +341,13 @@ class TestDrawnTestFunctions:
             combined = weights @ dictionary(self.XS)
             bound = (gamma(43) * np.abs(weights).sum(axis=1) * (1 + DOMAIN_SLACK) ** 6
                      * (1 + gamma(8)))
-            for block, values in draw.blocks(200, self.XS):
-                if draw.kinds[block[0]] == PIECEWISE_LINEAR:
-                    assert not weights[block].any()
+            oracle_rng = np.random.default_rng(seed)
+            for i in range(200):
+                single = random_function_oracle(oracle_rng, nonnegative)
+                if single.kind == "pwl":
+                    assert not weights[i].any()
                     continue
-                assert np.all(np.abs(combined[block] - values) <= bound[block, None])
+                assert np.all(np.abs(combined[i] - single(self.XS)) <= bound[i])
 
     @pytest.mark.parametrize("nonnegative", [False, True])
     def test_parameters_equal_the_uniform_draws(self, nonnegative):
@@ -366,22 +359,7 @@ class TestDrawnTestFunctions:
             draw = draw_test_functions(draw_rng, 30, nonnegative)
             oracle_rng = np.random.default_rng(seed)
             for i in range(30):
-                single = random_function_oracle(oracle_rng, nonnegative)
-                params = single.params
-                assert draw.name(i) == single.name
-                if single.kind == "poly":
-                    pad = TEST_POLYNOMIAL_WIDTH - int(draw.terms[i])
-                    assert draw.coefficients[i, pad:][::-1].tobytes() == \
-                        params["coefficients"].tobytes()
-                    assert not draw.coefficients[i, :pad].any()
-                elif single.kind == "pwl":
-                    xs, ys = draw.samples[i]
-                    assert xs.tobytes() == params["xs"].tobytes()
-                    assert ys.tobytes() == params["ys"].tobytes()
-                else:
-                    assert float(draw.amplitude[i]).hex() == params["amplitude"].hex()
-                    assert draw.omega[i] == params["omega"]
-                    assert draw.offset == params["offset"]
+                _assert_trial_is(draw, i, random_function_oracle(oracle_rng, nonnegative))
             assert draw_rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_draws_cover_every_kind(self):
@@ -408,28 +386,17 @@ class TestDrawnTestFunctions:
                 assert float(offset) == draw.offset
                 assert rest.endswith(f"(2pi*{int(draw.frequency[i])}x)")
 
-    def test_coefficients_padded_on_the_left(self):
+    def test_coefficients_in_power_order_padded_on_the_right(self):
         rng = np.random.default_rng(4)
         draw = draw_test_functions(np.random.default_rng(4), 100, nonnegative=True)
         singles = [random_function_oracle(rng, nonnegative=True) for _ in range(100)]
         for i in np.flatnonzero(draw.kinds == POLYNOMIAL):
-            pad = TEST_POLYNOMIAL_WIDTH - draw.terms[i]
-            assert not draw.coefficients[i, :pad].any()
-            assert draw.coefficients[i, pad:][::-1].tobytes() == \
+            terms = draw.terms[i]
+            assert not draw.coefficients[i, terms:].any()
+            assert draw.coefficients[i, :terms].tobytes() == \
                 singles[i].params["coefficients"].tobytes()
-
-    def test_polynomials_of_mixed_degree_in_one_block(self):
-        xs = np.linspace(0.0, 1.0, 11)
-        rng = np.random.default_rng(9)
-        draw = draw_test_functions(np.random.default_rng(9), 200)
-        singles = [random_function_oracle(rng) for _ in range(200)]
-        rows = np.flatnonzero(draw.kinds == POLYNOMIAL)
-        assert np.unique(draw.terms[rows]).size == TEST_POLYNOMIAL_WIDTH
-        block, values = next(draw.blocks(200, xs))
-        assert block.tolist() == rows.tolist()
-        for row, i in zip(values, rows):
-            assert row.tobytes() == singles[i](xs).tobytes()
-
+            assert draw.dictionary_weights()[i, :TEST_POLYNOMIAL_WIDTH].tobytes() == \
+                draw.coefficients[i].tobytes()
 
 class TestRawWords:
     """The draw decodes raw PCG64 words as ``Generator`` does."""
@@ -439,9 +406,9 @@ class TestRawWords:
     def test_fields_are_read_only(self):
         draw = draw_test_functions(np.random.default_rng(10), 60)
         assert isinstance(draw.samples, tuple)
-        arrays = [draw.kinds, draw.terms, draw.coefficients, draw.frequency, draw.omega,
-                  draw.amplitude, *(a for pair in draw.samples if pair for a in pair)]
-        assert len(arrays) > 6
+        arrays = [draw.kinds, draw.terms, draw.coefficients, draw.frequency, draw.amplitude,
+                  *(a for pair in draw.samples if pair for a in pair)]
+        assert len(arrays) > 5
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -504,7 +471,7 @@ class TestRawWords:
                  *map(unit, [0.25, 0.5, 0.75])]
         draw, used, buffered = scripted_draw(words)
         assert draw.kinds.tolist() == [POLYNOMIAL] and draw.terms.tolist() == [3]
-        assert draw.coefficients[0, -3:].tolist() == [0.5, 0.0, -0.5]
+        assert draw.coefficients[0].tolist() == [-0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0]
         assert used == 5 and buffered == (1, draw32(1, 3))
 
     def test_a_buffered_half_outlives_the_unit_words(self):
@@ -520,7 +487,7 @@ class TestRawWords:
         assert draw.kinds.tolist() == [COSINE, POLYNOMIAL, SINE]
         assert draw.frequency.tolist() == [4.0, 0.0, 5.0]
         assert draw.amplitude.tolist() == [0.5, 0.0, 0.0]
-        assert draw.coefficients[1, -2:].tolist() == [0.0, -0.5]
+        assert draw.coefficients[1].tolist() == [-0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert used == len(words) and buffered == (0, draw32(0, 2))
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
@@ -557,14 +524,14 @@ def _assert_trial_is(draw, i: int, single) -> None:
     params = single.params
     assert draw.name(i) == single.name
     if single.kind == "poly":
-        pad = TEST_POLYNOMIAL_WIDTH - int(draw.terms[i])
-        assert draw.coefficients[i, pad:][::-1].tobytes() == params["coefficients"].tobytes()
-        assert not draw.coefficients[i, :pad].any()
+        terms = int(draw.terms[i])
+        assert draw.coefficients[i, :terms].tobytes() == params["coefficients"].tobytes()
+        assert not draw.coefficients[i, terms:].any()
     elif single.kind == "pwl":
         xs, ys = draw.samples[i]
         assert xs.tobytes() == params["xs"].tobytes()
         assert ys.tobytes() == params["ys"].tobytes()
     else:
         assert float(draw.amplitude[i]).hex() == params["amplitude"].hex()
-        assert draw.omega[i] == params["omega"]
+        assert 2.0 * np.pi * draw.frequency[i] == params["omega"]
         assert draw.offset == params["offset"]

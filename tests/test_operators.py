@@ -37,7 +37,7 @@ from helpers import (adjoint_pairing, assert_norm_estimate_near_oracle, average,
                      dense_basis, dirac, greville_loop, image, in_order, one,
                      output_diff_tool, pairing, assert_positivity_near_oracle, quadrature,
                      random_breakpoints,
-                     random_function_oracle, rules, unchecked_operator,
+                     random_function_oracle, rules, trial_gaps, unchecked_operator,
                      validate_functionals_one_by_one, verify_adjoint_identity,
                      well_formed_configs, widest_gap)
 
@@ -425,9 +425,8 @@ def block_check_operators():
 class TestBlockChecks:
     """The positivity and norm checks, run on blocks of test functions,
     against the same checks run one function at a time on the dense values:
-    positivity with the same bits on the dense product and within
-    ``helpers.local_sum_bound`` on the local routine, the norm estimate
-    within the rounding bound of ``helpers.norm_estimate_bound``."""
+    within the rounding bounds of ``helpers.positivity_bound`` and
+    ``helpers.norm_estimate_bound``."""
 
     def test_operators_cover_f_ordered_values(self):
         layouts = {op.basis.values(GRID).flags.c_contiguous for op in block_check_operators()}
@@ -451,35 +450,63 @@ class TestBlockChecks:
         assert_positivity_near_oracle(op, GRID)
         assert_norm_estimate_near_oracle(op, GRID, seed=43)
 
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    @pytest.mark.parametrize("op", block_check_operators(), ids=lambda o: o.name)
+    def test_trial_coefficients_are_the_oracles_up_to_rounding(self, op, nonnegative):
+        # Each polynomial's or wave's coefficients, by the dictionary
+        # moments, lie within delta_c (helpers.trial_gaps) of the oracle's
+        # coefficient_vector of its own formula; a piecewise-linear trial's
+        # have its bits.
+        draw = draw_test_functions(np.random.default_rng(7), 200, nonnegative)
+        coeffs = operators._trial_coefficients(op, draw)
+        assert coeffs.shape == (200, op.n)
+        gaps = trial_gaps(op, GRID, op.basis.values(GRID))
+        rng = np.random.default_rng(7)
+        for row in coeffs:
+            f = random_function_oracle(rng, nonnegative)
+            oracle = coefficient_vector(op, f)
+            if f.kind == "pwl":
+                assert row.tobytes() == oracle.tobytes()
+            else:
+                assert np.all(np.abs(row - oracle) <= gaps(f, oracle)[1]), f.name
+
+    def test_both_checks_form_their_coefficients_through_one_routine(self, monkeypatch):
+        draws = []
+        routine = operators._trial_coefficients
+        monkeypatch.setattr(operators, "_trial_coefficients",
+                            lambda op, draw: draws.append(draw) or routine(op, draw))
+        op = kantorovich_operator(4)
+        verify_positivity(op, op.default_values)
+        verify_norm_bound(op, op.default_values)
+        assert [(draw.kinds.size, draw.nonnegative) for draw in draws] == \
+            [(100, True), (200, False)]
+
     def test_bounds_skip_most_images(self, monkeypatch):
         # Cell averages of a smooth f lie strictly inside its range, so the
         # coefficient bounds rule out all but a few of the 300 trials. Every
-        # image is one LocalForm.combine, and both kinds are counted: the
-        # stacked rows of _images (positivity's, and the norm check's
-        # constant one) and the norm check's block products.
+        # image is one LocalForm.combine: the norm check's constant one, a
+        # vector, and the blocks of trials of both checks, each a matrix.
         rows = []
         combine = LocalForm.combine
         monkeypatch.setattr(LocalForm, "combine", lambda form, coeffs: rows.append(
-            (coeffs.ndim, len(coeffs))) or combine(form, coeffs))
+            np.atleast_2d(coeffs).shape) or combine(form, coeffs))
         op = kantorovich_operator(30)
         verify_positivity(op, op.default_values)
         estimate_operator_norm(op, op.default_values, seed=43)
-        assert {ndim for ndim, _ in rows} == {2, 3}
-        assert 0 < sum(count for _, count in rows) < 300 / 4
+        assert 0 < sum(count for count, _ in rows) - 1 < 300 / 4
 
     def test_checks_evaluate_each_trial_once(self, monkeypatch):
-        # Positivity evaluates its drawn trials in kind-pure blocks of at
-        # most TRIAL_BLOCK_VALUES values, every trial in exactly one block.
-        # The norm check interpolates each piecewise-linear trial once on the
-        # nodes and once on the grid, and evaluates the dictionary once per
-        # point set, in blocks of at most TRIAL_BLOCK_VALUES values, those on
-        # the nodes of whole rules. Kantorovich 30's 992 nodes take three
-        # blocks.
+        # Both checks interpolate each piecewise-linear trial once on the
+        # nodes and evaluate the dictionary once on the nodes, in blocks of
+        # at most TRIAL_BLOCK_VALUES values, those on the nodes of whole
+        # rules; the norm check also interpolates each piecewise-linear
+        # trial and evaluates the dictionary once on the grid. Kantorovich
+        # 30's 992 nodes take three blocks.
         calls, points = [], []
         blocks = DrawnTestFunctions.blocks
 
-        def spy(self, size, xs, *kinds):
-            for rows, values in blocks(self, size, xs, *kinds):
+        def spy(self, size, xs):
+            for rows, values in blocks(self, size, xs):
                 calls.append((rows, self.kinds[rows], values.size, xs))
                 yield rows, values
 
@@ -492,30 +519,30 @@ class TestBlockChecks:
         op = kantorovich_operator(30)
         nodes = op.functionals.nodes
         basis_values = op.basis.on(GRID)
-        verify_positivity(op, basis_values)
-        assert sorted(np.concatenate([rows for rows, *_ in calls]).tolist()) == list(range(100))
-        for _, kinds, size, xs in calls:
-            assert np.unique(kinds).size == 1
-            assert size <= operators.TRIAL_BLOCK_VALUES
-            assert xs is nodes
-        assert points == []
-        draw = draw_test_functions(np.random.default_rng(42), 200)
-        pwl = np.flatnonzero(draw.kinds == PIECEWISE_LINEAR).tolist()
-        for check in (estimate_operator_norm, verify_norm_bound):
+        positivity_draw = draw_test_functions(np.random.default_rng(42), 100, nonnegative=True)
+        norm_draw = draw_test_functions(np.random.default_rng(42), 200)
+        for check, draw, on_grid in ((verify_positivity, positivity_draw, False),
+                                     (estimate_operator_norm, norm_draw, True),
+                                     (verify_norm_bound, norm_draw, True)):
             calls.clear()
             points.clear()
             check(op, basis_values)
+            pwl = np.flatnonzero(draw.kinds == PIECEWISE_LINEAR).tolist()
             for on_nodes in (True, False):
                 rows = [rows for rows, _, _, xs in calls if (xs is nodes) == on_nodes]
-                assert sorted(np.concatenate(rows).tolist()) == pwl
+                assert sorted(np.concatenate(rows).tolist() if rows else []) == \
+                    (pwl if on_nodes or on_grid else [])
             for _, kinds, size, _ in calls:
                 assert set(kinds.tolist()) == {PIECEWISE_LINEAR}
                 assert size <= operators.TRIAL_BLOCK_VALUES
             node_blocks = [xs for xs in points if np.shares_memory(xs, nodes)]
             assert len(node_blocks) == 3
             nptest.assert_array_equal(np.concatenate(node_blocks), nodes)
-            nptest.assert_array_equal(
-                np.concatenate([xs for xs in points if not np.shares_memory(xs, nodes)]), GRID)
+            on_grid_points = [xs for xs in points if not np.shares_memory(xs, nodes)]
+            if on_grid:
+                nptest.assert_array_equal(np.concatenate(on_grid_points), GRID)
+            else:
+                assert on_grid_points == []
             ends = np.cumsum([xs.size for xs in node_blocks])
             assert set(ends.tolist()) <= set(op.functionals.starts.tolist()) | {nodes.size}
             for xs in points:

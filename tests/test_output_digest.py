@@ -21,7 +21,7 @@ from pouspec.cli import main
 from pouspec.errors import ConfigError
 from pouspec.report import (build_operator, emit_report, parse_config, report_to_mapping,
                             run_analyze)
-from pouspec.spectra import MAX_DIMENSION
+from pouspec.spectra import MAX_BLOCK_ENTRIES, MAX_DIMENSION
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -168,8 +168,8 @@ def test_config_count(output_diff):
     # The count the module docstring and README state.
     groups = (output_diff.pool_configs, output_diff.largest_configs, output_diff.grid_configs,
               output_diff.witness_configs, output_diff.edge_configs, output_diff.seed_configs)
-    assert sum(len(group()) for group in groups) == 559
-    assert "559 in all" in " ".join(output_diff.__doc__.split())
+    assert sum(len(group()) for group in groups) == 560
+    assert "560 in all" in " ".join(output_diff.__doc__.split())
 
 
 def test_witness_configs_parse(output_diff):
@@ -188,9 +188,14 @@ def test_edge_configs_parse_and_the_overflowing_ones_exit_two(output_diff, tmp_p
     monkeypatch.chdir(tmp_path)
     configs = output_diff.edge_configs()
     assert [c["config"] for c in configs] == [
-        "edge quadrature-overflow-2", "edge quadrature-overflow-3", "edge bernstein-underflow"]
+        "edge quadrature-overflow-2", "edge quadrature-overflow-3", "edge bernstein-underflow",
+        "edge bernstein-long-rule"]
     assert {c["stratum"] for c in configs} == {"edge"}
     assert build_operator(parse_config(configs[2]["text"])).n == 3
+    # One rule longer than a block of the Bernstein collocation assembly.
+    long_rule = build_operator(parse_config(configs[3]["text"]))
+    assert long_rule.n == 500
+    assert long_rule.functionals.rule(499)[0].size == 20_000 > MAX_BLOCK_ENTRIES // 500
     messages = []
     for config in configs[:2]:
         assert output_diff.run_texts(main, config["text"])[0] == "2"

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (assert_norm_estimate_near_oracle, clamped_knots, dense_product_form,
-                     dirac, in_order, local_sum_bound, norm_estimate_bound, one, quadrature,
-                     random_breakpoints, random_function_oracle)
+                     dirac, in_order, local_sum_bound, norm_estimate_bound, one,
+                     positivity_bound, quadrature, random_breakpoints)
 
 from pouspec.bases import (DEFAULT_GRID_POINTS, LOCAL_CROSSOVER, TOL_POU,
                            check_partition_of_unity, make_bspline_basis, make_hat_basis)
@@ -142,9 +142,11 @@ def test_local_checks_are_the_dense_product_up_to_rounding(op, points):
     # the dense product: equal below LOCAL_CROSSOVER, where the form keeps
     # the dense values; from there on each value within the rounding bound
     # of a width-term sum (helpers.local_sum_bound) over the coefficients
-    # the check combines, the norm estimate within twice its bound from the
-    # one-at-a-time oracle, and each flag the same unless the dense value
-    # lies within that bound of the flag's threshold.
+    # the check combines, positivity and the norm estimate within twice
+    # their bounds from the one-at-a-time oracles, and each flag the same
+    # unless the dense value lies within that bound of the flag's
+    # threshold. On either form positivity lies within its bound of the
+    # oracle, a bound below 1e-12 * max(1, |value|).
     xs = grid(points)
     form, dense = op.basis.on(xs), dense_product_form(op.basis, xs)
     checks = {
@@ -155,17 +157,18 @@ def test_local_checks_are_the_dense_product_up_to_rounding(op, points):
         "kernel_residual": lambda f: kernel_witness_report(op, f),
     }
     results = {name: (check(form), check(dense)) for name, check in checks.items()}
+    oracle, positivity = positivity_bound(op, xs, op.basis.values(xs))
+    assert positivity <= 1e-12 * max(1.0, abs(oracle.value)), (positivity, oracle)
+    for check in results["positivity"]:
+        assert abs(check.value - oracle.value) <= positivity, (check, oracle, positivity)
     if op.n < LOCAL_CROSSOVER * op.basis.width:
         assert form.dense is not None
         assert all(local == on_dense for local, on_dense in results.values())
         return
     assert form.dense is None
-    rng = np.random.default_rng(42)
-    trials = [coefficient_vector(op, random_function_oracle(rng, nonnegative=True))
-              for _ in range(100)]
     bounds = {
         "partition_of_unity": local_sum_bound(op, xs, [np.ones(op.n)]),
-        "positivity": local_sum_bound(op, xs, trials),
+        "positivity": 2.0 * positivity,
         "constant_reproduction": local_sum_bound(op, xs, [coefficient_vector(op, one)]),
         "norm_estimate": 2.0 * norm_estimate_bound(op, xs, op.basis.values(xs), seed=43)[1],
         "kernel_residual": 0.0,

@@ -17,7 +17,8 @@ import numpy.testing as nptest
 import pytest
 import scipy.linalg
 
-from helpers import OVERFLOWING_WEIGHT_CONFIGS, dumps_json_oracle, emit_svg_oracle
+from helpers import (OVERFLOWING_WEIGHT_CONFIGS, dumps_json_oracle, emit_svg_oracle,
+                     output_diff_tool)
 
 import pouspec.cli as cli_module
 import pouspec.report as report_module
@@ -1123,6 +1124,22 @@ LARGEST_GRID_CONFIGS = {
 }
 
 
+def _peak_rss(tmp_path: Path, name: str, config: dict, command: str) -> tuple[int, int]:
+    """Exit code and peak RSS (KB) of ``pouspec <command>`` on ``config``,
+    run in a child process of its own, BLAS pinned to one thread."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    src = Path(cli_module.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src),
+               **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")})
+    run = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, command, "--config", str(path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    code, peak_kb = json.loads(run.stdout)
+    return code, peak_kb
+
+
 class TestLargestGrid:
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     @pytest.mark.parametrize("name", LARGEST_GRID_CONFIGS)
@@ -1130,17 +1147,21 @@ class TestLargestGrid:
         # 500 functions on 100001 points: their dense values alone take
         # 400 MB, and an analysis that read them peaked at 427 MB (hats) and
         # 430 MB (cubic B-splines). The local form takes 2.4 MB.
-        config = tmp_path / f"{name}.json"
-        config.write_text(json.dumps(LARGEST_GRID_CONFIGS[name]), encoding="utf-8")
-        assert build_operator(parse_config(config.read_text())).n == 500
-        src = Path(cli_module.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src),
-                   **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                           "MKL_NUM_THREADS")})
-        run = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, command,
-                              "--config", str(config)],
-                             env=env, capture_output=True, text=True, timeout=120)
-        assert (run.returncode, run.stderr) == (0, "")
-        code, peak_kb = json.loads(run.stdout)
+        config = LARGEST_GRID_CONFIGS[name]
+        assert build_operator(parse_config(json.dumps(config))).n == 500
+        code, peak_kb = _peak_rss(tmp_path, name, config, command)
         assert code == 0
         assert peak_kb < 150 * 1024
+
+
+class TestLongRule:
+    def test_peak_memory_does_not_grow_with_the_rule(self, tmp_path):
+        # Bernstein 499 with one 20,000-node rule, 39 times the 523 nodes of
+        # a block of the collocation assembly: read as one block, its values
+        # took 80 MB and the analysis peaked at 128 MB, against 52 MB with a
+        # 1-node rule. In chunks of a block it peaks within 10 MB of that.
+        long_rule = output_diff_tool().long_rule
+        code, peak_kb = _peak_rss(tmp_path, "long", long_rule(20_000), "analyze")
+        short_code, short_kb = _peak_rss(tmp_path, "short", long_rule(1), "analyze")
+        assert code == 0 and short_code in (0, 1)
+        assert peak_kb <= short_kb + 10 * 1024, (peak_kb, short_kb)

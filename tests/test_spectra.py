@@ -154,6 +154,13 @@ COLLOCATION_CASES = {
     "runs-bspline": lambda: _runs_operator(make_bspline_basis(
         clamped_knots(random_breakpoints(np.random.default_rng(5), interior=30), 3), 3)),
     "runs-bernstein": lambda: _runs_operator(make_bernstein_basis(40)),
+    # One rule of 13,000 nodes, longer than a block at the default cap
+    # (2**18 // 21 = 12,483 nodes).
+    "bernstein-long-rule": lambda: OperatorSpec(
+        make_bernstein_basis(20),
+        in_order(*(dirac(k / 20) for k in range(20)),
+                 quadrature(np.linspace(0.0, 1.0, 13_000), np.full(13_000, 1.0 / 13_000))),
+        name="bernstein-long-rule"),
 }
 
 #: Caps on the basis values per block, as functions of the operator.
@@ -172,10 +179,24 @@ BLOCK_CAPS = {
 @pytest.mark.parametrize("case", COLLOCATION_CASES)
 class TestBlockAssembly:
     def test_matches_rowwise_assembly(self, monkeypatch, case, cap):
+        # A rule of more than max(1, cap // n) nodes is summed over chunks
+        # of that many: bit for bit the chunked rowwise sum, and within
+        # twice the rounding bound of an r-term sum in any order, gamma_r
+        # sum_i |w_i e(x_i)| + 2 r 2**-1075, of the rule's own product
+        # (gamma_{r+2} covers the bound's own roundings). Every other row
+        # has its bits.
         op = COLLOCATION_CASES[case]()
-        monkeypatch.setattr(spectra, "MAX_BLOCK_ENTRIES", BLOCK_CAPS[cap](op))
-        nptest.assert_array_equal(build_collocation_matrix(op).entries,
-                                  collocation_rowwise(op))
+        limit = BLOCK_CAPS[cap](op)
+        monkeypatch.setattr(spectra, "MAX_BLOCK_ENTRIES", limit)
+        entries = build_collocation_matrix(op).entries
+        nptest.assert_array_equal(entries, collocation_rowwise(op, max(1, limit // op.n)))
+        whole = collocation_rowwise(op)
+        for k, (x, w) in enumerate(rules(op.functionals)):
+            if x.size * op.n <= limit or op.basis.width < op.n:
+                assert entries[k].tobytes() == whole[k].tobytes()
+            else:
+                bound = 2 * float(_gamma(x.size + 2)) * (np.abs(op.basis.values(x)) @ np.abs(w))
+                assert np.all(np.abs(entries[k] - whole[k]) <= bound + 2 * x.size * 2.0 ** -1074)
 
     def test_blocks_are_whole_functionals_within_the_cap(self, monkeypatch, case, cap):
         op = COLLOCATION_CASES[case]()
@@ -194,17 +215,26 @@ class TestBlockAssembly:
             # A local basis forms no dense values on the nodes, whatever the cap.
             assert sizes == []
             return
-        stops = np.append(op.functionals.starts[1:], op.functionals.nodes.size)
+        starts = op.functionals.starts
+        stops = np.append(starts[1:], op.functionals.nodes.size)
+        budget = max(1, limit // op.n)
         bounds = np.cumsum([0] + sizes)
         assert bounds[-1] == op.functionals.nodes.size
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            assert hi in stops
-            rows = np.count_nonzero((stops > lo) & (stops <= hi))
-            # Within the cap unless it is one oversized functional, and
-            # not extendable by the next functional.
-            assert (hi - lo) * op.n <= limit or rows == 1
+            # At most the cap's nodes (one node when the cap holds fewer
+            # than n values).
+            assert hi - lo <= budget
+            k = int(np.searchsorted(starts, lo, side="right")) - 1
+            if stops[k] - starts[k] > budget:
+                # A chunk of one functional longer than the cap: runs of
+                # the cap's nodes in order, the last to the rule's end.
+                assert (lo - starts[k]) % budget == 0
+                assert hi == min(lo + budget, stops[k])
+                continue
+            # Whole functionals, not extendable by the next one.
+            assert lo == starts[k] and hi in stops
             following = stops[stops > hi]
-            assert following.size == 0 or (following[0] - lo) * op.n > limit
+            assert following.size == 0 or following[0] - lo > budget
 
 
 def _gamma(m: int) -> Fraction:

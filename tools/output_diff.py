@@ -9,8 +9,8 @@ of a checkout). Every config of the three benchmark pools
 (``perfbench.workloads.pool``, read from this checkout), the five
 largest configs of :func:`largest_configs`, the two fine-grid configs of
 :func:`grid_configs`, the five kernel-witness configs of
-:func:`witness_configs`, the three edge configs of :func:`edge_configs`
-and the 300 seeded configs of :func:`seed_configs`, 559 in all, is
+:func:`witness_configs`, the four edge configs of :func:`edge_configs`
+and the 300 seeded configs of :func:`seed_configs`, 560 in all, is
 analysed once per tree, each tree in
 its own child process so that each imports its own ``pouspec``: in-process
 through ``pouspec.cli.main``, BLAS pinned to one thread, writing the JSON,
@@ -178,15 +178,28 @@ def witness_configs() -> list[dict]:
             for name, config in configs.items()]
 
 
+def long_rule(nodes: int) -> dict:
+    """A custom Bernstein operator of degree 499: Diracs at ``k / 499`` for
+    ``k = 0 .. 498``, then one weighted-quadrature rule of equal weights on
+    ``nodes`` uniform nodes (on 0.5 when ``nodes`` is 1)."""
+    return {"operator": "custom", "basis": {"kind": "bernstein", "n": 499},
+            "functionals": [*({"kind": "dirac", "x": k / 499} for k in range(499)),
+                            {"kind": "weighted-quadrature",
+                             "nodes": _uniform(nodes) if nodes > 1 else [0.5],
+                             "weights": [1.0 / nodes] * nodes}]}
+
+
 def edge_configs() -> list[dict]:
-    """``config``, ``stratum`` and ``text`` of three configs that the pools
+    """``config``, ``stratum`` and ``text`` of four configs that the pools
     do not reach. Two are malformed: a weighted-quadrature rule whose
     weights overflow as they are summed, on two nodes (``[1e308, 1e308]``)
     and on three (``[1e308, 1e308, -1e308]``); each exits 2 with one stderr
     line. The third reads a Bernstein basis of degree 2 at ``5e-324``
     twice and at 1: ``e_2(5e-324)`` underflows to 0, so the support of its
     matrix, read from the floats, loses the edges that make ``{0, 1}``
-    transient."""
+    transient. The fourth, :func:`long_rule` of 20,000 nodes, holds a rule
+    longer than a block of the collocation assembly
+    (``spectra.MAX_BLOCK_ENTRIES // 500`` nodes)."""
     rules = {"quadrature-overflow-2": ([0.4, 0.6], [1e308, 1e308]),
              "quadrature-overflow-3": ([0.4, 0.5, 0.6], [1e308, 1e308, -1e308])}
     configs = {name: {"operator": "custom", "basis": {"kind": "hat", "nodes": [0.0, 1.0]},
@@ -196,6 +209,7 @@ def edge_configs() -> list[dict]:
     configs["bernstein-underflow"] = {
         "operator": "custom", "basis": {"kind": "bernstein", "n": 2},
         "functionals": [{"kind": "dirac", "x": x} for x in (5e-324, 5e-324, 1.0)]}
+    configs["bernstein-long-rule"] = long_rule(20_000)
     return [{"config": f"edge {name}", "stratum": "edge", "text": json.dumps(config)}
             for name, config in configs.items()]
 
